@@ -5,14 +5,10 @@
 //! cargo run --release -p prb-bench --bin exp_throughput [--seeds 6] [--rounds 20]
 //! cargo run --release -p prb-bench --bin exp_throughput -- \
 //!     --bench-out BENCH_crypto.json [--crypto NAME] [--iters 20] [--bench-rounds 3]
-//! cargo run --release -p prb-bench --bin exp_throughput -- \
-//!     --pipeline [--quick] [--bench-out BENCH_throughput.json] [--crypto NAME]
 //! ```
 //!
 //! The second form skips the sweeps and emits the machine-readable crypto
-//! micro-benchmark (see [`prb_bench::crypto_bench`]). The third runs the
-//! E14 serial-vs-pipelined round-engine sweep (see
-//! [`prb_bench::pipeline_bench`]); `--quick` is the CI smoke variant.
+//! micro-benchmark (see [`prb_bench::crypto_bench`]).
 //!
 //! §1/§3.4: *"The larger f is, the less probability a transaction is
 //! checked, thus the faster the execution of the protocol"*. We sweep `f`
@@ -193,13 +189,6 @@ fn main() {
     // Shared `--trace-out FILE` flag: one traced run of a representative
     // deployment (JSONL trace + summary) instead of the sweeps.
     if prb_bench::run_traced(&args, 10, 2, || prb_bench::traced_default_sim(100)) {
-        return;
-    }
-    // E14: serial-vs-pipelined round-engine sweep → BENCH_throughput.json.
-    if args.flag("pipeline") {
-        let path = args.get("bench-out").unwrap_or("BENCH_throughput.json");
-        let path = path.to_owned();
-        prb_bench::pipeline_bench::run(&args, &path);
         return;
     }
     if let Some(path) = args.get("bench-out") {

@@ -25,7 +25,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod crypto_bench;
-pub mod pipeline_bench;
 pub mod trace;
 
 use std::collections::BTreeMap;

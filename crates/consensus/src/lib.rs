@@ -26,11 +26,7 @@
 //! - [`rotation`] — the executable rotating-leader replication protocol
 //!   (propose + ≥2/3 votes, crashed leaders skipped by timeout),
 //! - [`verify_pool`] — a std-only worker pool draining batched
-//!   signature/VRF verifications through `prb_crypto::batch`,
-//! - [`pipeline`] — deferred (submit-now / collect-later) signature
-//!   validation backing the pipelined round engine: consensus on serial
-//!   `N+1` overlaps validation of serial `N` with bit-identical verdicts
-//!   (E14).
+//!   signature/VRF verifications through `prb_crypto::batch`.
 //!
 //! # Quickstart
 //!
@@ -62,7 +58,6 @@ pub mod election;
 pub mod evidence;
 pub mod membership;
 pub mod pbft;
-pub mod pipeline;
 pub mod rotation;
 pub mod round_robin;
 pub mod stake;
@@ -75,7 +70,6 @@ pub use evidence::{EquivocationEvidence, SignedHeader};
 pub use membership::{
     EpochLog, MemberRole, MembershipAction, MembershipCert, MembershipRequest, MembershipShare,
 };
-pub use pipeline::{DeferItem, DeferStats, DeferredValidator, Ticket};
 pub use stake::{StakeTable, StakeTransfer};
 pub use stake_block::{StakeBlock, StakeGovernor, StakeMsg};
 pub use verify_pool::VerifyPool;

@@ -354,14 +354,8 @@ impl Actor for StakeGovernor {
                     let t0 = self.obs.is_enabled().then(std::time::Instant::now);
                     let ok = self.pool.verify_sigs(&items).iter().all(|&ok| ok);
                     if let Some(t0) = t0 {
-                        let ns = t0.elapsed().as_nanos() as u64;
-                        self.obs.add_counter("wall.crypto_ns", ns);
-                        // Certificates authenticate the *committee*, not
-                        // provider transactions, so the pipelined engine
-                        // cannot defer them — tracked separately so the
-                        // E14 crypto split can tell the non-deferrable
-                        // slice apart.
-                        self.obs.add_counter("wall.cert_ns", ns);
+                        self.obs
+                            .add_counter("wall.crypto_ns", t0.elapsed().as_nanos() as u64);
                     }
                     ok
                 };

@@ -31,8 +31,10 @@ use prb_crypto::signer::{self, PublicKey, Sig, VrfEvaluation};
 /// the caller's thread — the per-thread spawn + join overhead outweighs any
 /// parallel win, and the sim scheme's hash-only checks are far cheaper than
 /// a context switch. Tunable per pool via [`VerifyPool::with_inline_min`]
-/// (surfaced as `ProtocolConfig::verify_inline_min`; the E14 micro-sweep in
-/// `exp_throughput --pipeline` confirms 8 as the default).
+/// (surfaced as `ProtocolConfig::verify_inline_min`). Wall-clock sweeps over
+/// 2/8/32 at schnorr-2048 ranked the three differently on every host tried
+/// (DESIGN.md, "Engine decision"), so 8 is a spawn-cost floor, not a tuned
+/// optimum.
 pub const PAR_MIN_ITEMS: usize = 8;
 
 /// Minimum items per worker chunk; keeps the RLC combination large enough

@@ -115,21 +115,9 @@ pub struct ProtocolConfig {
     pub verify_threads: usize,
     /// Minimum batch size before the verification pool fans out to worker
     /// threads; smaller batches verify inline on the caller's thread.
-    /// Verdict-neutral (wall-clock only). The E14 micro-sweep confirms the
-    /// default of 8 (`prb_consensus::verify_pool::PAR_MIN_ITEMS`).
+    /// Verdict-neutral (wall-clock only); defaults to
+    /// `prb_consensus::verify_pool::PAR_MIN_ITEMS`.
     pub verify_inline_min: usize,
-    /// Depth of the pipelined round engine: how many *ordered but not yet
-    /// finalized* serials may be in flight per governor. `0` (default)
-    /// is the strictly serial engine, preserved bit-for-bit. With depth
-    /// `d ≥ 1`, signature validation is deferred — screening batches are
-    /// submitted to a background worker as uploads arrive and collected
-    /// at the Δ-window expiry, and (with [`ProtocolConfig::verify_blocks`])
-    /// a received block is *ordered* immediately against its
-    /// deferred-validation root and only *finalized* once the root is
-    /// checked one serial behind, aborting-and-repooling on failure.
-    /// Committed ledgers are bit-identical to `pipeline_depth = 0` for
-    /// every depth, seed and thread width (E14).
-    pub pipeline_depth: usize,
     /// Wrap the critical hops (provider→collector submission,
     /// collector→governor upload, block dissemination) in the ack-based
     /// retry envelope from `prb_net::retry`. Off by default: a loss-free
@@ -204,7 +192,7 @@ pub struct ProtocolConfig {
     /// `0` (default) disables silence decay.
     pub decay_halflife: u64,
     /// Seed for the deterministic fast hasher behind every hot-path map
-    /// ([`crate::fasthash`]). Any value yields byte-identical ledgers —
+    /// ([`prb_crypto::fxhash`]). Any value yields byte-identical ledgers —
     /// the `hash_seed_never_changes_the_ledger` regression proves map
     /// iteration order never reaches consensus. `0` means the library
     /// default seed.
@@ -246,7 +234,6 @@ impl Default for ProtocolConfig {
             verify_blocks: false,
             verify_threads: 1,
             verify_inline_min: 8,
-            pipeline_depth: 0,
             reliable_delivery: false,
             sync_page: 16,
             governor_profiles: Vec::new(),
@@ -323,12 +310,6 @@ impl ProtocolConfig {
         }
         if self.verify_inline_min == 0 {
             return Err("verify_inline_min must be positive".into());
-        }
-        if self.pipeline_depth > 8 {
-            return Err(format!(
-                "pipeline_depth {} exceeds the supported maximum of 8",
-                self.pipeline_depth
-            ));
         }
         if let RevealPolicy::Probabilistic { prob, .. } = self.reveal {
             if !(0.0..=1.0).contains(&prob) {
@@ -502,22 +483,6 @@ mod tests {
             ..Default::default()
         };
         assert!(cfg.validate().unwrap_err().contains("verify_inline_min"));
-    }
-
-    #[test]
-    fn pipeline_depth_bounds_checked() {
-        for depth in [0, 1, 2, 8] {
-            let cfg = ProtocolConfig {
-                pipeline_depth: depth,
-                ..Default::default()
-            };
-            cfg.validate().unwrap();
-        }
-        let cfg = ProtocolConfig {
-            pipeline_depth: 9,
-            ..Default::default()
-        };
-        assert!(cfg.validate().unwrap_err().contains("pipeline_depth"));
     }
 
     #[test]

@@ -26,9 +26,9 @@ use prb_consensus::evidence::{EquivocationEvidence, SignedHeader};
 use prb_consensus::membership::{
     EpochLog, MemberRole, MembershipAction, MembershipCert, MembershipRequest, MembershipShare,
 };
-use prb_consensus::pipeline::{DeferItem, DeferStats, DeferredValidator, Ticket};
 use prb_consensus::stake::{StakeTable, StakeTransfer};
 use prb_consensus::verify_pool::VerifyPool;
+use prb_crypto::fxhash::{fx_map_seeded, fx_set_seeded, FxMap, FxSet};
 use prb_crypto::identity::NodeId;
 use prb_crypto::sha256::Digest;
 use prb_crypto::signer::{KeyPair, PublicKey, Sig};
@@ -51,7 +51,6 @@ use prb_store::{BlockStore, Recovered};
 
 use crate::behavior::{ByzantineMode, GovernorProfile};
 use crate::config::{GovernorMode, ProtocolConfig};
-use crate::fasthash::{fx_map_seeded, fx_set_seeded, FastMap, FastSet};
 use crate::metrics::GovernorMetrics;
 use crate::msg::ProtocolMsg;
 
@@ -136,52 +135,6 @@ struct PendingTx {
     sigs: Vec<(u32, Sig)>,
 }
 
-/// A block this governor has *ordered* (appended to its chain) whose
-/// entry signatures are still being verified in the background. The
-/// block is *finalized* — uncontestable by deferred validation — only
-/// once [`GovernorNode::settle_deferred_blocks`] checks the verdicts,
-/// one serial behind; a failure aborts-and-repools (the block is popped,
-/// its forged entries excised, the proposer convicted).
-#[derive(Debug)]
-struct DeferredBlock {
-    serial: u64,
-    proposer: u32,
-    /// Hash at ordering time; a mismatch with the chain at settle time
-    /// means the block was already displaced (fork contest, expulsion)
-    /// and only the memo fold remains to do.
-    block_hash: Digest,
-    /// The proposer's signed header, kept for settle-time conviction.
-    header: Option<SignedHeader>,
-    /// Background batch over the memo-unknown entry signatures
-    /// (`None` when the memo already knew every entry).
-    ticket: Option<Ticket>,
-    /// Memo keys of the submitted batch, in submission order.
-    batch_keys: Vec<(u32, TxId, Sig)>,
-    /// Every entry's `(provider, id, signature, signing bytes)` for the
-    /// finality check (bytes kept so memo-evicted stragglers can be
-    /// re-verified inline).
-    entries: Vec<(u32, TxId, Sig, Vec<u8>)>,
-}
-
-/// An eagerly submitted screening batch: the validator ticket plus the
-/// signature-memo keys its verdicts will settle into.
-type ScreenBatch = (Ticket, Vec<(u32, TxId, Sig)>);
-
-/// Pipelined-engine state (`ProtocolConfig::pipeline_depth > 0`).
-#[derive(Debug)]
-struct PipelineState {
-    /// Asynchronous signature verifier shared by the screening and block
-    /// deferral paths.
-    validator: DeferredValidator,
-    /// Outstanding screening batches as `(ticket, memo keys)`; submitted
-    /// eagerly as uploads arrive, collected at the Δ-window drain.
-    screen_batches: Vec<ScreenBatch>,
-    /// Ordered-but-unfinalized blocks, oldest serial first.
-    unfinalized: VecDeque<DeferredBlock>,
-    /// Watermark of validator stats already exported to obs counters.
-    exported: DeferStats,
-}
-
 /// Governor actor state.
 pub struct GovernorNode {
     index: u32,
@@ -203,7 +156,7 @@ pub struct GovernorNode {
     reputation: ReputationTable,
     chain: Chain,
     inbox: OrderedInbox<LabeledTx>,
-    pending: FastMap<TxId, PendingTx>,
+    pending: FxMap<TxId, PendingTx>,
     /// Δ-window insertion order of `pending` ids, for deterministic
     /// oldest-first shedding when the pool hits
     /// [`ProtocolConfig::pending_capacity`]. May hold stale ids (screened
@@ -213,10 +166,10 @@ pub struct GovernorNode {
     pending_high_water: usize,
     /// Transactions shed from the pending pool, oldest first.
     shed: u64,
-    timers: FastMap<TimerId, TxId>,
-    history: FastMap<TxId, TxRecord>,
-    revealed: FastSet<TxId>,
-    unchecked_counter: FastMap<u32, u64>,
+    timers: FxMap<TimerId, TxId>,
+    history: FxMap<TxId, TxRecord>,
+    revealed: FxSet<TxId>,
+    unchecked_counter: FxMap<u32, u64>,
     /// Screened entries awaiting inclusion in a block.
     ready_entries: Vec<BlockEntry>,
     /// Accepted argues awaiting re-recording.
@@ -248,20 +201,20 @@ pub struct GovernorNode {
     obs: ObsHandle,
     /// Memoized provider-signature verdicts, keyed by
     /// `(provider, tx id, signature)`.
-    sig_memo: FastMap<(u32, TxId, Sig), bool>,
+    sig_memo: FxMap<(u32, TxId, Sig), bool>,
     /// Provider signatures awaiting the next batched drain: copies whose
     /// verdict the memo does not know yet, as `(provider, tx id,
     /// signature, signed bytes)`.
     verify_queue: Vec<(u32, TxId, Sig, Vec<u8>)>,
     /// Dedupe set over the queue's `(provider, tx id, signature)` keys.
-    queued: FastSet<(u32, TxId, Sig)>,
+    queued: FxSet<(u32, TxId, Sig)>,
     /// Drains accumulated verifications as RLC batches, optionally across
     /// worker threads (`ProtocolConfig::verify_threads`).
     verify_pool: VerifyPool,
     /// Open per-transaction Δ-window screening spans.
-    screen_spans: FastMap<TxId, Span>,
+    screen_spans: FxMap<TxId, Span>,
     /// Screening tick of still-unchecked transactions (reveal/argue spans).
-    screened_at: FastMap<TxId, u64>,
+    screened_at: FxMap<TxId, u64>,
     election_span: Option<Span>,
     proposal_span: Option<Span>,
     commit_span: Option<Span>,
@@ -287,9 +240,6 @@ pub struct GovernorNode {
     /// Governors this node has expelled from its committee view, each
     /// backed by verified equivocation evidence (sorted).
     expelled: Vec<u32>,
-    /// Pipelined round engine (`None` when `pipeline_depth == 0`; the
-    /// serial engine then behaves bit-for-bit as before).
-    pipeline: Option<PipelineState>,
     /// Durable block store mirroring every chain mutation (`None` keeps
     /// the ledger purely in memory, the pre-E16 behaviour).
     store: Option<BlockStore>,
@@ -371,12 +321,6 @@ impl GovernorNode {
         let s = cfg.s() as usize;
         let stake_table = StakeTable::uniform(cfg.governors as usize, cfg.stake_per_governor);
         let verify_pool = VerifyPool::with_inline_min(cfg.verify_threads, cfg.verify_inline_min);
-        let pipeline = (cfg.pipeline_depth > 0).then(|| PipelineState {
-            validator: DeferredValidator::new(verify_pool),
-            screen_batches: Vec::new(),
-            unfinalized: VecDeque::new(),
-            exported: DeferStats::default(),
-        });
         let profile = cfg.governor_profile(index);
         let mut health = PeerHealth::new();
         for c in 0..n {
@@ -444,7 +388,6 @@ impl GovernorNode {
             seen_headers: HashMap::new(),
             echoed: HashSet::new(),
             expelled: Vec::new(),
-            pipeline,
             store: None,
             latest_cert: None,
             ckpt_pending: HashMap::new(),
@@ -1365,24 +1308,17 @@ impl GovernorNode {
                 for ltx in self.inbox.push(channel, seq, ltx) {
                     self.on_upload(ltx, ctx);
                 }
-                // Pipelined engine: hand the freshly queued provider
-                // signatures to the background validator right away —
-                // they verify while the main loop keeps processing
-                // events, and `screen_tx` collects the verdicts before
-                // any screening decision reads them.
-                self.submit_screen_batch();
             }
             ProtocolMsg::ProposeBlock { round } => self.on_propose(round, ctx),
             ProtocolMsg::BlockProposal {
                 block,
                 claim,
                 header,
-                deferred_root,
             } => {
                 if let Some(header) = &header {
                     self.note_header(header.clone(), ctx);
                 }
-                self.on_block(block, claim, header, deferred_root, ctx);
+                self.on_block(block, claim, header, ctx);
             }
             ProtocolMsg::HeaderEcho { header } => self.note_header(header, ctx),
             ProtocolMsg::Evidence { evidence } => self.on_evidence(evidence, ctx),
@@ -1422,13 +1358,6 @@ impl GovernorNode {
     }
 
     fn on_start_round(&mut self, round: u64, ctx: &mut Context<'_, ProtocolMsg>) {
-        // Pipelined engine: publish stage-occupancy gauges while the
-        // previous round's block is still in flight, then settle it —
-        // finalize (verdicts all good) or abort-and-repool. This runs
-        // before `self.round` advances so a conviction triggered by the
-        // deferred check books to the round the crime was committed in.
-        self.publish_pipeline_obs();
-        self.settle_deferred_blocks(None, ctx.now().ticks());
         // A round-number gap is crash evidence: StartRound commands
         // arrive every round, so skipping one means this node was deaf
         // for at least a full round and may have missed blocks.
@@ -1689,7 +1618,7 @@ impl GovernorNode {
     /// Queues a provider signature for the next batched drain (deduped).
     fn enqueue_verify(
         queue: &mut Vec<(u32, TxId, Sig, Vec<u8>)>,
-        queued: &mut FastSet<(u32, TxId, Sig)>,
+        queued: &mut FxSet<(u32, TxId, Sig)>,
         key: (u32, TxId, Sig),
         tx: &SignedTx,
     ) {
@@ -1738,316 +1667,13 @@ impl GovernorNode {
         }
     }
 
-    /// Folds a verdict into the signature memo (bounded, clear-when-full).
-    fn memoize(&mut self, key: (u32, TxId, Sig), ok: bool) {
-        if self.sig_memo.len() >= SIG_MEMO_MAX {
-            self.sig_memo.clear();
-        }
-        self.sig_memo.insert(key, ok);
-    }
-
-    /// Pipelined engine: hands the accumulated verification queue to the
-    /// background validator as soon as it forms instead of waiting for
-    /// the Δ-window drain. The batch verifies on a worker thread while
-    /// the event loop keeps running; `settle_verify_batches` collects
-    /// the verdicts before any screening decision reads them, so the
-    /// verdict a copy receives is identical to the synchronous drain's.
-    /// No-op under the serial engine.
-    fn submit_screen_batch(&mut self) {
-        if self.pipeline.is_none() {
-            return;
-        }
-        // Coalesce: a batch only ships once it reaches the pool's inline
-        // threshold — submitting every delivery as its own batch costs a
-        // worker wake-up per handful of signatures. Whatever is still
-        // queued when screening decisions fall due is drained
-        // synchronously by `settle_verify_batches` (verdict-identical).
-        if self.verify_queue.len() < self.cfg.verify_inline_min.max(1) {
-            return;
-        }
-        let queue = std::mem::take(&mut self.verify_queue);
-        // `queued` is deliberately NOT cleared here: the verdicts only
-        // reach the memo at the next `settle_verify_batches`, so the keys
-        // stay marked to stop replicated copies of the same transaction
-        // from re-queuing (and re-verifying) the identical signature.
-        self.metrics.sig_memo_misses += queue.len() as u64;
-        if self.obs.is_enabled() {
-            self.obs
-                .metrics()
-                .observe("crypto.batch.size", queue.len() as u64);
-            self.obs
-                .metrics()
-                .add("gov.sig_memo_miss", queue.len() as u64);
-        }
-        let mut keys = Vec::with_capacity(queue.len());
-        let mut items: Vec<DeferItem> = Vec::with_capacity(queue.len());
-        for (p, id, sig, msg) in queue {
-            let pk = self
-                .provider_pk(p)
-                .expect("queued after structural check")
-                .clone();
-            items.push((msg, sig.clone(), pk));
-            keys.push((p, id, sig));
-        }
-        let pipe = self.pipeline.as_mut().expect("checked above");
-        let ticket = pipe.validator.submit(items);
-        pipe.screen_batches.push((ticket, keys));
-    }
-
-    /// Settles every outstanding provider-signature verification: joins
-    /// the background screening batches (pipelined engine), then drains
-    /// whatever is still queued synchronously. All verdicts land in the
-    /// memo, exactly as a serial drain would have produced them.
-    fn settle_verify_batches(&mut self) {
-        let mut folds: Vec<((u32, TxId, Sig), bool)> = Vec::new();
-        if let Some(pipe) = &mut self.pipeline {
-            for (ticket, keys) in std::mem::take(&mut pipe.screen_batches) {
-                let verdicts = pipe.validator.collect(ticket);
-                folds.extend(keys.into_iter().zip(verdicts));
-            }
-        }
-        for (key, ok) in folds {
-            self.memoize(key, ok);
-        }
-        // Submitted keys are memoized now; unmark them so a future
-        // re-verification (after a memo clear) is possible again.
-        self.queued.clear();
-        self.drain_verify_queue();
-        self.export_defer_stats();
-    }
-
-    /// Pipelined engine: registers a just-ordered `block` for deferred
-    /// entry-signature verification. Memo-unknown signatures go to the
-    /// background validator; the block counts as *finalized* only once
-    /// [`Self::settle_deferred_blocks`] confirms every verdict, one
-    /// serial behind. Registering never touches protocol state beyond
-    /// the memo, so honest runs stay bit-identical to the serial engine.
-    fn defer_block_validation(&mut self, block: &Block, header: Option<SignedHeader>, now: u64) {
-        let mut entries = Vec::with_capacity(block.entries.len());
-        let mut batch_keys: Vec<(u32, TxId, Sig)> = Vec::new();
-        let mut items: Vec<DeferItem> = Vec::new();
-        let mut seen: HashSet<(u32, TxId, Sig)> = HashSet::new();
-        for e in &block.entries {
-            let p = e.tx.payload.provider.index;
-            let key = (p, e.tx.id(), e.tx.provider_sig.clone());
-            if !self.sig_memo.contains_key(&key) && seen.insert(key.clone()) {
-                // An unresolvable provider key is left out of the batch;
-                // the settle-time inline re-verify then scores it false.
-                if let Some(pk) = self.provider_pk(p) {
-                    items.push((e.tx.signing_bytes(), e.tx.provider_sig.clone(), pk.clone()));
-                    batch_keys.push(key.clone());
-                }
-            }
-            entries.push((key.0, key.1, key.2, e.tx.signing_bytes()));
-        }
-        if self.obs.is_enabled() && !items.is_empty() {
-            self.obs
-                .metrics()
-                .observe("crypto.batch.size", items.len() as u64);
-        }
-        let pipe = self.pipeline.as_mut().expect("caller checked pipelined");
-        let ticket = (!items.is_empty()).then(|| pipe.validator.submit(items));
-        pipe.unfinalized.push_back(DeferredBlock {
-            serial: block.serial,
-            proposer: block.leader.index,
-            block_hash: block.hash(),
-            header,
-            ticket,
-            batch_keys,
-            entries,
-        });
-        // Backpressure: never let more than `pipeline_depth` blocks ride
-        // unfinalized — settle the oldest ones now.
-        while self
-            .pipeline
-            .as_ref()
-            .is_some_and(|p| p.unfinalized.len() > self.cfg.pipeline_depth)
-        {
-            self.settle_next(now);
-        }
-    }
-
-    /// Settles deferred blocks in serial order: all records with
-    /// `serial < before` (or every record when `before` is `None`).
-    fn settle_deferred_blocks(&mut self, before: Option<u64>, now: u64) {
-        loop {
-            let due = match &self.pipeline {
-                Some(pipe) => match (pipe.unfinalized.front(), before) {
-                    (Some(d), Some(s)) => d.serial < s,
-                    (Some(_), None) => true,
-                    (None, _) => false,
-                },
-                None => false,
-            };
-            if !due {
-                return;
-            }
-            self.settle_next(now);
-        }
-    }
-
-    /// Settles the oldest deferred block: joins its verification batch,
-    /// folds the verdicts into the memo, and either finalizes the block
-    /// or aborts-and-repools — the head is popped down through the bad
-    /// serial, forged entries are excised from the repooled set (their
-    /// traces closed, satellite bookkeeping cleared), and the proposer
-    /// is convicted through its signed header.
-    fn settle_next(&mut self, now: u64) {
-        let (d, verdicts) = {
-            let Some(pipe) = self.pipeline.as_mut() else {
-                return;
-            };
-            let Some(d) = pipe.unfinalized.pop_front() else {
-                return;
-            };
-            let verdicts = match d.ticket {
-                Some(t) => pipe.validator.collect(t),
-                None => Vec::new(),
-            };
-            (d, verdicts)
-        };
-        for (key, ok) in d.batch_keys.iter().cloned().zip(verdicts) {
-            self.memoize(key, ok);
-        }
-        // Which entries fail authentication? (Memo-evicted stragglers are
-        // re-verified inline from the retained signing bytes.)
-        let mut bad: Vec<TxId> = Vec::new();
-        for (p, id, sig, bytes) in &d.entries {
-            let key = (*p, *id, sig.clone());
-            let ok = match self.sig_memo.get(&key) {
-                Some(&ok) => ok,
-                None => {
-                    let ok = self.provider_pk(*p).is_some_and(|pk| pk.verify(bytes, sig));
-                    self.memoize(key, ok);
-                    ok
-                }
-            };
-            if !ok && !bad.contains(id) {
-                bad.push(*id);
-            }
-        }
-        // The block may already be gone — displaced by a same-serial
-        // rival or an expulsion pop. Its entries were repooled wholesale
-        // by `pop_head_repool`, so forged ones still need excising, but
-        // there is nothing to finalize or abort.
-        let live = self
-            .chain
-            .retrieve(d.serial)
-            .is_some_and(|b| b.hash() == d.block_hash);
-        self.export_defer_stats();
-        if !live {
-            if self.obs.is_enabled() {
-                self.obs.metrics().inc("pipeline.stale");
-            }
-            self.excise_entries(&bad, now);
-            return;
-        }
-        if bad.is_empty() {
-            if self.obs.is_enabled() {
-                self.obs.metrics().inc("pipeline.finalized");
-            }
-            return;
-        }
-        // Abort-and-repool: deferred validation caught forged entry
-        // signatures in an already-ordered block. Pop the head down
-        // through the bad serial (repooling honest entries), excise the
-        // forged ones, and convict the proposer.
-        if self.obs.is_enabled() {
-            self.obs.metrics().inc("pipeline.aborts");
-        }
-        self.metrics.invalid_blocks_rejected += 1;
-        if self.obs.is_enabled() {
-            self.obs.metrics().inc("byzantine.invalid_blocks_rejected");
-        }
-        while self.chain.height() >= d.serial {
-            self.pop_head_repool();
-        }
-        self.excise_entries(&bad, now);
-        if let Some(h) = &d.header {
-            if h.proposer == d.proposer
-                && h.serial == d.serial
-                && h.block_hash == d.block_hash
-                && h.verify(&self.governor_pks)
-            {
-                self.expel(h.proposer, now);
-            }
-        }
-    }
-
-    /// Removes forged transactions from the ready/argued pools and closes
-    /// their lifecycle bookkeeping (trace, screening span, reveal clock) —
-    /// they must never be re-proposed.
-    fn excise_entries(&mut self, bad: &[TxId], now: u64) {
-        for id in bad {
-            self.ready_entries.retain(|e| e.tx.id() != *id);
-            self.argued_entries.retain(|e| e.tx.id() != *id);
-            self.screen_spans.remove(id);
-            self.screened_at.remove(id);
-            if self.obs.is_enabled() {
-                self.obs.metrics().inc("pipeline.excised_txs");
-            }
-            self.obs.emit(
-                now,
-                self.net_idx(),
-                ObsEvent::TxDropped {
-                    trace: id.trace(),
-                    reason: "forged",
-                },
-            );
-        }
-    }
-
-    /// Publishes pipeline stage-occupancy gauges and the deferred
-    /// validator's overlap accounting (`wall.defer_work_ns`,
-    /// `wall.defer_wait_ns`, `wall.overlap_ns`) to the obs hub.
-    fn publish_pipeline_obs(&mut self) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        let Some(pipe) = &self.pipeline else {
-            return;
-        };
-        let unfinalized = pipe.unfinalized.len() as f64;
-        let inflight = pipe.validator.in_flight() as f64;
-        let items = pipe.validator.items_in_flight() as f64;
-        self.obs.set_gauge("pipeline.unfinalized", unfinalized);
-        self.obs.set_gauge("pipeline.inflight_batches", inflight);
-        self.obs.set_gauge("pipeline.inflight_items", items);
-        self.obs.observe("pipeline.unfinalized", unfinalized as u64);
-        self.obs
-            .observe("pipeline.inflight_batches", inflight as u64);
-        self.export_defer_stats();
-    }
-
-    /// Exports the deferred validator's overlap accounting deltas
-    /// (`wall.defer_work_ns`, `wall.defer_wait_ns`, `wall.overlap_ns`)
-    /// to the obs counters. Called at round boundaries and after every
-    /// settle so the final batches are never left unaccounted.
-    fn export_defer_stats(&mut self) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        let Some(pipe) = &mut self.pipeline else {
-            return;
-        };
-        let stats = pipe.validator.stats();
-        let delta_work = stats.work_ns - pipe.exported.work_ns;
-        let delta_wait = stats.wait_ns - pipe.exported.wait_ns;
-        let delta_overlap = stats.overlap_ns - pipe.exported.overlap_ns;
-        pipe.exported = stats;
-        self.obs.add_counter("wall.defer_work_ns", delta_work);
-        self.obs.add_counter("wall.defer_wait_ns", delta_wait);
-        self.obs.add_counter("wall.overlap_ns", delta_overlap);
-    }
-
     fn screen_tx(&mut self, id: TxId, ctx: &mut Context<'_, ProtocolMsg>) {
         let Some(mut pending) = self.pending.remove(&id) else {
             return;
         };
-        // Settle every provider signature queued during the Δ window —
-        // the background batches first (pipelined engine), then whatever
-        // is still queued — then attribute forgeries per reporting copy.
-        self.settle_verify_batches();
+        // Settle every provider signature queued during the Δ window in
+        // one pooled batch, then attribute forgeries per reporting copy.
+        self.drain_verify_queue();
         let provider = pending.provider;
         let signed_bytes = pending.ltx.tx.signing_bytes();
         let mut ok_reports = Vec::with_capacity(pending.reports.len());
@@ -2241,10 +1867,6 @@ impl GovernorNode {
     }
 
     fn on_propose(&mut self, round: u64, ctx: &mut Context<'_, ProtocolMsg>) {
-        // Pipelined engine: settle every outstanding deferred check
-        // before extending the head — a leader must never build on a
-        // block that deferred validation is about to abort.
-        self.settle_deferred_blocks(None, ctx.now().ticks());
         // A leader already chosen means the election ran over the full
         // claim set; electing from a partial set below may miss the true
         // winner, so a block proposed that way stays provisional.
@@ -2433,16 +2055,7 @@ impl GovernorNode {
         }
         self.metrics.rounds_led += 1;
         let claim = self.my_claim.clone();
-        // Pipelined engine: attach the deferred-validation root. The
-        // commitment is computed honestly even by the byzantine profiles
-        // (their forged *entries* are what deferred validation catches);
-        // a mismatching root is a distinct crime, convicted same-round
-        // hash-only by every receiver.
-        let deferred_root = self.pipeline.is_some().then(|| block.validation_root());
-        let size = size
-            + claim.as_ref().map_or(0, |_| 96)
-            + 72
-            + if deferred_root.is_some() { 32 } else { 0 };
+        let size = size + claim.as_ref().map_or(0, |_| 96) + 72;
         let header = SignedHeader::create(self.index, round, block.serial, block.hash(), &self.key);
         if mode == ByzantineMode::Equivocate {
             // Double-sign a twin block differing only by timestamp and
@@ -2474,16 +2087,12 @@ impl GovernorNode {
                         block: block.clone(),
                         claim: claim.clone(),
                         header: Some(header.clone()),
-                        deferred_root,
                     }
                 } else {
                     ProtocolMsg::BlockProposal {
                         block: twin.clone(),
                         claim: claim.clone(),
                         header: Some(twin_header.clone()),
-                        // The twin shares serial and entries, so its
-                        // validation root is the same commitment.
-                        deferred_root: self.pipeline.is_some().then(|| twin.validation_root()),
                     }
                 };
                 self.send_governor(ctx, g as usize, "block-proposal", size, msg);
@@ -2497,7 +2106,6 @@ impl GovernorNode {
                     block,
                     claim,
                     header: Some(header),
-                    deferred_root,
                 },
             );
         }
@@ -2524,7 +2132,6 @@ impl GovernorNode {
         block: Block,
         claim: Option<ElectionClaim>,
         header: Option<SignedHeader>,
-        deferred_root: Option<Digest>,
         ctx: &mut Context<'_, ProtocolMsg>,
     ) {
         if block.leader == NodeId::governor(self.index) {
@@ -2539,15 +2146,6 @@ impl GovernorNode {
             return;
         }
         let now = ctx.now().ticks();
-        // Pipelined engine: settle everything strictly older than the
-        // incoming serial first — validation of serial N completes while
-        // (at the latest, when) consensus reaches N+1, and the serial /
-        // height comparisons below must run against the post-settlement
-        // chain (an abort may have popped the head this proposal claims
-        // to extend). Same-serial records stay: a head still contestable
-        // by a rival's election key is settled by the fork machinery,
-        // not here.
-        self.settle_deferred_blocks(Some(block.serial), now);
         // Strictly below the head: a retransmitted or slow duplicate,
         // not an agreement violation.
         if block.serial < self.chain.height() {
@@ -2623,47 +2221,18 @@ impl GovernorNode {
             self.start_recovery(Some(proposer), ctx);
             return;
         }
-        // Pipelined engine (proposal carries a deferred-validation root):
-        // order the block NOW and verify its entry signatures one serial
-        // behind. Three checks still run at ordering time, all cheap:
-        // the root must match the entries the proposer actually shipped
-        // (a mismatch is a forged commitment — convicted same-round,
-        // hash-only), the entries must be structurally well-formed, and
-        // anything the memo already knows as forged rejects immediately.
-        // Everything else — the expensive signature batch — runs in the
-        // background and settles at the next round boundary.
-        let deferred = if !self.cfg.verify_blocks {
-            false
-        } else if self.pipeline.is_some() && deferred_root.is_some() {
-            if deferred_root != Some(block.validation_root()) {
-                if self.obs.is_enabled() {
-                    self.obs.metrics().inc("pipeline.forged_roots");
-                }
-                self.reject_invalid_block(&block, header.as_ref(), now);
-                return;
-            }
-            if !self.entries_well_formed(&block) {
-                self.reject_invalid_block(&block, header.as_ref(), now);
-                return;
-            }
-            true
-        } else {
-            if !self.entries_authentic(&block) {
-                self.reject_invalid_block(&block, header.as_ref(), now);
-                return;
-            }
-            false
-        };
-        if self.append_and_clean(block.clone(), now).is_ok() {
+        if self.cfg.verify_blocks && !self.entries_authentic(&block) {
+            self.reject_invalid_block(&block, header.as_ref(), now);
+            return;
+        }
+        let proposer = block.leader.index;
+        if self.append_and_clean(block, now).is_ok() {
             // A committed successor settles every block beneath it, and
             // the new head is ranked for future same-serial contests.
             self.provisional_base = None;
             self.head_priority = claim
-                .filter(|c| c.governor == block.leader.index)
+                .filter(|c| c.governor == proposer)
                 .and_then(|c| self.claim_key(&c, self.round));
-            if deferred {
-                self.defer_block_validation(&block, header, now);
-            }
         }
     }
 
@@ -2927,19 +2496,14 @@ impl GovernorNode {
     ///
     /// Signatures the memo does not already know are verified as one
     /// pooled batch instead of entry by entry.
-    /// Structural half of entry verification: every entry must name a
-    /// real provider identity. Hash- and signature-free, so the pipelined
-    /// engine runs it at ordering time even though the signature batch is
-    /// deferred.
-    fn entries_well_formed(&self, block: &Block) -> bool {
-        block.entries.iter().all(|e| {
+    fn entries_authentic(&mut self, block: &Block) -> bool {
+        // Structural half first: every entry must name a provider
+        // identity whose key resolves.
+        let well_formed = block.entries.iter().all(|e| {
             e.tx.payload.provider.role == prb_crypto::identity::Role::Provider
                 && self.provider_pk(e.tx.payload.provider.index).is_some()
-        })
-    }
-
-    fn entries_authentic(&mut self, block: &Block) -> bool {
-        if !self.entries_well_formed(block) {
+        });
+        if !well_formed {
             return false;
         }
         // Batch every signature the memo cannot answer.

@@ -36,7 +36,6 @@
 pub mod behavior;
 pub mod collector;
 pub mod config;
-pub mod fasthash;
 pub mod governor;
 pub mod metrics;
 pub mod msg;

@@ -73,15 +73,6 @@ pub enum ProtocolMsg {
         /// `None` only for driver-injected test traffic (unsigned
         /// proposals cannot be held accountable).
         header: Option<SignedHeader>,
-        /// Deferred-validation root (pipelined engine): the proposer's
-        /// commitment over the entries' transaction ids and provider
-        /// signature bytes ([`Block::validation_root`]). Receivers
-        /// recompute it hash-only at ordering time — a mismatch convicts
-        /// the proposer same-round — and verify the signatures themselves
-        /// one serial behind. `None` when the serial engine is running
-        /// (`pipeline_depth == 0`); receivers then validate inline as
-        /// before.
-        deferred_root: Option<prb_crypto::sha256::Digest>,
     },
     /// Governor → governor: re-gossip of a proposal header, sent once per
     /// distinct `(proposer, serial, block hash)` observed, so that an

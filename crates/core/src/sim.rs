@@ -496,22 +496,6 @@ impl Simulation {
                     crypto_ns as f64 / rounds as f64 / 1e6,
                     other_ns as f64 / rounds as f64 / 1e6,
                 ));
-                // Pipelined engine: background-validation overlap. The
-                // deferred batches did `defer_work` of crypto off the
-                // main thread; the main thread only stalled `defer_wait`
-                // joining them — `overlap` is the wall-clock the pipeline
-                // bought back versus verifying inline.
-                let defer_work = m.counter("wall.defer_work_ns");
-                if defer_work > 0 {
-                    let defer_wait = m.counter("wall.defer_wait_ns");
-                    let overlap = m.counter("wall.overlap_ns");
-                    out.push_str(&format!(
-                        "deferred validation: work {:.2} ms  join-wait {:.2} ms  overlap {:.2} ms\n",
-                        defer_work as f64 / 1e6,
-                        defer_wait as f64 / 1e6,
-                        overlap as f64 / 1e6,
-                    ));
-                }
             }
         }
         out

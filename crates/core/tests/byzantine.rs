@@ -3,9 +3,12 @@
 //! committee detects what is detectable, expels what is provable, and
 //! keeps its chain prefixes byte-identical throughout.
 
+use std::rc::Rc;
+
 use prb_core::behavior::GovernorProfile;
 use prb_core::config::ProtocolConfig;
 use prb_core::sim::Simulation;
+use prb_obs::{Obs, Recorder, RingRecorder};
 
 /// A 4-governor deployment with governor 3 running `profile` from round
 /// 2 onward. Paranoid verification and reliable delivery are on — the
@@ -84,7 +87,9 @@ fn equivocator_is_convicted_and_expelled_on_every_honest_node() {
 #[test]
 fn invalid_proposals_are_rejected_and_attributed() {
     let mut sim = byz_sim(GovernorProfile::invalid_proposer().sleeper(2), 3);
-    run_until_acted(&mut sim, 24, |s| s.metrics(3).invalid_proposals_sent >= 1);
+    let obs = Obs::with_sink(Rc::new(RingRecorder::new(100_000)) as Rc<dyn Recorder>);
+    sim.set_obs(Rc::clone(&obs));
+    let fired = run_until_acted(&mut sim, 24, |s| s.metrics(3).invalid_proposals_sent >= 1);
     sim.run(2);
     sim.settle(200);
 
@@ -107,8 +112,24 @@ fn invalid_proposals_are_rejected_and_attributed() {
         // it is self-incriminating: every honest node convicts.
         assert_eq!(sim.governor(g).expelled(), &[3], "governor {g}");
         assert_eq!(sim.governor(g).stake_table().stake(3), Some(0));
+        // Same-round conviction: the entry re-check runs before the
+        // block can enter the chain, so the expulsion books to the round
+        // the forged proposal was made in.
+        let expelled_in = sim.metrics(g).expulsion_round[&3];
+        assert!(
+            expelled_in <= u64::from(fired),
+            "governor {g} convicted in round {expelled_in} (crime in {fired})"
+        );
     }
     assert!(sim.chains_prefix_agree(&[0, 1, 2]));
+    // Rejecting the forged block strands nothing: every submitted
+    // transaction still reaches a lifecycle terminal.
+    assert!(
+        obs.open_traces().is_empty(),
+        "open traces left behind: {:?}",
+        obs.open_traces()
+    );
+    assert!(obs.lifecycle_counts().committed > 0);
 }
 
 #[test]

@@ -398,7 +398,6 @@ fn paranoid_mode_rejects_blocks_with_fabricated_entries() {
                 block,
                 claim: None,
                 header: None,
-                deferred_root: None,
             },
             SimTime(0),
         );

@@ -184,28 +184,6 @@ impl Block {
         Self::compute_merkle_root(&self.entries) == self.merkle_root
     }
 
-    /// Deferred-validation root: a commitment over exactly what the
-    /// pipelined engine re-checks one serial behind — each entry's
-    /// transaction id and provider-signature bytes, in block order.
-    ///
-    /// A proposer that ships a root disagreeing with its own entries is
-    /// committing a detectable forgery: honest governors recompute this
-    /// (hash-only, no signature verification) at ordering time and convict
-    /// same-round on mismatch, while the signatures themselves are
-    /// verified asynchronously.
-    pub fn validation_root(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update_field(b"prb-validation-root");
-        h.update(&self.serial.to_be_bytes());
-        for entry in &self.entries {
-            h.update_field(entry.tx.id().0.as_bytes());
-            let mut sig_bytes = Vec::new();
-            crate::codec::encode_sig(&mut sig_bytes, &entry.tx.provider_sig);
-            h.update_field(&sig_bytes);
-        }
-        h.finalize()
-    }
-
     /// Produces an inclusion proof for entry `index`.
     pub fn prove_inclusion(&self, index: usize) -> Option<MerkleProof> {
         MerkleTree::from_leaves(self.entries.iter().map(BlockEntry::leaf_bytes)).prove(index)
@@ -316,32 +294,6 @@ mod tests {
         let proof = b.prove_inclusion(0).unwrap();
         assert!(!b.verify_inclusion(&proof, &b.entries[1]));
         assert!(b.prove_inclusion(10).is_none());
-    }
-
-    #[test]
-    fn validation_root_commits_to_tx_set_and_signatures() {
-        let b = sample_block();
-        let base = b.validation_root();
-        assert_eq!(base, b.validation_root(), "deterministic");
-        // Swapping an entry's signature for another tx's changes the root.
-        let mut tampered = b.clone();
-        tampered.entries[0].tx.provider_sig = b.entries[1].tx.provider_sig.clone();
-        assert_ne!(tampered.validation_root(), base);
-        // Dropping an entry changes the root.
-        let mut short = b.clone();
-        short.entries.pop();
-        assert_ne!(short.validation_root(), base);
-        // The serial is committed, so a replayed root cannot cover a
-        // different position in the chain.
-        let mut moved = b.clone();
-        moved.serial = 7;
-        assert_ne!(moved.validation_root(), base);
-        // Verdict/label tampering is covered by the Merkle root, not this
-        // one: the validation root only commits what deferred validation
-        // re-checks.
-        let mut verdict_flip = b.clone();
-        verdict_flip.entries[0].verdict = Verdict::ArguedValid;
-        assert_eq!(verdict_flip.validation_root(), base);
     }
 
     #[test]

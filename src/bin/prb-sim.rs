@@ -90,8 +90,6 @@ fn main() -> Result<(), String> {
         println!("       --workload uniform|carshare|insurance  --invalid-rate P");
         println!("       --crypto sim|schnorr-256|schnorr-512|schnorr-2048");
         println!("       --verify-threads N   (0 = host parallelism; ledger is identical)");
-        println!("       --pipeline-depth N   (0 = serial engine; N>0 overlaps consensus");
-        println!("                             with deferred validation; ledger is identical)");
         println!("       --verify-inline-min N  (batch size below which the pool verifies");
         println!("                               inline; verdict-neutral tuning knob)");
         println!("       --misreporter i:p  --concealer i:p  --forger i:p  (repeatable)");
@@ -123,7 +121,6 @@ fn main() -> Result<(), String> {
     cfg.crypto = CryptoScheme::parse(&cli.get_str("crypto", "sim"))
         .ok_or_else(|| "unknown crypto scheme".to_owned())?;
     cfg.verify_threads = cli.get("verify-threads", cfg.verify_threads);
-    cfg.pipeline_depth = cli.get("pipeline-depth", cfg.pipeline_depth);
     cfg.verify_inline_min = cli.get("verify-inline-min", cfg.verify_inline_min);
     cfg.join_rate = cli.get("join-rate", cfg.join_rate);
     cfg.leave_rate = cli.get("leave-rate", cfg.leave_rate);

@@ -340,10 +340,13 @@ fn sim_and_schnorr_runs_agree_on_identical_traces() {
 
 #[test]
 fn verify_pool_threads_never_change_the_ledger() {
-    // The config contract: `verify_threads` changes wall-clock only. A
-    // pooled run and a single-threaded run with the same seed must produce
-    // byte-identical chain exports on every governor.
-    let run = |verify_threads: usize| {
+    // The config contract: `verify_threads` and `verify_inline_min` change
+    // wall-clock only. Every pool shape — single-threaded, pooled, pooled
+    // with everything fanned out (inline_min 1), pooled with everything
+    // inline (inline_min 64) — must produce byte-identical chain exports on
+    // every governor, on both the screening drain and the `verify_blocks`
+    // entry re-check.
+    let run = |verify_threads: usize, verify_inline_min: usize| {
         let cfg = ProtocolConfig {
             providers: 4,
             collectors: 4,
@@ -351,7 +354,9 @@ fn verify_pool_threads_never_change_the_ledger() {
             replication: 2,
             tx_per_provider: 2,
             crypto: CryptoScheme::schnorr_test_256(),
+            verify_blocks: true,
             verify_threads,
+            verify_inline_min,
             seed: 91,
             ..Default::default()
         };
@@ -371,9 +376,14 @@ fn verify_pool_threads_never_change_the_ledger() {
             .map(|g| sim.governor(g).chain().export())
             .collect::<Vec<_>>()
     };
-    let single = run(1);
-    let pooled = run(4);
-    assert_eq!(single, pooled, "pooled verification altered the ledger");
+    let single = run(1, 8);
+    for (threads, inline_min) in [(4, 8), (4, 1), (4, 64)] {
+        assert_eq!(
+            run(threads, inline_min),
+            single,
+            "verify pool ({threads} threads, inline_min {inline_min}) altered the ledger"
+        );
+    }
     assert!(single.iter().all(|bytes| bytes.len() > 100));
 }
 
