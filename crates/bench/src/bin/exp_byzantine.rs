@@ -85,7 +85,7 @@ struct ByzRun {
     censored: u64,
     silent_rounds: u64,
     /// Expulsions recorded by honest nodes (any culprit).
-    honest_expulsions: u64,
+    expulsions_by_honest: u64,
     /// Governor 0's exported ledger bytes (determinism witness).
     ledger: Vec<u8>,
     /// Snapshot of [`COUNTERS`] (determinism witness).
@@ -148,11 +148,11 @@ fn run_once(seed: u64, rounds: u32, mode: &str, b: u32) -> ByzRun {
         }
     }
     let mut invalid_rejected = 0;
-    let mut honest_expulsions = 0;
+    let mut expulsions_by_honest = 0;
     for &g in &honest {
         let m = sim.metrics(g);
         invalid_rejected += m.invalid_blocks_rejected;
-        honest_expulsions += m.expulsions;
+        expulsions_by_honest += m.expulsions;
     }
 
     ByzRun {
@@ -166,7 +166,7 @@ fn run_once(seed: u64, rounds: u32, mode: &str, b: u32) -> ByzRun {
         invalid_rejected,
         censored,
         silent_rounds,
-        honest_expulsions,
+        expulsions_by_honest,
         ledger: sim.governor(0).chain().export(),
         counters: COUNTERS
             .iter()
@@ -207,7 +207,7 @@ fn main() {
     for r in &baseline_runs {
         assert!(r.prefix_agree, "baseline prefixes diverged");
         assert!(r.liveness, "baseline committee stalled");
-        assert_eq!(r.honest_expulsions, 0, "baseline expelled somebody");
+        assert_eq!(r.expulsions_by_honest, 0, "baseline expelled somebody");
     }
     let baseline_tx = mean(
         &baseline_runs
@@ -272,7 +272,7 @@ fn main() {
                 if mode == "censor" || mode == "silent" {
                     // Tolerated misbehaviour: nothing provable, nobody expelled.
                     assert_eq!(
-                        r.honest_expulsions, 0,
+                        r.expulsions_by_honest, 0,
                         "an unprovable fault triggered an expulsion (mode {mode}, b {b})"
                     );
                 }
@@ -402,7 +402,7 @@ fn main() {
              \"throughput_vs_baseline\": {rel:.4}, \"equivocations_sent\": {}, \
              \"detected_everywhere\": {}, \"detection_latency_rounds_mean\": {latency}, \
              \"invalid_sent\": {}, \"invalid_rejected\": {}, \"censored_txs\": {}, \
-             \"silent_rounds\": {}, \"honest_expulsions\": {}, \"prefix_agree\": {}, \
+             \"silent_rounds\": {}, \"expulsions_by_honest\": {}, \"prefix_agree\": {}, \
              \"liveness\": {}}}{}",
             total(runs, |r| r.equivocations_sent),
             json_bool(runs.iter().all(|r| r.detected_everywhere)),
@@ -410,7 +410,7 @@ fn main() {
             total(runs, |r| r.invalid_rejected),
             total(runs, |r| r.censored),
             total(runs, |r| r.silent_rounds),
-            total(runs, |r| r.honest_expulsions),
+            total(runs, |r| r.expulsions_by_honest),
             json_bool(runs.iter().all(|r| r.prefix_agree)),
             json_bool(runs.iter().all(|r| r.liveness)),
             if i + 1 < rows.len() { "," } else { "" }

@@ -528,8 +528,13 @@ mod tests {
     #[test]
     fn bad_provider_signature_discarded() {
         let (mut net, oracle) = build(CollectorProfile::honest());
-        let mut tx = make_tx(0, 0, &oracle, true);
-        tx.payload.data = vec![9, 9]; // breaks the signature
+        let signed = make_tx(0, 0, &oracle, true);
+        // Different data under the old signature: breaks it.
+        let payload = TxPayload {
+            data: vec![9, 9],
+            ..signed.payload.clone()
+        };
+        let tx = SignedTx::from_parts(payload, signed.timestamp, signed.provider_sig.clone());
         net.send_external(0, "tx", ProtocolMsg::TxBroadcast { seq: 0, tx }, SimTime(0));
         net.run_until_idle(100);
         assert!(uploads(&net).is_empty());

@@ -74,7 +74,7 @@ enum Outcome {
 /// Everything the governor remembers about one transaction.
 #[derive(Clone, Debug)]
 struct TxRecord {
-    ltx: LabeledTx,
+    tx: SignedTx,
     provider: u32,
     reports: Vec<(u32, Label)>,
     /// Linked collectors that were not active members when the tx was
@@ -126,7 +126,7 @@ enum SyncState {
 
 #[derive(Clone, Debug)]
 struct PendingTx {
-    ltx: LabeledTx,
+    tx: SignedTx,
     provider: u32,
     reports: Vec<(u32, Label)>,
     /// The provider signature each reporter's copy carried. Copies share
@@ -204,8 +204,8 @@ pub struct GovernorNode {
     sig_memo: FxMap<(u32, TxId, Sig), bool>,
     /// Provider signatures awaiting the next batched drain: copies whose
     /// verdict the memo does not know yet, as `(provider, tx id,
-    /// signature, signed bytes)`.
-    verify_queue: Vec<(u32, TxId, Sig, Vec<u8>)>,
+    /// signature, signing digest)`.
+    verify_queue: Vec<(u32, TxId, Sig, [u8; 32])>,
     /// Dedupe set over the queue's `(provider, tx id, signature)` keys.
     queued: FxSet<(u32, TxId, Sig)>,
     /// Drains accumulated verifications as RLC batches, optionally across
@@ -1518,7 +1518,7 @@ impl GovernorNode {
                 Self::enqueue_verify(&mut self.verify_queue, &mut self.queued, memo_key, &ltx.tx);
             }
             pending.reports.push((collector, ltx.label));
-            pending.sigs.push((collector, ltx.tx.provider_sig));
+            pending.sigs.push((collector, ltx.tx.provider_sig.clone()));
             return;
         }
         if let Some(record) = self.history.get_mut(&id) {
@@ -1563,7 +1563,7 @@ impl GovernorNode {
                 provider,
                 reports: vec![(collector, ltx.label)],
                 sigs: vec![(collector, ltx.tx.provider_sig.clone())],
-                ltx,
+                tx: ltx.tx.clone(),
             },
         );
         self.pending_order.push_back(id);
@@ -1617,13 +1617,13 @@ impl GovernorNode {
 
     /// Queues a provider signature for the next batched drain (deduped).
     fn enqueue_verify(
-        queue: &mut Vec<(u32, TxId, Sig, Vec<u8>)>,
+        queue: &mut Vec<(u32, TxId, Sig, [u8; 32])>,
         queued: &mut FxSet<(u32, TxId, Sig)>,
         key: (u32, TxId, Sig),
         tx: &SignedTx,
     ) {
         if queued.insert(key.clone()) {
-            queue.push((key.0, key.1, key.2, tx.signing_bytes()));
+            queue.push((key.0, key.1, key.2, *tx.signing_digest()));
         }
     }
 
@@ -1675,7 +1675,6 @@ impl GovernorNode {
         // one pooled batch, then attribute forgeries per reporting copy.
         self.drain_verify_queue();
         let provider = pending.provider;
-        let signed_bytes = pending.ltx.tx.signing_bytes();
         let mut ok_reports = Vec::with_capacity(pending.reports.len());
         let mut good_sig: Option<Sig> = None;
         for (collector, label) in pending.reports.drain(..) {
@@ -1693,7 +1692,7 @@ impl GovernorNode {
                     // this lookup; verify the straggler inline.
                     let ok = self
                         .provider_pk(provider)
-                        .is_some_and(|pk| pk.verify(&signed_bytes, &sig));
+                        .is_some_and(|pk| pk.verify(pending.tx.signing_digest(), &sig));
                     self.sig_memo.insert(key, ok);
                     ok
                 }
@@ -1728,8 +1727,8 @@ impl GovernorNode {
         // buffered transaction onto a verified one so block entries never
         // embed a bad signature.
         if let Some(good) = good_sig {
-            if pending.ltx.tx.provider_sig != good {
-                pending.ltx.tx.provider_sig = good;
+            if pending.tx.provider_sig != good {
+                pending.tx = pending.tx.with_provider_sig(good);
             }
         }
         let mut reports = ok_reports;
@@ -1819,7 +1818,7 @@ impl GovernorNode {
             self.reputation.record_checked(&case2);
             if valid {
                 self.ready_entries.push(BlockEntry {
-                    tx: pending.ltx.tx.clone(),
+                    tx: pending.tx.clone(),
                     verdict: Verdict::CheckedValid,
                     reported_labels: label_pairs(&reports),
                 });
@@ -1827,7 +1826,7 @@ impl GovernorNode {
             self.history.insert(
                 id,
                 TxRecord {
-                    ltx: pending.ltx,
+                    tx: pending.tx,
                     provider,
                     reports,
                     absent: absent.clone(),
@@ -1846,14 +1845,14 @@ impl GovernorNode {
                 Verdict::UncheckedInvalid
             };
             self.ready_entries.push(BlockEntry {
-                tx: pending.ltx.tx.clone(),
+                tx: pending.tx.clone(),
                 verdict,
                 reported_labels: label_pairs(&reports),
             });
             self.history.insert(
                 id,
                 TxRecord {
-                    ltx: pending.ltx,
+                    tx: pending.tx,
                     provider,
                     reports,
                     absent,
@@ -2507,13 +2506,13 @@ impl GovernorNode {
             return false;
         }
         // Batch every signature the memo cannot answer.
-        let mut fresh: Vec<(u32, TxId, Sig, Vec<u8>)> = Vec::new();
+        let mut fresh: Vec<(u32, TxId, Sig, [u8; 32])> = Vec::new();
         let mut seen: HashSet<(u32, TxId, Sig)> = HashSet::new();
         for e in &block.entries {
             let p = e.tx.payload.provider.index;
             let key = (p, e.tx.id(), e.tx.provider_sig.clone());
             if !self.sig_memo.contains_key(&key) && seen.insert(key.clone()) {
-                fresh.push((key.0, key.1, key.2, e.tx.signing_bytes()));
+                fresh.push((key.0, key.1, key.2, *e.tx.signing_digest()));
             }
         }
         if !fresh.is_empty() {
@@ -2984,7 +2983,7 @@ impl GovernorNode {
         if valid {
             let record = &self.history[&id];
             self.argued_entries.push(BlockEntry {
-                tx: record.ltx.tx.clone(),
+                tx: record.tx.clone(),
                 verdict: Verdict::ArguedValid,
                 reported_labels: label_pairs(&record.reports),
             });

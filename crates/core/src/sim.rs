@@ -463,7 +463,7 @@ impl Simulation {
     /// ticks. Empty when tracing is off.
     pub fn obs_summary(&self) -> String {
         if self.obs.is_enabled() {
-            // Export the run's modexp hot-path activity (see
+            // Export the run's modexp and hashing hot-path activity (see
             // `prb_crypto::stats`): deltas of the process-wide counters
             // since the hub was installed.
             let d = prb_crypto::stats::snapshot().delta_since(&self.crypto_stats_base);
@@ -476,6 +476,7 @@ impl Simulation {
             m.add("crypto.batch.items", d.batch_items);
             m.add("crypto.batch.bisect_steps", d.batch_bisect_steps);
             m.add("crypto.batch.fallback_items", d.batch_fallback_items);
+            m.add("crypto.sha256_calls", d.sha256_calls);
         }
         self.obs.flush();
         let mut out = self.obs.summary();

@@ -23,7 +23,7 @@
 //! - [`vrf`] — an ECVRF-style VRF built from hash-to-group + DLEQ,
 //! - [`merkle`] — Merkle trees with inclusion proofs,
 //! - [`sim`] — fast simulation-only signatures/VRF (see its security note),
-//! - [`stats`] — process-wide counters for the modexp hot path,
+//! - [`stats`] — process-wide counters for the modexp and SHA-256 hot paths,
 //! - [`signer`] — scheme-agnostic `KeyPair`/`PublicKey`/`Sig` dispatch,
 //! - [`identity`] — the Identity Manager / CA with role certificates.
 //!

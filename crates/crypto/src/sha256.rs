@@ -204,6 +204,7 @@ impl Sha256 {
 
     /// Consumes the hasher and returns the digest.
     pub fn finalize(mut self) -> Digest {
+        crate::stats::record_sha256();
         let bit_len = self.total_len.wrapping_mul(8);
         // Padding: 0x80, zeros, 8-byte big-endian bit length.
         self.update_raw(&[0x80]);

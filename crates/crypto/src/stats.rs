@@ -1,4 +1,5 @@
-//! Process-wide counters for the modular-exponentiation hot path.
+//! Process-wide counters for the modular-exponentiation and hashing hot
+//! paths.
 //!
 //! The crypto layer is shared across simulation threads (groups cross
 //! thread boundaries through their `Arc` inner), while the `prb-obs`
@@ -17,7 +18,9 @@
 //!   they covered ([`crate::batch`]),
 //! - `batch_bisect_steps` — batch splits while isolating a bad item,
 //! - `batch_fallback_items` — batch items that ended up individually
-//!   verified (singleton partitions and bisection leaves).
+//!   verified (singleton partitions and bisection leaves),
+//! - `sha256_calls` — SHA-256 digests finalised (one per
+//!   [`crate::sha256::Sha256::finalize`], whatever the input length).
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -29,6 +32,7 @@ static BATCH_CALLS: AtomicU64 = AtomicU64::new(0);
 static BATCH_ITEMS: AtomicU64 = AtomicU64::new(0);
 static BATCH_BISECT_STEPS: AtomicU64 = AtomicU64::new(0);
 static BATCH_FALLBACK_ITEMS: AtomicU64 = AtomicU64::new(0);
+static SHA256_CALLS: AtomicU64 = AtomicU64::new(0);
 
 #[inline]
 pub(crate) fn record_modexp() {
@@ -66,6 +70,11 @@ pub(crate) fn record_batch_fallback(items: u64) {
     BATCH_FALLBACK_ITEMS.fetch_add(items, Relaxed);
 }
 
+#[inline]
+pub(crate) fn record_sha256() {
+    SHA256_CALLS.fetch_add(1, Relaxed);
+}
+
 /// A point-in-time snapshot of the process-wide crypto counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CryptoStats {
@@ -85,6 +94,8 @@ pub struct CryptoStats {
     pub batch_bisect_steps: u64,
     /// Batch items that fell back to individual verification.
     pub batch_fallback_items: u64,
+    /// SHA-256 digests finalised.
+    pub sha256_calls: u64,
 }
 
 impl CryptoStats {
@@ -104,6 +115,7 @@ impl CryptoStats {
             batch_fallback_items: self
                 .batch_fallback_items
                 .saturating_sub(earlier.batch_fallback_items),
+            sha256_calls: self.sha256_calls.saturating_sub(earlier.sha256_calls),
         }
     }
 }
@@ -119,6 +131,7 @@ pub fn snapshot() -> CryptoStats {
         batch_items: BATCH_ITEMS.load(Relaxed),
         batch_bisect_steps: BATCH_BISECT_STEPS.load(Relaxed),
         batch_fallback_items: BATCH_FALLBACK_ITEMS.load(Relaxed),
+        sha256_calls: SHA256_CALLS.load(Relaxed),
     }
 }
 
@@ -136,6 +149,7 @@ mod tests {
         record_batch(5);
         record_batch_bisect();
         record_batch_fallback(2);
+        crate::sha256::sha256(b"counted");
         let after = snapshot();
         let d = after.delta_since(&before);
         // Other tests run concurrently and also bump the counters, so only
@@ -148,6 +162,7 @@ mod tests {
         assert!(d.batch_items >= 5);
         assert!(d.batch_bisect_steps >= 1);
         assert!(d.batch_fallback_items >= 2);
+        assert!(d.sha256_calls >= 1);
         // A stale snapshot must not underflow.
         assert_eq!(before.delta_since(&after).table_builds, 0);
     }

@@ -52,4 +52,4 @@ pub mod transaction;
 pub use block::{Block, BlockEntry, Verdict};
 pub use chain::{Chain, ChainError, ImportError};
 pub use oracle::ValidityOracle;
-pub use transaction::{Label, LabeledTx, SignedTx, TxId, TxPayload};
+pub use transaction::{Label, LabeledBody, LabeledTx, SignedTx, TxBody, TxId, TxPayload};

@@ -5,8 +5,16 @@
 //! signature on them, to prevent a collector from fabricating one"*; a
 //! collector's upload `Tx` adds *"a label (e.g. valid or invalid), and the
 //! collector's signature on all of them"*.
+//!
+//! Both are immutable, shared values that know their own names:
+//! [`SignedTx`] and [`LabeledTx`] are `Arc` handles onto sealed bodies that
+//! carry the transaction id and the signing digests, so a transaction's
+//! bytes are hashed once where the body is built instead of at every site
+//! that asks (DESIGN.md § "Transaction representation").
 
 use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 use prb_crypto::identity::NodeId;
 use prb_crypto::sha256::{hash_fields, Digest, Sha256};
@@ -101,20 +109,42 @@ pub struct TxPayload {
 }
 
 impl TxPayload {
-    fn signing_bytes(&self, timestamp: u64) -> Vec<u8> {
+    /// The 32-byte digest a provider signs: payload plus timestamp.
+    fn signing_digest(&self, timestamp: u64) -> [u8; 32] {
         let mut h = Sha256::new();
         h.update_field(b"prb-tx");
         h.update_field(&self.provider.to_bytes());
         h.update(&self.nonce.to_be_bytes());
         h.update(&timestamp.to_be_bytes());
         h.update_field(&self.data);
-        h.finalize().to_bytes().to_vec()
+        h.finalize().to_bytes()
+    }
+
+    /// The transaction id: hash of provider id, nonce, timestamp and data.
+    fn id(&self, timestamp: u64) -> TxId {
+        TxId(hash_fields(
+            "tx-id",
+            &[
+                &self.provider.to_bytes(),
+                &self.nonce.to_be_bytes(),
+                &timestamp.to_be_bytes(),
+                &self.data,
+            ],
+        ))
     }
 }
 
-/// A provider-signed transaction (`tx` in the paper).
-#[derive(Clone, Debug, PartialEq)]
-pub struct SignedTx {
+/// The sealed content of a [`SignedTx`], reached through `Deref`.
+///
+/// The three content fields are readable but not assignable: a
+/// [`SignedTx`] only ever hands out `&TxBody`, and a body cannot be built
+/// outside this module (the memo fields are private). That is what lets
+/// the body carry its own id and signing digest — both are pure functions
+/// of `payload` and `timestamp`, and nothing can change those after
+/// construction. A tampered transaction is a *new* body
+/// ([`SignedTx::from_parts`]), which recomputes them.
+#[derive(Clone, Debug)]
+pub struct TxBody {
     /// The payload.
     pub payload: TxPayload,
     /// Provider-side timestamp (simulated ticks), signed together with the
@@ -122,52 +152,100 @@ pub struct SignedTx {
     pub timestamp: u64,
     /// Provider signature over payload + timestamp.
     pub provider_sig: Sig,
+    /// Computed once, where the body is built.
+    id: TxId,
+    /// Computed in `create` (signing needs it); elsewhere on first use, so
+    /// decoding a ledger never pays for a digest nobody verifies.
+    signing_digest: OnceLock<[u8; 32]>,
+}
+
+/// A provider-signed transaction (`tx` in the paper).
+///
+/// A cheap handle onto one immutable, shared [`TxBody`]: `clone()` is a
+/// reference-count bump, and every copy a node (or, in this in-process
+/// simulation, every node) holds names the same bytes, id and signing
+/// digest.
+#[derive(Clone, Debug)]
+pub struct SignedTx(Arc<TxBody>);
+
+impl Deref for SignedTx {
+    type Target = TxBody;
+
+    fn deref(&self) -> &TxBody {
+        &self.0
+    }
+}
+
+impl PartialEq for SignedTx {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.timestamp == other.timestamp
+                && self.provider_sig == other.provider_sig
+                && self.payload == other.payload)
+    }
 }
 
 impl SignedTx {
     /// Creates and signs a transaction.
     pub fn create(payload: TxPayload, timestamp: u64, provider_key: &KeyPair) -> Self {
-        let provider_sig = provider_key.sign(&payload.signing_bytes(timestamp));
-        SignedTx {
-            payload,
-            timestamp,
-            provider_sig,
-        }
+        let digest = payload.signing_digest(timestamp);
+        let provider_sig = provider_key.sign(&digest);
+        Self::seal(payload, timestamp, provider_sig, OnceLock::from(digest))
     }
 
-    /// Assembles a transaction from parts without signing (for modeling
-    /// forgery attempts: pair with a garbage [`Sig`]).
+    /// Assembles a transaction from parts without signing (decoding, and
+    /// modeling forgery or tampering: pair with a garbage or stale
+    /// [`Sig`]).
     pub fn from_parts(payload: TxPayload, timestamp: u64, provider_sig: Sig) -> Self {
-        SignedTx {
+        Self::seal(payload, timestamp, provider_sig, OnceLock::new())
+    }
+
+    fn seal(
+        payload: TxPayload,
+        timestamp: u64,
+        provider_sig: Sig,
+        signing_digest: OnceLock<[u8; 32]>,
+    ) -> Self {
+        let id = payload.id(timestamp);
+        SignedTx(Arc::new(TxBody {
             payload,
             timestamp,
             provider_sig,
-        }
+            id,
+            signing_digest,
+        }))
+    }
+
+    /// The same signed content under a different provider signature. The
+    /// id and signing digest do not cover the signature, so they carry
+    /// over; the body is copied only if another handle still shares it.
+    pub fn with_provider_sig(mut self, provider_sig: Sig) -> Self {
+        Arc::make_mut(&mut self.0).provider_sig = provider_sig;
+        self
     }
 
     /// The transaction id: hash of payload, timestamp and provider id.
     pub fn id(&self) -> TxId {
-        TxId(hash_fields(
-            "tx-id",
-            &[
-                &self.payload.provider.to_bytes(),
-                &self.payload.nonce.to_be_bytes(),
-                &self.timestamp.to_be_bytes(),
-                &self.payload.data,
-            ],
-        ))
+        self.id
     }
 
-    /// The exact bytes [`SignedTx::verify`] checks the provider signature
-    /// against — exposed so callers can accumulate `(bytes, sig, key)`
-    /// triples and drain them through a batch verifier.
+    /// The exact 32 bytes [`SignedTx::verify`] checks the provider
+    /// signature against — exposed so callers can accumulate
+    /// `(digest, sig, key)` triples and drain them through a batch
+    /// verifier.
+    pub fn signing_digest(&self) -> &[u8; 32] {
+        self.signing_digest
+            .get_or_init(|| self.payload.signing_digest(self.timestamp))
+    }
+
+    /// [`SignedTx::signing_digest`] as an owned vector.
     pub fn signing_bytes(&self) -> Vec<u8> {
-        self.payload.signing_bytes(self.timestamp)
+        self.signing_digest().to_vec()
     }
 
     /// Verifies the provider signature against `provider_pk`.
     pub fn verify(&self, provider_pk: &PublicKey) -> bool {
-        provider_pk.verify(&self.signing_bytes(), &self.provider_sig)
+        provider_pk.verify(self.signing_digest(), &self.provider_sig)
     }
 
     /// Approximate wire size in bytes (for bandwidth accounting).
@@ -176,63 +254,93 @@ impl SignedTx {
     }
 }
 
-/// A collector's labeled upload (`Tx` in the paper).
-#[derive(Clone, Debug, PartialEq)]
-pub struct LabeledTx {
+/// The sealed content of a [`LabeledTx`], reached through `Deref`;
+/// readable, not assignable, for the same reason as [`TxBody`].
+#[derive(Debug)]
+pub struct LabeledBody {
     /// The provider-signed transaction being forwarded.
     pub tx: SignedTx,
     /// The collector's validity label.
     pub label: Label,
     /// The uploading collector.
     pub collector: NodeId,
-    /// Collector signature over (tx id, label).
+    /// Collector signature over (tx id, label, collector).
     pub collector_sig: Sig,
+    /// What `collector_sig` signs, computed once where the body is built.
+    signing_digest: [u8; 32],
+}
+
+/// A collector's labeled upload (`Tx` in the paper): a cheap handle onto
+/// one immutable, shared [`LabeledBody`], like [`SignedTx`].
+#[derive(Clone, Debug)]
+pub struct LabeledTx(Arc<LabeledBody>);
+
+impl Deref for LabeledTx {
+    type Target = LabeledBody;
+
+    fn deref(&self) -> &LabeledBody {
+        &self.0
+    }
+}
+
+impl PartialEq for LabeledTx {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.label == other.label
+                && self.collector == other.collector
+                && self.collector_sig == other.collector_sig
+                && self.tx == other.tx)
+    }
 }
 
 impl LabeledTx {
-    fn signing_bytes(tx_id: TxId, label: Label, collector: NodeId) -> Vec<u8> {
+    fn signing_digest(tx_id: TxId, label: Label, collector: NodeId) -> [u8; 32] {
         let mut h = Sha256::new();
         h.update_field(b"prb-labeled-tx");
         h.update_field(tx_id.0.as_bytes());
         h.update(&[label.to_i8() as u8]);
         h.update_field(&collector.to_bytes());
-        h.finalize().to_bytes().to_vec()
+        h.finalize().to_bytes()
     }
 
     /// Labels and signs `tx` as `collector`.
     pub fn create(tx: SignedTx, label: Label, collector: NodeId, collector_key: &KeyPair) -> Self {
-        let collector_sig = collector_key.sign(&Self::signing_bytes(tx.id(), label, collector));
-        LabeledTx {
-            tx,
-            label,
-            collector,
-            collector_sig,
-        }
+        let signing_digest = Self::signing_digest(tx.id(), label, collector);
+        let collector_sig = collector_key.sign(&signing_digest);
+        Self::seal(tx, label, collector, collector_sig, signing_digest)
     }
 
-    /// Assembles from parts without signing (forgery modeling).
+    /// Assembles from parts without signing (forgery and tamper modeling).
     pub fn from_parts(tx: SignedTx, label: Label, collector: NodeId, collector_sig: Sig) -> Self {
-        LabeledTx {
+        let signing_digest = Self::signing_digest(tx.id(), label, collector);
+        Self::seal(tx, label, collector, collector_sig, signing_digest)
+    }
+
+    fn seal(
+        tx: SignedTx,
+        label: Label,
+        collector: NodeId,
+        collector_sig: Sig,
+        signing_digest: [u8; 32],
+    ) -> Self {
+        LabeledTx(Arc::new(LabeledBody {
             tx,
             label,
             collector,
             collector_sig,
-        }
+            signing_digest,
+        }))
+    }
+
+    /// The exact 32 bytes [`LabeledTx::verify_collector`] checks the
+    /// collector signature against.
+    pub fn collector_signing_digest(&self) -> &[u8; 32] {
+        &self.signing_digest
     }
 
     /// Verifies the collector signature (not the inner provider signature).
     pub fn verify_collector(&self, collector_pk: &PublicKey) -> bool {
-        self.collector_pkless_bytes()
-            .map(|bytes| collector_pk.verify(&bytes, &self.collector_sig))
-            .unwrap_or(false)
-    }
-
-    fn collector_pkless_bytes(&self) -> Option<Vec<u8>> {
-        Some(Self::signing_bytes(
-            self.tx.id(),
-            self.label,
-            self.collector,
-        ))
+        collector_pk.verify(&self.signing_digest, &self.collector_sig)
     }
 
     /// Full verification per the paper's `verify(d, m)` for a collector
@@ -285,17 +393,27 @@ mod tests {
     #[test]
     fn tampered_payload_rejected() {
         let (pk, _) = keys();
-        let mut tx = sample_tx(&pk);
-        tx.payload.data = b"ride to mars".to_vec();
-        assert!(!tx.verify(&pk.public_key()));
+        let tx = sample_tx(&pk);
+        let payload = TxPayload {
+            data: b"ride to mars".to_vec(),
+            ..tx.payload.clone()
+        };
+        let tampered = SignedTx::from_parts(payload, tx.timestamp, tx.provider_sig.clone());
+        assert_ne!(tampered.id(), tx.id());
+        assert!(!tampered.verify(&pk.public_key()));
     }
 
     #[test]
     fn tampered_timestamp_rejected() {
         let (pk, _) = keys();
-        let mut tx = sample_tx(&pk);
-        tx.timestamp += 1;
-        assert!(!tx.verify(&pk.public_key()));
+        let tx = sample_tx(&pk);
+        let tampered = SignedTx::from_parts(
+            tx.payload.clone(),
+            tx.timestamp + 1,
+            tx.provider_sig.clone(),
+        );
+        assert_ne!(tampered.id(), tx.id());
+        assert!(!tampered.verify(&pk.public_key()));
     }
 
     #[test]
@@ -339,18 +457,28 @@ mod tests {
     fn label_flip_is_detected() {
         let (pk, ck) = keys();
         let tx = sample_tx(&pk);
-        let mut ltx = LabeledTx::create(tx, Label::Valid, NodeId::collector(0), &ck);
-        ltx.label = Label::Invalid;
-        assert!(!ltx.verify_collector(&ck.public_key()));
+        let ltx = LabeledTx::create(tx, Label::Valid, NodeId::collector(0), &ck);
+        let flipped = LabeledTx::from_parts(
+            ltx.tx.clone(),
+            Label::Invalid,
+            ltx.collector,
+            ltx.collector_sig.clone(),
+        );
+        assert!(!flipped.verify_collector(&ck.public_key()));
     }
 
     #[test]
     fn collector_identity_bound_into_signature() {
         let (pk, ck) = keys();
         let tx = sample_tx(&pk);
-        let mut ltx = LabeledTx::create(tx, Label::Valid, NodeId::collector(0), &ck);
-        ltx.collector = NodeId::collector(1);
-        assert!(!ltx.verify_collector(&ck.public_key()));
+        let ltx = LabeledTx::create(tx, Label::Valid, NodeId::collector(0), &ck);
+        let reattributed = LabeledTx::from_parts(
+            ltx.tx.clone(),
+            ltx.label,
+            NodeId::collector(1),
+            ltx.collector_sig.clone(),
+        );
+        assert!(!reattributed.verify_collector(&ck.public_key()));
     }
 
     #[test]

@@ -5,10 +5,12 @@
 use proptest::prelude::*;
 
 use prb_crypto::identity::NodeId;
+use prb_crypto::sha256::{hash_fields, Sha256};
 use prb_crypto::signer::CryptoScheme;
+use prb_crypto::signer::{KeyPair, Sig};
 use prb_ledger::block::{Block, BlockEntry, Verdict};
 use prb_ledger::chain::Chain;
-use prb_ledger::transaction::{Label, SignedTx, TxPayload};
+use prb_ledger::transaction::{Label, LabeledTx, SignedTx, TxId, TxPayload};
 
 fn verdict_strategy() -> impl Strategy<Value = Verdict> {
     prop_oneof![
@@ -351,5 +353,187 @@ proptest! {
             prb_ledger::codec::decode_block,
             |t| { let mut o = Vec::new(); prb_ledger::codec::encode_block(&mut o, t); o },
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// "The memo never lies": a sealed body's id and signing digests always
+// equal a from-scratch hash of its content, however the body was built.
+// ---------------------------------------------------------------------
+
+/// The transaction id, hashed from scratch.
+fn reference_id(p: &TxPayload, timestamp: u64) -> TxId {
+    TxId(hash_fields(
+        "tx-id",
+        &[
+            &p.provider.to_bytes(),
+            &p.nonce.to_be_bytes(),
+            &timestamp.to_be_bytes(),
+            &p.data,
+        ],
+    ))
+}
+
+/// What the provider signs, hashed from scratch.
+fn reference_signing_digest(p: &TxPayload, timestamp: u64) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update_field(b"prb-tx");
+    h.update_field(&p.provider.to_bytes());
+    h.update(&p.nonce.to_be_bytes());
+    h.update(&timestamp.to_be_bytes());
+    h.update_field(&p.data);
+    h.finalize().to_bytes()
+}
+
+/// What the collector signs, hashed from scratch.
+fn reference_label_digest(id: TxId, label: Label, collector: NodeId) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update_field(b"prb-labeled-tx");
+    h.update_field(id.0.as_bytes());
+    h.update(&[label.to_i8() as u8]);
+    h.update_field(&collector.to_bytes());
+    h.finalize().to_bytes()
+}
+
+fn sim_key(seed: &str) -> KeyPair {
+    CryptoScheme::sim().keypair_from_seed(seed.as_bytes())
+}
+
+fn payload_strategy() -> impl Strategy<Value = TxPayload> {
+    (
+        0u32..1000,
+        any::<u64>(),
+        proptest::collection::vec(any::<u8>(), 0..80),
+    )
+        .prop_map(|(provider, nonce, data)| TxPayload {
+            provider: NodeId::provider(provider),
+            nonce,
+            data,
+        })
+}
+
+/// `tx` reports exactly what hashing its content from scratch gives.
+fn assert_memo_honest(tx: &SignedTx) {
+    assert_eq!(tx.id(), reference_id(&tx.payload, tx.timestamp));
+    let digest = reference_signing_digest(&tx.payload, tx.timestamp);
+    assert_eq!(tx.signing_digest(), &digest);
+    assert_eq!(tx.signing_bytes(), digest.to_vec());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every way of obtaining a `SignedTx` — `create`, `from_parts`,
+    /// decode, `with_provider_sig` (on a shared and on a sole handle),
+    /// `clone` — reports the id and signing digest of its own content.
+    #[test]
+    fn signed_tx_memo_matches_a_from_scratch_hash(
+        payload in payload_strategy(),
+        timestamp in any::<u64>(),
+        garbage in any::<[u8; 32]>(),
+    ) {
+        let key = sim_key("memo-provider");
+        let other_sig = sim_key("memo-stranger").sign(&garbage);
+        let created = SignedTx::create(payload.clone(), timestamp, &key);
+        assert_memo_honest(&created);
+        prop_assert!(created.verify(&key.public_key()));
+        assert_memo_honest(&created.clone());
+
+        let parts = SignedTx::from_parts(payload.clone(), timestamp, other_sig.clone());
+        assert_memo_honest(&parts);
+        prop_assert!(!parts.verify(&key.public_key()));
+
+        let mut bytes = Vec::new();
+        prb_ledger::codec::encode_signed_tx(&mut bytes, &created);
+        let decoded = prb_ledger::codec::decode_signed_tx(
+            &mut prb_ledger::codec::Reader::new(&bytes),
+        ).expect("clean decode");
+        assert_memo_honest(&decoded);
+        prop_assert!(decoded.verify(&key.public_key()));
+
+        // Re-homing a signature: shared body (copied), then sole handle
+        // (rewritten in place). Content, id and digest carry over; only
+        // the signature — and with it `verify` — changes.
+        let shared = created.clone().with_provider_sig(other_sig.clone());
+        assert_memo_honest(&shared);
+        prop_assert_eq!(&shared.provider_sig, &other_sig);
+        prop_assert!(!shared.verify(&key.public_key()));
+        prop_assert!(created.verify(&key.public_key()), "the shared original is untouched");
+        let sole = parts.with_provider_sig(created.provider_sig.clone());
+        assert_memo_honest(&sole);
+        prop_assert!(sole.verify(&key.public_key()));
+        prop_assert_eq!(&sole, &created);
+    }
+
+    /// Changing any one signed field (a rebuild under the old signature —
+    /// the only way to "tamper" with a sealed body) changes the id and
+    /// fails verification.
+    #[test]
+    fn any_field_flip_changes_the_id_and_fails_verify(
+        payload in payload_strategy(),
+        timestamp in any::<u64>(),
+        field in 0usize..4,
+        at in any::<proptest::sample::Index>(),
+    ) {
+        let key = sim_key("memo-provider");
+        let tx = SignedTx::create(payload.clone(), timestamp, &key);
+        let mut p = payload;
+        let mut ts = timestamp;
+        match field {
+            0 => p.provider = NodeId::provider(p.provider.index + 1),
+            1 => p.nonce ^= 1,
+            2 => ts ^= 1,
+            _ if p.data.is_empty() => p.data.push(0),
+            _ => {
+                let i = at.index(p.data.len());
+                p.data[i] ^= 0x01;
+            }
+        }
+        let tampered = SignedTx::from_parts(p, ts, tx.provider_sig.clone());
+        assert_memo_honest(&tampered);
+        prop_assert_ne!(tampered.id(), tx.id());
+        prop_assert_ne!(tampered.signing_digest(), tx.signing_digest());
+        prop_assert!(!tampered.verify(&key.public_key()));
+        prop_assert!(tampered != tx);
+    }
+
+    /// A `LabeledTx` keeps the collector-signing digest of its own
+    /// content; a label or collector flip (rebuilt under the old
+    /// signature) changes the digest and fails `verify_collector`.
+    #[test]
+    fn labeled_tx_memo_matches_and_flips_are_caught(
+        payload in payload_strategy(),
+        timestamp in any::<u64>(),
+        label in label_strategy(),
+        collector in 0u32..64,
+    ) {
+        let (pk, ck) = (sim_key("memo-provider"), sim_key("memo-collector"));
+        let collector = NodeId::collector(collector);
+        let tx = SignedTx::create(payload, timestamp, &pk);
+        let ltx = LabeledTx::create(tx.clone(), label, collector, &ck);
+        let digest = reference_label_digest(reference_id(&tx.payload, timestamp), label, collector);
+        prop_assert_eq!(ltx.collector_signing_digest(), &digest);
+        let copy = ltx.clone();
+        prop_assert_eq!(copy.collector_signing_digest(), &digest);
+        prop_assert!(ltx.verify_full(&ck.public_key(), &pk.public_key()));
+
+        let sig: Sig = ltx.collector_sig.clone();
+        let same = LabeledTx::from_parts(tx.clone(), label, collector, sig.clone());
+        prop_assert_eq!(same.collector_signing_digest(), &digest);
+        prop_assert!(same.verify_collector(&ck.public_key()));
+        prop_assert_eq!(&same, &ltx);
+
+        let other = NodeId::collector(collector.index + 1);
+        for flipped in [
+            LabeledTx::from_parts(tx.clone(), label.flipped(), collector, sig.clone()),
+            LabeledTx::from_parts(tx.clone(), label, other, sig.clone()),
+        ] {
+            prop_assert_eq!(
+                flipped.collector_signing_digest(),
+                &reference_label_digest(tx.id(), flipped.label, flipped.collector)
+            );
+            prop_assert_ne!(flipped.collector_signing_digest(), &digest);
+            prop_assert!(!flipped.verify_collector(&ck.public_key()));
+        }
     }
 }

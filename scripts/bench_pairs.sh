@@ -1,0 +1,91 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of one BENCHMARK.json workload: the
+# protocol benchmark/README.md § "Noise protocol" asks of every PR that
+# claims a gain.
+#
+#   scripts/bench_pairs.sh <parent-ref> <workload> [pairs=10] [seconds=10] [seed=11]
+#
+# Exports <parent-ref> into a temporary directory (git archive: the working
+# tree may be dirty, and nothing is left registered in .git), builds the
+# benchmark on both sides, then runs the one-workload command `pairs`
+# times per side, alternating which side goes first. Prints, per
+# end-to-end metric, each side's median and quartiles, the ratio of the
+# medians and the pairs the change won, and fails if a ledger head differs
+# between the sides or a run reports a failed operation.
+set -euo pipefail
+
+if [ $# -lt 2 ]; then
+    sed -n '2,14p' "$0" | sed 's/^# \{0,1\}//' >&2
+    exit 2
+fi
+parent_ref=$1
+workload=$2
+pairs=${3:-10}
+seconds=${4:-10}
+seed=${5:-11}
+
+root=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/parent"
+git -C "$root" archive "$parent_ref" | tar -x -C "$tmp/parent"
+
+# BENCHMARK.json's command, from the root of the given checkout.
+bench() {
+    (cd "$1" && cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)
+}
+
+for side in "$tmp/parent" "$root"; do
+    echo "# building $side" >&2
+    (cd "$side" && cargo build --release --quiet --manifest-path benchmark/Cargo.toml)
+done
+
+for i in $(seq 1 "$pairs"); do
+    if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+    for side in $order; do
+        if [ "$side" = parent ]; then dir="$tmp/parent"; else dir="$root"; fi
+        echo "# pair $i/$pairs: $side" >&2
+        bench "$dir" | grep -E '^(# head |\{)' >>"$tmp/$side.out"
+    done
+done
+
+python3 - "$root/BENCHMARK.json" "$tmp/parent.out" "$tmp/change.out" "$workload" "$seed" "$seconds" <<'PY'
+import json, statistics, sys
+
+spec, parent_out, change_out, workload, seed, seconds = sys.argv[1:]
+end_to_end = json.load(open(spec))["end_to_end"]
+
+def load(path):
+    heads, runs = [], []
+    for line in open(path):
+        if line.startswith("# head "):
+            heads.append(line.split()[2])
+        else:
+            runs.append(json.loads(line))
+    return heads, runs
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+(p_heads, p_runs), (c_heads, c_runs) = load(parent_out), load(change_out)
+print(f"workload {workload}  seed {seed}  seconds {seconds}  pairs {len(p_runs)}")
+print(f"{'metric':<20} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'ratio':>7}  won")
+for m in end_to_end:
+    name, higher = m["name"], m["better"] == "higher"
+    p = [r["metrics"][name]["value"] for r in p_runs]
+    c = [r["metrics"][name]["value"] for r in c_runs]
+    won = sum((b > a) if higher else (b < a) for a, b in zip(p, c))
+    (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(p), quartiles(c)
+    ratio = cm / pm if pm else float("nan")
+    print(f"{name:<20} {pm:>12.4g} [{pq1:>8.4g}, {pq3:>8.4g}] {cm:>12.4g} [{cq1:>8.4g}, {cq3:>8.4g}] "
+          f"{ratio:>7.3f}  {won}/{len(p)}")
+failed = sum(r["failed"] for r in p_runs + c_runs)
+heads = set(p_heads + c_heads)
+print(f"failed operations {failed}  ledger heads {'identical' if len(heads) == 1 else 'DIFFER'} "
+      f"({', '.join(sorted(h[:12] for h in heads))})")
+sys.exit(0 if failed == 0 and len(heads) == 1 else 1)
+PY
