@@ -2151,6 +2151,18 @@ impl GovernorNode {
             self.metrics.duplicate_blocks += 1;
             return;
         }
+        // A block `append` is bound to refuse — stale Merkle root, or more
+        // than `b_limit` entries — is refused here, before it can make
+        // this node shed a head for it. Both checks are field reads.
+        // Only the entry count is attributable: it is part of the hash the
+        // proposer signed, whereas the entries are covered through the root
+        // alone, so anyone relaying an honest header can put other entries
+        // under the same hash. A stale root is refused without conviction.
+        let over_limit = block.tx_count() > self.chain.b_limit();
+        if over_limit || !block.merkle_consistent() {
+            self.reject_invalid_block(&block, header.as_ref().filter(|_| over_limit), now);
+            return;
+        }
         // Same serial as the head: a duplicate, or a head fork — two
         // governors self-elected under message loss and both proposed.
         // Forks resolve by the election's own ordering: the proposal
@@ -2235,13 +2247,15 @@ impl GovernorNode {
         }
     }
 
-    /// Books a proposed block that failed paranoid entry verification,
-    /// and convicts the proposer when the forgery is attributable: a
-    /// direct proposal carries the proposer's signed header over this
-    /// exact block hash, so signing garbage is self-incriminating to
-    /// every governor it was broadcast to. Sync-served blocks carry no
-    /// header (any peer could have fabricated the leader field), so they
-    /// are rejected without conviction.
+    /// Books a proposed block that failed the structural checks or
+    /// paranoid entry verification, and convicts the proposer when the
+    /// forgery is attributable: a direct proposal carries the proposer's
+    /// signed header over this exact block hash, so signing garbage is
+    /// self-incriminating to every governor it was broadcast to.
+    /// Sync-served blocks carry no header (any peer could have fabricated
+    /// the leader field), so they are rejected without conviction — and so
+    /// is a body whose entries do not match its root (`on_block` withholds
+    /// the header): the signed hash does not cover those entries.
     fn reject_invalid_block(&mut self, block: &Block, header: Option<&SignedHeader>, now: u64) {
         self.metrics.append_failures += 1;
         self.metrics.invalid_blocks_rejected += 1;
@@ -2441,11 +2455,11 @@ impl GovernorNode {
             self.provisional_base = None;
         }
         self.head_priority = None;
-        for e in block.entries {
+        for e in &block.entries {
             if self.chain.find_tx(e.tx.id()).is_none()
                 && !self.ready_entries.iter().any(|r| r.tx.id() == e.tx.id())
             {
-                self.ready_entries.push(e);
+                self.ready_entries.push(e.clone());
             }
         }
     }
@@ -3210,8 +3224,14 @@ mod fork_tests {
         gov.head_priority = Some(big_key);
         assert!(gov.rival_priority(&small_block, Some(&big_claim)).is_none());
         // A rival built on a different parent cannot be ranked.
-        let mut off_parent = small_block;
-        off_parent.prev_hash = Digest::default();
+        let off_parent = Block::from_parts(
+            1,
+            Vec::new(),
+            Digest::default(),
+            small_block.merkle_root,
+            small_block.leader,
+            small_block.timestamp,
+        );
         assert!(gov
             .rival_priority(&off_parent, Some(&small_claim))
             .is_none());

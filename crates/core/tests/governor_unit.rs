@@ -6,12 +6,15 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use prb_consensus::election::ElectionClaim;
+use prb_consensus::evidence::SignedHeader;
 use prb_core::config::{GovernorMode, ProtocolConfig};
 use prb_core::governor::GovernorNode;
 use prb_core::msg::ProtocolMsg;
 use prb_core::node::NodeActor;
 use prb_crypto::identity::NodeId;
 use prb_crypto::signer::{CryptoScheme, KeyPair, PublicKey, Sig};
+use prb_ledger::block::Block;
 use prb_ledger::oracle::ValidityOracle;
 use prb_ledger::transaction::{Label, LabeledTx, SignedTx, TxId, TxPayload};
 use prb_net::sim::{NetConfig, Network};
@@ -417,6 +420,315 @@ fn paranoid_mode_rejects_blocks_with_fabricated_entries() {
                 "default mode trusts the leader per the paper's assumption"
             );
         }
+    }
+}
+
+/// Governor 0 of three on a quiet network, fed crafted block proposals in
+/// the names of its peers (round 0, the round a fresh governor is in).
+struct ProposalRig {
+    net: Network<NodeActor>,
+    governor_keys: Vec<KeyPair>,
+    provider_key: KeyPair,
+}
+
+impl ProposalRig {
+    fn new() -> Self {
+        Self::with_verify_blocks(false)
+    }
+
+    fn with_verify_blocks(verify_blocks: bool) -> Self {
+        let cfg = ProtocolConfig {
+            providers: 1,
+            collectors: 2,
+            governors: 3,
+            replication: 2,
+            tx_per_provider: 1,
+            seed: 9,
+            verify_blocks,
+            ..Default::default()
+        };
+        let scheme = CryptoScheme::sim();
+        let provider_key = scheme.keypair_from_seed(b"pr-p0");
+        let collector_pks: Vec<PublicKey> = (0..2)
+            .map(|c| {
+                scheme
+                    .keypair_from_seed(format!("pr-c{c}").as_bytes())
+                    .public_key()
+            })
+            .collect();
+        let governor_keys: Vec<KeyPair> = (0..3)
+            .map(|g| scheme.keypair_from_seed(format!("pr-g{g}").as_bytes()))
+            .collect();
+        let governor_pks: Vec<PublicKey> = governor_keys.iter().map(|k| k.public_key()).collect();
+        let topology = Rc::new(Topology::cyclic(cfg.topology_params()).unwrap());
+        let oracle = Rc::new(RefCell::new(ValidityOracle::new()));
+        let mut net = Network::new(NetConfig::uniform(1, 2), 4);
+        // The peers exist only so header echoes have somewhere to land.
+        for (g, key) in governor_keys.iter().enumerate() {
+            net.add_node(NodeActor::governor(GovernorNode::new(
+                g as u32,
+                key.clone(),
+                cfg.clone(),
+                Rc::clone(&topology),
+                Rc::clone(&oracle),
+                0,
+                collector_pks.clone(),
+                vec![provider_key.public_key()],
+                governor_pks.clone(),
+            )));
+        }
+        ProposalRig {
+            net,
+            governor_keys,
+            provider_key,
+        }
+    }
+
+    fn governor(&self) -> &GovernorNode {
+        self.net.node(0).as_governor().unwrap()
+    }
+
+    fn entry(&self, nonce: u64) -> prb_ledger::block::BlockEntry {
+        prb_ledger::block::BlockEntry {
+            tx: SignedTx::create(
+                TxPayload {
+                    provider: NodeId::provider(0),
+                    nonce,
+                    data: vec![7],
+                },
+                5,
+                &self.provider_key,
+            ),
+            verdict: prb_ledger::block::Verdict::CheckedValid,
+            reported_labels: vec![(NodeId::collector(0), Label::Valid)],
+        }
+    }
+
+    /// The peers' genuine round-0 election claims, `(larger key, smaller
+    /// key)` by the actual VRF ordering.
+    fn ranked_claims(&self) -> (ElectionClaim, ElectionClaim) {
+        let claim = |g: u32| {
+            let stake = self.governor().stake_table().stake(g).unwrap();
+            let key = &self.governor_keys[g as usize];
+            ElectionClaim::compute(b"prb-chain", 0, g, stake, key).unwrap()
+        };
+        let (c1, c2) = (claim(1), claim(2));
+        if (c1.evaluation.output(), 1) < (c2.evaluation.output(), 2) {
+            (c2, c1)
+        } else {
+            (c1, c2)
+        }
+    }
+
+    /// The leader's signed round-0 header over `block`'s hash.
+    fn header(&self, block: &Block) -> SignedHeader {
+        let leader = block.leader.index;
+        SignedHeader::create(
+            leader,
+            0,
+            block.serial,
+            block.hash(),
+            &self.governor_keys[leader as usize],
+        )
+    }
+
+    /// Delivers `block` to governor 0 as a direct proposal by its leader,
+    /// with or without the leader's signed header over its hash.
+    fn propose(&mut self, block: &Block, claim: Option<ElectionClaim>, with_header: bool) {
+        let header = with_header.then(|| self.header(block));
+        let at = self.net.now();
+        self.net.send_external(
+            0,
+            "block",
+            ProtocolMsg::BlockProposal {
+                block: block.clone(),
+                claim,
+                header,
+            },
+            at,
+        );
+        self.net.run_until_idle(1_000);
+    }
+}
+
+/// `block` restated under a Merkle root that is not the root of its
+/// entries — the only way to obtain such a block.
+fn with_wrong_root(block: &Block) -> Block {
+    let stale = Block::from_parts(
+        block.serial,
+        block.entries.clone(),
+        block.prev_hash,
+        prb_crypto::sha256::sha256(b"not the root"),
+        block.leader,
+        block.timestamp,
+    );
+    assert!(!stale.merkle_consistent());
+    stale
+}
+
+#[test]
+fn successor_with_a_stale_merkle_root_is_refused_before_any_rollback() {
+    for with_header in [false, true] {
+        let mut rig = ProposalRig::new();
+        let genesis_hash = rig.governor().chain().head_hash();
+        let honest = Block::build(1, vec![rig.entry(0)], genesis_hash, NodeId::governor(1), 50);
+        rig.propose(&with_wrong_root(&honest), None, with_header);
+        let gov = rig.governor();
+        assert_eq!(gov.chain().height(), 0);
+        assert_eq!(gov.chain().head_hash(), genesis_hash);
+        assert_eq!(gov.metrics().append_failures, 1);
+        assert_eq!(gov.metrics().invalid_blocks_rejected, 1);
+        assert_eq!(gov.metrics().head_rollbacks, 0);
+        assert!(gov.ready_tx_ids().is_empty());
+        // Header or not, a stale root convicts nobody: the signed hash
+        // covers the entries through the root alone, so the body proves
+        // nothing about who put it together.
+        assert!(gov.expelled().is_empty());
+        // The next honest block still appends.
+        let next = Block::build(1, vec![rig.entry(0)], genesis_hash, NodeId::governor(2), 51);
+        rig.propose(&next, None, true);
+        assert_eq!(rig.governor().chain().head_hash(), next.hash());
+        assert_eq!(rig.governor().metrics().append_failures, 1);
+    }
+}
+
+#[test]
+fn rival_with_a_stale_merkle_root_cannot_make_the_head_be_shed() {
+    for with_header in [false, true] {
+        let mut rig = ProposalRig::new();
+        // The head is proposed under the larger election key, the rival
+        // under the smaller.
+        let (big, small) = rig.ranked_claims();
+        let genesis_hash = rig.governor().chain().head_hash();
+        let head = Block::build(
+            1,
+            vec![rig.entry(0)],
+            genesis_hash,
+            NodeId::governor(big.governor),
+            50,
+        );
+        rig.propose(&head, Some(big), true);
+        assert_eq!(rig.governor().chain().head_hash(), head.hash());
+
+        let rival = Block::build(
+            1,
+            vec![rig.entry(1)],
+            genesis_hash,
+            NodeId::governor(small.governor),
+            50,
+        );
+        rig.propose(&with_wrong_root(&rival), Some(small.clone()), with_header);
+        let gov = rig.governor();
+        assert_eq!(gov.chain().head_hash(), head.hash(), "the head was shed");
+        assert_eq!(gov.metrics().head_rollbacks, 0);
+        assert_eq!(gov.metrics().append_failures, 1);
+        assert!(gov.ready_tx_ids().is_empty(), "nothing was re-pooled");
+        assert!(gov.expelled().is_empty());
+
+        if with_header {
+            // (A second, honest header from the same proposer at this
+            // serial would be equivocation, so move on.) The head's own
+            // successor lands.
+            let next = Block::build(2, vec![rig.entry(2)], head.hash(), head.leader, 60);
+            rig.propose(&next, None, true);
+            assert_eq!(rig.governor().chain().head_hash(), next.hash());
+        } else {
+            // The same rival, honestly built, still wins the contest.
+            rig.propose(&rival, Some(small), true);
+            let gov = rig.governor();
+            assert_eq!(gov.chain().head_hash(), rival.hash());
+            assert_eq!(gov.metrics().head_rollbacks, 1);
+            assert_eq!(gov.ready_tx_ids(), vec![head.entries[0].tx.id()]);
+        }
+        assert_eq!(rig.governor().metrics().append_failures, 1);
+    }
+}
+
+#[test]
+fn oversized_rival_is_refused_before_any_rollback() {
+    for with_header in [false, true] {
+        let mut rig = ProposalRig::new();
+        let (big, small) = rig.ranked_claims();
+        let genesis_hash = rig.governor().chain().head_hash();
+        let head = Block::build(
+            1,
+            vec![rig.entry(0)],
+            genesis_hash,
+            NodeId::governor(big.governor),
+            50,
+        );
+        rig.propose(&head, Some(big), true);
+        let b_limit = rig.governor().chain().b_limit() as u64;
+        let rival = Block::build(
+            1,
+            (0..=b_limit).map(|n| rig.entry(10 + n)).collect(),
+            genesis_hash,
+            NodeId::governor(small.governor),
+            50,
+        );
+        rig.propose(&rival, Some(small.clone()), with_header);
+        let gov = rig.governor();
+        assert_eq!(gov.chain().head_hash(), head.hash(), "the head was shed");
+        assert_eq!(gov.metrics().head_rollbacks, 0);
+        assert_eq!(gov.metrics().append_failures, 1);
+        assert!(gov.ready_tx_ids().is_empty());
+        // The entry count is part of the signed hash, so a header over an
+        // oversized block convicts whoever signed it.
+        let expected: &[u32] = if with_header { &[small.governor] } else { &[] };
+        assert_eq!(gov.expelled(), expected);
+        // The head's own successor still lands.
+        let next = Block::build(2, vec![rig.entry(2)], head.hash(), head.leader, 60);
+        rig.propose(&next, None, true);
+        assert_eq!(rig.governor().chain().head_hash(), next.hash());
+        assert_eq!(rig.governor().metrics().append_failures, 1);
+    }
+}
+
+/// A relay holding an honest leader's signed header puts other entries
+/// under the same header fields — same block hash, so the header "covers"
+/// the forgery — and forwards it in the leader's name. That must not
+/// convict the leader, in either verification mode.
+#[test]
+fn relayed_header_over_a_swapped_body_cannot_frame_its_signer() {
+    for verify_blocks in [false, true] {
+        let mut rig = ProposalRig::with_verify_blocks(verify_blocks);
+        let genesis_hash = rig.governor().chain().head_hash();
+        let honest = Block::build(1, vec![rig.entry(0)], genesis_hash, NodeId::governor(1), 50);
+        let mut fabricated = rig.entry(1);
+        fabricated.tx = fabricated.tx.with_provider_sig(Sig::forged(
+            &CryptoScheme::sim(),
+            &mut StdRng::seed_from_u64(3),
+        ));
+        let swapped = Block::from_parts(
+            honest.serial,
+            vec![fabricated],
+            honest.prev_hash,
+            honest.merkle_root,
+            honest.leader,
+            honest.timestamp,
+        );
+        assert_eq!(swapped.hash(), honest.hash());
+        let header = rig.header(&honest);
+        let at = rig.net.now();
+        rig.net.send_external(
+            0,
+            "block",
+            ProtocolMsg::BlockProposal {
+                block: swapped,
+                claim: None,
+                header: Some(header),
+            },
+            at,
+        );
+        rig.net.run_until_idle(1_000);
+        let gov = rig.governor();
+        assert_eq!(gov.chain().head_hash(), genesis_hash);
+        assert_eq!(gov.metrics().invalid_blocks_rejected, 1);
+        assert!(gov.expelled().is_empty(), "an honest leader was framed");
+        // The leader's real block still appends.
+        rig.propose(&honest, None, true);
+        assert_eq!(rig.governor().chain().head_hash(), honest.hash());
+        assert!(rig.governor().expelled().is_empty());
     }
 }
 

@@ -4,13 +4,23 @@
 //! with labels, and the hash of the previous block. We additionally commit
 //! to the transaction list with a Merkle root so light verification and
 //! inclusion proofs are possible, and record the proposing leader.
+//!
+//! Like a transaction, a block is an immutable, shared value that knows
+//! its own name: [`Block`] is an `Arc` handle onto a sealed [`BlockBody`]
+//! that carries the header hash and whether its Merkle root commits to its
+//! entries, so a block's entries are Merkle-hashed once where the body is
+//! built or decoded instead of at every chain that appends it (DESIGN.md
+//! § "Block representation").
 
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use prb_crypto::identity::NodeId;
 use prb_crypto::merkle::{MerkleProof, MerkleTree};
 use prb_crypto::sha256::{Digest, Sha256};
 
+use crate::header::BlockHeader;
 use crate::transaction::{Label, SignedTx, TxId};
 
 /// How a transaction was recorded in a block (Algorithm 2's outcomes).
@@ -92,9 +102,17 @@ impl BlockEntry {
     }
 }
 
-/// A block: serial number, transaction list, previous-block hash.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Block {
+/// The sealed content of a [`Block`], reached through `Deref`.
+///
+/// The six content fields are readable but not assignable: a [`Block`]
+/// only ever hands out `&BlockBody`, and a body cannot be built outside
+/// this module (the memo fields are private). That is what lets the body
+/// carry its own header hash and the answer to "does `merkle_root` commit
+/// to `entries`?" — both are pure functions of the content, and nothing
+/// can change the content after construction. A tampered block is a *new*
+/// body ([`Block::from_parts`]), which recomputes them.
+#[derive(Debug, PartialEq)]
+pub struct BlockBody {
     /// Serial number `s`; the genesis block is serial 0.
     pub serial: u64,
     /// The recorded transaction list.
@@ -107,6 +125,28 @@ pub struct Block {
     pub leader: NodeId,
     /// Proposal time (simulated ticks).
     pub timestamp: u64,
+    /// Whether `merkle_root` is the root of `entries`, established once
+    /// where the body is built.
+    merkle_consistent: bool,
+    /// The header hash, computed once where the body is built.
+    hash: Digest,
+}
+
+/// A block: serial number, transaction list, previous-block hash.
+///
+/// A cheap handle onto one immutable, shared [`BlockBody`]: `clone()` is a
+/// reference-count bump, so a proposal is Merkle-hashed once where it is
+/// built or decoded and every chain, message and buffer that holds it
+/// afterwards names the same entries, root and hash.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Block(Arc<BlockBody>);
+
+impl Deref for Block {
+    type Target = BlockBody;
+
+    fn deref(&self) -> &BlockBody {
+        &self.0
+    }
 }
 
 impl Block {
@@ -119,14 +159,38 @@ impl Block {
         timestamp: u64,
     ) -> Self {
         let merkle_root = Self::compute_merkle_root(&entries);
-        Block {
+        Self::seal(
             serial,
             entries,
             prev_hash,
             merkle_root,
             leader,
             timestamp,
-        }
+            true,
+        )
+    }
+
+    /// Assembles a block around a *stated* Merkle root without trusting
+    /// it (decoding, and modeling a tampered or stale block): the root of
+    /// `entries` is computed once, here, and compared.
+    pub fn from_parts(
+        serial: u64,
+        entries: Vec<BlockEntry>,
+        prev_hash: Digest,
+        merkle_root: Digest,
+        leader: NodeId,
+        timestamp: u64,
+    ) -> Self {
+        let merkle_consistent = Self::compute_merkle_root(&entries) == merkle_root;
+        Self::seal(
+            serial,
+            entries,
+            prev_hash,
+            merkle_root,
+            leader,
+            timestamp,
+            merkle_consistent,
+        )
     }
 
     /// The genesis block for a chain identified by `chain_tag`.
@@ -135,14 +199,45 @@ impl Block {
         h.update_field(b"prb-genesis");
         h.update_field(chain_tag);
         let tag = h.finalize();
-        Block {
-            serial: 0,
-            entries: Vec::new(),
-            prev_hash: tag,
-            merkle_root: prb_crypto::merkle::empty_root(),
-            leader: NodeId::governor(0),
-            timestamp: 0,
+        Self::seal(
+            0,
+            Vec::new(),
+            tag,
+            prb_crypto::merkle::empty_root(),
+            NodeId::governor(0),
+            0,
+            true,
+        )
+    }
+
+    fn seal(
+        serial: u64,
+        entries: Vec<BlockEntry>,
+        prev_hash: Digest,
+        merkle_root: Digest,
+        leader: NodeId,
+        timestamp: u64,
+        merkle_consistent: bool,
+    ) -> Self {
+        let hash = BlockHeader {
+            serial,
+            prev_hash,
+            merkle_root,
+            leader,
+            timestamp,
+            entry_count: entries.len() as u64,
         }
+        .hash();
+        Block(Arc::new(BlockBody {
+            serial,
+            entries,
+            prev_hash,
+            merkle_root,
+            leader,
+            timestamp,
+            merkle_consistent,
+            hash,
+        }))
     }
 
     /// Merkle root over the entries' canonical leaf bytes.
@@ -150,20 +245,12 @@ impl Block {
         MerkleTree::from_leaves(entries.iter().map(BlockEntry::leaf_bytes)).root()
     }
 
-    /// The block hash `H(B)` chained into the successor.
-    ///
-    /// Commits to the header (serial, previous hash, Merkle root, leader,
-    /// timestamp, entry count); entry content is covered via the root.
+    /// The block hash `H(B)` chained into the successor: the
+    /// [`BlockHeader::hash`] of this block's header (serial, previous
+    /// hash, Merkle root, leader, timestamp, entry count); entry content
+    /// is covered via the root.
     pub fn hash(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update_field(b"prb-block");
-        h.update(&self.serial.to_be_bytes());
-        h.update_field(self.prev_hash.as_bytes());
-        h.update_field(self.merkle_root.as_bytes());
-        h.update_field(&self.leader.to_bytes());
-        h.update(&self.timestamp.to_be_bytes());
-        h.update(&(self.entries.len() as u64).to_be_bytes());
-        h.finalize()
+        self.hash
     }
 
     /// Number of transactions in the block (`b ≤ b_limit`).
@@ -181,7 +268,7 @@ impl Block {
 
     /// Whether the stored Merkle root matches the entries.
     pub fn merkle_consistent(&self) -> bool {
-        Self::compute_merkle_root(&self.entries) == self.merkle_root
+        self.merkle_consistent
     }
 
     /// Produces an inclusion proof for entry `index`.
@@ -242,33 +329,51 @@ mod tests {
         assert!(Block::genesis(b"a").merkle_consistent());
     }
 
+    /// `b` rebuilt field by field, the way a tamperer has to.
+    fn rebuilt(b: &Block, edit: impl FnOnce(&mut BlockHeader, &mut Vec<BlockEntry>)) -> Block {
+        let (mut header, mut entries) = (b.header(), b.entries.clone());
+        edit(&mut header, &mut entries);
+        Block::from_parts(
+            header.serial,
+            entries,
+            header.prev_hash,
+            header.merkle_root,
+            header.leader,
+            header.timestamp,
+        )
+    }
+
     #[test]
     fn hash_changes_with_any_header_field() {
         let b = sample_block();
         let base = b.hash();
-        let mut c = b.clone();
-        c.serial = 2;
+        assert_eq!(rebuilt(&b, |_, _| {}).hash(), base);
+        assert_ne!(rebuilt(&b, |h, _| h.serial = 2).hash(), base);
+        assert_ne!(rebuilt(&b, |h, _| h.timestamp += 1).hash(), base);
+        assert_ne!(
+            rebuilt(&b, |h, _| h.leader = NodeId::governor(2)).hash(),
+            base
+        );
+        assert_ne!(
+            rebuilt(&b, |h, _| h.prev_hash = Digest::default()).hash(),
+            base
+        );
+        let c = rebuilt(&b, |h, _| h.merkle_root = Digest::default());
         assert_ne!(c.hash(), base);
-        let mut c = b.clone();
-        c.timestamp += 1;
-        assert_ne!(c.hash(), base);
-        let mut c = b.clone();
-        c.leader = NodeId::governor(2);
-        assert_ne!(c.hash(), base);
-        let mut c = b.clone();
-        c.merkle_root = Digest::default();
-        assert_ne!(c.hash(), base);
+        assert!(!c.merkle_consistent());
     }
 
     #[test]
     fn merkle_root_commits_to_entries() {
         let b = sample_block();
         assert!(b.merkle_consistent());
-        let mut tampered = b.clone();
-        tampered.entries[0].verdict = Verdict::ArguedValid;
+        assert!(b.clone().merkle_consistent());
+        assert!(rebuilt(&b, |_, _| {}).merkle_consistent());
+        let tampered = rebuilt(&b, |_, e| e[0].verdict = Verdict::ArguedValid);
         assert!(!tampered.merkle_consistent());
-        let mut tampered = b.clone();
-        tampered.entries[1].reported_labels[0].1 = Label::Invalid;
+        let tampered = rebuilt(&b, |_, e| e[1].reported_labels[0].1 = Label::Invalid);
+        assert!(!tampered.merkle_consistent());
+        let tampered = rebuilt(&b, |_, e| e.truncate(2));
         assert!(!tampered.merkle_consistent());
     }
 

@@ -382,7 +382,8 @@ impl Chain {
 
     /// Appends a block after validating serial, hash chain, Merkle root and
     /// size bound. On a freshly anchored chain the hash-chain check is
-    /// against the anchor digest.
+    /// against the anchor digest. The Merkle check reads what the block
+    /// established where it was built or decoded; nothing is rehashed.
     ///
     /// # Errors
     ///
@@ -463,17 +464,22 @@ impl Chain {
     /// Full-chain integrity audit: rehashes every link and recomputes every
     /// Merkle root, including the link into the anchor. Returns the serial
     /// of the first bad block, if any.
+    ///
+    /// Deliberately from scratch: the audit consults neither of a block's
+    /// memos ([`Block::hash`], [`Block::merkle_consistent`]), so it is the
+    /// reference those are tested against.
     pub fn audit(&self) -> Option<u64> {
+        let root_ok = |b: &Block| Block::compute_merkle_root(&b.entries) == b.merkle_root;
         if let (Some(anchor), Some(first)) = (self.anchor, self.blocks.first()) {
-            if first.prev_hash != anchor || !first.merkle_consistent() {
+            if first.prev_hash != anchor || !root_ok(first) {
                 return Some(first.serial);
             }
         }
         for window in self.blocks.windows(2) {
             let (prev, next) = (&window[0], &window[1]);
             if next.serial != prev.serial + 1
-                || next.prev_hash != prev.hash()
-                || !next.merkle_consistent()
+                || next.prev_hash != prev.header().hash()
+                || !root_ok(next)
             {
                 return Some(next.serial);
             }
@@ -686,8 +692,8 @@ mod tests {
     #[test]
     fn no_skipping_enforced() {
         let mut chain = Chain::new(b"t", 100);
-        let mut b = extend(&chain, vec![]);
-        b.serial = 5;
+        let b = extend(&chain, vec![]);
+        let b = Block::from_parts(5, vec![], b.prev_hash, b.merkle_root, b.leader, b.timestamp);
         assert_eq!(
             chain.append(b),
             Err(ChainError::NonConsecutiveSerial {
@@ -700,8 +706,9 @@ mod tests {
     #[test]
     fn chain_integrity_enforced() {
         let mut chain = Chain::new(b"t", 100);
-        let mut b = extend(&chain, vec![]);
-        b.prev_hash = prb_crypto::sha256::sha256(b"wrong");
+        let b = extend(&chain, vec![]);
+        let wrong = prb_crypto::sha256::sha256(b"wrong");
+        let b = Block::from_parts(1, vec![], wrong, b.merkle_root, b.leader, b.timestamp);
         assert_eq!(
             chain.append(b),
             Err(ChainError::BrokenHashChain { serial: 1 })
@@ -711,12 +718,23 @@ mod tests {
     #[test]
     fn merkle_mismatch_rejected() {
         let mut chain = Chain::new(b"t", 100);
-        let mut b = extend(&chain, vec![entry(0, Verdict::CheckedValid)]);
-        b.entries.push(entry(1, Verdict::CheckedValid)); // root now stale
+        let b = extend(&chain, vec![entry(0, Verdict::CheckedValid)]);
+        let mut entries = b.entries.clone();
+        entries.push(entry(1, Verdict::CheckedValid)); // stated root now stale
+        let stale = Block::from_parts(
+            1,
+            entries,
+            b.prev_hash,
+            b.merkle_root,
+            b.leader,
+            b.timestamp,
+        );
         assert_eq!(
-            chain.append(b),
+            chain.append(stale),
             Err(ChainError::MerkleMismatch { serial: 1 })
         );
+        assert_eq!(chain.height(), 0, "chain unchanged on error");
+        chain.append(b).unwrap();
     }
 
     #[test]
@@ -773,9 +791,32 @@ mod tests {
         }
         assert_eq!(chain.audit(), None);
         // Tamper with a middle block's entry (simulating a rewritten ledger).
+        // A block cannot be edited in place, so the rewrite is a new body
+        // under the old header.
         let mut broken = chain.clone();
-        broken.blocks[2].entries[0].verdict = Verdict::ArguedValid;
+        let b = &chain.blocks[2];
+        let mut entries = b.entries.clone();
+        entries[0].verdict = Verdict::ArguedValid;
+        broken.blocks[2] = Block::from_parts(
+            b.serial,
+            entries,
+            b.prev_hash,
+            b.merkle_root,
+            b.leader,
+            b.timestamp,
+        );
+        assert_eq!(broken.blocks[2].hash(), b.hash(), "the header is intact");
         assert_eq!(broken.audit(), Some(2));
+        // A rewrite that also restates the root breaks the next link.
+        let mut rehashed = chain.clone();
+        rehashed.blocks[2] = Block::build(
+            b.serial,
+            broken.blocks[2].entries.clone(),
+            b.prev_hash,
+            b.leader,
+            b.timestamp,
+        );
+        assert_eq!(rehashed.audit(), Some(3));
     }
 
     #[test]
@@ -812,8 +853,15 @@ mod tests {
         assert_eq!(anchored.retrieve(0), None);
 
         // A block that does not link into the anchor is rejected.
-        let mut wrong = full.retrieve(3).unwrap().clone();
-        wrong.prev_hash = prb_crypto::sha256::sha256(b"bogus");
+        let b3 = full.retrieve(3).unwrap();
+        let wrong = Block::from_parts(
+            3,
+            b3.entries.clone(),
+            prb_crypto::sha256::sha256(b"bogus"),
+            b3.merkle_root,
+            b3.leader,
+            b3.timestamp,
+        );
         assert_eq!(
             anchored.append(wrong),
             Err(ChainError::BrokenHashChain { serial: 3 })

@@ -2,9 +2,9 @@
 //!
 //! Allows a governor to export its chain (e.g. for a new member syncing
 //! into the alliance, or for offline audit) and any party to re-import and
-//! re-verify it: [`crate::chain::Chain::import`] replays every block
-//! through `append`, so Chain Integrity, No Skipping, size bounds and
-//! Merkle consistency are re-checked structurally on import.
+//! re-verify it: [`crate::chain::Chain::import`] replays every decoded
+//! block through `append`, so Chain Integrity, No Skipping, size bounds
+//! and Merkle consistency are re-checked structurally on import.
 //!
 //! The format is a simple length-prefixed canonical encoding (no external
 //! serialization crates): every variable-length field is prefixed with a
@@ -327,7 +327,9 @@ pub fn encode_block(out: &mut Vec<u8>, b: &Block) {
     }
 }
 
-/// Decodes a block.
+/// Decodes a block. The entries are Merkle-hashed here, once, against the
+/// stated root ([`Block::from_parts`]); whether they matched is then a
+/// field read for [`crate::chain::Chain::append`] and every later holder.
 ///
 /// # Errors
 ///
@@ -346,14 +348,14 @@ pub fn decode_block(r: &mut Reader<'_>) -> Result<Block, DecodeError> {
     for _ in 0..n {
         entries.push(decode_entry(r)?);
     }
-    Ok(Block {
+    Ok(Block::from_parts(
         serial,
         entries,
         prev_hash,
         merkle_root,
         leader,
         timestamp,
-    })
+    ))
 }
 
 #[cfg(test)]

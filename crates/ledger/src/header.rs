@@ -33,7 +33,9 @@ pub struct BlockHeader {
 }
 
 impl BlockHeader {
-    /// The header hash — identical to [`Block::hash`] of the full block.
+    /// The header hash. This is the one definition of a block's hash:
+    /// [`Block::hash`] returns this value, computed once where the block
+    /// body was built.
     pub fn hash(&self) -> Digest {
         let mut h = Sha256::new();
         h.update_field(b"prb-block");

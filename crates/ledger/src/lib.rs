@@ -49,7 +49,7 @@ pub mod header;
 pub mod oracle;
 pub mod transaction;
 
-pub use block::{Block, BlockEntry, Verdict};
+pub use block::{Block, BlockBody, BlockEntry, Verdict};
 pub use chain::{Chain, ChainError, ImportError};
 pub use oracle::ValidityOracle;
 pub use transaction::{Label, LabeledBody, LabeledTx, SignedTx, TxBody, TxId, TxPayload};

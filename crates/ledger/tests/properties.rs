@@ -112,12 +112,15 @@ proptest! {
         // the victim is never the final block.
         let victim = (target as u64 % (n_blocks - 1)) + 1;
         let mut blocks: Vec<Block> = chain.iter().cloned().collect();
-        let b = &mut blocks[victim as usize];
+        let b = &blocks[victim as usize];
+        let (mut serial, mut entries, mut timestamp) = (b.serial, b.entries.clone(), b.timestamp);
         match kind {
-            0 => b.entries[0].verdict = Verdict::ArguedValid, // merkle break
-            1 => b.timestamp += 1,                            // hash-chain break
-            _ => b.serial += 1,                               // serial break
+            0 => entries[0].verdict = Verdict::ArguedValid, // merkle break
+            1 => timestamp += 1,                            // hash-chain break
+            _ => serial += 1,                               // serial break
         }
+        blocks[victim as usize] =
+            Block::from_parts(serial, entries, b.prev_hash, b.merkle_root, b.leader, timestamp);
         // Re-assemble a chain-like structure and audit it by replaying.
         let mut replay = Chain::new(b"prop2", 64);
         let mut broken = false;
@@ -535,5 +538,101 @@ proptest! {
             prop_assert_ne!(flipped.collector_signing_digest(), &digest);
             prop_assert!(!flipped.verify_collector(&ck.public_key()));
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The same for blocks: however a body was built, `merkle_consistent()`
+// and `hash()` report what recomputing from its content gives.
+// ---------------------------------------------------------------------
+
+/// The header hash, hashed from scratch.
+fn reference_block_hash(b: &Block) -> prb_crypto::sha256::Digest {
+    let mut h = Sha256::new();
+    h.update_field(b"prb-block");
+    h.update(&b.serial.to_be_bytes());
+    h.update_field(b.prev_hash.as_bytes());
+    h.update_field(b.merkle_root.as_bytes());
+    h.update_field(&b.leader.to_bytes());
+    h.update(&b.timestamp.to_be_bytes());
+    h.update(&(b.entries.len() as u64).to_be_bytes());
+    h.finalize()
+}
+
+/// `b` reports exactly what recomputing from its content gives.
+fn assert_block_memo_honest(b: &Block) {
+    assert_eq!(
+        b.merkle_consistent(),
+        Block::compute_merkle_root(&b.entries) == b.merkle_root
+    );
+    assert_eq!(b.hash(), reference_block_hash(b));
+    assert_eq!(b.header().hash(), b.hash());
+}
+
+#[test]
+fn genesis_memo_matches_a_from_scratch_hash() {
+    let g = Block::genesis(b"memo");
+    assert_block_memo_honest(&g);
+    assert!(g.merkle_consistent());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every way of obtaining a `Block` — `build`, `from_parts` under the
+    /// right and under a wrong root, decode, `clone`, `Chain::pop` —
+    /// reports the consistency and header hash of its own content.
+    #[test]
+    fn block_memo_matches_a_from_scratch_hash(
+        b in block_strategy(),
+        extra in entry_strategy(),
+        garbage in any::<[u8; 32]>(),
+    ) {
+        assert_block_memo_honest(&b);
+        prop_assert!(b.merkle_consistent());
+        assert_block_memo_honest(&b.clone());
+
+        let parts = |entries: Vec<BlockEntry>, root| {
+            Block::from_parts(b.serial, entries, b.prev_hash, root, b.leader, b.timestamp)
+        };
+        let same = parts(b.entries.clone(), b.merkle_root);
+        assert_block_memo_honest(&same);
+        prop_assert!(same.merkle_consistent());
+        prop_assert_eq!(&same, &b);
+        prop_assert_eq!(same.hash(), b.hash());
+
+        // A wrong stated root, and the right root stated over other entries.
+        let wrong_root = parts(b.entries.clone(), prb_crypto::sha256::Digest(garbage));
+        assert_block_memo_honest(&wrong_root);
+        prop_assert!(!wrong_root.merkle_consistent());
+        prop_assert!(wrong_root != b);
+        let mut more = b.entries.clone();
+        more.push(extra);
+        let stale = parts(more, b.merkle_root);
+        assert_block_memo_honest(&stale);
+        prop_assert!(!stale.merkle_consistent());
+
+        for block in [&b, &wrong_root, &stale] {
+            let mut bytes = Vec::new();
+            prb_ledger::codec::encode_block(&mut bytes, block);
+            let decoded = prb_ledger::codec::decode_block(
+                &mut prb_ledger::codec::Reader::new(&bytes),
+            ).expect("clean decode");
+            assert_block_memo_honest(&decoded);
+            prop_assert_eq!(decoded.merkle_consistent(), block.merkle_consistent());
+            prop_assert_eq!(&decoded, block);
+        }
+
+        // Through a chain and back out: append takes the consistent
+        // block, refuses the other two, and pop returns the same body.
+        let mut chain = Chain::from_checkpoint(b.serial - 1, b.prev_hash, 64);
+        prop_assert!(chain.append(wrong_root).is_err());
+        prop_assert!(chain.append(stale).is_err());
+        chain.append(b.clone()).expect("consistent block appends");
+        prop_assert_eq!(chain.head_hash(), reference_block_hash(&b));
+        prop_assert_eq!(chain.audit(), None);
+        let popped = chain.pop().expect("anchored chains pop to the anchor");
+        assert_block_memo_honest(&popped);
+        prop_assert_eq!(&popped, &b);
     }
 }

@@ -11,11 +11,18 @@
 # times per side, alternating which side goes first. Prints, per
 # end-to-end metric, each side's median and quartiles, the ratio of the
 # medians and the pairs the change won, and fails if a ledger head differs
-# between the sides or a run reports a failed operation.
+# between the sides or a run reports a failed operation. The same rows are
+# appended to BENCH_history.jsonl at the repo root, one JSON line per
+# end-to-end metric; commit the rows a gain-claiming PR's runs produce.
+# `commit` is `git describe --always --dirty`, so an uncommitted change
+# reads `<parent>-dirty`; `crates_tree` is what traces a row back to the
+# change that produced it: the git tree hash of crates/ as the change side
+# was built, equal to `git rev-parse <sha>:crates` of the commit that
+# lands that code whether or not the tree was dirty when the pairs ran.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,14p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent_ref=$1
@@ -41,6 +48,11 @@ for side in "$tmp/parent" "$root"; do
     (cd "$side" && cargo build --release --quiet --manifest-path benchmark/Cargo.toml)
 done
 
+# On a throwaway index, so a dirty tree needs no commit and the real index
+# is left alone.
+crates_tree=$(cd "$root" && export GIT_INDEX_FILE="$tmp/index" &&
+    git add -A crates && git write-tree --prefix=crates/)
+
 for i in $(seq 1 "$pairs"); do
     if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
     for side in $order; do
@@ -50,11 +62,15 @@ for i in $(seq 1 "$pairs"); do
     done
 done
 
-python3 - "$root/BENCHMARK.json" "$tmp/parent.out" "$tmp/change.out" "$workload" "$seed" "$seconds" <<'PY'
+commit=$(git -C "$root" describe --always --dirty)
+parent=$(git -C "$root" rev-parse --short "$parent_ref^{commit}")
+python3 - "$root" "$tmp/parent.out" "$tmp/change.out" "$workload" "$seed" "$seconds" \
+    "$commit" "$parent" "$crates_tree" <<'PY'
 import json, statistics, sys
 
-spec, parent_out, change_out, workload, seed, seconds = sys.argv[1:]
-end_to_end = json.load(open(spec))["end_to_end"]
+(root, parent_out, change_out, workload, seed, seconds, commit, parent,
+ crates_tree) = sys.argv[1:]
+end_to_end = json.load(open(f"{root}/BENCHMARK.json"))["end_to_end"]
 
 def load(path):
     heads, runs = [], []
@@ -72,6 +88,9 @@ def quartiles(xs):
     return q1, med, q3
 
 (p_heads, p_runs), (c_heads, c_runs) = load(parent_out), load(change_out)
+failed = sum(r["failed"] for r in p_runs + c_runs)
+heads = sorted(set(p_heads + c_heads))
+history = open(f"{root}/BENCH_history.jsonl", "a")
 print(f"workload {workload}  seed {seed}  seconds {seconds}  pairs {len(p_runs)}")
 print(f"{'metric':<20} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'ratio':>7}  won")
 for m in end_to_end:
@@ -83,9 +102,18 @@ for m in end_to_end:
     ratio = cm / pm if pm else float("nan")
     print(f"{name:<20} {pm:>12.4g} [{pq1:>8.4g}, {pq3:>8.4g}] {cm:>12.4g} [{cq1:>8.4g}, {cq3:>8.4g}] "
           f"{ratio:>7.3f}  {won}/{len(p)}")
-failed = sum(r["failed"] for r in p_runs + c_runs)
-heads = set(p_heads + c_heads)
+    row = {
+        "commit": commit, "crates_tree": crates_tree, "parent": parent,
+        "workload": workload, "seed": int(seed),
+        "seconds": float(seconds), "pairs": len(p), "metric": name, "unit": m["unit"],
+        "parent_median": pm, "parent_q1": pq1, "parent_q3": pq3,
+        "change_median": cm, "change_q1": cq1, "change_q3": cq3,
+        "ratio": None if pm == 0 else round(ratio, 4), "won": won,
+        "head": ",".join(heads), "failed": failed,
+    }
+    history.write(json.dumps(row) + "\n")
+history.close()
 print(f"failed operations {failed}  ledger heads {'identical' if len(heads) == 1 else 'DIFFER'} "
-      f"({', '.join(sorted(h[:12] for h in heads))})")
+      f"({', '.join(h[:12] for h in heads)})")
 sys.exit(0 if failed == 0 and len(heads) == 1 else 1)
 PY

@@ -9,7 +9,9 @@ use prb::core::scale::ScaleSim;
 use prb::crypto::identity::NodeId;
 use prb::crypto::signer::CryptoScheme;
 use prb::crypto::stats;
-use prb::ledger::block::{BlockEntry, Verdict};
+use prb::ledger::block::{Block, BlockEntry, Verdict};
+use prb::ledger::chain::Chain;
+use prb::ledger::codec;
 use prb::ledger::transaction::{Label, LabeledTx, SignedTx, TxPayload};
 use prb::workload::ScaleWorkload;
 
@@ -69,6 +71,59 @@ fn bodies_hash_once() {
     );
 }
 
+/// A block hashes its entries into a Merkle root once where its body is
+/// built, and its header once; cloning, asking again, appending it to a
+/// chain and reading the chain's head are free.
+fn blocks_hash_once() {
+    const N: u64 = 5;
+    let key = CryptoScheme::sim().keypair_from_seed(b"p");
+    let entries: Vec<BlockEntry> = (0..N)
+        .map(|nonce| BlockEntry {
+            tx: SignedTx::create(
+                TxPayload {
+                    provider: NodeId::provider(0),
+                    nonce,
+                    data: vec![0xa5; 32],
+                },
+                7,
+                &key,
+            ),
+            verdict: Verdict::CheckedValid,
+            reported_labels: vec![(NodeId::collector(0), Label::Valid)],
+        })
+        .collect();
+    let mut chain = Chain::new(b"budget", 64);
+    let prev = chain.head_hash();
+    // N leaf-bytes hashes, N leaf hashes, N - 1 nodes, one header.
+    let sealed = 3 * N;
+    let (block, calls) = counted(|| Block::build(1, entries.clone(), prev, NodeId::governor(0), 9));
+    assert_eq!(calls, sealed);
+    let ((), calls) = counted(|| {
+        let copy = block.clone();
+        assert!(copy.merkle_consistent());
+        assert_eq!(copy.hash(), block.hash());
+        chain.append(copy).unwrap();
+        assert_eq!(chain.head_hash(), block.hash());
+        assert_eq!(chain.pop().as_ref(), Some(&block));
+    });
+    assert_eq!(calls, 0);
+    // Restating the parts, and decoding, cost what building did (plus one
+    // id per decoded transaction); a wrong root costs the same to refute.
+    let parts = |root| Block::from_parts(1, entries.clone(), prev, root, block.leader, 9);
+    assert_eq!(counted(|| parts(block.merkle_root)).1, sealed);
+    let (stale, calls) = counted(|| parts(prev));
+    assert_eq!(calls, sealed);
+    assert_eq!(counted(|| chain.append(stale.clone()).unwrap_err()).1, 0);
+    let mut bytes = Vec::new();
+    codec::encode_block(&mut bytes, &block);
+    let (decoded, calls) =
+        counted(|| codec::decode_block(&mut codec::Reader::new(&bytes)).unwrap());
+    assert_eq!(calls, sealed + N);
+    assert_eq!(counted(|| chain.append(decoded).unwrap()).1, 0);
+    // The audit is the from-scratch reference: it consults no memo.
+    assert_eq!(counted(|| assert_eq!(chain.audit(), None)).1, sealed);
+}
+
 /// A scaled-down `open-steady` (BENCHMARK.json): open loop, sim signer,
 /// r = 2, 4 governors, all arrivals valid.
 fn sha256_calls_per_committed_tx() -> f64 {
@@ -103,13 +158,17 @@ fn sha256_calls_per_committed_tx() -> f64 {
 #[test]
 fn sha256_calls_stay_in_budget() {
     bodies_hash_once();
+    blocks_hash_once();
     // 107.34 per tx before `SignedTx` carried its own id and signing
     // digest (PR 15: 58 of them `SignedTx::id()` over the same bytes),
-    // 36.46 after; the count repeats exactly per seed. What is left per
-    // tx is 17 sim-signature tags (one per sign or verify), one id, one
-    // provider signing digest, one label digest per upload (r = 2), and
-    // the Merkle leaves, nodes and block hashes of four ledgers.
-    const AFTER: f64 = 36.46;
+    // 36.46 after; 24.44 now that a `Block` carries its Merkle verdict
+    // and header hash (PR 16: each of four governors' `append` used to
+    // rehash every entry, ~3 calls per tx per ledger). The count repeats
+    // exactly per seed. What is left per tx is 17 sim-signature tags (one
+    // per sign or verify), one id, one provider signing digest, one label
+    // digest per upload (r = 2), and one leaf-bytes hash, one leaf hash
+    // and one tree node where the leader builds the block.
+    const AFTER: f64 = 24.44;
     let per_tx = sha256_calls_per_committed_tx();
     assert!(
         per_tx <= AFTER * 1.10,
