@@ -5,12 +5,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
+use prb_crypto::bigint::{jacobi, BigUint, FixedBaseTable};
 use prb_crypto::group::SchnorrGroup;
 use prb_crypto::merkle::MerkleTree;
-use prb_crypto::schnorr::SigningKey;
+use prb_crypto::schnorr::{SigningKey, VerifyingKey};
 use prb_crypto::sha256::sha256;
 use prb_crypto::signer::CryptoScheme;
-use prb_crypto::vrf::VrfKeyPair;
+use prb_crypto::vrf::{verify_batch, VrfKeyPair, VrfProof};
 
 fn bench_sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
@@ -59,6 +60,43 @@ fn bench_schnorr_2048(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_kernel_2048(c: &mut Criterion) {
+    // The big-integer kernel at the width `closed-crypto` runs it: one
+    // full-width exponentiation, one 4-base Straus product with
+    // batch-sized (320-bit) exponents, one subgroup-membership test.
+    let mut group = c.benchmark_group("kernel-2048");
+    group.sample_size(10);
+    let g = SchnorrGroup::rfc3526_2048();
+    let element = |seed: &[u8]| g.hash_to_group("bench", seed);
+    let base = element(b"base");
+    group.bench_function("modexp_2048", |b| {
+        b.iter(|| g.pow(std::hint::black_box(&base), g.q()))
+    });
+    let bases: Vec<BigUint> = (0..4u8).map(|i| element(&[i])).collect();
+    let exps: Vec<BigUint> = (0..4u8).map(|i| element(&[i, i]).shr(2048 - 320)).collect();
+    let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(&exps).collect();
+    group.bench_function("multi_pow_2048x4", |b| {
+        b.iter(|| g.multi_pow(std::hint::black_box(&pairs)))
+    });
+    group.bench_function("jacobi_2048", |b| {
+        b.iter(|| jacobi(std::hint::black_box(&base), g.p()))
+    });
+    // The two products in isolation: a fixed-base table answers an
+    // exponent with no zero digit in exactly 512 multiplications and no
+    // squaring; 2^2047 costs 2044 squarings after the 14-product table
+    // and one multiplication.
+    let table = FixedBaseTable::build(g.mont(), &base, 2048);
+    let all_digits = BigUint::one().shl(2048).sub(&BigUint::one());
+    group.bench_function("mont_mul_x512", |b| {
+        b.iter(|| table.pow(g.mont(), std::hint::black_box(&all_digits)))
+    });
+    let top_bit = BigUint::one().shl(2047);
+    group.bench_function("mont_sqr_x2044", |b| {
+        b.iter(|| g.pow(std::hint::black_box(&base), &top_bit))
+    });
+    group.finish();
+}
+
 fn bench_vrf(c: &mut Criterion) {
     let mut group = c.benchmark_group("vrf");
     let kp = VrfKeyPair::from_seed(&SchnorrGroup::test_256(), b"vrf-bench");
@@ -68,6 +106,33 @@ fn bench_vrf(c: &mut Criterion) {
     });
     group.bench_function("verify/test-256", |b| {
         b.iter(|| proof.verify(kp.public_key(), std::hint::black_box(b"round-1")))
+    });
+    group.finish();
+}
+
+fn bench_vrf_2048(c: &mut Criterion) {
+    // One governor's election work per round at the secure parameter set:
+    // evaluate its own claim, verify one alone, verify the committee's four
+    // as a batch.
+    let mut group = c.benchmark_group("vrf-2048");
+    group.sample_size(10);
+    let g = SchnorrGroup::rfc3526_2048();
+    let kps: Vec<VrfKeyPair> = (0..4u8).map(|i| VrfKeyPair::from_seed(&g, &[i])).collect();
+    let msg = b"round-1";
+    let proofs: Vec<VrfProof> = kps.iter().map(|kp| kp.evaluate(msg).1).collect();
+    group.bench_function("evaluate", |b| {
+        b.iter(|| kps[0].evaluate(std::hint::black_box(msg)))
+    });
+    group.bench_function("verify", |b| {
+        b.iter(|| proofs[0].verify(kps[0].public_key(), std::hint::black_box(msg)))
+    });
+    let items: Vec<(&[u8], &VrfProof, &VerifyingKey)> = kps
+        .iter()
+        .zip(&proofs)
+        .map(|(kp, proof)| (&msg[..], proof, kp.public_key()))
+        .collect();
+    group.bench_function("verify_batch/4", |b| {
+        b.iter(|| verify_batch(std::hint::black_box(&items)))
     });
     group.finish();
 }
@@ -97,7 +162,9 @@ criterion_group!(
     bench_sha256,
     bench_signatures,
     bench_schnorr_2048,
+    bench_kernel_2048,
     bench_vrf,
+    bench_vrf_2048,
     bench_merkle
 );
 criterion_main!(benches);

@@ -9,7 +9,7 @@
 use std::fmt;
 
 use prb_crypto::sha256::{Digest, Sha256};
-use prb_crypto::signer::{KeyPair, PublicKey, VrfEvaluation};
+use prb_crypto::signer::{KeyPair, PublicKey, VrfEvaluation, VrfOutput};
 
 use crate::verify_pool::VerifyPool;
 
@@ -39,8 +39,10 @@ pub struct ElectionClaim {
 }
 
 impl ElectionClaim {
-    /// Computes a governor's claim: evaluates the VRF once per stake unit
-    /// and keeps the minimum output.
+    /// Computes a governor's claim: takes the VRF output of every stake
+    /// unit, keeps the minimum (the first unit on a tie) and builds the
+    /// proof for that unit alone — the proofs of the losing units would
+    /// never leave the node.
     ///
     /// Returns `None` for zero stake (no units, no claim).
     pub fn compute(
@@ -50,19 +52,14 @@ impl ElectionClaim {
         stake: u64,
         key: &KeyPair,
     ) -> Option<Self> {
-        let mut best: Option<(Digest, u64, VrfEvaluation)> = None;
-        for unit in 0..stake {
+        let outputs = (0..stake).map(|unit| {
             let msg = election_message(chain_tag, round, governor, unit);
-            let eval = key.vrf_evaluate(&msg);
-            let out = eval.output();
-            if best.as_ref().is_none_or(|(b, _, _)| out < *b) {
-                best = Some((out, unit, eval));
-            }
-        }
-        best.map(|(_, unit, evaluation)| ElectionClaim {
+            (unit, key.vrf_output(&msg))
+        });
+        least_output(outputs).map(|(unit, winner)| ElectionClaim {
             governor,
             unit,
-            evaluation,
+            evaluation: winner.prove(),
         })
     }
 
@@ -74,6 +71,14 @@ impl ElectionClaim {
         let msg = election_message(chain_tag, round, self.governor, self.unit);
         pk.vrf_verify(&msg, &self.evaluation)
     }
+}
+
+/// The stake unit a governor publishes: the least output, and the lower
+/// unit if two outputs are equal (`min_by_key` keeps the first minimum).
+fn least_output<'k>(
+    outputs: impl Iterator<Item = (u64, VrfOutput<'k>)>,
+) -> Option<(u64, VrfOutput<'k>)> {
+    outputs.min_by_key(|(_, candidate)| candidate.output())
 }
 
 /// Result of an election round.
@@ -171,23 +176,42 @@ pub fn elect_excluding(
     expelled: &[u32],
     pool: &VerifyPool,
 ) -> (Option<ElectionResult>, Vec<(u32, ClaimRejection)>) {
+    let verdicts = verify_claims(chain_tag, round, claims, stakes, pks, expelled, pool);
+    tally(claims, &verdicts)
+}
+
+/// The verification half of [`elect_excluding`]: per claim, in order, the
+/// authenticated VRF output or the reason the claim is rejected. A caller
+/// that will meet the same claims again in the same round (the governor,
+/// when the winner's claim comes back attached to its block) keeps the
+/// outputs instead of verifying twice.
+pub fn verify_claims(
+    chain_tag: &[u8],
+    round: u64,
+    claims: &[ElectionClaim],
+    stakes: &[u64],
+    pks: &[PublicKey],
+    expelled: &[u32],
+    pool: &VerifyPool,
+) -> Vec<Result<Digest, ClaimRejection>> {
     // Pass 1: structural checks, recording which claims reach the proof
-    // stage and the VRF message each one must verify against.
-    let mut verdicts: Vec<Option<ClaimRejection>> = vec![None; claims.len()];
+    // stage and the VRF message each one must verify against. Such a claim
+    // stays `BadProof` until pass 2 authenticates its output.
+    let mut verdicts = vec![Err(ClaimRejection::BadProof); claims.len()];
     let mut live = Vec::new();
     let mut msgs = Vec::new();
     for (i, claim) in claims.iter().enumerate() {
         let g = claim.governor as usize;
         if expelled.contains(&claim.governor) {
-            verdicts[i] = Some(ClaimRejection::Expelled);
+            verdicts[i] = Err(ClaimRejection::Expelled);
             continue;
         }
         if g >= stakes.len() || g >= pks.len() {
-            verdicts[i] = Some(ClaimRejection::UnknownGovernor);
+            verdicts[i] = Err(ClaimRejection::UnknownGovernor);
             continue;
         }
         if claim.unit >= stakes[g] {
-            verdicts[i] = Some(ClaimRejection::UnitOutOfRange);
+            verdicts[i] = Err(ClaimRejection::UnitOutOfRange);
             continue;
         }
         live.push(i);
@@ -210,25 +234,32 @@ pub fn elect_excluding(
             )
         })
         .collect();
-    let outputs = pool.vrf_verify(&items);
-    // Pass 3: fold verdicts back in claim order, tallying the least hash.
+    for (&i, output) in live.iter().zip(pool.vrf_verify(&items)) {
+        if let Some(output) = output {
+            verdicts[i] = Ok(output);
+        }
+    }
+    verdicts
+}
+
+/// The tallying half of [`elect_excluding`]: the least verified output
+/// wins (ties toward the smaller governor index); rejections are listed in
+/// claim order.
+pub fn tally(
+    claims: &[ElectionClaim],
+    verdicts: &[Result<Digest, ClaimRejection>],
+) -> (Option<ElectionResult>, Vec<(u32, ClaimRejection)>) {
     let mut rejections = Vec::new();
     let mut best: Option<(Digest, u32)> = None;
-    let mut live_pos = 0;
-    for (i, claim) in claims.iter().enumerate() {
-        if let Some(why) = verdicts[i] {
-            rejections.push((claim.governor, why));
-            continue;
-        }
-        let output = outputs[live_pos];
-        live_pos += 1;
-        let Some(output) = output else {
-            rejections.push((claim.governor, ClaimRejection::BadProof));
-            continue;
-        };
-        let key = (output, claim.governor);
-        if best.is_none_or(|b| key < b) {
-            best = Some(key);
+    for (claim, verdict) in claims.iter().zip(verdicts) {
+        match *verdict {
+            Err(why) => rejections.push((claim.governor, why)),
+            Ok(output) => {
+                let key = (output, claim.governor);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                }
+            }
         }
     }
     (
@@ -263,6 +294,67 @@ mod tests {
         let (result, rejections) = elect(TAG, round, &claims, stakes, &pks);
         assert!(rejections.is_empty(), "{rejections:?}");
         result
+    }
+
+    /// `ElectionClaim::compute` as it was before proofs became lazy: a
+    /// full evaluation, proof included, for every stake unit.
+    fn compute_proving_every_unit(
+        round: u64,
+        governor: u32,
+        stake: u64,
+        key: &KeyPair,
+    ) -> Option<ElectionClaim> {
+        let mut best: Option<(Digest, u64, VrfEvaluation)> = None;
+        for unit in 0..stake {
+            let msg = election_message(TAG, round, governor, unit);
+            let eval = key.vrf_evaluate(&msg);
+            let out = eval.output();
+            if best.as_ref().is_none_or(|(b, _, _)| out < *b) {
+                best = Some((out, unit, eval));
+            }
+        }
+        best.map(|(_, unit, evaluation)| ElectionClaim {
+            governor,
+            unit,
+            evaluation,
+        })
+    }
+
+    #[test]
+    fn lazily_proved_claim_equals_the_claim_that_proved_every_unit() {
+        for (scheme, rounds) in [
+            (CryptoScheme::sim(), 50),
+            (CryptoScheme::schnorr_test_256(), 50),
+            (CryptoScheme::schnorr_2048(), 5),
+        ] {
+            let key = scheme.keypair_from_seed(b"lazy");
+            let mut units_won = std::collections::BTreeSet::new();
+            for round in 0..rounds {
+                for stake in [1, 4, 7] {
+                    let lazy = ElectionClaim::compute(TAG, round, 2, stake, &key);
+                    let eager = compute_proving_every_unit(round, 2, stake, &key);
+                    assert_eq!(lazy, eager, "{} round {round} stake {stake}", scheme.name());
+                    units_won.insert(lazy.unwrap().unit);
+                }
+            }
+            // Not vacuous: later units do win.
+            assert!(units_won.len() > 1, "{}", scheme.name());
+            assert_eq!(ElectionClaim::compute(TAG, 0, 2, 0, &key), None);
+        }
+    }
+
+    #[test]
+    fn equal_outputs_keep_the_lower_unit() {
+        let digest = |b: u8| prb_crypto::sha256::sha256(&[b]);
+        let (low, high) = {
+            let (a, b) = (digest(1), digest(2));
+            (a.min(b), a.max(b))
+        };
+        let outputs = [(0, high), (1, low), (2, low), (3, high)];
+        let (unit, winner) = least_output(outputs.iter().map(|&(u, d)| (u, VrfOutput::Sim(d))))
+            .expect("four candidates");
+        assert_eq!((unit, winner.output()), (1, low));
+        assert!(least_output(std::iter::empty()).is_none());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::rc::Rc;
 use prb_consensus::checkpoint::{
     quorum, CheckpointCert, CheckpointError, CheckpointShare, CheckpointState, CollectorSnapshot,
 };
-use prb_consensus::election::{elect_excluding, ElectionClaim};
+use prb_consensus::election::{tally, verify_claims, ElectionClaim};
 use prb_consensus::evidence::{EquivocationEvidence, SignedHeader};
 use prb_consensus::membership::{
     EpochLog, MemberRole, MembershipAction, MembershipCert, MembershipRequest, MembershipShare,
@@ -178,6 +178,11 @@ pub struct GovernorNode {
     future_blocks: Vec<Block>,
     round: u64,
     claims: Vec<ElectionClaim>,
+    /// The claims `run_election` authenticated for `self.round`, with
+    /// their VRF outputs: `claim_key` answers from here when the same
+    /// claim comes back attached to a block. At most one entry per
+    /// governor; cleared with `claims` when the round advances.
+    verified_claims: Vec<(ElectionClaim, Digest)>,
     leader: Option<u32>,
     /// This governor's own VRF claim for the current round, attached to
     /// its block proposal so peers can rank it during head-fork
@@ -366,6 +371,7 @@ impl GovernorNode {
             future_blocks: Vec::new(),
             round: 0,
             claims: Vec::new(),
+            verified_claims: Vec::new(),
             leader: None,
             my_claim: None,
             head_priority: None,
@@ -1366,6 +1372,7 @@ impl GovernorNode {
         }
         self.round = round;
         self.claims.clear();
+        self.verified_claims.clear();
         self.leader = None;
         let now = ctx.now().ticks();
         self.apply_due_members(round, now);
@@ -1428,7 +1435,7 @@ impl GovernorNode {
     fn run_election(&mut self, now: u64) {
         let t0 = self.obs.is_enabled().then(std::time::Instant::now);
         let excluded = self.excluded_governors();
-        let (result, _rejected) = elect_excluding(
+        let verdicts = verify_claims(
             b"prb-chain",
             self.round,
             &self.claims,
@@ -1437,6 +1444,13 @@ impl GovernorNode {
             &excluded,
             &self.verify_pool,
         );
+        let (result, _rejected) = tally(&self.claims, &verdicts);
+        self.verified_claims = self
+            .claims
+            .iter()
+            .zip(verdicts)
+            .filter_map(|(claim, verdict)| Some((claim.clone(), verdict.ok()?)))
+            .collect();
         if let Some(t0) = t0 {
             self.obs
                 .add_counter("wall.crypto_ns", t0.elapsed().as_nanos() as u64);
@@ -2399,12 +2413,26 @@ impl GovernorNode {
     /// verify, claims a stake unit the governor does not own, or names
     /// an unknown governor — the VRF binds governor and round, so a
     /// stolen or replayed claim fails here.
+    ///
+    /// A claim equal in every field to one this round's election batch
+    /// already authenticated is not verified a second time: verification
+    /// is a deterministic function of `(round, claim, key)`, so the
+    /// remembered output is the one `claim.verify` would return. Anything
+    /// else — a rival's variant, another round, a replay — takes the full
+    /// verification.
     fn claim_key(&self, claim: &ElectionClaim, round: u64) -> Option<(Digest, u32, u64)> {
         if claim.unit >= self.stake_table.stake(claim.governor).unwrap_or(0) {
             return None;
         }
         let pk = self.governor_pks.get(claim.governor as usize)?;
-        let out = claim.verify(b"prb-chain", round, pk)?;
+        let verified = self
+            .verified_claims
+            .iter()
+            .find(|(c, _)| round == self.round && c == claim);
+        let out = match verified {
+            Some((_, out)) => *out,
+            None => claim.verify(b"prb-chain", round, pk)?,
+        };
         Some((out, claim.governor, round))
     }
 
@@ -3120,12 +3148,15 @@ mod fork_tests {
     const TAG: &[u8] = b"prb-chain";
 
     fn rig(governors: u32) -> (Vec<KeyPair>, GovernorNode) {
+        rig_under(CryptoScheme::sim(), governors)
+    }
+
+    fn rig_under(scheme: CryptoScheme, governors: u32) -> (Vec<KeyPair>, GovernorNode) {
         let cfg = ProtocolConfig {
             governors,
             seed: 7,
             ..Default::default()
         };
-        let scheme = CryptoScheme::sim();
         let keys: Vec<KeyPair> = (0..governors)
             .map(|g| scheme.keypair_from_seed(format!("fork-g{g}").as_bytes()))
             .collect();
@@ -3183,6 +3214,63 @@ mod fork_tests {
         let stake = gov.stake_table.stake(1).unwrap();
         let forged = ElectionClaim::compute(TAG, 3, 1, stake, &keys[0]).unwrap();
         assert!(gov.claim_key(&forged, 3).is_none());
+    }
+
+    #[test]
+    fn claim_key_answers_from_the_election_batch_only_for_the_same_claim_and_round() {
+        // Schnorr, so a claim carries a proof that can differ on its own.
+        let scheme = CryptoScheme::schnorr_test_256();
+        let (keys, mut gov) = rig_under(scheme.clone(), 3);
+        let (_, cold) = rig_under(scheme, 3);
+        let round = gov.round;
+        gov.claims = (0..3).map(|g| claim_for(&gov, &keys, g, round)).collect();
+        gov.run_election(0);
+        assert_eq!(gov.verified_claims.len(), 3);
+        // A hit returns what a governor that never ran the election
+        // works out from the proof.
+        for claim in gov.claims.clone() {
+            let key = gov.claim_key(&claim, round);
+            assert!(key.is_some());
+            assert_eq!(key, cold.claim_key(&claim, round));
+        }
+        // Mark the remembered outputs to see which calls consult them.
+        let marked = Digest::default();
+        for (_, out) in &mut gov.verified_claims {
+            *out = marked;
+        }
+        let genuine = gov.claims[1].clone();
+        assert_eq!(gov.claim_key(&genuine, round), Some((marked, 1, round)));
+        // One field off, and the claim takes the full verification: the
+        // verdict is the cold governor's, never the marked output.
+        let stake = gov.stake_table.stake(1).unwrap();
+        let other_governor = ElectionClaim {
+            governor: 2,
+            ..genuine.clone()
+        };
+        let other_unit = ElectionClaim {
+            unit: (genuine.unit + 1) % stake,
+            ..genuine.clone()
+        };
+        let other_proof = ElectionClaim {
+            evaluation: claim_for(&gov, &keys, 1, round + 1).evaluation,
+            ..genuine.clone()
+        };
+        for variant in [&other_governor, &other_unit, &other_proof] {
+            assert_eq!(gov.claim_key(variant, round), None);
+            assert_eq!(cold.claim_key(variant, round), None);
+        }
+        // Another round: the genuine claim is verified against that
+        // round, as before, and fails there.
+        assert_eq!(gov.claim_key(&genuine, round + 1), None);
+        let next = claim_for(&gov, &keys, 1, round + 1);
+        assert_eq!(
+            gov.claim_key(&next, round + 1),
+            cold.claim_key(&next, round + 1)
+        );
+        assert!(gov.claim_key(&next, round + 1).is_some());
+        // Structural checks come first even on a hit: no stake, no key.
+        gov.stake_table.slash(1);
+        assert_eq!(gov.claim_key(&genuine, round), None);
     }
 
     #[test]

@@ -644,6 +644,71 @@ fn rival_with_a_stale_merkle_root_cannot_make_the_head_be_shed() {
     }
 }
 
+/// Once the election batch has authenticated the round's claims, the
+/// governor answers `claim_key` for those same claims from memory. A
+/// head contest must come out as it does for a governor that verifies
+/// every attached claim from its proof: a doctored claim refused, the
+/// genuine smaller key winning.
+#[test]
+fn rival_contest_is_decided_the_same_once_the_election_verified_the_claims() {
+    for elected_first in [false, true] {
+        let mut rig = ProposalRig::new();
+        if elected_first {
+            // All three claims in: the governor runs the round-0 election.
+            for g in 0..3u32 {
+                let stake = rig.governor().stake_table().stake(g).unwrap();
+                let claim = ElectionClaim::compute(
+                    b"prb-chain",
+                    0,
+                    g,
+                    stake,
+                    &rig.governor_keys[g as usize],
+                )
+                .unwrap();
+                let at = rig.net.now();
+                rig.net
+                    .send_external(0, "claim", ProtocolMsg::Election { round: 0, claim }, at);
+            }
+            rig.net.run_until_idle(1_000);
+        }
+        assert_eq!(rig.governor().current_leader().is_some(), elected_first);
+        let (big, small) = rig.ranked_claims();
+        let genesis_hash = rig.governor().chain().head_hash();
+        let head = Block::build(
+            1,
+            vec![rig.entry(0)],
+            genesis_hash,
+            NodeId::governor(big.governor),
+            50,
+        );
+        rig.propose(&head, Some(big), true);
+        assert_eq!(rig.governor().chain().head_hash(), head.hash());
+        let rival = Block::build(
+            1,
+            vec![rig.entry(1)],
+            genesis_hash,
+            NodeId::governor(small.governor),
+            50,
+        );
+        // The smaller key's claim restated for another of its units: not
+        // the claim the election saw, and not one that verifies.
+        let stake = rig.governor().stake_table().stake(small.governor).unwrap();
+        let doctored = ElectionClaim {
+            unit: (small.unit + 1) % stake,
+            ..small.clone()
+        };
+        rig.propose(&rival, Some(doctored), false);
+        let gov = rig.governor();
+        assert_eq!(gov.chain().head_hash(), head.hash(), "the head was shed");
+        assert_eq!(gov.metrics().head_rollbacks, 0);
+        rig.propose(&rival, Some(small), true);
+        let gov = rig.governor();
+        assert_eq!(gov.chain().head_hash(), rival.hash());
+        assert_eq!(gov.metrics().head_rollbacks, 1);
+        assert_eq!(gov.ready_tx_ids(), vec![head.entries[0].tx.id()]);
+    }
+}
+
 #[test]
 fn oversized_rival_is_refused_before_any_rollback() {
     for with_header in [false, true] {

@@ -57,6 +57,7 @@ impl DleqProof {
     /// statement, so proofs are reproducible and never reuse a nonce across
     /// distinct statements.
     pub fn prove(statement: &DleqStatement<'_>, x: &BigUint) -> DleqProof {
+        crate::stats::record_dleq_proof();
         let group = statement.group;
         let k = derive_nonce(statement, x);
         // `g` is almost always the group generator, so route through the

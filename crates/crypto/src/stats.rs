@@ -14,6 +14,8 @@
 //! - `multi_pow_calls` — Straus/Shamir simultaneous exponentiations,
 //! - `table_builds` — fixed-base window-table precomputations,
 //! - `table_pows` — exponentiations answered from a fixed-base table,
+//! - `dleq_proofs` — Chaum–Pedersen proofs built (one per VRF evaluation
+//!   that is actually proved),
 //! - `batch_calls` / `batch_items` — RLC batch verifications and the items
 //!   they covered ([`crate::batch`]),
 //! - `batch_bisect_steps` — batch splits while isolating a bad item,
@@ -28,6 +30,7 @@ static MODEXP_CALLS: AtomicU64 = AtomicU64::new(0);
 static MULTI_POW_CALLS: AtomicU64 = AtomicU64::new(0);
 static TABLE_BUILDS: AtomicU64 = AtomicU64::new(0);
 static TABLE_POWS: AtomicU64 = AtomicU64::new(0);
+static DLEQ_PROOFS: AtomicU64 = AtomicU64::new(0);
 static BATCH_CALLS: AtomicU64 = AtomicU64::new(0);
 static BATCH_ITEMS: AtomicU64 = AtomicU64::new(0);
 static BATCH_BISECT_STEPS: AtomicU64 = AtomicU64::new(0);
@@ -52,6 +55,11 @@ pub(crate) fn record_table_build() {
 #[inline]
 pub(crate) fn record_table_pow() {
     TABLE_POWS.fetch_add(1, Relaxed);
+}
+
+#[inline]
+pub(crate) fn record_dleq_proof() {
+    DLEQ_PROOFS.fetch_add(1, Relaxed);
 }
 
 #[inline]
@@ -86,6 +94,8 @@ pub struct CryptoStats {
     pub table_builds: u64,
     /// Exponentiations served from a fixed-base table.
     pub table_pows: u64,
+    /// DLEQ proofs built (VRF evaluations that were proved).
+    pub dleq_proofs: u64,
     /// RLC batch-verification calls (Schnorr or DLEQ).
     pub batch_calls: u64,
     /// Total items passed to batch verification.
@@ -107,6 +117,7 @@ impl CryptoStats {
             multi_pow_calls: self.multi_pow_calls.saturating_sub(earlier.multi_pow_calls),
             table_builds: self.table_builds.saturating_sub(earlier.table_builds),
             table_pows: self.table_pows.saturating_sub(earlier.table_pows),
+            dleq_proofs: self.dleq_proofs.saturating_sub(earlier.dleq_proofs),
             batch_calls: self.batch_calls.saturating_sub(earlier.batch_calls),
             batch_items: self.batch_items.saturating_sub(earlier.batch_items),
             batch_bisect_steps: self
@@ -127,6 +138,7 @@ pub fn snapshot() -> CryptoStats {
         multi_pow_calls: MULTI_POW_CALLS.load(Relaxed),
         table_builds: TABLE_BUILDS.load(Relaxed),
         table_pows: TABLE_POWS.load(Relaxed),
+        dleq_proofs: DLEQ_PROOFS.load(Relaxed),
         batch_calls: BATCH_CALLS.load(Relaxed),
         batch_items: BATCH_ITEMS.load(Relaxed),
         batch_bisect_steps: BATCH_BISECT_STEPS.load(Relaxed),
@@ -146,6 +158,7 @@ mod tests {
         record_multi_pow();
         record_table_build();
         record_table_pow();
+        record_dleq_proof();
         record_batch(5);
         record_batch_bisect();
         record_batch_fallback(2);
@@ -158,6 +171,7 @@ mod tests {
         assert!(d.multi_pow_calls >= 1);
         assert!(d.table_builds >= 1);
         assert!(d.table_pows >= 1);
+        assert!(d.dleq_proofs >= 1);
         assert!(d.batch_calls >= 1);
         assert!(d.batch_items >= 5);
         assert!(d.batch_bisect_steps >= 1);

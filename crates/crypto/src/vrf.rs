@@ -10,6 +10,14 @@
 //!   `π = DLEQ(g, y; h, gamma)`, output `= H(gamma)`,
 //! - verify(m, out, π): check the DLEQ proof and recompute the output.
 //!
+//! Evaluation comes in two halves: [`output_with_key`] computes `h`,
+//! `gamma` and the output (one exponentiation), and [`PreOutput::prove`]
+//! adds the DLEQ proof over the same `h` and `gamma` (two more). A caller
+//! that compares several outputs and publishes one — the election's
+//! least hash over the stake units — proves only that one; proving is
+//! deterministic, so the proof is the one an eager evaluation would have
+//! built.
+//!
 //! Uniqueness follows from `gamma` being determined by `(m, x)`;
 //! pseudorandomness from the DDH assumption in the group (for the secure
 //! parameter set).
@@ -86,20 +94,58 @@ impl VrfKeyPair {
 /// Identical to [`VrfKeyPair::evaluate`], without requiring the caller to
 /// move (or clone) the key into a `VrfKeyPair` wrapper first.
 pub fn evaluate_with_key(key: &SigningKey, message: &[u8]) -> (Digest, VrfProof) {
+    output_with_key(key, message).prove()
+}
+
+/// A VRF output that has not been proved yet: `h = HashToGroup(m)`,
+/// `gamma = h^x` and `H(gamma)`, tied to the key that computed them.
+#[derive(Clone, Debug)]
+pub struct PreOutput<'k> {
+    key: &'k SigningKey,
+    h: BigUint,
+    gamma: BigUint,
+    output: Digest,
+}
+
+/// The output half of a VRF evaluation: everything except the proof.
+pub fn output_with_key<'k>(key: &'k SigningKey, message: &[u8]) -> PreOutput<'k> {
     let group = key.group();
     let h = group.hash_to_group(H2G_DOMAIN, message);
-    let x = key.secret_scalar();
-    let gamma = group.pow(&h, x);
-    let statement = DleqStatement {
-        group,
-        g: group.g(),
-        y: key.verifying_key().element(),
-        h: &h,
-        z: &gamma,
-    };
-    let dleq = DleqProof::prove(&statement, x);
+    let gamma = group.pow(&h, key.secret_scalar());
     let output = output_from_gamma(group, &gamma);
-    (output, VrfProof { gamma, dleq })
+    PreOutput {
+        key,
+        h,
+        gamma,
+        output,
+    }
+}
+
+impl PreOutput<'_> {
+    /// The VRF output `H(gamma)`.
+    pub fn output(&self) -> Digest {
+        self.output
+    }
+
+    /// The proof half: the DLEQ proof that `gamma` uses the key's secret.
+    pub fn prove(self) -> (Digest, VrfProof) {
+        let group = self.key.group();
+        let statement = DleqStatement {
+            group,
+            g: group.g(),
+            y: self.key.verifying_key().element(),
+            h: &self.h,
+            z: &self.gamma,
+        };
+        let dleq = DleqProof::prove(&statement, self.key.secret_scalar());
+        (
+            self.output,
+            VrfProof {
+                gamma: self.gamma,
+                dleq,
+            },
+        )
+    }
 }
 
 impl VrfProof {

@@ -245,6 +245,62 @@ proptest! {
     }
 }
 
+/// Limb counts around the widths the groups use, plus the degenerate
+/// small ones.
+const KERNEL_WIDTHS: [usize; 8] = [1, 2, 3, 31, 32, 33, 48, 64];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The kernel's three exponentiation routes against the from-scratch
+    /// reference, for moduli of exactly `k` limbs at every width above and
+    /// bases drawn from the edges: 0, 1, `n − 1`, all-ones limbs (≥ `n`),
+    /// a single limb, `n + base` and a random residue.
+    #[test]
+    fn kernel_routes_match_reference_at_every_width(
+        width in 0usize..KERNEL_WIDTHS.len(),
+        m_bytes in proptest::collection::vec(any::<u8>(), 512..=512),
+        base in biguint_strategy(512),
+        edge in 0usize..7,
+        e in biguint_strategy(20),
+        e2 in biguint_strategy(6),
+    ) {
+        let k = KERNEL_WIDTHS[width];
+        let mut m_bytes = m_bytes[..8 * k].to_vec();
+        m_bytes[0] |= 0x80; // exactly k limbs
+        m_bytes[8 * k - 1] |= 1; // odd
+        let n = BigUint::from_bytes_be(&m_bytes);
+        let one = BigUint::one();
+        let base = match edge {
+            0 => BigUint::zero(),
+            1 => one.clone(),
+            2 => n.sub(&one),
+            3 => one.shl(64 * k).sub(&one),
+            4 => BigUint::from_u64(base.low_u64()),
+            5 => n.add(&base),
+            _ => base.rem(&n),
+        };
+        let ctx = Montgomery::new(&n);
+        let want = base.pow_mod_reference(&e, &n);
+        prop_assert_eq!(ctx.pow(&base, &e), want.clone());
+        let table = FixedBaseTable::build(&ctx, &base, 160);
+        prop_assert_eq!(table.pow(&ctx, &e), Some(want.clone()));
+        let other = n.sub(&BigUint::from_u64(2));
+        let want2 = want.mul_mod(&other.pow_mod_reference(&e2, &n), &n);
+        prop_assert_eq!(ctx.multi_pow(&[(&base, &e), (&other, &e2)]), want2);
+    }
+
+    /// The group's Montgomery product and `hash_to_group`'s squaring equal
+    /// the schoolbook-and-divide `mul_mod` they replaced.
+    #[test]
+    fn group_mul_matches_mul_mod(a in biguint_strategy(70), b in biguint_strategy(64)) {
+        for group in [SchnorrGroup::test_256(), SchnorrGroup::test_512()] {
+            prop_assert_eq!(group.mul(&a, &b), a.mul_mod(&b, group.p()));
+            prop_assert_eq!(group.mont().mul(&a, &a), a.mul_mod(&a, group.p()));
+        }
+    }
+}
+
 /// Every parameter set (the three RFC 3526 groups and both test groups):
 /// generator-table `pow_g` and a per-base table must match the reference
 /// at the edge exponents 0, 1 and `q − 1`, plus a mid-size scalar.
