@@ -9,18 +9,29 @@ use prb_crypto::bigint::{jacobi, BigUint, FixedBaseTable};
 use prb_crypto::group::SchnorrGroup;
 use prb_crypto::merkle::MerkleTree;
 use prb_crypto::schnorr::{SigningKey, VerifyingKey};
-use prb_crypto::sha256::sha256;
+use prb_crypto::sha256::{kernel, sha256_on_kernel};
 use prb_crypto::signer::CryptoScheme;
 use prb_crypto::vrf::{verify_batch, VrfKeyPair, VrfProof};
 
 fn bench_sha256(c: &mut Criterion) {
+    // The sizes the protocol hashes: a digest-sized field, a Merkle node
+    // (0x01 + two digests), a sim tag (two blocks), and bulk input where
+    // per-call overhead vanishes. Each on every kernel this CPU can run;
+    // `sha256_on_kernel` drives the same streaming code as `sha256`.
     let mut group = c.benchmark_group("sha256");
-    for size in [64usize, 1024, 16 * 1024] {
-        let data = vec![0xabu8; size];
-        group.throughput(Throughput::Bytes(size as u64));
-        group.bench_function(format!("{size}B"), |b| {
-            b.iter(|| sha256(std::hint::black_box(&data)))
-        });
+    println!("sha256: detected kernel = {}", kernel());
+    for name in ["portable", "sha-ni"] {
+        if sha256_on_kernel(name, &[]).is_none() {
+            println!("sha256/{name}: skipped, this CPU cannot run it");
+            continue;
+        }
+        for size in [32usize, 65, 95, 1024, 1 << 20] {
+            let data = vec![0xabu8; size];
+            group.throughput(Throughput::Bytes(size as u64));
+            group.bench_function(format!("{name}/{size}"), |b| {
+                b.iter(|| sha256_on_kernel(name, &[std::hint::black_box(&data)]))
+            });
+        }
     }
     group.finish();
 }

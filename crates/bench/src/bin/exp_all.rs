@@ -12,6 +12,8 @@
 //! suite-summary table on stderr at the end (the report itself goes to
 //! stdout untouched).
 
+#![forbid(unsafe_code)]
+
 use std::process::Command;
 use std::time::Instant;
 

@@ -9,6 +9,8 @@
 //! the dishonest drivers/agents, and how the fraud slip-through rate falls
 //! as the spot-check parameter tightens.
 
+#![forbid(unsafe_code)]
+
 use prb_bench::{mean, pm, run_seeds, seed_list, Args, Table};
 use prb_core::behavior::{CollectorProfile, ProviderProfile};
 use prb_core::config::{GovernorMode, ProtocolConfig};

@@ -28,6 +28,8 @@
 //! Output: markdown tables plus `BENCH_churn.json` with machine-readable
 //! pass markers. `--quick` shrinks rounds and seeds for CI smoke runs.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 
 use prb_bench::{apply_churn_args, mean, Args, Table};

@@ -11,6 +11,8 @@
 //! χ²₀.₉₉ = 21.67), and contrast with the round-robin baseline under the
 //! same skewed stakes.
 
+#![forbid(unsafe_code)]
+
 use prb_bench::{crypto_from_args, Args, Table};
 use prb_consensus::election::{elect, ElectionClaim};
 use prb_consensus::round_robin::{leader_of_round, weighted_leader_of_round};

@@ -30,6 +30,8 @@
 //! `BENCH_faults.json` (override with `--bench-out`); `--quick` trims the
 //! sweep to a single seed for CI smoke runs.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::rc::Rc;
 

@@ -11,6 +11,8 @@
 //! monotone in honesty, and every misbehaviour class is punished through
 //! its own component of `∏w · μ^mis · ν^forge`.
 
+#![forbid(unsafe_code)]
+
 use prb_bench::{mean, pm, run_seeds, seed_list, Args, Table};
 use prb_core::behavior::{CollectorProfile, ProviderProfile};
 use prb_core::config::ProtocolConfig;

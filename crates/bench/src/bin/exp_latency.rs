@@ -28,6 +28,8 @@
 //! On any assert failure the flight recorder dumps the last events to
 //! stderr before the process dies.
 
+#![forbid(unsafe_code)]
+
 use std::cell::RefCell;
 use std::io::Write;
 use std::rc::Rc;

@@ -13,6 +13,8 @@
 //! bound `U` under an argue-only reveal policy and reports how many valid
 //! transactions are permanently lost.
 
+#![forbid(unsafe_code)]
+
 use prb_bench::{pm, run_seeds, seed_list, Args, Table};
 use prb_core::behavior::ProviderProfile;
 use prb_core::config::{ProtocolConfig, RevealPolicy};

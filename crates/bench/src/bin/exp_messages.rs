@@ -11,6 +11,8 @@
 //! the block size `b`, and report the growth ratios (×4 per doubling ⇒
 //! quadratic; ×2 ⇒ linear).
 
+#![forbid(unsafe_code)]
+
 use prb_bench::{Args, Table};
 use prb_consensus::pbft::{PbftMsg, PbftReplica};
 use prb_consensus::rotation::{RotationMsg, RotationReplica};

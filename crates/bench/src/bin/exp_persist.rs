@@ -35,6 +35,8 @@
 //! byte-identical files; `--quick` strides the kill matrix and shrinks
 //! the runs for CI smoke.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -14,6 +14,8 @@
 //! and reports Agreement, Chain Integrity, No Skipping, Almost No
 //! Creation, and Validity per scenario.
 
+#![forbid(unsafe_code)]
+
 use prb_bench::{Args, Table};
 use prb_core::behavior::{CollectorProfile, ProviderProfile};
 use prb_core::config::{ProtocolConfig, RevealPolicy};

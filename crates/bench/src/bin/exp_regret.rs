@@ -14,6 +14,8 @@
 //! drives a real deployment and regret is measured from governor 0's
 //! metrics over revealed unchecked transactions.
 
+#![forbid(unsafe_code)]
+
 use prb_bench::{mean, pm, run_seeds, run_traced, seed_list, Args, Table};
 use prb_core::behavior::ProviderProfile;
 use prb_core::config::ProtocolConfig;

@@ -32,6 +32,8 @@
 //! two same-seed runs of the document are byte-identical (the CI
 //! determinism check diffs exactly that form).
 
+#![forbid(unsafe_code)]
+
 use prb_bench::Args;
 use prb_core::config::{ProtocolConfig, RevealPolicy};
 use prb_core::scale::{PoolStats, ScaleSim};

@@ -12,6 +12,8 @@
 //! empirical tail with the bound. Any other weight profile only lowers the
 //! per-transaction probability and hence the tail.
 
+#![forbid(unsafe_code)]
+
 use prb_bench::{Args, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -19,6 +19,8 @@
 //! mechanism should dominate check-all on cost at near-zero extra loss,
 //! and dominate check-none on loss.
 
+#![forbid(unsafe_code)]
+
 use prb_bench::{pm, run_seeds, seed_list, Args, Table};
 use prb_core::behavior::ProviderProfile;
 use prb_core::config::{GovernorMode, ProtocolConfig};

@@ -13,6 +13,8 @@
 //! workload so the `−1` path dominates) and reports every governor's
 //! measured unchecked fraction.
 
+#![forbid(unsafe_code)]
+
 use prb_bench::{mean, pm, run_seeds, seed_list, Args, Table};
 use prb_core::behavior::ProviderProfile;
 use prb_core::config::ProtocolConfig;

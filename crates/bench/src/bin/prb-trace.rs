@@ -17,6 +17,8 @@
 //! byzantine (equivocating) runs, where a committed twin block's
 //! proposal event names the other twin.
 
+#![forbid(unsafe_code)]
+
 use prb_bench::trace::{analyze, lifecycle_events, parse_trace, render_report, to_json};
 use prb_bench::Args;
 use prb_obs::lifecycle::{validate, Checks};

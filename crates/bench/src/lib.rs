@@ -21,6 +21,7 @@
 //! | E11 robustness under faults | `exp_faults` |
 //! | everything | `exp_all` |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

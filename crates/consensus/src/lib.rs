@@ -50,6 +50,7 @@
 //! assert!(result.is_some());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

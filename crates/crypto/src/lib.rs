@@ -11,7 +11,8 @@
 //! leader election (§3.4.3). All of it is implemented here without external
 //! crypto crates:
 //!
-//! - [`sha256`](mod@sha256) — FIPS 180-4 SHA-256 (streaming + one-shot),
+//! - [`sha256`](mod@sha256) — FIPS 180-4 SHA-256 (streaming + one-shot; on
+//!   SHA-NI where the CPU has it, portable rounds elsewhere),
 //! - [`hmac`] — HMAC-SHA-256 (RFC 2104), used for deterministic nonces,
 //! - [`bigint`] — arbitrary-precision unsigned integers (Knuth division,
 //!   modular exponentiation, Miller–Rabin),
@@ -41,6 +42,7 @@
 //! assert!(pk.verify(b"tx-payload", &sig));
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -65,6 +65,43 @@ pub fn empty_root() -> Digest {
     hash_leaf(&[])
 }
 
+/// The root of the tree over `leaves`, without the tree.
+///
+/// Equal to `MerkleTree::from_leaves(leaves).root()` (which stays the
+/// reference it is tested against) with the same hashes in the same
+/// order, but each level overwrites the one below it in a single vector.
+/// For the caller that commits to a list and proves nothing about it.
+///
+/// # Examples
+///
+/// ```
+/// use prb_crypto::merkle::{root_of_leaves, MerkleTree};
+///
+/// let leaves = ["a".as_bytes(), b"b", b"c"];
+/// assert_eq!(root_of_leaves(leaves), MerkleTree::from_leaves(leaves).root());
+/// ```
+pub fn root_of_leaves<I, T>(leaves: I) -> Digest
+where
+    I: IntoIterator<Item = T>,
+    T: AsRef<[u8]>,
+{
+    let mut level: Vec<Digest> = leaves.into_iter().map(|l| hash_leaf(l.as_ref())).collect();
+    if level.is_empty() {
+        return empty_root();
+    }
+    while level.len() > 1 {
+        let pairs = level.len() / 2;
+        for i in 0..pairs {
+            level[i] = hash_node(&level[2 * i], &level[2 * i + 1]);
+        }
+        if level.len() % 2 == 1 {
+            level[pairs] = level[2 * pairs]; // promoted, not duplicated
+        }
+        level.truncate(level.len().div_ceil(2));
+    }
+    level[0]
+}
+
 impl MerkleTree {
     /// Builds a tree from leaf values.
     pub fn from_leaves<I, T>(leaves: I) -> Self
@@ -235,6 +272,18 @@ mod tests {
         concat.extend_from_slice(hash_leaf(b"b").as_bytes());
         let fake = MerkleTree::from_leaves([concat]);
         assert_ne!(t.root(), fake.root());
+    }
+
+    #[test]
+    fn root_only_fold_matches_the_tree() {
+        for n in 0..=33 {
+            let data = leaves(n);
+            assert_eq!(
+                root_of_leaves(&data),
+                MerkleTree::from_leaves(&data).root(),
+                "n={n}"
+            );
+        }
     }
 
     #[test]

@@ -6,10 +6,11 @@ use proptest::prelude::*;
 
 use prb_crypto::bigint::BigUint;
 use prb_crypto::group::SchnorrGroup;
-use prb_crypto::merkle::MerkleTree;
+use prb_crypto::merkle::{root_of_leaves, MerkleTree};
 use prb_crypto::schnorr::SigningKey;
-use prb_crypto::sha256::sha256;
+use prb_crypto::sha256::{kernel, sha256, sha256_on_kernel};
 use prb_crypto::signer::{CryptoScheme, Sig};
+use prb_crypto::sim::SimKeyPair;
 use prb_crypto::vrf::VrfKeyPair;
 
 fn biguint_strategy(max_bytes: usize) -> impl Strategy<Value = BigUint> {
@@ -146,6 +147,12 @@ proptest! {
         }
     }
 
+    /// The root-only fold is the tree's root, for every size and content.
+    #[test]
+    fn merkle_root_fold_matches_tree(leaves in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..16), 0..70)) {
+        prop_assert_eq!(root_of_leaves(&leaves), MerkleTree::from_leaves(&leaves).root());
+    }
+
     /// Distinct leaf lists produce distinct roots (collision resistance at
     /// the structural level).
     #[test]
@@ -161,6 +168,72 @@ proptest! {
             prop_assert_eq!(ta.root(), tb.root());
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// SHA-256: the compression kernels against each other, and digests pinned
+// at the commit before there were two.
+
+/// The kernels this host can run: the portable one always, SHA-NI where
+/// the CPU has it (a note is printed where it does not, so a log shows
+/// whether the differential checks compared two kernels or one).
+fn sha256_kernels() -> Vec<&'static str> {
+    let mut names = vec!["portable"];
+    if kernel() == "sha-ni" {
+        names.push("sha-ni");
+    } else {
+        println!("note: this CPU lacks SHA-NI; only the portable kernel is tested");
+    }
+    names
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// 1 MiB cut at random points and fed one `update` per piece gives, on
+    /// every kernel, the digest of the same bytes in one `update` on the
+    /// portable kernel.
+    #[test]
+    fn sha256_kernels_agree_on_random_splits(
+        seed in any::<u8>(),
+        cuts in proptest::collection::vec(0usize..(1 << 20), 0..24),
+    ) {
+        let data: Vec<u8> = (0..1usize << 20).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect();
+        let mut cuts = cuts;
+        cuts.sort_unstable();
+        let mut parts: Vec<&[u8]> = Vec::new();
+        let mut from = 0;
+        for cut in cuts {
+            parts.push(&data[from..cut]);
+            from = cut;
+        }
+        parts.push(&data[from..]);
+        let want = sha256_on_kernel("portable", &[&data]).expect("portable always runs");
+        prop_assert_eq!(sha256(&data), want);
+        for k in sha256_kernels() {
+            prop_assert_eq!(sha256_on_kernel(k, &parts), Some(want), "kernel {}", k);
+        }
+    }
+}
+
+/// Values computed at the commit before the SHA-NI kernel existed: a sim
+/// tag and a Merkle root are ledger bytes, whatever computes them.
+#[test]
+fn sim_tag_and_merkle_root_are_pinned() {
+    let tag = SimKeyPair::from_seed(b"pin").sign(b"a labeled transaction upload");
+    assert_eq!(
+        tag.digest().to_hex(),
+        "fb218e09dd33aabbfd14bbef88db3e82114bddb8d908f63c89eb755f7120c7cf"
+    );
+    let leaves = ["a".as_bytes(), b"b", b"c", b"d", b"e"];
+    assert_eq!(
+        MerkleTree::from_leaves(leaves).root().to_hex(),
+        "fe14a5426fbd70c0fa73f52342afed0da0bd23c4838662ccf6b88a3070ead97b"
+    );
+    assert_eq!(
+        root_of_leaves(leaves).to_hex(),
+        "fe14a5426fbd70c0fa73f52342afed0da0bd23c4838662ccf6b88a3070ead97b"
+    );
 }
 
 // ---------------------------------------------------------------------------

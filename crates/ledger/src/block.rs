@@ -17,7 +17,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use prb_crypto::identity::NodeId;
-use prb_crypto::merkle::{MerkleProof, MerkleTree};
+use prb_crypto::merkle::{root_of_leaves, MerkleProof, MerkleTree};
 use prb_crypto::sha256::{Digest, Sha256};
 
 use crate::header::BlockHeader;
@@ -82,12 +82,19 @@ impl BlockEntry {
     /// deterministic, so there is no malleability concern), the verdict
     /// and the reported labels.
     pub fn leaf_bytes(&self) -> Vec<u8> {
+        self.leaf_digest(&mut Vec::new()).to_vec()
+    }
+
+    /// [`Self::leaf_bytes`] without its allocations: the 32 bytes by
+    /// value, and the encoded signature written into `scratch` (cleared
+    /// first), which a caller hashing a whole block passes to every entry.
+    fn leaf_digest(&self, scratch: &mut Vec<u8>) -> [u8; 32] {
         let mut h = Sha256::new();
         h.update_field(b"prb-block-entry");
         h.update_field(self.tx.id().0.as_bytes());
-        let mut sig_bytes = Vec::new();
-        crate::codec::encode_sig(&mut sig_bytes, &self.tx.provider_sig);
-        h.update_field(&sig_bytes);
+        scratch.clear();
+        crate::codec::encode_sig(scratch, &self.tx.provider_sig);
+        h.update_field(scratch);
         h.update(&[match self.verdict {
             Verdict::CheckedValid => 0u8,
             Verdict::UncheckedInvalid => 1,
@@ -98,7 +105,7 @@ impl BlockEntry {
             h.update_field(&collector.to_bytes());
             h.update(&[label.to_i8() as u8]);
         }
-        h.finalize().to_bytes().to_vec()
+        h.finalize().to_bytes()
     }
 }
 
@@ -242,7 +249,8 @@ impl Block {
 
     /// Merkle root over the entries' canonical leaf bytes.
     pub fn compute_merkle_root(entries: &[BlockEntry]) -> Digest {
-        MerkleTree::from_leaves(entries.iter().map(BlockEntry::leaf_bytes)).root()
+        let mut scratch = Vec::new();
+        root_of_leaves(entries.iter().map(|e| e.leaf_digest(&mut scratch)))
     }
 
     /// The block hash `H(B)` chained into the successor: the

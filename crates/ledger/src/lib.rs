@@ -39,6 +39,7 @@
 //! # Ok::<(), prb_ledger::chain::ChainError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

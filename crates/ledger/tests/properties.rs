@@ -5,11 +5,12 @@
 use proptest::prelude::*;
 
 use prb_crypto::identity::NodeId;
-use prb_crypto::sha256::{hash_fields, Sha256};
+use prb_crypto::sha256::{hash_fields, Digest, Sha256};
 use prb_crypto::signer::CryptoScheme;
 use prb_crypto::signer::{KeyPair, Sig};
 use prb_ledger::block::{Block, BlockEntry, Verdict};
 use prb_ledger::chain::Chain;
+use prb_ledger::header::BlockHeader;
 use prb_ledger::transaction::{Label, LabeledTx, SignedTx, TxId, TxPayload};
 
 fn verdict_strategy() -> impl Strategy<Value = Verdict> {
@@ -547,7 +548,7 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// The header hash, hashed from scratch.
-fn reference_block_hash(b: &Block) -> prb_crypto::sha256::Digest {
+fn reference_block_hash(b: &Block) -> Digest {
     let mut h = Sha256::new();
     h.update_field(b"prb-block");
     h.update(&b.serial.to_be_bytes());
@@ -567,6 +568,34 @@ fn assert_block_memo_honest(b: &Block) {
     );
     assert_eq!(b.hash(), reference_block_hash(b));
     assert_eq!(b.header().hash(), b.hash());
+}
+
+/// Values computed at the commit before the SHA-NI kernel existed: ids and
+/// block hashes are ledger bytes, whatever computes them.
+#[test]
+fn tx_id_and_header_hash_are_pinned() {
+    let payload = TxPayload {
+        provider: NodeId::provider(3),
+        nonce: 9,
+        data: b"pinned".to_vec(),
+    };
+    let tx = SignedTx::create(payload, 42, &sim_key("pin"));
+    assert_eq!(
+        tx.id().0.to_hex(),
+        "573d58546d9e07b7c4bd6e3d3c8982b597a5ef271674b8cb6b53fed54df43428"
+    );
+    let header = BlockHeader {
+        serial: 5,
+        prev_hash: Digest([1; 32]),
+        merkle_root: Digest([2; 32]),
+        leader: NodeId::governor(1),
+        timestamp: 77,
+        entry_count: 3,
+    };
+    assert_eq!(
+        header.hash().to_hex(),
+        "f355062039ff2a413f0496b64fa6807a6f474abf2b0063d8581708051b02198b"
+    );
 }
 
 #[test]
@@ -602,7 +631,7 @@ proptest! {
         prop_assert_eq!(same.hash(), b.hash());
 
         // A wrong stated root, and the right root stated over other entries.
-        let wrong_root = parts(b.entries.clone(), prb_crypto::sha256::Digest(garbage));
+        let wrong_root = parts(b.entries.clone(), Digest(garbage));
         assert_block_memo_honest(&wrong_root);
         prop_assert!(!wrong_root.merkle_consistent());
         prop_assert!(wrong_root != b);

@@ -48,6 +48,7 @@
 //! assert_eq!(net.stats().kind("echo").delivered, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -25,6 +25,8 @@
 //! default everywhere and short-circuits to a single branch, so an
 //! untraced run pays nothing.
 
+#![forbid(unsafe_code)]
+
 mod event;
 mod fxhash;
 pub mod json;

@@ -36,6 +36,7 @@
 //! # let _ = ReputationParams::default();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

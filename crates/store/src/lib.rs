@@ -34,6 +34,7 @@
 //! assert_eq!(recovered.chain.height(), store.next_serial() - 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

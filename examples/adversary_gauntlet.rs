@@ -9,6 +9,8 @@
 //! each adversary's reputation vector and revenue fared, and verifies the
 //! paper's five safety/liveness properties on the resulting ledgers.
 
+#![forbid(unsafe_code)]
+
 use prb::core::behavior::{CollectorProfile, ProviderProfile};
 use prb::core::config::ProtocolConfig;
 use prb::core::sim::Simulation;

@@ -18,6 +18,8 @@
 //! ledger, audits it offline, and verifies a disputed transaction's
 //! recording with a light client.
 
+#![forbid(unsafe_code)]
+
 use prb::core::behavior::{CollectorProfile, ProviderProfile};
 use prb::core::config::ProtocolConfig;
 use prb::core::sim::Simulation;

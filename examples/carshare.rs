@@ -11,6 +11,8 @@
 //! unserviceable requests. The reputation system exposes both, and the
 //! schedulers' committed ledger carries the assignable rides.
 
+#![forbid(unsafe_code)]
+
 use prb::core::behavior::{CollectorProfile, ProviderProfile};
 use prb::core::config::ProtocolConfig;
 use prb::core::sim::Simulation;

@@ -11,6 +11,8 @@
 //! spot-check (f = 0.6), yet the reputation mechanism drives the corrupt
 //! agent's screening weight — and commission — down.
 
+#![forbid(unsafe_code)]
+
 use prb::core::behavior::{CollectorProfile, ProviderProfile};
 use prb::core::config::ProtocolConfig;
 use prb::core::sim::Simulation;

@@ -9,6 +9,8 @@
 //! misreporting collector, and prints the committed chain, the screening
 //! statistics, the reputation table and the revenue split.
 
+#![forbid(unsafe_code)]
+
 use prb::core::behavior::{CollectorProfile, ProviderProfile};
 use prb::core::config::ProtocolConfig;
 use prb::core::sim::Simulation;

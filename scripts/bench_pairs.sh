@@ -19,10 +19,13 @@
 # change that produced it: the git tree hash of crates/ as the change side
 # was built, equal to `git rev-parse <sha>:crates` of the commit that
 # lands that code whether or not the tree was dirty when the pairs ran.
+# `sha_ni` says what hashed it: whether /proc/cpuinfo lists the SHA
+# extensions (`false` where the file is missing), i.e. whether a side that
+# has the SHA-NI kernel (PR 23 on) ran it or the portable rounds.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent_ref=$1
@@ -62,14 +65,16 @@ for i in $(seq 1 "$pairs"); do
     done
 done
 
+sha_ni=false
+if grep -qw sha_ni /proc/cpuinfo 2>/dev/null; then sha_ni=true; fi
 commit=$(git -C "$root" describe --always --dirty)
 parent=$(git -C "$root" rev-parse --short "$parent_ref^{commit}")
 python3 - "$root" "$tmp/parent.out" "$tmp/change.out" "$workload" "$seed" "$seconds" \
-    "$commit" "$parent" "$crates_tree" <<'PY'
+    "$commit" "$parent" "$crates_tree" "$sha_ni" <<'PY'
 import json, statistics, sys
 
 (root, parent_out, change_out, workload, seed, seconds, commit, parent,
- crates_tree) = sys.argv[1:]
+ crates_tree, sha_ni) = sys.argv[1:]
 end_to_end = json.load(open(f"{root}/BENCHMARK.json"))["end_to_end"]
 
 def load(path):
@@ -91,7 +96,7 @@ def quartiles(xs):
 failed = sum(r["failed"] for r in p_runs + c_runs)
 heads = sorted(set(p_heads + c_heads))
 history = open(f"{root}/BENCH_history.jsonl", "a")
-print(f"workload {workload}  seed {seed}  seconds {seconds}  pairs {len(p_runs)}")
+print(f"workload {workload}  seed {seed}  seconds {seconds}  pairs {len(p_runs)}  sha_ni {sha_ni}")
 print(f"{'metric':<20} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'ratio':>7}  won")
 for m in end_to_end:
     name, higher = m["name"], m["better"] == "higher"
@@ -109,7 +114,7 @@ for m in end_to_end:
         "parent_median": pm, "parent_q1": pq1, "parent_q3": pq3,
         "change_median": cm, "change_q1": cq1, "change_q3": cq3,
         "ratio": None if pm == 0 else round(ratio, 4), "won": won,
-        "head": ",".join(heads), "failed": failed,
+        "head": ",".join(heads), "failed": failed, "sha_ni": sha_ni == "true",
     }
     history.write(json.dumps(row) + "\n")
 history.close()

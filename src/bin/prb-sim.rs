@@ -14,6 +14,8 @@
 //! 0's chain in the canonical binary format (re-importable and
 //! re-verifiable with `prb::ledger::chain::Chain::import`).
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 
 use prb::core::behavior::{CollectorProfile, ProviderProfile};

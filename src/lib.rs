@@ -35,6 +35,7 @@
 //! See `examples/` for runnable scenarios and `crates/bench` for the
 //! experiment harness that regenerates every result in EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use prb_consensus as consensus;
