@@ -216,16 +216,17 @@ impl CollectorNode {
                     return; // departed: out of the committee entirely
                 }
                 let provider_index = tx.payload.provider.index;
-                let released = self
-                    .inbox
-                    .push(ChannelId(u64::from(provider_index)), seq, tx);
-                for tx in released {
+                // The released transactions borrow the inbox; the handlers
+                // need the whole node.
+                let mut inbox = std::mem::take(&mut self.inbox);
+                for tx in inbox.push(ChannelId(u64::from(provider_index)), seq, tx) {
                     if self.mempool_capacity.is_some() {
                         self.admit(tx, ctx);
                     } else {
                         self.process_tx(tx, ctx);
                     }
                 }
+                self.inbox = inbox;
             }
             _ => {}
         }

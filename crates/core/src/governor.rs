@@ -13,9 +13,13 @@
 //!   proposal/adoption** with chain-integrity checks;
 //! - **Revenue distribution** to collectors when leading (§3.4.3);
 //! - Loss accounting for the regret experiments (Theorems 1 and 4).
+//!
+//! What it remembers per transaction — the Δ window, the screening outcome,
+//! the reveal status — lives in `crate::txtable`, one slot per transaction;
+//! this file decides, the table keeps.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use prb_consensus::checkpoint::{
@@ -28,7 +32,7 @@ use prb_consensus::membership::{
 };
 use prb_consensus::stake::{StakeTable, StakeTransfer};
 use prb_consensus::verify_pool::VerifyPool;
-use prb_crypto::fxhash::{fx_map_seeded, fx_set_seeded, FxMap, FxSet};
+use prb_crypto::fxhash::{fx_map_seeded, FxMap};
 use prb_crypto::identity::NodeId;
 use prb_crypto::sha256::Digest;
 use prb_crypto::signer::{KeyPair, PublicKey, Sig};
@@ -53,42 +57,7 @@ use crate::behavior::{ByzantineMode, GovernorProfile};
 use crate::config::{GovernorMode, ProtocolConfig};
 use crate::metrics::GovernorMetrics;
 use crate::msg::ProtocolMsg;
-
-/// How a screened transaction was resolved locally.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Outcome {
-    /// Validated by this governor; ground truth attached.
-    Checked {
-        /// The validation result.
-        valid: bool,
-    },
-    /// Skipped validation; recorded under the drawn label.
-    Unchecked {
-        /// The label the block records.
-        recorded: Label,
-        /// Index in this provider's unchecked sequence (for the U bound).
-        index: u64,
-    },
-}
-
-/// Everything the governor remembers about one transaction.
-#[derive(Clone, Debug)]
-struct TxRecord {
-    tx: SignedTx,
-    provider: u32,
-    reports: Vec<(u32, Label)>,
-    /// Linked collectors that were not active members when the tx was
-    /// screened. They owed no report, so a later reveal must not charge
-    /// them a Missed loss — even if they have since (re)joined.
-    absent: Vec<u32>,
-    outcome: Outcome,
-}
-
-/// A transaction still inside its Δ aggregation window.
-/// Entry cap for the provider-signature memo; the map is cleared when it
-/// fills. 8192 entries (~100 bytes each) keep the governor's footprint
-/// bounded however long the run.
-const SIG_MEMO_MAX: usize = 8192;
+use crate::txtable::{Outcome, SigMemo, SlotState, TxTable, Upload};
 
 /// Peer rotations before an anti-entropy sync round is abandoned (the
 /// next observed gap re-triggers it).
@@ -124,17 +93,6 @@ enum SyncState {
     },
 }
 
-#[derive(Clone, Debug)]
-struct PendingTx {
-    tx: SignedTx,
-    provider: u32,
-    reports: Vec<(u32, Label)>,
-    /// The provider signature each reporter's copy carried. Copies share
-    /// the tx id (it binds the signed payload) but a malicious relay can
-    /// attach a different signature, so verdicts are per copy.
-    sigs: Vec<(u32, Sig)>,
-}
-
 /// Governor actor state.
 pub struct GovernorNode {
     index: u32,
@@ -156,19 +114,10 @@ pub struct GovernorNode {
     reputation: ReputationTable,
     chain: Chain,
     inbox: OrderedInbox<LabeledTx>,
-    pending: FxMap<TxId, PendingTx>,
-    /// Δ-window insertion order of `pending` ids, for deterministic
-    /// oldest-first shedding when the pool hits
-    /// [`ProtocolConfig::pending_capacity`]. May hold stale ids (screened
-    /// transactions are not removed eagerly); compacted lazily.
-    pending_order: VecDeque<TxId>,
-    /// Largest `pending` population ever reached (bounded-memory assert).
-    pending_high_water: usize,
-    /// Transactions shed from the pending pool, oldest first.
-    shed: u64,
-    timers: FxMap<TimerId, TxId>,
-    history: FxMap<TxId, TxRecord>,
-    revealed: FxSet<TxId>,
+    /// Every transaction this governor has seen: its Δ window, screening
+    /// outcome and reveal status, the Δ timers, and the provider
+    /// signatures queued for the next batched drain.
+    txs: TxTable,
     unchecked_counter: FxMap<u32, u64>,
     /// Screened entries awaiting inclusion in a block.
     ready_entries: Vec<BlockEntry>,
@@ -204,22 +153,13 @@ pub struct GovernorNode {
     provisional_base: Option<u64>,
     metrics: GovernorMetrics,
     obs: ObsHandle,
-    /// Memoized provider-signature verdicts, keyed by
-    /// `(provider, tx id, signature)`.
-    sig_memo: FxMap<(u32, TxId, Sig), bool>,
-    /// Provider signatures awaiting the next batched drain: copies whose
-    /// verdict the memo does not know yet, as `(provider, tx id,
-    /// signature, signing digest)`.
-    verify_queue: Vec<(u32, TxId, Sig, [u8; 32])>,
-    /// Dedupe set over the queue's `(provider, tx id, signature)` keys.
-    queued: FxSet<(u32, TxId, Sig)>,
+    /// Memoized provider-signature verdicts.
+    sig_memo: SigMemo,
     /// Drains accumulated verifications as RLC batches, optionally across
     /// worker threads (`ProtocolConfig::verify_threads`).
     verify_pool: VerifyPool,
-    /// Open per-transaction Δ-window screening spans.
-    screen_spans: FxMap<TxId, Span>,
-    /// Screening tick of still-unchecked transactions (reveal/argue spans).
-    screened_at: FxMap<TxId, u64>,
+    /// Scratch for the screening draw's input, reused across transactions.
+    screen_reports: Vec<Report>,
     election_span: Option<Span>,
     proposal_span: Option<Span>,
     commit_span: Option<Span>,
@@ -358,13 +298,7 @@ impl GovernorNode {
             governor_pks,
             stake_table,
             inbox: OrderedInbox::new(),
-            pending: fx_map_seeded(hs),
-            pending_order: VecDeque::new(),
-            pending_high_water: 0,
-            shed: 0,
-            timers: fx_map_seeded(hs),
-            history: fx_map_seeded(hs),
-            revealed: fx_set_seeded(hs),
+            txs: TxTable::new(hs),
             unchecked_counter: fx_map_seeded(hs),
             ready_entries: Vec::new(),
             argued_entries: Vec::new(),
@@ -377,12 +311,9 @@ impl GovernorNode {
             head_priority: None,
             provisional_base: None,
             obs: Obs::off(),
-            sig_memo: fx_map_seeded(hs),
-            verify_queue: Vec::new(),
-            queued: fx_set_seeded(hs),
+            sig_memo: SigMemo::new(hs),
             verify_pool,
-            screen_spans: fx_map_seeded(hs),
-            screened_at: fx_map_seeded(hs),
+            screen_reports: Vec::new(),
             election_span: None,
             proposal_span: None,
             commit_span: None,
@@ -559,7 +490,7 @@ impl GovernorNode {
                 ctx,
                 "checkpoint-share",
                 112,
-                ProtocolMsg::CheckpointShare(share.clone()),
+                ProtocolMsg::CheckpointShare(Box::new(share.clone())),
             );
             self.buffer_share(share);
             self.try_assemble_cert(serial);
@@ -822,7 +753,12 @@ impl GovernorNode {
             if self.obs.is_enabled() {
                 self.obs.metrics().inc("member.share_signed");
             }
-            self.broadcast_governors(ctx, "member-share", 112, ProtocolMsg::MemberShare(share));
+            self.broadcast_governors(
+                ctx,
+                "member-share",
+                112,
+                ProtocolMsg::MemberShare(Box::new(share)),
+            );
         }
         self.try_assemble_member_cert(digest);
     }
@@ -1134,24 +1070,15 @@ impl GovernorNode {
         &self.transitive
     }
 
-    /// Resolves the verification key for provider `p`: the per-provider
-    /// key when one exists, else the scale-mode pool slot `p % len` (for
-    /// in-range interned providers), else `None` (out of range — the
-    /// structural forgery case).
+    /// The verification key for provider `p` ([`resolve_pk`]).
     fn provider_pk(&self, p: u32) -> Option<&PublicKey> {
-        if let Some(pk) = self.provider_pks.get(p as usize) {
-            return Some(pk);
-        }
-        if !self.pk_pool.is_empty() && p < self.topology.params().providers {
-            return Some(&self.pk_pool[p as usize % self.pk_pool.len()]);
-        }
-        None
+        resolve_pk(&self.provider_pks, &self.pk_pool, &self.topology, p)
     }
 
     /// `(pending now, pending high-water, shed count)` for the pending
     /// pool — the E15 bounded-memory and reconciliation asserts.
     pub fn pending_stats(&self) -> (usize, usize, u64) {
-        (self.pending.len(), self.pending_high_water, self.shed)
+        self.txs.window_stats()
     }
 
     /// `(in-flight now, high-water, dropped)` for the block-dissemination
@@ -1226,7 +1153,7 @@ impl GovernorNode {
 
     /// Number of transactions still inside their Δ window (diagnostics).
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
+        self.txs.open_windows()
     }
 
     /// Broadcasts `msg` to every peer governor — through the retry
@@ -1311,9 +1238,13 @@ impl GovernorNode {
             }
             ProtocolMsg::TxUpload { seq, ltx } => {
                 let channel = ChannelId(ltx.collector.index as u64);
-                for ltx in self.inbox.push(channel, seq, ltx) {
+                // The released uploads borrow the inbox; the handler needs
+                // the whole node.
+                let mut inbox = std::mem::take(&mut self.inbox);
+                for ltx in inbox.push(channel, seq, ltx) {
                     self.on_upload(ltx, ctx);
                 }
+                self.inbox = inbox;
             }
             ProtocolMsg::ProposeBlock { round } => self.on_propose(round, ctx),
             ProtocolMsg::BlockProposal {
@@ -1321,20 +1252,21 @@ impl GovernorNode {
                 claim,
                 header,
             } => {
+                let (claim, header) = (claim.map(|c| *c), header.map(|h| *h));
                 if let Some(header) = &header {
                     self.note_header(header.clone(), ctx);
                 }
                 self.on_block(block, claim, header, ctx);
             }
-            ProtocolMsg::HeaderEcho { header } => self.note_header(header, ctx),
-            ProtocolMsg::Evidence { evidence } => self.on_evidence(evidence, ctx),
+            ProtocolMsg::HeaderEcho { header } => self.note_header(*header, ctx),
+            ProtocolMsg::Evidence { evidence } => self.on_evidence(*evidence, ctx),
             ProtocolMsg::SyncRequest { have } => self.on_sync_request(have, env.from, ctx),
             ProtocolMsg::SyncResponse { blocks, head, cert } => {
                 self.on_sync_response(blocks, head, cert, env.from, ctx);
             }
-            ProtocolMsg::CheckpointShare(share) => self.on_checkpoint_share(share),
+            ProtocolMsg::CheckpointShare(share) => self.on_checkpoint_share(*share),
             ProtocolMsg::Membership(req) => self.on_membership(*req, ctx),
-            ProtocolMsg::MemberShare(share) => self.on_member_share(share),
+            ProtocolMsg::MemberShare(share) => self.on_member_share(*share),
             ProtocolMsg::RepGossip { reporter, scores } => self.on_rep_gossip(reporter, scores),
             ProtocolMsg::Argue { tx, .. } => self.on_argue(tx, ctx),
             ProtocolMsg::StakeTransfer(transfer) => self.on_stake_transfer(transfer, ctx),
@@ -1358,7 +1290,7 @@ impl GovernorNode {
             self.on_sync_timer(attempt, height, ctx);
             return;
         }
-        if let Some(tx) = self.timers.remove(&timer) {
+        if let Some(tx) = self.txs.take_timer(timer) {
             self.screen_tx(tx, ctx);
         }
     }
@@ -1386,13 +1318,13 @@ impl GovernorNode {
         let evict_candidates = self.churn_decay(now);
         if self.obs.is_enabled() {
             self.obs
-                .observe("depth.gov_pending", self.pending.len() as u64);
+                .observe("depth.gov_pending", self.txs.open_windows() as u64);
             self.obs
                 .observe("depth.gov_ready", self.ready_entries.len() as u64);
             self.obs
                 .observe("depth.gov_argued", self.argued_entries.len() as u64);
             self.obs
-                .set_gauge("depth.gov_pending", self.pending.len() as f64);
+                .set_gauge("depth.gov_pending", self.txs.open_windows() as f64);
             self.obs
                 .set_gauge("depth.gov_ready", self.ready_entries.len() as f64);
             self.obs
@@ -1488,8 +1420,9 @@ impl GovernorNode {
         {
             return; // certified departure: out of the screening set
         }
+        let now = ctx.now().ticks();
         self.health.record_seen(collector as usize, ctx.now());
-        self.last_upload_at = ctx.now().ticks();
+        self.last_upload_at = now;
         // The paper's verify(c, Tx): the provider must be linked with the
         // collector, and the inner provider signature must be genuine. The
         // structural half is checked here; the signature check is deferred
@@ -1501,12 +1434,13 @@ impl GovernorNode {
             && self.topology.linked(provider, collector);
         if !structural_ok {
             // Case 1: a mis-attributed transaction.
-            self.record_forgery(collector, ctx.now().ticks());
+            self.record_forgery(collector, now);
             return;
         }
         let id = ltx.tx.id();
-        let memo_key = (provider, id, ltx.tx.provider_sig.clone());
-        let verdict = self.sig_memo.get(&memo_key).copied();
+        let verdict = self
+            .sig_memo
+            .get(&(provider, id, ltx.tx.provider_sig.clone()));
         if verdict.is_some() {
             self.metrics.sig_memo_hits += 1;
             if self.obs.is_enabled() {
@@ -1515,104 +1449,69 @@ impl GovernorNode {
         }
         if verdict == Some(false) {
             // Case 1: a known-forged provider signature.
-            self.record_forgery(collector, ctx.now().ticks());
+            self.record_forgery(collector, now);
             return;
         }
-        if let Some(pending) = self.pending.get_mut(&id) {
-            if pending.reports.iter().any(|(c, _)| *c == collector) {
+        let step = self.txs.upload(
+            &ltx,
+            verdict,
+            self.sig_memo.generation(),
+            now,
+            self.cfg.replication as usize,
+        );
+        match step {
+            Upload::Joined | Upload::Known => {}
+            Upload::Repeat => {
                 // Duplicate copy from a reporter already in the window: no
                 // report rides on it, so nothing joins the batch — but a
                 // forged-signature probe is still case 1, checked eagerly.
                 if verdict.is_none() && !self.verify_provider_sig(provider, &ltx.tx) {
-                    self.record_forgery(collector, ctx.now().ticks());
+                    self.record_forgery(collector, now);
                 }
-                return;
             }
-            if verdict.is_none() {
-                Self::enqueue_verify(&mut self.verify_queue, &mut self.queued, memo_key, &ltx.tx);
-            }
-            pending.reports.push((collector, ltx.label));
-            pending.sigs.push((collector, ltx.tx.provider_sig.clone()));
-            return;
-        }
-        if let Some(record) = self.history.get_mut(&id) {
-            // Late report (after screening): no batch is pending for it, so
-            // resolve the signature now (the memo almost always answers —
-            // screening verified this id already).
-            if record.reports.iter().any(|(c, _)| *c == collector) {
-                return;
-            }
-            if verdict.is_none() && !self.verify_provider_sig(provider, &ltx.tx) {
-                self.record_forgery(collector, ctx.now().ticks());
-                return;
-            }
-            let record = self.history.get_mut(&id).expect("checked above");
-            record.reports.push((collector, ltx.label));
-            match record.outcome {
-                Outcome::Checked { valid } => {
-                    let correct = ltx.label.is_valid() == valid;
-                    self.reputation
-                        .record_checked(&[(collector as usize, correct)]);
+            Upload::Late => {
+                // Late report (after screening): no batch is pending for
+                // it, so resolve the signature now (the memo almost always
+                // answers — screening verified this id already).
+                if verdict.is_none() && !self.verify_provider_sig(provider, &ltx.tx) {
+                    self.record_forgery(collector, now);
+                    return;
                 }
-                Outcome::Unchecked { .. } => {} // counted at reveal
+                match self.txs.late_report(&id, collector, ltx.label) {
+                    Outcome::Checked { valid } => {
+                        let correct = ltx.label.is_valid() == valid;
+                        self.reputation
+                            .record_checked(&[(collector as usize, correct)]);
+                    }
+                    Outcome::Unchecked { .. } => {} // counted at reveal
+                }
             }
-            return;
-        }
-        // First copy: open the Δ window (starttime(tx, Δ)).
-        if verdict.is_none() {
-            Self::enqueue_verify(&mut self.verify_queue, &mut self.queued, memo_key, &ltx.tx);
-        }
-        self.obs.emit(
-            ctx.now().ticks(),
-            self.net_idx(),
-            ObsEvent::TxAdmitted { trace: id.trace() },
-        );
-        let timer = ctx.set_timer(SimDuration(self.cfg.aggregation_window()));
-        self.timers.insert(timer, id);
-        self.screen_spans
-            .insert(id, Span::begin(phases::SCREENING, ctx.now().ticks()));
-        self.pending.insert(
-            id,
-            PendingTx {
-                provider,
-                reports: vec![(collector, ltx.label)],
-                sigs: vec![(collector, ltx.tx.provider_sig.clone())],
-                tx: ltx.tx.clone(),
-            },
-        );
-        self.pending_order.push_back(id);
-        // Bounded pool: past capacity, shed the oldest still-pending
-        // window deterministically. Its Δ timer later fires as a no-op
-        // (`screen_tx` tolerates a missing entry).
-        let now = ctx.now().ticks();
-        while self.pending.len() > self.cfg.pending_capacity {
-            let Some(oldest) = self.pending_order.pop_front() else {
-                break;
-            };
-            if self.pending.remove(&oldest).is_none() {
-                continue; // stale id, already screened
+            Upload::Opened => {
+                // First copy: the Δ window is open (starttime(tx, Δ)).
+                self.obs.emit(
+                    now,
+                    self.net_idx(),
+                    ObsEvent::TxAdmitted { trace: id.trace() },
+                );
+                let timer = ctx.set_timer(SimDuration(self.cfg.aggregation_window()));
+                self.txs.arm(timer, id);
+                // Bounded pool: past capacity, shed the oldest still-open
+                // window deterministically. Its Δ timer later fires as a
+                // no-op (`screen_tx` tolerates a missing window).
+                while let Some(oldest) = self.txs.shed_oldest(self.cfg.pending_capacity) {
+                    if self.obs.is_enabled() {
+                        self.obs.metrics().inc("gov.pending.shed");
+                    }
+                    self.obs.emit(
+                        now,
+                        self.net_idx(),
+                        ObsEvent::TxDropped {
+                            trace: oldest.trace(),
+                            reason: "shed",
+                        },
+                    );
+                }
             }
-            self.screen_spans.remove(&oldest);
-            self.shed += 1;
-            if self.obs.is_enabled() {
-                self.obs.metrics().inc("gov.pending.shed");
-            }
-            self.obs.emit(
-                now,
-                self.net_idx(),
-                ObsEvent::TxDropped {
-                    trace: oldest.trace(),
-                    reason: "shed",
-                },
-            );
-        }
-        self.pending_high_water = self.pending_high_water.max(self.pending.len());
-        // Lazy compaction keeps the order deque proportional to the live
-        // pool: screened ids are not removed eagerly (that would be O(n)
-        // per screen), so sweep them out once they dominate.
-        if self.pending_order.len() > (self.pending.len() * 2).max(64) {
-            self.pending_order
-                .retain(|id| self.pending.contains_key(id));
         }
     }
 
@@ -1629,26 +1528,13 @@ impl GovernorNode {
         );
     }
 
-    /// Queues a provider signature for the next batched drain (deduped).
-    fn enqueue_verify(
-        queue: &mut Vec<(u32, TxId, Sig, [u8; 32])>,
-        queued: &mut FxSet<(u32, TxId, Sig)>,
-        key: (u32, TxId, Sig),
-        tx: &SignedTx,
-    ) {
-        if queued.insert(key.clone()) {
-            queue.push((key.0, key.1, key.2, *tx.signing_digest()));
-        }
-    }
-
-    /// Drains the verification queue through the pool as one batch and
-    /// folds the verdicts into the signature memo.
+    /// Drains the queued provider signatures through the pool as one
+    /// batch and folds the verdicts into the signature memo.
     fn drain_verify_queue(&mut self) {
-        if self.verify_queue.is_empty() {
+        let queue = self.txs.batch();
+        if queue.is_empty() {
             return;
         }
-        let queue = std::mem::take(&mut self.verify_queue);
-        self.queued.clear();
         if self.obs.is_enabled() {
             self.obs
                 .metrics()
@@ -1657,7 +1543,8 @@ impl GovernorNode {
         let items: Vec<(&[u8], &Sig, &PublicKey)> = queue
             .iter()
             .map(|(p, _, sig, msg)| {
-                let pk = self.provider_pk(*p).expect("queued after structural check");
+                let pk = resolve_pk(&self.provider_pks, &self.pk_pool, &self.topology, *p)
+                    .expect("queued after structural check");
                 (&msg[..], sig, pk)
             })
             .collect();
@@ -1673,121 +1560,85 @@ impl GovernorNode {
                 .metrics()
                 .add("gov.sig_memo_miss", queue.len() as u64);
         }
-        for ((p, id, sig, _), ok) in queue.into_iter().zip(verdicts) {
-            if self.sig_memo.len() >= SIG_MEMO_MAX {
-                self.sig_memo.clear();
-            }
+        for ((p, id, sig, _), ok) in queue.drain(..).zip(verdicts) {
             self.sig_memo.insert((p, id, sig), ok);
         }
     }
 
     fn screen_tx(&mut self, id: TxId, ctx: &mut Context<'_, ProtocolMsg>) {
-        let Some(mut pending) = self.pending.remove(&id) else {
+        if !self.txs.in_window(&id) {
             return;
-        };
+        }
         // Settle every provider signature queued during the Δ window in
         // one pooled batch, then attribute forgeries per reporting copy.
         self.drain_verify_queue();
-        let provider = pending.provider;
-        let mut ok_reports = Vec::with_capacity(pending.reports.len());
-        let mut good_sig: Option<Sig> = None;
-        for (collector, label) in pending.reports.drain(..) {
-            let sig = pending
-                .sigs
-                .iter()
-                .find(|(c, _)| *c == collector)
-                .map(|(_, s)| s.clone())
-                .expect("every reporter recorded a signature");
-            let key = (provider, id, sig.clone());
-            let ok = match self.sig_memo.get(&key) {
-                Some(&ok) => ok,
-                None => {
-                    // The memo filled and was cleared between the drain and
-                    // this lookup; verify the straggler inline.
-                    let ok = self
-                        .provider_pk(provider)
-                        .is_some_and(|pk| pk.verify(pending.tx.signing_digest(), &sig));
-                    self.sig_memo.insert(key, ok);
-                    ok
-                }
-            };
-            if ok {
-                if good_sig.is_none() {
-                    good_sig = Some(sig);
-                }
-                ok_reports.push((collector, label));
-            } else {
-                // Case 1, attributed at screen time: this reporter's copy
-                // carried a forged provider signature.
-                self.record_forgery(collector, ctx.now().ticks());
+        let (now, me) = (ctx.now().ticks(), self.net_idx());
+        let mut slot = self.txs.close_window(&id);
+        let provider = slot.provider;
+        let pk = resolve_pk(&self.provider_pks, &self.pk_pool, &self.topology, provider);
+        let (opened_at, forged) = slot.settle(&mut self.sig_memo, pk);
+        if !forged.is_empty() {
+            // Case 1, attributed at screen time: these reporters' copies
+            // carried a forged provider signature.
+            for collector in forged {
+                self.record_forgery(collector, now);
             }
+            slot = self.txs.slot_mut(&id).expect("closed above");
         }
-        if ok_reports.is_empty() {
+        if slot.reports.is_empty() {
             // Every copy was forged: nothing to screen (and no screening
             // randomness is consumed, matching the eager-verification
             // behaviour where such a window never opened).
+            self.txs.remove(&id);
             self.obs.emit(
-                ctx.now().ticks(),
-                self.net_idx(),
+                now,
+                me,
                 ObsEvent::TxDropped {
                     trace: id.trace(),
                     reason: "forged",
                 },
             );
-            self.screen_spans.remove(&id);
             return;
         }
-        // If the first-arrived copy carried a forged signature, re-home the
-        // buffered transaction onto a verified one so block entries never
-        // embed a bad signature.
-        if let Some(good) = good_sig {
-            if pending.tx.provider_sig != good {
-                pending.tx = pending.tx.with_provider_sig(good);
-            }
-        }
-        let mut reports = ok_reports;
-        reports.sort_by_key(|(c, _)| *c);
-        let screen_reports: Vec<Report> = reports
-            .iter()
-            .map(|(c, label)| {
-                let slot = self
+        self.screen_reports.clear();
+        self.screen_reports
+            .extend(slot.reports.iter().map(|(c, label)| {
+                let at = self
                     .topology
                     .provider_slot(*c, provider)
                     .expect("reporter is linked");
                 Report {
                     collector: *c,
                     labeled_valid: label.is_valid(),
-                    weight: self.reputation.weight(*c as usize, slot),
+                    weight: self.reputation.weight(*c as usize, at),
                 }
-            })
-            .collect();
-        let outcome = screen(&screen_reports, self.cfg.reputation.f, ctx.rng())
+            }));
+        let outcome = screen(&self.screen_reports, self.cfg.reputation.f, ctx.rng())
             .expect("at least one report exists");
         let check = match self.cfg.governor_mode {
             GovernorMode::Reputation => outcome.check,
             GovernorMode::CheckAll => true,
             GovernorMode::CheckNone => false,
         };
-        let drawn_label = if screen_reports[outcome.drawn].labeled_valid {
+        let drawn = self.screen_reports[outcome.drawn];
+        let drawn_label = if drawn.labeled_valid {
             Label::Valid
         } else {
             Label::Invalid
         };
         self.metrics.screened += 1;
-        let now = ctx.now().ticks();
         self.obs.emit(
             now,
-            self.net_idx(),
+            me,
             ObsEvent::TxScreened {
                 trace: id.trace(),
-                drawn: screen_reports[outcome.drawn].collector as u64,
+                drawn: drawn.collector as u64,
                 checked: check,
                 label_valid: drawn_label.is_valid(),
             },
         );
-        if let Some(span) = self.screen_spans.remove(&id) {
-            self.obs.end_span(span, now, self.net_idx());
-        }
+        self.obs
+            .end_span(Span::begin(phases::SCREENING, opened_at), now, me);
         let absent: Vec<u32> = self
             .topology
             .collectors_of(provider)
@@ -1802,13 +1653,13 @@ impl GovernorNode {
             })
             .collect();
 
-        if check {
+        let outcome = if check {
             let valid = self.oracle.borrow().validate(id);
             self.metrics.validations += 1;
             self.metrics.checked += 1;
             self.obs.emit(
                 now,
-                self.net_idx(),
+                me,
                 ObsEvent::TxValidated {
                     trace: id.trace(),
                     valid,
@@ -1817,7 +1668,7 @@ impl GovernorNode {
             if !valid {
                 self.obs.emit(
                     now,
-                    self.net_idx(),
+                    me,
                     ObsEvent::TxDropped {
                         trace: id.trace(),
                         reason: "invalid",
@@ -1825,58 +1676,44 @@ impl GovernorNode {
                 );
             }
             // Case 2: every reporter's misreport counter moves.
-            let case2: Vec<(usize, bool)> = reports
-                .iter()
-                .map(|(c, label)| (*c as usize, label.is_valid() == valid))
-                .collect();
-            self.reputation.record_checked(&case2);
+            for (c, label) in &slot.reports {
+                self.reputation
+                    .record_checked(&[(*c as usize, label.is_valid() == valid)]);
+            }
             if valid {
                 self.ready_entries.push(BlockEntry {
-                    tx: pending.tx.clone(),
+                    tx: slot.tx.clone(),
                     verdict: Verdict::CheckedValid,
-                    reported_labels: label_pairs(&reports),
+                    reported_labels: label_pairs(&slot.reports),
                 });
             }
-            self.history.insert(
-                id,
-                TxRecord {
-                    tx: pending.tx,
-                    provider,
-                    reports,
-                    absent: absent.clone(),
-                    outcome: Outcome::Checked { valid },
-                },
-            );
+            Outcome::Checked { valid }
         } else {
             let counter = self.unchecked_counter.entry(provider).or_insert(0);
             let index = *counter;
             *counter += 1;
             self.metrics.unchecked += 1;
-            self.screened_at.insert(id, now);
             let verdict = if drawn_label.is_valid() {
                 Verdict::UncheckedValid
             } else {
                 Verdict::UncheckedInvalid
             };
             self.ready_entries.push(BlockEntry {
-                tx: pending.tx.clone(),
+                tx: slot.tx.clone(),
                 verdict,
-                reported_labels: label_pairs(&reports),
+                reported_labels: label_pairs(&slot.reports),
             });
-            self.history.insert(
-                id,
-                TxRecord {
-                    tx: pending.tx,
-                    provider,
-                    reports,
-                    absent,
-                    outcome: Outcome::Unchecked {
-                        recorded: drawn_label,
-                        index,
-                    },
-                },
-            );
-        }
+            Outcome::Unchecked {
+                recorded: drawn_label,
+                index,
+                revealed: false,
+            }
+        };
+        slot.state = SlotState::Screened {
+            outcome,
+            screened_at: now,
+            absent: (!absent.is_empty()).then(|| Box::new(absent)),
+        };
     }
 
     fn on_propose(&mut self, round: u64, ctx: &mut Context<'_, ProtocolMsg>) {
@@ -2067,9 +1904,15 @@ impl GovernorNode {
             Err(_) => self.metrics.append_failures += 1,
         }
         self.metrics.rounds_led += 1;
-        let claim = self.my_claim.clone();
+        let claim = self.my_claim.clone().map(Box::new);
         let size = size + claim.as_ref().map_or(0, |_| 96) + 72;
-        let header = SignedHeader::create(self.index, round, block.serial, block.hash(), &self.key);
+        let header = Box::new(SignedHeader::create(
+            self.index,
+            round,
+            block.serial,
+            block.hash(),
+            &self.key,
+        ));
         if mode == ByzantineMode::Equivocate {
             // Double-sign a twin block differing only by timestamp and
             // split the committee: even-indexed peers get the original,
@@ -2082,8 +1925,13 @@ impl GovernorNode {
                 block.leader,
                 block.timestamp + 1,
             );
-            let twin_header =
-                SignedHeader::create(self.index, round, twin.serial, twin.hash(), &self.key);
+            let twin_header = Box::new(SignedHeader::create(
+                self.index,
+                round,
+                twin.serial,
+                twin.hash(),
+                &self.key,
+            ));
             self.metrics.equivocations_sent += 1;
             if self.metrics.first_equivocation_round.is_none() {
                 self.metrics.first_equivocation_round = Some(round);
@@ -2311,7 +2159,7 @@ impl GovernorNode {
                 "header-echo",
                 72,
                 ProtocolMsg::HeaderEcho {
-                    header: header.clone(),
+                    header: Box::new(header.clone()),
                 },
             );
         }
@@ -2334,7 +2182,14 @@ impl GovernorNode {
                     self.obs.metrics().inc("byzantine.equivocations_detected");
                     self.obs.metrics().inc("byzantine.evidence_broadcast");
                 }
-                self.broadcast_governors(ctx, "evidence", 160, ProtocolMsg::Evidence { evidence });
+                self.broadcast_governors(
+                    ctx,
+                    "evidence",
+                    160,
+                    ProtocolMsg::Evidence {
+                        evidence: Box::new(evidence),
+                    },
+                );
                 self.obs.emit(
                     now,
                     self.net_idx(),
@@ -2553,7 +2408,7 @@ impl GovernorNode {
         for e in &block.entries {
             let p = e.tx.payload.provider.index;
             let key = (p, e.tx.id(), e.tx.provider_sig.clone());
-            if !self.sig_memo.contains_key(&key) && seen.insert(key.clone()) {
+            if self.sig_memo.get(&key).is_none() && seen.insert(key.clone()) {
                 fresh.push((key.0, key.1, key.2, *e.tx.signing_digest()));
             }
         }
@@ -2581,9 +2436,6 @@ impl GovernorNode {
                     .add_counter("wall.crypto_ns", t0.elapsed().as_nanos() as u64);
             }
             for ((p, id, sig, _), ok) in fresh.into_iter().zip(verdicts) {
-                if self.sig_memo.len() >= SIG_MEMO_MAX {
-                    self.sig_memo.clear();
-                }
                 self.sig_memo.insert((p, id, sig), ok);
             }
         }
@@ -2604,7 +2456,7 @@ impl GovernorNode {
     /// `false` and stays `false`: probes cannot flip a cached verdict.
     fn verify_provider_sig(&mut self, provider: u32, tx: &SignedTx) -> bool {
         let key = (provider, tx.id(), tx.provider_sig.clone());
-        if let Some(&ok) = self.sig_memo.get(&key) {
+        if let Some(ok) = self.sig_memo.get(&key) {
             self.metrics.sig_memo_hits += 1;
             if self.obs.is_enabled() {
                 self.obs.metrics().inc("gov.sig_memo_hit");
@@ -2615,9 +2467,6 @@ impl GovernorNode {
         self.metrics.sig_memo_misses += 1;
         if self.obs.is_enabled() {
             self.obs.metrics().inc("gov.sig_memo_miss");
-        }
-        if self.sig_memo.len() >= SIG_MEMO_MAX {
-            self.sig_memo.clear();
         }
         self.sig_memo.insert(key, ok);
         ok
@@ -2963,45 +2812,53 @@ impl GovernorNode {
         let _ = self.stake_table.apply(&transfer);
     }
 
-    /// Stamps an `ArgueRejected` event (provider resolved from history
-    /// where possible).
-    fn emit_argue_rejected(&self, now: u64, id: TxId, reason: &'static str) {
-        let provider = self
-            .history
-            .get(&id)
-            .map_or(u64::MAX, |r| r.provider as u64);
+    /// Stamps an `ArgueRejected` event (`provider` is `None` for a
+    /// transaction never screened here).
+    fn emit_argue_rejected(&self, now: u64, provider: Option<u32>, reason: &'static str) {
         self.obs.emit(
             now,
             self.net_idx(),
-            ObsEvent::ArgueRejected { provider, reason },
+            ObsEvent::ArgueRejected {
+                provider: provider.map_or(u64::MAX, u64::from),
+                reason,
+            },
         );
     }
 
     fn on_argue(&mut self, id: TxId, ctx: &mut Context<'_, ProtocolMsg>) {
         let now = ctx.now().ticks();
-        if self.revealed.contains(&id) {
-            self.emit_argue_rejected(now, id, "duplicate");
-            return;
-        }
-        let Some(record) = self.history.get(&id) else {
-            self.emit_argue_rejected(now, id, "unknown-tx");
+        let Some((provider, outcome, screened_at)) =
+            self.txs.slot(&id).and_then(|slot| match slot.state {
+                SlotState::Window(_) => None,
+                SlotState::Screened {
+                    outcome,
+                    screened_at,
+                    ..
+                } => Some((slot.provider, outcome, screened_at)),
+            })
+        else {
+            self.emit_argue_rejected(now, None, "unknown-tx");
             return; // never screened here
         };
+        if let Outcome::Unchecked { revealed: true, .. } = outcome {
+            self.emit_argue_rejected(now, Some(provider), "duplicate");
+            return;
+        }
         let Outcome::Unchecked {
             recorded: Label::Invalid,
             index,
-        } = record.outcome
+            ..
+        } = outcome
         else {
-            self.emit_argue_rejected(now, id, "not-unchecked");
+            self.emit_argue_rejected(now, Some(provider), "not-unchecked");
             return; // only invalid-unchecked records can be argued
         };
-        let provider = record.provider;
         let current = self.unchecked_counter.get(&provider).copied().unwrap_or(0);
         if current.saturating_sub(index) > self.cfg.argue_limit_u {
             // Buried under more than U unchecked transactions: permanently
             // invalid (§3.1).
             self.metrics.argue_rejected += 1;
-            self.emit_argue_rejected(now, id, "bound");
+            self.emit_argue_rejected(now, Some(provider), "bound");
             if self.oracle.borrow().peek(id) == Some(true) {
                 self.metrics.lost_valid += 1;
             }
@@ -3018,45 +2875,60 @@ impl GovernorNode {
                 provider: provider as u64,
             },
         );
-        if let Some(&t0) = self.screened_at.get(&id) {
-            self.obs
-                .end_span(Span::begin(phases::ARGUE, t0), now, self.net_idx());
-        }
+        self.obs
+            .end_span(Span::begin(phases::ARGUE, screened_at), now, self.net_idx());
         if valid {
-            let record = &self.history[&id];
+            let slot = self.txs.slot(&id).expect("found above");
             self.argued_entries.push(BlockEntry {
-                tx: record.tx.clone(),
+                tx: slot.tx.clone(),
                 verdict: Verdict::ArguedValid,
-                reported_labels: label_pairs(&record.reports),
+                reported_labels: label_pairs(&slot.reports),
             });
         }
         self.reveal_internal(id, valid, now);
     }
 
     fn on_reveal(&mut self, id: TxId, valid: bool, now: u64) {
-        if self.revealed.contains(&id) {
-            return;
+        // Unknown, still in its window, checked (already settled) or
+        // revealed before: nothing to do.
+        let awaited = self.txs.slot(&id).is_some_and(|slot| {
+            matches!(
+                slot.state,
+                SlotState::Screened {
+                    outcome: Outcome::Unchecked {
+                        revealed: false,
+                        ..
+                    },
+                    ..
+                }
+            )
+        });
+        if awaited {
+            self.reveal_internal(id, valid, now);
         }
-        let Some(record) = self.history.get(&id) else {
-            return;
-        };
-        if !matches!(record.outcome, Outcome::Unchecked { .. }) {
-            return; // checked transactions are already settled
-        }
-        self.reveal_internal(id, valid, now);
     }
 
     /// Case 3 plus loss accounting for a now-revealed unchecked tx.
     fn reveal_internal(&mut self, id: TxId, valid: bool, now: u64) {
-        self.revealed.insert(id);
-        let record = self.history[&id].clone();
-        let provider = record.provider;
-        let mut revealed_reports = Vec::new();
-        let mut involvements = Vec::new();
-        let mut reporters = HashSet::new();
-        for (c, label) in &record.reports {
-            reporters.insert(*c);
-            let slot = self
+        let me = self.net_idx();
+        let slot = self.txs.slot_mut(&id).expect("caller saw the slot");
+        let SlotState::Screened {
+            outcome: Outcome::Unchecked {
+                recorded, revealed, ..
+            },
+            screened_at,
+            absent,
+        } = &mut slot.state
+        else {
+            unreachable!("only unchecked transactions are revealed");
+        };
+        *revealed = true;
+        let provider = slot.provider;
+        let linked = self.topology.collectors_of(provider);
+        let mut revealed_reports = Vec::with_capacity(linked.len());
+        let mut involvements = Vec::with_capacity(linked.len());
+        for (c, label) in &slot.reports {
+            let at = self
                 .topology
                 .provider_slot(*c, provider)
                 .expect("reporter is linked");
@@ -3075,56 +2947,70 @@ impl GovernorNode {
             ));
             revealed_reports.push(RevealedReport {
                 collector: *c as usize,
-                provider_slot: slot,
+                provider_slot: at,
                 behaviour,
             });
         }
-        for &c in self.topology.collectors_of(provider) {
+        for &c in linked {
             if !self
                 .collector_active
                 .get(c as usize)
                 .copied()
                 .unwrap_or(true)
-                || record.absent.contains(&c)
+                || absent.as_ref().is_some_and(|absent| absent.contains(&c))
             {
                 // Departed collectors owe no report; neither does a
                 // member that was absent when the tx was screened,
                 // however long ago it rejoined.
                 continue;
             }
-            if !reporters.contains(&c) {
-                let slot = self
+            if !slot.reports.iter().any(|(reporter, _)| *reporter == c) {
+                let at = self
                     .topology
                     .provider_slot(c, provider)
                     .expect("linked by construction");
                 involvements.push((c, 1.0));
                 revealed_reports.push(RevealedReport {
                     collector: c as usize,
-                    provider_slot: slot,
+                    provider_slot: at,
                     behaviour: RevealedBehaviour::Missed,
                 });
             }
         }
         let out = self.reputation.record_revealed(&revealed_reports);
-        let recorded_wrong = match record.outcome {
-            Outcome::Unchecked { recorded, .. } => recorded.is_valid() != valid,
-            Outcome::Checked { .. } => false,
-        };
+        let recorded_wrong = recorded.is_valid() != valid;
         self.obs.emit(
             now,
-            self.net_idx(),
+            me,
             ObsEvent::Revealed {
                 valid,
                 verdict_correct: !recorded_wrong,
             },
         );
-        if let Some(t0) = self.screened_at.remove(&id) {
-            self.obs
-                .end_span(Span::begin(phases::REVEAL, t0), now, self.net_idx());
-        }
+        self.obs
+            .end_span(Span::begin(phases::REVEAL, *screened_at), now, me);
         self.metrics
             .record_reveal(provider, out.l_tx, recorded_wrong, involvements);
     }
+}
+
+/// Resolves the verification key for provider `p`: the per-provider key
+/// when one exists, else the scale-mode pool slot `p % len` (for in-range
+/// interned providers), else `None` (out of range — the structural forgery
+/// case).
+fn resolve_pk<'a>(
+    provider_pks: &'a [PublicKey],
+    pk_pool: &'a [PublicKey],
+    topology: &Topology,
+    p: u32,
+) -> Option<&'a PublicKey> {
+    if let Some(pk) = provider_pks.get(p as usize) {
+        return Some(pk);
+    }
+    if !pk_pool.is_empty() && p < topology.params().providers {
+        return Some(&pk_pool[p as usize % pk_pool.len()]);
+    }
+    None
 }
 
 fn label_pairs(reports: &[(u32, Label)]) -> Vec<(NodeId, Label)> {

@@ -44,6 +44,7 @@ pub mod node;
 pub mod provider;
 pub mod scale;
 pub mod sim;
+mod txtable;
 pub mod workload;
 
 pub use prb_obs as obs;

@@ -4,6 +4,12 @@
 //! share the enum with node-to-node traffic; they arrive with
 //! `from == EXTERNAL` and are never counted toward the complexity
 //! experiments' protocol-message kinds.
+//!
+//! Every queued event of the kernel carries one of these by value, so the
+//! enum is kept small: the per-transaction variants (`TxBroadcast`,
+//! `TxUpload`) are a sequence number and a shared handle, and the large,
+//! rare payloads (proposal claim and header, evidence, echoes, shares) are
+//! boxed. `tests/msg_size.rs` pins the resulting event size.
 
 use prb_consensus::checkpoint::{CheckpointCert, CheckpointShare};
 use prb_consensus::election::ElectionClaim;
@@ -67,12 +73,12 @@ pub enum ProtocolMsg {
         /// The proposer's VRF claim for the round that elected it.
         /// `None` only for driver-injected test traffic; claimless
         /// proposals cannot displace a contested head.
-        claim: Option<ElectionClaim>,
+        claim: Option<Box<ElectionClaim>>,
         /// The proposer's signed commitment to exactly this block at
         /// this serial. Two conflicting headers convict an equivocator;
         /// `None` only for driver-injected test traffic (unsigned
         /// proposals cannot be held accountable).
-        header: Option<SignedHeader>,
+        header: Option<Box<SignedHeader>>,
     },
     /// Governor → governor: re-gossip of a proposal header, sent once per
     /// distinct `(proposer, serial, block hash)` observed, so that an
@@ -80,14 +86,14 @@ pub enum ProtocolMsg {
     /// to every honest governor within one delivery delay.
     HeaderEcho {
         /// The observed signed header, forwarded verbatim.
-        header: SignedHeader,
+        header: Box<SignedHeader>,
     },
     /// Governor → governor: self-verifying proof that `culprit()` signed
     /// two conflicting blocks at one serial. Receivers verify both
     /// signatures before expelling — the accuser is not trusted.
     Evidence {
         /// The two conflicting signed headers.
-        evidence: EquivocationEvidence,
+        evidence: Box<EquivocationEvidence>,
     },
     /// Driver → provider: a block was committed; these are the verdicts
     /// (the provider's view of `retrieve(s)`).
@@ -136,7 +142,7 @@ pub enum ProtocolMsg {
     /// checkpoint-interval boundary. A governor that collects a quorum
     /// of shares over one state digest assembles a
     /// [`CheckpointCert`].
-    CheckpointShare(CheckpointShare),
+    CheckpointShare(Box<CheckpointShare>),
     /// Governor → governor (or driver-injected): a membership
     /// transition offered to the committee. Subject-signed for
     /// join/leave, unsigned for an eviction proposal (the share quorum
@@ -147,7 +153,7 @@ pub enum ProtocolMsg {
     /// request. A quorum of shares over one request digest forms a
     /// [`prb_consensus::membership::MembershipCert`], applied by every
     /// governor at the request's effective round.
-    MemberShare(MembershipShare),
+    MemberShare(Box<MembershipShare>),
     /// Governor → governor: advisory EigenTrust-style reputation gossip
     /// (E17). `scores[c]` is the reporter's first-hand opinion of
     /// collector `c` in `[0,1]`, carried as `f64` bits for a hashable,

@@ -255,6 +255,11 @@ impl ScaleSim {
         self.net.stats()
     }
 
+    /// Events the kernel has processed so far: deliveries and timers.
+    pub fn events_processed(&self) -> u64 {
+        self.net.events_processed()
+    }
+
     /// Installs an observability hub on the kernel and every node.
     pub fn set_obs(&mut self, obs: ObsHandle) {
         let n = self.cfg.collectors as usize;

@@ -34,6 +34,11 @@ struct Rig {
 
 impl Rig {
     fn new(mode: GovernorMode, f: f64) -> Self {
+        Self::with(mode, f, |_| {})
+    }
+
+    /// Like [`Rig::new`], with further configuration.
+    fn with(mode: GovernorMode, f: f64, configure: impl FnOnce(&mut ProtocolConfig)) -> Self {
         let mut cfg = ProtocolConfig {
             providers: 2,
             collectors: 2,
@@ -45,6 +50,7 @@ impl Rig {
             ..Default::default()
         };
         cfg.reputation.f = f;
+        configure(&mut cfg);
         let scheme = CryptoScheme::sim();
         let provider_keys: Vec<KeyPair> = (0..2)
             .map(|p| scheme.keypair_from_seed(format!("rig-p{p}").as_bytes()))
@@ -109,7 +115,31 @@ impl Rig {
     }
 
     fn run(&mut self) {
-        self.net.run_until_idle(1_000);
+        self.net.run_until_idle(100_000);
+    }
+
+    /// The same signed content as `tx` — hence the same id — under a
+    /// garbage provider signature drawn from `seed`.
+    fn forged_twin(tx: &SignedTx, seed: u64) -> SignedTx {
+        let mut rng = StdRng::seed_from_u64(seed);
+        SignedTx::from_parts(
+            tx.payload.clone(),
+            tx.timestamp,
+            Sig::forged(&CryptoScheme::sim(), &mut rng),
+        )
+    }
+
+    fn send(&mut self, msg: ProtocolMsg, at: u64) {
+        self.net.send_external(0, "cmd", msg, SimTime(at));
+    }
+
+    /// Runs one round at `at`: the lone governor elects itself and
+    /// commits what it has screened. Returns the committed block.
+    fn commit_round(&mut self, round: u64, at: u64) -> Block {
+        self.send(ProtocolMsg::StartRound { round }, at);
+        self.send(ProtocolMsg::ProposeBlock { round }, at + 1);
+        self.run();
+        self.governor().chain().latest().clone()
     }
 }
 
@@ -535,14 +565,14 @@ impl ProposalRig {
     /// Delivers `block` to governor 0 as a direct proposal by its leader,
     /// with or without the leader's signed header over its hash.
     fn propose(&mut self, block: &Block, claim: Option<ElectionClaim>, with_header: bool) {
-        let header = with_header.then(|| self.header(block));
+        let header = with_header.then(|| Box::new(self.header(block)));
         let at = self.net.now();
         self.net.send_external(
             0,
             "block",
             ProtocolMsg::BlockProposal {
                 block: block.clone(),
-                claim,
+                claim: claim.map(Box::new),
                 header,
             },
             at,
@@ -781,7 +811,7 @@ fn relayed_header_over_a_swapped_body_cannot_frame_its_signer() {
             ProtocolMsg::BlockProposal {
                 block: swapped,
                 claim: None,
-                header: Some(header),
+                header: Some(Box::new(header)),
             },
             at,
         );
@@ -829,4 +859,357 @@ fn sig_memo_caches_verdicts_and_forged_probes_stay_false() {
     assert_eq!(m.sig_memo_misses, 2);
     // The second forged probe is answered straight from the memo.
     assert_eq!(m.sig_memo_hits, 1);
+}
+
+// ---------------------------------------------------------------------
+// The transaction table (screening + reveal state), driven through one
+// governor on a quiet network: every way a copy, a timer, an argue or a
+// reveal can meet a slot.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_forged_probe_from_a_reporter_already_in_the_window_is_still_case_one() {
+    let mut rig = Rig::new(GovernorMode::CheckAll, 0.5);
+    let tx = rig.make_tx(0, 0, true);
+    rig.upload(0, 0, tx.clone(), Label::Valid, 0);
+    // Same reporter, same id, garbage signature: no second report rides on
+    // it, but the forgery is charged at once.
+    rig.upload(0, 1, Rig::forged_twin(&tx, 1), Label::Invalid, 1);
+    rig.net.run_until(SimTime(2));
+    let gov = rig.governor();
+    assert_eq!(gov.metrics().forged_detected, 1);
+    assert_eq!(gov.reputation().collector(0).forge(), -1);
+    assert_eq!(gov.pending_count(), 1, "the window is untouched");
+    rig.run();
+    let gov = rig.governor();
+    assert_eq!(gov.metrics().screened, 1);
+    assert_eq!(gov.metrics().forged_detected, 1, "not charged again");
+    assert_eq!(
+        gov.reputation().collector(0).misreport(),
+        1,
+        "the one report counted is the first copy's"
+    );
+}
+
+#[test]
+fn a_second_copy_under_another_signature_is_judged_on_its_own() {
+    let mut rig = Rig::new(GovernorMode::CheckAll, 0.5);
+    let tx = rig.make_tx(0, 0, true);
+    rig.upload(0, 0, tx.clone(), Label::Valid, 0);
+    rig.upload(1, 0, Rig::forged_twin(&tx, 2), Label::Valid, 1);
+    rig.run();
+    let gov = rig.governor();
+    let m = gov.metrics();
+    assert_eq!(m.screened, 1);
+    assert_eq!(m.forged_detected, 1);
+    assert_eq!(m.sig_memo_misses, 2, "one batch, two distinct signatures");
+    assert_eq!(gov.reputation().collector(1).forge(), -1);
+    // Only the verified copy's report counts.
+    assert_eq!(gov.reputation().collector(0).misreport(), 1);
+    assert_eq!(gov.reputation().collector(1).misreport(), 0);
+    let block = rig.commit_round(1, 100);
+    assert_eq!(block.entries.len(), 1);
+    assert_eq!(
+        block.entries[0].reported_labels,
+        [(NodeId::collector(0), Label::Valid)]
+    );
+}
+
+#[test]
+fn a_forged_first_copy_is_rehomed_onto_a_verified_signature() {
+    let mut rig = Rig::new(GovernorMode::CheckAll, 0.5);
+    let tx = rig.make_tx(0, 0, true);
+    rig.upload(0, 0, Rig::forged_twin(&tx, 3), Label::Valid, 0);
+    rig.upload(1, 0, tx.clone(), Label::Valid, 1);
+    rig.run();
+    let gov = rig.governor();
+    assert_eq!(gov.metrics().screened, 1);
+    assert_eq!(gov.metrics().forged_detected, 1);
+    assert_eq!(gov.reputation().collector(0).forge(), -1);
+    // The buffered entry was opened on the forged copy; what the block
+    // records must carry the genuine signature.
+    let block = rig.commit_round(1, 100);
+    assert_eq!(block.entries.len(), 1);
+    let recorded = &block.entries[0].tx;
+    assert_eq!(recorded.id(), tx.id());
+    assert_eq!(recorded.provider_sig, tx.provider_sig);
+    assert!(recorded.verify(&rig.provider_keys[0].public_key()));
+    assert_eq!(
+        block.entries[0].reported_labels,
+        [(NodeId::collector(1), Label::Valid)]
+    );
+}
+
+/// Screens 60 transactions on which the two collectors disagree, one at
+/// a time from tick 100 and sequence number `seq0`, and returns which of
+/// them were left unchecked: a fingerprint of the kernel's random stream,
+/// which the screening draw consumes.
+fn screening_fingerprint(rig: &mut Rig, seq0: u64) -> Vec<bool> {
+    let window = rig.cfg.aggregation_window();
+    (0..60)
+        .map(|i| {
+            let tx = rig.make_tx(1, i, true);
+            let at = 100 + i * (window + 5);
+            rig.upload(0, seq0 + i, tx.clone(), Label::Valid, at);
+            rig.upload(1, seq0 + i, tx, Label::Invalid, at + 1);
+            let before = rig.governor().metrics().unchecked;
+            rig.run();
+            rig.governor().metrics().unchecked > before
+        })
+        .collect()
+}
+
+#[test]
+fn a_window_of_forged_copies_screens_nothing_and_draws_nothing() {
+    let mut plain = Rig::new(GovernorMode::Reputation, 0.9);
+    let expected = screening_fingerprint(&mut plain, 0);
+    assert!(expected.contains(&true) && expected.contains(&false));
+
+    let mut rig = Rig::new(GovernorMode::Reputation, 0.9);
+    let tx = rig.make_tx(0, 0, true);
+    rig.upload(0, 0, Rig::forged_twin(&tx, 4), Label::Valid, 0);
+    rig.upload(1, 0, Rig::forged_twin(&tx, 5), Label::Valid, 1);
+    rig.run();
+    let gov = rig.governor();
+    assert_eq!(gov.metrics().forged_detected, 2);
+    assert_eq!(gov.metrics().screened, 0);
+    assert_eq!(gov.pending_stats(), (0, 1, 0), "closed, not shed");
+    assert_eq!(gov.ready_len(), 0);
+    // No randomness went into the forged window: what follows screens
+    // exactly as it does on a governor that never saw it.
+    assert_eq!(screening_fingerprint(&mut rig, 1), expected);
+}
+
+#[test]
+fn a_late_report_on_an_unchecked_slot_is_counted_at_the_reveal() {
+    let mut rig = Rig::new(GovernorMode::CheckNone, 0.9);
+    let window = rig.cfg.aggregation_window();
+    let tx = rig.make_tx(0, 0, true);
+    let id = tx.id();
+    rig.upload(0, 0, tx.clone(), Label::Valid, 0);
+    rig.upload(1, 0, tx, Label::Invalid, window + 50);
+    rig.run();
+    let gov = rig.governor();
+    assert_eq!(gov.metrics().screened, 1);
+    assert_eq!(gov.metrics().unchecked, 1);
+    assert_eq!(
+        gov.reputation().collector(1).misreport(),
+        0,
+        "nothing is known about an unchecked transaction yet"
+    );
+    rig.send(
+        ProtocolMsg::Reveal {
+            tx: id,
+            valid: true,
+        },
+        window + 100,
+    );
+    rig.run();
+    let m = rig.governor().metrics();
+    assert_eq!(m.revealed, 1);
+    // Collector 1 reported, late and wrongly: loss 2, not the 1 of a
+    // collector that never reported.
+    assert_eq!(m.collector_loss[&(0, 1)], 2.0);
+    assert_eq!(m.collector_loss[&(0, 0)], 0.0);
+}
+
+#[test]
+fn the_oldest_window_is_shed_at_capacity_and_its_timer_fires_for_nothing() {
+    let mut rig = Rig::with(GovernorMode::CheckAll, 0.5, |cfg| cfg.pending_capacity = 2);
+    let [a, b, c] = [0, 1, 2].map(|nonce| rig.make_tx(0, nonce, true));
+    rig.upload(0, 0, a.clone(), Label::Valid, 0);
+    rig.upload(0, 1, b.clone(), Label::Valid, 1);
+    rig.upload(0, 2, c.clone(), Label::Valid, 2);
+    rig.net.run_until(SimTime(2));
+    assert_eq!(rig.governor().pending_stats(), (2, 2, 1), "a was shed");
+    // The other collector's copy of `a` opens a fresh window, which sheds
+    // `b`, now the oldest.
+    rig.upload(1, 0, a.clone(), Label::Valid, 3);
+    rig.net.run_until(SimTime(3));
+    assert_eq!(rig.governor().pending_stats(), (2, 2, 2));
+    // The first window's timer is still set and still names `a`: it
+    // screens the new window early; `b`'s fires for nothing; then `c`;
+    // then `a`'s own, for nothing.
+    let window = rig.cfg.aggregation_window();
+    rig.net.run_until(SimTime(window));
+    assert_eq!(rig.governor().metrics().screened, 1);
+    assert_eq!(rig.governor().ready_tx_ids(), [a.id()]);
+    rig.net.run_until(SimTime(window + 1));
+    assert_eq!(rig.governor().metrics().screened, 1);
+    rig.run();
+    let gov = rig.governor();
+    assert_eq!(gov.metrics().screened, 2);
+    assert_eq!(gov.ready_tx_ids(), [a.id(), c.id()]);
+    assert_eq!(gov.pending_stats(), (0, 2, 2));
+    // Only collector 1's copy of `a` was in the window that got screened.
+    assert_eq!(gov.reputation().collector(1).misreport(), 1);
+    assert_eq!(gov.reputation().collector(0).misreport(), 1, "c's report");
+}
+
+#[test]
+fn a_verdict_the_memo_dropped_is_settled_again_at_screening() {
+    // The memo clears itself when it holds 8192 verdicts. Open enough
+    // windows that the batch settling them all overflows it: the first
+    // transactions' verdicts are memoized, then dropped by the clear, and
+    // each is verified again, alone, when its turn to be screened comes.
+    const N: u64 = 8_200;
+    let mut rig = Rig::new(GovernorMode::CheckAll, 0.5);
+    let first = rig.make_tx(0, 0, true);
+    rig.upload(0, 0, first.clone(), Label::Valid, 0);
+    // A forged copy of the very first transaction: its verdict is dropped
+    // too, and must come out forged the second time as well.
+    rig.upload(1, 0, Rig::forged_twin(&first, 6), Label::Valid, 0);
+    for nonce in 1..N {
+        let tx = rig.make_tx(0, nonce, true);
+        rig.upload(0, nonce, tx, Label::Valid, 1);
+    }
+    rig.run();
+    let gov = rig.governor();
+    let m = gov.metrics();
+    assert_eq!(m.screened, N);
+    assert_eq!(m.checked, N);
+    assert_eq!(m.forged_detected, 1);
+    assert_eq!(gov.reputation().collector(1).forge(), -1);
+    assert_eq!(gov.reputation().collector(0).forge(), 0);
+    // Every signature went through the one batch; the second look at the
+    // dropped ones is not a memo miss, it never asked the batch.
+    assert_eq!(m.sig_memo_misses, N + 1);
+    assert_eq!(gov.ready_len() as u64, N);
+    assert_eq!(gov.pending_count(), 0);
+}
+
+#[test]
+fn an_argue_is_heard_within_u_unchecked_transactions_and_only_once() {
+    let mut rig = Rig::with(GovernorMode::CheckNone, 0.9, |cfg| cfg.argue_limit_u = 2);
+    let window = rig.cfg.aggregation_window();
+    // Four valid transactions of provider 0, each recorded
+    // unchecked-invalid on collector 0's word: indices 0..4 in the
+    // provider's unchecked sequence.
+    let txs: Vec<SignedTx> = (0..4).map(|nonce| rig.make_tx(0, nonce, true)).collect();
+    for (i, tx) in txs.iter().enumerate() {
+        rig.upload(0, i as u64, tx.clone(), Label::Invalid, i as u64);
+    }
+    rig.run();
+    assert_eq!(rig.governor().metrics().unchecked, 4);
+    let argue = |rig: &mut Rig, tx: &SignedTx, at: u64| {
+        rig.send(
+            ProtocolMsg::Argue {
+                tx: tx.id(),
+                serial: 1,
+            },
+            at,
+        );
+        rig.run();
+    };
+    // Index 0 lies under 4 − 0 = 4 > U later ones: permanently invalid.
+    argue(&mut rig, &txs[0], window + 10);
+    let m = rig.governor().metrics();
+    assert_eq!((m.argue_accepted, m.argue_rejected), (0, 1));
+    assert_eq!(m.lost_valid, 1);
+    assert_eq!(m.revealed, 0);
+    // Index 2 lies under 2 ≤ U: verified at once and re-recorded.
+    argue(&mut rig, &txs[2], window + 20);
+    let m = rig.governor().metrics();
+    assert_eq!((m.argue_accepted, m.argue_rejected), (1, 1));
+    assert_eq!(m.revealed, 1);
+    let validations = m.validations;
+    // Neither a second argue nor a reveal reopens it.
+    argue(&mut rig, &txs[2], window + 30);
+    rig.send(
+        ProtocolMsg::Reveal {
+            tx: txs[2].id(),
+            valid: true,
+        },
+        window + 40,
+    );
+    rig.run();
+    let m = rig.governor().metrics();
+    assert_eq!((m.argue_accepted, m.argue_rejected), (1, 1));
+    assert_eq!(m.revealed, 1);
+    assert_eq!(m.validations, validations);
+    // And an argue after a plain reveal is a duplicate too.
+    rig.send(
+        ProtocolMsg::Reveal {
+            tx: txs[3].id(),
+            valid: true,
+        },
+        window + 50,
+    );
+    rig.run();
+    argue(&mut rig, &txs[3], window + 60);
+    let m = rig.governor().metrics();
+    assert_eq!(m.revealed, 2);
+    assert_eq!(m.argue_accepted, 1);
+    // The argued transaction is re-recorded in the next block.
+    let block = rig.commit_round(1, window + 100);
+    let argued: Vec<TxId> = block
+        .entries
+        .iter()
+        .filter(|e| e.verdict == prb_ledger::block::Verdict::ArguedValid)
+        .map(|e| e.tx.id())
+        .collect();
+    assert_eq!(argued, [txs[2].id()]);
+}
+
+#[test]
+fn a_collector_absent_at_screening_owes_nothing_at_the_reveal_even_once_back() {
+    use prb_consensus::membership::{MemberRole, MembershipAction, MembershipRequest};
+
+    let mut rig = Rig::with(GovernorMode::CheckNone, 0.9, |cfg| cfg.leave_rate = 0.1);
+    let window = rig.cfg.aggregation_window();
+    let membership = |rig: &Rig, action, bond, round| {
+        ProtocolMsg::Membership(Box::new(MembershipRequest::create(
+            MemberRole::Collector,
+            1,
+            action,
+            bond,
+            round,
+            &rig.collector_keys[1],
+        )))
+    };
+    // Collector 1 leaves for round 1; a transaction is screened without
+    // it; it rejoins for round 2; only then is the transaction revealed.
+    let leave = membership(&rig, MembershipAction::Leave, 0, 1);
+    rig.send(leave, 0);
+    rig.send(ProtocolMsg::StartRound { round: 1 }, 1);
+    let during = rig.make_tx(0, 0, true);
+    rig.upload(0, 0, during.clone(), Label::Valid, 2);
+    rig.run();
+    assert!(!rig.governor().collector_is_active(1));
+    assert_eq!(rig.governor().metrics().unchecked, 1);
+    let join = membership(&rig, MembershipAction::Join, 1, 2);
+    rig.send(join, window + 10);
+    rig.send(ProtocolMsg::StartRound { round: 2 }, window + 11);
+    rig.run();
+    assert!(rig.governor().collector_is_active(1));
+    let rejoined = rig.governor().reputation().collector(1).weights().to_vec();
+    rig.send(
+        ProtocolMsg::Reveal {
+            tx: during.id(),
+            valid: true,
+        },
+        window + 20,
+    );
+    rig.run();
+    let gov = rig.governor();
+    assert_eq!(gov.metrics().revealed, 1);
+    assert!(!gov.metrics().collector_loss.contains_key(&(0, 1)));
+    assert_eq!(gov.reputation().collector(1).weights(), rejoined);
+    // A transaction screened after it is back is another matter: silent
+    // then, it owes the Missed loss.
+    let after = rig.make_tx(0, 1, true);
+    rig.upload(0, 1, after.clone(), Label::Valid, window + 30);
+    rig.run();
+    rig.send(
+        ProtocolMsg::Reveal {
+            tx: after.id(),
+            valid: true,
+        },
+        2 * window + 50,
+    );
+    rig.run();
+    let gov = rig.governor();
+    assert_eq!(gov.metrics().revealed, 2);
+    assert_eq!(gov.metrics().collector_loss[&(0, 1)], 1.0);
+    assert_ne!(gov.reputation().collector(1).weights(), rejoined);
 }

@@ -12,6 +12,7 @@
 //! - [`time`] — global simulated time and drifting local clocks,
 //! - [`sim`] — the event kernel: [`sim::Network`], [`sim::Actor`],
 //!   [`sim::Context`], timers, deterministic scheduling,
+//! - [`queue`] — its event queue, one FIFO per tick,
 //! - [`order`] — atomic (total-order) broadcast primitives
 //!   ([`order::Sequencer`] / [`order::OrderedInbox`]),
 //! - [`fault`] — crash, loss and partition injection,
@@ -56,6 +57,7 @@ pub mod fault;
 pub mod health;
 pub mod message;
 pub mod order;
+pub mod queue;
 pub mod retry;
 pub mod sim;
 pub mod stats;

@@ -62,20 +62,37 @@ impl Sequencer {
 ///
 /// let mut inbox = OrderedInbox::new();
 /// let ch = ChannelId(0);
-/// assert!(inbox.push(ch, 1, "b").is_empty()); // gap: buffered
-/// assert_eq!(inbox.push(ch, 0, "a"), vec!["a", "b"]);
+/// assert_eq!(inbox.push(ch, 1, "b").count(), 0); // gap: buffered
+/// assert_eq!(inbox.push(ch, 0, "a").collect::<Vec<_>>(), ["a", "b"]);
 /// ```
 #[derive(Clone)]
 pub struct OrderedInbox<M> {
-    expected: BTreeMap<ChannelId, SeqNo>,
-    buffered: BTreeMap<(ChannelId, SeqNo), M>,
+    channels: BTreeMap<ChannelId, Channel<M>>,
+}
+
+/// One channel's receive state.
+#[derive(Clone)]
+struct Channel<M> {
+    /// The next sequence number to release.
+    expected: SeqNo,
+    /// Arrivals ahead of `expected`.
+    buffered: BTreeMap<SeqNo, M>,
+}
+
+impl<M> Default for Channel<M> {
+    fn default() -> Self {
+        Channel {
+            expected: 0,
+            buffered: BTreeMap::new(),
+        }
+    }
 }
 
 impl<M> fmt::Debug for OrderedInbox<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OrderedInbox")
-            .field("channels", &self.expected.len())
-            .field("buffered", &self.buffered.len())
+            .field("channels", &self.channels.len())
+            .field("buffered", &self.pending())
             .finish()
     }
 }
@@ -90,43 +107,91 @@ impl<M> OrderedInbox<M> {
     /// An empty inbox.
     pub fn new() -> Self {
         OrderedInbox {
-            expected: BTreeMap::new(),
-            buffered: BTreeMap::new(),
+            channels: BTreeMap::new(),
         }
     }
 
-    /// Ingests `(channel, seq, message)`; returns all messages that are now
-    /// deliverable in order (possibly empty).
+    /// Ingests `(channel, seq, message)`; yields the messages that are now
+    /// deliverable, in order (possibly none). An in-order arrival with
+    /// nothing buffered behind it passes straight through.
     ///
     /// Duplicate or already-delivered sequence numbers are discarded.
-    pub fn push(&mut self, channel: ChannelId, seq: SeqNo, message: M) -> Vec<M> {
-        let expected = self.expected.entry(channel).or_insert(0);
-        if seq < *expected || self.buffered.contains_key(&(channel, seq)) {
-            return Vec::new(); // duplicate
+    /// Messages the caller does not take from the iterator are released
+    /// all the same, and dropped.
+    pub fn push(&mut self, channel: ChannelId, seq: SeqNo, message: M) -> Released<'_, M> {
+        let ch = self.channels.entry(channel).or_default();
+        if seq == ch.expected {
+            ch.expected += 1;
+            return Released {
+                first: Some(message),
+                rest: (!ch.buffered.is_empty()).then_some(ch),
+            };
         }
-        self.buffered.insert((channel, seq), message);
-        let mut out = Vec::new();
-        while let Some(m) = self.buffered.remove(&(channel, *expected)) {
-            out.push(m);
-            *expected += 1;
+        if seq > ch.expected {
+            ch.buffered.entry(seq).or_insert(message); // a duplicate keeps the first
         }
-        out
+        Released {
+            first: None,
+            rest: None,
+        }
     }
 
     /// Number of messages buffered waiting for a gap to fill.
     pub fn pending(&self) -> usize {
-        self.buffered.len()
+        self.channels.values().map(|ch| ch.buffered.len()).sum()
     }
 
     /// Next expected sequence number on `channel`.
     pub fn expected(&self, channel: ChannelId) -> SeqNo {
-        self.expected.get(&channel).copied().unwrap_or(0)
+        self.channels.get(&channel).map_or(0, |ch| ch.expected)
+    }
+}
+
+/// The messages one [`OrderedInbox::push`] released, in sequence order.
+#[must_use = "released messages are dropped unless taken"]
+pub struct Released<'a, M> {
+    /// The arrival itself, when it was the one expected.
+    first: Option<M>,
+    /// The channel, while buffered messages may follow on from `first`.
+    rest: Option<&'a mut Channel<M>>,
+}
+
+impl<M> fmt::Debug for Released<'_, M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Released").finish_non_exhaustive()
+    }
+}
+
+impl<M> Iterator for Released<'_, M> {
+    type Item = M;
+
+    fn next(&mut self) -> Option<M> {
+        if let Some(message) = self.first.take() {
+            return Some(message);
+        }
+        let ch = self.rest.as_mut()?;
+        let message = ch.buffered.remove(&ch.expected)?;
+        ch.expected += 1;
+        Some(message)
+    }
+}
+
+impl<M> Drop for Released<'_, M> {
+    fn drop(&mut self) {
+        // The sequence has moved past `first`; what followed it in the
+        // buffer is released with it whether or not anyone is looking.
+        for _ in self.by_ref() {}
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One push, with what it released.
+    fn push<M>(inbox: &mut OrderedInbox<M>, ch: ChannelId, seq: SeqNo, message: M) -> Vec<M> {
+        inbox.push(ch, seq, message).collect()
+    }
 
     #[test]
     fn sequencer_is_per_channel() {
@@ -142,8 +207,8 @@ mod tests {
     fn in_order_passes_through() {
         let mut inbox = OrderedInbox::new();
         let ch = ChannelId(0);
-        assert_eq!(inbox.push(ch, 0, 'a'), vec!['a']);
-        assert_eq!(inbox.push(ch, 1, 'b'), vec!['b']);
+        assert_eq!(push(&mut inbox, ch, 0, 'a'), ['a']);
+        assert_eq!(push(&mut inbox, ch, 1, 'b'), ['b']);
         assert_eq!(inbox.pending(), 0);
     }
 
@@ -151,10 +216,10 @@ mod tests {
     fn out_of_order_is_buffered_then_released() {
         let mut inbox = OrderedInbox::new();
         let ch = ChannelId(0);
-        assert!(inbox.push(ch, 2, 'c').is_empty());
-        assert!(inbox.push(ch, 1, 'b').is_empty());
+        assert!(push(&mut inbox, ch, 2, 'c').is_empty());
+        assert!(push(&mut inbox, ch, 1, 'b').is_empty());
         assert_eq!(inbox.pending(), 2);
-        assert_eq!(inbox.push(ch, 0, 'a'), vec!['a', 'b', 'c']);
+        assert_eq!(push(&mut inbox, ch, 0, 'a'), ['a', 'b', 'c']);
         assert_eq!(inbox.pending(), 0);
         assert_eq!(inbox.expected(ch), 3);
     }
@@ -163,20 +228,34 @@ mod tests {
     fn duplicates_are_dropped() {
         let mut inbox = OrderedInbox::new();
         let ch = ChannelId(0);
-        assert_eq!(inbox.push(ch, 0, 'a'), vec!['a']);
-        assert!(inbox.push(ch, 0, 'a').is_empty());
+        assert_eq!(push(&mut inbox, ch, 0, 'a'), ['a']);
+        assert!(push(&mut inbox, ch, 0, 'a').is_empty());
         // Duplicate of a buffered (not yet delivered) message.
-        assert!(inbox.push(ch, 2, 'c').is_empty());
-        assert!(inbox.push(ch, 2, 'x').is_empty());
-        assert_eq!(inbox.push(ch, 1, 'b'), vec!['b', 'c']);
+        assert!(push(&mut inbox, ch, 2, 'c').is_empty());
+        assert!(push(&mut inbox, ch, 2, 'x').is_empty());
+        assert_eq!(push(&mut inbox, ch, 1, 'b'), ['b', 'c']);
+    }
+
+    #[test]
+    fn an_untaken_release_still_advances_the_channel() {
+        let mut inbox = OrderedInbox::new();
+        let ch = ChannelId(0);
+        assert!(push(&mut inbox, ch, 1, 'b').is_empty());
+        assert!(push(&mut inbox, ch, 2, 'c').is_empty());
+        // Take 'a' only: 'b' and 'c' were released by the same push and go
+        // with the iterator, as they went with the returned `Vec` before.
+        assert_eq!(inbox.push(ch, 0, 'a').next(), Some('a'));
+        assert_eq!(inbox.pending(), 0);
+        assert_eq!(inbox.expected(ch), 3);
+        assert_eq!(push(&mut inbox, ch, 3, 'd'), ['d']);
     }
 
     #[test]
     fn channels_are_independent() {
         let mut inbox = OrderedInbox::new();
-        assert!(inbox.push(ChannelId(1), 1, 'x').is_empty());
-        assert_eq!(inbox.push(ChannelId(0), 0, 'a'), vec!['a']);
-        assert_eq!(inbox.push(ChannelId(1), 0, 'w'), vec!['w', 'x']);
+        assert!(push(&mut inbox, ChannelId(1), 1, 'x').is_empty());
+        assert_eq!(push(&mut inbox, ChannelId(0), 0, 'a'), ['a']);
+        assert_eq!(push(&mut inbox, ChannelId(1), 0, 'w'), ['w', 'x']);
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! The discrete-event simulation kernel.
 //!
-//! A [`Network`] owns a set of actors, an event heap, a [`FaultPlan`], and
-//! the message statistics. Actors implement [`Actor`] and interact with the
-//! world only through the [`Context`] handed to their callbacks, which keeps
-//! the kernel deterministic: given the same seed and the same actor logic, a
-//! run is bit-for-bit reproducible.
+//! A [`Network`] owns a set of actors, an [`EventQueue`], a [`FaultPlan`],
+//! and the message statistics. Actors implement [`Actor`] and interact with
+//! the world only through the [`Context`] handed to their callbacks, which
+//! keeps the kernel deterministic: given the same seed and the same actor
+//! logic, a run is bit-for-bit reproducible.
 //!
 //! Delivery model: each message is assigned a delay drawn uniformly from
-//! `[min_delay, max_delay]` (the synchrony bound Δ of §3.1). Ties are broken
-//! by send order, so the schedule is deterministic.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! `[min_delay, max_delay]` (the synchrony bound Δ of §3.1). Events of one
+//! tick run in the order they were queued, so the schedule is
+//! deterministic.
 
 use prb_obs::{DropReason, EventKind as ObsEvent, Obs, ObsHandle};
 use rand::rngs::StdRng;
@@ -19,6 +17,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::fault::FaultPlan;
 use crate::message::{Envelope, NodeIdx, TimerId, EXTERNAL};
+use crate::queue::EventQueue;
 use crate::stats::MessageStats;
 use crate::time::{SimDuration, SimTime};
 
@@ -72,34 +71,22 @@ impl NetConfig {
     }
 }
 
-enum EventKind<M> {
+/// One queued event. Its tick and its place among the tick's events are
+/// the queue's to know ([`EventQueue`]), not the event's.
+enum Event<M> {
     Deliver(Envelope<M>),
     Timer { node: NodeIdx, timer: TimerId },
 }
 
-struct Event<M> {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind<M>,
+/// Bytes one queued event of a network with message type `M` occupies —
+/// what the event queue's memory scales with.
+pub const fn event_size<M>() -> usize {
+    std::mem::size_of::<Event<M>>()
 }
 
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
+/// A send buffered during a callback: `(to, kind, size, payload, explicit
+/// delay)`.
+type Outgoing<M> = (NodeIdx, &'static str, usize, M, Option<SimDuration>);
 
 /// Handle through which an actor interacts with the kernel during a callback.
 ///
@@ -109,7 +96,7 @@ pub struct Context<'a, M> {
     now: SimTime,
     self_idx: NodeIdx,
     rng: &'a mut StdRng,
-    outbox: Vec<(NodeIdx, &'static str, usize, M, Option<SimDuration>)>,
+    outbox: Vec<Outgoing<M>>,
     timer_requests: Vec<(SimDuration, TimerId)>,
     next_timer: &'a mut u64,
 }
@@ -168,14 +155,17 @@ impl<M> Context<'_, M> {
 /// The simulated network: actors + event queue + faults + statistics.
 pub struct Network<A: Actor> {
     nodes: Vec<A>,
-    queue: BinaryHeap<Event<A::Msg>>,
+    queue: EventQueue<Event<A::Msg>>,
+    /// The callback buffers of [`Context`], emptied after each dispatch
+    /// and lent to the next.
+    outbox: Vec<Outgoing<A::Msg>>,
+    timer_requests: Vec<(SimDuration, TimerId)>,
     now: SimTime,
     config: NetConfig,
     faults: FaultPlan,
     stats: MessageStats,
     obs: ObsHandle,
     rng: StdRng,
-    next_seq: u64,
     next_timer: u64,
     events_processed: u64,
 }
@@ -196,14 +186,15 @@ impl<A: Actor> Network<A> {
     pub fn new(config: NetConfig, seed: u64) -> Self {
         Network {
             nodes: Vec::new(),
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
+            outbox: Vec::new(),
+            timer_requests: Vec::new(),
             now: SimTime::ZERO,
             config,
             faults: FaultPlan::none(),
             stats: MessageStats::new(),
             obs: Obs::off(),
             rng: StdRng::seed_from_u64(seed),
-            next_seq: 0,
             next_timer: 0,
             events_processed: 0,
         }
@@ -298,11 +289,9 @@ impl<A: Actor> Network<A> {
                 bytes: 0,
             },
         );
-        let seq = self.bump_seq();
-        self.queue.push(Event {
+        self.queue.push(
             at,
-            seq,
-            kind: EventKind::Deliver(Envelope {
+            Event::Deliver(Envelope {
                 from: EXTERNAL,
                 to,
                 kind,
@@ -310,13 +299,7 @@ impl<A: Actor> Network<A> {
                 sent_at: self.now,
                 payload,
             }),
-        });
-    }
-
-    fn bump_seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
+        );
     }
 
     /// Runs until the queue is empty or `max_events` have been processed.
@@ -336,13 +319,8 @@ impl<A: Actor> Network<A> {
     /// Runs events with `at <= deadline`. Afterwards `now == deadline` if
     /// the queue emptied or the next event lies beyond the deadline.
     pub fn run_until(&mut self, deadline: SimTime) {
-        loop {
-            match self.queue.peek() {
-                Some(e) if e.at <= deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
+        while self.queue.next_tick().is_some_and(|at| at <= deadline) {
+            self.step();
         }
         if self.now < deadline {
             self.now = deadline;
@@ -351,14 +329,14 @@ impl<A: Actor> Network<A> {
 
     /// Processes one event; returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(event) = self.queue.pop() else {
+        let Some((at, event)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(event.at >= self.now, "time went backwards");
-        self.now = event.at;
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
         self.events_processed += 1;
-        match event.kind {
-            EventKind::Deliver(envelope) => {
+        match event {
+            Event::Deliver(envelope) => {
                 if self.faults.is_crashed(envelope.to, self.now) {
                     self.stats.record_dropped(envelope.kind, envelope.size);
                     self.obs.emit(
@@ -374,7 +352,7 @@ impl<A: Actor> Network<A> {
                     return true;
                 }
                 self.stats.record_delivered(envelope.kind, envelope.size);
-                // Depth of the kernel's event heap at delivery time — the
+                // Depth of the kernel's event queue at delivery time — the
                 // network-side queue pressure behind commit latency.
                 self.obs.observe("depth.net_queue", self.queue.len() as u64);
                 self.obs.emit(
@@ -390,7 +368,7 @@ impl<A: Actor> Network<A> {
                 let to = envelope.to;
                 self.dispatch(to, |actor, ctx| actor.on_message(envelope, ctx));
             }
-            EventKind::Timer { node, timer } => {
+            Event::Timer { node, timer } => {
                 if self.faults.is_crashed(node, self.now) {
                     return true;
                 }
@@ -414,27 +392,25 @@ impl<A: Actor> Network<A> {
             now: self.now,
             self_idx: node,
             rng: &mut self.rng,
-            outbox: Vec::new(),
-            timer_requests: Vec::new(),
+            outbox: std::mem::take(&mut self.outbox),
+            timer_requests: std::mem::take(&mut self.timer_requests),
             next_timer: &mut self.next_timer,
         };
         f(&mut self.nodes[node], &mut ctx);
         let Context {
-            outbox,
-            timer_requests,
+            mut outbox,
+            mut timer_requests,
             ..
         } = ctx;
-        for (to, kind, size, payload, explicit_delay) in outbox {
+        for (to, kind, size, payload, explicit_delay) in outbox.drain(..) {
             self.enqueue_send(node, to, kind, size, payload, explicit_delay);
         }
-        for (delay, timer) in timer_requests {
-            let seq = self.bump_seq();
-            self.queue.push(Event {
-                at: self.now + delay,
-                seq,
-                kind: EventKind::Timer { node, timer },
-            });
+        for (delay, timer) in timer_requests.drain(..) {
+            self.queue
+                .push(self.now + delay, Event::Timer { node, timer });
         }
+        self.outbox = outbox;
+        self.timer_requests = timer_requests;
     }
 
     fn enqueue_send(
@@ -498,11 +474,9 @@ impl<A: Actor> Network<A> {
             let max = self.config.max_delay.0;
             SimDuration(self.rng.gen_range(min..=max))
         });
-        let seq = self.bump_seq();
-        self.queue.push(Event {
-            at: self.now + delay,
-            seq,
-            kind: EventKind::Deliver(Envelope {
+        self.queue.push(
+            self.now + delay,
+            Event::Deliver(Envelope {
                 from,
                 to,
                 kind,
@@ -510,7 +484,7 @@ impl<A: Actor> Network<A> {
                 sent_at: self.now,
                 payload,
             }),
-        });
+        );
     }
 }
 

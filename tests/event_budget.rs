@@ -1,0 +1,67 @@
+//! Kernel events per committed transaction, pinned exactly.
+//!
+//! The kernel's RNG is shared by every actor — link delays and the
+//! screening draw come out of one stream — so the *sequence* of events is
+//! part of what makes a ledger head reproducible: coalescing two timers or
+//! batching two uploads shifts every draw after them. These counts are
+//! exact per seed and were the same before and after the event queue and
+//! the governor's transaction table were rewritten (PR 24); a change that
+//! moves one has changed the schedule, and has to do so knowingly.
+//!
+//! Its own file, like `tests/hash_budget.rs`, so nothing else runs in the
+//! process.
+
+use prb::core::config::{ProtocolConfig, RevealPolicy};
+use prb::core::scale::ScaleSim;
+use prb::workload::ScaleWorkload;
+
+#[test]
+fn events_timers_and_messages_per_committed_tx_are_unchanged() {
+    // A scaled-down `open-steady` (BENCHMARK.json): open loop, sim signer,
+    // r = 2, 4 governors, all arrivals valid.
+    let cfg = ProtocolConfig {
+        providers: 2_000,
+        collectors: 10,
+        governors: 4,
+        replication: 2,
+        tx_per_provider: 0,
+        open_loop: true,
+        reveal: RevealPolicy::ArgueOnly,
+        seed: 11,
+        ..Default::default()
+    };
+    let mut sim = ScaleSim::new(cfg, 16).unwrap();
+    let mut wl = ScaleWorkload::for_sim(&sim, 0.0);
+    let ticks = sim.round_ticks();
+    for _ in 0..6 {
+        let arrivals = wl.window(sim.next_round_start(), ticks, 2.0);
+        sim.run_round(arrivals);
+    }
+    sim.drain(4);
+    assert!(sim.chains_agree());
+    assert_eq!(sim.committed(), wl.generated(), "every arrival commits");
+
+    let stats = sim.net_stats();
+    let counts = (
+        sim.committed(),
+        sim.events_processed(),
+        stats.timers_fired(),
+        stats.total_sent(),
+        stats.kind("tx-upload").delivered,
+    );
+    // Per transaction: 2 broadcasts in, 2 × 4 uploads and one Δ timer at
+    // each of 4 governors — 14 events, 4 timers, 10 sends — and the rest
+    // is per round: round starts, election claims, proposals. 14.20
+    // events, 4 timers and 10.20 sends per committed transaction here.
+    assert_eq!(counts, EXPECTED);
+    assert_eq!(stats.total_dropped(), 0);
+    assert_eq!(
+        sim.events_processed(),
+        stats.total_delivered() + stats.timers_fired(),
+        "with no faults every event is a delivery or a timer"
+    );
+}
+
+/// `(committed, events processed, timers fired, messages sent, uploads
+/// delivered)` for the run above, as computed at the parent of PR 24.
+const EXPECTED: (u64, u64, u64, u64, u64) = (1_464, 20_790, 5_856, 14_934, 11_712);
