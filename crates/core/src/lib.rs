@@ -13,7 +13,9 @@
 //! - [`provider`] / [`collector`] / [`governor`] — the three roles;
 //!   Algorithm 1 lives in the collector, Algorithms 2 and 3 plus argue
 //!   handling, elections, blocks and revenue live in the governor,
-//! - [`sim`] — the driver that wires a deployment and runs rounds,
+//! - [`sim`] — the one driver that wires a deployment and runs rounds,
+//!   with provider actors or interned providers ([`scale`] is the
+//!   open-loop front end of the latter),
 //! - [`metrics`] — per-governor loss/regret/cost accounting,
 //! - [`workload`] — the transaction-source abstraction.
 //!

@@ -1,14 +1,19 @@
 //! The simulation driver: builds the three-tier deployment and runs
 //! protocol rounds end to end.
 //!
-//! The driver owns the workload, injects round-start commands, relays
-//! committed-block notifications to providers (their `retrieve(s)`), and
-//! schedules the reveal events assumed by Theorem 1. Everything else —
-//! transactions, labels, screening, blocks, argues — travels through the
-//! simulated network between the node actors.
+//! One driver, two provider tiers (DESIGN.md § "One driver"). The
+//! *actors* tier instantiates one [`ProviderNode`] and one enrolled key
+//! per provider; the driver owns their closed-loop workload, relays
+//! committed-block notifications to them (their `retrieve(s)`), and
+//! schedules the reveal events assumed by Theorem 1. The *interned* tier,
+//! built by [`crate::scale::ScaleSim`] for the paper's l = 10⁵–10⁶ sizes,
+//! has no provider actors: provider ids sign through a small pool of
+//! enrolled keys, and the open-loop front end injects their transactions.
+//! Everything else — transactions, labels, screening, blocks, argues —
+//! travels through the simulated network between the node actors.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
@@ -19,7 +24,7 @@ use prb_consensus::membership::{MemberRole, MembershipAction, MembershipRequest}
 use prb_consensus::stake::StakeTransfer;
 use prb_crypto::identity::{IdentityManager, NodeId};
 use prb_crypto::signer::{KeyPair, PublicKey};
-use prb_ledger::block::Verdict;
+use prb_ledger::block::{Block, Verdict};
 use prb_ledger::oracle::ValidityOracle;
 use prb_ledger::transaction::TxId;
 use prb_net::fault::FaultPlan;
@@ -39,6 +44,7 @@ use crate::metrics::GovernorMetrics;
 use crate::msg::ProtocolMsg;
 use crate::node::NodeActor;
 use crate::provider::ProviderNode;
+use crate::scale::Arrival;
 use crate::workload::{UniformWorkload, Workload};
 
 /// Checked tier-offset arithmetic for kernel node indices: sums are
@@ -48,6 +54,46 @@ use crate::workload::{UniformWorkload, Workload};
 /// silently truncating into a wrong — but valid-looking — node index.
 pub(crate) fn net_index(idx: u64) -> NodeIdx {
     NodeIdx::try_from(idx).expect("node index fits the platform usize")
+}
+
+/// Where each tier sits among the kernel's node indices: provider actors
+/// at `0..providers`, collectors next, governors last. `providers` counts
+/// provider *actors*: `l` on the actors tier, 0 on the interned one.
+#[derive(Clone, Copy, Debug)]
+struct Layout {
+    providers: u32,
+    collectors: u32,
+}
+
+impl Layout {
+    fn collector(self, c: u32) -> NodeIdx {
+        net_index(u64::from(self.providers) + u64::from(c))
+    }
+
+    fn governor(self, g: u32) -> NodeIdx {
+        net_index(u64::from(self.providers) + u64::from(self.collectors) + u64::from(g))
+    }
+}
+
+/// The provider tier of a deployment.
+pub(crate) enum Providers {
+    /// One [`ProviderNode`] actor and one enrolled key per provider; the
+    /// driver hands them this closed-loop workload every round.
+    Actors(Box<dyn Workload>),
+    /// Interned ids with no actor: provider `p` signs with
+    /// `pool[p % pool.len()]`, and every collector and governor resolves
+    /// its key through the same mapping.
+    Interned(Vec<KeyPair>),
+}
+
+/// What one round step feeds the deployment.
+pub(crate) enum Load {
+    /// Closed loop: `tx_per_provider` fresh transactions per provider actor.
+    Collect,
+    /// Closed loop, no new transactions: in-flight argues and reveals land.
+    Drain,
+    /// Open loop: the arrivals of this round's window.
+    Arrivals(Vec<Arrival>),
 }
 
 /// What happened in one round (driver's view, read from governor 0).
@@ -69,6 +115,8 @@ pub struct SimulationBuilder {
     workload: Option<Box<dyn Workload>>,
     collector_profiles: Vec<CollectorProfile>,
     provider_profiles: Vec<ProviderProfile>,
+    /// `Some(pool)` builds the interned provider tier with `pool` keys.
+    signer_pool: Option<u32>,
 }
 
 impl fmt::Debug for SimulationBuilder {
@@ -161,10 +209,11 @@ struct PendingChurn {
 /// A fully wired protocol deployment.
 pub struct Simulation {
     cfg: ProtocolConfig,
-    net: Network<NodeActor>,
-    topology: Rc<Topology>,
+    pub(crate) net: Network<NodeActor>,
+    pub(crate) topology: Rc<Topology>,
     oracle: Rc<RefCell<ValidityOracle>>,
-    workload: Box<dyn Workload>,
+    pub(crate) providers: Providers,
+    layout: Layout,
     governor_keys: Vec<KeyPair>,
     collector_keys: Vec<KeyPair>,
     stake_nonces: Vec<u64>,
@@ -201,6 +250,23 @@ impl fmt::Debug for Simulation {
     }
 }
 
+/// Enrols `count` nodes of one role, in index order: their key pairs and
+/// certified public keys.
+fn enroll(
+    im: &mut IdentityManager,
+    count: u32,
+    id: fn(u32) -> NodeId,
+) -> Result<(Vec<KeyPair>, Vec<PublicKey>), String> {
+    let creds = (0..count)
+        .map(|i| im.enroll(id(i)).map_err(|e| e.to_string()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let pks = creds
+        .iter()
+        .map(|c| c.certificate.public_key.clone())
+        .collect();
+    Ok((creds.into_iter().map(|c| c.keypair).collect(), pks))
+}
+
 impl Simulation {
     /// Starts building a simulation for `cfg`.
     pub fn builder(cfg: ProtocolConfig) -> SimulationBuilder {
@@ -211,7 +277,22 @@ impl Simulation {
             workload: None,
             collector_profiles: vec![CollectorProfile::honest(); collectors],
             provider_profiles: vec![ProviderProfile::default(); providers],
+            signer_pool: None,
         }
+    }
+
+    /// The interned provider tier with honest collectors and `pool`
+    /// signing keys ([`crate::scale::ScaleSim`] is its front end). No
+    /// per-provider state is allocated, not even a profile.
+    pub(crate) fn interned(cfg: ProtocolConfig, pool: u32) -> Result<Self, String> {
+        let collectors = cfg.collectors as usize;
+        Self::from_builder(SimulationBuilder {
+            cfg,
+            workload: None,
+            collector_profiles: vec![CollectorProfile::honest(); collectors],
+            provider_profiles: Vec::new(),
+            signer_pool: Some(pool),
+        })
     }
 
     /// A simulation with all-honest nodes and the default workload.
@@ -223,8 +304,15 @@ impl Simulation {
         Self::builder(cfg).build()
     }
 
+    /// The one construction path, for either provider tier.
     fn from_builder(builder: SimulationBuilder) -> Result<Self, String> {
-        let cfg = builder.cfg;
+        let SimulationBuilder {
+            cfg,
+            workload,
+            collector_profiles,
+            provider_profiles,
+            signer_pool,
+        } = builder;
         cfg.validate()?;
         let mut seed_rng = StdRng::seed_from_u64(cfg.seed);
         let topo_params = cfg.topology_params();
@@ -235,79 +323,81 @@ impl Simulation {
         let mut im = IdentityManager::new(cfg.crypto.clone(), &cfg.seed.to_be_bytes());
         let oracle = Rc::new(RefCell::new(ValidityOracle::new()));
 
-        let l = cfg.providers;
-        let n = cfg.collectors;
-        let m = cfg.governors;
-        let collector_net = |c: u32| net_index(l as u64 + c as u64);
-        let governor_base = net_index(l as u64 + n as u64);
-        let governor_nets: Vec<NodeIdx> = (0..m).map(|g| governor_base + g as NodeIdx).collect();
+        let interned = signer_pool.is_some();
+        let (n, m) = (cfg.collectors, cfg.governors);
+        let layout = Layout {
+            providers: if interned { 0 } else { cfg.providers },
+            collectors: n,
+        };
+        let governor_base = layout.governor(0);
+        let governor_nets: Vec<NodeIdx> = (0..m).map(|g| layout.governor(g)).collect();
 
-        // Enroll everyone and gather public keys.
-        let mut provider_creds = Vec::new();
-        let mut collector_creds = Vec::new();
-        let mut governor_creds = Vec::new();
-        for p in 0..l {
-            provider_creds.push(im.enroll(NodeId::provider(p)).map_err(|e| e.to_string())?);
-        }
-        for c in 0..n {
-            collector_creds.push(im.enroll(NodeId::collector(c)).map_err(|e| e.to_string())?);
-        }
-        for g in 0..m {
-            governor_creds.push(im.enroll(NodeId::governor(g)).map_err(|e| e.to_string())?);
-        }
-        let provider_pks: Vec<PublicKey> = provider_creds
-            .iter()
-            .map(|c| c.certificate.public_key.clone())
-            .collect();
-        let collector_pks: Vec<PublicKey> = collector_creds
-            .iter()
-            .map(|c| c.certificate.public_key.clone())
-            .collect();
-        let governor_pks: Vec<PublicKey> = governor_creds
-            .iter()
-            .map(|c| c.certificate.public_key.clone())
-            .collect();
+        // Enroll everyone and gather public keys. The interned tier enrols
+        // its pool only — key `k` stands in for every provider id `p` with
+        // `p % pool == k` — so enrolment is O(pool), not O(l): the whole
+        // point of the scale harness.
+        let keyed_providers = signer_pool.unwrap_or(cfg.providers);
+        let (provider_keys, provider_pks) = enroll(&mut im, keyed_providers, NodeId::provider)?;
+        let (collector_keys, collector_pks) = enroll(&mut im, n, NodeId::collector)?;
+        let (governor_keys, governor_pks) = enroll(&mut im, m, NodeId::governor)?;
+        // Actor-tier nodes know each provider's own key; the interned
+        // tier's resolve every provider id through the pool instead.
+        let (provider_pks, pk_pool) = if interned {
+            (Vec::new(), provider_pks)
+        } else {
+            (provider_pks, Vec::new())
+        };
 
         let mut net = Network::new(
             NetConfig::uniform(cfg.min_delay, cfg.max_delay),
             cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
         );
 
-        for p in 0..l {
+        for p in 0..layout.providers {
             let collector_nets = topology
                 .collectors_of(p)
                 .iter()
-                .map(|&c| collector_net(c))
+                .map(|&c| layout.collector(c))
                 .collect();
             net.add_node(NodeActor::Provider(ProviderNode::new(
                 p,
-                provider_creds[p as usize].keypair.clone(),
-                builder.provider_profiles[p as usize],
+                provider_keys[p as usize].clone(),
+                provider_profiles[p as usize],
                 collector_nets,
                 governor_nets.clone(),
                 Rc::clone(&oracle),
             )));
         }
         for c in 0..n {
-            let linked_pks = topology
-                .providers_of(c)
-                .iter()
-                .map(|&p| (p, provider_pks[p as usize].clone()))
-                .collect();
-            net.add_node(NodeActor::Collector(CollectorNode::new(
+            let linked_pks = if interned {
+                HashMap::new()
+            } else {
+                topology
+                    .providers_of(c)
+                    .iter()
+                    .map(|&p| (p, provider_pks[p as usize].clone()))
+                    .collect()
+            };
+            let mut node = CollectorNode::new(
                 c,
-                collector_creds[c as usize].keypair.clone(),
+                collector_keys[c as usize].clone(),
                 cfg.crypto.clone(),
-                builder.collector_profiles[c as usize],
+                collector_profiles[c as usize],
                 linked_pks,
                 governor_nets.clone(),
                 Rc::clone(&oracle),
-            )));
+            );
+            node.set_pk_pool(pk_pool.clone());
+            if interned {
+                // Open-loop ingestion through a bounded mempool.
+                node.set_open_loop(cfg.mempool_capacity);
+            }
+            net.add_node(NodeActor::Collector(node));
         }
         for g in 0..m {
             let mut gov = GovernorNode::new(
                 g,
-                governor_creds[g as usize].keypair.clone(),
+                governor_keys[g as usize].clone(),
                 cfg.clone(),
                 Rc::clone(&topology),
                 Rc::clone(&oracle),
@@ -316,6 +406,7 @@ impl Simulation {
                 provider_pks.clone(),
                 governor_pks.clone(),
             );
+            gov.set_pk_pool(pk_pool.clone());
             // Durable persistence: each governor mirrors its chain into
             // `<store_dir>/g<idx>`, recovering whatever durable prefix
             // (and checkpoint certificate) a previous run left there.
@@ -349,20 +440,16 @@ impl Simulation {
             }
         }
 
-        let governor_keys: Vec<KeyPair> =
-            governor_creds.iter().map(|c| c.keypair.clone()).collect();
-        let collector_keys: Vec<KeyPair> =
-            collector_creds.iter().map(|c| c.keypair.clone()).collect();
-        let workload = builder.workload.unwrap_or_else(|| {
-            Box::new(UniformWorkload {
-                invalid_rates: builder
-                    .provider_profiles
-                    .iter()
-                    .map(|p| p.invalid_rate)
-                    .collect(),
-                payload_len: 32,
-            })
-        });
+        let providers = if interned {
+            Providers::Interned(provider_keys)
+        } else {
+            Providers::Actors(workload.unwrap_or_else(|| {
+                Box::new(UniformWorkload {
+                    invalid_rates: provider_profiles.iter().map(|p| p.invalid_rate).collect(),
+                    payload_len: 32,
+                })
+            }))
+        };
         let driver_rng = StdRng::seed_from_u64(
             cfg.driver_seed
                 .unwrap_or(cfg.seed)
@@ -385,10 +472,11 @@ impl Simulation {
             net,
             topology,
             oracle,
-            workload,
-            stake_nonces: vec![0; governor_keys.len()],
+            providers,
+            layout,
+            stake_nonces: vec![0; m as usize],
             governor_keys,
-            collector_live: vec![true; collector_keys.len()],
+            collector_live: vec![true; n as usize],
             collector_keys,
             driver_rng,
             obs: Obs::off(),
@@ -418,9 +506,24 @@ impl Simulation {
         self.round
     }
 
+    /// The tick the next round will start at.
+    pub fn next_round_start(&self) -> u64 {
+        self.next_start
+    }
+
+    /// Ticks one round spans.
+    pub fn round_ticks(&self) -> u64 {
+        self.cfg.round_ticks()
+    }
+
     /// Network traffic statistics.
     pub fn net_stats(&self) -> &MessageStats {
         self.net.stats()
+    }
+
+    /// Events the kernel has processed so far: deliveries and timers.
+    pub fn events_processed(&self) -> u64 {
+        self.net.events_processed()
     }
 
     /// The validity oracle (for experiment scoring).
@@ -432,7 +535,7 @@ impl Simulation {
     /// node, and declares node roles on it. Until this runs the
     /// deployment carries the default disabled hub and pays nothing.
     pub fn set_obs(&mut self, obs: ObsHandle) {
-        let l = self.cfg.providers as usize;
+        let l = self.layout.providers as usize;
         let n = self.cfg.collectors as usize;
         let m = self.cfg.governors as usize;
         let mut roles = Vec::with_capacity(l + n + m);
@@ -532,11 +635,12 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if `p` is out of range.
+    /// Panics if `p` is out of range or the providers are interned (no
+    /// provider actor exists).
     pub fn provider(&self, p: u32) -> &crate::provider::ProviderNode {
-        assert!(p < self.cfg.providers);
+        assert!(p < self.layout.providers, "provider {p} has no actor");
         self.net
-            .node(p as NodeIdx)
+            .node(self.provider_net_index(p))
             .as_provider()
             .expect("index is a provider")
     }
@@ -612,25 +716,34 @@ impl Simulation {
     }
 
     /// Installs a fault plan on the underlying network. Node indices in
-    /// the plan are network indices: providers take `0..l`, collectors
-    /// `l..l+n`, governors `l+n..l+n+m` (see [`Simulation::governor_net_index`]).
+    /// the plan are network indices: provider actors take `0..l`,
+    /// collectors `l..l+n`, governors `l+n..l+n+m`, with `l = 0` on the
+    /// interned tier (see [`Simulation::governor_net_index`]).
     pub fn set_faults(&mut self, faults: FaultPlan) {
         self.net.set_faults(faults);
     }
 
     /// The network index of governor `g` (for fault plans).
     pub fn governor_net_index(&self, g: u32) -> NodeIdx {
-        net_index(self.cfg.providers as u64 + self.cfg.collectors as u64 + g as u64)
+        self.layout.governor(g)
     }
 
     /// The network index of collector `c` (for fault plans).
     pub fn collector_net_index(&self, c: u32) -> NodeIdx {
-        net_index(self.cfg.providers as u64 + c as u64)
+        self.layout.collector(c)
     }
 
     /// The network index of provider `p` (for fault plans).
     pub fn provider_net_index(&self, p: u32) -> NodeIdx {
         p as NodeIdx
+    }
+
+    /// Sends `msg` from outside the deployment to every governor at `at`.
+    fn send_governors(&mut self, label: &'static str, msg: &ProtocolMsg, at: SimTime) {
+        for g in 0..self.cfg.governors {
+            self.net
+                .send_external(self.layout.governor(g), label, msg.clone(), at);
+        }
     }
 
     /// Submits a stake transfer on behalf of governor `from`, broadcast to
@@ -654,17 +767,8 @@ impl Simulation {
         let nonce = self.stake_nonces[from as usize];
         self.stake_nonces[from as usize] += 1;
         let transfer = StakeTransfer::create(from, to, amount, nonce, key);
-        let l = self.cfg.providers;
-        let n = self.cfg.collectors;
         let at = SimTime(self.next_start);
-        for g in 0..self.cfg.governors {
-            self.net.send_external(
-                net_index(l as u64 + n as u64 + g as u64),
-                "stake-transfer",
-                ProtocolMsg::StakeTransfer(transfer.clone()),
-                at,
-            );
-        }
+        self.send_governors("stake-transfer", &ProtocolMsg::StakeTransfer(transfer), at);
         Ok(())
     }
 
@@ -715,7 +819,7 @@ impl Simulation {
             self.churn_inflight.insert(member);
         }
         let at = SimTime(self.next_start);
-        self.broadcast_membership(&req, at);
+        self.broadcast_membership(req, at);
         Ok(())
     }
 
@@ -735,17 +839,8 @@ impl Simulation {
             .collect()
     }
 
-    fn broadcast_membership(&mut self, req: &MembershipRequest, at: SimTime) {
-        let l = self.cfg.providers;
-        let n = self.cfg.collectors;
-        for g in 0..self.cfg.governors {
-            self.net.send_external(
-                net_index(l as u64 + n as u64 + g as u64),
-                "membership",
-                ProtocolMsg::Membership(Box::new(req.clone())),
-                at,
-            );
-        }
+    fn broadcast_membership(&mut self, req: MembershipRequest, at: SimTime) {
+        self.send_governors("membership", &ProtocolMsg::Membership(Box::new(req)), at);
     }
 
     /// Pulls membership certificates governor 0 formed since the last
@@ -785,8 +880,8 @@ impl Simulation {
 
     /// Applies certified collector transitions due at `round`: flips the
     /// collector actor (mempool cleared, retries purged) and tells every
-    /// linked provider to skip (or resume) the fan-out — the same round
-    /// boundary at which governors apply the certificate.
+    /// linked provider actor to skip (or resume) the fan-out — the same
+    /// round boundary at which governors apply the certificate.
     fn apply_due_churn(&mut self, round: u64) {
         if self.pending_churn.is_empty() {
             return;
@@ -810,9 +905,13 @@ impl Simulation {
             if let NodeActor::Collector(node) = self.net.node_mut(c_net) {
                 node.set_active(p.activate);
             }
-            for &prov in topology.providers_of(c) {
-                if let NodeActor::Provider(node) = self.net.node_mut(prov as NodeIdx) {
-                    node.set_collector_active(c_net, p.activate);
+            // Interned providers have no actor to tell, but decay can still
+            // evict one of their collectors.
+            if self.layout.providers > 0 {
+                for &prov in topology.providers_of(c) {
+                    if let NodeActor::Provider(node) = self.net.node_mut(prov as NodeIdx) {
+                        node.set_collector_active(c_net, p.activate);
+                    }
                 }
             }
         }
@@ -836,41 +935,47 @@ impl Simulation {
             if self.churn_inflight.contains(&c) {
                 continue;
             }
-            if self.collector_live[c as usize] {
+            let action = if self.collector_live[c as usize] {
                 if self.cfg.leave_rate > 0.0
                     && committed_live > floor
                     && self.driver_rng.gen::<f64>() < self.cfg.leave_rate
                 {
                     committed_live -= 1;
-                    self.churn_inflight.insert(c);
-                    let req = MembershipRequest::create(
-                        MemberRole::Collector,
-                        c,
-                        MembershipAction::Leave,
-                        0,
-                        round + 2,
-                        &self.collector_keys[c as usize],
-                    );
-                    self.broadcast_membership(&req, at);
+                    MembershipAction::Leave
+                } else {
+                    continue;
                 }
             } else if self.cfg.join_rate > 0.0 && self.driver_rng.gen::<f64>() < self.cfg.join_rate
             {
-                self.churn_inflight.insert(c);
-                let req = MembershipRequest::create(
-                    MemberRole::Collector,
-                    c,
-                    MembershipAction::Join,
-                    1,
-                    round + 2,
-                    &self.collector_keys[c as usize],
-                );
-                self.broadcast_membership(&req, at);
-            }
+                MembershipAction::Join
+            } else {
+                continue;
+            };
+            self.churn_inflight.insert(c);
+            let bond = u64::from(action == MembershipAction::Join);
+            let req = MembershipRequest::create(
+                MemberRole::Collector,
+                c,
+                action,
+                bond,
+                round + 2,
+                &self.collector_keys[c as usize],
+            );
+            self.broadcast_membership(req, at);
         }
     }
 
     /// Runs one full protocol round; returns what was committed.
     pub fn run_round(&mut self) -> RoundOutcome {
+        self.step(Load::Collect).0
+    }
+
+    /// The one round step behind [`Simulation::run_round`],
+    /// [`Simulation::run_drain_rounds`] and the open loop's
+    /// [`ScaleSim::run_round`](crate::scale::ScaleSim::run_round) (DESIGN.md
+    /// § "One driver"). Returns the round's outcome and the entries of
+    /// every block it saw commit.
+    pub(crate) fn step(&mut self, load: Load) -> (RoundOutcome, u64) {
         // Wall-clock profile: `wall.round_ns` is the whole round;
         // `wall.crypto_ns` (fed at the verify-pool and VRF call sites)
         // splits out the crypto share, so non-crypto = round − crypto.
@@ -881,119 +986,134 @@ impl Simulation {
         let t0 = self.next_start;
         let round_ticks = self.cfg.round_ticks();
         self.next_start = t0 + round_ticks;
-
-        let l = self.cfg.providers;
-        let n = self.cfg.collectors;
-        let m = self.cfg.governors;
+        let collect = matches!(load, Load::Collect);
+        let drain = matches!(load, Load::Drain);
 
         // E17 dynamic membership: mirror transitions the committee
-        // certified in earlier rounds, flip actors for the ones due now
-        // (the same boundary at which governors apply them), then draw
-        // this round's rate-driven join/leave requests.
+        // certified in earlier rounds and flip actors for the ones due now
+        // (the same boundary at which governors apply them). Only a
+        // closed-loop round under load draws new rate-driven requests: a
+        // drain round lets the committee settle, and the interned tier
+        // refuses churn rates.
         if self.cfg.churn_enabled() {
             self.mirror_member_certs();
             self.apply_due_churn(round);
-            self.draw_churn(round, SimTime(t0));
+            if collect {
+                self.draw_churn(round, SimTime(t0));
+            }
         }
 
-        // Round start: governors run the election, collectors learn the
-        // round number (for sleeper profiles).
-        for g in 0..m {
-            self.net.send_external(
-                net_index(l as u64 + n as u64 + g as u64),
-                "start-round",
-                ProtocolMsg::StartRound { round },
-                SimTime(t0),
-            );
+        // The load decides the three places the tiers' schedules differ.
+        // Open-loop arrivals go in before `StartRound`, which drains the
+        // collectors' mempools (an arrival on the start tick rides this
+        // round's drain). For the same reason collectors get `StartRound`
+        // in every open-loop round; in the closed loop it only tells them
+        // the round number (sleeper profiles), and a drain round skips
+        // them. Closed-loop transactions are handed out by `StartCollect`
+        // after `StartRound`.
+        if let Load::Arrivals(arrivals) = load {
+            let window = t0..self.next_start;
+            for arrival in arrivals {
+                self.inject(arrival, &window);
+            }
         }
-        for c in 0..n {
-            self.net.send_external(
-                net_index(l as u64 + c as u64),
-                "start-round",
-                ProtocolMsg::StartRound { round },
-                SimTime(t0),
-            );
+        let start = ProtocolMsg::StartRound { round };
+        self.send_governors("start-round", &start, SimTime(t0));
+        if !drain {
+            for c in 0..self.cfg.collectors {
+                self.net.send_external(
+                    self.layout.collector(c),
+                    "start-round",
+                    start.clone(),
+                    SimTime(t0),
+                );
+            }
         }
-        // Collecting phase: hand each provider its generated transactions.
-        for p in 0..l {
-            let txs = (0..self.cfg.tx_per_provider)
-                .map(|_| self.workload.next_tx(p, round, &mut self.driver_rng))
-                .collect();
-            self.net.send_external(
-                p as NodeIdx,
-                "start-collect",
-                ProtocolMsg::StartCollect { round, txs },
-                SimTime(t0),
-            );
+        let txs_this_round = if collect { self.cfg.tx_per_provider } else { 0 };
+        if let (true, Providers::Actors(workload)) = (collect, &mut self.providers) {
+            for p in 0..self.layout.providers {
+                let txs = (0..txs_this_round)
+                    .map(|_| workload.next_tx(p, round, &mut self.driver_rng))
+                    .collect();
+                self.net.send_external(
+                    p as NodeIdx,
+                    "start-collect",
+                    ProtocolMsg::StartCollect { round, txs },
+                    SimTime(t0),
+                );
+            }
         }
         // Processing phase close: the leader packs the block.
         let propose_at = t0
-            + self.cfg.tx_per_provider as u64 * 2
+            + 2 * u64::from(txs_this_round)
             + 4 * self.cfg.max_delay
             + self.cfg.aggregation_window()
             + 10;
-        for g in 0..m {
-            self.net.send_external(
-                net_index(l as u64 + n as u64 + g as u64),
-                "propose-block",
-                ProtocolMsg::ProposeBlock { round },
-                SimTime(propose_at),
-            );
-        }
+        self.send_governors(
+            "propose-block",
+            &ProtocolMsg::ProposeBlock { round },
+            SimTime(propose_at),
+        );
         self.net.run_until(SimTime(t0 + round_ticks));
 
-        // Post-round bookkeeping from governor 0's chain.
-        let (leader, new_blocks) = {
-            let gov0 = self.governor_node(0);
-            let chain = gov0.chain();
-            let mut blocks = Vec::new();
-            for serial in (self.observed_height + 1)..=chain.height() {
-                let block = chain.retrieve(serial).expect("no skipping");
-                blocks.push((
-                    serial,
-                    block
-                        .entries
-                        .iter()
-                        .map(|e| (e.tx.id(), e.verdict))
-                        .collect::<Vec<(TxId, Verdict)>>(),
-                ));
-            }
-            (gov0.current_leader(), blocks)
-        };
-
+        // Post-round bookkeeping from governor 0's chain. Even drain and
+        // arrival-free rounds can commit blocks (argued re-records, the
+        // screened backlog).
+        let gov0 = self.governor_node(0);
         let mut outcome = RoundOutcome {
             round,
-            leader,
+            leader: gov0.current_leader(),
             block_serial: None,
             txs_in_block: 0,
         };
-        for (serial, verdicts) in &new_blocks {
-            outcome.block_serial = Some(*serial);
-            outcome.txs_in_block = verdicts.len();
-            self.observed_height = *serial;
-            // Providers retrieve the block (BlockNotify) at the start of
-            // the next round.
-            let notify_at = SimTime(self.next_start);
-            for p in 0..l {
-                self.net.send_external(
-                    p as NodeIdx,
-                    "block-notify",
-                    ProtocolMsg::BlockNotify {
-                        serial: *serial,
-                        verdicts: verdicts.clone(),
-                    },
-                    notify_at,
-                );
+        let height = gov0.chain().height();
+        let mut committed = 0;
+        for serial in (self.observed_height + 1)..=height {
+            let block = self
+                .governor_node(0)
+                .chain()
+                .retrieve(serial)
+                .expect("no skipping")
+                .clone();
+            self.observed_height = serial;
+            outcome.block_serial = Some(serial);
+            outcome.txs_in_block = block.entries.len();
+            committed += block.entries.len() as u64;
+            if let Providers::Actors(_) = self.providers {
+                self.notify_providers(&block);
             }
-            // Schedule reveals per policy.
-            self.schedule_reveals(verdicts);
         }
         if let Some(wall) = wall {
             self.obs
                 .add_counter("wall.round_ns", wall.elapsed().as_nanos() as u64);
             self.obs.add_counter("wall.rounds", 1);
         }
-        outcome
+        (outcome, committed)
+    }
+
+    /// Provider actors retrieve a committed block (`BlockNotify`) at the
+    /// start of the next round, and its unchecked entries are scheduled
+    /// for reveal per policy. The interned tier has no provider to tell
+    /// and never builds the verdict vector.
+    fn notify_providers(&mut self, block: &Block) {
+        let verdicts: Vec<(TxId, Verdict)> = block
+            .entries
+            .iter()
+            .map(|e| (e.tx.id(), e.verdict))
+            .collect();
+        let notify_at = SimTime(self.next_start);
+        for p in 0..self.layout.providers {
+            self.net.send_external(
+                p as NodeIdx,
+                "block-notify",
+                ProtocolMsg::BlockNotify {
+                    serial: block.serial,
+                    verdicts: verdicts.clone(),
+                },
+                notify_at,
+            );
+        }
+        self.schedule_reveals(&verdicts);
     }
 
     fn schedule_reveals(&mut self, verdicts: &[(TxId, Verdict)]) {
@@ -1002,9 +1122,6 @@ impl Simulation {
             RevealPolicy::AfterRounds(k) => (1.0, k),
             RevealPolicy::Probabilistic { prob, rounds } => (prob, rounds),
         };
-        let l = self.cfg.providers;
-        let n = self.cfg.collectors;
-        let m = self.cfg.governors;
         let at = SimTime(self.next_start + lag_rounds as u64 * self.cfg.round_ticks());
         for (tx, verdict) in verdicts {
             if !matches!(verdict, Verdict::UncheckedInvalid | Verdict::UncheckedValid) {
@@ -1017,20 +1134,14 @@ impl Simulation {
                 continue;
             }
             let valid = self.oracle.borrow().peek(*tx).unwrap_or(false);
-            for g in 0..m {
-                self.net.send_external(
-                    net_index(l as u64 + n as u64 + g as u64),
-                    "reveal",
-                    ProtocolMsg::Reveal { tx: *tx, valid },
-                    at,
-                );
-            }
+            self.send_governors("reveal", &ProtocolMsg::Reveal { tx: *tx, valid }, at);
         }
     }
 
-    /// Runs `rounds` rounds plus enough drain rounds for scheduled reveals
-    /// and argues to land (no new transactions in the drain rounds — the
-    /// `tx_per_provider` generator is bypassed by sending empty batches).
+    /// Runs exactly `rounds` full protocol rounds
+    /// ([`Simulation::run_round`]) and returns their outcomes. No drain
+    /// round follows: reveals and argues scheduled past the last round
+    /// land only if the caller runs [`Simulation::run_drain_rounds`].
     pub fn run(&mut self, rounds: u32) -> Vec<RoundOutcome> {
         let mut outcomes = Vec::with_capacity(rounds as usize);
         for _ in 0..rounds {
@@ -1044,73 +1155,7 @@ impl Simulation {
     /// re-records).
     pub fn run_drain_rounds(&mut self, rounds: u32) {
         for _ in 0..rounds {
-            self.round += 1;
-            let round = self.round;
-            self.obs.set_round(round);
-            let t0 = self.next_start;
-            let round_ticks = self.cfg.round_ticks();
-            self.next_start = t0 + round_ticks;
-            let l = self.cfg.providers;
-            let n = self.cfg.collectors;
-            let m = self.cfg.governors;
-            // Drain rounds apply due membership transitions but draw no
-            // new churn (the workload is closed; the committee settles).
-            if self.cfg.churn_enabled() {
-                self.mirror_member_certs();
-                self.apply_due_churn(round);
-            }
-            for g in 0..m {
-                self.net.send_external(
-                    net_index(l as u64 + n as u64 + g as u64),
-                    "start-round",
-                    ProtocolMsg::StartRound { round },
-                    SimTime(t0),
-                );
-            }
-            let propose_at = t0 + self.cfg.aggregation_window() + 4 * self.cfg.max_delay + 10;
-            for g in 0..m {
-                self.net.send_external(
-                    net_index(l as u64 + n as u64 + g as u64),
-                    "propose-block",
-                    ProtocolMsg::ProposeBlock { round },
-                    SimTime(propose_at),
-                );
-            }
-            self.net.run_until(SimTime(t0 + round_ticks));
-            // Even drain rounds can commit blocks (argued re-records);
-            // keep providers in the loop.
-            let new_blocks: Vec<(u64, Vec<(TxId, Verdict)>)> = {
-                let chain = self.governor_node(0).chain();
-                ((self.observed_height + 1)..=chain.height())
-                    .map(|serial| {
-                        let block = chain.retrieve(serial).expect("no skipping");
-                        (
-                            serial,
-                            block
-                                .entries
-                                .iter()
-                                .map(|e| (e.tx.id(), e.verdict))
-                                .collect(),
-                        )
-                    })
-                    .collect()
-            };
-            for (serial, verdicts) in &new_blocks {
-                self.observed_height = *serial;
-                let notify_at = SimTime(self.next_start);
-                for p in 0..l {
-                    self.net.send_external(
-                        p as NodeIdx,
-                        "block-notify",
-                        ProtocolMsg::BlockNotify {
-                            serial: *serial,
-                            verdicts: verdicts.clone(),
-                        },
-                        notify_at,
-                    );
-                }
-                self.schedule_reveals(verdicts);
-            }
+            self.step(Load::Drain);
         }
     }
 
@@ -1157,5 +1202,16 @@ mod tests {
             sim.governor_net_index(cfg.governors - 1),
             l + n + cfg.governors as usize - 1
         );
+        // The interned tier has no provider actors: the same layout with
+        // l = 0, whatever the configured provider count.
+        let cfg = ProtocolConfig {
+            open_loop: true,
+            reveal: RevealPolicy::ArgueOnly,
+            ..cfg
+        };
+        let sim = Simulation::interned(cfg.clone(), 4).unwrap();
+        assert_eq!(sim.collector_net_index(0), 0);
+        assert_eq!(sim.governor_net_index(0), n);
+        assert_eq!(sim.net.node_count(), n + cfg.governors as usize);
     }
 }

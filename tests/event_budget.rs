@@ -13,6 +13,7 @@
 
 use prb::core::config::{ProtocolConfig, RevealPolicy};
 use prb::core::scale::ScaleSim;
+use prb::core::sim::Simulation;
 use prb::workload::ScaleWorkload;
 
 #[test]
@@ -65,3 +66,52 @@ fn events_timers_and_messages_per_committed_tx_are_unchanged() {
 /// `(committed, events processed, timers fired, messages sent, uploads
 /// delivered)` for the run above, as computed at the parent of PR 24.
 const EXPECTED: (u64, u64, u64, u64, u64) = (1_464, 20_790, 5_856, 14_934, 11_712);
+
+#[test]
+fn closed_loop_event_sequence_is_unchanged() {
+    // The closed-loop side of the one round step: provider actors, reliable
+    // delivery (acks and retry timers), reveals one round after the block,
+    // and every entry point that runs a round — `run`, `run_drain_rounds`
+    // — plus `settle`.
+    let cfg = ProtocolConfig {
+        providers: 8,
+        collectors: 4,
+        governors: 4,
+        replication: 2,
+        tx_per_provider: 3,
+        reliable_delivery: true,
+        reveal: RevealPolicy::AfterRounds(1),
+        seed: 25,
+        ..Default::default()
+    };
+    let round_ticks = cfg.round_ticks();
+    let mut sim = Simulation::new(cfg).unwrap();
+    sim.run(4);
+    sim.run_drain_rounds(2);
+    sim.settle(2 * round_ticks);
+    assert!(sim.chains_agree());
+
+    let committed: u64 = sim
+        .governor(0)
+        .chain()
+        .iter()
+        .map(|b| b.entries.len() as u64)
+        .sum();
+    let stats = sim.net_stats();
+    let counts = (
+        committed,
+        stats.total_sent(),
+        stats.timers_fired(),
+        stats.total_delivered(),
+        stats.kind("block-notify").delivered,
+        stats.kind("reveal").delivered,
+        stats.kind("tx-upload").delivered,
+    );
+    assert_eq!(counts, EXPECTED_CLOSED);
+}
+
+/// `(committed entries, messages sent, timers fired, messages delivered,
+/// block-notify, reveal and tx-upload deliveries)` for the closed-loop run
+/// above, as computed at the parent of PR 25 (before the two drivers were
+/// folded into one).
+const EXPECTED_CLOSED: (u64, u64, u64, u64, u64, u64, u64) = (87, 2_388, 1_488, 2_388, 48, 36, 768);
