@@ -1,10 +1,13 @@
 //! The collector role (§3.3 — Uploading phase, Algorithm 1).
 //!
 //! An honest collector verifies each incoming transaction's provider
-//! signature, validates it, attaches a ±1 label with its own signature,
-//! and atomically broadcasts the labeled transaction to every governor.
-//! Adversarial profiles flip labels, discard transactions, or fabricate
-//! forged ones (§4.2's three misbehaviour classes).
+//! signature, validates it, attaches a ±1 label, and atomically broadcasts
+//! the labeled transaction to every governor. Everything labeled in one
+//! dispatch — a round's mempool drain in open loop, whatever one delivery
+//! released in closed loop — leaves as one [`UploadBatch`] under one
+//! collector signature, one message per governor. Adversarial profiles
+//! flip labels, discard transactions, or fabricate forged ones (§4.2's
+//! three misbehaviour classes).
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -13,7 +16,7 @@ use std::rc::Rc;
 use prb_crypto::identity::NodeId;
 use prb_crypto::signer::{CryptoScheme, KeyPair, PublicKey, Sig};
 use prb_ledger::oracle::ValidityOracle;
-use prb_ledger::transaction::{Label, LabeledTx, SignedTx, TxPayload};
+use prb_ledger::transaction::{Label, SignedTx, TxPayload, UploadBatch};
 use prb_net::message::{Envelope, NodeIdx, TimerId};
 use prb_net::order::{ChannelId, OrderedInbox};
 use prb_net::retry::{ReliableSender, RetryConfig};
@@ -49,6 +52,9 @@ pub struct CollectorNode {
     mempool_capacity: Option<usize>,
     mempool_high_water: usize,
     shed: u64,
+    /// What the current dispatch labeled, uploaded as one batch when the
+    /// dispatch ends.
+    labeled: Vec<(SignedTx, Label)>,
     upload_seq: u64,
     forge_nonce: u64,
     uploaded: u64,
@@ -92,6 +98,7 @@ impl CollectorNode {
             mempool_capacity: None,
             mempool_high_water: 0,
             shed: 0,
+            labeled: Vec::new(),
             upload_seq: 0,
             forge_nonce: 0,
             uploaded: 0,
@@ -210,6 +217,7 @@ impl CollectorNode {
             ProtocolMsg::StartRound { round } => {
                 self.round = round;
                 self.drain_mempool(ctx);
+                self.upload(ctx);
             }
             ProtocolMsg::TxBroadcast { seq, tx } => {
                 if !self.active {
@@ -227,6 +235,7 @@ impl CollectorNode {
                     }
                 }
                 self.inbox = inbox;
+                self.upload(ctx);
             }
             _ => {}
         }
@@ -258,8 +267,8 @@ impl CollectorNode {
         self.mempool_high_water = self.mempool_high_water.max(self.mempool.len());
     }
 
-    /// Drains every admitted transaction through Algorithm 1 (label,
-    /// sign, upload). Called at round start in open-loop mode.
+    /// Drains every admitted transaction through Algorithm 1 (verify,
+    /// label). Called at round start in open-loop mode.
     fn drain_mempool(&mut self, ctx: &mut Context<'_, ProtocolMsg>) {
         while let Some(tx) = self.mempool.pop_front() {
             self.process_tx(tx, ctx);
@@ -321,32 +330,42 @@ impl CollectorNode {
         } else {
             honest_label
         };
-        let ltx = LabeledTx::create(tx, label, NodeId::collector(self.index), &self.key);
-        self.upload(ltx, ctx);
+        self.labeled.push((tx, label));
     }
 
-    fn upload(&mut self, ltx: LabeledTx, ctx: &mut Context<'_, ProtocolMsg>) {
+    /// Signs what this dispatch labeled as the channel's next batch and
+    /// sends it to every governor; nothing when nothing was labeled.
+    fn upload(&mut self, ctx: &mut Context<'_, ProtocolMsg>) {
+        if self.labeled.is_empty() {
+            return;
+        }
         let seq = self.upload_seq;
         self.upload_seq += 1;
-        self.uploaded += 1;
-        let size = ltx.wire_size();
+        self.uploaded += self.labeled.len() as u64;
+        // An exact-size copy: the batch is sealed at its final size, and
+        // `labeled` keeps its buffer for the next dispatch.
+        let entries: Vec<_> = self.labeled.drain(..).collect();
+        let batch = UploadBatch::create(NodeId::collector(self.index), seq, entries, &self.key);
+        let size = batch.wire_size();
         let CollectorNode {
             retry,
             governor_nets,
             ..
         } = self;
         // Fan-out without a wasted clone: the last governor takes the
-        // original by move. With one governor (or r = 1 routing) the
-        // upload path is allocation-free past the LabeledTx itself.
-        let mut ltx = Some(ltx);
+        // original by move.
+        let mut batch = Some(batch);
         let last = governor_nets.len().saturating_sub(1);
         for (i, &g) in governor_nets.iter().enumerate() {
             let payload = if i == last {
-                ltx.take().expect("one payload per fan-out slot")
+                batch.take().expect("one payload per fan-out slot")
             } else {
-                ltx.as_ref().expect("moved only on the last slot").clone()
+                batch.as_ref().expect("moved only on the last slot").clone()
             };
-            let msg = ProtocolMsg::TxUpload { seq, ltx: payload };
+            let msg = ProtocolMsg::TxUpload {
+                seq,
+                batch: payload,
+            };
             match retry {
                 Some(r) => {
                     r.send_with(ctx, g, "tx-upload", size + 8, |token| {
@@ -383,13 +402,7 @@ impl CollectorNode {
             ctx.now().ticks(),
             Sig::forged(&self.scheme, ctx.rng()),
         );
-        let ltx = LabeledTx::create(
-            fake_tx,
-            Label::Valid,
-            NodeId::collector(self.index),
-            &self.key,
-        );
-        self.upload(ltx, ctx);
+        self.labeled.push((fake_tx, Label::Valid));
     }
 }
 
@@ -458,15 +471,27 @@ mod tests {
         tx
     }
 
-    fn uploads(net: &Network<Harness>) -> Vec<LabeledTx> {
+    /// The batches the governor sink received, in arrival order.
+    fn batches(net: &Network<Harness>) -> Vec<UploadBatch> {
         let Harness::Sink(seen) = net.node(1) else {
             panic!()
         };
         seen.iter()
             .filter_map(|(_, m)| match m {
-                ProtocolMsg::TxUpload { ltx, .. } => Some(ltx.clone()),
+                ProtocolMsg::TxUpload { seq, batch } => {
+                    assert_eq!(*seq, batch.seq, "the message names the signed seq");
+                    Some(batch.clone())
+                }
                 _ => None,
             })
+            .collect()
+    }
+
+    /// Every `(tx, label)` uploaded, batch by batch.
+    fn uploads(net: &Network<Harness>) -> Vec<(SignedTx, Label)> {
+        batches(net)
+            .iter()
+            .flat_map(|b| b.entries.iter().cloned())
             .collect()
     }
 
@@ -494,13 +519,21 @@ mod tests {
             SimTime(1),
         );
         net.run_until_idle(100);
-        let got = uploads(&net);
-        assert_eq!(got.len(), 2);
+        // Two deliveries, two dispatches: two batches of one, numbered in
+        // order on the collector's channel.
+        let sent = batches(&net);
+        let seqs: Vec<u64> = sent.iter().map(|b| b.seq).collect();
+        assert_eq!(seqs, [0, 1]);
         let collector_pk = CryptoScheme::sim().keypair_from_seed(b"c0").public_key();
-        for ltx in &got {
-            assert!(ltx.verify_collector(&collector_pk));
+        for batch in &sent {
+            assert_eq!(batch.entries.len(), 1);
+            assert_eq!(batch.collector, NodeId::collector(0));
+            assert!(batch.verify(&collector_pk));
         }
-        let by_id: HashMap<_, _> = got.iter().map(|l| (l.tx.id(), l.label)).collect();
+        let by_id: HashMap<_, _> = uploads(&net)
+            .iter()
+            .map(|(tx, label)| (tx.id(), *label))
+            .collect();
         assert_eq!(by_id[&valid_tx.id()], Label::Valid);
         assert_eq!(by_id[&invalid_tx.id()], Label::Invalid);
     }
@@ -557,7 +590,7 @@ mod tests {
         net.run_until_idle(100);
         let got = uploads(&net);
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].label, Label::Invalid);
+        assert_eq!(got[0].1, Label::Invalid);
         let Harness::Collector(c) = net.node(0) else {
             panic!()
         };
@@ -583,15 +616,21 @@ mod tests {
         let tx = make_tx(0, 0, &oracle, true);
         net.send_external(0, "tx", ProtocolMsg::TxBroadcast { seq: 0, tx }, SimTime(0));
         net.run_until_idle(100);
-        let got = uploads(&net);
-        assert_eq!(got.len(), 2); // real + forged
+        // Real + forged, in one batch: the fabrication rides under the
+        // same legitimate collector signature (the collector cannot hide
+        // who uploaded it).
+        let sent = batches(&net);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].entries.len(), 2);
         let provider_pk = provider_key(0).public_key();
         let collector_pk = CryptoScheme::sim().keypair_from_seed(b"c0").public_key();
-        let forged: Vec<_> = got.iter().filter(|l| !l.tx.verify(&provider_pk)).collect();
-        assert_eq!(forged.len(), 1);
-        // The forged one carries a legitimate collector signature (the
-        // collector cannot hide who uploaded it).
-        assert!(forged[0].verify_collector(&collector_pk));
+        assert!(sent[0].verify(&collector_pk));
+        let forged = sent[0]
+            .entries
+            .iter()
+            .filter(|(tx, _)| !tx.verify(&provider_pk))
+            .count();
+        assert_eq!(forged, 1);
     }
 
     #[test]
@@ -621,11 +660,13 @@ mod tests {
             SimTime(10),
         );
         net.run_until_idle(100);
+        // The delivery that filled the gap released both: one dispatch,
+        // one batch, in provider sequence order.
+        assert_eq!(batches(&net).len(), 1);
         let got = uploads(&net);
         assert_eq!(got.len(), 2);
-        // Upload order follows provider sequence order.
-        assert_eq!(got[0].tx.id(), tx0.id());
-        assert_eq!(got[1].tx.id(), tx1.id());
+        assert_eq!(got[0].0.id(), tx0.id());
+        assert_eq!(got[1].0.id(), tx1.id());
     }
 
     #[test]
@@ -687,15 +728,11 @@ mod tests {
             SimTime(200),
         );
         net.run_until_idle(100);
-        let got = uploads(&net);
-        assert_eq!(got.len(), 3);
-        // The survivors are exactly the newest three arrivals. (Compared
-        // as sets: uploads leave in drain order but the harness network
-        // jitters per-message delivery, so sink order is not drain order.)
-        let mut ids: Vec<_> = got.iter().map(|l| l.tx.id()).collect();
-        let mut want: Vec<_> = txs[2..].iter().map(|t| t.id()).collect();
-        ids.sort_unstable();
-        want.sort_unstable();
+        // The survivors are exactly the newest three arrivals, in drain
+        // order: the drain is one dispatch, so one batch.
+        assert_eq!(batches(&net).len(), 1);
+        let ids: Vec<_> = uploads(&net).iter().map(|(tx, _)| tx.id()).collect();
+        let want: Vec<_> = txs[2..].iter().map(|t| t.id()).collect();
         assert_eq!(ids, want, "oldest-first shedding keeps the tail");
     }
 
@@ -748,7 +785,7 @@ mod tests {
         net.run_until_idle(100);
         let got = uploads(&net);
         assert!(
-            got.iter().any(|l| l.tx.id() == first.id()),
+            got.iter().any(|(tx, _)| tx.id() == first.id()),
             "resubmitted tx reached upload"
         );
     }
@@ -813,7 +850,7 @@ mod tests {
             SimTime(1),
         );
         net.run_until_idle(100);
-        assert_eq!(uploads(&net)[0].label, Label::Valid);
+        assert_eq!(uploads(&net)[0].1, Label::Valid);
         // After activation the same profile flips.
         let tx2 = make_tx(0, 1, &oracle, true);
         net.send_external(
@@ -829,6 +866,6 @@ mod tests {
             SimTime(201),
         );
         net.run_until_idle(100);
-        assert_eq!(uploads(&net)[1].label, Label::Invalid);
+        assert_eq!(uploads(&net)[1].1, Label::Invalid);
     }
 }

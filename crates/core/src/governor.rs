@@ -2,9 +2,10 @@
 //!
 //! Implements, per governor:
 //!
-//! - **Transaction screening** (Algorithm 2): per-transaction Δ aggregation
-//!   timers, the weighted source draw, the `1 − f·Pr` validation coin,
-//!   recording of checked-valid / unchecked transactions;
+//! - **Transaction screening** (Algorithm 2): a Δ aggregation window per
+//!   transaction (one timer per tick on which windows fall due), the
+//!   weighted source draw, the `1 − f·Pr` validation coin, recording of
+//!   checked-valid / unchecked transactions;
 //! - **Reputation updating** (Algorithm 3): forgery (case 1), checked
 //!   (case 2) and revealed-unchecked (case 3) updates on its local
 //!   [`ReputationTable`];
@@ -39,7 +40,7 @@ use prb_crypto::signer::{KeyPair, PublicKey, Sig};
 use prb_ledger::block::{Block, BlockEntry, Verdict};
 use prb_ledger::chain::{Chain, ChainError};
 use prb_ledger::oracle::ValidityOracle;
-use prb_ledger::transaction::{Label, LabeledTx, SignedTx, TxId, TxPayload};
+use prb_ledger::transaction::{Label, SignedTx, TxId, TxPayload, UploadBatch};
 use prb_net::health::PeerHealth;
 use prb_net::message::{Envelope, NodeIdx, TimerId};
 use prb_net::order::{ChannelId, OrderedInbox};
@@ -113,7 +114,7 @@ pub struct GovernorNode {
     stake_table: StakeTable,
     reputation: ReputationTable,
     chain: Chain,
-    inbox: OrderedInbox<LabeledTx>,
+    inbox: OrderedInbox<UploadBatch>,
     /// Every transaction this governor has seen: its Δ window, screening
     /// outcome and reveal status, the Δ timers, and the provider
     /// signatures queued for the next batched drain.
@@ -1236,13 +1237,15 @@ impl GovernorNode {
                     self.run_election(ctx.now().ticks());
                 }
             }
-            ProtocolMsg::TxUpload { seq, ltx } => {
-                let channel = ChannelId(ltx.collector.index as u64);
-                // The released uploads borrow the inbox; the handler needs
+            // A batch is sequenced under the number it signs; one that
+            // claims another could only replay or reorder the channel.
+            ProtocolMsg::TxUpload { seq, batch } if seq == batch.seq => {
+                let channel = ChannelId(batch.collector.index as u64);
+                // The released batches borrow the inbox; the handler needs
                 // the whole node.
                 let mut inbox = std::mem::take(&mut self.inbox);
-                for ltx in inbox.push(channel, seq, ltx) {
-                    self.on_upload(ltx, ctx);
+                for batch in inbox.push(channel, seq, batch) {
+                    self.on_batch(&batch, ctx);
                 }
                 self.inbox = inbox;
             }
@@ -1290,12 +1293,24 @@ impl GovernorNode {
             self.on_sync_timer(attempt, height, ctx);
             return;
         }
-        if let Some(tx) = self.txs.take_timer(timer) {
-            self.screen_tx(tx, ctx);
+        if self.txs.take_timer(timer) {
+            self.screen_due(ctx.now().ticks(), ctx);
+        }
+    }
+
+    /// Screens every window due at or before `tick`, in the order they
+    /// opened.
+    fn screen_due(&mut self, tick: u64, ctx: &mut Context<'_, ProtocolMsg>) {
+        while let Some(id) = self.txs.pop_due(tick) {
+            self.screen_tx(id, ctx);
         }
     }
 
     fn on_start_round(&mut self, round: u64, ctx: &mut Context<'_, ProtocolMsg>) {
+        // A window whose Δ timer fell due while this node was down never
+        // heard it: screen it now, as the timer would have (ROADMAP item
+        // 4(c)). Windows due on this very tick wait for their timer.
+        self.screen_due(ctx.now().ticks().saturating_sub(1), ctx);
         // A round-number gap is crash evidence: StartRound commands
         // arrive every round, so skipping one means this node was deaf
         // for at least a full round and may have missed blocks.
@@ -1403,13 +1418,16 @@ impl GovernorNode {
         }
     }
 
-    fn on_upload(&mut self, ltx: LabeledTx, ctx: &mut Context<'_, ProtocolMsg>) {
-        let collector = ltx.collector.index;
+    /// One collector batch, released in channel order: the collector's
+    /// part is checked once for the whole batch, then every entry is filed
+    /// as its own copy.
+    fn on_batch(&mut self, batch: &UploadBatch, ctx: &mut Context<'_, ProtocolMsg>) {
+        let collector = batch.collector.index;
         // Unknown collector identity: drop silently (cannot attribute).
         let Some(collector_pk) = self.collector_pks.get(collector as usize) else {
             return;
         };
-        if !ltx.verify_collector(collector_pk) {
+        if !batch.verify(collector_pk) {
             return; // not actually from that collector
         }
         if !self
@@ -1423,13 +1441,32 @@ impl GovernorNode {
         let now = ctx.now().ticks();
         self.health.record_seen(collector as usize, ctx.now());
         self.last_upload_at = now;
+        if self.obs.is_enabled() {
+            let metrics = self.obs.metrics();
+            metrics.inc("gov.upload.batches");
+            metrics.observe("gov.upload.batch_size", batch.entries.len() as u64);
+        }
+        for entry in &batch.entries {
+            self.file_copy(collector, entry, now, ctx);
+        }
+    }
+
+    /// Files one `(tx, label)` of a verified batch from `collector`.
+    fn file_copy(
+        &mut self,
+        collector: u32,
+        entry: &(SignedTx, Label),
+        now: u64,
+        ctx: &mut Context<'_, ProtocolMsg>,
+    ) {
+        let (tx, label) = entry;
         // The paper's verify(c, Tx): the provider must be linked with the
         // collector, and the inner provider signature must be genuine. The
         // structural half is checked here; the signature check is deferred
         // to the Δ-window drain so a round's copies verify as one batch —
         // unless the memo already knows this copy's verdict.
-        let provider = ltx.tx.payload.provider.index;
-        let structural_ok = ltx.tx.payload.provider.role == prb_crypto::identity::Role::Provider
+        let provider = tx.payload.provider.index;
+        let structural_ok = tx.payload.provider.role == prb_crypto::identity::Role::Provider
             && self.provider_pk(provider).is_some()
             && self.topology.linked(provider, collector);
         if !structural_ok {
@@ -1437,10 +1474,8 @@ impl GovernorNode {
             self.record_forgery(collector, now);
             return;
         }
-        let id = ltx.tx.id();
-        let verdict = self
-            .sig_memo
-            .get(&(provider, id, ltx.tx.provider_sig.clone()));
+        let id = tx.id();
+        let verdict = self.sig_memo.get(&(provider, id, tx.provider_sig.clone()));
         if verdict.is_some() {
             self.metrics.sig_memo_hits += 1;
             if self.obs.is_enabled() {
@@ -1453,7 +1488,8 @@ impl GovernorNode {
             return;
         }
         let step = self.txs.upload(
-            &ltx,
+            collector,
+            entry,
             verdict,
             self.sig_memo.generation(),
             now,
@@ -1465,7 +1501,7 @@ impl GovernorNode {
                 // Duplicate copy from a reporter already in the window: no
                 // report rides on it, so nothing joins the batch — but a
                 // forged-signature probe is still case 1, checked eagerly.
-                if verdict.is_none() && !self.verify_provider_sig(provider, &ltx.tx) {
+                if verdict.is_none() && !self.verify_provider_sig(provider, tx) {
                     self.record_forgery(collector, now);
                 }
             }
@@ -1473,13 +1509,13 @@ impl GovernorNode {
                 // Late report (after screening): no batch is pending for
                 // it, so resolve the signature now (the memo almost always
                 // answers — screening verified this id already).
-                if verdict.is_none() && !self.verify_provider_sig(provider, &ltx.tx) {
+                if verdict.is_none() && !self.verify_provider_sig(provider, tx) {
                     self.record_forgery(collector, now);
                     return;
                 }
-                match self.txs.late_report(&id, collector, ltx.label) {
+                match self.txs.late_report(&id, collector, *label) {
                     Outcome::Checked { valid } => {
-                        let correct = ltx.label.is_valid() == valid;
+                        let correct = label.is_valid() == valid;
                         self.reputation
                             .record_checked(&[(collector as usize, correct)]);
                     }
@@ -1493,11 +1529,12 @@ impl GovernorNode {
                     self.net_idx(),
                     ObsEvent::TxAdmitted { trace: id.trace() },
                 );
-                let timer = ctx.set_timer(SimDuration(self.cfg.aggregation_window()));
-                self.txs.arm(timer, id);
+                let delta = self.cfg.aggregation_window();
+                self.txs
+                    .arm(id, now + delta, || ctx.set_timer(SimDuration(delta)));
                 // Bounded pool: past capacity, shed the oldest still-open
-                // window deterministically. Its Δ timer later fires as a
-                // no-op (`screen_tx` tolerates a missing window).
+                // window deterministically. It later falls due as a no-op
+                // (`screen_tx` tolerates a missing window).
                 while let Some(oldest) = self.txs.shed_oldest(self.cfg.pending_capacity) {
                     if self.obs.is_enabled() {
                         self.obs.metrics().inc("gov.pending.shed");

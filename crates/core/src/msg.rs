@@ -6,10 +6,11 @@
 //! experiments' protocol-message kinds.
 //!
 //! Every queued event of the kernel carries one of these by value, so the
-//! enum is kept small: the per-transaction variants (`TxBroadcast`,
-//! `TxUpload`) are a sequence number and a shared handle, and the large,
-//! rare payloads (proposal claim and header, evidence, echoes, shares) are
-//! boxed. `tests/msg_size.rs` pins the resulting event size.
+//! enum is kept small: the transaction-carrying variants (`TxBroadcast`,
+//! one per provider transaction, and `TxUpload`, one per collector batch)
+//! are a sequence number and a shared handle, and the large, rare payloads
+//! (proposal claim and header, evidence, echoes, shares) are boxed.
+//! `tests/msg_size.rs` pins the resulting event size.
 
 use prb_consensus::checkpoint::{CheckpointCert, CheckpointShare};
 use prb_consensus::election::ElectionClaim;
@@ -17,7 +18,7 @@ use prb_consensus::evidence::{EquivocationEvidence, SignedHeader};
 use prb_consensus::membership::{MembershipRequest, MembershipShare};
 use prb_consensus::stake::StakeTransfer;
 use prb_ledger::block::{Block, Verdict};
-use prb_ledger::transaction::{LabeledTx, SignedTx, TxId};
+use prb_ledger::transaction::{SignedTx, TxId, UploadBatch};
 
 use crate::workload::GeneratedTx;
 
@@ -44,12 +45,14 @@ pub enum ProtocolMsg {
         /// The signed transaction.
         tx: SignedTx,
     },
-    /// Collector → governor: `broadcast_collector(Tx)`, sequenced.
+    /// Collector → governor: `broadcast_collector(Tx)` for every
+    /// transaction the collector labeled in one dispatch, sequenced.
     TxUpload {
-        /// Sequence number on the collector's channel.
+        /// Sequence number on the collector's channel; a governor drops a
+        /// message whose `seq` is not the one the batch signs.
         seq: u64,
-        /// The labeled, collector-signed transaction.
-        ltx: LabeledTx,
+        /// The labeled transactions under one collector signature.
+        batch: UploadBatch,
     },
     /// Governor → governor: a VRF election claim for the round.
     Election {

@@ -601,6 +601,17 @@ impl Simulation {
                     other_ns as f64 / rounds as f64 / 1e6,
                 ));
             }
+            // What one collector signature and one governor-side check of
+            // it cover: the entries of a released upload batch.
+            if let Some(h) = m.histogram("gov.upload.batch_size") {
+                out.push_str(&format!(
+                    "upload batches released {}  entries/batch mean {:.2} p50 {} max {}\n",
+                    h.count(),
+                    h.mean(),
+                    h.p50(),
+                    h.max(),
+                ));
+            }
         }
         out
     }

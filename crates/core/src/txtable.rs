@@ -6,7 +6,7 @@
 //! collector's copy and moves through
 //!
 //! ```text
-//!   Window { opened_at, .. }  ──Δ timer──▶  Screened { outcome, screened_at, .. }
+//!   Window { opened_at, .. }  ──falls due──▶  Screened { outcome, screened_at, .. }
 //!        │ shed, or every copy forged
 //!        ▼
 //!     (removed)
@@ -14,9 +14,15 @@
 //!
 //! in place: later copies, the Δ timer, late reports, `Argue` and `Reveal`
 //! all read and write the same slot. The table also keeps what is ordered
-//! by *when a window opened* — the Δ timers and the shedding order are one
-//! deque, because every window is given the same delay — and the provider
+//! by *when a window opened* — the due ticks and the shedding order are
+//! one deque, because every window is given the same delay — the Δ
+//! timers, one per tick on which windows fall due, and the provider
 //! signatures waiting for the next batched verification.
+//!
+//! A window is screened when its tick comes, whether or not a timer
+//! fires then: a node that was down when the timer was due never sees
+//! it, so the governor also asks for every window already past due at
+//! the start of each round ([`TxTable::pop_due`]).
 //!
 //! The table decides nothing about reputation, validation or the ledger:
 //! the governor asks it what a copy or a timer means for the slot and acts
@@ -27,7 +33,7 @@ use std::collections::{HashSet, VecDeque};
 
 use prb_crypto::fxhash::{fx_map_seeded, FxMap};
 use prb_crypto::signer::{PublicKey, Sig};
-use prb_ledger::transaction::{Label, LabeledTx, SignedTx, TxId};
+use prb_ledger::transaction::{Label, SignedTx, TxId};
 use prb_net::message::TimerId;
 
 /// Entry cap for the provider-signature memo; the map is cleared when it
@@ -168,7 +174,7 @@ pub(crate) struct Window {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Upload {
     /// First copy of the transaction: a Δ window was opened. The caller
-    /// starts its timer and hands it to [`TxTable::arm`].
+    /// queues it with [`TxTable::arm`].
     Opened,
     /// One more report joined the open window.
     Joined,
@@ -185,10 +191,13 @@ pub(crate) enum Upload {
 #[derive(Debug)]
 pub(crate) struct TxTable {
     slots: FxMap<TxId, TxSlot>,
-    /// The Δ timer of every window opened and not yet fired, in the order
-    /// they were set — which, all delays being equal, is the order they
-    /// fire in and the order windows are shed in.
-    windows: VecDeque<(TimerId, TxId)>,
+    /// Every window opened and not yet due, as `(due tick, id)` in the
+    /// order opened — which, all delays being equal, is the order they
+    /// fall due in and the order windows are shed in.
+    windows: VecDeque<(u64, TxId)>,
+    /// The Δ timers set for them, as `(timer, due tick)`: one per tick on
+    /// which windows fall due, in the order set.
+    timers: VecDeque<(TimerId, u64)>,
     /// `windows[..shed_cursor]` have been considered for shedding.
     shed_cursor: usize,
     /// Slots in the `Window` state.
@@ -210,6 +219,7 @@ impl TxTable {
         TxTable {
             slots: fx_map_seeded(hash_seed),
             windows: VecDeque::new(),
+            timers: VecDeque::new(),
             shed_cursor: 0,
             open: 0,
             open_high_water: 0,
@@ -238,22 +248,22 @@ impl TxTable {
         self.slots.get_mut(id)
     }
 
-    /// Files a collector's copy under its transaction's slot, opening a
-    /// window if there is none (sized for `copies` reports). `verdict` is
-    /// what the signature memo said about this copy's provider signature
-    /// (`None`: unknown), read in memo generation `generation`; an unknown
-    /// signature that counts toward the window is queued for the next
-    /// batch unless it already is.
+    /// Files `collector`'s copy `(tx, label)` under its transaction's
+    /// slot, opening a window if there is none (sized for `copies`
+    /// reports). `verdict` is what the signature memo said about this
+    /// copy's provider signature (`None`: unknown), read in memo generation
+    /// `generation`; an unknown signature that counts toward the window is
+    /// queued for the next batch unless it already is.
     pub(crate) fn upload(
         &mut self,
-        ltx: &LabeledTx,
+        collector: u32,
+        (tx, label): &(SignedTx, Label),
         verdict: Option<bool>,
         generation: u64,
         now: u64,
         copies: usize,
     ) -> Upload {
-        let (tx, collector, label) = (&ltx.tx, ltx.collector.index, ltx.label);
-        let (id, provider) = (tx.id(), tx.payload.provider.index);
+        let (id, provider, label) = (tx.id(), tx.payload.provider.index, *label);
         let queue_it = |queue: &mut Vec<QueuedSig>| {
             queue.push((provider, id, tx.provider_sig.clone(), *tx.signing_digest()));
         };
@@ -310,16 +320,20 @@ impl TxTable {
         Upload::Joined
     }
 
-    /// Records the Δ timer of the window [`upload`](Self::upload) just
-    /// opened for `id`.
-    pub(crate) fn arm(&mut self, timer: TimerId, id: TxId) {
-        self.windows.push_back((timer, id));
+    /// Queues the window [`upload`](Self::upload) just opened for `id`,
+    /// due at tick `due`. Windows due on the same tick share one Δ timer:
+    /// the first of them sets it through `set_timer`.
+    pub(crate) fn arm(&mut self, id: TxId, due: u64, set_timer: impl FnOnce() -> TimerId) {
+        self.windows.push_back((due, id));
+        if self.timers.back().is_none_or(|&(_, at)| at != due) {
+            self.timers.push_back((set_timer(), due));
+        }
     }
 
     /// While more than `capacity` windows are open, sheds the oldest one
     /// and returns its id; `None` once the pool fits, which is when the
-    /// high-water mark is taken. The shed window's Δ timer later fires for
-    /// a slot that is gone (or was opened again).
+    /// high-water mark is taken. The shed window later falls due for a slot
+    /// that is gone (or was opened again).
     pub(crate) fn shed_oldest(&mut self, capacity: usize) -> Option<TxId> {
         while self.open > capacity {
             let Some(&(_, id)) = self.windows.get(self.shed_cursor) else {
@@ -338,22 +352,36 @@ impl TxTable {
         None
     }
 
-    /// If `timer` is the Δ timer of a window, forgets it and returns the
-    /// transaction it was set for. Timers fire in the order they were set
-    /// unless the node was down when one was due; that one never fires and
-    /// stays queued (its window stays open, and can still be shed).
-    pub(crate) fn take_timer(&mut self, timer: TimerId) -> Option<TxId> {
-        let at = match self.windows.front() {
+    /// Whether `timer` is a Δ timer of this table; forgets it if so.
+    /// Timers fire in the order they were set unless the node was down
+    /// when one was due; that one never fires, and is forgotten by the
+    /// next [`pop_due`](Self::pop_due) past its tick.
+    pub(crate) fn take_timer(&mut self, timer: TimerId) -> bool {
+        let at = match self.timers.front() {
             Some((front, _)) if *front == timer => 0,
-            _ => self
-                .windows
-                .binary_search_by_key(&timer, |(t, _)| *t)
-                .ok()?,
+            _ => match self.timers.binary_search_by_key(&timer, |(t, _)| *t) {
+                Ok(at) => at,
+                Err(_) => return false,
+            },
         };
-        let (_, id) = self.windows.remove(at)?;
-        if at < self.shed_cursor {
-            self.shed_cursor -= 1;
+        self.timers.remove(at);
+        true
+    }
+
+    /// Takes the oldest window due at or before tick `tick`, if any; the
+    /// caller screens it. Windows come out in the order they opened. The
+    /// id may name a slot that was shed since (or opened again), so the
+    /// caller re-checks [`in_window`](Self::in_window).
+    pub(crate) fn pop_due(&mut self, tick: u64) -> Option<TxId> {
+        while self.timers.front().is_some_and(|&(_, due)| due <= tick) {
+            self.timers.pop_front(); // fired, or lost while the node was down
         }
+        let &(due, id) = self.windows.front()?;
+        if due > tick {
+            return None;
+        }
+        self.windows.pop_front();
+        self.shed_cursor = self.shed_cursor.saturating_sub(1);
         Some(id)
     }
 
@@ -517,14 +545,14 @@ mod tests {
     /// Collector `collector`'s copy of `tx`, its signature unknown to the
     /// memo.
     fn upload(table: &mut TxTable, tx: &SignedTx, collector: u32) -> Upload {
-        let key = CryptoScheme::sim().keypair_from_seed(b"table-c");
-        let ltx = LabeledTx::create(tx.clone(), Label::Valid, NodeId::collector(collector), &key);
-        table.upload(&ltx, None, 1, 0, 2)
+        table.upload(collector, &(tx.clone(), Label::Valid), None, 1, 0, 2)
     }
 
-    fn open(table: &mut TxTable, tx: &SignedTx, timer: TimerId) {
+    /// Opens a window for `tx` due at `due`, offering `timer` in case it is
+    /// the first window due then.
+    fn open(table: &mut TxTable, tx: &SignedTx, due: u64, timer: TimerId) {
         assert_eq!(upload(table, tx, 0), Upload::Opened);
-        table.arm(timer, tx.id());
+        table.arm(tx.id(), due, || timer);
         assert_eq!(table.shed_oldest(usize::MAX), None);
     }
 
@@ -538,17 +566,26 @@ mod tests {
     #[test]
     fn timers_come_back_in_the_order_set_and_unknown_ones_are_not_ours() {
         let ids = timers(4);
-        let txs: Vec<SignedTx> = (0..3).map(tx).collect();
+        let txs: Vec<SignedTx> = (0..4).map(tx).collect();
         let mut table = TxTable::new(1);
-        for (tx, timer) in txs.iter().zip(&ids) {
-            open(&mut table, tx, *timer);
+        // Four windows due on three ticks: the two due at 10 share a timer.
+        for ((tx, due), timer) in txs.iter().zip([10, 10, 11, 12]).zip(&ids) {
+            open(&mut table, tx, due, *timer);
         }
-        assert_eq!(table.take_timer(ids[3]), None, "never armed");
-        assert_eq!(table.take_timer(ids[0]), Some(txs[0].id()));
-        assert_eq!(table.take_timer(ids[0]), None, "fires once");
-        assert_eq!(table.take_timer(ids[1]), Some(txs[1].id()));
-        assert_eq!(table.take_timer(ids[2]), Some(txs[2].id()));
-        assert!(table.windows.is_empty());
+        let set: Vec<_> = table.timers.iter().copied().collect();
+        assert_eq!(set, [(ids[0], 10), (ids[2], 11), (ids[3], 12)]);
+        assert!(!table.take_timer(ids[1]), "never set");
+        assert!(table.take_timer(ids[0]));
+        assert!(!table.take_timer(ids[0]), "fires once");
+        // Everything due by the timer's tick comes out, in opening order.
+        assert_eq!(table.pop_due(10), Some(txs[0].id()));
+        assert_eq!(table.pop_due(10), Some(txs[1].id()));
+        assert_eq!(table.pop_due(10), None);
+        assert!(table.take_timer(ids[2]));
+        assert_eq!(table.pop_due(11), Some(txs[2].id()));
+        assert!(table.take_timer(ids[3]));
+        assert_eq!(table.pop_due(12), Some(txs[3].id()));
+        assert!(table.windows.is_empty() && table.timers.is_empty());
     }
 
     #[test]
@@ -556,21 +593,42 @@ mod tests {
         let ids = timers(3);
         let txs: Vec<SignedTx> = (0..3).map(tx).collect();
         let mut table = TxTable::new(1);
-        for (tx, timer) in txs.iter().zip(&ids) {
-            open(&mut table, tx, *timer);
+        for ((tx, due), timer) in txs.iter().zip([10, 11, 12]).zip(&ids) {
+            open(&mut table, tx, due, *timer);
         }
-        // Timer 0 never fires (crash); 1 and 2 do, out of the front.
-        assert_eq!(table.take_timer(ids[1]), Some(txs[1].id()));
-        table.close_window(&txs[1].id());
-        table.remove(&txs[1].id());
-        assert_eq!(table.take_timer(ids[2]), Some(txs[2].id()));
-        table.close_window(&txs[2].id());
-        table.remove(&txs[2].id());
-        // The orphan is still an open window, and the oldest.
-        assert_eq!(table.open_windows(), 1);
-        assert_eq!(table.shed_oldest(0), Some(txs[0].id()));
-        assert_eq!(table.shed_oldest(0), None);
-        assert_eq!(table.window_stats(), (0, 3, 1));
+        // Timer 0 never fires: the node was down at tick 10. Until someone
+        // asks past tick 10 its window stays queued, open and sheddable.
+        assert_eq!(table.open_windows(), 3);
+        assert_eq!(table.shed_oldest(2), Some(txs[0].id()));
+        assert_eq!(table.shed_oldest(2), None);
+        // The next timer past tick 10 takes the shed window's entry (for
+        // nothing) and forgets the lost timer, then takes its own window.
+        assert!(table.take_timer(ids[1]));
+        assert_eq!(table.pop_due(11), Some(txs[0].id()));
+        assert!(!table.in_window(&txs[0].id()));
+        assert_eq!(table.pop_due(11), Some(txs[1].id()));
+        assert_eq!(table.pop_due(11), None);
+        let left: Vec<_> = table.timers.iter().copied().collect();
+        assert_eq!(left, [(ids[2], 12)], "the lost timer is forgotten");
+        assert_eq!(table.window_stats(), (2, 3, 1));
+    }
+
+    #[test]
+    fn a_window_past_due_comes_out_without_its_timer() {
+        // ROADMAP item 4(c): down through tick 10, the node never sees the
+        // timer of the window due then. A round start at tick 15 asks for
+        // everything due before it and gets that window — and only it.
+        let ids = timers(2);
+        let txs: Vec<SignedTx> = (0..2).map(tx).collect();
+        let mut table = TxTable::new(1);
+        open(&mut table, &txs[0], 10, ids[0]);
+        open(&mut table, &txs[1], 20, ids[1]);
+        assert_eq!(table.pop_due(14), Some(txs[0].id()));
+        assert_eq!(table.pop_due(14), None);
+        let left: Vec<_> = table.timers.iter().copied().collect();
+        assert_eq!(left, [(ids[1], 20)]);
+        assert!(table.take_timer(ids[1]));
+        assert_eq!(table.pop_due(20), Some(txs[1].id()));
     }
 
     #[test]
@@ -578,14 +636,15 @@ mod tests {
         let ids = timers(4);
         let txs: Vec<SignedTx> = (0..4).map(tx).collect();
         let mut table = TxTable::new(1);
-        for (tx, timer) in txs.iter().zip(&ids) {
-            open(&mut table, tx, *timer);
+        for ((tx, due), timer) in txs.iter().zip(10..).zip(&ids) {
+            open(&mut table, tx, due, *timer);
         }
         assert_eq!(table.shed_oldest(3), Some(txs[0].id()));
         assert_eq!(table.shed_oldest(3), None);
-        // The shed window's timer fires for nothing; the cursor follows
-        // the deque as its front goes.
-        assert_eq!(table.take_timer(ids[0]), Some(txs[0].id()));
+        // The shed window falls due for nothing; the cursor follows the
+        // deque as its front goes.
+        assert!(table.take_timer(ids[0]));
+        assert_eq!(table.pop_due(10), Some(txs[0].id()));
         assert!(!table.in_window(&txs[0].id()));
         assert_eq!(table.shed_oldest(1), Some(txs[1].id()));
         assert_eq!(table.shed_oldest(1), Some(txs[2].id()));
@@ -598,13 +657,13 @@ mod tests {
         let ids = timers(2);
         let a = tx(0);
         let mut table = TxTable::new(1);
-        open(&mut table, &a, ids[0]);
+        open(&mut table, &a, 10, ids[0]);
         // Second reporter, same signature, same epoch: not queued again.
         assert_eq!(upload(&mut table, &a, 1), Upload::Joined);
         assert_eq!(table.queue.len(), 1);
         // Shed, then the transaction comes back before any batch ran.
         assert_eq!(table.shed_oldest(0), Some(a.id()));
-        open(&mut table, &a, ids[1]);
+        open(&mut table, &a, 11, ids[1]);
         assert_eq!(table.queue.len(), 2);
         assert_eq!(table.batch().drain(..).count(), 1);
         // After a batch the same key may be queued afresh.

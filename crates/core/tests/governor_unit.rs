@@ -16,7 +16,8 @@ use prb_crypto::identity::NodeId;
 use prb_crypto::signer::{CryptoScheme, KeyPair, PublicKey, Sig};
 use prb_ledger::block::Block;
 use prb_ledger::oracle::ValidityOracle;
-use prb_ledger::transaction::{Label, LabeledTx, SignedTx, TxId, TxPayload};
+use prb_ledger::transaction::{Label, SignedTx, TxId, TxPayload, UploadBatch};
+use prb_net::fault::FaultPlan;
 use prb_net::sim::{NetConfig, Network};
 use prb_net::time::SimTime;
 use prb_net::topology::Topology;
@@ -103,15 +104,27 @@ impl Rig {
         tx
     }
 
+    /// Collector `collector`'s batch `seq` of the one copy `(tx, label)`.
     fn upload(&mut self, collector: u32, seq: u64, tx: SignedTx, label: Label, at: u64) {
-        let ltx = LabeledTx::create(
-            tx,
-            label,
-            NodeId::collector(collector),
-            &self.collector_keys[collector as usize],
-        );
+        self.upload_batch(collector, seq, vec![(tx, label)], at);
+    }
+
+    /// Collector `collector`'s batch `seq`, genuinely signed.
+    fn upload_batch(&mut self, collector: u32, seq: u64, entries: Vec<(SignedTx, Label)>, at: u64) {
+        let batch = self.batch(collector, seq, entries);
+        self.deliver(batch, at);
+    }
+
+    fn batch(&self, collector: u32, seq: u64, entries: Vec<(SignedTx, Label)>) -> UploadBatch {
+        let key = &self.collector_keys[collector as usize];
+        UploadBatch::create(NodeId::collector(collector), seq, entries, key)
+    }
+
+    /// Delivers `batch` under the sequence number it signs.
+    fn deliver(&mut self, batch: UploadBatch, at: u64) {
+        let seq = batch.seq;
         self.net
-            .send_external(0, "up", ProtocolMsg::TxUpload { seq, ltx }, SimTime(at));
+            .send_external(0, "up", ProtocolMsg::TxUpload { seq, batch }, SimTime(at));
     }
 
     fn run(&mut self) {
@@ -195,14 +208,7 @@ fn unlinked_provider_upload_counts_as_forgery() {
         5,
         &ghost_key,
     );
-    let ltx = LabeledTx::create(
-        tx,
-        Label::Valid,
-        NodeId::collector(0),
-        &rig.collector_keys[0],
-    );
-    rig.net
-        .send_external(0, "up", ProtocolMsg::TxUpload { seq: 0, ltx }, SimTime(0));
+    rig.upload(0, 0, tx, Label::Valid, 0);
     rig.run();
     let m = rig.governor().metrics();
     assert_eq!(m.forged_detected, 1);
@@ -214,15 +220,14 @@ fn unlinked_provider_upload_counts_as_forgery() {
 fn upload_with_wrong_collector_signature_is_dropped_silently() {
     let mut rig = Rig::new(GovernorMode::CheckAll, 0.5);
     let tx = rig.make_tx(0, 0, true);
-    // Collector 1's key signs, but the message claims collector 0.
-    let ltx = LabeledTx::create(
-        tx,
-        Label::Valid,
+    // Collector 1's key signs, but the batch claims collector 0.
+    let batch = UploadBatch::create(
         NodeId::collector(0),
+        0,
+        vec![(tx, Label::Valid)],
         &rig.collector_keys[1],
     );
-    rig.net
-        .send_external(0, "up", ProtocolMsg::TxUpload { seq: 0, ltx }, SimTime(0));
+    rig.deliver(batch, 0);
     rig.run();
     let m = rig.governor().metrics();
     // Cannot attribute: no forgery charged, nothing screened.
@@ -338,14 +343,7 @@ fn forged_provider_signature_on_linked_provider_is_case_one() {
         5,
         Sig::forged(&scheme, &mut rng),
     );
-    let ltx = LabeledTx::create(
-        fake_tx,
-        Label::Valid,
-        NodeId::collector(1),
-        &rig.collector_keys[1],
-    );
-    rig.net
-        .send_external(0, "up", ProtocolMsg::TxUpload { seq: 0, ltx }, SimTime(0));
+    rig.upload(1, 0, fake_tx, Label::Valid, 0);
     rig.run();
     assert_eq!(rig.governor().metrics().forged_detected, 1);
     assert_eq!(rig.governor().reputation().collector(1).forge(), -1);
@@ -1027,9 +1025,9 @@ fn the_oldest_window_is_shed_at_capacity_and_its_timer_fires_for_nothing() {
     rig.upload(1, 0, a.clone(), Label::Valid, 3);
     rig.net.run_until(SimTime(3));
     assert_eq!(rig.governor().pending_stats(), (2, 2, 2));
-    // The first window's timer is still set and still names `a`: it
-    // screens the new window early; `b`'s fires for nothing; then `c`;
-    // then `a`'s own, for nothing.
+    // The first window is still queued, due at its tick, and still names
+    // `a`: it screens the new window early; `b`'s falls due for nothing;
+    // then `c`; then `a`'s own, for nothing.
     let window = rig.cfg.aggregation_window();
     rig.net.run_until(SimTime(window));
     assert_eq!(rig.governor().metrics().screened, 1);
@@ -1212,4 +1210,193 @@ fn a_collector_absent_at_screening_owes_nothing_at_the_reveal_even_once_back() {
     assert_eq!(gov.metrics().revealed, 2);
     assert_eq!(gov.metrics().collector_loss[&(0, 1)], 1.0);
     assert_ne!(gov.reputation().collector(1).weights(), rejoined);
+}
+
+// ---------------------------------------------------------------------
+// Upload batches: one collector signature per dispatch, every entry filed
+// as its own copy.
+// ---------------------------------------------------------------------
+
+/// One batch of n entries files exactly as n one-entry batches delivered
+/// on the same tick in the same order: the same windows, reports,
+/// screening draws, reputation moves and block.
+#[test]
+fn one_batch_of_n_entries_files_like_n_batches_of_one() {
+    let run = |batched: bool| {
+        let mut rig = Rig::new(GovernorMode::Reputation, 0.9);
+        let txs: Vec<SignedTx> = (0..12u64)
+            .map(|n| rig.make_tx((n % 2) as u32, n, n % 4 != 0))
+            .collect();
+        // Collector 0 labels truthfully; collector 1 flips every third
+        // label, so the screening draw decides what goes unchecked.
+        for (collector, at) in [(0u32, 3u64), (1, 5)] {
+            let entries: Vec<(SignedTx, Label)> = txs
+                .iter()
+                .enumerate()
+                .map(|(i, tx)| {
+                    let truth = Label::from_validity(i % 4 != 0);
+                    let flip = collector == 1 && i % 3 == 0;
+                    (tx.clone(), if flip { truth.flipped() } else { truth })
+                })
+                .collect();
+            if batched {
+                rig.upload_batch(collector, 0, entries, at);
+            } else {
+                for (seq, entry) in entries.into_iter().enumerate() {
+                    rig.upload_batch(collector, seq as u64, vec![entry], at);
+                }
+            }
+        }
+        rig.run();
+        let block = rig.commit_round(1, 200);
+        let gov = rig.governor();
+        let m = gov.metrics();
+        let weights: Vec<Vec<f64>> = (0..2)
+            .map(|c| gov.reputation().collector(c).weights().to_vec())
+            .collect();
+        (
+            (m.screened, m.checked, m.unchecked, m.forged_detected),
+            (m.sig_memo_misses, m.sig_memo_hits),
+            gov.pending_stats(),
+            weights,
+            block.hash(),
+            block.entries.len(),
+        )
+    };
+    let batched = run(true);
+    assert_eq!(batched, run(false));
+    let (screened, checked, unchecked, _) = batched.0;
+    assert_eq!(screened, 12);
+    assert!(
+        checked > 0 && unchecked > 0,
+        "{checked} checked, {unchecked} unchecked"
+    );
+}
+
+/// Any change to what a batch's signature binds — a label, the order or
+/// membership of the entries, the sequence number, the collector — is a
+/// batch the governor drops whole: nothing filed, nobody charged.
+#[test]
+fn a_tampered_batch_is_dropped_whole_and_moves_no_reputation() {
+    let rig = Rig::new(GovernorMode::CheckAll, 0.5);
+    let txs = [0, 1].map(|n| rig.make_tx(0, n, true));
+    let entries = vec![
+        (txs[0].clone(), Label::Valid),
+        (txs[1].clone(), Label::Invalid),
+    ];
+    let genuine = rig.batch(0, 0, entries.clone());
+    let restate = |batch: &UploadBatch, collector: u32, seq: u64, entries| {
+        UploadBatch::from_parts(
+            NodeId::collector(collector),
+            seq,
+            entries,
+            batch.collector_sig.clone(),
+        )
+    };
+    let flipped = vec![entries[0].clone(), (txs[1].clone(), Label::Valid)];
+    let reordered = vec![entries[1].clone(), entries[0].clone()];
+    let tampered = [
+        restate(&genuine, 0, 0, flipped),
+        restate(&genuine, 0, 0, reordered),
+        restate(&genuine, 0, 0, entries[..1].to_vec()),
+        // The collector's genuine batch 1, replayed as its batch 0.
+        restate(&rig.batch(0, 1, entries.clone()), 0, 0, entries.clone()),
+        // Collector 0's words in collector 1's name.
+        restate(&genuine, 1, 0, entries.clone()),
+    ];
+    for batch in tampered {
+        let mut rig = Rig::new(GovernorMode::CheckAll, 0.5);
+        let fresh: Vec<Vec<f64>> = (0..2)
+            .map(|c| rig.governor().reputation().collector(c).weights().to_vec())
+            .collect();
+        rig.deliver(batch, 0);
+        rig.run();
+        let gov = rig.governor();
+        let m = gov.metrics();
+        assert_eq!((m.screened, m.forged_detected), (0, 0));
+        assert_eq!(gov.pending_stats(), (0, 0, 0));
+        for (c, weights) in fresh.iter().enumerate() {
+            let v = gov.reputation().collector(c);
+            assert_eq!((v.misreport(), v.forge()), (0, 0));
+            assert_eq!(v.weights(), weights);
+        }
+    }
+    // A message whose sequence number is not the one its batch signs never
+    // takes the channel's slot: the genuine batch 0 still files after it.
+    let mut rig = Rig::new(GovernorMode::CheckAll, 0.5);
+    let replay = rig.batch(0, 1, entries.clone());
+    rig.net.send_external(
+        0,
+        "up",
+        ProtocolMsg::TxUpload {
+            seq: 0,
+            batch: replay,
+        },
+        SimTime(0),
+    );
+    rig.deliver(genuine, 1);
+    rig.run();
+    assert_eq!(rig.governor().metrics().screened, 2);
+}
+
+/// The batch is the collector's word, each entry's provenance its own: a
+/// forged provider signature among genuine entries is case 1 against the
+/// collector that uploaded it, and the genuine entries are filed as usual.
+#[test]
+fn a_forged_provider_signature_inside_a_genuine_batch_is_case_one_and_the_rest_is_filed() {
+    let mut rig = Rig::new(GovernorMode::CheckAll, 0.5);
+    let [a, b, c] = [0, 1, 2].map(|n| rig.make_tx(0, n, true));
+    let entries = vec![
+        (a.clone(), Label::Valid),
+        (Rig::forged_twin(&b, 8), Label::Valid),
+        (c.clone(), Label::Valid),
+    ];
+    rig.upload_batch(1, 0, entries, 0);
+    rig.run();
+    let gov = rig.governor();
+    assert_eq!(gov.metrics().forged_detected, 1);
+    assert_eq!(gov.reputation().collector(1).forge(), -1);
+    assert_eq!(gov.metrics().screened, 2);
+    assert_eq!(gov.ready_tx_ids(), [a.id(), c.id()]);
+    assert_eq!(
+        gov.reputation().collector(1).misreport(),
+        2,
+        "both genuine reports counted"
+    );
+    assert_eq!(gov.pending_count(), 0);
+}
+
+/// ROADMAP item 4(c): a governor down when a window's Δ timer fell due
+/// never hears it, and the window used to stay open for ever. The first
+/// round start after the governor is back screens it, as the timer would
+/// have, and the block records it.
+#[test]
+fn a_window_whose_timer_fell_due_while_the_governor_was_down_is_screened_on_its_first_round_back() {
+    let mut rig = Rig::new(GovernorMode::CheckAll, 0.5);
+    let window = rig.cfg.aggregation_window();
+    let mut faults = FaultPlan::none();
+    faults.crash_window(0, SimTime(5), SimTime(window + 5));
+    rig.net.set_faults(faults);
+    let tx = rig.make_tx(0, 0, true);
+    rig.upload(0, 0, tx.clone(), Label::Valid, 0);
+    rig.upload(1, 0, tx.clone(), Label::Valid, 1);
+    rig.run();
+    let gov = rig.governor();
+    assert_eq!(gov.metrics().screened, 0, "the timer fell due in the crash");
+    assert_eq!(gov.pending_count(), 1);
+    let block = rig.commit_round(1, window + 10);
+    let gov = rig.governor();
+    assert_eq!(gov.metrics().screened, 1);
+    assert_eq!(gov.pending_count(), 0, "no window left open");
+    assert_eq!(block.entries.len(), 1);
+    assert_eq!(block.entries[0].tx.id(), tx.id());
+    assert_eq!(
+        block.entries[0].reported_labels,
+        [
+            (NodeId::collector(0), Label::Valid),
+            (NodeId::collector(1), Label::Valid)
+        ]
+    );
+    assert_eq!(gov.reputation().collector(0).misreport(), 1);
+    assert_eq!(gov.reputation().collector(1).misreport(), 1);
 }

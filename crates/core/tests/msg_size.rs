@@ -4,12 +4,12 @@
 //! `open-steady` run keeps ~5 000 of them queued, so a variant that grows
 //! the enum grows the queue for every message kind. New large payloads go
 //! behind a `Box` like the proposal claim and header, evidence, echoes
-//! and shares do; the per-transaction variants stay inline.
+//! and shares do; the transaction-carrying variants stay inline.
 
 use std::mem::size_of;
 
 use prb_core::msg::ProtocolMsg;
-use prb_ledger::transaction::{LabeledTx, SignedTx};
+use prb_ledger::transaction::{SignedTx, UploadBatch};
 
 #[test]
 fn a_queued_event_is_at_most_128_bytes() {
@@ -23,8 +23,8 @@ fn a_queued_event_is_at_most_128_bytes() {
 
 #[test]
 fn per_transaction_payloads_are_a_sequence_number_and_a_handle() {
-    // `TxBroadcast { seq, tx }` and `TxUpload { seq, ltx }` are 16 bytes:
-    // boxing them would add an allocation per message for nothing.
+    // `TxBroadcast { seq, tx }` and `TxUpload { seq, batch }` are 16
+    // bytes: boxing them would add an allocation per message for nothing.
     assert_eq!(size_of::<(u64, SignedTx)>(), 16);
-    assert_eq!(size_of::<(u64, LabeledTx)>(), 16);
+    assert_eq!(size_of::<(u64, UploadBatch)>(), 16);
 }

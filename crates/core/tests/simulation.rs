@@ -656,6 +656,15 @@ fn obs_trace_reconciles_with_net_stats_and_captures_protocol_events() {
     assert!(summary.contains("phase latency"), "{summary}");
     assert!(summary.contains("screening"), "{summary}");
     assert!(summary.contains("election"), "{summary}");
+
+    // Every upload batch a governor released was counted once and sized:
+    // with no faults, that is every upload delivered.
+    let sizes = obs.metrics().histogram("gov.upload.batch_size").unwrap();
+    let uploads = sim.net_stats().kind("tx-upload").delivered;
+    assert_eq!(obs.metrics().counter("gov.upload.batches"), uploads);
+    assert_eq!(sizes.count(), uploads);
+    assert!(sizes.min() >= 1);
+    assert!(summary.contains("entries/batch"), "{summary}");
 }
 
 #[test]
@@ -692,4 +701,51 @@ fn deterministic_under_faults_and_recovery() {
     let (chains_b, stats_b) = run();
     assert_eq!(chains_a, chains_b, "ledgers diverged across identical runs");
     assert_eq!(stats_a, stats_b, "traffic diverged across identical runs");
+}
+
+/// A scaled-down `closed-faulty` (BENCHMARK.json): reliable delivery, 5 %
+/// loss on every link but the governors' own, governors 1 and 2 crashed
+/// in turn mid-round, while Δ windows are open. A window whose timer fell
+/// due while its governor was down is screened at that governor's next
+/// round start (ROADMAP item 4(c)), so the drain ends with no window open
+/// anywhere; it used to end with those windows open for good.
+#[test]
+fn crashed_governors_end_the_drain_with_no_window_open() {
+    use prb_net::fault::FaultPlan;
+    use prb_net::time::SimTime;
+    let cfg = ProtocolConfig {
+        providers: 16,
+        collectors: 8,
+        governors: 5,
+        replication: 2,
+        tx_per_provider: 4,
+        reliable_delivery: true,
+        seed: 26,
+        ..base_config()
+    };
+    let rt = cfg.round_ticks();
+    let mut sim = Simulation::new(cfg.clone()).unwrap();
+    let governors: Vec<_> = (0..cfg.governors)
+        .map(|g| sim.governor_net_index(g))
+        .collect();
+    let mut faults = FaultPlan::none();
+    faults.drop_all(0.05);
+    for &from in &governors {
+        for &to in governors.iter().filter(|&&to| to != from) {
+            faults.drop_link(from, to, 0.0);
+        }
+    }
+    // Down from 20 ticks into round 3 (resp. 7) for two rounds.
+    for (g, round) in [(1, 3), (2, 7)] {
+        let from = round * rt + 20;
+        faults.crash_window(governors[g], SimTime(from), SimTime(from + 2 * rt));
+    }
+    sim.set_faults(faults);
+    sim.run(10);
+    sim.run_drain_rounds(3);
+    let open: Vec<usize> = (0..cfg.governors)
+        .map(|g| sim.governor(g).pending_count())
+        .collect();
+    assert_eq!(open, [0; 5], "windows left open per governor");
+    assert!(sim.chains_agree());
 }

@@ -53,4 +53,4 @@ pub mod transaction;
 pub use block::{Block, BlockBody, BlockEntry, Verdict};
 pub use chain::{Chain, ChainError, ImportError};
 pub use oracle::ValidityOracle;
-pub use transaction::{Label, LabeledBody, LabeledTx, SignedTx, TxBody, TxId, TxPayload};
+pub use transaction::{Label, SignedTx, TxBody, TxId, TxPayload, UploadBatch, UploadBody};

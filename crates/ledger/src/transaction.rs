@@ -4,13 +4,15 @@
 //! transaction payload, the current timestamp, as well as the provider's
 //! signature on them, to prevent a collector from fabricating one"*; a
 //! collector's upload `Tx` adds *"a label (e.g. valid or invalid), and the
-//! collector's signature on all of them"*.
+//! collector's signature on all of them"*. Here one [`UploadBatch`] carries
+//! every transaction a collector labeled in one dispatch under a single
+//! collector signature (DESIGN.md § "Substitutions", row 6).
 //!
 //! Both are immutable, shared values that know their own names:
-//! [`SignedTx`] and [`LabeledTx`] are `Arc` handles onto sealed bodies that
-//! carry the transaction id and the signing digests, so a transaction's
-//! bytes are hashed once where the body is built instead of at every site
-//! that asks (DESIGN.md § "Transaction representation").
+//! [`SignedTx`] and [`UploadBatch`] are `Arc` handles onto sealed bodies
+//! that carry the transaction id and the signing digests, so a
+//! transaction's bytes are hashed once where the body is built instead of
+//! at every site that asks (DESIGN.md § "Transaction representation").
 
 use std::fmt;
 use std::ops::Deref;
@@ -254,105 +256,126 @@ impl SignedTx {
     }
 }
 
-/// The sealed content of a [`LabeledTx`], reached through `Deref`;
+/// The sealed content of an [`UploadBatch`], reached through `Deref`;
 /// readable, not assignable, for the same reason as [`TxBody`].
 #[derive(Debug)]
-pub struct LabeledBody {
-    /// The provider-signed transaction being forwarded.
-    pub tx: SignedTx,
-    /// The collector's validity label.
-    pub label: Label,
+pub struct UploadBody {
     /// The uploading collector.
     pub collector: NodeId,
-    /// Collector signature over (tx id, label, collector).
+    /// The batch's sequence number on the collector's upload channel.
+    pub seq: u64,
+    /// The labeled transactions, in the order the collector labeled them.
+    pub entries: Box<[(SignedTx, Label)]>,
+    /// Collector signature over the batch digest.
     pub collector_sig: Sig,
     /// What `collector_sig` signs, computed once where the body is built.
     signing_digest: [u8; 32],
 }
 
-/// A collector's labeled upload (`Tx` in the paper): a cheap handle onto
-/// one immutable, shared [`LabeledBody`], like [`SignedTx`].
+/// A collector's upload (`Tx` in the paper, one per transaction there):
+/// every `(tx, label)` the collector labeled in one dispatch, under one
+/// signature. A cheap handle onto one immutable, shared [`UploadBody`],
+/// like [`SignedTx`].
+///
+/// The signature covers a flat digest of a domain tag, the collector, the
+/// sequence number and every `(tx id, label)` in order, so a flipped,
+/// reordered, added or removed entry, a swapped collector or a replayed
+/// sequence number all fail [`UploadBatch::verify`]. It is not a Merkle
+/// root: governors keep no per-copy proof, and a root would cost each of
+/// them about two hashes per entry where the flat digest is one hash per
+/// batch (DESIGN.md § "Substitutions").
 #[derive(Clone, Debug)]
-pub struct LabeledTx(Arc<LabeledBody>);
+pub struct UploadBatch(Arc<UploadBody>);
 
-impl Deref for LabeledTx {
-    type Target = LabeledBody;
+impl Deref for UploadBatch {
+    type Target = UploadBody;
 
-    fn deref(&self) -> &LabeledBody {
+    fn deref(&self) -> &UploadBody {
         &self.0
     }
 }
 
-impl PartialEq for LabeledTx {
+impl PartialEq for UploadBatch {
     fn eq(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
-            || (self.label == other.label
-                && self.collector == other.collector
+            || (self.collector == other.collector
+                && self.seq == other.seq
                 && self.collector_sig == other.collector_sig
-                && self.tx == other.tx)
+                && self.entries == other.entries)
     }
 }
 
-impl LabeledTx {
-    fn signing_digest(tx_id: TxId, label: Label, collector: NodeId) -> [u8; 32] {
+impl UploadBatch {
+    fn signing_digest(collector: NodeId, seq: u64, entries: &[(SignedTx, Label)]) -> [u8; 32] {
         let mut h = Sha256::new();
-        h.update_field(b"prb-labeled-tx");
-        h.update_field(tx_id.0.as_bytes());
-        h.update(&[label.to_i8() as u8]);
+        h.update_field(b"prb-upload-batch");
         h.update_field(&collector.to_bytes());
+        h.update(&seq.to_be_bytes());
+        h.update(&(entries.len() as u64).to_be_bytes());
+        for (tx, label) in entries {
+            h.update(tx.id().0.as_bytes());
+            h.update(&[label.to_i8() as u8]);
+        }
         h.finalize().to_bytes()
     }
 
-    /// Labels and signs `tx` as `collector`.
-    pub fn create(tx: SignedTx, label: Label, collector: NodeId, collector_key: &KeyPair) -> Self {
-        let signing_digest = Self::signing_digest(tx.id(), label, collector);
+    /// Signs `entries` as batch `seq` of `collector`.
+    pub fn create(
+        collector: NodeId,
+        seq: u64,
+        entries: Vec<(SignedTx, Label)>,
+        collector_key: &KeyPair,
+    ) -> Self {
+        let signing_digest = Self::signing_digest(collector, seq, &entries);
         let collector_sig = collector_key.sign(&signing_digest);
-        Self::seal(tx, label, collector, collector_sig, signing_digest)
+        Self::seal(collector, seq, entries, collector_sig, signing_digest)
     }
 
     /// Assembles from parts without signing (forgery and tamper modeling).
-    pub fn from_parts(tx: SignedTx, label: Label, collector: NodeId, collector_sig: Sig) -> Self {
-        let signing_digest = Self::signing_digest(tx.id(), label, collector);
-        Self::seal(tx, label, collector, collector_sig, signing_digest)
+    pub fn from_parts(
+        collector: NodeId,
+        seq: u64,
+        entries: Vec<(SignedTx, Label)>,
+        collector_sig: Sig,
+    ) -> Self {
+        let signing_digest = Self::signing_digest(collector, seq, &entries);
+        Self::seal(collector, seq, entries, collector_sig, signing_digest)
     }
 
     fn seal(
-        tx: SignedTx,
-        label: Label,
         collector: NodeId,
+        seq: u64,
+        entries: Vec<(SignedTx, Label)>,
         collector_sig: Sig,
         signing_digest: [u8; 32],
     ) -> Self {
-        LabeledTx(Arc::new(LabeledBody {
-            tx,
-            label,
+        UploadBatch(Arc::new(UploadBody {
             collector,
+            seq,
+            entries: entries.into_boxed_slice(),
             collector_sig,
             signing_digest,
         }))
     }
 
-    /// The exact 32 bytes [`LabeledTx::verify_collector`] checks the
-    /// collector signature against.
+    /// The exact 32 bytes [`UploadBatch::verify`] checks the collector
+    /// signature against.
     pub fn collector_signing_digest(&self) -> &[u8; 32] {
         &self.signing_digest
     }
 
-    /// Verifies the collector signature (not the inner provider signature).
-    pub fn verify_collector(&self, collector_pk: &PublicKey) -> bool {
+    /// Verifies the collector signature over the whole batch (not the
+    /// entries' provider signatures, which are the governor's to settle
+    /// per entry).
+    pub fn verify(&self, collector_pk: &PublicKey) -> bool {
         collector_pk.verify(&self.signing_digest, &self.collector_sig)
     }
 
-    /// Full verification per the paper's `verify(d, m)` for a collector
-    /// message: the collector signature is genuine *and* the inner provider
-    /// signature is genuine.
-    pub fn verify_full(&self, collector_pk: &PublicKey, provider_pk: &PublicKey) -> bool {
-        self.verify_collector(collector_pk) && self.tx.verify(provider_pk)
-    }
-
-    /// Approximate wire size in bytes.
+    /// Approximate wire size in bytes: every entry and its label, plus
+    /// the collector id, the sequence number and one signature.
     pub fn wire_size(&self) -> usize {
-        self.tx.wire_size() + 1 + 5 + 64
+        let entries: usize = self.entries.iter().map(|(tx, _)| tx.wire_size() + 1).sum();
+        entries + 5 + 8 + 64
     }
 }
 
@@ -444,41 +467,91 @@ mod tests {
         assert_eq!(t1.id(), sample_tx(&pk).id());
     }
 
+    /// Two provider transactions labeled by collector 0 as batch 3.
+    fn sample_batch(pk: &KeyPair, ck: &KeyPair) -> UploadBatch {
+        let tx = sample_tx(pk);
+        let mut payload = tx.payload.clone();
+        payload.nonce = 2;
+        let other = SignedTx::create(payload, 100, pk);
+        let entries = vec![(tx, Label::Valid), (other, Label::Invalid)];
+        UploadBatch::create(NodeId::collector(0), 3, entries, ck)
+    }
+
+    /// `batch`'s signature over other content.
+    fn restated(
+        batch: &UploadBatch,
+        collector: NodeId,
+        seq: u64,
+        entries: Vec<(SignedTx, Label)>,
+    ) -> UploadBatch {
+        UploadBatch::from_parts(collector, seq, entries, batch.collector_sig.clone())
+    }
+
     #[test]
-    fn labeled_tx_roundtrip() {
+    fn upload_batch_roundtrip() {
         let (pk, ck) = keys();
-        let tx = sample_tx(&pk);
-        let ltx = LabeledTx::create(tx, Label::Valid, NodeId::collector(0), &ck);
-        assert!(ltx.verify_collector(&ck.public_key()));
-        assert!(ltx.verify_full(&ck.public_key(), &pk.public_key()));
+        let batch = sample_batch(&pk, &ck);
+        assert!(batch.verify(&ck.public_key()));
+        assert!(batch
+            .entries
+            .iter()
+            .all(|(tx, _)| tx.verify(&pk.public_key())));
+        let same = restated(&batch, batch.collector, batch.seq, batch.entries.to_vec());
+        assert_eq!(
+            same.collector_signing_digest(),
+            batch.collector_signing_digest()
+        );
+        assert!(same.verify(&ck.public_key()));
+        assert_eq!(same, batch);
     }
 
     #[test]
     fn label_flip_is_detected() {
         let (pk, ck) = keys();
-        let tx = sample_tx(&pk);
-        let ltx = LabeledTx::create(tx, Label::Valid, NodeId::collector(0), &ck);
-        let flipped = LabeledTx::from_parts(
-            ltx.tx.clone(),
-            Label::Invalid,
-            ltx.collector,
-            ltx.collector_sig.clone(),
-        );
-        assert!(!flipped.verify_collector(&ck.public_key()));
+        let batch = sample_batch(&pk, &ck);
+        let mut entries = batch.entries.to_vec();
+        entries[1].1 = entries[1].1.flipped();
+        let flipped = restated(&batch, batch.collector, batch.seq, entries);
+        assert!(!flipped.verify(&ck.public_key()));
     }
 
     #[test]
     fn collector_identity_bound_into_signature() {
         let (pk, ck) = keys();
-        let tx = sample_tx(&pk);
-        let ltx = LabeledTx::create(tx, Label::Valid, NodeId::collector(0), &ck);
-        let reattributed = LabeledTx::from_parts(
-            ltx.tx.clone(),
-            ltx.label,
+        let batch = sample_batch(&pk, &ck);
+        let reattributed = restated(
+            &batch,
             NodeId::collector(1),
-            ltx.collector_sig.clone(),
+            batch.seq,
+            batch.entries.to_vec(),
         );
-        assert!(!reattributed.verify_collector(&ck.public_key()));
+        assert!(!reattributed.verify(&ck.public_key()));
+    }
+
+    #[test]
+    fn sequence_number_order_and_membership_are_bound_into_signature() {
+        let (pk, ck) = keys();
+        let batch = sample_batch(&pk, &ck);
+        let mut reordered = batch.entries.to_vec();
+        reordered.swap(0, 1);
+        for tampered in [
+            restated(
+                &batch,
+                batch.collector,
+                batch.seq + 1,
+                batch.entries.to_vec(),
+            ),
+            restated(&batch, batch.collector, batch.seq, reordered),
+            restated(
+                &batch,
+                batch.collector,
+                batch.seq,
+                batch.entries[..1].to_vec(),
+            ),
+            restated(&batch, batch.collector, batch.seq, Vec::new()),
+        ] {
+            assert!(!tampered.verify(&ck.public_key()));
+        }
     }
 
     #[test]
@@ -495,10 +568,14 @@ mod tests {
             7,
             Sig::forged(&scheme, &mut rng),
         );
-        let ltx = LabeledTx::create(forged_tx, Label::Valid, NodeId::collector(0), &ck);
-        // Collector signature is fine, provider signature is garbage.
-        assert!(ltx.verify_collector(&ck.public_key()));
-        assert!(!ltx.verify_full(&ck.public_key(), &pk.public_key()));
+        let entries = vec![(sample_tx(&pk), Label::Valid), (forged_tx, Label::Valid)];
+        let batch = UploadBatch::create(NodeId::collector(0), 0, entries, &ck);
+        // The collector signature is fine, one provider signature is
+        // garbage: the batch is the collector's word, each entry's
+        // provenance is checked on its own.
+        assert!(batch.verify(&ck.public_key()));
+        assert!(batch.entries[0].0.verify(&pk.public_key()));
+        assert!(!batch.entries[1].0.verify(&pk.public_key()));
     }
 
     #[test]
@@ -516,8 +593,10 @@ mod tests {
     #[test]
     fn wire_sizes_are_positive_and_monotone() {
         let (pk, ck) = keys();
-        let tx = sample_tx(&pk);
-        let ltx = LabeledTx::create(tx.clone(), Label::Valid, NodeId::collector(0), &ck);
-        assert!(ltx.wire_size() > tx.wire_size());
+        let batch = sample_batch(&pk, &ck);
+        let txs: usize = batch.entries.iter().map(|(tx, _)| tx.wire_size()).sum();
+        assert!(batch.wire_size() > txs);
+        let one = UploadBatch::create(NodeId::collector(0), 0, batch.entries[..1].to_vec(), &ck);
+        assert!(one.wire_size() < batch.wire_size());
     }
 }

@@ -7,11 +7,11 @@ use proptest::prelude::*;
 use prb_crypto::identity::NodeId;
 use prb_crypto::sha256::{hash_fields, Digest, Sha256};
 use prb_crypto::signer::CryptoScheme;
-use prb_crypto::signer::{KeyPair, Sig};
+use prb_crypto::signer::KeyPair;
 use prb_ledger::block::{Block, BlockEntry, Verdict};
 use prb_ledger::chain::Chain;
 use prb_ledger::header::BlockHeader;
-use prb_ledger::transaction::{Label, LabeledTx, SignedTx, TxId, TxPayload};
+use prb_ledger::transaction::{Label, SignedTx, TxId, TxPayload, UploadBatch};
 
 fn verdict_strategy() -> impl Strategy<Value = Verdict> {
     prop_oneof![
@@ -390,12 +390,16 @@ fn reference_signing_digest(p: &TxPayload, timestamp: u64) -> [u8; 32] {
 }
 
 /// What the collector signs, hashed from scratch.
-fn reference_label_digest(id: TxId, label: Label, collector: NodeId) -> [u8; 32] {
+fn reference_batch_digest(collector: NodeId, seq: u64, entries: &[(TxId, Label)]) -> [u8; 32] {
     let mut h = Sha256::new();
-    h.update_field(b"prb-labeled-tx");
-    h.update_field(id.0.as_bytes());
-    h.update(&[label.to_i8() as u8]);
+    h.update_field(b"prb-upload-batch");
     h.update_field(&collector.to_bytes());
+    h.update(&seq.to_be_bytes());
+    h.update(&(entries.len() as u64).to_be_bytes());
+    for (id, label) in entries {
+        h.update(id.0.as_bytes());
+        h.update(&[label.to_i8() as u8]);
+    }
     h.finalize().to_bytes()
 }
 
@@ -501,44 +505,64 @@ proptest! {
         prop_assert!(tampered != tx);
     }
 
-    /// A `LabeledTx` keeps the collector-signing digest of its own
-    /// content; a label or collector flip (rebuilt under the old
-    /// signature) changes the digest and fails `verify_collector`.
+    /// An `UploadBatch` keeps the collector-signing digest of its own
+    /// content, however it was built; any one change to what it binds —
+    /// a label flipped, two entries swapped, an entry dropped, the
+    /// sequence number or the collector swapped — rebuilt under the old
+    /// signature changes the digest and fails `verify`.
     #[test]
-    fn labeled_tx_memo_matches_and_flips_are_caught(
-        payload in payload_strategy(),
+    fn upload_batch_memo_matches_and_tampering_is_caught(
+        payloads in proptest::collection::vec(payload_strategy(), 1..6),
         timestamp in any::<u64>(),
-        label in label_strategy(),
+        labels in proptest::collection::vec(label_strategy(), 6),
         collector in 0u32..64,
+        seq in 0u64..1_000,
+        tamper in 0usize..5,
+        at in any::<proptest::sample::Index>(),
     ) {
         let (pk, ck) = (sim_key("memo-provider"), sim_key("memo-collector"));
         let collector = NodeId::collector(collector);
-        let tx = SignedTx::create(payload, timestamp, &pk);
-        let ltx = LabeledTx::create(tx.clone(), label, collector, &ck);
-        let digest = reference_label_digest(reference_id(&tx.payload, timestamp), label, collector);
-        prop_assert_eq!(ltx.collector_signing_digest(), &digest);
-        let copy = ltx.clone();
+        let entries: Vec<(SignedTx, Label)> = payloads
+            .into_iter()
+            .zip(&labels)
+            .enumerate()
+            .map(|(i, (mut p, label))| {
+                p.nonce = i as u64; // distinct ids
+                (SignedTx::create(p, timestamp, &pk), *label)
+            })
+            .collect();
+        let ids = |entries: &[(SignedTx, Label)]| -> Vec<(TxId, Label)> {
+            entries.iter().map(|(tx, l)| (reference_id(&tx.payload, tx.timestamp), *l)).collect()
+        };
+        let batch = UploadBatch::create(collector, seq, entries.clone(), &ck);
+        let digest = reference_batch_digest(collector, seq, &ids(&entries));
+        prop_assert_eq!(batch.collector_signing_digest(), &digest);
+        let copy = batch.clone();
         prop_assert_eq!(copy.collector_signing_digest(), &digest);
-        prop_assert!(ltx.verify_full(&ck.public_key(), &pk.public_key()));
+        prop_assert!(batch.verify(&ck.public_key()));
 
-        let sig: Sig = ltx.collector_sig.clone();
-        let same = LabeledTx::from_parts(tx.clone(), label, collector, sig.clone());
+        let sig = batch.collector_sig.clone();
+        let same = UploadBatch::from_parts(collector, seq, entries.clone(), sig.clone());
         prop_assert_eq!(same.collector_signing_digest(), &digest);
-        prop_assert!(same.verify_collector(&ck.public_key()));
-        prop_assert_eq!(&same, &ltx);
+        prop_assert!(same.verify(&ck.public_key()));
+        prop_assert_eq!(&same, &batch);
 
-        let other = NodeId::collector(collector.index + 1);
-        for flipped in [
-            LabeledTx::from_parts(tx.clone(), label.flipped(), collector, sig.clone()),
-            LabeledTx::from_parts(tx.clone(), label, other, sig.clone()),
-        ] {
-            prop_assert_eq!(
-                flipped.collector_signing_digest(),
-                &reference_label_digest(tx.id(), flipped.label, flipped.collector)
-            );
-            prop_assert_ne!(flipped.collector_signing_digest(), &digest);
-            prop_assert!(!flipped.verify_collector(&ck.public_key()));
+        let (mut c, mut s, mut e) = (collector, seq, entries.clone());
+        let (n, i) = (e.len(), at.index(e.len()));
+        match tamper {
+            0 => e[i].1 = e[i].1.flipped(),
+            1 if n > 1 => e.swap(i, (i + 1) % n),
+            1 | 2 => { e.remove(i); }
+            3 => s += 1,
+            _ => c = NodeId::collector(c.index + 1),
         }
+        let tampered = UploadBatch::from_parts(c, s, e.clone(), sig);
+        prop_assert_eq!(
+            tampered.collector_signing_digest(),
+            &reference_batch_digest(c, s, &ids(&e))
+        );
+        prop_assert_ne!(tampered.collector_signing_digest(), &digest);
+        prop_assert!(!tampered.verify(&ck.public_key()));
     }
 }
 

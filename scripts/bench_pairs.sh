@@ -3,15 +3,17 @@
 # protocol benchmark/README.md § "Noise protocol" asks of every PR that
 # claims a gain.
 #
-#   scripts/bench_pairs.sh <parent-ref> <workload> [pairs=10] [seconds=10] [seed=11]
+#   scripts/bench_pairs.sh <parent-ref> <workload> [pairs=10] [seconds=10] [seed=11] [heads=same]
 #
 # Exports <parent-ref> into a temporary directory (git archive: the working
 # tree may be dirty, and nothing is left registered in .git), builds the
 # benchmark on both sides, then runs the one-workload command `pairs`
 # times per side, alternating which side goes first. Prints, per
 # end-to-end metric, each side's median and quartiles, the ratio of the
-# medians and the pairs the change won, and fails if a ledger head differs
-# between the sides or a run reports a failed operation. The same rows are
+# medians and the pairs the change won. Fails if a run reports a failed
+# operation, if the runs of one side disagree on their ledger head, or if
+# the two sides' heads differ — unless the 6th argument is `heads=differ`,
+# for a change that moves the schedule on purpose. The same rows are
 # appended to BENCH_history.jsonl at the repo root, one JSON line per
 # end-to-end metric; commit the rows a gain-claiming PR's runs produce.
 # `commit` is `git describe --always --dirty`, so an uncommitted change
@@ -25,7 +27,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent_ref=$1
@@ -33,6 +35,11 @@ workload=$2
 pairs=${3:-10}
 seconds=${4:-10}
 seed=${5:-11}
+heads=${6:-heads=same}
+case $heads in
+    heads=same | heads=differ) ;;
+    *) echo "the 6th argument is heads=same or heads=differ, not '$heads'" >&2; exit 2 ;;
+esac
 
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
@@ -70,11 +77,11 @@ if grep -qw sha_ni /proc/cpuinfo 2>/dev/null; then sha_ni=true; fi
 commit=$(git -C "$root" describe --always --dirty)
 parent=$(git -C "$root" rev-parse --short "$parent_ref^{commit}")
 python3 - "$root" "$tmp/parent.out" "$tmp/change.out" "$workload" "$seed" "$seconds" \
-    "$commit" "$parent" "$crates_tree" "$sha_ni" <<'PY'
+    "$commit" "$parent" "$crates_tree" "$sha_ni" "$heads" <<'PY'
 import json, statistics, sys
 
 (root, parent_out, change_out, workload, seed, seconds, commit, parent,
- crates_tree, sha_ni) = sys.argv[1:]
+ crates_tree, sha_ni, heads_rule) = sys.argv[1:]
 end_to_end = json.load(open(f"{root}/BENCHMARK.json"))["end_to_end"]
 
 def load(path):
@@ -118,7 +125,13 @@ for m in end_to_end:
     }
     history.write(json.dumps(row) + "\n")
 history.close()
-print(f"failed operations {failed}  ledger heads {'identical' if len(heads) == 1 else 'DIFFER'} "
-      f"({', '.join(h[:12] for h in heads)})")
-sys.exit(0 if failed == 0 and len(heads) == 1 else 1)
+p_set, c_set = sorted(set(p_heads)), sorted(set(c_heads))
+same = len(heads) == 1
+steady = len(p_set) == 1 and len(c_set) == 1
+print(f"failed operations {failed}  ledger heads: parent {', '.join(h[:12] for h in p_set)}, "
+      f"change {', '.join(h[:12] for h in c_set)}  "
+      f"({'identical' if same else 'each side steady' if steady else 'a side DISAGREES with itself'}; "
+      f"{heads_rule})")
+ok = failed == 0 and steady and (same or heads_rule == "heads=differ")
+sys.exit(0 if ok else 1)
 PY

@@ -2,11 +2,16 @@
 //!
 //! The kernel's RNG is shared by every actor — link delays and the
 //! screening draw come out of one stream — so the *sequence* of events is
-//! part of what makes a ledger head reproducible: coalescing two timers or
-//! batching two uploads shifts every draw after them. These counts are
-//! exact per seed and were the same before and after the event queue and
-//! the governor's transaction table were rewritten (PR 24); a change that
-//! moves one has changed the schedule, and has to do so knowingly.
+//! part of what makes a ledger head reproducible. These counts are exact
+//! per seed; a change that moves one has changed the schedule, and has to
+//! do so knowingly. They were the same before and after the event queue
+//! and the governor's transaction table were rewritten (PR 24), and were
+//! re-recorded on purpose when a collector's uploads became one batch per
+//! dispatch and a governor's Δ windows one timer per due tick (PR 26).
+//! That moves fewer link-delay draws out of the stream; the open-loop
+//! ledger head here and on `open-steady` stayed byte-identical (every
+//! arrival valid and labeled so, so each draw checks, and blocks sort
+//! their entries), the closed-loop one did not.
 //!
 //! Its own file, like `tests/hash_budget.rs`, so nothing else runs in the
 //! process.
@@ -50,10 +55,12 @@ fn events_timers_and_messages_per_committed_tx_are_unchanged() {
         stats.total_sent(),
         stats.kind("tx-upload").delivered,
     );
-    // Per transaction: 2 broadcasts in, 2 × 4 uploads and one Δ timer at
-    // each of 4 governors — 14 events, 4 timers, 10 sends — and the rest
-    // is per round: round starts, election claims, proposals. 14.20
-    // events, 4 timers and 10.20 sends per committed transaction here.
+    // Per transaction: 2 broadcasts in. Everything else is per round:
+    // one upload batch per collector per governor, one Δ timer per
+    // governor per tick on which windows fall due, round starts, election
+    // claims, proposals. 2.44 events, 0.07 timers and 2.38 sends per
+    // committed transaction here; before batching (PR 26), 2 × 4 uploads
+    // and 4 timers per transaction made it 14.20, 4 and 10.20.
     assert_eq!(counts, EXPECTED);
     assert_eq!(stats.total_dropped(), 0);
     assert_eq!(
@@ -64,8 +71,10 @@ fn events_timers_and_messages_per_committed_tx_are_unchanged() {
 }
 
 /// `(committed, events processed, timers fired, messages sent, uploads
-/// delivered)` for the run above, as computed at the parent of PR 24.
-const EXPECTED: (u64, u64, u64, u64, u64) = (1_464, 20_790, 5_856, 14_934, 11_712);
+/// delivered)` for the run above. At the parent of PR 24 and until PR 26:
+/// `(1_464, 20_790, 5_856, 14_934, 11_712)`, one upload and one timer per
+/// copy.
+const EXPECTED: (u64, u64, u64, u64, u64) = (1_464, 3_577, 99, 3_478, 256);
 
 #[test]
 fn closed_loop_event_sequence_is_unchanged() {
@@ -112,6 +121,10 @@ fn closed_loop_event_sequence_is_unchanged() {
 
 /// `(committed entries, messages sent, timers fired, messages delivered,
 /// block-notify, reveal and tx-upload deliveries)` for the closed-loop run
-/// above, as computed at the parent of PR 25 (before the two drivers were
-/// folded into one).
-const EXPECTED_CLOSED: (u64, u64, u64, u64, u64, u64, u64) = (87, 2_388, 1_488, 2_388, 48, 36, 768);
+/// above. At the parent of PR 25 and until PR 26: `(87, 2_388, 1_488,
+/// 2_388, 48, 36, 768)`. Batching moved it: a delivery that releases two
+/// provider transactions is now one upload per governor, and windows due
+/// on one tick share a timer — so fewer delay draws, and the screening
+/// draws fall differently: 32 unchecked entries revealed, not 36, and 86
+/// entries committed, not 87.
+const EXPECTED_CLOSED: (u64, u64, u64, u64, u64, u64, u64) = (86, 1_808, 949, 1_808, 48, 32, 480);

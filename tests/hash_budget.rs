@@ -12,7 +12,7 @@ use prb::crypto::stats;
 use prb::ledger::block::{Block, BlockEntry, Verdict};
 use prb::ledger::chain::Chain;
 use prb::ledger::codec;
-use prb::ledger::transaction::{Label, LabeledTx, SignedTx, TxPayload};
+use prb::ledger::transaction::{Label, SignedTx, TxPayload, UploadBatch};
 use prb::workload::ScaleWorkload;
 
 /// Runs `f`, returning its value and the SHA-256 calls it made.
@@ -61,14 +61,13 @@ fn bodies_hash_once() {
     // First verify: the digest and the signer's tag; second: the tag.
     assert_eq!(counted(|| assert!(parts.verify(&pk.public_key()))).1, 2);
     assert_eq!(counted(|| assert!(parts.verify(&pk.public_key()))).1, 1);
-    // An upload: one label digest + one tag to sign, one tag per verify.
-    let (ltx, calls) = counted(|| LabeledTx::create(tx, Label::Valid, NodeId::collector(0), &ck));
+    // An upload batch, however many entries: one digest + one tag to
+    // sign, one tag per verify.
+    let entries = vec![(tx.clone(), Label::Valid), (parts, Label::Invalid)];
+    let (batch, calls) = counted(|| UploadBatch::create(NodeId::collector(0), 0, entries, &ck));
     assert_eq!(calls, 2);
-    let copy = ltx.clone();
-    assert_eq!(
-        counted(|| assert!(copy.verify_collector(&ck.public_key()))).1,
-        1
-    );
+    let copy = batch.clone();
+    assert_eq!(counted(|| assert!(copy.verify(&ck.public_key()))).1, 1);
 }
 
 /// A block hashes its entries into a Merkle root once where its body is
@@ -161,14 +160,20 @@ fn sha256_calls_stay_in_budget() {
     blocks_hash_once();
     // 107.34 per tx before `SignedTx` carried its own id and signing
     // digest (PR 15: 58 of them `SignedTx::id()` over the same bytes),
-    // 36.46 after; 24.44 now that a `Block` carries its Merkle verdict
-    // and header hash (PR 16: each of four governors' `append` used to
-    // rehash every entry, ~3 calls per tx per ledger). The count repeats
-    // exactly per seed. What is left per tx is 17 sim-signature tags (one
-    // per sign or verify), one id, one provider signing digest, one label
-    // digest per upload (r = 2), and one leaf-bytes hash, one leaf hash
-    // and one tree node where the leader builds the block.
-    const AFTER: f64 = 24.44;
+    // 36.46 after; 24.44 once a `Block` carried its Merkle verdict and
+    // header hash (PR 16: each of four governors' `append` used to rehash
+    // every entry, ~3 calls per tx per ledger); 12.66 now that a collector
+    // uploads one batch per dispatch under one signature (PR 26: the 12
+    // calls per tx that went were one label digest and one signing tag per
+    // copy, r = 2, and one verifying tag per copy at each of 4 governors).
+    // The count repeats exactly per seed. What is left per tx is 7
+    // sim-signature tags (the provider's sign, 2 collectors' verify, 4
+    // governors' batched verify), one id, one provider signing digest, one
+    // leaf-bytes hash, one leaf hash and one tree node where the leader
+    // builds the block, and ~0.26 for the batches themselves: one digest
+    // and one signing tag per batch, one verifying tag per batch at each
+    // governor.
+    const AFTER: f64 = 12.66;
     let per_tx = sha256_calls_per_committed_tx();
     assert!(
         per_tx <= AFTER * 1.10,
