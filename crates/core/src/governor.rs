@@ -17,7 +17,9 @@
 //!
 //! What it remembers per transaction — the Δ window, the screening outcome,
 //! the reveal status — lives in `crate::txtable`, one slot per transaction;
-//! this file decides, the table keeps.
+//! this file decides, the table keeps. Which block the head follows is
+//! decided in `crate::forkchoice`; this file acts on it, and every block
+//! enters the chain through one function, `GovernorNode::adopt`.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -56,9 +58,10 @@ use prb_store::{BlockStore, Recovered};
 
 use crate::behavior::{ByzantineMode, GovernorProfile};
 use crate::config::{GovernorMode, ProtocolConfig};
+use crate::forkchoice::{malformed, Adoption, Arrival, Electorate, ForkChoice};
 use crate::metrics::GovernorMetrics;
 use crate::msg::ProtocolMsg;
-use crate::txtable::{Outcome, SigMemo, SlotState, TxTable, Upload};
+use crate::txtable::{Outcome, QueuedSig, SigMemo, SlotState, TxTable, Upload};
 
 /// Peer rotations before an anti-entropy sync round is abandoned (the
 /// next observed gap re-triggers it).
@@ -124,34 +127,12 @@ pub struct GovernorNode {
     ready_entries: Vec<BlockEntry>,
     /// Accepted argues awaiting re-recording.
     argued_entries: Vec<BlockEntry>,
-    /// Blocks that arrived ahead of a gap, parked until sync completes.
-    future_blocks: Vec<Block>,
     round: u64,
     claims: Vec<ElectionClaim>,
-    /// The claims `run_election` authenticated for `self.round`, with
-    /// their VRF outputs: `claim_key` answers from here when the same
-    /// claim comes back attached to a block. At most one entry per
-    /// governor; cleared with `claims` when the round advances.
-    verified_claims: Vec<(ElectionClaim, Digest)>,
     leader: Option<u32>,
-    /// This governor's own VRF claim for the current round, attached to
-    /// its block proposal so peers can rank it during head-fork
-    /// resolution.
-    my_claim: Option<ElectionClaim>,
-    /// Priority of the proposal that produced the chain head, as
-    /// `(vrf_output, governor, round)` — the election's ordering key
-    /// plus the round it was won in. `None` for settled heads (genesis,
-    /// sync-applied blocks, or heads with a committed successor), which
-    /// can never be displaced.
-    head_priority: Option<(Digest, u32, u64)>,
-    /// Serial of the lowest contiguous head block that is this
-    /// governor's own self-proposal elected *without* the full claim
-    /// set. Such blocks are provisional — the true winner's claim may
-    /// have been lost in transit — and are rolled back when a rival
-    /// proposal with a smaller election key arrives, when a successor
-    /// built on a different head proves the network chose otherwise, or
-    /// when recovery refetches the settled chain.
-    provisional_base: Option<u64>,
+    /// VRF fork choice: the head's rank, provisional self-proposals, this
+    /// round's claims, and the blocks parked past a gap.
+    fork: ForkChoice,
     metrics: GovernorMetrics,
     obs: ObsHandle,
     /// Memoized provider-signature verdicts.
@@ -303,14 +284,10 @@ impl GovernorNode {
             unchecked_counter: fx_map_seeded(hs),
             ready_entries: Vec::new(),
             argued_entries: Vec::new(),
-            future_blocks: Vec::new(),
             round: 0,
             claims: Vec::new(),
-            verified_claims: Vec::new(),
             leader: None,
-            my_claim: None,
-            head_priority: None,
-            provisional_base: None,
+            fork: ForkChoice::new(index),
             obs: Obs::off(),
             sig_memo: SigMemo::new(hs),
             verify_pool,
@@ -621,12 +598,10 @@ impl GovernorNode {
     /// head, restores the certified stake/reputation state, and resets
     /// the durable store, so the remaining sync fetches only the
     /// `delta = head − serial` suffix.
-    fn maybe_adopt_checkpoint(&mut self, cert: CheckpointCert, now: u64) {
+    fn maybe_adopt_checkpoint(&mut self, cert: CheckpointCert) {
         if cert.state.serial <= self.chain.height() {
             self.metrics.checkpoints_rejected += 1;
-            if self.obs.is_enabled() {
-                self.obs.metrics().inc("checkpoint.rejected.stale");
-            }
+            self.obs.add_counter("checkpoint.rejected.stale", 1);
             return;
         }
         // Size the quorum by the membership epoch at the cert's serial:
@@ -649,9 +624,7 @@ impl GovernorNode {
         let serial = cert.state.serial;
         self.chain = Chain::from_checkpoint(serial, cert.state.block_hash, self.cfg.b_limit);
         self.adopt_cert_state(&cert);
-        self.head_priority = None;
-        self.provisional_base = None;
-        self.future_blocks.retain(|b| b.serial > serial);
+        self.fork.anchored(serial);
         if let Some(store) = &mut self.store {
             store
                 .reset_to_checkpoint(&cert)
@@ -660,13 +633,8 @@ impl GovernorNode {
         self.metrics.checkpoints_adopted += 1;
         self.metrics.adopted_serial = serial;
         self.metrics.pages_after_adopt = 0;
-        if self.obs.is_enabled() {
-            self.obs.metrics().inc("checkpoint.adopted");
-            self.obs
-                .metrics()
-                .observe("checkpoint.adopted_serial", serial);
-        }
-        let _ = now;
+        self.obs.add_counter("checkpoint.adopted", 1);
+        self.obs.observe("checkpoint.adopted_serial", serial);
         self.latest_cert = Some(cert);
         self.prune_checkpoint_buffers(serial);
     }
@@ -1255,11 +1223,10 @@ impl GovernorNode {
                 claim,
                 header,
             } => {
-                let (claim, header) = (claim.map(|c| *c), header.map(|h| *h));
                 if let Some(header) = &header {
-                    self.note_header(header.clone(), ctx);
+                    self.note_header((**header).clone(), ctx);
                 }
-                self.on_block(block, claim, header, ctx);
+                self.on_block(block, claim.as_deref(), header.as_deref(), ctx);
             }
             ProtocolMsg::HeaderEcho { header } => self.note_header(*header, ctx),
             ProtocolMsg::Evidence { evidence } => self.on_evidence(*evidence, ctx),
@@ -1319,7 +1286,7 @@ impl GovernorNode {
         }
         self.round = round;
         self.claims.clear();
-        self.verified_claims.clear();
+        self.fork.start_round(round);
         self.leader = None;
         let now = ctx.now().ticks();
         self.apply_due_members(round, now);
@@ -1367,7 +1334,7 @@ impl GovernorNode {
             self.obs
                 .add_counter("wall.crypto_ns", t0.elapsed().as_nanos() as u64);
         }
-        self.my_claim = claim.clone();
+        self.fork.my_claim = claim.clone();
         if let Some(claim) = claim {
             self.claims.push(claim.clone());
             self.broadcast_governors(
@@ -1392,12 +1359,7 @@ impl GovernorNode {
             &self.verify_pool,
         );
         let (result, _rejected) = tally(&self.claims, &verdicts);
-        self.verified_claims = self
-            .claims
-            .iter()
-            .zip(verdicts)
-            .filter_map(|(claim, verdict)| Some((claim.clone(), verdict.ok()?)))
-            .collect();
+        self.fork.remember_election(&self.claims, verdicts);
         if let Some(t0) = t0 {
             self.obs
                 .add_counter("wall.crypto_ns", t0.elapsed().as_nanos() as u64);
@@ -1568,20 +1530,26 @@ impl GovernorNode {
     /// Drains the queued provider signatures through the pool as one
     /// batch and folds the verdicts into the signature memo.
     fn drain_verify_queue(&mut self) {
-        let queue = self.txs.batch();
-        if queue.is_empty() {
+        let mut queue = std::mem::take(self.txs.batch());
+        self.verify_batch(&mut queue);
+        // Hand the drained buffer back, capacity and all.
+        *self.txs.batch() = queue;
+    }
+
+    /// Verifies `sigs` as one pooled batch and drains the verdicts into the
+    /// signature memo; every provider key must resolve.
+    fn verify_batch(&mut self, sigs: &mut Vec<QueuedSig>) {
+        if sigs.is_empty() {
             return;
         }
-        if self.obs.is_enabled() {
-            self.obs
-                .metrics()
-                .observe("crypto.batch.size", queue.len() as u64);
-        }
-        let items: Vec<(&[u8], &Sig, &PublicKey)> = queue
+        let n = sigs.len() as u64;
+        self.metrics.sig_memo_misses += n;
+        self.obs.observe("crypto.batch.size", n);
+        self.obs.add_counter("gov.sig_memo_miss", n);
+        let items: Vec<(&[u8], &Sig, &PublicKey)> = sigs
             .iter()
             .map(|(p, _, sig, msg)| {
-                let pk = resolve_pk(&self.provider_pks, &self.pk_pool, &self.topology, *p)
-                    .expect("queued after structural check");
+                let pk = self.provider_pk(*p).expect("resolved before queueing");
                 (&msg[..], sig, pk)
             })
             .collect();
@@ -1591,13 +1559,7 @@ impl GovernorNode {
             self.obs
                 .add_counter("wall.crypto_ns", t0.elapsed().as_nanos() as u64);
         }
-        self.metrics.sig_memo_misses += queue.len() as u64;
-        if self.obs.is_enabled() {
-            self.obs
-                .metrics()
-                .add("gov.sig_memo_miss", queue.len() as u64);
-        }
-        for ((p, id, sig, _), ok) in queue.drain(..).zip(verdicts) {
+        for ((p, id, sig, _), ok) in sigs.drain(..).zip(verdicts) {
             self.sig_memo.insert((p, id, sig), ok);
         }
     }
@@ -1754,87 +1716,56 @@ impl GovernorNode {
     }
 
     fn on_propose(&mut self, round: u64, ctx: &mut Context<'_, ProtocolMsg>) {
+        let (now, me) = (ctx.now().ticks(), self.net_idx());
         // A leader already chosen means the election ran over the full
         // claim set; electing from a partial set below may miss the true
         // winner, so a block proposed that way stays provisional.
         let informed = self.leader.is_some();
         if self.leader.is_none() {
             // Missing claims (crashed governors): elect from what arrived.
-            self.run_election(ctx.now().ticks());
+            self.run_election(now);
         }
         if self.leader != Some(self.index) {
             return;
         }
-        if self.provisional_base.is_some() {
-            // The previous provisional self-proposal is still
-            // unconfirmed; building on it would deepen a potential fork
-            // past what same-serial contests can undo. Skip the round —
-            // the streak resolves via a rival's key, a foreign
-            // successor, or recovery.
+        if self.fork.withholds() {
             self.metrics.proposals_withheld += 1;
             return;
         }
         let mode = self.profile.mode_in(round);
         // Argued re-records first, then fresh screenings, capped by b_limit.
-        let mut entries: Vec<BlockEntry> = Vec::new();
-        let mut argued_rest = Vec::new();
-        for e in self.argued_entries.drain(..) {
-            if entries.len() < self.cfg.b_limit {
-                entries.push(e);
-            } else {
-                argued_rest.push(e);
-            }
-        }
-        self.argued_entries = argued_rest;
-        let mut ready_rest = Vec::new();
-        let mut ready: Vec<BlockEntry> = self.ready_entries.drain(..).collect();
+        // Never re-record something already in the ledger (argue re-records
+        // enter via argued_entries only).
+        let b_limit = self.cfg.b_limit;
+        let argued = self.argued_entries.len().min(b_limit);
+        let mut entries: Vec<BlockEntry> = self.argued_entries.drain(..argued).collect();
+        let mut ready = std::mem::take(&mut self.ready_entries);
         ready.sort_by_key(|e| e.tx.id());
-        for e in ready {
-            // Never re-record something already in the ledger (argue
-            // re-records enter via argued_entries only).
-            if self.chain.find_tx(e.tx.id()).is_some() {
-                continue;
-            }
-            if entries.len() < self.cfg.b_limit {
-                entries.push(e);
-            } else {
-                ready_rest.push(e);
-            }
-        }
-        self.ready_entries = ready_rest;
+        ready.retain(|e| self.chain.find_tx(e.tx.id()).is_none());
+        entries.extend(ready.drain(..(b_limit - entries.len()).min(ready.len())));
+        self.ready_entries = ready;
 
         if mode == ByzantineMode::Censor {
             // Drop every second entry of the deterministic assembly order:
             // selective censorship with plausible deniability — the block
             // stays well-formed, so this is tolerated, not detected.
-            let before = entries.len();
             let mut nth = 0usize;
             let mut censored: Vec<u64> = Vec::new();
-            let trace_drops = self.obs.is_enabled();
             entries.retain(|e| {
                 nth += 1;
                 let keep = nth % 2 == 1;
-                if !keep && trace_drops {
+                if !keep {
                     censored.push(e.tx.id().trace());
                 }
                 keep
             });
-            self.metrics.censored_txs += (before - entries.len()) as u64;
-            if self.obs.is_enabled() {
-                self.obs
-                    .metrics()
-                    .add("byzantine.censored_txs", (before - entries.len()) as u64);
-            }
-            let t = ctx.now().ticks();
+            self.metrics.censored_txs += censored.len() as u64;
+            self.obs
+                .add_counter("byzantine.censored_txs", censored.len() as u64);
             for trace in censored {
-                self.obs.emit(
-                    t,
-                    self.net_idx(),
-                    ObsEvent::TxDropped {
-                        trace,
-                        reason: "censored",
-                    },
-                );
+                let reason = "censored";
+                self.obs
+                    .emit(now, me, ObsEvent::TxDropped { trace, reason });
             }
         }
         if mode == ByzantineMode::InvalidProposal {
@@ -1842,170 +1773,74 @@ impl GovernorNode {
             // signature was actually made with the governor's own key,
             // mislabeled CheckedValid. Paranoid receivers reject the whole
             // block and attribute it to the proposer.
-            let forged = SignedTx::create(
-                TxPayload {
-                    provider: NodeId::provider(0),
-                    nonce: u64::MAX - round,
-                    data: vec![0xBD],
-                },
-                ctx.now().ticks(),
-                &self.key,
-            );
+            let payload = TxPayload {
+                provider: NodeId::provider(0),
+                nonce: u64::MAX - round,
+                data: vec![0xBD],
+            };
             entries.push(BlockEntry {
-                tx: forged,
+                tx: SignedTx::create(payload, now, &self.key),
                 verdict: Verdict::CheckedValid,
                 reported_labels: Vec::new(),
             });
             self.metrics.invalid_proposals_sent += 1;
-            if self.obs.is_enabled() {
-                self.obs.metrics().inc("byzantine.invalid_proposals_sent");
-            }
+            self.obs.add_counter("byzantine.invalid_proposals_sent", 1);
         }
 
-        let block = Block::build(
-            self.chain.next_serial(),
-            entries,
-            self.chain.head_hash(),
-            NodeId::governor(self.index),
-            ctx.now().ticks(),
-        );
-        let size = 64 + 96 * block.tx_count();
-        let now = ctx.now().ticks();
-        self.obs.emit(
-            now,
-            self.net_idx(),
-            ObsEvent::BlockProposed {
-                serial: block.serial,
-                entries: block.entries.len() as u64,
-            },
-        );
+        let (serial, head) = (self.chain.next_serial(), self.chain.head_hash());
+        let block = Block::build(serial, entries, head, NodeId::governor(self.index), now);
+        let entries = block.entries.len() as u64;
+        self.obs
+            .emit(now, me, ObsEvent::BlockProposed { serial, entries });
         if self.obs.is_enabled() {
             for e in &block.entries {
-                self.obs.emit(
-                    now,
-                    self.net_idx(),
-                    ObsEvent::TxProposed {
-                        trace: e.tx.id().trace(),
-                        serial: block.serial,
-                    },
-                );
+                let trace = e.tx.id().trace();
+                self.obs
+                    .emit(now, me, ObsEvent::TxProposed { trace, serial });
             }
         }
         if let Some(span) = self.proposal_span.take() {
-            self.obs.end_span(span, now, self.net_idx());
+            self.obs.end_span(span, now, me);
         }
         self.pay_collectors(&block);
-        match self.chain.append(block.clone()) {
-            Ok(()) => {
-                self.metrics.blocks_appended += 1;
-                self.obs.emit(
-                    now,
-                    self.net_idx(),
-                    ObsEvent::BlockCommitted {
-                        serial: block.serial,
-                        entries: block.entries.len() as u64,
-                    },
-                );
-                if self.obs.is_enabled() {
-                    for e in &block.entries {
-                        self.obs.emit(
-                            now,
-                            self.net_idx(),
-                            ObsEvent::TxCommitted {
-                                trace: e.tx.id().trace(),
-                                serial: block.serial,
-                            },
-                        );
-                    }
-                }
-                if let Some(span) = self.commit_span.take() {
-                    self.obs.end_span(span, now, self.net_idx());
-                }
-                self.store_append_head();
-                if self.cfg.checkpoint_interval > 0
-                    && block.serial.is_multiple_of(self.cfg.checkpoint_interval)
-                {
-                    self.capture_checkpoint(block.serial);
-                }
-                // Rank the new head so same-serial rivals can contest it
-                // by election key, and mark it provisional when the
-                // election that produced it was under-informed.
-                self.head_priority = self
-                    .my_claim
-                    .clone()
-                    .and_then(|c| self.claim_key(&c, self.round));
-                if !informed && self.provisional_base.is_none() {
-                    self.provisional_base = Some(block.serial);
-                }
-            }
-            Err(_) => self.metrics.append_failures += 1,
-        }
+        self.adopt(block.clone(), Adoption::Own { informed }, None, now);
         self.metrics.rounds_led += 1;
-        let claim = self.my_claim.clone().map(Box::new);
-        let size = size + claim.as_ref().map_or(0, |_| 96) + 72;
-        let header = Box::new(SignedHeader::create(
-            self.index,
-            round,
-            block.serial,
-            block.hash(),
-            &self.key,
-        ));
+        let claim = self.fork.my_claim.clone().map(Box::new);
+        let size = 64 + 96 * block.tx_count() + claim.as_ref().map_or(0, |_| 96) + 72;
+        let header = SignedHeader::create(self.index, round, serial, block.hash(), &self.key);
+        let proposal = |block: &Block, header: &SignedHeader| ProtocolMsg::BlockProposal {
+            block: block.clone(),
+            claim: claim.clone(),
+            header: Some(Box::new(header.clone())),
+        };
         if mode == ByzantineMode::Equivocate {
             // Double-sign a twin block differing only by timestamp and
             // split the committee: even-indexed peers get the original,
             // odd-indexed the twin. Neither half sees both blocks
             // directly — only the header echoes expose the conflict.
             let twin = Block::build(
-                block.serial,
+                serial,
                 block.entries.clone(),
                 block.prev_hash,
                 block.leader,
                 block.timestamp + 1,
             );
-            let twin_header = Box::new(SignedHeader::create(
-                self.index,
-                round,
-                twin.serial,
-                twin.hash(),
-                &self.key,
-            ));
+            let twin_header =
+                SignedHeader::create(self.index, round, serial, twin.hash(), &self.key);
             self.metrics.equivocations_sent += 1;
-            if self.metrics.first_equivocation_round.is_none() {
-                self.metrics.first_equivocation_round = Some(round);
-            }
-            if self.obs.is_enabled() {
-                self.obs.metrics().inc("byzantine.equivocations_sent");
-            }
-            for g in 0..self.cfg.governors {
-                if g == self.index {
-                    continue;
-                }
+            self.metrics.first_equivocation_round.get_or_insert(round);
+            self.obs.add_counter("byzantine.equivocations_sent", 1);
+            let (index, governors) = (self.index, self.cfg.governors);
+            for g in (0..governors).filter(|&g| g != index) {
                 let msg = if g % 2 == 0 {
-                    ProtocolMsg::BlockProposal {
-                        block: block.clone(),
-                        claim: claim.clone(),
-                        header: Some(header.clone()),
-                    }
+                    proposal(&block, &header)
                 } else {
-                    ProtocolMsg::BlockProposal {
-                        block: twin.clone(),
-                        claim: claim.clone(),
-                        header: Some(twin_header.clone()),
-                    }
+                    proposal(&twin, &twin_header)
                 };
                 self.send_governor(ctx, g as usize, "block-proposal", size, msg);
             }
         } else {
-            self.broadcast_governors(
-                ctx,
-                "block-proposal",
-                size,
-                ProtocolMsg::BlockProposal {
-                    block,
-                    claim,
-                    header: Some(header),
-                },
-            );
+            self.broadcast_governors(ctx, "block-proposal", size, proposal(&block, &header));
         }
     }
 
@@ -2028,8 +1863,8 @@ impl GovernorNode {
     fn on_block(
         &mut self,
         block: Block,
-        claim: Option<ElectionClaim>,
-        header: Option<SignedHeader>,
+        claim: Option<&ElectionClaim>,
+        header: Option<&SignedHeader>,
         ctx: &mut Context<'_, ProtocolMsg>,
     ) {
         if block.leader == NodeId::governor(self.index) {
@@ -2038,130 +1873,117 @@ impl GovernorNode {
         if self.expelled.contains(&block.leader.index) {
             // Blocks from a convicted governor are ignored outright; any
             // settled prefix it contributed before conviction stands.
-            if self.obs.is_enabled() {
-                self.obs.metrics().inc("byzantine.blocks_ignored");
-            }
+            self.obs.add_counter("byzantine.blocks_ignored", 1);
             return;
         }
         let now = ctx.now().ticks();
-        // Strictly below the head: a retransmitted or slow duplicate,
-        // not an agreement violation.
-        if block.serial < self.chain.height() {
-            self.metrics.duplicate_blocks += 1;
-            return;
-        }
-        // A block `append` is bound to refuse — stale Merkle root, or more
-        // than `b_limit` entries — is refused here, before it can make
-        // this node shed a head for it. Both checks are field reads.
-        // Only the entry count is attributable: it is part of the hash the
-        // proposer signed, whereas the entries are covered through the root
-        // alone, so anyone relaying an honest header can put other entries
-        // under the same hash. A stale root is refused without conviction.
-        let over_limit = block.tx_count() > self.chain.b_limit();
-        if over_limit || !block.merkle_consistent() {
-            self.reject_invalid_block(&block, header.as_ref().filter(|_| over_limit), now);
-            return;
-        }
-        // Same serial as the head: a duplicate, or a head fork — two
-        // governors self-elected under message loss and both proposed.
-        // Forks resolve by the election's own ordering: the proposal
-        // whose verified claim has the smaller (vrf_output, governor)
-        // key wins, so every governor converges on the minimum over the
-        // claims it saw, exactly as a fully-informed election would.
-        if block.serial == self.chain.height() {
-            if self.chain.head_hash() == block.hash() {
-                self.metrics.duplicate_blocks += 1;
-                return;
-            }
-            let parent_match = self
-                .chain
-                .retrieve(block.serial.saturating_sub(1))
-                .is_some_and(|p| p.hash() == block.prev_hash);
-            if !parent_match {
-                // The rival disagrees deeper than the head — no local
-                // key comparison can rank the chains. Shed whatever of
-                // our head suffix is still unconfirmed; if that opens a
-                // gap, the block parks and recovery refetches the chain
-                // the network agreed on.
-                self.rollback_unconfirmed();
-                if block.serial > self.chain.height() + 1 {
-                    let proposer = block.leader.index;
-                    if !self.future_blocks.iter().any(|b| b.serial == block.serial) {
-                        self.future_blocks.push(block);
-                    }
-                    self.start_recovery(Some(proposer), ctx);
-                } else {
-                    self.metrics.duplicate_blocks += 1;
-                }
-                return;
-            }
-            if let Some(key) = self.rival_priority(&block, claim.as_ref()) {
-                if self.cfg.verify_blocks && !self.entries_authentic(&block) {
-                    self.reject_invalid_block(&block, header.as_ref(), now);
-                    return;
-                }
-                self.pop_head_repool();
-                if self.append_and_clean(block, now).is_ok() {
-                    // Same parent as the popped head, so the prefix
-                    // agrees with the winner: nothing provisional left.
-                    self.head_priority = Some(key);
-                    self.provisional_base = None;
-                }
-            } else {
+        let e = Electorate(&self.stake_table, &self.governor_pks);
+        match self.fork.classify(&self.chain, &block, claim, &e) {
+            Arrival::Duplicate { shed } => {
+                self.shed(shed);
                 self.metrics.duplicate_blocks += 1;
             }
-            return;
-        }
-        // A successor built on a different head than ours: the network
-        // committed to a rival chain while our head was still
-        // unconfirmed. Roll back to the settled prefix; the block then
-        // lands past a gap and the ordinary recovery path refetches the
-        // winner's blocks. (If the head is settled, nothing pops and the
-        // append below fails harmlessly into `append_failures`.)
-        if block.serial == self.chain.height() + 1 && block.prev_hash != self.chain.head_hash() {
-            self.rollback_unconfirmed();
-        }
-        // Gap: we missed blocks (e.g. while crashed). Park the block and
-        // enter recovery, starting from its proposer.
-        if block.serial > self.chain.height() + 1 {
-            let proposer = block.leader.index;
-            if !self.future_blocks.iter().any(|b| b.serial == block.serial) {
-                self.future_blocks.push(block);
+            Arrival::Refuse(fault) => {
+                self.refuse(&block, &Adoption::Proposal(claim), header, Some(fault), now);
             }
-            self.start_recovery(Some(proposer), ctx);
-            return;
-        }
-        if self.cfg.verify_blocks && !self.entries_authentic(&block) {
-            self.reject_invalid_block(&block, header.as_ref(), now);
-            return;
-        }
-        let proposer = block.leader.index;
-        if self.append_and_clean(block, now).is_ok() {
-            // A committed successor settles every block beneath it, and
-            // the new head is ranked for future same-serial contests.
-            self.provisional_base = None;
-            self.head_priority = claim
-                .filter(|c| c.governor == proposer)
-                .and_then(|c| self.claim_key(&c, self.round));
+            Arrival::Contest(key) => self.adopt(block, Adoption::Contest(key), header, now),
+            Arrival::Extend => self.adopt(block, Adoption::Proposal(claim), header, now),
+            Arrival::Park { shed } => {
+                // We missed blocks (e.g. while crashed): recover them,
+                // starting from the proposer.
+                self.shed(shed);
+                let proposer = block.leader.index;
+                self.fork.park(block);
+                self.start_recovery(Some(proposer), ctx);
+            }
         }
     }
 
-    /// Books a proposed block that failed the structural checks or
-    /// paranoid entry verification, and convicts the proposer when the
-    /// forgery is attributable: a direct proposal carries the proposer's
-    /// signed header over this exact block hash, so signing garbage is
-    /// self-incriminating to every governor it was broadcast to.
-    /// Sync-served blocks carry no header (any peer could have fabricated
-    /// the leader field), so they are rejected without conviction — and so
-    /// is a body whose entries do not match its root (`on_block` withholds
-    /// the header): the signed hash does not cover those entries.
-    fn reject_invalid_block(&mut self, block: &Block, header: Option<&SignedHeader>, now: u64) {
-        self.metrics.append_failures += 1;
-        self.metrics.invalid_blocks_rejected += 1;
-        if self.obs.is_enabled() {
-            self.obs.metrics().inc("byzantine.invalid_blocks_rejected");
+    /// Adopts `block` as the new head: the one way into the chain.
+    ///
+    /// A block from anywhere but this governor first passes the checks
+    /// `append` makes on the block alone and, in paranoid mode, the entry
+    /// check; a refusal is booked by where the block came from. A contest
+    /// winner then displaces the head it beat. The commit is mirrored into
+    /// metrics, trace, store and checkpoint, drops the local buffers the
+    /// block covers, and fork choice ranks the new head.
+    fn adopt(&mut self, block: Block, how: Adoption<'_>, header: Option<&SignedHeader>, now: u64) {
+        if !matches!(how, Adoption::Own { .. }) {
+            let fault = malformed(&self.chain, &block);
+            if fault.is_some() || (self.cfg.verify_blocks && !self.entries_authentic(&block)) {
+                return self.refuse(&block, &how, header, fault, now);
+            }
         }
-        if let Some(h) = header {
+        if let Adoption::Contest(_) = how {
+            self.pop_head_repool();
+        }
+        let serial = block.serial;
+        if let Err(e) = self.chain.append(block) {
+            self.metrics.append_failures += 1;
+            if let Adoption::Page = how {
+                self.count_sync_rejected(&e);
+            }
+            return;
+        }
+        self.metrics.blocks_appended += 1;
+        let (me, head) = (self.net_idx(), self.chain.latest());
+        let entries = head.entries.len() as u64;
+        self.obs
+            .emit(now, me, ObsEvent::BlockCommitted { serial, entries });
+        if self.obs.is_enabled() {
+            for e in &head.entries {
+                let trace = e.tx.id().trace();
+                self.obs
+                    .emit(now, me, ObsEvent::TxCommitted { trace, serial });
+            }
+        }
+        if let Some(span) = self.commit_span.take() {
+            self.obs.end_span(span, now, me);
+        }
+        self.store_append_head();
+        if self.cfg.checkpoint_interval > 0 && serial.is_multiple_of(self.cfg.checkpoint_interval) {
+            self.capture_checkpoint(serial);
+        }
+        let head = self.chain.latest();
+        if !self.ready_entries.is_empty() || !self.argued_entries.is_empty() {
+            let included: HashSet<TxId> = head.entries.iter().map(|e| e.tx.id()).collect();
+            self.ready_entries
+                .retain(|e| !included.contains(&e.tx.id()));
+            self.argued_entries
+                .retain(|e| !included.contains(&e.tx.id()));
+        }
+        if let Adoption::Page = how {
+            self.metrics.sync_applied += 1;
+            self.obs.add_counter("sync.applied", 1);
+        }
+        let e = Electorate(&self.stake_table, &self.governor_pks);
+        self.fork.adopted(head, how, &e);
+    }
+
+    /// Books a block [`Self::adopt`] refused for the structural `fault` or,
+    /// when `None`, for forged entries. A sync page convicts nobody: any peer
+    /// could have fabricated its leader field. A direct proposal's signed
+    /// `header` convicts the proposer when it covers the fault, which a
+    /// stale root it does not (see [`malformed`]).
+    fn refuse(
+        &mut self,
+        block: &Block,
+        how: &Adoption<'_>,
+        header: Option<&SignedHeader>,
+        fault: Option<ChainError>,
+        now: u64,
+    ) {
+        self.metrics.append_failures += 1;
+        if let Adoption::Page = how {
+            if let Some(e) = &fault {
+                self.count_sync_rejected(e);
+            }
+            return;
+        }
+        self.metrics.invalid_blocks_rejected += 1;
+        self.obs.add_counter("byzantine.invalid_blocks_rejected", 1);
+        let stale_root = matches!(fault, Some(ChainError::MerkleMismatch { .. }));
+        if let Some(h) = header.filter(|_| !stale_root) {
             if h.proposer == block.leader.index
                 && h.serial == block.serial
                 && h.block_hash == block.hash()
@@ -2170,6 +1992,13 @@ impl GovernorNode {
                 self.expel(h.proposer, now);
             }
         }
+    }
+
+    /// Surfaces which integrity check refused a sync-page block: a corrupt
+    /// or byzantine page is visible in the metrics, never silently dropped.
+    fn count_sync_rejected(&mut self, e: &ChainError) {
+        *self.metrics.sync_rejected.entry(e.kind()).or_default() += 1;
+        self.obs.add_counter("sync.rejected", 1);
     }
 
     /// Records a signed proposal header, echoes first sightings, and
@@ -2300,58 +2129,6 @@ impl GovernorNode {
         }
     }
 
-    /// The election ordering key of `claim`, verified against `round`:
-    /// `(vrf_output, governor, round)`. `None` when the claim does not
-    /// verify, claims a stake unit the governor does not own, or names
-    /// an unknown governor — the VRF binds governor and round, so a
-    /// stolen or replayed claim fails here.
-    ///
-    /// A claim equal in every field to one this round's election batch
-    /// already authenticated is not verified a second time: verification
-    /// is a deterministic function of `(round, claim, key)`, so the
-    /// remembered output is the one `claim.verify` would return. Anything
-    /// else — a rival's variant, another round, a replay — takes the full
-    /// verification.
-    fn claim_key(&self, claim: &ElectionClaim, round: u64) -> Option<(Digest, u32, u64)> {
-        if claim.unit >= self.stake_table.stake(claim.governor).unwrap_or(0) {
-            return None;
-        }
-        let pk = self.governor_pks.get(claim.governor as usize)?;
-        let verified = self
-            .verified_claims
-            .iter()
-            .find(|(c, _)| round == self.round && c == claim);
-        let out = match verified {
-            Some((_, out)) => *out,
-            None => claim.verify(b"prb-chain", round, pk)?,
-        };
-        Some((out, claim.governor, round))
-    }
-
-    /// Ranks a same-serial rival proposal against the current head,
-    /// returning the rival's election key when it genuinely wins: the
-    /// head must still be contestable (no committed successor yet), both
-    /// proposals must share a parent, and the rival's claim must verify
-    /// against the round the head was won in with a strictly smaller
-    /// election key.
-    fn rival_priority(
-        &self,
-        block: &Block,
-        claim: Option<&ElectionClaim>,
-    ) -> Option<(Digest, u32, u64)> {
-        let (head_out, head_gov, head_round) = self.head_priority?;
-        let claim = claim?;
-        if claim.governor != block.leader.index {
-            return None;
-        }
-        let parent = self.chain.retrieve(block.serial.checked_sub(1)?)?;
-        if parent.hash() != block.prev_hash {
-            return None;
-        }
-        let (out, gov, round) = self.claim_key(claim, head_round)?;
-        ((out, gov) < (head_out, head_gov)).then_some((out, gov, round))
-    }
-
     /// Pops the head block, returning its displaced entries to the ready
     /// pool so a later led round re-records whatever the winning chain
     /// does not already cover (`on_propose` dedups against the ledger).
@@ -2365,16 +2142,8 @@ impl GovernorNode {
                 .expect("durable store pop must mirror the chain");
         }
         self.metrics.head_rollbacks += 1;
-        if self.obs.is_enabled() {
-            self.obs.metrics().inc("sync.rollback");
-        }
-        if self
-            .provisional_base
-            .is_some_and(|b| b > self.chain.height())
-        {
-            self.provisional_base = None;
-        }
-        self.head_priority = None;
+        self.obs.add_counter("sync.rollback", 1);
+        self.fork.popped(self.chain.height());
         for e in &block.entries {
             if self.chain.find_tx(e.tx.id()).is_none()
                 && !self.ready_entries.iter().any(|r| r.tx.id() == e.tx.id())
@@ -2384,39 +2153,10 @@ impl GovernorNode {
         }
     }
 
-    /// Rolls back every provisional head block — this governor's own
-    /// self-proposals made without the full claim set — down to the
-    /// settled prefix.
-    fn rollback_provisional(&mut self) {
-        let Some(base) = self.provisional_base else {
-            return;
-        };
-        while self.chain.height() >= base {
-            self.pop_head_repool();
-        }
-        self.provisional_base = None;
-    }
-
-    /// Rolls back the whole unconfirmed head suffix in the face of fork
-    /// evidence a key comparison cannot rank: provisional blocks, then
-    /// this governor's own-led streak at the head (own blocks with no
-    /// foreign successor are exactly the ones the network may have
-    /// bypassed), and finally — if nothing else popped — a foreign head
-    /// that is still contestable. Settled blocks are never popped, and a
-    /// wrongly shed block is simply refetched by the recovery that
-    /// follows.
-    fn rollback_unconfirmed(&mut self) {
-        let me = NodeId::governor(self.index);
-        let before = self.metrics.head_rollbacks;
-        self.rollback_provisional();
-        while self
-            .chain
-            .latest_opt()
-            .is_some_and(|b| b.serial > 0 && b.leader == me)
-        {
-            self.pop_head_repool();
-        }
-        if self.metrics.head_rollbacks == before && self.head_priority.is_some() {
+    /// Pops `depth` head blocks — a depth fork choice reported — re-pooling
+    /// their entries.
+    fn shed(&mut self, depth: u64) {
+        for _ in 0..depth {
             self.pop_head_repool();
         }
     }
@@ -2440,7 +2180,7 @@ impl GovernorNode {
             return false;
         }
         // Batch every signature the memo cannot answer.
-        let mut fresh: Vec<(u32, TxId, Sig, [u8; 32])> = Vec::new();
+        let mut fresh: Vec<QueuedSig> = Vec::new();
         let mut seen: HashSet<(u32, TxId, Sig)> = HashSet::new();
         for e in &block.entries {
             let p = e.tx.payload.provider.index;
@@ -2449,33 +2189,7 @@ impl GovernorNode {
                 fresh.push((key.0, key.1, key.2, *e.tx.signing_digest()));
             }
         }
-        if !fresh.is_empty() {
-            if self.obs.is_enabled() {
-                self.obs
-                    .metrics()
-                    .observe("crypto.batch.size", fresh.len() as u64);
-                self.obs
-                    .metrics()
-                    .add("gov.sig_memo_miss", fresh.len() as u64);
-            }
-            self.metrics.sig_memo_misses += fresh.len() as u64;
-            let items: Vec<(&[u8], &Sig, &PublicKey)> = fresh
-                .iter()
-                .map(|(p, _, sig, msg)| {
-                    let pk = self.provider_pk(*p).expect("well-formedness checked");
-                    (&msg[..], sig, pk)
-                })
-                .collect();
-            let t0 = self.obs.is_enabled().then(std::time::Instant::now);
-            let verdicts = self.verify_pool.verify_sigs(&items);
-            if let Some(t0) = t0 {
-                self.obs
-                    .add_counter("wall.crypto_ns", t0.elapsed().as_nanos() as u64);
-            }
-            for ((p, id, sig, _), ok) in fresh.into_iter().zip(verdicts) {
-                self.sig_memo.insert((p, id, sig), ok);
-            }
-        }
+        self.verify_batch(&mut fresh);
         block.entries.iter().all(|e| {
             let p = e.tx.payload.provider.index;
             self.verify_provider_sig(p, &e.tx)
@@ -2509,51 +2223,6 @@ impl GovernorNode {
         ok
     }
 
-    /// Appends `block` and drops local buffers it covers. On failure the
-    /// typed [`ChainError`] names exactly which integrity check rejected
-    /// the block (callers on the sync path surface its
-    /// [`ChainError::kind`] in the rejection metrics).
-    fn append_and_clean(&mut self, block: Block, now: u64) -> Result<(), ChainError> {
-        let included: HashSet<TxId> = block.entries.iter().map(|e| e.tx.id()).collect();
-        let (serial, entries) = (block.serial, block.entries.len() as u64);
-        let traces: Vec<u64> = if self.obs.is_enabled() {
-            block.entries.iter().map(|e| e.tx.id().trace()).collect()
-        } else {
-            Vec::new()
-        };
-        match self.chain.append(block) {
-            Ok(()) => {
-                self.metrics.blocks_appended += 1;
-                self.obs.emit(
-                    now,
-                    self.net_idx(),
-                    ObsEvent::BlockCommitted { serial, entries },
-                );
-                for trace in traces {
-                    self.obs
-                        .emit(now, self.net_idx(), ObsEvent::TxCommitted { trace, serial });
-                }
-                if let Some(span) = self.commit_span.take() {
-                    self.obs.end_span(span, now, self.net_idx());
-                }
-                self.store_append_head();
-                if self.cfg.checkpoint_interval > 0 && serial % self.cfg.checkpoint_interval == 0 {
-                    self.capture_checkpoint(serial);
-                }
-            }
-            Err(e) => {
-                self.metrics.append_failures += 1;
-                return Err(e);
-            }
-        }
-        // Drop local buffers covered by the leader's block.
-        self.ready_entries
-            .retain(|e| !included.contains(&e.tx.id()));
-        self.argued_entries
-            .retain(|e| !included.contains(&e.tx.id()));
-        Ok(())
-    }
-
     /// Enters the `Recovering` state (no-op when already recovering or
     /// when there is no peer to ask) and sends the first page request.
     /// `preferred` names the peer to try first — the proposer of the
@@ -2565,7 +2234,7 @@ impl GovernorNode {
         // A provisional head would shadow the peer's settled block at the
         // same serial (incoming pages skip serials we "already have") —
         // roll it back first; recovery refetches the agreed truth.
-        self.rollback_provisional();
+        self.shed(self.fork.provisional_depth(&self.chain));
         let now = ctx.now().ticks();
         let peer = preferred
             .filter(|&p| p != self.index && p < self.cfg.governors)
@@ -2576,9 +2245,7 @@ impl GovernorNode {
             since: now,
         };
         self.metrics.sync_requested += 1;
-        if self.obs.is_enabled() {
-            self.obs.metrics().inc("sync.requested");
-        }
+        self.obs.add_counter("sync.requested", 1);
         self.recovery_span = Some(Span::begin(phases::RECOVERY, now));
         self.send_sync_request(peer, ctx);
     }
@@ -2716,7 +2383,7 @@ impl GovernorNode {
         // serve. A stale or invalid offer is rejected (counted) and the
         // plain block path below proceeds unaffected.
         if let Some(cert) = cert {
-            self.maybe_adopt_checkpoint(*cert, now);
+            self.maybe_adopt_checkpoint(*cert);
         }
         let before_page = self.chain.height();
         for block in blocks {
@@ -2728,53 +2395,20 @@ impl GovernorNode {
                 // evidence discovered mid-recovery. Shed the unconfirmed
                 // suffix; the follow-up page request (our new, lower
                 // height) refetches from the divergence point.
-                self.rollback_unconfirmed();
+                self.shed(self.fork.unconfirmed_depth(&self.chain));
                 if block.serial != self.chain.height() + 1 {
                     continue;
                 }
             }
-            if self.cfg.verify_blocks && !self.entries_authentic(&block) {
-                self.metrics.append_failures += 1;
-                continue;
-            }
-            match self.append_and_clean(block, now) {
-                Ok(()) => {
-                    // Sync-applied blocks come from a peer's settled chain.
-                    self.head_priority = None;
-                    self.provisional_base = None;
-                    self.metrics.sync_applied += 1;
-                    if self.obs.is_enabled() {
-                        self.obs.metrics().inc("sync.applied");
-                    }
-                }
-                Err(e) => {
-                    // Surface exactly which integrity check rejected the
-                    // page block — a corrupt or byzantine sync payload is
-                    // visible in the metrics, never silently dropped.
-                    *self.metrics.sync_rejected.entry(e.kind()).or_default() += 1;
-                    if self.obs.is_enabled() {
-                        self.obs.metrics().inc("sync.rejected");
-                    }
-                }
-            }
+            self.adopt(block, Adoption::Page, None, now);
         }
         if self.metrics.adopted_serial > 0 && self.chain.height() > before_page {
             // O(delta) accounting: pages that contributed blocks after
             // the most recent checkpoint adoption.
             self.metrics.pages_after_adopt += 1;
         }
-        // Drain any parked blocks that now fit.
-        self.future_blocks.sort_by_key(|b| b.serial);
-        let parked = std::mem::take(&mut self.future_blocks);
-        for block in parked {
-            if block.serial == self.chain.height() + 1 {
-                if self.append_and_clean(block, now).is_ok() {
-                    self.head_priority = None;
-                    self.provisional_base = None;
-                }
-            } else if block.serial > self.chain.height() + 1 {
-                self.future_blocks.push(block);
-            }
+        while let Some(block) = self.fork.unpark(&self.chain) {
+            self.adopt(block, Adoption::Parked, None, now);
         }
         let SyncState::Recovering { attempt, since, .. } = self.sync else {
             return; // unsolicited (e.g. a late page after completion)
@@ -2811,18 +2445,15 @@ impl GovernorNode {
             self.sync = SyncState::Synced;
             self.metrics.sync_recovered += 1;
             self.metrics.recovery_ticks.push(now.saturating_sub(since));
-            if self.obs.is_enabled() {
-                self.obs.metrics().inc("sync.recovered");
-                self.obs
-                    .metrics()
-                    .observe("sync.recovery_ticks", now.saturating_sub(since));
-            }
+            self.obs.add_counter("sync.recovered", 1);
+            self.obs
+                .observe("sync.recovery_ticks", now.saturating_sub(since));
             if let Some(span) = self.recovery_span.take() {
                 self.obs.end_span(span, now, self.net_idx());
             }
             // Parked blocks past a *new* gap (committed while we paged):
             // chase that gap immediately.
-            if let Some(next_gap) = self.future_blocks.iter().min_by_key(|b| b.serial) {
+            if let Some(next_gap) = self.fork.first_parked() {
                 let proposer = next_gap.leader.index;
                 self.start_recovery(Some(proposer), ctx);
             }
@@ -3059,29 +2690,23 @@ fn label_pairs(reports: &[(u32, Label)]) -> Vec<(NodeId, Label)> {
 
 #[cfg(test)]
 mod fork_tests {
-    //! Direct tests of the head-fork resolution helpers: election-key
-    //! ranking of rival proposals, and the rollback paths that shed
-    //! provisional or own-led head blocks before recovery refetches the
-    //! settled chain.
+    //! The governor's half of fork resolution: popping a head back into
+    //! the ready pool, and expelling an equivocator. Fork choice itself is
+    //! tested on a bare chain in `forkchoice.rs`.
 
     use super::*;
     use prb_crypto::signer::CryptoScheme;
-    use prb_ledger::transaction::TxPayload;
 
     const TAG: &[u8] = b"prb-chain";
 
     fn rig(governors: u32) -> (Vec<KeyPair>, GovernorNode) {
-        rig_under(CryptoScheme::sim(), governors)
-    }
-
-    fn rig_under(scheme: CryptoScheme, governors: u32) -> (Vec<KeyPair>, GovernorNode) {
         let cfg = ProtocolConfig {
             governors,
             seed: 7,
             ..Default::default()
         };
         let keys: Vec<KeyPair> = (0..governors)
-            .map(|g| scheme.keypair_from_seed(format!("fork-g{g}").as_bytes()))
+            .map(|g| CryptoScheme::sim().keypair_from_seed(format!("fork-g{g}").as_bytes()))
             .collect();
         let pks: Vec<PublicKey> = keys.iter().map(|k| k.public_key()).collect();
         let topology = Rc::new(Topology::cyclic(cfg.topology_params()).unwrap());
@@ -3100,202 +2725,43 @@ mod fork_tests {
         (keys, gov)
     }
 
-    fn entry(nonce: u64, key: &KeyPair) -> BlockEntry {
-        let tx = SignedTx::create(
-            TxPayload {
-                provider: NodeId::provider(0),
-                nonce,
-                data: vec![1],
-            },
-            1,
-            key,
-        );
-        BlockEntry {
-            tx,
-            verdict: Verdict::CheckedValid,
-            reported_labels: Vec::new(),
-        }
-    }
-
     fn claim_for(gov: &GovernorNode, keys: &[KeyPair], g: u32, round: u64) -> ElectionClaim {
         let stake = gov.stake_table.stake(g).unwrap();
         ElectionClaim::compute(TAG, round, g, stake, &keys[g as usize]).unwrap()
     }
 
     #[test]
-    fn claim_key_enforces_stake_round_and_proof() {
-        let (keys, gov) = rig(2);
-        let claim = claim_for(&gov, &keys, 1, 3);
-        assert!(gov.claim_key(&claim, 3).is_some());
-        // The VRF proof binds the round it was computed for.
-        assert!(gov.claim_key(&claim, 4).is_none());
-        // A unit at or past the governor's stake mints no lottery ticket.
-        let mut over = claim.clone();
-        over.unit = gov.stake_table.stake(1).unwrap();
-        assert!(gov.claim_key(&over, 3).is_none());
-        // A claim evaluated under a foreign key fails verification.
-        let stake = gov.stake_table.stake(1).unwrap();
-        let forged = ElectionClaim::compute(TAG, 3, 1, stake, &keys[0]).unwrap();
-        assert!(gov.claim_key(&forged, 3).is_none());
-    }
-
-    #[test]
-    fn claim_key_answers_from_the_election_batch_only_for_the_same_claim_and_round() {
-        // Schnorr, so a claim carries a proof that can differ on its own.
-        let scheme = CryptoScheme::schnorr_test_256();
-        let (keys, mut gov) = rig_under(scheme.clone(), 3);
-        let (_, cold) = rig_under(scheme, 3);
-        let round = gov.round;
-        gov.claims = (0..3).map(|g| claim_for(&gov, &keys, g, round)).collect();
-        gov.run_election(0);
-        assert_eq!(gov.verified_claims.len(), 3);
-        // A hit returns what a governor that never ran the election
-        // works out from the proof.
-        for claim in gov.claims.clone() {
-            let key = gov.claim_key(&claim, round);
-            assert!(key.is_some());
-            assert_eq!(key, cold.claim_key(&claim, round));
-        }
-        // Mark the remembered outputs to see which calls consult them.
-        let marked = Digest::default();
-        for (_, out) in &mut gov.verified_claims {
-            *out = marked;
-        }
-        let genuine = gov.claims[1].clone();
-        assert_eq!(gov.claim_key(&genuine, round), Some((marked, 1, round)));
-        // One field off, and the claim takes the full verification: the
-        // verdict is the cold governor's, never the marked output.
-        let stake = gov.stake_table.stake(1).unwrap();
-        let other_governor = ElectionClaim {
-            governor: 2,
-            ..genuine.clone()
-        };
-        let other_unit = ElectionClaim {
-            unit: (genuine.unit + 1) % stake,
-            ..genuine.clone()
-        };
-        let other_proof = ElectionClaim {
-            evaluation: claim_for(&gov, &keys, 1, round + 1).evaluation,
-            ..genuine.clone()
-        };
-        for variant in [&other_governor, &other_unit, &other_proof] {
-            assert_eq!(gov.claim_key(variant, round), None);
-            assert_eq!(cold.claim_key(variant, round), None);
-        }
-        // Another round: the genuine claim is verified against that
-        // round, as before, and fails there.
-        assert_eq!(gov.claim_key(&genuine, round + 1), None);
-        let next = claim_for(&gov, &keys, 1, round + 1);
-        assert_eq!(
-            gov.claim_key(&next, round + 1),
-            cold.claim_key(&next, round + 1)
-        );
-        assert!(gov.claim_key(&next, round + 1).is_some());
-        // Structural checks come first even on a hit: no stake, no key.
-        gov.stake_table.slash(1);
-        assert_eq!(gov.claim_key(&genuine, round), None);
-    }
-
-    #[test]
-    fn rival_priority_contests_only_smaller_keys_on_contestable_heads() {
-        let (keys, mut gov) = rig(2);
-        let round = 1;
-        let claim0 = claim_for(&gov, &keys, 0, round);
-        let claim1 = claim_for(&gov, &keys, 1, round);
-        let key0 = gov.claim_key(&claim0, round).unwrap();
-        let key1 = gov.claim_key(&claim1, round).unwrap();
-        assert_ne!(key0, key1);
-        let parent = gov.chain.latest().hash();
-        gov.chain
-            .append(Block::build(1, Vec::new(), parent, NodeId::governor(0), 10))
-            .unwrap();
-        // Orient by the actual VRF ordering so both directions are covered.
-        let (small_key, small_claim, small_gov, big_key, big_claim, big_gov) = if key0 < key1 {
-            (key0, claim0, 0, key1, claim1, 1)
-        } else {
-            (key1, claim1, 1, key0, claim0, 0)
-        };
-        let small_block = Block::build(1, Vec::new(), parent, NodeId::governor(small_gov), 11);
-        let big_block = Block::build(1, Vec::new(), parent, NodeId::governor(big_gov), 11);
-        // A head held under the larger key loses to the smaller rival...
-        gov.head_priority = Some(big_key);
-        assert_eq!(
-            gov.rival_priority(&small_block, Some(&small_claim)),
-            Some(small_key)
-        );
-        // ...but a head already under the smaller key beats the larger rival.
-        gov.head_priority = Some(small_key);
-        assert!(gov.rival_priority(&big_block, Some(&big_claim)).is_none());
-        // A settled head (priority None) is never contested.
-        gov.head_priority = None;
-        assert!(gov
-            .rival_priority(&small_block, Some(&small_claim))
-            .is_none());
-        // A claim by anyone but the block's leader is ignored.
-        gov.head_priority = Some(big_key);
-        assert!(gov.rival_priority(&small_block, Some(&big_claim)).is_none());
-        // A rival built on a different parent cannot be ranked.
-        let off_parent = Block::from_parts(
-            1,
-            Vec::new(),
-            Digest::default(),
-            small_block.merkle_root,
-            small_block.leader,
-            small_block.timestamp,
-        );
-        assert!(gov
-            .rival_priority(&off_parent, Some(&small_claim))
-            .is_none());
-    }
-
-    #[test]
     fn pop_head_repool_returns_uncommitted_entries_to_the_pool() {
         let (keys, mut gov) = rig(2);
-        let e = entry(0, &keys[0]);
+        let tx = SignedTx::create(
+            TxPayload {
+                provider: NodeId::provider(0),
+                nonce: 0,
+                data: vec![1],
+            },
+            1,
+            &keys[0],
+        );
+        let e = BlockEntry {
+            tx,
+            verdict: Verdict::CheckedValid,
+            reported_labels: Vec::new(),
+        };
         let parent = gov.chain.latest().hash();
-        gov.chain
-            .append(Block::build(
-                1,
-                vec![e.clone()],
-                parent,
-                NodeId::governor(0),
-                5,
-            ))
-            .unwrap();
+        let block = Block::build(1, vec![e.clone()], parent, NodeId::governor(1), 5);
+        let claim = claim_for(&gov, &keys, 1, 0);
+        gov.adopt(block, Adoption::Proposal(Some(&claim)), None, 5);
+        assert_eq!(gov.chain.height(), 1);
+        assert!(gov.fork.head_priority().is_some(), "a ranked head");
         gov.pop_head_repool();
         assert_eq!(gov.chain.height(), 0);
         assert_eq!(gov.metrics.head_rollbacks, 1);
-        assert!(gov.head_priority.is_none());
+        assert!(gov.fork.head_priority().is_none());
         assert!(gov.ready_entries.iter().any(|r| r.tx.id() == e.tx.id()));
         // Popping again stops at genesis and counts nothing.
         gov.pop_head_repool();
         assert_eq!(gov.chain.height(), 0);
         assert_eq!(gov.metrics.head_rollbacks, 1);
-    }
-
-    #[test]
-    fn rollback_unconfirmed_sheds_provisional_and_own_led_suffix() {
-        let (_keys, mut gov) = rig(2);
-        // serial 1: foreign block; serials 2-3: own-led, 3 provisional.
-        let parent = gov.chain.latest().hash();
-        gov.chain
-            .append(Block::build(1, Vec::new(), parent, NodeId::governor(1), 5))
-            .unwrap();
-        let h1 = gov.chain.latest().hash();
-        gov.chain
-            .append(Block::build(2, Vec::new(), h1, NodeId::governor(0), 6))
-            .unwrap();
-        let h2 = gov.chain.latest().hash();
-        gov.chain
-            .append(Block::build(3, Vec::new(), h2, NodeId::governor(0), 7))
-            .unwrap();
-        gov.provisional_base = Some(3);
-        gov.rollback_unconfirmed();
-        // The provisional head and the own-led block under it are shed; the
-        // foreign block survives as the new head.
-        assert_eq!(gov.chain.height(), 1);
-        assert!(gov.provisional_base.is_none());
-        assert_eq!(gov.metrics.head_rollbacks, 2);
     }
 
     #[test]
@@ -3320,25 +2786,5 @@ mod fork_tests {
             ElectionClaim::compute(TAG, 5, 1, gov.stake_table.stake(1).unwrap(), &keys[1])
                 .is_none()
         );
-    }
-
-    #[test]
-    fn rollback_unconfirmed_pops_one_contestable_foreign_head() {
-        let (keys, mut gov) = rig(2);
-        let parent = gov.chain.latest().hash();
-        gov.chain
-            .append(Block::build(1, Vec::new(), parent, NodeId::governor(1), 5))
-            .unwrap();
-        // A settled foreign head is left alone: no fork evidence applies.
-        gov.rollback_unconfirmed();
-        assert_eq!(gov.chain.height(), 1);
-        // A contestable foreign head (priority still tracked) is popped so
-        // recovery can refetch whichever proposal the network agreed on.
-        let claim = claim_for(&gov, &keys, 1, 1);
-        gov.head_priority = gov.claim_key(&claim, 1);
-        assert!(gov.head_priority.is_some());
-        gov.rollback_unconfirmed();
-        assert_eq!(gov.chain.height(), 0);
-        assert_eq!(gov.metrics.head_rollbacks, 1);
     }
 }

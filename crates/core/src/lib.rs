@@ -39,6 +39,7 @@
 pub mod behavior;
 pub mod collector;
 pub mod config;
+mod forkchoice;
 pub mod governor;
 pub mod metrics;
 pub mod msg;

@@ -825,6 +825,46 @@ fn relayed_header_over_a_swapped_body_cannot_frame_its_signer() {
     }
 }
 
+/// A block past a gap is parked before anything looks at its entries, and
+/// adopted once sync closes the gap. In paranoid mode it must meet the
+/// same entry check there as a block adopted on arrival: a fabricated
+/// entry is refused, not slipped onto the chain through the parking lot.
+/// The header did not stay with the parked block, so nobody is convicted.
+#[test]
+fn a_parked_block_meets_the_paranoid_entry_check_when_it_is_adopted() {
+    let mut rig = ProposalRig::with_verify_blocks(true);
+    let genesis_hash = rig.governor().chain().head_hash();
+    let honest = Block::build(1, vec![rig.entry(0)], genesis_hash, NodeId::governor(1), 50);
+    let mut fabricated = rig.entry(1);
+    fabricated.tx = fabricated.tx.with_provider_sig(Sig::forged(
+        &CryptoScheme::sim(),
+        &mut StdRng::seed_from_u64(5),
+    ));
+    let forged = Block::build(2, vec![fabricated], honest.hash(), NodeId::governor(2), 60);
+    rig.propose(&forged, None, true);
+    assert_eq!(rig.governor().chain().height(), 0, "parked past the gap");
+    assert!(rig.governor().is_recovering());
+    let at = rig.net.now();
+    rig.net.send_external(
+        0,
+        "sync-response",
+        ProtocolMsg::SyncResponse {
+            blocks: vec![honest.clone()],
+            head: 2,
+            cert: None,
+        },
+        at,
+    );
+    rig.net.run_until_idle(1_000);
+    let gov = rig.governor();
+    assert_eq!(gov.chain().height(), 1, "the forged block was adopted");
+    assert_eq!(gov.chain().head_hash(), honest.hash());
+    assert!(gov.chain().find_tx(forged.entries[0].tx.id()).is_none());
+    assert_eq!(gov.metrics().append_failures, 1);
+    assert_eq!(gov.metrics().invalid_blocks_rejected, 1);
+    assert!(gov.expelled().is_empty());
+}
+
 #[test]
 fn sig_memo_caches_verdicts_and_forged_probes_stay_false() {
     let mut rig = Rig::new(GovernorMode::CheckAll, 0.5);

@@ -703,6 +703,64 @@ fn deterministic_under_faults_and_recovery() {
     assert_eq!(stats_a, stats_b, "traffic diverged across identical runs");
 }
 
+/// Pins VRF fork choice under governor-to-governor loss. No benchmark
+/// workload rolls a head back, so these two runs are what guards head
+/// contests, rollbacks, withheld proposals, sync pages and parked blocks:
+/// the counters, summed over governors, and governor 0's head must stay
+/// exactly what they are.
+#[test]
+fn fork_choice_under_loss_is_pinned() {
+    use prb_net::fault::FaultPlan;
+    use prb_net::time::SimTime;
+    let run = |seed: u64, drop: f64, crash: bool| {
+        let cfg = ProtocolConfig {
+            governors: 5,
+            reliable_delivery: true,
+            seed,
+            ..Default::default()
+        };
+        let rt = cfg.round_ticks();
+        let mut sim = Simulation::new(cfg.clone()).unwrap();
+        let mut faults = FaultPlan::none();
+        faults.drop_all(drop);
+        if crash {
+            faults.crash_window(sim.governor_net_index(1), SimTime(2 * rt), SimTime(4 * rt));
+        }
+        sim.set_faults(faults);
+        sim.run(12);
+        sim.run_drain_rounds(1);
+        sim.settle(5 * rt);
+        assert!(sim.chains_agree(), "seed {seed}: chains disagree");
+        let sum = |f: fn(&prb_core::metrics::GovernorMetrics) -> u64| {
+            (0..cfg.governors).map(|g| f(sim.metrics(g))).sum::<u64>()
+        };
+        let counts = (
+            sum(|m| m.head_rollbacks),
+            sum(|m| m.proposals_withheld),
+            sum(|m| m.sync_applied),
+            sum(|m| m.duplicate_blocks),
+            sum(|m| m.append_failures),
+        );
+        (counts, sim.governor(0).chain().head_hash().to_hex())
+    };
+    // (head_rollbacks, proposals_withheld, sync_applied, duplicate_blocks,
+    // append_failures), then governor 0's head.
+    assert_eq!(
+        run(90, 0.2, true),
+        (
+            (4, 1, 2, 17, 0),
+            "ff54d11ea3c896b242cf81423d2089d228341132a3afbd154f2ff8f9dbfc3824".into()
+        )
+    );
+    assert_eq!(
+        run(4177, 0.3, false),
+        (
+            (7, 1, 0, 31, 0),
+            "1d4842a00c976d6f4fcb161cdbb858b4eb7084326c865fea7947a8517f89d76f".into()
+        )
+    );
+}
+
 /// A scaled-down `closed-faulty` (BENCHMARK.json): reliable delivery, 5 %
 /// loss on every link but the governors' own, governors 1 and 2 crashed
 /// in turn mid-round, while Δ windows are open. A window whose timer fell
