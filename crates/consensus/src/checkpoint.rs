@@ -14,14 +14,26 @@
 //! (re)anchoring in RepChain (arXiv:1901.05741).
 //!
 //! Like [`crate::evidence`], certs need only the committee's public keys
-//! to check, so they can be relayed by untrusted peers; signatures from
-//! governors expelled via equivocation evidence are excluded from the
-//! quorum.
+//! to check, so they can be relayed by untrusted peers. One rule says whose
+//! signature counts toward a cert at serial `s`
+//! ([`Committee::excluded_at`]): everyone's but the governors departed in
+//! `s`'s membership epoch and those convicted of equivocation. A
+//! governor's [`Certifier`] applies it to its own and its peers' shares and
+//! to the certs offered by sync peers or reopened from the store; the
+//! governor acts on the answers.
 
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use prb_crypto::sha256::{Digest, Sha256};
 use prb_crypto::signer::{KeyPair, PublicKey, Sig};
+
+use crate::membership::EpochLog;
+
+/// Serials that may buffer peer shares before this node has its own
+/// snapshot for them; shares for further serials are dropped (a bound
+/// against share spam).
+const EARLY_SHARE_SERIALS: usize = 32;
 
 /// Domain tag for checkpoint-share signatures.
 const CHECKPOINT_TAG: &[u8] = b"prb-checkpoint";
@@ -182,6 +194,39 @@ pub fn quorum(active: usize) -> usize {
     2 * active / 3 + 1
 }
 
+/// Signatures a cert needs in a committee of `m` when `excluded` do not
+/// count: a quorum of the rest.
+fn need(m: usize, excluded: &[u32]) -> usize {
+    quorum(m - excluded.iter().filter(|&&g| (g as usize) < m).count())
+}
+
+/// Counts the distinct signers in `sigs` of a committee of `m`, skipping
+/// `excluded`; each counted signature must pass `valid`. `Err` names the
+/// first signer out of range or refused.
+pub(crate) fn count_signers(
+    sigs: &[(u32, Sig)],
+    m: usize,
+    excluded: &[u32],
+    valid: impl Fn(u32, &Sig) -> bool,
+) -> Result<usize, u32> {
+    let mut seen = vec![false; m];
+    let mut got = 0;
+    for &(g, ref sig) in sigs {
+        if g as usize >= m {
+            return Err(g);
+        }
+        if excluded.contains(&g) || seen[g as usize] {
+            continue;
+        }
+        if !valid(g, sig) {
+            return Err(g);
+        }
+        seen[g as usize] = true;
+        got += 1;
+    }
+    Ok(got)
+}
+
 /// A quorum-certified checkpoint: the state plus the signatures vouching
 /// for it.
 #[derive(Clone, Debug, PartialEq)]
@@ -194,47 +239,226 @@ pub struct CheckpointCert {
 
 impl CheckpointCert {
     /// Verifies the certificate: the state is well-formed, every counted
-    /// signature is by a distinct, non-expelled committee member over this
-    /// state's digest, and at least [`quorum`] of the active committee
-    /// signed. Expelled governors' signatures are ignored (not fatal):
-    /// evidence may spread after a share was honestly signed.
+    /// signature is by a distinct committee member outside `excluded` over
+    /// this state's digest, and at least a [`quorum`] of the members
+    /// outside `excluded` signed. Excluded governors' signatures are
+    /// ignored (not fatal): evidence may spread after a share was honestly
+    /// signed. With [`Committee::excluded_at`] as `excluded` the quorum is
+    /// one of [`EpochLog::active_at`] the cert's serial, less the convicted
+    /// governors still active then: the rule assembly counts by too.
     ///
     /// # Errors
     ///
     /// Returns the first [`CheckpointError`] encountered.
-    pub fn verify(&self, pks: &[PublicKey], expelled: &[u32]) -> Result<(), CheckpointError> {
+    pub fn verify(&self, pks: &[PublicKey], excluded: &[u32]) -> Result<(), CheckpointError> {
         let m = pks.len();
         if self.state.stake_nonces.len() != self.state.stakes.len() {
             return Err(CheckpointError::MalformedState);
         }
-        let digest = self.state.digest();
-        let active = m - expelled.iter().filter(|&&g| (g as usize) < m).count();
-        let need = quorum(active);
-        let mut seen = vec![false; m];
-        let mut got = 0usize;
-        for (governor, sig) in &self.sigs {
-            let g = *governor as usize;
-            if g >= m {
-                return Err(CheckpointError::BadSignature {
-                    governor: *governor,
-                });
-            }
-            if expelled.contains(governor) || seen[g] {
-                continue;
-            }
-            let msg = share_bytes(*governor, self.state.serial, &digest);
-            if !pks[g].verify(msg.as_bytes(), sig) {
-                return Err(CheckpointError::BadSignature {
-                    governor: *governor,
-                });
-            }
-            seen[g] = true;
-            got += 1;
-        }
+        let (serial, digest) = (self.state.serial, self.state.digest());
+        let need = need(m, excluded);
+        let got = count_signers(&self.sigs, m, excluded, |g, sig| {
+            pks[g as usize].verify(share_bytes(g, serial, &digest).as_bytes(), sig)
+        })
+        .map_err(|governor| CheckpointError::BadSignature { governor })?;
         if got < need {
             return Err(CheckpointError::UnderQuorum { got, need });
         }
         Ok(())
+    }
+}
+
+/// The committee a governor counts checkpoint signatures against: every
+/// governor's key by index, the membership epoch log, and the governors
+/// this node convicted of equivocation.
+#[derive(Clone, Copy, Debug)]
+pub struct Committee<'a>(pub &'a [PublicKey], pub &'a EpochLog, pub &'a [u32]);
+
+impl Committee<'_> {
+    /// Whose signatures do not count toward a cert at `serial`: the
+    /// governors departed in that serial's epoch, and every convicted one.
+    /// Sorted.
+    pub fn excluded_at(&self, serial: u64) -> Vec<u32> {
+        let mut out = self.1.departed_at(serial);
+        out.extend_from_slice(self.2);
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+}
+
+/// What a checkpoint share did to a [`Certifier`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ShareStep {
+    /// Excluded signer, serial already certified, bad signature, or past
+    /// the early-share bound.
+    Ignored,
+    /// Over another digest than this node's own snapshot at its serial.
+    Mismatch,
+    /// Buffered toward a quorum.
+    Buffered,
+    /// Completed a quorum: [`Certifier::latest`] is the new cert.
+    Formed,
+}
+
+/// Why a cert offer was refused; a refused offer never rolls back.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OfferRejected {
+    /// Not ahead of the local chain head.
+    Stale,
+    /// It does not verify against the committee at its serial.
+    Invalid(CheckpointError),
+}
+
+/// One governor's checkpoint certification: its own snapshots awaiting a
+/// quorum, the verified shares buffered for them (one per governor per
+/// serial), the serials whose own share is still to announce, and the
+/// latest cert it holds. It signs but never sends or stores.
+///
+/// ```text
+///   block s commits ──capture───▶ snapshot kept, early mismatching shares dropped
+///   dispatch ends   ──announce──▶ own share signed and buffered: Buffered | Formed
+///   peer share      ──on_share──▶ Ignored | Mismatch | Buffered | Formed
+///   sync offer      ──offer─────▶ Stale | Invalid(e) | adopted
+/// ```
+#[derive(Debug, Default)]
+pub struct Certifier {
+    latest: Option<CheckpointCert>,
+    pending: HashMap<u64, CheckpointState>,
+    shares: HashMap<u64, Vec<CheckpointShare>>,
+    to_announce: VecDeque<u64>,
+}
+
+impl Certifier {
+    /// The latest cert this node holds.
+    pub fn latest(&self) -> Option<&CheckpointCert> {
+        self.latest.as_ref()
+    }
+
+    fn certified(&self, serial: u64) -> bool {
+        self.latest
+            .as_ref()
+            .is_some_and(|c| c.state.serial >= serial)
+    }
+
+    /// This node's snapshot as block `state.serial` commits: kept for
+    /// assembly and queued for announcement. Peer shares that came early
+    /// over another digest are dropped now that the local truth is known;
+    /// returns how many.
+    pub fn capture(&mut self, state: CheckpointState) -> u64 {
+        let digest = state.digest();
+        let mut dropped = 0;
+        if let Some(buf) = self.shares.get_mut(&state.serial) {
+            let before = buf.len();
+            buf.retain(|s| s.state_digest == digest);
+            dropped = (before - buf.len()) as u64;
+        }
+        self.to_announce.push_back(state.serial);
+        self.pending.insert(state.serial, state);
+        dropped
+    }
+
+    /// Signs governor `me`'s share for the next queued serial still
+    /// awaiting a quorum and counts it, returning it for broadcast; `None`
+    /// once the queue is empty.
+    pub fn announce(
+        &mut self,
+        me: u32,
+        key: &KeyPair,
+        c: &Committee<'_>,
+    ) -> Option<(CheckpointShare, ShareStep)> {
+        while let Some(serial) = self.to_announce.pop_front() {
+            let Some(state) = self.pending.get(&serial) else {
+                continue;
+            };
+            let share = CheckpointShare::create(serial, state.digest(), me, key);
+            self.buffer(share.clone());
+            return Some((share, self.assemble(serial, c)));
+        }
+        None
+    }
+
+    /// A peer's share arrived.
+    pub fn on_share(&mut self, share: CheckpointShare, c: &Committee<'_>) -> ShareStep {
+        let serial = share.serial;
+        if c.excluded_at(serial).contains(&share.governor)
+            || self.certified(serial)
+            || !share.verify(c.0)
+        {
+            return ShareStep::Ignored;
+        }
+        if let Some(state) = self.pending.get(&serial) {
+            if state.digest() != share.state_digest {
+                return ShareStep::Mismatch;
+            }
+        } else if self.shares.len() >= EARLY_SHARE_SERIALS && !self.shares.contains_key(&serial) {
+            return ShareStep::Ignored;
+        }
+        self.buffer(share);
+        self.assemble(serial, c)
+    }
+
+    fn buffer(&mut self, share: CheckpointShare) {
+        let buf = self.shares.entry(share.serial).or_default();
+        if !buf.iter().any(|s| s.governor == share.governor) {
+            buf.push(share);
+        }
+    }
+
+    /// Forms the cert at `serial` once the counted shares over this node's
+    /// own digest reach the quorum.
+    fn assemble(&mut self, serial: u64, c: &Committee<'_>) -> ShareStep {
+        if self.certified(serial) {
+            return ShareStep::Buffered;
+        }
+        let (Some(state), Some(buf)) = (self.pending.get(&serial), self.shares.get(&serial)) else {
+            return ShareStep::Buffered;
+        };
+        let digest = state.digest();
+        let excluded = c.excluded_at(serial);
+        let mut sigs: Vec<(u32, Sig)> = buf
+            .iter()
+            .filter(|s| s.state_digest == digest && !excluded.contains(&s.governor))
+            .map(|s| (s.governor, s.sig.clone()))
+            .collect();
+        if sigs.len() < need(c.0.len(), &excluded) {
+            return ShareStep::Buffered;
+        }
+        sigs.sort_by_key(|(g, _)| *g);
+        let state = state.clone();
+        self.hold(CheckpointCert { state, sigs });
+        ShareStep::Formed
+    }
+
+    /// `cert` was offered — by a sync peer, or by the store on reopening —
+    /// to a node whose chain is `height` high: held only when strictly
+    /// ahead and verified against the committee at its serial.
+    ///
+    /// # Errors
+    ///
+    /// [`OfferRejected`] says why the cert was refused.
+    pub fn offer(
+        &mut self,
+        cert: CheckpointCert,
+        height: u64,
+        c: &Committee<'_>,
+    ) -> Result<&CheckpointCert, OfferRejected> {
+        if cert.state.serial <= height {
+            return Err(OfferRejected::Stale);
+        }
+        let excluded = c.excluded_at(cert.state.serial);
+        cert.verify(c.0, &excluded)
+            .map_err(OfferRejected::Invalid)?;
+        Ok(self.hold(cert))
+    }
+
+    /// Holds `cert` as the latest, dropping snapshots and shares at or
+    /// below its serial.
+    fn hold(&mut self, cert: CheckpointCert) -> &CheckpointCert {
+        let serial = cert.state.serial;
+        self.pending.retain(|&s, _| s > serial);
+        self.shares.retain(|&s, _| s > serial);
+        self.latest.insert(cert)
     }
 }
 
@@ -419,6 +643,200 @@ mod tests {
         let mut c = cert(5, &[0, 1, 2], &keys);
         c.state.stake_nonces.pop();
         assert_eq!(c.verify(&pks, &[]), Err(CheckpointError::MalformedState));
+    }
+
+    /// Governor `g`'s share over `state`.
+    fn share(state: &CheckpointState, g: u32, keys: &[KeyPair]) -> CheckpointShare {
+        CheckpointShare::create(state.serial, state.digest(), g, &keys[g as usize])
+    }
+
+    fn signers(cert: &CheckpointCert) -> Vec<u32> {
+        cert.sigs.iter().map(|(g, _)| *g).collect()
+    }
+
+    #[test]
+    fn capture_drops_and_counts_early_shares_over_another_digest() {
+        let (keys, pks) = keys(4);
+        let log = EpochLog::new(4);
+        let c = Committee(&pks, &log, &[]);
+        let mut cf = Certifier::default();
+        let mine = state(4);
+        let mut other = state(4);
+        other.stakes[0] += 1;
+        // Before the snapshot, any verified share buffers.
+        assert_eq!(
+            cf.on_share(share(&other, 1, &keys), &c),
+            ShareStep::Buffered
+        );
+        assert_eq!(cf.on_share(share(&mine, 2, &keys), &c), ShareStep::Buffered);
+        assert_eq!(cf.capture(mine.clone()), 1, "g1's share is dropped");
+        // After it, a share over another digest is a mismatch.
+        assert_eq!(
+            cf.on_share(share(&other, 3, &keys), &c),
+            ShareStep::Mismatch
+        );
+        let (own, step) = cf.announce(0, &keys[0], &c).unwrap();
+        assert_eq!(own, share(&mine, 0, &keys));
+        assert_eq!(step, ShareStep::Buffered, "g0 and g2 are two of three");
+        assert!(cf.announce(0, &keys[0], &c).is_none(), "announced once");
+        // g1's dropped share left room for its corrected one.
+        assert_eq!(cf.on_share(share(&mine, 1, &keys), &c), ShareStep::Formed);
+        assert_eq!(signers(cf.latest().unwrap()), [0, 1, 2]);
+        assert_eq!(cf.latest().unwrap().state, mine);
+    }
+
+    #[test]
+    fn one_share_counts_per_governor_per_serial() {
+        let (keys, pks) = keys(4);
+        let log = EpochLog::new(4);
+        let c = Committee(&pks, &log, &[]);
+        let mut cf = Certifier::default();
+        let st = state(2);
+        cf.capture(st.clone());
+        for _ in 0..3 {
+            assert_eq!(cf.on_share(share(&st, 1, &keys), &c), ShareStep::Buffered);
+        }
+        assert_eq!(cf.announce(0, &keys[0], &c).unwrap().1, ShareStep::Buffered);
+        assert_eq!(cf.shares[&2].len(), 2);
+        // A badly signed share is ignored outright.
+        let mut forged = share(&st, 3, &keys);
+        forged.sig = share(&st, 2, &keys).sig;
+        assert_eq!(cf.on_share(forged, &c), ShareStep::Ignored);
+        assert_eq!(cf.on_share(share(&st, 3, &keys), &c), ShareStep::Formed);
+        assert_eq!(signers(cf.latest().unwrap()), [0, 1, 3]);
+    }
+
+    #[test]
+    fn early_shares_buffer_for_at_most_32_serials() {
+        let (keys, pks) = keys(4);
+        let log = EpochLog::new(4);
+        let c = Committee(&pks, &log, &[]);
+        let mut cf = Certifier::default();
+        for serial in 1..=EARLY_SHARE_SERIALS as u64 {
+            let step = cf.on_share(share(&state(serial), 1, &keys), &c);
+            assert_eq!(step, ShareStep::Buffered, "serial {serial}");
+        }
+        let past = state(EARLY_SHARE_SERIALS as u64 + 1);
+        assert_eq!(cf.on_share(share(&past, 1, &keys), &c), ShareStep::Ignored);
+        // A serial already buffering still takes shares...
+        assert_eq!(
+            cf.on_share(share(&state(5), 2, &keys), &c),
+            ShareStep::Buffered
+        );
+        // ...and so does one this node has its own snapshot for.
+        cf.capture(past.clone());
+        assert_eq!(cf.on_share(share(&past, 1, &keys), &c), ShareStep::Buffered);
+    }
+
+    #[test]
+    fn quorum_is_sized_at_the_certs_epoch_less_the_convicted() {
+        let (keys, pks) = keys(4);
+        let mut log = EpochLog::new(4);
+        log.record_departure(3, 4);
+        let form = |serial: u64, expelled: &[u32], peers: &[u32]| {
+            let c = Committee(&pks, &log, expelled);
+            let mut cf = Certifier::default();
+            let st = state(serial);
+            cf.capture(st.clone());
+            cf.announce(0, &keys[0], &c);
+            let steps: Vec<ShareStep> = peers
+                .iter()
+                .map(|&g| cf.on_share(share(&st, g, &keys), &c))
+                .collect();
+            (steps, cf.latest().map(signers))
+        };
+        use ShareStep::{Buffered, Formed, Ignored};
+        // At serial 4 governor 3 still counts: three of four.
+        assert_eq!(
+            form(4, &[], &[3, 1]),
+            (vec![Buffered, Formed], Some(vec![0, 1, 3]))
+        );
+        // Past its departure it does not: three of the other three.
+        assert_eq!(
+            form(6, &[], &[3, 1, 2]),
+            (vec![Ignored, Buffered, Formed], Some(vec![0, 1, 2]))
+        );
+        // Governor 1 convicted as well: two of the remaining two.
+        assert_eq!(
+            form(6, &[1], &[1, 3, 2]),
+            (vec![Ignored, Ignored, Formed], Some(vec![0, 2]))
+        );
+        // Convicted but not departed at serial 4: three of three.
+        assert_eq!(form(4, &[1], &[1, 3]), (vec![Ignored, Buffered], None));
+        let c = Committee(&pks, &log, &[1]);
+        assert_eq!(c.excluded_at(4), [1]);
+        assert_eq!(c.excluded_at(6), [1, 3]);
+        // Offers are counted by the same rule.
+        let offer = |serial, signers: &[usize]| {
+            let mut cf = Certifier::default();
+            cf.offer(cert(serial, signers, &keys), 0, &c).map(|_| ())
+        };
+        let under = CheckpointError::UnderQuorum { got: 2, need: 3 };
+        assert_eq!(offer(4, &[0, 1, 2]), Err(OfferRejected::Invalid(under)));
+        assert_eq!(offer(4, &[0, 2, 3]), Ok(()));
+        assert_eq!(offer(6, &[0, 1, 2]), Ok(()));
+    }
+
+    #[test]
+    fn a_formed_cert_prunes_everything_at_or_below_it() {
+        let (keys, pks) = keys(4);
+        let log = EpochLog::new(4);
+        let c = Committee(&pks, &log, &[]);
+        let mut cf = Certifier::default();
+        cf.capture(state(2));
+        cf.capture(state(4));
+        for g in [1, 2] {
+            assert_eq!(
+                cf.on_share(share(&state(4), g, &keys), &c),
+                ShareStep::Buffered
+            );
+        }
+        assert_eq!(
+            cf.on_share(share(&state(6), 1, &keys), &c),
+            ShareStep::Buffered
+        );
+        assert_eq!(cf.announce(0, &keys[0], &c).unwrap().1, ShareStep::Buffered);
+        assert_eq!(cf.announce(0, &keys[0], &c).unwrap().1, ShareStep::Formed);
+        assert_eq!(cf.latest().unwrap().state.serial, 4);
+        assert!(cf.pending.is_empty());
+        assert_eq!(cf.shares.keys().copied().collect::<Vec<_>>(), [6]);
+        // Shares at or below the cert are ignored from now on.
+        assert_eq!(
+            cf.on_share(share(&state(2), 1, &keys), &c),
+            ShareStep::Ignored
+        );
+        // A cert adopted from a peer prunes the same way.
+        assert!(cf.offer(cert(6, &[0, 1, 2], &keys), 4, &c).is_ok());
+        assert!(cf.shares.is_empty());
+    }
+
+    #[test]
+    fn stale_forged_and_under_quorum_offers_never_replace_the_latest() {
+        let (keys, pks) = keys(4);
+        let log = EpochLog::new(4);
+        let c = Committee(&pks, &log, &[]);
+        let mut cf = Certifier::default();
+        let good = cert(6, &[0, 1, 2], &keys);
+        assert_eq!(cf.offer(good.clone(), 0, &c), Ok(&good));
+        let (height, stale) = (6, Err(OfferRejected::Stale));
+        assert_eq!(cf.offer(good.clone(), height, &c), stale);
+        assert_eq!(cf.offer(cert(4, &[0, 1, 2, 3], &keys), height, &c), stale);
+        assert_eq!(
+            cf.offer(cert(10, &[0, 1], &keys), height, &c),
+            Err(OfferRejected::Invalid(CheckpointError::UnderQuorum {
+                got: 2,
+                need: 3
+            }))
+        );
+        let mut forged = cert(10, &[0, 1, 2], &keys);
+        forged.sigs[2].1 = cert(10, &[3], &keys).sigs[0].1.clone();
+        assert_eq!(
+            cf.offer(forged, height, &c),
+            Err(OfferRejected::Invalid(CheckpointError::BadSignature {
+                governor: 2
+            }))
+        );
+        assert_eq!(cf.latest(), Some(&good));
     }
 
     #[test]

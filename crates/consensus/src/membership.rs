@@ -24,7 +24,7 @@ use std::fmt;
 use prb_crypto::sha256::{Digest, Sha256};
 use prb_crypto::signer::{KeyPair, PublicKey, Sig};
 
-use crate::checkpoint::quorum;
+use crate::checkpoint::{count_signers, quorum};
 
 /// Domain tag for membership signatures.
 const MEMBERSHIP_TAG: &[u8] = b"prb-membership";
@@ -252,6 +252,30 @@ pub struct MembershipCert {
 }
 
 impl MembershipCert {
+    /// Forms the cert for `request` once the shares of governors outside
+    /// `excluded` reach a [`quorum`] of the rest of a `committee`-member
+    /// committee; `shares` are verified already, one per governor.
+    pub fn assemble(
+        request: &MembershipRequest,
+        shares: &[MembershipShare],
+        excluded: &[u32],
+        committee: usize,
+    ) -> Option<Self> {
+        let mut sigs: Vec<(u32, Sig)> = shares
+            .iter()
+            .filter(|s| !excluded.contains(&s.governor))
+            .map(|s| (s.governor, s.sig.clone()))
+            .collect();
+        if sigs.len() < quorum(committee - excluded.len()) {
+            return None;
+        }
+        sigs.sort_by_key(|(g, _)| *g);
+        Some(MembershipCert {
+            request: request.clone(),
+            sigs,
+        })
+    }
+
     /// Verifies the certificate: the subject authorization holds, every
     /// counted signature is by a distinct committee member over this
     /// request's digest, and at least [`quorum`] of `active` committee
@@ -269,30 +293,12 @@ impl MembershipCert {
         if !self.request.authorized(subject_pk) {
             return Err(MembershipError::BadSubject);
         }
-        let m = governor_pks.len();
         let digest = self.request.digest();
         let need = quorum(active);
-        let mut seen = vec![false; m];
-        let mut got = 0usize;
-        for (governor, sig) in &self.sigs {
-            let g = *governor as usize;
-            if g >= m {
-                return Err(MembershipError::BadSignature {
-                    governor: *governor,
-                });
-            }
-            if seen[g] {
-                continue;
-            }
-            let msg = share_bytes(*governor, &digest);
-            if !governor_pks[g].verify(msg.as_bytes(), sig) {
-                return Err(MembershipError::BadSignature {
-                    governor: *governor,
-                });
-            }
-            seen[g] = true;
-            got += 1;
-        }
+        let got = count_signers(&self.sigs, governor_pks.len(), &[], |g, sig| {
+            governor_pks[g as usize].verify(share_bytes(g, &digest).as_bytes(), sig)
+        })
+        .map_err(|governor| MembershipError::BadSignature { governor })?;
         if got < need {
             return Err(MembershipError::UnderQuorum { got, need });
         }
@@ -571,6 +577,26 @@ mod tests {
             stripped.verify(&pk, &pks, 4),
             Err(MembershipError::BadSubject)
         );
+    }
+
+    #[test]
+    fn assemble_waits_for_a_quorum_outside_the_excluded() {
+        let (gkeys, pks) = keys(4);
+        let req = MembershipRequest::evict(MemberRole::Collector, 2, 6);
+        let share = |g: usize| MembershipShare::create(req.digest(), g as u32, &gkeys[g]);
+        let shares = vec![share(3), share(0), share(1)];
+        let cert = MembershipCert::assemble(&req, &shares, &[], 4).unwrap();
+        assert_eq!(
+            cert.sigs.iter().map(|(g, _)| *g).collect::<Vec<_>>(),
+            [0, 1, 3],
+            "sorted by governor"
+        );
+        assert_eq!(cert.verify(&pks[0], &pks, 4), Ok(()));
+        // Governor 1 excluded: two of the three the other three need.
+        assert!(MembershipCert::assemble(&req, &shares, &[1], 4).is_none());
+        let shares = vec![share(3), share(0), share(2)];
+        let cert = MembershipCert::assemble(&req, &shares, &[1], 4).unwrap();
+        assert_eq!(cert.verify(&pks[0], &pks, 3), Ok(()));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! and recovery refetches the chain the network agreed on.
 //!
 //! ```text
-//!   arriving block ──classify──▶ Duplicate | Refuse | Contest(key) | Extend | Park
-//!   adopted block  ──adopted───▶ head rank (Own, Proposal, Contest; Page, Parked settle)
+//!   arriving block ──classify──────▶ Duplicate | Refuse | Contest(key) | Extend | Park
+//!   sync-page block ─classify_page──▶ Skip { shed } | Adopt
+//!   adopted block  ──adopted───────▶ head rank (Own, Proposal, Contest; Page, Parked settle)
 //! ```
 //!
 //! [`ForkChoice`] holds what the decision reads — the head's rank, the base
@@ -48,6 +49,16 @@ pub(crate) enum Arrival {
     Extend,
     /// Past a gap once `shed` unconfirmed head blocks go: park and recover.
     Park { shed: u64 },
+}
+
+/// What a block from a peer's sync page means for the chain.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Paged {
+    /// Not the next serial, or fork evidence: `shed` unconfirmed head blocks
+    /// go, which leaves the block past the head.
+    Skip { shed: u64 },
+    /// The next serial; `append` decides whether it links.
+    Adopt,
 }
 
 /// Where an adopted block came from, which decides the head's rank.
@@ -259,6 +270,27 @@ impl ForkChoice {
             Arrival::Duplicate { shed }
         } else {
             Arrival::Extend
+        }
+    }
+
+    /// Classifies a block from a peer's sync page, which comes from the
+    /// peer's settled chain: only the next serial is taken. One that does
+    /// not link to the head is fork evidence, and the unconfirmed suffix is
+    /// shed; the follow-up request, from the lower height, refetches from
+    /// the divergence point. With nothing unconfirmed, `append` refuses it.
+    pub(crate) fn classify_page(&self, chain: &Chain, block: &Block) -> Paged {
+        if block.serial != chain.height() + 1 {
+            return Paged::Skip { shed: 0 };
+        }
+        let shed = if block.prev_hash == chain.head_hash() {
+            0
+        } else {
+            self.unconfirmed_depth(chain)
+        };
+        if shed == 0 {
+            Paged::Adopt
+        } else {
+            Paged::Skip { shed }
         }
     }
 
@@ -663,6 +695,45 @@ mod tests {
                 .fork
                 .classify(&settled.chain, &block(2, elsewhere), None, &e),
             Arrival::Extend
+        );
+    }
+
+    #[test]
+    fn a_page_block_is_taken_at_the_next_serial_and_fork_evidence_sheds() {
+        let mut rig = Rig::new(2);
+        rig.push(1, 5);
+        rig.push(0, 6);
+        rig.push(0, 7);
+        let block = |serial, prev| Block::build(serial, Vec::new(), prev, NodeId::governor(1), 9);
+        let elsewhere = Digest::default();
+        let head = rig.chain.head_hash();
+        // Held already, or past a gap: skipped, nothing shed.
+        for serial in [2, 3, 5] {
+            assert_eq!(
+                rig.fork.classify_page(&rig.chain, &block(serial, head)),
+                Paged::Skip { shed: 0 }
+            );
+        }
+        assert_eq!(
+            rig.fork.classify_page(&rig.chain, &block(4, head)),
+            Paged::Adopt
+        );
+        // The next serial on another head: the own-led suffix goes, which
+        // leaves the block two past the new head.
+        let forked = block(4, elsewhere);
+        assert_eq!(
+            rig.fork.classify_page(&rig.chain, &forked),
+            Paged::Skip { shed: 2 }
+        );
+        assert_eq!(rig.shed_unconfirmed(), 2);
+        assert_eq!(
+            rig.fork.classify_page(&rig.chain, &forked),
+            Paged::Skip { shed: 0 }
+        );
+        // Nothing unconfirmed to shed: taken, for `append` to refuse.
+        assert_eq!(
+            rig.fork.classify_page(&rig.chain, &block(2, elsewhere)),
+            Paged::Adopt
         );
     }
 

@@ -19,14 +19,20 @@
 //! the reveal status — lives in `crate::txtable`, one slot per transaction;
 //! this file decides, the table keeps. Which block the head follows is
 //! decided in `crate::forkchoice`; this file acts on it, and every block
-//! enters the chain through one function, `GovernorNode::adopt`.
+//! enters the chain through one function, `GovernorNode::adopt`. Which peer
+//! a governor that fell behind asks for pages, and when it rotates or gives
+//! up, is decided in `crate::sync` (`Recovery`); what its own and its
+//! peers' checkpoint shares, a cert offer and a reopened cert amount to, in
+//! [`prb_consensus::checkpoint::Certifier`]. This file sends, arms timers,
+//! counts, builds the checkpoint state and re-anchors the chain.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use prb_consensus::checkpoint::{
-    quorum, CheckpointCert, CheckpointError, CheckpointShare, CheckpointState, CollectorSnapshot,
+    Certifier, CheckpointCert, CheckpointError, CheckpointShare, CheckpointState,
+    CollectorSnapshot, Committee, OfferRejected, ShareStep,
 };
 use prb_consensus::election::{tally, verify_claims, ElectionClaim};
 use prb_consensus::evidence::{EquivocationEvidence, SignedHeader};
@@ -58,14 +64,11 @@ use prb_store::{BlockStore, Recovered};
 
 use crate::behavior::{ByzantineMode, GovernorProfile};
 use crate::config::{GovernorMode, ProtocolConfig};
-use crate::forkchoice::{malformed, Adoption, Arrival, Electorate, ForkChoice};
+use crate::forkchoice::{malformed, Adoption, Arrival, Electorate, ForkChoice, Paged};
 use crate::metrics::GovernorMetrics;
 use crate::msg::ProtocolMsg;
+use crate::sync::{serve, Recovery, Step};
 use crate::txtable::{Outcome, QueuedSig, SigMemo, SlotState, TxTable, Upload};
-
-/// Peer rotations before an anti-entropy sync round is abandoned (the
-/// next observed gap re-triggers it).
-const MAX_SYNC_ATTEMPTS: u32 = 8;
 
 /// Distinct membership requests whose shares may buffer concurrently;
 /// past this the governor ignores new digests (request-spam bound).
@@ -74,28 +77,6 @@ const MEMBER_SHARE_BUFFERS: usize = 64;
 /// Mean-weight level at which a silence-decayed collector is proposed
 /// for eviction (the configured `weight_floor` when it is higher).
 const EVICTION_FLOOR: f64 = 1e-3;
-
-/// Anti-entropy recovery status: crashed → recovering → synced.
-///
-/// A node cannot observe its own crash window; what it observes is the
-/// *evidence* of one — a round-number gap or a block past the next
-/// serial. Either moves it to `Recovering`, where it pages missing
-/// blocks from a peer (rotating peers that do not answer) until it
-/// reaches a peer's head, then returns to `Synced`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SyncState {
-    /// No known gap; the chain is believed current.
-    Synced,
-    /// Actively requesting missing block ranges.
-    Recovering {
-        /// Peer-rotation counter (resets on page progress).
-        attempt: u32,
-        /// Governor index currently being asked.
-        peer: u32,
-        /// Tick the gap was detected, for the recovery-time metric.
-        since: u64,
-    },
-}
 
 /// Governor actor state.
 pub struct GovernorNode {
@@ -147,14 +128,8 @@ pub struct GovernorNode {
     commit_span: Option<Span>,
     /// Ack-based retransmission for block dissemination (None = off).
     retry: Option<ReliableSender<ProtocolMsg>>,
-    /// Anti-entropy recovery state machine.
-    sync: SyncState,
-    /// Timers driving sync peer rotation, as `(attempt, height when
-    /// armed)` — a fire with stale values means progress happened and is
-    /// ignored.
-    sync_timers: HashMap<TimerId, (u32, u64)>,
-    /// Open recovery span (crash-recovery latency in the trace).
-    recovery_span: Option<Span>,
+    /// Anti-entropy sync: which peer to ask, rotation and its timers.
+    recovery: Recovery,
     /// This governor's (mis)behaviour profile — honest by default,
     /// byzantine modes are injected via `ProtocolConfig::governor_profiles`.
     profile: GovernorProfile,
@@ -170,33 +145,18 @@ pub struct GovernorNode {
     /// Durable block store mirroring every chain mutation (`None` keeps
     /// the ledger purely in memory, the pre-E16 behaviour).
     store: Option<BlockStore>,
-    /// Latest quorum-signed checkpoint certificate this node holds —
-    /// assembled from peer shares, adopted from a sync peer, or
-    /// recovered from the durable store.
-    latest_cert: Option<CheckpointCert>,
-    /// Own checkpoint state snapshots awaiting quorum, by serial.
-    /// Captured at the moment block `serial` commits, so the digest
-    /// reflects exactly this node's stake/reputation state then.
-    ckpt_pending: HashMap<u64, CheckpointState>,
-    /// Signature-verified peer shares (plus this node's own) buffered
-    /// per checkpoint serial until a quorum over one digest forms.
-    ckpt_shares: HashMap<u64, Vec<CheckpointShare>>,
-    /// Checkpoint serials committed during the current message dispatch,
-    /// announced (share signed + broadcast) once the dispatch finishes.
-    ckpt_to_announce: Vec<u64>,
+    /// Checkpoint snapshots, buffered shares, the announce queue and the
+    /// latest cert — assembled, adopted from a sync peer, or reopened.
+    certifier: Certifier,
     /// Per-collector committee standing under dynamic membership:
     /// `false` once a certified leave/evict applied. Uploads from
     /// inactive collectors are dropped, they owe no reports at reveal,
     /// and they leave the screening draw entirely.
     collector_active: Vec<bool>,
-    /// Governors departed via certified membership transitions, sorted.
-    /// Distinct from `expelled` (equivocation convictions): departures
-    /// are voluntary or administrative and are epoch-logged so old
-    /// certificates still verify against the committee of their day.
-    gov_departed: Vec<u32>,
-    /// Committee epoch log: serial-stamped departures and readmissions.
-    /// Checkpoint-cert quorums are sized by `active_at(serial)` — the
-    /// membership epoch at the cert's serial — not today's headcount.
+    /// Committee epoch log: serial-stamped governor departures and
+    /// readmissions, voluntary or administrative (distinct from `expelled`,
+    /// equivocation convictions). Checkpoint-cert quorums are sized by the
+    /// epoch at the cert's serial, not today's headcount.
     gov_epochs: EpochLog,
     /// Membership shares buffered per request digest until quorum, with
     /// the request itself once it has been seen.
@@ -268,6 +228,7 @@ impl GovernorNode {
             chain: Chain::new(b"prb-chain", cfg.b_limit),
             metrics: GovernorMetrics::new(n),
             gov_epochs: EpochLog::new(cfg.governors as usize),
+            recovery: Recovery::new(index, cfg.governors),
             // Advisory-only view: neutral 0.5 prior, moderate blend rate.
             transitive: TransitiveView::new(n, 0.5, 0.3),
             cfg,
@@ -296,20 +257,13 @@ impl GovernorNode {
             proposal_span: None,
             commit_span: None,
             retry: None,
-            sync: SyncState::Synced,
-            sync_timers: HashMap::new(),
-            recovery_span: None,
             profile,
             seen_headers: HashMap::new(),
             echoed: HashSet::new(),
             expelled: Vec::new(),
             store: None,
-            latest_cert: None,
-            ckpt_pending: HashMap::new(),
-            ckpt_shares: HashMap::new(),
-            ckpt_to_announce: Vec::new(),
+            certifier: Certifier::default(),
             collector_active: vec![true; n],
-            gov_departed: Vec::new(),
             member_shares: HashMap::new(),
             member_certs: Vec::new(),
             member_to_apply: Vec::new(),
@@ -363,10 +317,10 @@ impl GovernorNode {
             self.member_certs = members;
         }
         if let Some(cert) = recovered.cert {
-            let departed = self.gov_epochs.departed_at(cert.state.serial);
-            if cert.verify(&self.governor_pks, &departed).is_ok() {
-                self.adopt_cert_state(&cert);
-                self.latest_cert = Some(cert);
+            // Checked as an offer to an empty chain: no cert is at serial 0.
+            let c = Committee(&self.governor_pks, &self.gov_epochs, &self.expelled);
+            if let Ok(cert) = self.certifier.offer(cert, 0, &c) {
+                adopt_cert_state(cert, &mut self.stake_table, &mut self.reputation);
             }
         }
         self.store = Some(store);
@@ -374,23 +328,7 @@ impl GovernorNode {
 
     /// The latest checkpoint certificate this governor holds, if any.
     pub fn latest_cert(&self) -> Option<&CheckpointCert> {
-        self.latest_cert.as_ref()
-    }
-
-    /// Restores the certified stake/reputation vectors from `cert`
-    /// (already quorum-verified by the caller).
-    fn adopt_cert_state(&mut self, cert: &CheckpointCert) {
-        self.stake_table =
-            StakeTable::from_parts(cert.state.stakes.clone(), cert.state.stake_nonces.clone());
-        if !cert.state.reputation.is_empty() {
-            let vectors = cert
-                .state
-                .reputation
-                .iter()
-                .map(|c| ReputationVector::from_parts(c.weights.clone(), c.misreport, c.forge))
-                .collect();
-            self.reputation = ReputationTable::from_vectors(vectors, self.cfg.reputation);
-        }
+        self.certifier.latest()
     }
 
     /// Mirrors a freshly appended chain head into the durable store.
@@ -406,9 +344,8 @@ impl GovernorNode {
 
     /// Block `serial` (a checkpoint-interval boundary) just committed:
     /// snapshot the full certified state — head hash, stake vector and
-    /// nonces, reputation vectors — and queue the share announcement.
-    /// Peer shares that arrived early and disagree with this digest are
-    /// discarded (and counted) now that the local truth is known.
+    /// nonces, reputation vectors — for the certifier, counting the early
+    /// peer shares that disagree with it.
     fn capture_checkpoint(&mut self, serial: u64) {
         let Some(block_hash) = self.chain.retrieve(serial).map(Block::hash) else {
             return;
@@ -423,235 +360,111 @@ impl GovernorNode {
                 }
             })
             .collect();
-        let state = CheckpointState {
+        let dropped = self.certifier.capture(CheckpointState {
             serial,
             block_hash,
             stakes: self.stake_table.stakes().to_vec(),
             stake_nonces: self.stake_table.nonces().to_vec(),
             reputation,
-        };
-        let digest = state.digest();
-        if let Some(buf) = self.ckpt_shares.get_mut(&serial) {
-            let before = buf.len();
-            buf.retain(|s| s.state_digest == digest);
-            let dropped = (before - buf.len()) as u64;
-            if dropped > 0 {
-                self.metrics.checkpoint_digest_mismatches += dropped;
-                if self.obs.is_enabled() {
-                    self.obs
-                        .metrics()
-                        .add("checkpoint.digest_mismatch", dropped);
-                }
-            }
+        });
+        if dropped > 0 {
+            self.metrics.checkpoint_digest_mismatches += dropped;
+            self.obs.add_counter("checkpoint.digest_mismatch", dropped);
         }
-        self.ckpt_pending.insert(serial, state);
-        self.ckpt_to_announce.push(serial);
     }
 
-    /// Signs and broadcasts the shares queued by [`Self::capture_checkpoint`]
-    /// during this dispatch, counting the own share toward quorum.
+    /// Signs and broadcasts the shares the certifier queued during this
+    /// dispatch.
     fn flush_checkpoint_shares(&mut self, ctx: &mut Context<'_, ProtocolMsg>) {
-        if self.ckpt_to_announce.is_empty() {
-            return;
-        }
-        let serials = std::mem::take(&mut self.ckpt_to_announce);
-        for serial in serials {
-            let Some(digest) = self.ckpt_pending.get(&serial).map(CheckpointState::digest) else {
-                continue;
-            };
-            let share = CheckpointShare::create(serial, digest, self.index, &self.key);
-            self.metrics.checkpoint_shares_sent += 1;
-            if self.obs.is_enabled() {
-                self.obs.metrics().inc("checkpoint.shares_sent");
-            }
-            self.broadcast_governors(
-                ctx,
-                "checkpoint-share",
-                112,
-                ProtocolMsg::CheckpointShare(Box::new(share.clone())),
-            );
-            self.buffer_share(share);
-            self.try_assemble_cert(serial);
-        }
-    }
-
-    /// Buffers a signature-verified share, one per governor per serial.
-    fn buffer_share(&mut self, share: CheckpointShare) {
-        let buf = self.ckpt_shares.entry(share.serial).or_default();
-        if !buf.iter().any(|s| s.governor == share.governor) {
-            buf.push(share);
-        }
-    }
-
-    /// A peer's checkpoint share arrived: verify its signature, discard
-    /// it when it disagrees with this node's own snapshot digest at that
-    /// serial (transient reveal-timing divergence or a byzantine signer),
-    /// otherwise buffer and attempt certificate assembly.
-    fn on_checkpoint_share(&mut self, share: CheckpointShare) {
-        if self.cfg.checkpoint_interval == 0
-            || self.expelled.contains(&share.governor)
-            || self
-                .gov_epochs
-                .departed_at(share.serial)
-                .contains(&share.governor)
-        {
-            return;
-        }
-        if self
-            .latest_cert
-            .as_ref()
-            .is_some_and(|c| c.state.serial >= share.serial)
-        {
-            return; // already certified at or past this serial
-        }
-        if !share.verify(&self.governor_pks) {
-            return;
-        }
-        if let Some(state) = self.ckpt_pending.get(&share.serial) {
-            if state.digest() != share.state_digest {
-                self.metrics.checkpoint_digest_mismatches += 1;
-                if self.obs.is_enabled() {
-                    self.obs.metrics().inc("checkpoint.digest_mismatch");
-                }
+        loop {
+            let c = Committee(&self.governor_pks, &self.gov_epochs, &self.expelled);
+            let Some((share, step)) = self.certifier.announce(self.index, &self.key, &c) else {
                 return;
+            };
+            self.metrics.checkpoint_shares_sent += 1;
+            self.obs.add_counter("checkpoint.shares_sent", 1);
+            let msg = ProtocolMsg::CheckpointShare(Box::new(share));
+            self.broadcast_governors(ctx, "checkpoint-share", 112, msg);
+            self.checkpoint_step(step);
+        }
+    }
+
+    /// A peer's checkpoint share arrived.
+    fn on_checkpoint_share(&mut self, share: CheckpointShare) {
+        if self.cfg.checkpoint_interval > 0 {
+            let c = Committee(&self.governor_pks, &self.gov_epochs, &self.expelled);
+            let step = self.certifier.on_share(share, &c);
+            self.checkpoint_step(step);
+        }
+    }
+
+    /// Counts what a share did; a cert it formed is saved to the store.
+    fn checkpoint_step(&mut self, step: ShareStep) {
+        match step {
+            ShareStep::Mismatch => {
+                self.metrics.checkpoint_digest_mismatches += 1;
+                self.obs.add_counter("checkpoint.digest_mismatch", 1);
             }
-        } else if self.ckpt_shares.len() >= 32 && !self.ckpt_shares.contains_key(&share.serial) {
-            return; // bound the early-share buffer against spam
+            ShareStep::Formed => {
+                self.metrics.checkpoint_certs_formed += 1;
+                self.obs.add_counter("checkpoint.cert_formed", 1);
+                if let (Some(store), Some(cert)) = (&mut self.store, self.certifier.latest()) {
+                    store
+                        .save_cert(cert)
+                        .expect("durable store must persist the checkpoint cert");
+                }
+            }
+            ShareStep::Ignored | ShareStep::Buffered => {}
         }
-        let serial = share.serial;
-        self.buffer_share(share);
-        self.try_assemble_cert(serial);
     }
 
-    /// Assembles a certificate for `serial` once a quorum of shares over
-    /// this node's own state digest has gathered.
-    fn try_assemble_cert(&mut self, serial: u64) {
-        if self
-            .latest_cert
-            .as_ref()
-            .is_some_and(|c| c.state.serial >= serial)
-        {
-            return;
-        }
-        let Some(state) = self.ckpt_pending.get(&serial) else {
-            return;
-        };
-        let digest = state.digest();
-        let Some(buf) = self.ckpt_shares.get(&serial) else {
-            return;
-        };
-        let departed = self.gov_epochs.departed_at(serial);
-        let mut sigs: Vec<(u32, Sig)> = buf
-            .iter()
-            .filter(|s| {
-                s.state_digest == digest
-                    && !self.expelled.contains(&s.governor)
-                    && !departed.contains(&s.governor)
-            })
-            .map(|s| (s.governor, s.sig.clone()))
-            .collect();
-        // Quorum is sized by the membership epoch at this cert's serial
-        // — the committee as it stood when the shares were signed — less
-        // any equivocation expulsions the epoch log does not cover.
-        let extra_expelled = self
-            .expelled
-            .iter()
-            .filter(|g| !departed.contains(g))
-            .count();
-        let need = quorum(
-            self.gov_epochs
-                .active_at(serial)
-                .saturating_sub(extra_expelled),
-        );
-        if sigs.len() < need {
-            return;
-        }
-        sigs.sort_by_key(|(g, _)| *g);
-        let cert = CheckpointCert {
-            state: state.clone(),
-            sigs,
-        };
-        self.metrics.checkpoint_certs_formed += 1;
-        if self.obs.is_enabled() {
-            self.obs.metrics().inc("checkpoint.cert_formed");
-        }
-        if let Some(store) = &mut self.store {
-            store
-                .save_cert(&cert)
-                .expect("durable store must persist the checkpoint cert");
-        }
-        self.latest_cert = Some(cert);
-        self.prune_checkpoint_buffers(serial);
-    }
-
-    /// Drops pending snapshots and share buffers at or below `serial`.
-    fn prune_checkpoint_buffers(&mut self, serial: u64) {
-        self.ckpt_pending.retain(|&s, _| s > serial);
-        self.ckpt_shares.retain(|&s, _| s > serial);
-    }
-
-    /// A sync peer offered a checkpoint certificate. Adopt it only when
-    /// it verifies against the full committee (minus this node's expelled
-    /// view) *and* is strictly ahead of the local chain head — a stale,
-    /// forged or under-quorum offer is rejected and can never roll an
-    /// honest node back. Adoption re-anchors the chain at the certified
-    /// head, restores the certified stake/reputation state, and resets
-    /// the durable store, so the remaining sync fetches only the
-    /// `delta = head − serial` suffix.
+    /// A sync peer offered a checkpoint certificate. Adopting one the
+    /// certifier holds re-anchors the chain at the certified head, restores
+    /// the certified stake/reputation state, resets the durable store, and
+    /// drops the screened entries waiting for a block: the anchored chain
+    /// can no longer tell which of them the certified prefix holds, and the
+    /// rest of the committee screened the same uploads.
     fn maybe_adopt_checkpoint(&mut self, cert: CheckpointCert) {
-        if cert.state.serial <= self.chain.height() {
-            self.metrics.checkpoints_rejected += 1;
-            self.obs.add_counter("checkpoint.rejected.stale", 1);
-            return;
-        }
-        // Size the quorum by the membership epoch at the cert's serial:
-        // a cert formed before a departure (or expulsion this node
-        // witnessed later) still verifies, because its shares were
-        // signed by the committee of that day.
-        let departed = self.gov_epochs.departed_at(cert.state.serial);
-        if let Err(e) = cert.verify(&self.governor_pks, &departed) {
-            self.metrics.checkpoints_rejected += 1;
-            if self.obs.is_enabled() {
-                let key = match e {
-                    CheckpointError::UnderQuorum { .. } => "checkpoint.rejected.under_quorum",
-                    CheckpointError::BadSignature { .. } => "checkpoint.rejected.bad_signature",
-                    CheckpointError::MalformedState => "checkpoint.rejected.malformed_state",
+        let c = Committee(&self.governor_pks, &self.gov_epochs, &self.expelled);
+        let cert = match self.certifier.offer(cert, self.chain.height(), &c) {
+            Ok(cert) => cert,
+            Err(rejected) => {
+                use {CheckpointError as E, OfferRejected::*};
+                let key = match rejected {
+                    Stale => "checkpoint.rejected.stale",
+                    Invalid(E::UnderQuorum { .. }) => "checkpoint.rejected.under_quorum",
+                    Invalid(E::BadSignature { .. }) => "checkpoint.rejected.bad_signature",
+                    Invalid(E::MalformedState) => "checkpoint.rejected.malformed_state",
                 };
-                self.obs.metrics().inc(key);
+                self.metrics.checkpoints_rejected += 1;
+                return self.obs.add_counter(key, 1);
             }
-            return;
-        }
+        };
         let serial = cert.state.serial;
         self.chain = Chain::from_checkpoint(serial, cert.state.block_hash, self.cfg.b_limit);
-        self.adopt_cert_state(&cert);
+        adopt_cert_state(cert, &mut self.stake_table, &mut self.reputation);
         self.fork.anchored(serial);
         if let Some(store) = &mut self.store {
             store
-                .reset_to_checkpoint(&cert)
+                .reset_to_checkpoint(cert)
                 .expect("durable store must follow a checkpoint adoption");
         }
+        self.ready_entries.clear();
+        self.argued_entries.clear();
         self.metrics.checkpoints_adopted += 1;
         self.metrics.adopted_serial = serial;
         self.metrics.pages_after_adopt = 0;
         self.obs.add_counter("checkpoint.adopted", 1);
         self.obs.observe("checkpoint.adopted_serial", serial);
-        self.latest_cert = Some(cert);
-        self.prune_checkpoint_buffers(serial);
     }
 
     // ── Dynamic membership (E17) ─────────────────────────────────────
 
     /// Governors out of the live committee: the union of equivocation
-    /// expulsions and certified departures, sorted.
+    /// expulsions and certified departures, sorted — the rule a checkpoint
+    /// cert past every epoch is counted by.
     fn excluded_governors(&self) -> Vec<u32> {
-        let mut out = self.expelled.clone();
-        for &g in &self.gov_departed {
-            if !out.contains(&g) {
-                out.push(g);
-            }
-        }
-        out.sort_unstable();
-        out
+        Committee(&self.governor_pks, &self.gov_epochs, &self.expelled).excluded_at(u64::MAX)
     }
 
     /// The subject verification key for a membership request, when the
@@ -684,7 +497,7 @@ impl GovernorNode {
                 .get(req.member as usize)
                 .copied()
                 .unwrap_or(false),
-            MemberRole::Governor => !self.gov_departed.contains(&req.member),
+            MemberRole::Governor => !self.gov_epochs.is_departed_now(req.member),
         };
         match req.action {
             MembershipAction::Join => req.bond >= 1 && !active,
@@ -736,8 +549,7 @@ impl GovernorNode {
     /// governor per digest), and attempt certificate assembly.
     fn on_member_share(&mut self, share: MembershipShare) {
         if !self.cfg.churn_enabled()
-            || self.expelled.contains(&share.governor)
-            || self.gov_departed.contains(&share.governor)
+            || self.excluded_governors().contains(&share.governor)
             || !share.verify(&self.governor_pks)
         {
             return;
@@ -767,24 +579,14 @@ impl GovernorNode {
     /// log, and queues the transition for its effective round.
     fn try_assemble_member_cert(&mut self, digest: Digest) {
         let excluded = self.excluded_governors();
-        let need = quorum(self.cfg.governors as usize - excluded.len());
-        let (req, sigs) = {
-            let Some((Some(req), shares)) = self.member_shares.get(&digest) else {
-                return;
-            };
-            let mut sigs: Vec<(u32, Sig)> = shares
-                .iter()
-                .filter(|s| !excluded.contains(&s.governor))
-                .map(|s| (s.governor, s.sig.clone()))
-                .collect();
-            if sigs.len() < need {
-                return;
-            }
-            sigs.sort_by_key(|(g, _)| *g);
-            (req.clone(), sigs)
+        let Some((Some(req), shares)) = self.member_shares.get(&digest) else {
+            return;
+        };
+        let m = self.cfg.governors as usize;
+        let Some(cert) = MembershipCert::assemble(req, shares, &excluded, m) else {
+            return;
         };
         self.member_shares.remove(&digest);
-        let cert = MembershipCert { request: req, sigs };
         self.member_certs.push(cert.clone());
         self.member_to_apply.push(cert);
         self.metrics.member_certs_formed += 1;
@@ -853,9 +655,7 @@ impl GovernorNode {
                 }
             }
             (MemberRole::Governor, MembershipAction::Leave | MembershipAction::Evict) => {
-                if !self.gov_departed.contains(&member) {
-                    self.gov_departed.push(member);
-                    self.gov_departed.sort_unstable();
+                if !self.gov_epochs.is_departed_now(member) {
                     self.gov_epochs
                         .record_departure(member, req.effective_round);
                     self.claims.retain(|c| c.governor != member);
@@ -867,11 +667,8 @@ impl GovernorNode {
                 }
             }
             (MemberRole::Governor, MembershipAction::Join) => {
-                if let Some(pos) = self.gov_departed.iter().position(|&g| g == member) {
-                    self.gov_departed.remove(pos);
-                    self.gov_epochs
-                        .record_readmission(member, req.effective_round);
-                }
+                self.gov_epochs
+                    .record_readmission(member, req.effective_round);
             }
         }
         self.metrics.member_applied += 1;
@@ -899,8 +696,7 @@ impl GovernorNode {
         if !self.cfg.churn_enabled()
             || reporter == self.index
             || reporter as usize >= self.cfg.governors as usize
-            || self.expelled.contains(&reporter)
-            || self.gov_departed.contains(&reporter)
+            || self.excluded_governors().contains(&reporter)
         {
             return;
         }
@@ -1020,8 +816,8 @@ impl GovernorNode {
     }
 
     /// Governors departed via certified membership transitions, sorted.
-    pub fn departed_governors(&self) -> &[u32] {
-        &self.gov_departed
+    pub fn departed_governors(&self) -> Vec<u32> {
+        self.gov_epochs.departed_at(u64::MAX)
     }
 
     /// The quorum-certified membership transition log, oldest first.
@@ -1068,7 +864,7 @@ impl GovernorNode {
 
     /// Whether the governor is mid-recovery (diagnostics).
     pub fn is_recovering(&self) -> bool {
-        matches!(self.sync, SyncState::Recovering { .. })
+        self.recovery.is_recovering()
     }
 
     fn net_idx(&self) -> u64 {
@@ -1195,8 +991,7 @@ impl GovernorNode {
                 // can deliver the same claim twice — dedupe by claimant
                 // before counting toward the full-set threshold. Expelled
                 // governors are out of the committee entirely.
-                && !self.expelled.contains(&claim.governor)
-                && !self.gov_departed.contains(&claim.governor)
+                && !self.excluded_governors().contains(&claim.governor)
                 && !self.claims.iter().any(|c| c.governor == claim.governor) =>
             {
                 self.claims.push(claim);
@@ -1256,9 +1051,8 @@ impl GovernorNode {
                 return;
             }
         }
-        if let Some((attempt, height)) = self.sync_timers.remove(&timer) {
-            self.on_sync_timer(attempt, height, ctx);
-            return;
+        if let Some(step) = self.recovery.on_timer(timer, self.chain.height()) {
+            return self.sync_step(step, ctx);
         }
         if self.txs.take_timer(timer) {
             self.screen_due(ctx.now().ticks(), ctx);
@@ -1290,7 +1084,7 @@ impl GovernorNode {
         self.leader = None;
         let now = ctx.now().ticks();
         self.apply_due_members(round, now);
-        if self.gov_departed.contains(&self.index) {
+        if self.gov_epochs.is_departed_now(self.index) {
             // This governor's own certified departure took effect: stay
             // dark — no claim, no gossip — while still following
             // committed blocks so a readmission resumes from a warm
@@ -2223,145 +2017,67 @@ impl GovernorNode {
         ok
     }
 
-    /// Enters the `Recovering` state (no-op when already recovering or
-    /// when there is no peer to ask) and sends the first page request.
-    /// `preferred` names the peer to try first — the proposer of the
-    /// block that exposed the gap, when known.
+    /// A gap was seen: starts a recovery (unless one runs or there is no
+    /// peer) and asks for the first page. `preferred` names the peer to try
+    /// first — the proposer of the block that exposed the gap, when known.
     fn start_recovery(&mut self, preferred: Option<u32>, ctx: &mut Context<'_, ProtocolMsg>) {
-        if matches!(self.sync, SyncState::Recovering { .. }) || self.cfg.governors < 2 {
+        let Some(peer) = self.recovery.start(preferred, ctx.now().ticks()) else {
             return;
-        }
+        };
         // A provisional head would shadow the peer's settled block at the
         // same serial (incoming pages skip serials we "already have") —
         // roll it back first; recovery refetches the agreed truth.
         self.shed(self.fork.provisional_depth(&self.chain));
-        let now = ctx.now().ticks();
-        let peer = preferred
-            .filter(|&p| p != self.index && p < self.cfg.governors)
-            .unwrap_or_else(|| self.sync_peer(0));
-        self.sync = SyncState::Recovering {
-            attempt: 0,
-            peer,
-            since: now,
-        };
         self.metrics.sync_requested += 1;
         self.obs.add_counter("sync.requested", 1);
-        self.recovery_span = Some(Span::begin(phases::RECOVERY, now));
-        self.send_sync_request(peer, ctx);
+        self.sync_step(Step::Ask(peer), ctx);
     }
 
-    /// The peer asked on rotation `attempt`: cycles over the other
-    /// governors starting just past this one's own index.
-    fn sync_peer(&self, attempt: u32) -> u32 {
-        let m = self.cfg.governors;
-        let mut peer = (self.index + 1 + attempt) % m;
-        if peer == self.index {
-            peer = (peer + 1) % m;
-        }
-        peer
-    }
-
-    /// Sends one page request to `peer` and arms the rotation timer.
-    fn send_sync_request(&mut self, peer: u32, ctx: &mut Context<'_, ProtocolMsg>) {
-        let have = self.chain.height();
-        ctx.send_sized(
-            self.governor_base + peer as usize,
-            "sync-request",
-            16,
-            ProtocolMsg::SyncRequest { have },
-        );
-        if let SyncState::Recovering { attempt, .. } = self.sync {
-            // Deadline for the page: a request/response round trip plus
-            // slack. No response (crashed peer, lost message) rotates.
-            let timer = ctx.set_timer(SimDuration(4 * self.cfg.max_delay + 4));
-            self.sync_timers.insert(timer, (attempt, have));
-        }
-    }
-
-    /// A rotation timer fired: if the recovery it belongs to is still
-    /// stalled at the same attempt and height, try the next peer.
-    fn on_sync_timer(
-        &mut self,
-        attempt: u32,
-        height_at_arm: u64,
-        ctx: &mut Context<'_, ProtocolMsg>,
-    ) {
-        let SyncState::Recovering {
-            attempt: current,
-            peer,
-            since,
-        } = self.sync
-        else {
-            return; // recovery already completed
-        };
-        if current != attempt || self.chain.height() != height_at_arm {
-            // Progress since this timer was armed. A sync page always
-            // re-requests (arming a fresh timer), but progress from a
-            // normally-appended block does not — if no other rotation
-            // timer is pending, probe the current peer again so the
-            // rotation chain survives instead of going zombie.
-            if self.sync_timers.is_empty() {
-                self.send_sync_request(peer, ctx);
+    /// Acts on what recovery decided.
+    fn sync_step(&mut self, step: Step, ctx: &mut Context<'_, ProtocolMsg>) {
+        let now = ctx.now().ticks();
+        match step {
+            Step::Idle => {}
+            Step::Ask(peer) => {
+                let (to, have) = (self.governor_base + peer as usize, self.chain.height());
+                ctx.send_sized(to, "sync-request", 16, ProtocolMsg::SyncRequest { have });
+                // Deadline for the page: a request/response round trip plus
+                // slack. No response (crashed peer, lost message) rotates.
+                let timer = ctx.set_timer(SimDuration(4 * self.cfg.max_delay + 4));
+                self.recovery.armed(timer, have);
             }
-            return;
-        }
-        let next = attempt + 1;
-        if next >= MAX_SYNC_ATTEMPTS {
-            self.abandon_recovery();
-            return;
-        }
-        let peer = self.sync_peer(next);
-        self.sync = SyncState::Recovering {
-            attempt: next,
-            peer,
-            since,
-        };
-        self.send_sync_request(peer, ctx);
-    }
-
-    /// Gives up on the current recovery (every rotation went
-    /// unanswered). The next observed gap re-triggers it.
-    fn abandon_recovery(&mut self) {
-        self.sync = SyncState::Synced;
-        self.recovery_span = None;
-        self.metrics.sync_abandoned += 1;
-        if self.obs.is_enabled() {
-            self.obs.metrics().inc("sync.abandoned");
+            Step::Abandon => {
+                self.metrics.sync_abandoned += 1;
+                self.obs.add_counter("sync.abandoned", 1);
+            }
+            Step::Done { since } => {
+                let ticks = now.saturating_sub(since);
+                self.metrics.sync_recovered += 1;
+                self.metrics.recovery_ticks.push(ticks);
+                self.obs.add_counter("sync.recovered", 1);
+                self.obs.observe("sync.recovery_ticks", ticks);
+                let span = Span::begin(phases::RECOVERY, since);
+                self.obs.end_span(span, now, self.net_idx());
+                // Parked blocks past a *new* gap (committed while we paged):
+                // chase that gap immediately.
+                if let Some(next_gap) = self.fork.first_parked() {
+                    let proposer = next_gap.leader.index;
+                    self.start_recovery(Some(proposer), ctx);
+                }
+            }
         }
     }
 
+    /// A peer asked for the page after `have`.
     fn on_sync_request(
         &mut self,
         have: u64,
         requester: NodeIdx,
         ctx: &mut Context<'_, ProtocolMsg>,
     ) {
-        // Always respond — an empty page still tells the requester this
-        // peer's head, letting it finish (or re-aim) its recovery.
-        let head = self.chain.height();
-        let blocks: Vec<Block> = ((have + 1)..=head)
-            .take(self.cfg.sync_page)
-            .filter_map(|s| self.chain.retrieve(s).cloned())
-            .collect();
-        // Offer the latest checkpoint certificate when the requester is
-        // behind it: adopting it lets the peer skip every pre-checkpoint
-        // page and fetch only the suffix (O(delta) state-sync).
-        let cert = self
-            .latest_cert
-            .as_ref()
-            .filter(|c| c.state.serial > have)
-            .map(|c| Box::new(c.clone()));
-        let size = 80
-            + 96 * blocks.iter().map(Block::tx_count).sum::<usize>()
-            + cert
-                .as_ref()
-                .map_or(0, |c| 104 + 16 * c.state.stakes.len() + 96 * c.sigs.len());
-        ctx.send_sized(
-            requester,
-            "sync-response",
-            size,
-            ProtocolMsg::SyncResponse { blocks, head, cert },
-        );
+        let cert = self.certifier.latest();
+        let (msg, size) = serve(&self.chain, cert, have, self.cfg.sync_page);
+        ctx.send_sized(requester, "sync-response", size, msg);
         self.metrics.sync_served += 1;
         if self.obs.is_enabled() {
             self.obs.metrics().inc("sync.served");
@@ -2387,20 +2103,10 @@ impl GovernorNode {
         }
         let before_page = self.chain.height();
         for block in blocks {
-            if block.serial != self.chain.height() + 1 {
-                continue; // stale page or duplicate
+            match self.fork.classify_page(&self.chain, &block) {
+                Paged::Skip { shed } => self.shed(shed),
+                Paged::Adopt => self.adopt(block, Adoption::Page, None, now),
             }
-            if block.prev_hash != self.chain.head_hash() {
-                // The peer's settled chain disagrees with our head: fork
-                // evidence discovered mid-recovery. Shed the unconfirmed
-                // suffix; the follow-up page request (our new, lower
-                // height) refetches from the divergence point.
-                self.shed(self.fork.unconfirmed_depth(&self.chain));
-                if block.serial != self.chain.height() + 1 {
-                    continue;
-                }
-            }
-            self.adopt(block, Adoption::Page, None, now);
         }
         if self.metrics.adopted_serial > 0 && self.chain.height() > before_page {
             // O(delta) accounting: pages that contributed blocks after
@@ -2410,54 +2116,12 @@ impl GovernorNode {
         while let Some(block) = self.fork.unpark(&self.chain) {
             self.adopt(block, Adoption::Parked, None, now);
         }
-        let SyncState::Recovering { attempt, since, .. } = self.sync else {
-            return; // unsolicited (e.g. a late page after completion)
-        };
-        if self.chain.height() < head {
-            // More pages remain. Page progress resets the rotation
-            // counter and keeps asking the peer that just answered; a
-            // pageless response (peer cannot help) rotates.
-            let progressed = self.chain.height() > before;
-            let next = if progressed { 0 } else { attempt + 1 };
-            if next >= MAX_SYNC_ATTEMPTS {
-                self.abandon_recovery();
-                return;
-            }
-            // Checked committee-offset conversion: a responder outside
-            // the governor range (or past u32 on exotic layouts) must
-            // rotate, never silently truncate into a bogus peer index.
-            let responder = from
-                .checked_sub(self.governor_base)
-                .and_then(|off| u32::try_from(off).ok())
-                .filter(|&g| g < self.cfg.governors);
-            let peer = match responder {
-                Some(g) if progressed => g,
-                _ => self.sync_peer(next),
-            };
-            self.sync = SyncState::Recovering {
-                attempt: next,
-                peer,
-                since,
-            };
-            self.send_sync_request(peer, ctx);
-        } else {
-            // Caught up to the responder's head: recovery complete.
-            self.sync = SyncState::Synced;
-            self.metrics.sync_recovered += 1;
-            self.metrics.recovery_ticks.push(now.saturating_sub(since));
-            self.obs.add_counter("sync.recovered", 1);
-            self.obs
-                .observe("sync.recovery_ticks", now.saturating_sub(since));
-            if let Some(span) = self.recovery_span.take() {
-                self.obs.end_span(span, now, self.net_idx());
-            }
-            // Parked blocks past a *new* gap (committed while we paged):
-            // chase that gap immediately.
-            if let Some(next_gap) = self.fork.first_parked() {
-                let proposer = next_gap.leader.index;
-                self.start_recovery(Some(proposer), ctx);
-            }
-        }
+        let responder = from
+            .checked_sub(self.governor_base)
+            .and_then(|g| u32::try_from(g).ok());
+        let height = self.chain.height();
+        let step = self.recovery.on_page(before, height, head, responder);
+        self.sync_step(step, ctx);
     }
 
     /// Applies a signed stake transfer broadcast during the round.
@@ -2679,6 +2343,25 @@ fn resolve_pk<'a>(
         return Some(&pk_pool[p as usize % pk_pool.len()]);
     }
     None
+}
+
+/// Restores the certified stake and reputation vectors of `cert`, which the
+/// certifier has verified.
+fn adopt_cert_state(
+    cert: &CheckpointCert,
+    stakes: &mut StakeTable,
+    reputation: &mut ReputationTable,
+) {
+    let state = &cert.state;
+    *stakes = StakeTable::from_parts(state.stakes.clone(), state.stake_nonces.clone());
+    if !state.reputation.is_empty() {
+        let vectors = state
+            .reputation
+            .iter()
+            .map(|c| ReputationVector::from_parts(c.weights.clone(), c.misreport, c.forge))
+            .collect();
+        *reputation = ReputationTable::from_vectors(vectors, *reputation.params());
+    }
 }
 
 fn label_pairs(reports: &[(u32, Label)]) -> Vec<(NodeId, Label)> {

@@ -47,6 +47,7 @@ pub mod node;
 pub mod provider;
 pub mod scale;
 pub mod sim;
+mod sync;
 mod txtable;
 pub mod workload;
 

@@ -500,7 +500,7 @@ impl TxSlot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use prb_crypto::identity::NodeId;
     use prb_crypto::signer::CryptoScheme;
@@ -519,7 +519,7 @@ mod tests {
         }
     }
 
-    fn timers(n: usize) -> Vec<TimerId> {
+    pub(crate) fn timers(n: usize) -> Vec<TimerId> {
         let mut net = Network::new(NetConfig::default(), 1);
         let clock = net.add_node(Clock(Vec::new()));
         for _ in 0..n {

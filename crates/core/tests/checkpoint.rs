@@ -144,6 +144,64 @@ fn behind_governor_adopts_checkpoint_and_syncs_o_delta() {
     assert!(sim.chains_prefix_agree(&[0, 1, 2, 3]));
 }
 
+/// Regression: a governor that adopts a checkpoint mid-run must not
+/// re-record what the certified prefix already holds. Governor 3 crashes
+/// a third into round 3 with screened transactions buffered, adopts the
+/// cert at serial 8 on its return, and later leads. Once its chain is
+/// anchored, the ledger can no longer tell it those buffered entries were
+/// committed below the anchor, so it proposed them again and every chain
+/// held them twice. The distinct ids committed stay what they were.
+#[test]
+fn checkpoint_adoption_never_records_a_transaction_twice() {
+    use std::collections::HashSet;
+
+    use prb_ledger::block::Verdict;
+
+    let cfg = ProtocolConfig {
+        sync_page: 4,
+        ..ckpt_config(2)
+    };
+    let rt = cfg.round_ticks();
+    let mut sim = Simulation::new(cfg).unwrap();
+    let mut faults = FaultPlan::none();
+    faults.crash_window(
+        sim.governor_net_index(3),
+        SimTime(3 * rt + rt / 3),
+        SimTime(9 * rt + rt / 2),
+    );
+    sim.set_faults(faults);
+    sim.run(24);
+    sim.run_drain_rounds(2);
+
+    assert_eq!(sim.metrics(3).adopted_serial, 8, "the scenario adopts");
+    assert!(sim.chains_agree());
+    for g in 0..4 {
+        let mut seen = HashSet::new();
+        let twice: Vec<_> = sim
+            .governor(g)
+            .chain()
+            .iter()
+            .flat_map(|b| &b.entries)
+            .filter(|e| e.verdict != Verdict::ArguedValid)
+            .map(|e| e.tx.id())
+            .filter(|id| !seen.insert(*id))
+            .collect();
+        assert!(
+            twice.is_empty(),
+            "governor {g} records {} transactions twice",
+            twice.len()
+        );
+    }
+    let committed: HashSet<_> = sim
+        .governor(0)
+        .chain()
+        .iter()
+        .flat_map(|b| &b.entries)
+        .map(|e| e.tx.id())
+        .collect();
+    assert_eq!(committed.len(), 604, "distinct committed transactions");
+}
+
 /// One governor alone on the network, with the full committee's keys
 /// held by the test: we can mint both genuine and forged certificates
 /// and offer them via crafted `SyncResponse` envelopes.
@@ -365,6 +423,43 @@ fn cert_quorum_is_sized_by_the_epoch_at_its_serial() {
     );
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Regression: a governor convicted of equivocation no longer counts
+/// toward a checkpoint quorum at any serial. The rig's governor expels
+/// governor 1 on evidence; an offer resting on governor 1's signature is
+/// then under quorum (two of the three it needs), and one signed by three
+/// others is adopted.
+#[test]
+fn an_expelled_signature_never_completes_a_cert_quorum() {
+    use prb_consensus::evidence::{EquivocationEvidence, SignedHeader};
+
+    let mut rig = CertRig::new();
+    let first = SignedHeader::create(1, 1, 1, sha256(b"twin-a"), &rig.keys[1]);
+    let second = SignedHeader::create(1, 1, 1, sha256(b"twin-b"), &rig.keys[1]);
+    rig.net.send_external(
+        0,
+        "evidence",
+        ProtocolMsg::Evidence {
+            evidence: Box::new(EquivocationEvidence::new(first, second)),
+        },
+        SimTime(5),
+    );
+    rig.net.run_until_idle(10_000);
+    assert_eq!(rig.governor().expelled(), &[1]);
+
+    rig.offer(rig.cert(6, &[0, 1, 2]), 10);
+    {
+        let gov = rig.governor();
+        assert_eq!(gov.metrics().checkpoints_rejected, 1, "under quorum");
+        assert_eq!(gov.metrics().checkpoints_adopted, 0);
+        assert_eq!(gov.chain().height(), 0);
+        assert!(gov.latest_cert().is_none());
+    }
+    rig.offer(rig.cert(6, &[0, 2, 3]), 20);
+    let gov = rig.governor();
+    assert_eq!(gov.metrics().checkpoints_adopted, 1);
+    assert_eq!(gov.chain().height(), 6);
 }
 
 #[test]

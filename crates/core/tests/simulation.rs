@@ -761,6 +761,117 @@ fn fork_choice_under_loss_is_pinned() {
     );
 }
 
+/// Pins anti-entropy sync and checkpoint certification: page requests,
+/// peer rotation, recoveries and their length, cert assembly, offers and
+/// adoption. Run (a) is E16's leg: a governor down for nine rounds adopts
+/// a checkpoint and pages the suffix. Run (b) crashes two governors in
+/// turn under 30 % loss with reliable delivery. Every counter is summed
+/// over governors, `recovery_ticks` is concatenated in governor order, and
+/// governor 0's head is pinned too.
+#[test]
+fn recovery_is_pinned() {
+    use prb_core::metrics::GovernorMetrics;
+    use prb_net::fault::FaultPlan;
+    use prb_net::time::SimTime;
+    type Counts = (
+        u64,
+        u64,
+        u64,
+        u64,
+        u64,
+        Vec<u64>,
+        u64,
+        u64,
+        u64,
+        u64,
+        u64,
+        u64,
+    );
+    let read = |sim: &Simulation| -> (Counts, String) {
+        let m: Vec<&GovernorMetrics> = (0..sim.config().governors)
+            .map(|g| sim.metrics(g))
+            .collect();
+        let sum = |f: fn(&GovernorMetrics) -> u64| m.iter().map(|m| f(m)).sum::<u64>();
+        let counts = (
+            sum(|m| m.sync_requested),
+            sum(|m| m.sync_recovered),
+            sum(|m| m.sync_abandoned),
+            sum(|m| m.sync_served),
+            sum(|m| m.sync_applied),
+            m.iter().flat_map(|m| m.recovery_ticks.clone()).collect(),
+            sum(|m| m.checkpoints_adopted),
+            sum(|m| m.checkpoints_rejected),
+            sum(|m| m.checkpoint_certs_formed),
+            sum(|m| m.checkpoint_shares_sent),
+            sum(|m| m.checkpoint_digest_mismatches),
+            sum(|m| m.pages_after_adopt),
+        );
+        (counts, sim.governor(0).chain().head_hash().to_hex())
+    };
+
+    let cfg = ProtocolConfig {
+        governor_mode: GovernorMode::CheckAll,
+        checkpoint_interval: 2,
+        sync_page: 4,
+        seed: 31,
+        ..Default::default()
+    };
+    let rt = cfg.round_ticks();
+    let mut sim = Simulation::new(cfg).unwrap();
+    let mut faults = FaultPlan::none();
+    faults.crash_window(sim.governor_net_index(3), SimTime(rt), SimTime(10 * rt));
+    sim.set_faults(faults);
+    sim.run(14);
+    sim.run_drain_rounds(2);
+    assert_eq!(
+        read(&sim),
+        (
+            (1, 1, 0, 2, 1, vec![25], 1, 0, 18, 21, 12, 1),
+            "5738720a57a52199e0eb8c2f72b18a97ac33bc7ff50fa5ddb3009c12a319793b".into()
+        )
+    );
+
+    let cfg = ProtocolConfig {
+        governors: 5,
+        reliable_delivery: true,
+        governor_mode: GovernorMode::Reputation,
+        checkpoint_interval: 4,
+        sync_page: 2,
+        seed: 90,
+        ..Default::default()
+    };
+    let rt = cfg.round_ticks();
+    let mut sim = Simulation::new(cfg).unwrap();
+    let mut faults = FaultPlan::none();
+    faults.drop_all(0.3);
+    faults.crash_window(sim.governor_net_index(1), SimTime(2 * rt), SimTime(7 * rt));
+    faults.crash_window(sim.governor_net_index(2), SimTime(3 * rt), SimTime(8 * rt));
+    sim.set_faults(faults);
+    sim.run(14);
+    sim.run_drain_rounds(1);
+    sim.settle(5 * rt);
+    assert_eq!(
+        read(&sim),
+        (
+            (
+                5,
+                5,
+                0,
+                9,
+                12,
+                vec![16, 199, 17, 97, 68],
+                0,
+                0,
+                0,
+                10,
+                35,
+                0
+            ),
+            "7f7b9c8895dca2c504e754cf57a468a86ea28e6916890102d2fa6fe06c4f315a".into()
+        )
+    );
+}
+
 /// A scaled-down `closed-faulty` (BENCHMARK.json): reliable delivery, 5 %
 /// loss on every link but the governors' own, governors 1 and 2 crashed
 /// in turn mid-round, while Δ windows are open. A window whose timer fell

@@ -10,12 +10,14 @@
 # is left registered in .git), builds prb-bench on both sides, runs E11
 # exp_faults, E12 exp_byzantine, E15 exp_scale --no-wall, E16 exp_persist
 # and E17 exp_churn, each with --quick, on both sides, and cmp's each
-# pair of documents, printing "byte-equal" or "differs" for each. Exits
-# non-zero if any differed.
+# pair of documents, printing "byte-equal" or "differs" for each. After a
+# "differs" it prints the first 20 lines of a diff of the two documents,
+# each pretty-printed by `python3 -m json.tool`, so the moved field shows.
+# Exits non-zero if any differed.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
-    sed -n '2,14p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent_ref=$1
@@ -45,6 +47,8 @@ while read -r bin flags; do
         echo "$bin: byte-equal"
     else
         echo "$bin: differs"
+        diff <(python3 -m json.tool "$tmp/docs/parent-$bin.json") \
+            <(python3 -m json.tool "$tmp/docs/change-$bin.json") | head -n 20 || true
         differed=1
     fi
 done <<'EOF'
