@@ -3,11 +3,17 @@
 //! An honest collector verifies each incoming transaction's provider
 //! signature, validates it, attaches a ±1 label, and atomically broadcasts
 //! the labeled transaction to every governor. Everything labeled in one
-//! dispatch — a round's mempool drain in open loop, whatever one delivery
-//! released in closed loop — leaves as one [`UploadBatch`] under one
-//! collector signature, one message per governor. Adversarial profiles
-//! flip labels, discard transactions, or fabricate forged ones (§4.2's
-//! three misbehaviour classes).
+//! upload leaves as one [`UploadBatch`] under one collector signature, one
+//! message per governor. In open loop an upload is a round's mempool
+//! drain. In closed loop it is a round's collection phase: from
+//! `StartRound` to the driver's `EndCollect`, each delivery is verified
+//! and labeled on arrival but held; a delivery outside that phase (a
+//! retransmission) uploads at once. Held labels never outlive their
+//! round: a collector that missed `EndCollect` (crashed across it)
+//! releases them at its next `StartRound` or `EndCollect`, and the driver
+//! sends an `EndCollect` in drain rounds too. Adversarial profiles flip
+//! labels, discard transactions, or fabricate forged ones (§4.2's three
+//! misbehaviour classes).
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -52,9 +58,12 @@ pub struct CollectorNode {
     mempool_capacity: Option<usize>,
     mempool_high_water: usize,
     shed: u64,
-    /// What the current dispatch labeled, uploaded as one batch when the
-    /// dispatch ends.
+    /// What the current upload labeled, sent as one batch when the
+    /// dispatch ends, or at `EndCollect` while `collecting`.
     labeled: Vec<(SignedTx, Label)>,
+    /// Closed loop, from `StartRound` to `EndCollect`: labels wait in
+    /// `labeled` for the collection phase to close.
+    collecting: bool,
     upload_seq: u64,
     forge_nonce: u64,
     uploaded: u64,
@@ -99,6 +108,7 @@ impl CollectorNode {
             mempool_high_water: 0,
             shed: 0,
             labeled: Vec::new(),
+            collecting: false,
             upload_seq: 0,
             forge_nonce: 0,
             uploaded: 0,
@@ -217,6 +227,13 @@ impl CollectorNode {
             ProtocolMsg::StartRound { round } => {
                 self.round = round;
                 self.drain_mempool(ctx);
+                // Open loop: the drain. Closed loop: whatever a missed
+                // `EndCollect` left held, before this round's phase opens.
+                self.upload(ctx);
+                self.collecting = self.mempool_capacity.is_none();
+            }
+            ProtocolMsg::EndCollect { .. } => {
+                self.collecting = false;
                 self.upload(ctx);
             }
             ProtocolMsg::TxBroadcast { seq, tx } => {
@@ -235,7 +252,9 @@ impl CollectorNode {
                     }
                 }
                 self.inbox = inbox;
-                self.upload(ctx);
+                if !self.collecting {
+                    self.upload(ctx);
+                }
             }
             _ => {}
         }
@@ -333,8 +352,8 @@ impl CollectorNode {
         self.labeled.push((tx, label));
     }
 
-    /// Signs what this dispatch labeled as the channel's next batch and
-    /// sends it to every governor; nothing when nothing was labeled.
+    /// Signs what was labeled since the last upload as the channel's next
+    /// batch and sends it to every governor; nothing when nothing was.
     fn upload(&mut self, ctx: &mut Context<'_, ProtocolMsg>) {
         if self.labeled.is_empty() {
             return;
@@ -433,9 +452,16 @@ mod tests {
     }
 
     fn build(profile: CollectorProfile) -> (Network<Harness>, Rc<RefCell<ValidityOracle>>) {
+        build_wide(profile, 1)
+    }
+
+    /// Node 0 = collector; nodes `1..=governors` = governor sinks.
+    fn build_wide(
+        profile: CollectorProfile,
+        governors: usize,
+    ) -> (Network<Harness>, Rc<RefCell<ValidityOracle>>) {
         let oracle = Rc::new(RefCell::new(ValidityOracle::new()));
         let mut net = Network::new(NetConfig::uniform(1, 3), 9);
-        // Node 0 = collector; node 1 = governor sink.
         let mut provider_pks = HashMap::new();
         provider_pks.insert(0, provider_key(0).public_key());
         let collector = CollectorNode::new(
@@ -444,11 +470,13 @@ mod tests {
             CryptoScheme::sim(),
             profile,
             provider_pks,
-            vec![1],
+            (1..=governors).collect(),
             Rc::clone(&oracle),
         );
         net.add_node(Harness::Collector(collector));
-        net.add_node(Harness::Sink(Vec::new()));
+        for _ in 0..governors {
+            net.add_node(Harness::Sink(Vec::new()));
+        }
         (net, oracle)
     }
 
@@ -849,6 +877,7 @@ mod tests {
             },
             SimTime(1),
         );
+        net.send_external(0, "end", ProtocolMsg::EndCollect { round: 1 }, SimTime(2));
         net.run_until_idle(100);
         assert_eq!(uploads(&net)[0].1, Label::Valid);
         // After activation the same profile flips.
@@ -865,7 +894,79 @@ mod tests {
             ProtocolMsg::TxBroadcast { seq: 1, tx: tx2 },
             SimTime(201),
         );
+        net.send_external(0, "end", ProtocolMsg::EndCollect { round: 5 }, SimTime(202));
         net.run_until_idle(100);
         assert_eq!(uploads(&net)[1].1, Label::Invalid);
+    }
+
+    /// `(seq, entries)` of every batch governor sink `g` received.
+    fn batches_at(net: &Network<Harness>, g: usize) -> Vec<(u64, usize)> {
+        let Harness::Sink(seen) = net.node(g) else {
+            panic!()
+        };
+        seen.iter()
+            .filter_map(|(_, m)| match m {
+                ProtocolMsg::TxUpload { seq, batch } => Some((*seq, batch.entries.len())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn closed_loop_holds_labels_until_end_collect_then_uploads_at_once() {
+        const GOVERNORS: usize = 3;
+        let (mut net, oracle) = build_wide(CollectorProfile::honest(), GOVERNORS);
+        let broadcast = |net: &mut Network<Harness>, seq: u64, tx: SignedTx, at: u64| {
+            net.send_external(0, "tx", ProtocolMsg::TxBroadcast { seq, tx }, SimTime(at));
+        };
+        net.send_external(0, "round", ProtocolMsg::StartRound { round: 1 }, SimTime(0));
+        for nonce in 0..3 {
+            broadcast(&mut net, nonce, make_tx(0, nonce, &oracle, true), 1 + nonce);
+        }
+        net.run_until(SimTime(50));
+        // Before the close: three deliveries labeled, nothing sent.
+        for g in 1..=GOVERNORS {
+            assert!(batches_at(&net, g).is_empty(), "governor sink {g}");
+        }
+        let Harness::Collector(c) = net.node(0) else {
+            panic!()
+        };
+        assert_eq!(c.counters().0, 0, "nothing uploaded yet");
+
+        // At the close: one batch of all three per governor.
+        net.send_external(0, "end", ProtocolMsg::EndCollect { round: 1 }, SimTime(50));
+        net.run_until(SimTime(100));
+        for g in 1..=GOVERNORS {
+            assert_eq!(batches_at(&net, g), [(0, 3)], "governor sink {g}");
+        }
+
+        // After it (a retransmission): the delivery uploads at once.
+        broadcast(&mut net, 3, make_tx(0, 3, &oracle, true), 100);
+        net.run_until(SimTime(150));
+        for g in 1..=GOVERNORS {
+            assert_eq!(batches_at(&net, g), [(0, 3), (1, 1)], "governor sink {g}");
+        }
+        let Harness::Collector(c) = net.node(0) else {
+            panic!()
+        };
+        assert_eq!(c.counters().0, 4);
+    }
+
+    #[test]
+    fn a_missed_end_collect_releases_at_the_next_round_start() {
+        let (mut net, oracle) = build(CollectorProfile::honest());
+        net.send_external(0, "round", ProtocolMsg::StartRound { round: 1 }, SimTime(0));
+        let tx = make_tx(0, 0, &oracle, true);
+        net.send_external(0, "tx", ProtocolMsg::TxBroadcast { seq: 0, tx }, SimTime(1));
+        net.run_until(SimTime(100));
+        assert!(batches(&net).is_empty(), "held: no EndCollect came");
+        net.send_external(
+            0,
+            "round",
+            ProtocolMsg::StartRound { round: 2 },
+            SimTime(100),
+        );
+        net.run_until(SimTime(150));
+        assert_eq!(batches(&net).len(), 1, "released as round 2 opens");
     }
 }

@@ -274,9 +274,20 @@ impl ProtocolConfig {
     /// Ticks reserved per round: enough for collection, upload, the Δ
     /// aggregation window, screening and block dissemination.
     pub fn round_ticks(&self) -> u64 {
-        let tx_spread = self.tx_per_provider as u64 * 2;
-        // provider→collector + collector→governor + aggregation + proposal.
-        tx_spread + 4 * self.max_delay + self.aggregation_window() + 4 * self.max_delay + 20
+        // collection + collector→governor + aggregation + proposal.
+        self.collect_close(self.tx_per_provider)
+            + 3 * self.max_delay
+            + self.aggregation_window()
+            + 4 * self.max_delay
+            + 20
+    }
+
+    /// Ticks from a closed-loop round's start to the close of its
+    /// collection phase, when collectors upload what they labeled: the
+    /// providers' spread of `txs` transactions each, plus Δ for the last
+    /// provider→collector broadcast to land.
+    pub fn collect_close(&self, txs: u32) -> u64 {
+        2 * u64::from(txs) + self.max_delay
     }
 
     /// The governor-side Δ timer for collecting all copies of one
@@ -498,6 +509,14 @@ mod tests {
     fn round_ticks_cover_aggregation() {
         let cfg = ProtocolConfig::default();
         assert!(cfg.round_ticks() > cfg.aggregation_window() + 2 * cfg.max_delay);
+        // Uploads released at the collection close still reach every
+        // governor and finish their Δ window inside the round.
+        let window_closed =
+            cfg.collect_close(cfg.tx_per_provider) + cfg.max_delay + cfg.aggregation_window();
+        assert!(window_closed < cfg.round_ticks());
+        // Spread, 8Δ, the Δ window and a margin: every schedule pin
+        // depends on this exact budget.
+        assert_eq!(cfg.round_ticks(), 2 * 4 + 8 * 10 + 22 + 20);
     }
 
     #[test]

@@ -421,9 +421,10 @@ impl GovernorNode {
     /// A sync peer offered a checkpoint certificate. Adopting one the
     /// certifier holds re-anchors the chain at the certified head, restores
     /// the certified stake/reputation state, resets the durable store, and
-    /// drops the screened entries waiting for a block: the anchored chain
-    /// can no longer tell which of them the certified prefix holds, and the
-    /// rest of the committee screened the same uploads.
+    /// drops the screened entries waiting for a block and the Δ windows
+    /// still open: the anchored chain can no longer tell which of their
+    /// transactions the certified prefix holds, and the rest of the
+    /// committee screened the same uploads.
     fn maybe_adopt_checkpoint(&mut self, cert: CheckpointCert) {
         let c = Committee(&self.governor_pks, &self.gov_epochs, &self.expelled);
         let cert = match self.certifier.offer(cert, self.chain.height(), &c) {
@@ -451,6 +452,7 @@ impl GovernorNode {
         }
         self.ready_entries.clear();
         self.argued_entries.clear();
+        self.txs.drop_windows();
         self.metrics.checkpoints_adopted += 1;
         self.metrics.adopted_serial = serial;
         self.metrics.pages_after_adopt = 0;

@@ -1,9 +1,10 @@
 //! The protocol's wire messages.
 //!
-//! Driver-injected commands (round starts, block notifications, reveals)
-//! share the enum with node-to-node traffic; they arrive with
-//! `from == EXTERNAL` and are never counted toward the complexity
-//! experiments' protocol-message kinds.
+//! Driver-injected commands (round starts, collection starts and closes,
+//! proposal calls, block notifications, reveals, stake transfers and
+//! membership requests) share the enum with node-to-node traffic; they
+//! arrive with `from == EXTERNAL` and are never counted toward the
+//! complexity experiments' protocol-message kinds.
 //!
 //! Every queued event of the kernel carries one of these by value, so the
 //! enum is kept small: the transaction-carrying variants (`TxBroadcast`,
@@ -37,6 +38,14 @@ pub enum ProtocolMsg {
         /// Current round.
         round: u64,
     },
+    /// Driver → collector, closed loop only: the round's collection phase
+    /// is over. A collector holds what it labels from its `StartRound` on
+    /// and uploads it here as one batch per governor; until its next
+    /// `StartRound` it uploads each dispatch at once.
+    EndCollect {
+        /// The round whose collection phase closed.
+        round: u64,
+    },
     /// Provider → collector: `broadcast_provider(tx)`, sequenced for
     /// atomic-broadcast delivery.
     TxBroadcast {
@@ -46,7 +55,9 @@ pub enum ProtocolMsg {
         tx: SignedTx,
     },
     /// Collector → governor: `broadcast_collector(Tx)` for every
-    /// transaction the collector labeled in one dispatch, sequenced.
+    /// transaction the collector labeled in one upload (a round's
+    /// collection phase in closed loop, a mempool drain in open loop, or
+    /// one dispatch outside those), sequenced.
     TxUpload {
         /// Sequence number on the collector's channel; a governor drops a
         /// message whose `seq` is not the one the batch signs.

@@ -999,6 +999,7 @@ impl Simulation {
         self.next_start = t0 + round_ticks;
         let collect = matches!(load, Load::Collect);
         let drain = matches!(load, Load::Drain);
+        let open = matches!(load, Load::Arrivals(_));
 
         // E17 dynamic membership: mirror transitions the committee
         // certified in earlier rounds and flip actors for the ones due now
@@ -1014,14 +1015,15 @@ impl Simulation {
             }
         }
 
-        // The load decides the three places the tiers' schedules differ.
+        // The load decides the four places the tiers' schedules differ.
         // Open-loop arrivals go in before `StartRound`, which drains the
         // collectors' mempools (an arrival on the start tick rides this
         // round's drain). For the same reason collectors get `StartRound`
-        // in every open-loop round; in the closed loop it only tells them
-        // the round number (sleeper profiles), and a drain round skips
-        // them. Closed-loop transactions are handed out by `StartCollect`
-        // after `StartRound`.
+        // in every open-loop round; in the closed loop it tells them the
+        // round number (sleeper profiles) and opens their collection
+        // phase, and a drain round skips them. Closed-loop transactions
+        // are handed out by `StartCollect` after `StartRound`, and only
+        // the closed loop gets `EndCollect`.
         if let Load::Arrivals(arrivals) = load {
             let window = t0..self.next_start;
             for arrival in arrivals {
@@ -1054,12 +1056,25 @@ impl Simulation {
                 );
             }
         }
-        // Processing phase close: the leader packs the block.
-        let propose_at = t0
-            + 2 * u64::from(txs_this_round)
-            + 4 * self.cfg.max_delay
-            + self.cfg.aggregation_window()
-            + 10;
+        // Collection phase close: closed-loop collectors upload what they
+        // labeled, one batch per governor. A drain round closes one too, so
+        // a collector that missed the last close (crashed across it) does
+        // not hold its labels through rounds that send it nothing else.
+        let collect_close = t0 + self.cfg.collect_close(txs_this_round);
+        if !open {
+            for c in 0..self.cfg.collectors {
+                self.net.send_external(
+                    self.layout.collector(c),
+                    "end-collect",
+                    ProtocolMsg::EndCollect { round },
+                    SimTime(collect_close),
+                );
+            }
+        }
+        // Processing phase close: the leader packs the block, once the
+        // uploads have crossed Δ and their Δ windows have closed.
+        let propose_at =
+            collect_close + 3 * self.cfg.max_delay + self.cfg.aggregation_window() + 10;
         self.send_governors(
             "propose-block",
             &ProtocolMsg::ProposeBlock { round },

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //!   Window { opened_at, .. }  ──falls due──▶  Screened { outcome, screened_at, .. }
-//!        │ shed, or every copy forged
+//!        │ shed, every copy forged, or a checkpoint adopted
 //!        ▼
 //!     (removed)
 //! ```
@@ -385,6 +385,23 @@ impl TxTable {
         Some(id)
     }
 
+    /// Forgets every open window and its Δ timer, as a checkpoint adoption
+    /// must: a window's transaction may lie below the new anchor, where the
+    /// chain can no longer tell that it was recorded. Screened slots stay.
+    pub(crate) fn drop_windows(&mut self) {
+        for (_, id) in self.windows.drain(..) {
+            if self.slots.get(&id).is_some_and(TxSlot::in_window) {
+                self.slots.remove(&id);
+            }
+        }
+        debug_assert!(!self.slots.values().any(TxSlot::in_window));
+        self.timers.clear();
+        self.shed_cursor = 0;
+        self.open = 0;
+        // Their signatures may still be queued; one could come back.
+        self.orphaned = true;
+    }
+
     /// Whether `id` is inside its Δ window.
     pub(crate) fn in_window(&self, id: &TxId) -> bool {
         self.slots.get(id).is_some_and(TxSlot::in_window)
@@ -650,6 +667,32 @@ pub(crate) mod tests {
         assert_eq!(table.shed_oldest(1), Some(txs[2].id()));
         assert_eq!(table.shed_oldest(1), None);
         assert_eq!(table.window_stats(), (1, 4, 3));
+    }
+
+    #[test]
+    fn dropping_windows_forgets_them_and_their_timers_but_keeps_screened_slots() {
+        let ids = timers(3);
+        let txs: Vec<SignedTx> = (0..3).map(tx).collect();
+        let mut table = TxTable::new(1);
+        for ((tx, due), timer) in txs.iter().zip([10, 11, 12]).zip(&ids) {
+            open(&mut table, tx, due, *timer);
+        }
+        assert!(table.take_timer(ids[0]));
+        assert_eq!(table.pop_due(10), Some(txs[0].id()));
+        table.close_window(&txs[0].id()).state = SlotState::Screened {
+            outcome: Outcome::Checked { valid: true },
+            screened_at: 10,
+            absent: None,
+        };
+        table.drop_windows();
+        assert_eq!(table.open_windows(), 0);
+        assert!(table.slot(&txs[0].id()).is_some(), "screened stays");
+        assert!(table.slot(&txs[1].id()).is_none() && table.slot(&txs[2].id()).is_none());
+        assert!(!table.take_timer(ids[1]), "its timer is not ours any more");
+        assert_eq!(table.pop_due(u64::MAX), None);
+        // A copy that comes back opens a window afresh.
+        open(&mut table, &txs[1], 20, ids[1]);
+        assert_eq!(table.open_windows(), 1);
     }
 
     #[test]

@@ -146,11 +146,16 @@ fn behind_governor_adopts_checkpoint_and_syncs_o_delta() {
 
 /// Regression: a governor that adopts a checkpoint mid-run must not
 /// re-record what the certified prefix already holds. Governor 3 crashes
-/// a third into round 3 with screened transactions buffered, adopts the
-/// cert at serial 8 on its return, and later leads. Once its chain is
-/// anchored, the ledger can no longer tell it those buffered entries were
-/// committed below the anchor, so it proposed them again and every chain
-/// held them twice. The distinct ids committed stay what they were.
+/// a third into round 4 with screened transactions buffered and Δ windows
+/// still open, adopts the cert at serial 6 on its return, and later leads.
+/// Once its chain is anchored, the ledger can no longer tell it those
+/// transactions were committed below the anchor, so it proposed them again
+/// and every chain held them twice: the buffered entries (12 duplicates
+/// if the adoption keeps them; 27 when the cert was serial 8's, before
+/// collectors uploaded at the close of the collection phase), and the
+/// windows open across the crash, screened at its first round start after
+/// the adoption (15 duplicates if the adoption keeps them). The distinct
+/// ids committed stay what they were.
 #[test]
 fn checkpoint_adoption_never_records_a_transaction_twice() {
     use std::collections::HashSet;
@@ -173,7 +178,7 @@ fn checkpoint_adoption_never_records_a_transaction_twice() {
     sim.run(24);
     sim.run_drain_rounds(2);
 
-    assert_eq!(sim.metrics(3).adopted_serial, 8, "the scenario adopts");
+    assert_eq!(sim.metrics(3).adopted_serial, 6, "the scenario adopts");
     assert!(sim.chains_agree());
     for g in 0..4 {
         let mut seen = HashSet::new();

@@ -370,7 +370,12 @@ fn regret_is_small_with_one_honest_collector() {
         ])
         .build()
         .unwrap();
-    sim.run(20);
+    // 28 rounds, not 20: once collectors upload once per round (the
+    // collection phase closes before any copy leaves), the kernel's RNG
+    // draws differently and seed 7 read 41 reveals at 20 rounds. Over
+    // seeds 1–12 the mean was 59.5 before and 57.9 after at 20 rounds; at
+    // 28 it is 78.4, seed 7 63.
+    sim.run(28);
     sim.run_drain_rounds(3);
     let m = sim.metrics(0);
     assert!(m.revealed > 50, "too few reveals: {}", m.revealed);
@@ -744,19 +749,28 @@ fn fork_choice_under_loss_is_pinned() {
         (counts, sim.governor(0).chain().head_hash().to_hex())
     };
     // (head_rollbacks, proposals_withheld, sync_applied, duplicate_blocks,
-    // append_failures), then governor 0's head.
+    // append_failures), then governor 0's head. Re-recorded when
+    // closed-loop collectors began uploading once per round at the close of
+    // the collection phase: fewer upload sends draw fewer link delays from
+    // the kernel's one RNG, so every later draw moved. Before, run (a) read
+    // (4, 1, 2, 17, 0) and ff54d11e…3824.
     assert_eq!(
         run(90, 0.2, true),
         (
-            (4, 1, 2, 17, 0),
-            "ff54d11ea3c896b242cf81423d2089d228341132a3afbd154f2ff8f9dbfc3824".into()
+            (2, 2, 2, 18, 0),
+            "0569c30ee4ef95a09362a0b70c56d009126f22d55fdb5a331ac18f0efb272a01".into()
         )
     );
+    // Run (b) was seed 4177: (7, 1, 0, 31, 0) and 1d4842a0…d76f. Under the
+    // new schedule seed 4177 forks for good at serial 9 (ROADMAP item
+    // 4(a): at this configuration the parent schedule forked on 9 of seeds
+    // 4100–4199 and this one on 5), so the run moved to the next seed, which
+    // agrees and still rolls heads back and withholds a proposal.
     assert_eq!(
-        run(4177, 0.3, false),
+        run(4178, 0.3, false),
         (
-            (7, 1, 0, 31, 0),
-            "1d4842a00c976d6f4fcb161cdbb858b4eb7084326c865fea7947a8517f89d76f".into()
+            (4, 1, 0, 33, 0),
+            "b3b1340d845a9aff1c1477eb84cf4e0ce462fc0705843fb7726fa134a66e2335".into()
         )
     );
 }
@@ -823,10 +837,15 @@ fn recovery_is_pinned() {
     sim.set_faults(faults);
     sim.run(14);
     sim.run_drain_rounds(2);
+    // Both runs were re-recorded when closed-loop collectors began
+    // uploading once per round at the close of the collection phase: fewer
+    // upload sends draw fewer link delays from the kernel's one RNG. Run (a)
+    // read recovery_ticks [25] and 12 digest mismatches before (same head);
+    // it still adopts a cert and pages past it.
     assert_eq!(
         read(&sim),
         (
-            (1, 1, 0, 2, 1, vec![25], 1, 0, 18, 21, 12, 1),
+            (1, 1, 0, 2, 1, vec![19], 1, 0, 18, 21, 16, 1),
             "5738720a57a52199e0eb8c2f72b18a97ac33bc7ff50fa5ddb3009c12a319793b".into()
         )
     );
@@ -850,26 +869,85 @@ fn recovery_is_pinned() {
     sim.run(14);
     sim.run_drain_rounds(1);
     sim.settle(5 * rt);
+    // Run (b) before: (5, 5, 0, 9, 12, [16, 199, 17, 97, 68], 0, 0, 0, 10,
+    // 35, 0) and 7f7b9c88…315a.
     assert_eq!(
         read(&sim),
         (
-            (
-                5,
-                5,
-                0,
-                9,
-                12,
-                vec![16, 199, 17, 97, 68],
-                0,
-                0,
-                0,
-                10,
-                35,
-                0
-            ),
-            "7f7b9c8895dca2c504e754cf57a468a86ea28e6916890102d2fa6fe06c4f315a".into()
+            (3, 3, 0, 6, 10, vec![8, 129, 17], 0, 0, 0, 15, 71, 0),
+            "c1ba6de9ceff258c1d3101879dc2ad5344c0b3e871f879f85beaa091133806f4".into()
         )
     );
+}
+
+/// A closed-loop collector holds its labels until the driver's `EndCollect`.
+/// One crashed across that tick, with drain rounds only after it, must
+/// still upload them: drain rounds send collectors nothing but their own
+/// `EndCollect`. With one collector per provider its copies are the only
+/// ones, so a held label that never left would be a transaction lost.
+#[test]
+fn a_collector_that_misses_end_collect_uploads_in_the_drain() {
+    use prb_core::obs::Obs;
+    use prb_net::fault::FaultPlan;
+    use prb_net::time::SimTime;
+    use std::collections::HashSet;
+    use std::rc::Rc;
+
+    let cfg = ProtocolConfig {
+        replication: 1,
+        ..base_config()
+    };
+    let close = cfg.collect_close(cfg.tx_per_provider);
+    let per_round = u64::from(cfg.providers * cfg.tx_per_provider);
+    let mut sim = Simulation::builder(cfg.clone())
+        .provider_profiles(vec![ProviderProfile::honest_active(); 8])
+        .build()
+        .unwrap();
+    let obs = Obs::counting();
+    sim.set_obs(Rc::clone(&obs));
+    // Every broadcast has landed by Δ; the crash covers the close.
+    let mut faults = FaultPlan::none();
+    faults.crash_window(
+        sim.collector_net_index(0),
+        SimTime(cfg.max_delay + 1),
+        SimTime(close + 20),
+    );
+    sim.set_faults(faults);
+    let held = sim.topology().providers_of(0).len() as u64 * u64::from(cfg.tx_per_provider);
+    assert!(held > 0);
+
+    sim.run(1);
+    let committed = |sim: &Simulation| {
+        sim.governor(0)
+            .chain()
+            .iter()
+            .flat_map(|b| &b.entries)
+            .map(|e| e.tx.id())
+            .collect::<HashSet<_>>()
+            .len() as u64
+    };
+    assert_eq!(committed(&sim), per_round - held, "collector 0 missed it");
+    assert_eq!(sim.collector(0).counters().0, 0, "and still holds");
+
+    sim.run_drain_rounds(3);
+    assert_eq!(sim.collector(0).counters().0, held);
+    assert!(sim.chains_agree());
+    for g in 0..cfg.governors {
+        assert_eq!(
+            sim.governor(g)
+                .chain()
+                .iter()
+                .map(|b| b.entries.len() as u64)
+                .sum::<u64>(),
+            per_round,
+            "governor {g}: every valid transaction recorded once"
+        );
+    }
+    assert_eq!(committed(&sim), per_round);
+    let counts = obs.lifecycle_counts();
+    assert_eq!(counts.submitted, per_round);
+    assert_eq!(counts.submitted, counts.committed + counts.dropped);
+    assert!(obs.open_traces().is_empty());
 }
 
 /// A scaled-down `closed-faulty` (BENCHMARK.json): reliable delivery, 5 %

@@ -24,10 +24,14 @@
 # `sha_ni` says what hashed it: whether /proc/cpuinfo lists the SHA
 # extensions (`false` where the file is missing), i.e. whether a side that
 # has the SHA-NI kernel (PR 23 on) ran it or the portable rounds.
+# `host` says where: the CPU model and processor count /proc/cpuinfo lists
+# (null where it is missing), and per side the median of the `# pace`
+# readings the runs printed (ms per unit of the benchmark's fixed probe; a
+# higher reading is a slower or busier host).
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,30p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent_ref=$1
@@ -68,7 +72,7 @@ for i in $(seq 1 "$pairs"); do
     for side in $order; do
         if [ "$side" = parent ]; then dir="$tmp/parent"; else dir="$root"; fi
         echo "# pair $i/$pairs: $side" >&2
-        bench "$dir" | grep -E '^(# head |\{)' >>"$tmp/$side.out"
+        bench "$dir" | grep -E '^(# head |# pace |\{)' >>"$tmp/$side.out"
     done
 done
 
@@ -85,13 +89,24 @@ import json, statistics, sys
 end_to_end = json.load(open(f"{root}/BENCHMARK.json"))["end_to_end"]
 
 def load(path):
-    heads, runs = [], []
+    heads, paces, runs = [], [], []
     for line in open(path):
         if line.startswith("# head "):
             heads.append(line.split()[2])
+        elif line.startswith("# pace "):
+            paces.append(float(line.split()[2]))
         else:
             runs.append(json.loads(line))
-    return heads, runs
+    return heads, paces, runs
+
+def cpuinfo():
+    try:
+        lines = open("/proc/cpuinfo").read().splitlines()
+    except OSError:
+        return None, None
+    models = [l.split(":", 1)[1].strip() for l in lines if l.startswith("model name")]
+    nproc = sum(1 for l in lines if l.startswith("processor"))
+    return (models[0] if models else None), (nproc or None)
 
 def quartiles(xs):
     if len(xs) < 2:
@@ -99,9 +114,15 @@ def quartiles(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, med, q3
 
-(p_heads, p_runs), (c_heads, c_runs) = load(parent_out), load(change_out)
+(p_heads, p_paces, p_runs), (c_heads, c_paces, c_runs) = load(parent_out), load(change_out)
 failed = sum(r["failed"] for r in p_runs + c_runs)
 heads = sorted(set(p_heads + c_heads))
+cpu, nproc = cpuinfo()
+median_or_none = lambda xs: statistics.median(xs) if xs else None
+host = {"cpu": cpu, "nproc": nproc,
+        "pace_ms": {"parent": median_or_none(p_paces), "change": median_or_none(c_paces)}}
+print(f"host {cpu}  nproc {nproc}  median pace ms: parent {host['pace_ms']['parent']}, "
+      f"change {host['pace_ms']['change']}")
 history = open(f"{root}/BENCH_history.jsonl", "a")
 print(f"workload {workload}  seed {seed}  seconds {seconds}  pairs {len(p_runs)}  sha_ni {sha_ni}")
 print(f"{'metric':<20} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'ratio':>7}  won")
@@ -122,6 +143,7 @@ for m in end_to_end:
         "change_median": cm, "change_q1": cq1, "change_q3": cq3,
         "ratio": None if pm == 0 else round(ratio, 4), "won": won,
         "head": ",".join(heads), "failed": failed, "sha_ni": sha_ni == "true",
+        "host": host,
     }
     history.write(json.dumps(row) + "\n")
 history.close()

@@ -533,13 +533,17 @@ fn ledger_heads_match_golden() {
     // upload sends draw fewer link delays from the kernel's one RNG, and
     // both runs here have screening draws that can leave a transaction
     // unchecked, so later draws land on other transactions. Before:
-    // b6ac093f…a7db (open loop) and 455b0e98…c630 (closed loop).
+    // b6ac093f…a7db (open loop) and 455b0e98…c630 (closed loop). The
+    // closed-loop head moved once more, for the same reason, when
+    // closed-loop collectors began uploading once per round at the close
+    // of the collection phase; before that it was d91c7db5…5911. The
+    // open-loop head did not move.
     assert_eq!(
         open_loop_golden_head(),
         "3e632b40e1b088cf5c603d45d79e947b0744bfa69f7eb1e73393f74e312a3316"
     );
     assert_eq!(
         closed_loop_golden_head(),
-        "d91c7db5838657c57d6d4d3342240d9dcef72f04eca62cfd0bdfd1bc07425911"
+        "e291b0f476bed54e0878448bebaf4882666502e0fe9b09ecfbec51b5308b1ba9"
     );
 }
