@@ -22,6 +22,8 @@ use std::fmt;
 
 use rand::Rng;
 
+use crate::stats::Primitive;
+
 /// An arbitrary-precision unsigned integer.
 ///
 /// # Examples
@@ -961,13 +963,15 @@ impl Montgomery {
     /// plain square-and-multiply for short ones.
     pub fn pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
         crate::stats::record_modexp();
-        let mut acc = Accumulator::one(self);
-        if exponent.bit_len() <= WINDOW_MIN_BITS {
-            self.pow_binary_m(&mut acc, base, exponent);
-        } else {
-            self.pow_windowed_m(&mut acc, base, exponent);
-        }
-        acc.finish()
+        crate::stats::timed(Primitive::MontPow, || {
+            let mut acc = Accumulator::one(self);
+            if exponent.bit_len() <= WINDOW_MIN_BITS {
+                self.pow_binary_m(&mut acc, base, exponent);
+            } else {
+                self.pow_windowed_m(&mut acc, base, exponent);
+            }
+            acc.finish()
+        })
     }
 
     /// Square-and-multiply into `acc`.
@@ -1011,6 +1015,10 @@ impl Montgomery {
     /// use is signature-style checks of the form `g^s · y^{-e} == r`.
     pub fn multi_pow(&self, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
         crate::stats::record_multi_pow();
+        crate::stats::timed(Primitive::MultiPow, || self.straus(pairs))
+    }
+
+    fn straus(&self, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
         // Coalesce repeated bases first: `b^{e₁} · b^{e₂} = b^{e₁+e₂}`.
         // Batched signature checks repeat a handful of public keys across
         // many items, so merging saves both the per-base table build and
@@ -1161,16 +1169,18 @@ impl FixedBaseTable {
             return None;
         }
         crate::stats::record_table_pow();
-        let k = ctx.k();
-        let mut acc = Accumulator::one(ctx);
-        for d in 0..self.digits {
-            let v = exponent.window4(d);
-            if v != 0 {
-                let row = d * WINDOW_ROWS + v - 1;
-                acc.mul(&self.rows[row * k..(row + 1) * k]);
+        crate::stats::timed(Primitive::TablePow, || {
+            let k = ctx.k();
+            let mut acc = Accumulator::one(ctx);
+            for d in 0..self.digits {
+                let v = exponent.window4(d);
+                if v != 0 {
+                    let row = d * WINDOW_ROWS + v - 1;
+                    acc.mul(&self.rows[row * k..(row + 1) * k]);
+                }
             }
-        }
-        Some(acc.finish())
+            Some(acc.finish())
+        })
     }
 }
 
@@ -1189,6 +1199,10 @@ impl FixedBaseTable {
 /// Panics if `n` is even or zero.
 pub fn jacobi(a: &BigUint, n: &BigUint) -> i32 {
     assert!(!n.is_even() && !n.is_zero(), "Jacobi symbol needs odd n");
+    crate::stats::timed(Primitive::Jacobi, || jacobi_binary(a, n))
+}
+
+fn jacobi_binary(a: &BigUint, n: &BigUint) -> i32 {
     // Binary algorithm: one initial reduction, then only shifts, compares
     // and subtractions on two buffers that are updated in place and
     // swapped — no long division and no allocation in the loop. Each round

@@ -16,6 +16,7 @@ use crate::bigint::BigUint;
 use crate::group::SchnorrGroup;
 use crate::hmac::HmacSha256;
 use crate::sha256::Sha256;
+use crate::stats::Primitive;
 
 /// A non-interactive Chaum–Pedersen DLEQ proof.
 #[derive(Clone, PartialEq, Eq)]
@@ -58,15 +59,17 @@ impl DleqProof {
     /// distinct statements.
     pub fn prove(statement: &DleqStatement<'_>, x: &BigUint) -> DleqProof {
         crate::stats::record_dleq_proof();
-        let group = statement.group;
-        let k = derive_nonce(statement, x);
-        // `g` is almost always the group generator, so route through the
-        // fixed-base table when one is trained.
-        let a = group.pow_base(statement.g, &k);
-        let b = group.pow(statement.h, &k);
-        let c = challenge(statement, &a, &b);
-        let s = group.scalar_add(&k, &group.scalar_mul(&c, x));
-        DleqProof { a, b, s }
+        crate::stats::timed(Primitive::DleqProve, || {
+            let group = statement.group;
+            let k = derive_nonce(statement, x);
+            // `g` is almost always the group generator, so route through
+            // the fixed-base table when one is trained.
+            let a = group.pow_base(statement.g, &k);
+            let b = group.pow(statement.h, &k);
+            let c = challenge(statement, &a, &b);
+            let s = group.scalar_add(&k, &group.scalar_mul(&c, x));
+            DleqProof { a, b, s }
+        })
     }
 
     /// Verifies the proof against `statement`.
@@ -77,6 +80,10 @@ impl DleqProof {
     /// are statement-specific (fresh per VRF message), so per-base tables
     /// cannot amortize there and the shared squaring chain is the win.
     pub fn verify(&self, statement: &DleqStatement<'_>) -> bool {
+        crate::stats::timed(Primitive::DleqVerify, || self.check(statement))
+    }
+
+    fn check(&self, statement: &DleqStatement<'_>) -> bool {
         let group = statement.group;
         // All transmitted elements must be in the subgroup.
         if !group.is_element(&self.a) || !group.is_element(&self.b) || self.s >= *group.q() {

@@ -25,6 +25,7 @@
 //! - [`merkle`] — Merkle trees with inclusion proofs,
 //! - [`sim`] — fast simulation-only signatures/VRF (see its security note),
 //! - [`stats`] — process-wide counters for the modexp and SHA-256 hot paths,
+//!   and opt-in wall-clock attribution per primitive,
 //! - [`signer`] — scheme-agnostic `KeyPair`/`PublicKey`/`Sig` dispatch,
 //! - [`identity`] — the Identity Manager / CA with role certificates.
 //!

@@ -33,6 +33,7 @@ use crate::bigint::{BigUint, FixedBaseTable};
 use crate::group::SchnorrGroup;
 use crate::hmac::HmacSha256;
 use crate::sha256::Sha256;
+use crate::stats::Primitive;
 
 /// Number of verifications after which a per-key window table for `y` is
 /// built. One-shot verifiers use the Straus path; any key verified
@@ -224,6 +225,10 @@ impl VerifyingKey {
     /// inverse cached per key. Both are algebraically identical to the
     /// textbook `g^s == r · y^e` and are pinned to it by property tests.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
+        crate::stats::timed(Primitive::SchnorrVerify, || self.check(message, signature))
+    }
+
+    fn check(&self, message: &[u8], signature: &Signature) -> bool {
         // Reject degenerate/out-of-group values outright.
         if !self.group.is_element(&signature.r) || signature.s >= *self.group.q() {
             return false;

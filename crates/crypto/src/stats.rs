@@ -23,8 +23,17 @@
 //!   verified (singleton partitions and bisection leaves),
 //! - `sha256_calls` — SHA-256 digests finalised (one per
 //!   [`crate::sha256::Sha256::finalize`], whatever the input length).
+//!
+//! # Wall-clock attribution
+//!
+//! [`set_timing`] switches on per-[`Primitive`] call and wall-nanosecond
+//! counters ([`CryptoStats::wall`]). Off by default, a timed primitive
+//! costs one relaxed load. Times are inclusive: a DLEQ verify's time holds
+//! the Jacobi symbols and exponentiations inside it, so rows overlap and
+//! do not sum to a total.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::time::Instant;
 
 static MODEXP_CALLS: AtomicU64 = AtomicU64::new(0);
 static MULTI_POW_CALLS: AtomicU64 = AtomicU64::new(0);
@@ -36,6 +45,73 @@ static BATCH_ITEMS: AtomicU64 = AtomicU64::new(0);
 static BATCH_BISECT_STEPS: AtomicU64 = AtomicU64::new(0);
 static BATCH_FALLBACK_ITEMS: AtomicU64 = AtomicU64::new(0);
 static SHA256_CALLS: AtomicU64 = AtomicU64::new(0);
+static TIMING: AtomicBool = AtomicBool::new(false);
+static WALL: [[AtomicU64; 2]; Primitive::ALL.len()] =
+    [const { [AtomicU64::new(0), AtomicU64::new(0)] }; Primitive::ALL.len()];
+
+/// A primitive whose calls and wall time [`set_timing`] attributes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Primitive {
+    /// [`crate::bigint::jacobi`]: every subgroup membership test.
+    Jacobi,
+    /// [`crate::bigint::Montgomery::pow`]: one base, one squaring chain.
+    MontPow,
+    /// [`crate::bigint::Montgomery::multi_pow`]: Straus, shared chain.
+    MultiPow,
+    /// [`crate::bigint::FixedBaseTable::pow`]: no squarings.
+    TablePow,
+    /// [`crate::dleq::DleqProof::prove`]: one per VRF proof built.
+    DleqProve,
+    /// [`crate::dleq::DleqProof::verify`]: one per VRF proof checked.
+    DleqVerify,
+    /// [`crate::schnorr::VerifyingKey::verify`]: one single signature check.
+    SchnorrVerify,
+}
+
+impl Primitive {
+    /// Every primitive, in [`CryptoStats::wall`] order.
+    pub const ALL: [Primitive; 7] = [
+        Primitive::Jacobi,
+        Primitive::MontPow,
+        Primitive::MultiPow,
+        Primitive::TablePow,
+        Primitive::DleqProve,
+        Primitive::DleqVerify,
+        Primitive::SchnorrVerify,
+    ];
+
+    /// A short name for tables.
+    pub fn name(self) -> &'static str {
+        match self {
+            Primitive::Jacobi => "jacobi",
+            Primitive::MontPow => "montgomery_pow",
+            Primitive::MultiPow => "multi_pow",
+            Primitive::TablePow => "table_pow",
+            Primitive::DleqProve => "dleq_prove",
+            Primitive::DleqVerify => "dleq_verify",
+            Primitive::SchnorrVerify => "schnorr_verify",
+        }
+    }
+}
+
+/// Switches wall-clock attribution on or off for the whole process.
+pub fn set_timing(on: bool) {
+    TIMING.store(on, Relaxed);
+}
+
+/// Runs `f`, attributing its call and wall time to `p` while timing is on.
+#[inline]
+pub(crate) fn timed<T>(p: Primitive, f: impl FnOnce() -> T) -> T {
+    if !TIMING.load(Relaxed) {
+        return f();
+    }
+    let t0 = Instant::now();
+    let out = f();
+    let [calls, ns] = &WALL[p as usize];
+    calls.fetch_add(1, Relaxed);
+    ns.fetch_add(t0.elapsed().as_nanos() as u64, Relaxed);
+    out
+}
 
 #[inline]
 pub(crate) fn record_modexp() {
@@ -106,6 +182,9 @@ pub struct CryptoStats {
     pub batch_fallback_items: u64,
     /// SHA-256 digests finalised.
     pub sha256_calls: u64,
+    /// Per [`Primitive`] (indexed `p as usize`), `[calls, wall ns]` made
+    /// while timing was on.
+    pub wall: [[u64; 2]; Primitive::ALL.len()],
 }
 
 impl CryptoStats {
@@ -127,6 +206,9 @@ impl CryptoStats {
                 .batch_fallback_items
                 .saturating_sub(earlier.batch_fallback_items),
             sha256_calls: self.sha256_calls.saturating_sub(earlier.sha256_calls),
+            wall: std::array::from_fn(|p| {
+                std::array::from_fn(|i| self.wall[p][i].saturating_sub(earlier.wall[p][i]))
+            }),
         }
     }
 }
@@ -144,6 +226,9 @@ pub fn snapshot() -> CryptoStats {
         batch_bisect_steps: BATCH_BISECT_STEPS.load(Relaxed),
         batch_fallback_items: BATCH_FALLBACK_ITEMS.load(Relaxed),
         sha256_calls: SHA256_CALLS.load(Relaxed),
+        wall: WALL
+            .each_ref()
+            .map(|slot| slot.each_ref().map(|c| c.load(Relaxed))),
     }
 }
 
@@ -179,5 +264,24 @@ mod tests {
         assert!(d.sha256_calls >= 1);
         // A stale snapshot must not underflow.
         assert_eq!(before.delta_since(&after).table_builds, 0);
+    }
+
+    #[test]
+    fn timing_attributes_calls_and_wall_time_per_primitive() {
+        let before = snapshot();
+        set_timing(true);
+        let out = timed(Primitive::Jacobi, || {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            7
+        });
+        set_timing(false);
+        assert_eq!(out, 7);
+        let [calls, ns] = snapshot().delta_since(&before).wall[Primitive::Jacobi as usize];
+        assert!(calls >= 1);
+        assert!(ns >= 1_000_000, "{ns} ns");
+        assert_eq!(
+            Primitive::ALL[Primitive::TablePow as usize].name(),
+            "table_pow"
+        );
     }
 }
