@@ -8,10 +8,10 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use prb_crypto::bigint::{jacobi, BigUint, FixedBaseTable};
 use prb_crypto::group::SchnorrGroup;
 use prb_crypto::merkle::MerkleTree;
-use prb_crypto::schnorr::{SigningKey, VerifyingKey};
+use prb_crypto::schnorr::SigningKey;
 use prb_crypto::sha256::{kernel, sha256_on_kernel};
 use prb_crypto::signer::CryptoScheme;
-use prb_crypto::vrf::{verify_batch, VrfKeyPair, VrfProof};
+use prb_crypto::vrf::VrfKeyPair;
 
 fn bench_sha256(c: &mut Criterion) {
     // The sizes the protocol hashes: a digest-sized field, a Merkle node
@@ -123,27 +123,18 @@ fn bench_vrf(c: &mut Criterion) {
 
 fn bench_vrf_2048(c: &mut Criterion) {
     // One governor's election work per round at the secure parameter set:
-    // evaluate its own claim, verify one alone, verify the committee's four
-    // as a batch.
+    // evaluate its own claim and verify the winner's.
     let mut group = c.benchmark_group("vrf-2048");
     group.sample_size(10);
     let g = SchnorrGroup::rfc3526_2048();
-    let kps: Vec<VrfKeyPair> = (0..4u8).map(|i| VrfKeyPair::from_seed(&g, &[i])).collect();
+    let kp = VrfKeyPair::from_seed(&g, &[0]);
     let msg = b"round-1";
-    let proofs: Vec<VrfProof> = kps.iter().map(|kp| kp.evaluate(msg).1).collect();
+    let (_, proof) = kp.evaluate(msg);
     group.bench_function("evaluate", |b| {
-        b.iter(|| kps[0].evaluate(std::hint::black_box(msg)))
+        b.iter(|| kp.evaluate(std::hint::black_box(msg)))
     });
     group.bench_function("verify", |b| {
-        b.iter(|| proofs[0].verify(kps[0].public_key(), std::hint::black_box(msg)))
-    });
-    let items: Vec<(&[u8], &VrfProof, &VerifyingKey)> = kps
-        .iter()
-        .zip(&proofs)
-        .map(|(kp, proof)| (&msg[..], proof, kp.public_key()))
-        .collect();
-    group.bench_function("verify_batch/4", |b| {
-        b.iter(|| verify_batch(std::hint::black_box(&items)))
+        b.iter(|| proof.verify(kp.public_key(), std::hint::black_box(msg)))
     });
     group.finish();
 }

@@ -11,8 +11,6 @@ use std::fmt;
 use prb_crypto::sha256::{Digest, Sha256};
 use prb_crypto::signer::{KeyPair, PublicKey, VrfEvaluation, VrfOutput};
 
-use crate::verify_pool::VerifyPool;
-
 /// The VRF input for `(round, governor, unit)` — the paper's
 /// `VRF_{g_j}(r, j, u)` with a chain tag for domain separation between
 /// deployments.
@@ -116,15 +114,39 @@ impl fmt::Display for ClaimRejection {
     }
 }
 
-/// Tallies verified claims and elects the least hash.
+/// What one tallier makes of a round's claims.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Tally {
+    /// The least valid claim — its index in the claim list and its
+    /// authenticated output — if any claim is valid.
+    pub winner: Option<(usize, Digest)>,
+    /// `(governor, why)` in claim order for every claim that fails a
+    /// structural check, and for every claim whose proof was checked and
+    /// failed. Claims ranked above the winner are never checked, so a bad
+    /// proof among them goes unreported: it could not have changed the
+    /// outcome.
+    pub rejections: Vec<(u32, ClaimRejection)>,
+}
+
+impl Tally {
+    /// The winner as an [`ElectionResult`]; `claims` must be the list the
+    /// tally was taken over.
+    pub fn result(&self, claims: &[ElectionClaim]) -> Option<ElectionResult> {
+        self.winner.map(|(i, winning_hash)| ElectionResult {
+            leader: claims[i].governor,
+            winning_hash,
+        })
+    }
+}
+
+/// Elects the least valid hash among `claims`.
 ///
 /// `stakes[g]` and `pks[g]` give each governor's stake and public key.
-/// Invalid claims are skipped and reported; ties on the hash (which are
-/// cryptographically negligible but possible in tests) break toward the
-/// smaller governor index so every honest tallier agrees.
+/// Ties on the hash (cryptographically negligible but possible in tests)
+/// break toward the smaller governor index so every honest tallier agrees.
 ///
-/// Returns `(result, rejections)`; `result` is `None` when no claim
-/// survived.
+/// Returns `(result, rejections)` as [`elect_excluding`] reports them;
+/// `result` is `None` when no claim is valid.
 pub fn elect(
     chain_tag: &[u8],
     round: u64,
@@ -132,41 +154,29 @@ pub fn elect(
     stakes: &[u64],
     pks: &[PublicKey],
 ) -> (Option<ElectionResult>, Vec<(u32, ClaimRejection)>) {
-    elect_with_pool(
-        chain_tag,
-        round,
-        claims,
-        stakes,
-        pks,
-        &VerifyPool::single_threaded(),
-    )
+    let tally = elect_excluding(chain_tag, round, claims, stakes, pks, &[], None);
+    (tally.result(claims), tally.rejections)
 }
 
-/// [`elect`] with the claims' VRF proofs verified as one batch through a
-/// [`VerifyPool`] — a round's `m` claim verifications share one randomized
-/// linear combination (and, for large `m`, multiple worker threads) instead
-/// of `m` independent exponentiation chains.
+/// [`elect`] restricted to the *active* committee, authenticating only the
+/// winner.
 ///
-/// The result and the rejection list are identical to [`elect`]'s, entry
-/// for entry, regardless of the pool's thread count.
-pub fn elect_with_pool(
-    chain_tag: &[u8],
-    round: u64,
-    claims: &[ElectionClaim],
-    stakes: &[u64],
-    pks: &[PublicKey],
-    pool: &VerifyPool,
-) -> (Option<ElectionResult>, Vec<(u32, ClaimRejection)>) {
-    elect_excluding(chain_tag, round, claims, stakes, pks, &[], pool)
-}
-
-/// [`elect_with_pool`] restricted to the *active* committee: claims from
-/// governors listed in `expelled` are rejected with
+/// Claims from governors listed in `expelled` are rejected with
 /// [`ClaimRejection::Expelled`] before any proof work. Expulsion already
 /// slashes the culprit's stake to zero (so its claims would fail
 /// structurally anyway), but the explicit exclusion makes the tally's
 /// reasoning auditable and keeps working even if the culprit somehow
 /// regains stake through an in-flight transfer.
+///
+/// Only the least *valid* claim can change the outcome, so the claims that
+/// pass the structural checks are taken in `(claimed output, governor)`
+/// order and their proofs checked one at a time until one holds. `own` —
+/// the tallier's own claim, which it computed itself — is accepted without
+/// a proof check when a claim equals it in every field. The claimed output
+/// is unauthenticated, so a forged low claim costs one proof check and then
+/// loses: the work is one check per forged claim below the winner, plus
+/// one. The winner is the one a tally that verified every claim would
+/// elect.
 pub fn elect_excluding(
     chain_tag: &[u8],
     round: u64,
@@ -174,107 +184,65 @@ pub fn elect_excluding(
     stakes: &[u64],
     pks: &[PublicKey],
     expelled: &[u32],
-    pool: &VerifyPool,
-) -> (Option<ElectionResult>, Vec<(u32, ClaimRejection)>) {
-    let verdicts = verify_claims(chain_tag, round, claims, stakes, pks, expelled, pool);
-    tally(claims, &verdicts)
+    own: Option<&ElectionClaim>,
+) -> Tally {
+    tally_by(claims, stakes, pks, expelled, own, |claim, pk| {
+        claim.verify(chain_tag, round, pk)
+    })
 }
 
-/// The verification half of [`elect_excluding`]: per claim, in order, the
-/// authenticated VRF output or the reason the claim is rejected. A caller
-/// that will meet the same claims again in the same round (the governor,
-/// when the winner's claim comes back attached to its block) keeps the
-/// outputs instead of verifying twice.
-pub fn verify_claims(
-    chain_tag: &[u8],
-    round: u64,
+/// [`elect_excluding`] with the proof check supplied by the caller.
+fn tally_by(
     claims: &[ElectionClaim],
     stakes: &[u64],
     pks: &[PublicKey],
     expelled: &[u32],
-    pool: &VerifyPool,
-) -> Vec<Result<Digest, ClaimRejection>> {
-    // Pass 1: structural checks, recording which claims reach the proof
-    // stage and the VRF message each one must verify against. Such a claim
-    // stays `BadProof` until pass 2 authenticates its output.
-    let mut verdicts = vec![Err(ClaimRejection::BadProof); claims.len()];
-    let mut live = Vec::new();
-    let mut msgs = Vec::new();
+    own: Option<&ElectionClaim>,
+    mut verify: impl FnMut(&ElectionClaim, &PublicKey) -> Option<Digest>,
+) -> Tally {
+    let mut rejections = Vec::new();
+    let mut ranked = Vec::with_capacity(claims.len());
     for (i, claim) in claims.iter().enumerate() {
         let g = claim.governor as usize;
         if expelled.contains(&claim.governor) {
-            verdicts[i] = Err(ClaimRejection::Expelled);
-            continue;
-        }
-        if g >= stakes.len() || g >= pks.len() {
-            verdicts[i] = Err(ClaimRejection::UnknownGovernor);
-            continue;
-        }
-        if claim.unit >= stakes[g] {
-            verdicts[i] = Err(ClaimRejection::UnitOutOfRange);
-            continue;
-        }
-        live.push(i);
-        msgs.push(election_message(
-            chain_tag,
-            round,
-            claim.governor,
-            claim.unit,
-        ));
-    }
-    // Pass 2: one pooled batch over every surviving proof.
-    let items: Vec<(&[u8], &VrfEvaluation, &PublicKey)> = live
-        .iter()
-        .zip(&msgs)
-        .map(|(&i, msg)| {
-            (
-                &msg[..],
-                &claims[i].evaluation,
-                &pks[claims[i].governor as usize],
-            )
-        })
-        .collect();
-    for (&i, output) in live.iter().zip(pool.vrf_verify(&items)) {
-        if let Some(output) = output {
-            verdicts[i] = Ok(output);
+            rejections.push((i, ClaimRejection::Expelled));
+        } else if g >= stakes.len() || g >= pks.len() {
+            rejections.push((i, ClaimRejection::UnknownGovernor));
+        } else if claim.unit >= stakes[g] {
+            rejections.push((i, ClaimRejection::UnitOutOfRange));
+        } else {
+            ranked.push((claim.evaluation.output(), claim.governor, i));
         }
     }
-    verdicts
-}
-
-/// The tallying half of [`elect_excluding`]: the least verified output
-/// wins (ties toward the smaller governor index); rejections are listed in
-/// claim order.
-pub fn tally(
-    claims: &[ElectionClaim],
-    verdicts: &[Result<Digest, ClaimRejection>],
-) -> (Option<ElectionResult>, Vec<(u32, ClaimRejection)>) {
-    let mut rejections = Vec::new();
-    let mut best: Option<(Digest, u32)> = None;
-    for (claim, verdict) in claims.iter().zip(verdicts) {
-        match *verdict {
-            Err(why) => rejections.push((claim.governor, why)),
-            Ok(output) => {
-                let key = (output, claim.governor);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
+    ranked.sort_unstable();
+    let winner = ranked.into_iter().find_map(|(claimed, g, i)| {
+        let claim = &claims[i];
+        let output = if own == Some(claim) {
+            Some(claimed)
+        } else {
+            verify(claim, &pks[g as usize])
+        };
+        if output.is_none() {
+            rejections.push((i, ClaimRejection::BadProof));
         }
+        Some(i).zip(output)
+    });
+    rejections.sort_unstable_by_key(|&(i, _)| i);
+    Tally {
+        winner,
+        rejections: rejections
+            .into_iter()
+            .map(|(i, why)| (claims[i].governor, why))
+            .collect(),
     }
-    (
-        best.map(|(winning_hash, leader)| ElectionResult {
-            leader,
-            winning_hash,
-        }),
-        rejections,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use prb_crypto::signer::CryptoScheme;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     const TAG: &[u8] = b"election-test";
 
@@ -453,16 +421,15 @@ mod tests {
             .enumerate()
             .filter_map(|(g, k)| ElectionClaim::compute(TAG, 2, g as u32, stakes[g], k))
             .collect();
-        let pool = VerifyPool::single_threaded();
-        let (full, _) = elect_excluding(TAG, 2, &claims, &stakes, &pks, &[], &pool);
-        let (result, rejections) = elect_excluding(TAG, 2, &claims, &stakes, &pks, &[0], &pool);
-        assert_eq!(rejections, vec![(0, ClaimRejection::Expelled)]);
-        let result = result.unwrap();
+        let full = elect_excluding(TAG, 2, &claims, &stakes, &pks, &[], None);
+        let tally = elect_excluding(TAG, 2, &claims, &stakes, &pks, &[0], None);
+        assert_eq!(tally.rejections, vec![(0, ClaimRejection::Expelled)]);
+        let result = tally.result(&claims).unwrap();
         assert_ne!(result.leader, 0, "expelled claims never tally");
         // Exclusion only removes governor 0's claim from the race.
         let (without, _) = elect(TAG, 2, &claims[1..], &stakes, &pks);
         assert_eq!(Some(result), without);
-        assert!(full.is_some());
+        assert!(full.winner.is_some());
         assert!(ClaimRejection::Expelled.to_string().contains("expelled"));
     }
 
@@ -474,6 +441,248 @@ mod tests {
         assert!(claim.verify(TAG, 5, &pk).is_some());
         assert!(claim.verify(TAG, 6, &pk).is_none());
         assert!(claim.verify(b"other-chain", 5, &pk).is_none());
+    }
+
+    /// The tally as it was before it stopped at the winner: every claim
+    /// that passes the structural checks has its proof verified. Returns
+    /// the per-claim verdicts and the least `(output, governor, index)` of
+    /// a valid claim.
+    #[allow(clippy::type_complexity)]
+    fn verify_everything(
+        round: u64,
+        claims: &[ElectionClaim],
+        stakes: &[u64],
+        pks: &[PublicKey],
+        expelled: &[u32],
+    ) -> (
+        Vec<Result<Digest, ClaimRejection>>,
+        Option<(Digest, u32, usize)>,
+    ) {
+        let verdicts: Vec<_> = claims
+            .iter()
+            .map(|claim| {
+                let g = claim.governor as usize;
+                if expelled.contains(&claim.governor) {
+                    Err(ClaimRejection::Expelled)
+                } else if g >= stakes.len() || g >= pks.len() {
+                    Err(ClaimRejection::UnknownGovernor)
+                } else if claim.unit >= stakes[g] {
+                    Err(ClaimRejection::UnitOutOfRange)
+                } else {
+                    claim
+                        .verify(TAG, round, &pks[g])
+                        .ok_or(ClaimRejection::BadProof)
+                }
+            })
+            .collect();
+        let best = verdicts
+            .iter()
+            .zip(claims)
+            .enumerate()
+            .filter_map(|(i, (v, c))| v.as_ref().ok().map(|&out| (out, c.governor, i)))
+            .min();
+        (verdicts, best)
+    }
+
+    /// What the winner-only tally must return, read off the oracle: the
+    /// oracle's winner, its structural rejections, and a bad proof only
+    /// where the claim ranks below the winner (every bad proof when no
+    /// claim is valid).
+    fn expected_tally(
+        round: u64,
+        claims: &[ElectionClaim],
+        stakes: &[u64],
+        pks: &[PublicKey],
+        expelled: &[u32],
+    ) -> Tally {
+        let (verdicts, best) = verify_everything(round, claims, stakes, pks, expelled);
+        let rejections = verdicts
+            .iter()
+            .zip(claims)
+            .enumerate()
+            .filter_map(|(i, (v, c))| match *v {
+                Ok(_) => None,
+                Err(ClaimRejection::BadProof)
+                    if best.is_some_and(|b| (c.evaluation.output(), c.governor, i) > b) =>
+                {
+                    None
+                }
+                Err(why) => Some((c.governor, why)),
+            })
+            .collect();
+        Tally {
+            winner: best.map(|(out, _, i)| (i, out)),
+            rejections,
+        }
+    }
+
+    /// Claims in every shape the tally meets, drawn per governor: valid,
+    /// forged under another governor's key, proved for another round, a
+    /// unit past the stake, an unknown governor, a valid claim twice (equal
+    /// outputs, same governor), and one restated under another governor
+    /// (equal outputs, bad proof).
+    fn mixed_claims(
+        rng: &mut StdRng,
+        round: u64,
+        keys: &[KeyPair],
+        stakes: &[u64],
+    ) -> Vec<ElectionClaim> {
+        let m = keys.len() as u32;
+        let mut claims = Vec::new();
+        for g in 0..m {
+            let valid = |round| {
+                ElectionClaim::compute(TAG, round, g, stakes[g as usize], &keys[g as usize])
+                    .unwrap()
+            };
+            match rng.gen_range(0..7u32) {
+                0 | 1 => claims.push(valid(round)),
+                2 => {
+                    let thief = &keys[((g + 1) % m) as usize];
+                    claims.push(
+                        ElectionClaim::compute(TAG, round, g, stakes[g as usize], thief).unwrap(),
+                    );
+                }
+                3 => claims.push(valid(round + 1)),
+                4 => claims.push(ElectionClaim {
+                    unit: stakes[g as usize],
+                    ..valid(round)
+                }),
+                5 => claims.push(ElectionClaim {
+                    governor: m + 3,
+                    ..valid(round)
+                }),
+                _ => {
+                    let claim = valid(round);
+                    claims.push(ElectionClaim {
+                        governor: (g + 1) % m,
+                        ..claim.clone()
+                    });
+                    claims.push(claim.clone());
+                    claims.push(claim);
+                }
+            }
+        }
+        claims
+    }
+
+    #[test]
+    fn winner_only_tally_matches_the_verify_everything_oracle() {
+        for scheme in [CryptoScheme::sim(), CryptoScheme::schnorr_test_256()] {
+            let keys: Vec<KeyPair> = (0..4)
+                .map(|i| scheme.keypair_from_seed(format!("d{i}").as_bytes()))
+                .collect();
+            let pks: Vec<PublicKey> = keys.iter().map(|k| k.public_key()).collect();
+            let mut rng = StdRng::seed_from_u64(31);
+            let (mut decided, mut forged_below) = (0, 0);
+            let trials = if scheme == CryptoScheme::sim() {
+                400
+            } else {
+                60
+            };
+            for round in 0..trials {
+                let stakes: Vec<u64> = (0..4).map(|_| rng.gen_range(1..4u64)).collect();
+                let claims = mixed_claims(&mut rng, round, &keys, &stakes);
+                let expelled: Vec<u32> = (0..4).filter(|_| rng.gen_bool(0.15)).collect();
+                // The tallier's own claim, when governor 0 made a valid one.
+                let mine = ElectionClaim::compute(TAG, round, 0, stakes[0], &keys[0]);
+                let own = mine.as_ref().filter(|_| rng.gen_bool(0.5));
+                let tally = elect_excluding(TAG, round, &claims, &stakes, &pks, &expelled, own);
+                let expected = expected_tally(round, &claims, &stakes, &pks, &expelled);
+                assert_eq!(tally, expected, "{} round {round}", scheme.name());
+                decided += usize::from(tally.winner.is_some());
+                forged_below += tally
+                    .rejections
+                    .iter()
+                    .filter(|(_, why)| *why == ClaimRejection::BadProof)
+                    .count();
+            }
+            // Not vacuous: most rounds elect someone, and forged claims
+            // below the winner are met and refused.
+            assert!(decided > trials as usize / 2, "{}", scheme.name());
+            assert!(forged_below > 0, "{}", scheme.name());
+        }
+    }
+
+    /// The winner-only tally with the proof checks counted.
+    fn counted_tally(
+        round: u64,
+        claims: &[ElectionClaim],
+        stakes: &[u64],
+        pks: &[PublicKey],
+        own: Option<&ElectionClaim>,
+    ) -> (Tally, usize) {
+        let mut checks = 0;
+        let tally = tally_by(claims, stakes, pks, &[], own, |claim, pk| {
+            checks += 1;
+            claim.verify(TAG, round, pk)
+        });
+        (tally, checks)
+    }
+
+    #[test]
+    fn one_proof_is_checked_when_the_least_claim_is_valid_and_none_when_it_is_ones_own() {
+        for scheme in [CryptoScheme::sim(), CryptoScheme::schnorr_test_256()] {
+            let keys: Vec<KeyPair> = (0..4)
+                .map(|i| scheme.keypair_from_seed(format!("c{i}").as_bytes()))
+                .collect();
+            let pks: Vec<PublicKey> = keys.iter().map(|k| k.public_key()).collect();
+            let stakes = [2, 3, 1, 2];
+            for round in 0..8 {
+                let claims: Vec<ElectionClaim> = keys
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(g, k)| ElectionClaim::compute(TAG, round, g as u32, stakes[g], k))
+                    .collect();
+                let (tally, checks) = counted_tally(round, &claims, &stakes, &pks, None);
+                assert_eq!(checks, 1);
+                assert!(tally.rejections.is_empty());
+                let (w, _) = tally.winner.unwrap();
+                // The winner's own tally checks nothing; anyone else's one.
+                for (i, claim) in claims.iter().enumerate() {
+                    let (mine, checks) = counted_tally(round, &claims, &stakes, &pks, Some(claim));
+                    assert_eq!(mine, tally);
+                    assert_eq!(
+                        checks,
+                        usize::from(i != w),
+                        "{} round {round}",
+                        scheme.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_forged_least_claim_is_a_bad_proof_and_the_next_claim_wins() {
+        for scheme in [CryptoScheme::sim(), CryptoScheme::schnorr_test_256()] {
+            let keys: Vec<KeyPair> = (0..3)
+                .map(|i| scheme.keypair_from_seed(format!("f{i}").as_bytes()))
+                .collect();
+            let pks: Vec<PublicKey> = keys.iter().map(|k| k.public_key()).collect();
+            let stakes = [2, 2, 2];
+            let mut claims: Vec<ElectionClaim> = keys
+                .iter()
+                .enumerate()
+                .filter_map(|(g, k)| ElectionClaim::compute(TAG, 4, g as u32, stakes[g], k))
+                .collect();
+            // Governor 1 claims the least output there is, unproved.
+            let least = Digest::default();
+            claims[1].evaluation = match claims[1].evaluation.clone() {
+                VrfEvaluation::Sim(_) => VrfEvaluation::Sim(least),
+                VrfEvaluation::Schnorr { proof, .. } => VrfEvaluation::Schnorr {
+                    output: least,
+                    proof,
+                },
+            };
+            let (tally, checks) = counted_tally(4, &claims, &stakes, &pks, None);
+            assert_eq!(tally.rejections, vec![(1, ClaimRejection::BadProof)]);
+            assert_eq!(checks, 2, "the forgery, then the next claim");
+            let winner = tally.result(&claims).unwrap();
+            assert_ne!(winner.leader, 1);
+            let others: Vec<ElectionClaim> =
+                claims.iter().filter(|c| c.governor != 1).cloned().collect();
+            assert_eq!(Some(winner), elect(TAG, 4, &others, &stakes, &pks).0);
+        }
     }
 
     #[test]
@@ -489,7 +698,7 @@ mod tests {
             .enumerate()
             .filter_map(|(g, k)| ElectionClaim::compute(TAG, 9, g as u32, stakes[g], k))
             .collect();
-        // Mix every rejection flavour into the batch.
+        // Mix every rejection flavour in.
         claims[1].governor = 2; // proof no longer matches the message -> BadProof
         claims.push(ElectionClaim {
             governor: 3,
@@ -499,24 +708,19 @@ mod tests {
         let mut unknown = claims[0].clone();
         unknown.governor = 42;
         claims.push(unknown); // UnknownGovernor
-        let sequential = elect(TAG, 9, &claims, &stakes, &pks);
-        for threads in [1, 2, 4] {
-            let pooled = elect_with_pool(
-                TAG,
-                9,
-                &claims,
-                &stakes,
-                &pks,
-                &crate::verify_pool::VerifyPool::new(threads),
-            );
-            assert_eq!(pooled, sequential, "threads={threads}");
-        }
-        let (result, rejections) = sequential;
+        let (result, rejections) = elect(TAG, 9, &claims, &stakes, &pks);
+        let expected = expected_tally(9, &claims, &stakes, &pks, &[]);
+        assert_eq!(result, expected.result(&claims));
+        assert_eq!(rejections, expected.rejections);
         assert!(result.is_some());
-        assert_eq!(rejections.len(), 3);
-        assert!(rejections.contains(&(2, ClaimRejection::BadProof)));
         assert!(rejections.contains(&(3, ClaimRejection::UnitOutOfRange)));
         assert!(rejections.contains(&(42, ClaimRejection::UnknownGovernor)));
+        // The restated claim is checked, and refused, only if it ranks
+        // below the winner; above it, its proof is never looked at.
+        let below = (claims[1].evaluation.output(), 2)
+            < (result.unwrap().winning_hash, result.unwrap().leader);
+        assert_eq!(rejections.contains(&(2, ClaimRejection::BadProof)), below);
+        assert_eq!(rejections.len(), 2 + usize::from(below));
     }
 
     #[test]

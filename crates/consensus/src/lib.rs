@@ -26,7 +26,7 @@
 //! - [`rotation`] — the executable rotating-leader replication protocol
 //!   (propose + ≥2/3 votes, crashed leaders skipped by timeout),
 //! - [`verify_pool`] — a std-only worker pool draining batched
-//!   signature/VRF verifications through `prb_crypto::batch`.
+//!   signature verifications through `prb_crypto::batch`.
 //!
 //! # Quickstart
 //!
@@ -66,7 +66,7 @@ pub mod stake_block;
 pub mod verify_pool;
 
 pub use checkpoint::{CheckpointCert, CheckpointShare, CheckpointState, CollectorSnapshot};
-pub use election::{elect, elect_excluding, elect_with_pool, ElectionClaim, ElectionResult};
+pub use election::{elect, elect_excluding, ElectionClaim, ElectionResult, Tally};
 pub use evidence::{EquivocationEvidence, SignedHeader};
 pub use membership::{
     EpochLog, MemberRole, MembershipAction, MembershipCert, MembershipRequest, MembershipShare,

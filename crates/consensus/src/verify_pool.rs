@@ -1,19 +1,19 @@
-//! A std-only worker pool for batched signature / VRF verification.
+//! A std-only worker pool for batched signature verification.
 //!
 //! Governors accumulate signature checks per block (provider signatures
-//! during screening, the stake-block certificate, election claims) and
-//! drain them through a [`VerifyPool`]: the batch is split into contiguous
-//! chunks, each chunk is handed to a scoped `std::thread` worker, and every
-//! worker runs the randomized-linear-combination batch verifier from
+//! during screening, the stake-block certificate) and drain them through a
+//! [`VerifyPool`]: the batch is split into contiguous chunks, each chunk is
+//! handed to a scoped `std::thread` worker, and every worker runs the
+//! randomized-linear-combination batch verifier from
 //! `prb_crypto::batch` over its chunk. Two layers of speedup compose:
 //!
 //! 1. **algebraic** — within a chunk, one Straus multi-exponentiation
 //!    replaces `n` independent verifications (`prb_crypto::batch`), and
 //! 2. **parallel** — chunks verify concurrently across OS threads.
 //!
-//! Results are positionally identical to calling `PublicKey::verify` /
-//! `PublicKey::vrf_verify` item by item, for every thread count: chunking
-//! only changes *which* random linear combinations are checked, not their
+//! Results are positionally identical to calling `PublicKey::verify` item
+//! by item, for every thread count: chunking only changes *which* random
+//! linear combinations are checked, not their
 //! verdicts (batch-vs-sequential equality is property-tested in
 //! `prb-crypto`), so simulations remain bit-for-bit deterministic under any
 //! `verify_threads` setting.
@@ -24,8 +24,7 @@
 //! sim-scheme cases never reach the spawn path at all (see
 //! [`PAR_MIN_ITEMS`]).
 
-use prb_crypto::sha256::Digest;
-use prb_crypto::signer::{self, PublicKey, Sig, VrfEvaluation};
+use prb_crypto::signer::{self, PublicKey, Sig};
 
 /// Default inline threshold: below this many items a drain runs inline on
 /// the caller's thread — the per-thread spawn + join overhead outweighs any
@@ -105,12 +104,6 @@ impl VerifyPool {
         self.run(items, signer::verify_batch)
     }
 
-    /// Verifies a batch of VRF evaluations; `out[i]` is the authenticated
-    /// output (or `None`), identical to `PublicKey::vrf_verify` per item.
-    pub fn vrf_verify(&self, items: &[(&[u8], &VrfEvaluation, &PublicKey)]) -> Vec<Option<Digest>> {
-        self.run(items, signer::vrf_verify_batch)
-    }
-
     /// Splits `items` into per-worker chunks, applies `f` to each chunk on
     /// its own scoped thread, and stitches the outputs back in order.
     fn run<I, O, F>(&self, items: &[I], f: F) -> Vec<O>
@@ -168,35 +161,6 @@ mod tests {
             assert_eq!(pool.verify_sigs(&items), expected, "threads={threads}");
         }
         assert!(!expected[4] && !expected[9] && expected[0]);
-    }
-
-    #[test]
-    fn pooled_vrf_matches_per_item() {
-        let scheme = CryptoScheme::schnorr_test_256();
-        let keys: Vec<KeyPair> = (0..9)
-            .map(|i| scheme.keypair_from_seed(format!("vrf-{i}").as_bytes()))
-            .collect();
-        let msgs: Vec<Vec<u8>> = (0..9u32).map(|i| i.to_be_bytes().to_vec()).collect();
-        let mut evals: Vec<VrfEvaluation> = keys
-            .iter()
-            .zip(&msgs)
-            .map(|(k, m)| k.vrf_evaluate(m))
-            .collect();
-        // Item 5 presents another message's evaluation.
-        evals[5] = keys[5].vrf_evaluate(b"stolen");
-        let pks: Vec<_> = keys.iter().map(|k| k.public_key()).collect();
-        let items: Vec<(&[u8], &VrfEvaluation, &PublicKey)> = msgs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (&m[..], &evals[i], &pks[i]))
-            .collect();
-        let expected: Vec<Option<Digest>> =
-            items.iter().map(|(m, e, pk)| pk.vrf_verify(m, e)).collect();
-        for threads in [1, 3, 8] {
-            let pool = VerifyPool::new(threads);
-            assert_eq!(pool.vrf_verify(&items), expected, "threads={threads}");
-        }
-        assert!(expected[5].is_none() && expected[0].is_some());
     }
 
     #[test]

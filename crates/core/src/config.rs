@@ -108,10 +108,10 @@ pub struct ProtocolConfig {
     /// default; turning it on defends against a Byzantine leader at the
     /// cost of `b` signature verifications per block.
     pub verify_blocks: bool,
-    /// Worker threads for the governors' batched signature/VRF
-    /// verification pool (`0` = host parallelism). Any value yields
-    /// bit-identical ledgers — pooling changes wall-clock only — so the
-    /// default of 1 keeps small simulations free of thread overhead.
+    /// Worker threads for the governors' batched signature verification
+    /// pool (`0` = host parallelism). Any value yields bit-identical
+    /// ledgers — pooling changes wall-clock only — so the default of 1
+    /// keeps small simulations free of thread overhead.
     pub verify_threads: usize,
     /// Minimum batch size before the verification pool fans out to worker
     /// threads; smaller batches verify inline on the caller's thread.

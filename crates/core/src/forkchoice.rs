@@ -14,12 +14,12 @@
 //! ```
 //!
 //! [`ForkChoice`] holds what the decision reads — the head's rank, the base
-//! of this governor's provisional self-proposals, its claim and the claims
+//! of this governor's provisional self-proposals, its claim and the claim
 //! its election authenticated this round, and the blocks parked past a gap —
 //! and its functions are pure over a [`Chain`] and their inputs. This file
 //! decides; the governor acts (`GovernorNode::adopt`).
 
-use prb_consensus::election::{ClaimRejection, ElectionClaim};
+use prb_consensus::election::ElectionClaim;
 use prb_consensus::stake::StakeTable;
 use prb_crypto::identity::NodeId;
 use prb_crypto::sha256::Digest;
@@ -112,9 +112,9 @@ pub(crate) struct ForkChoice {
     /// This governor's claim for the round (none without stake), attached
     /// to its proposal.
     pub(crate) my_claim: Option<ElectionClaim>,
-    /// The claims this round's election authenticated, with their VRF
-    /// outputs, so [`claim_key`](Self::claim_key) need not verify them again.
-    verified_claims: Vec<(ElectionClaim, Digest)>,
+    /// The claim this round's election elected, with its VRF output, so
+    /// [`claim_key`](Self::claim_key) need not verify it again.
+    elected: Option<(ElectionClaim, Digest)>,
     /// Blocks that arrived past a gap, one per serial.
     parked: Vec<Block>,
 }
@@ -128,15 +128,15 @@ impl ForkChoice {
             head_priority: None,
             provisional_base: None,
             my_claim: None,
-            verified_claims: Vec::new(),
+            elected: None,
             parked: Vec::new(),
         }
     }
 
-    /// Round `round` began: last round's authenticated claims answer nothing.
+    /// Round `round` began: last round's elected claim answers nothing.
     pub(crate) fn start_round(&mut self, round: u64) {
         self.round = round;
-        self.verified_claims.clear();
+        self.elected = None;
     }
 
     /// The head's rank; `None` once it is settled.
@@ -145,18 +145,9 @@ impl ForkChoice {
         self.head_priority
     }
 
-    /// Remembers the claims the round's election batch authenticated:
-    /// `verdicts[i]` is the verdict on `claims[i]`.
-    pub(crate) fn remember_election(
-        &mut self,
-        claims: &[ElectionClaim],
-        verdicts: Vec<Result<Digest, ClaimRejection>>,
-    ) {
-        self.verified_claims = claims
-            .iter()
-            .zip(verdicts)
-            .filter_map(|(claim, verdict)| Some((claim.clone(), verdict.ok()?)))
-            .collect();
+    /// Remembers the claim the round's election elected, with its output.
+    pub(crate) fn remember_election(&mut self, winner: Option<(&ElectionClaim, Digest)>) {
+        self.elected = winner.map(|(claim, output)| (claim.clone(), output));
     }
 
     /// Whether the governor withholds its proposal: building on its
@@ -172,11 +163,12 @@ impl ForkChoice {
     /// governor does not own, or names an unknown governor. The VRF binds
     /// governor and round, so a stolen or replayed claim fails here.
     ///
-    /// A claim equal in every field to one this round's election batch
-    /// authenticated is not verified again: verification is a function of
+    /// A claim equal in every field to the one this round's election
+    /// elected is not verified again: verification is a function of
     /// `(round, claim, key)`, so the remembered output is the one
-    /// `claim.verify` would return. Anything else — a variant, another
-    /// round, a replay — takes the full verification.
+    /// `claim.verify` would return. Anything else — a claim the election
+    /// ranked above the winner and never checked, a variant, another round,
+    /// a replay — takes the full verification.
     pub(crate) fn claim_key(
         &self,
         claim: &ElectionClaim,
@@ -187,11 +179,11 @@ impl ForkChoice {
             return None;
         }
         let pk = pks.get(claim.governor as usize)?;
-        let verified = self
-            .verified_claims
-            .iter()
-            .find(|(c, _)| round == self.round && c == claim);
-        let out = match verified {
+        let elected = self
+            .elected
+            .as_ref()
+            .filter(|(c, _)| round == self.round && c == claim);
+        let out = match elected {
             Some((_, out)) => *out,
             None => claim.verify(b"prb-chain", round, pk)?,
         };
@@ -395,8 +387,7 @@ mod tests {
     //! proposals, and the unconfirmed suffix that fork evidence sheds.
 
     use super::*;
-    use prb_consensus::election::verify_claims;
-    use prb_consensus::verify_pool::VerifyPool;
+    use prb_consensus::election::elect_excluding;
     use prb_crypto::signer::{CryptoScheme, KeyPair};
 
     const TAG: &[u8] = b"prb-chain";
@@ -491,36 +482,39 @@ mod tests {
         let cold = Rig::under(scheme, 3);
         let round = 0;
         let claims: Vec<ElectionClaim> = (0..3).map(|g| rig.claim(g, round)).collect();
-        let verdicts = verify_claims(
+        let tally = elect_excluding(
             TAG,
             round,
             &claims,
             rig.stakes.stakes(),
             &rig.pks,
             &[],
-            &VerifyPool::default(),
+            None,
         );
-        rig.fork.remember_election(&claims, verdicts);
-        assert_eq!(rig.fork.verified_claims.len(), 3);
-        // A hit returns what a governor that never ran the election works
-        // out from the proof.
+        let (w, output) = tally.winner.unwrap();
+        rig.fork.remember_election(Some((&claims[w], output)));
+        // Every claim gets the key a governor that never ran the election
+        // works out from the proof.
         for claim in &claims {
             let key = rig.claim_key(claim, round);
             assert!(key.is_some());
             assert_eq!(key, cold.claim_key(claim, round));
         }
-        // Mark the remembered outputs to see which calls consult them.
+        // Mark the remembered output to see which calls consult it: the
+        // winner's, and only the winner's.
         let marked = Digest::default();
-        for (_, out) in &mut rig.fork.verified_claims {
-            *out = marked;
+        rig.fork.elected.as_mut().unwrap().1 = marked;
+        let genuine = claims[w].clone();
+        let g = genuine.governor;
+        assert_eq!(rig.claim_key(&genuine, round), Some((marked, g, round)));
+        for loser in claims.iter().filter(|c| c.governor != g) {
+            assert_eq!(rig.claim_key(loser, round), cold.claim_key(loser, round));
         }
-        let genuine = claims[1].clone();
-        assert_eq!(rig.claim_key(&genuine, round), Some((marked, 1, round)));
         // One field off, and the claim takes the full verification: the
         // verdict is the cold governor's, never the marked output.
-        let stake = rig.stakes.stake(1).unwrap();
+        let stake = rig.stakes.stake(g).unwrap();
         let other_governor = ElectionClaim {
-            governor: 2,
+            governor: (g + 1) % 3,
             ..genuine.clone()
         };
         let other_unit = ElectionClaim {
@@ -528,7 +522,7 @@ mod tests {
             ..genuine.clone()
         };
         let other_proof = ElectionClaim {
-            evaluation: rig.claim(1, round + 1).evaluation,
+            evaluation: rig.claim(g, round + 1).evaluation,
             ..genuine.clone()
         };
         for variant in [&other_governor, &other_unit, &other_proof] {
@@ -538,15 +532,18 @@ mod tests {
         // Another round: the genuine claim is verified against that round,
         // as before, and fails there.
         assert_eq!(rig.claim_key(&genuine, round + 1), None);
-        let next = rig.claim(1, round + 1);
+        let next = rig.claim(g, round + 1);
         assert_eq!(
             rig.claim_key(&next, round + 1),
             cold.claim_key(&next, round + 1)
         );
         assert!(rig.claim_key(&next, round + 1).is_some());
         // Structural checks come first even on a hit: no stake, no key.
-        rig.stakes.slash(1);
+        rig.stakes.slash(g);
         assert_eq!(rig.claim_key(&genuine, round), None);
+        // A new round forgets the winner.
+        rig.fork.start_round(round + 1);
+        assert!(rig.fork.elected.is_none());
     }
 
     #[test]

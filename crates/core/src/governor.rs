@@ -34,7 +34,7 @@ use prb_consensus::checkpoint::{
     Certifier, CheckpointCert, CheckpointError, CheckpointShare, CheckpointState,
     CollectorSnapshot, Committee, OfferRejected, ShareStep,
 };
-use prb_consensus::election::{tally, verify_claims, ElectionClaim};
+use prb_consensus::election::{elect_excluding, ElectionClaim};
 use prb_consensus::evidence::{EquivocationEvidence, SignedHeader};
 use prb_consensus::membership::{
     EpochLog, MemberRole, MembershipAction, MembershipCert, MembershipRequest, MembershipShare,
@@ -1145,22 +1145,22 @@ impl GovernorNode {
     fn run_election(&mut self, now: u64) {
         let t0 = self.obs.is_enabled().then(std::time::Instant::now);
         let excluded = self.excluded_governors();
-        let verdicts = verify_claims(
+        let tally = elect_excluding(
             b"prb-chain",
             self.round,
             &self.claims,
             self.stake_table.stakes(),
             &self.governor_pks,
             &excluded,
-            &self.verify_pool,
+            self.fork.my_claim.as_ref(),
         );
-        let (result, _rejected) = tally(&self.claims, &verdicts);
-        self.fork.remember_election(&self.claims, verdicts);
+        let winner = tally.winner.map(|(i, output)| (&self.claims[i], output));
+        self.fork.remember_election(winner);
         if let Some(t0) = t0 {
             self.obs
                 .add_counter("wall.crypto_ns", t0.elapsed().as_nanos() as u64);
         }
-        self.leader = result.map(|r| r.leader);
+        self.leader = winner.map(|(claim, _)| claim.governor);
         if let Some(leader) = self.leader {
             self.obs.emit(
                 now,
@@ -1802,7 +1802,15 @@ impl GovernorNode {
     /// authority — echoes relayed by untrusted peers carry the proposer's
     /// signature verbatim, so relaying cannot frame anyone.
     fn note_header(&mut self, header: SignedHeader, ctx: &mut Context<'_, ProtocolMsg>) {
-        if header.proposer == self.index
+        let key = (header.proposer, header.serial);
+        // A header over the hash already recorded at its serial was echoed
+        // when that one was recorded, so it changes nothing: no need to
+        // verify it.
+        let first = self.seen_headers.get(&key).cloned();
+        if first
+            .as_ref()
+            .is_some_and(|(first, _)| first.block_hash == header.block_hash)
+            || header.proposer == self.index
             || self.expelled.contains(&header.proposer)
             || !header.verify(&self.governor_pks)
         {
@@ -1825,12 +1833,10 @@ impl GovernorNode {
                 },
             );
         }
-        let key = (header.proposer, header.serial);
-        match self.seen_headers.get(&key).cloned() {
+        match first {
             None => {
                 self.seen_headers.insert(key, (header, now));
             }
-            Some((first, _)) if first.block_hash == header.block_hash => {}
             Some((first, seen_at)) => {
                 // Two conflicting signed commitments at one serial:
                 // assemble the self-verifying proof, tell everyone, and

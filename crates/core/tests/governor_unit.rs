@@ -672,11 +672,11 @@ fn rival_with_a_stale_merkle_root_cannot_make_the_head_be_shed() {
     }
 }
 
-/// Once the election batch has authenticated the round's claims, the
-/// governor answers `claim_key` for those same claims from memory. A
-/// head contest must come out as it does for a governor that verifies
-/// every attached claim from its proof: a doctored claim refused, the
-/// genuine smaller key winning.
+/// Once the election has authenticated the round's winning claim, the
+/// governor answers `claim_key` for that claim from memory and verifies
+/// any other. A head contest must come out as it does for a governor that
+/// verifies every attached claim from its proof: a doctored claim
+/// refused, the genuine smaller key winning.
 #[test]
 fn rival_contest_is_decided_the_same_once_the_election_verified_the_claims() {
     for elected_first in [false, true] {

@@ -1,5 +1,5 @@
 //! Randomized linear-combination (RLC) batch verification for Schnorr
-//! signatures and DLEQ proofs.
+//! signatures.
 //!
 //! A governor screening a block verifies dozens of signatures against the
 //! same handful of provider keys; a stake-block certificate carries one
@@ -25,10 +25,6 @@
 //! stretch every right-hand exponent back to full group width and cost
 //! more than sequential verification).
 //!
-//! DLEQ proofs (`g^{s_i} == a_i·y_i^{c_i}` and `h_i^{s_i} == b_i·z_i^{c_i}`)
-//! batch the same way with two independent randomizers `u_i`, `v_i` per
-//! proof, folding both sides of every proof into one equation.
-//!
 //! # Randomizer derivation
 //!
 //! The `z_i` are derived by hashing the entire batch (Fiat–Shamir style, as
@@ -47,7 +43,6 @@
 //! sequential ones.
 
 use crate::bigint::BigUint;
-use crate::dleq::{self, DleqProof, DleqStatement};
 use crate::group::SchnorrGroup;
 use crate::schnorr::{self, Signature, VerifyingKey};
 use crate::sha256::Sha256;
@@ -63,7 +58,6 @@ pub type BatchResult = Result<(), Vec<usize>>;
 const RANDOMIZER_BYTES: usize = 8;
 
 type SchnorrItem<'a> = (usize, &'a [u8], &'a Signature, &'a VerifyingKey);
-type DleqItem<'a> = (usize, &'a DleqStatement<'a>, &'a DleqProof);
 
 /// Verifies a batch of Schnorr signatures.
 ///
@@ -82,7 +76,11 @@ pub fn verify_batch(items: &[(&[u8], &Signature, &VerifyingKey)]) -> BatchResult
     for (idx, &(msg, sig, vk)) in items.iter().enumerate() {
         let group = vk.group();
         // Degenerate values (r outside the subgroup, s out of range) cannot
-        // enter the linear combination; they fail outright.
+        // enter the linear combination; they fail outright. The single
+        // verifier gets by with `0 < r < p`, but here `r` must be a member:
+        // `−r` carries an order-2 factor that `(−r)^{z_i}` cancels whenever
+        // the randomizer is even, so a signature whose `r` alone is wrong
+        // would pass the combined check half the time.
         if !group.is_element(sig.r()) || sig.s() >= group.q() {
             invalid.push(idx);
             continue;
@@ -94,31 +92,6 @@ pub fn verify_batch(items: &[(&[u8], &Signature, &VerifyingKey)]) -> BatchResult
     }
     for (group, part) in &parts {
         schnorr_check_or_bisect(group, part, &mut invalid);
-    }
-    finish(invalid)
-}
-
-/// Verifies a batch of DLEQ proofs against their statements.
-///
-/// Equivalent to calling [`DleqProof::verify`] on every item; same
-/// partitioning, randomization, and bisection contract as [`verify_batch`].
-pub fn verify_dleq_batch(items: &[(&DleqStatement<'_>, &DleqProof)]) -> BatchResult {
-    crate::stats::record_batch(items.len() as u64);
-    let mut parts: Vec<(&SchnorrGroup, Vec<DleqItem<'_>>)> = Vec::new();
-    let mut invalid = Vec::new();
-    for (idx, &(st, proof)) in items.iter().enumerate() {
-        let group = st.group;
-        if !group.is_element(proof.a()) || !group.is_element(proof.b()) || proof.s() >= group.q() {
-            invalid.push(idx);
-            continue;
-        }
-        match parts.iter_mut().find(|(g, _)| *g == group) {
-            Some((_, v)) => v.push((idx, st, proof)),
-            None => parts.push((group, vec![(idx, st, proof)])),
-        }
-    }
-    for (group, part) in &parts {
-        dleq_check_or_bisect(group, part, &mut invalid);
     }
     finish(invalid)
 }
@@ -187,77 +160,6 @@ fn schnorr_rlc_holds(group: &SchnorrGroup, items: &[SchnorrItem<'_>]) -> bool {
         pairs.push((vk.element(), ze));
     }
     group.pow_g(&s_comb) == group.multi_pow(&pairs)
-}
-
-fn dleq_check_or_bisect(group: &SchnorrGroup, items: &[DleqItem<'_>], invalid: &mut Vec<usize>) {
-    match items {
-        [] => {}
-        [(idx, st, proof)] => {
-            crate::stats::record_batch_fallback(1);
-            if !proof.verify(st) {
-                invalid.push(*idx);
-            }
-        }
-        _ => {
-            if dleq_rlc_holds(group, items) {
-                return;
-            }
-            crate::stats::record_batch_bisect();
-            let mid = items.len() / 2;
-            dleq_check_or_bisect(group, &items[..mid], invalid);
-            dleq_check_or_bisect(group, &items[mid..], invalid);
-        }
-    }
-}
-
-/// The combined DLEQ check with per-proof randomizers `u_i`, `v_i`:
-///
-/// ```text
-/// g^{Σ u_i·s_i} · Π h_i^{v_i·s_i}
-///     == Π a_i^{u_i} · y_i^{u_i·c_i} · b_i^{v_i} · z_i^{v_i·c_i}
-/// ```
-///
-/// Statement bases equal to the group generator fold into one fixed-base
-/// `pow_g`; the `h_i` are statement-specific (fresh per VRF message), so
-/// their exponents `v_i·s_i` are reduced mod `q` (full width either way)
-/// and share the left-hand squaring chain. The right-hand exponents stay
-/// short (`64 + 256` bits) and unreduced.
-fn dleq_rlc_holds(group: &SchnorrGroup, items: &[DleqItem<'_>]) -> bool {
-    let rs = derive_randomizers(b"dleq-batch", group, 2 * items.len(), |h| {
-        for (_, st, proof) in items {
-            for el in [st.g, st.y, st.h, st.z, proof.a(), proof.b()] {
-                h.update_field(&group.element_to_bytes(el));
-            }
-            h.update_field(&proof.s().to_bytes_be_padded(group.element_len()));
-        }
-    });
-    let mut s_g = BigUint::zero();
-    // Owned exponents; the pair slices below borrow from these.
-    let mut lhs_owned: Vec<(&BigUint, BigUint)> = Vec::with_capacity(2 * items.len());
-    let mut rhs_owned: Vec<(BigUint, BigUint)> = Vec::with_capacity(items.len());
-    for ((_, st, proof), uv) in items.iter().zip(rs.chunks(2)) {
-        let (u, v) = (&uv[0], &uv[1]);
-        let c = dleq::challenge(st, proof.a(), proof.b());
-        let us = group.scalar_mul(u, proof.s());
-        if st.g == group.g() {
-            s_g = group.scalar_add(&s_g, &us);
-        } else {
-            lhs_owned.push((st.g, us));
-        }
-        lhs_owned.push((st.h, group.scalar_mul(v, proof.s())));
-        rhs_owned.push((u.mul(&c), v.mul(&c)));
-    }
-    let lhs_pairs: Vec<(&BigUint, &BigUint)> =
-        lhs_owned.iter().map(|(base, e)| (*base, e)).collect();
-    let lhs = group.mul(&group.pow_g(&s_g), &group.multi_pow(&lhs_pairs));
-    let mut rhs_pairs: Vec<(&BigUint, &BigUint)> = Vec::with_capacity(4 * items.len());
-    for (((_, st, proof), uv), (uc, vc)) in items.iter().zip(rs.chunks(2)).zip(&rhs_owned) {
-        rhs_pairs.push((proof.a(), &uv[0]));
-        rhs_pairs.push((st.y, uc));
-        rhs_pairs.push((proof.b(), &uv[1]));
-        rhs_pairs.push((st.z, vc));
-    }
-    lhs == group.multi_pow(&rhs_pairs)
 }
 
 /// Derives `count` non-zero 64-bit randomizers by hashing the whole batch
@@ -421,73 +323,6 @@ mod tests {
         let items: Vec<(&[u8], &Signature, &VerifyingKey)> =
             vec![(b"other", &sig, sk.verifying_key())];
         assert_eq!(verify_batch(&items), Err(vec![0]));
-    }
-
-    #[test]
-    fn dleq_batch_accepts_valid_and_names_invalid() {
-        let group = SchnorrGroup::test_256();
-        let xs: Vec<BigUint> = (1..=5u64)
-            .map(|i| BigUint::from_u64(i * 1000 + 7))
-            .collect();
-        let hs: Vec<BigUint> = (0..5u32)
-            .map(|i| group.hash_to_group("batch-test", &i.to_be_bytes()))
-            .collect();
-        let ys: Vec<BigUint> = xs.iter().map(|x| group.pow_g(x)).collect();
-        let mut zs: Vec<BigUint> = xs.iter().zip(&hs).map(|(x, h)| group.pow(h, x)).collect();
-        let sts: Vec<DleqStatement<'_>> = (0..5)
-            .map(|i| DleqStatement {
-                group: &group,
-                g: group.g(),
-                y: &ys[i],
-                h: &hs[i],
-                z: &zs[i],
-            })
-            .collect();
-        let proofs: Vec<DleqProof> = sts
-            .iter()
-            .zip(&xs)
-            .map(|(st, x)| DleqProof::prove(st, x))
-            .collect();
-        let items: Vec<(&DleqStatement<'_>, &DleqProof)> = sts.iter().zip(&proofs).collect();
-        assert_eq!(verify_dleq_batch(&items), Ok(()));
-        // Corrupt statement 3: z no longer matches the proven exponent.
-        zs[3] = group.pow(&hs[3], &BigUint::from_u64(99));
-        let sts_bad: Vec<DleqStatement<'_>> = (0..5)
-            .map(|i| DleqStatement {
-                group: &group,
-                g: group.g(),
-                y: &ys[i],
-                h: &hs[i],
-                z: &zs[i],
-            })
-            .collect();
-        let items_bad: Vec<(&DleqStatement<'_>, &DleqProof)> =
-            sts_bad.iter().zip(&proofs).collect();
-        assert_eq!(verify_dleq_batch(&items_bad), Err(vec![3]));
-    }
-
-    #[test]
-    fn dleq_batch_rejects_out_of_group_commitments() {
-        let group = SchnorrGroup::test_256();
-        let x = BigUint::from_u64(424242);
-        let h = group.hash_to_group("batch-test", b"oog");
-        let y = group.pow_g(&x);
-        let z = group.pow(&h, &x);
-        let st = DleqStatement {
-            group: &group,
-            g: group.g(),
-            y: &y,
-            h: &h,
-            z: &z,
-        };
-        let good = DleqProof::prove(&st, &x);
-        let bad = DleqProof::from_parts(
-            group.p().sub(&BigUint::one()),
-            good.b().clone(),
-            good.s().clone(),
-        );
-        let items: Vec<(&DleqStatement<'_>, &DleqProof)> = vec![(&st, &good), (&st, &bad)];
-        assert_eq!(verify_dleq_batch(&items), Err(vec![1]));
     }
 
     proptest::proptest! {

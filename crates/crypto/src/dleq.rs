@@ -147,9 +147,8 @@ fn derive_nonce(statement: &DleqStatement<'_>, x: &BigUint) -> BigUint {
     }
 }
 
-/// Fiat–Shamir challenge; `pub(crate)` so the batch verifier
-/// ([`crate::batch`]) can recompute it per proof.
-pub(crate) fn challenge(statement: &DleqStatement<'_>, a: &BigUint, b: &BigUint) -> BigUint {
+/// Fiat–Shamir challenge `c = H(g, h, y, z, a, b) mod q`.
+fn challenge(statement: &DleqStatement<'_>, a: &BigUint, b: &BigUint) -> BigUint {
     let group = statement.group;
     let mut h = Sha256::new();
     h.update_field(b"dleq-challenge");

@@ -229,8 +229,11 @@ impl VerifyingKey {
     }
 
     fn check(&self, message: &[u8], signature: &Signature) -> bool {
-        // Reject degenerate/out-of-group values outright.
-        if !self.group.is_element(&signature.r) || signature.s >= *self.group.q() {
+        // A range check on `r` suffices, with no membership test: `y`
+        // comes from `pow_g`, so `g^s · y^{-e}` lies in the subgroup, and
+        // the equation below holds only for an `r` equal to it.
+        let r = &signature.r;
+        if r.is_zero() || r >= self.group.p() || signature.s >= *self.group.q() {
             return false;
         }
         let e = challenge(&self.group, &signature.r, &self.y, message);
@@ -426,6 +429,47 @@ mod tests {
         let (_, sk) = setup();
         let debug = format!("{sk:?}");
         assert!(!debug.contains(&sk.secret_scalar().to_hex()));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The range check on `r` decides as the membership test does, for
+        /// `r` anywhere in `[0, p]` — residues and non-residues alike, the
+        /// negated commitment, the edges `0`, `p − 1` and `p` — and for
+        /// the commitment written unreduced, `p + r`; on a cold key (the
+        /// Straus path) and a trained one (the window table).
+        #[test]
+        fn range_checked_r_agrees_with_the_membership_reference(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 40),
+            pick in 0usize..7,
+        ) {
+            let (group, sk) = setup();
+            let sig = sk.sign(b"range");
+            let warm = sk.verifying_key();
+            for _ in 0..KEY_TABLE_THRESHOLD {
+                proptest::prop_assert!(warm.verify(b"range", &sig));
+            }
+            let cold = SigningKey::from_seed(&group, b"unit-test-key");
+            let p = group.p();
+            let r = match pick {
+                0 => BigUint::from_bytes_be(&bytes).rem(&p.add(&BigUint::one())),
+                1 => BigUint::zero(),
+                2 => p.sub(&BigUint::one()),
+                3 => p.clone(),
+                4 => sig.r().clone(),
+                5 => p.sub(sig.r()),
+                _ => p.add(sig.r()),
+            };
+            let probe = Signature::from_parts(r, sig.s().clone());
+            for vk in [cold.verifying_key(), warm] {
+                proptest::prop_assert_eq!(
+                    vk.verify(b"range", &probe),
+                    verify_reference(vk, b"range", &probe)
+                );
+                proptest::prop_assert_eq!(vk.verify(b"range", &probe), pick == 4);
+            }
+        }
     }
 
     /// Textbook verification, used as the oracle for the fast paths.

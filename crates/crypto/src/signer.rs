@@ -298,34 +298,6 @@ pub fn verify_batch(items: &[(&[u8], &Sig, &PublicKey)]) -> Vec<bool> {
     out
 }
 
-/// Verifies a batch of VRF evaluations across schemes, returning the
-/// authenticated output per item (`None` where verification fails).
-///
-/// Schnorr evaluations batch their DLEQ proofs through
-/// [`crate::vrf::verify_batch`]; sim evaluations and scheme mismatches are
-/// handled individually. Results are identical to calling
-/// [`PublicKey::vrf_verify`] per item.
-pub fn vrf_verify_batch(items: &[(&[u8], &VrfEvaluation, &PublicKey)]) -> Vec<Option<Digest>> {
-    let mut out = vec![None; items.len()];
-    let mut schnorr_idx = Vec::new();
-    let mut schnorr_items: Vec<(&[u8], &VrfProof, &VerifyingKey)> = Vec::new();
-    for (i, &(msg, eval, pk)) in items.iter().enumerate() {
-        match (pk, eval) {
-            (PublicKey::Schnorr(vk), VrfEvaluation::Schnorr { proof, .. }) => {
-                schnorr_idx.push(i);
-                schnorr_items.push((msg, proof, vk));
-            }
-            _ => out[i] = pk.vrf_verify(msg, eval),
-        }
-    }
-    for (&i, verified) in schnorr_idx.iter().zip(vrf::verify_batch(&schnorr_items)) {
-        // Authenticated output must also match the claimed one, exactly as
-        // in the per-item `vrf_verify` path.
-        out[i] = verified.filter(|v| *v == items[i].1.output());
-    }
-    out
-}
-
 impl VrfEvaluation {
     /// The claimed output (unauthenticated until verified).
     pub fn output(&self) -> Digest {
@@ -467,27 +439,6 @@ mod tests {
         let individual: Vec<bool> = items.iter().map(|(m, s, pk)| pk.verify(m, s)).collect();
         assert_eq!(batch, individual);
         assert_eq!(batch, vec![true, true, false, true, false]);
-    }
-
-    #[test]
-    fn scheme_level_vrf_batch_matches_per_item_verify() {
-        let sim_kp = CryptoScheme::sim().keypair_from_seed(b"sim");
-        let sch_kp = CryptoScheme::schnorr_test_256().keypair_from_seed(b"sch");
-        let sim_eval = sim_kp.vrf_evaluate(b"r1");
-        let sch_eval = sch_kp.vrf_evaluate(b"r1");
-        let (sim_pk, sch_pk) = (sim_kp.public_key(), sch_kp.public_key());
-        let items: Vec<(&[u8], &VrfEvaluation, &PublicKey)> = vec![
-            (b"r1", &sim_eval, &sim_pk),
-            (b"r1", &sch_eval, &sch_pk),
-            (b"r2", &sch_eval, &sch_pk), // wrong message
-            (b"r1", &sch_eval, &sim_pk), // scheme mismatch
-        ];
-        let batch = vrf_verify_batch(&items);
-        let individual: Vec<Option<Digest>> =
-            items.iter().map(|(m, e, pk)| pk.vrf_verify(m, e)).collect();
-        assert_eq!(batch, individual);
-        assert_eq!(batch[1], Some(sch_eval.output()));
-        assert_eq!(batch[2], None);
     }
 
     #[test]

@@ -172,7 +172,7 @@ pub struct CryptoStats {
     pub table_pows: u64,
     /// DLEQ proofs built (VRF evaluations that were proved).
     pub dleq_proofs: u64,
-    /// RLC batch-verification calls (Schnorr or DLEQ).
+    /// RLC batch-verification calls.
     pub batch_calls: u64,
     /// Total items passed to batch verification.
     pub batch_items: u64,

@@ -153,6 +153,9 @@ impl VrfProof {
     /// authenticated VRF output on success.
     pub fn verify(&self, public_key: &VerifyingKey, message: &[u8]) -> Option<Digest> {
         let group = public_key.group();
+        // Membership, not a range check, keeps the output unique: `−gamma`
+        // passes the DLEQ check whenever the challenge is even, and would
+        // hash to a second output for the same message and key.
         if !group.is_element(&self.gamma) {
             return None;
         }
@@ -174,63 +177,6 @@ impl VrfProof {
     pub fn gamma(&self) -> &BigUint {
         &self.gamma
     }
-}
-
-/// Verifies a batch of VRF proofs, returning per-item authenticated
-/// outputs (`None` where verification fails).
-///
-/// Each proof *is* a DLEQ proof over the statement
-/// `(g, y; HashToGroup(m), gamma)`, so the batch reduces to
-/// [`crate::batch::verify_dleq_batch`] after the per-item `hash_to_group`
-/// and the subgroup check on `gamma` — equivalent to [`VrfProof::verify`]
-/// item by item, with the DLEQ exponentiations combined.
-pub fn verify_batch(items: &[(&[u8], &VrfProof, &VerifyingKey)]) -> Vec<Option<Digest>> {
-    let mut out = vec![None; items.len()];
-    let hs: Vec<Option<BigUint>> = items
-        .iter()
-        .map(|(message, proof, public_key)| {
-            let group = public_key.group();
-            group
-                .is_element(&proof.gamma)
-                .then(|| group.hash_to_group(H2G_DOMAIN, message))
-        })
-        .collect();
-    let mut statements = Vec::with_capacity(items.len());
-    let mut live = Vec::with_capacity(items.len());
-    for ((i, (_, proof, public_key)), h) in items.iter().enumerate().zip(&hs) {
-        let Some(h) = h else { continue };
-        let group = public_key.group();
-        statements.push(DleqStatement {
-            group,
-            g: group.g(),
-            y: public_key.element(),
-            h,
-            z: &proof.gamma,
-        });
-        live.push(i);
-    }
-    let dleq_items: Vec<(&DleqStatement<'_>, &DleqProof)> = statements
-        .iter()
-        .zip(&live)
-        .map(|(st, &i)| (st, &items[i].1.dleq))
-        .collect();
-    let verdicts = match crate::batch::verify_dleq_batch(&dleq_items) {
-        Ok(()) => vec![true; dleq_items.len()],
-        Err(bad) => {
-            let mut v = vec![true; dleq_items.len()];
-            for b in bad {
-                v[b] = false;
-            }
-            v
-        }
-    };
-    for (&i, ok) in live.iter().zip(verdicts) {
-        if ok {
-            let (_, proof, public_key) = items[i];
-            out[i] = Some(output_from_gamma(public_key.group(), &proof.gamma));
-        }
-    }
-    out
 }
 
 fn output_from_gamma(group: &SchnorrGroup, gamma: &BigUint) -> Digest {
@@ -330,38 +276,6 @@ mod tests {
         assert_eq!(outs.len(), 64);
         let spread = outs.last().unwrap() - outs.first().unwrap();
         assert!(spread > u64::MAX / 4, "outputs clustered: spread {spread}");
-    }
-
-    #[test]
-    fn batch_verify_matches_individual() {
-        let group = SchnorrGroup::test_256();
-        let kps: Vec<VrfKeyPair> = (0..4)
-            .map(|i| VrfKeyPair::from_seed(&group, format!("batch-{i}").as_bytes()))
-            .collect();
-        let msgs: Vec<Vec<u8>> = (0..6u32).map(|i| i.to_be_bytes().to_vec()).collect();
-        let evals: Vec<(Digest, VrfProof)> = msgs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| kps[i % 4].evaluate(m))
-            .collect();
-        let items: Vec<(&[u8], &VrfProof, &VerifyingKey)> = msgs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (&m[..], &evals[i].1, kps[i % 4].public_key()))
-            .collect();
-        let batch = verify_batch(&items);
-        for (i, (m, proof, pk)) in items.iter().enumerate() {
-            assert_eq!(batch[i], proof.verify(pk, m));
-            assert_eq!(batch[i], Some(evals[i].0));
-        }
-        // Present item 2 under the wrong message: batch must reject exactly
-        // that item and keep the others.
-        let mut bad_items = items.clone();
-        bad_items[2].0 = b"wrong message";
-        let batch = verify_batch(&bad_items);
-        for (i, verdict) in batch.iter().enumerate() {
-            assert_eq!(verdict.is_some(), i != 2, "item {i}");
-        }
     }
 
     #[test]

@@ -57,8 +57,12 @@ fn modexp_calls_and_vrf_proofs_stay_pinned() {
     // 1 666 for 86 (19.37) since a closed-loop collector holds its labels
     // until the driver closes the collection phase: one signature per
     // collector per round, and one check of it per governor, where there
-    // was one per delivery; the RNG shifted again. Exact per seed.
+    // was one per delivery; the RNG shifted again. 1 486 for the same 86
+    // (17.28) since the election checks claims in output order and stops
+    // at the first valid one, taking its own claim unchecked, and a header
+    // echo over an already recorded hash is not verified again; the
+    // schedule did not move. Exact per seed.
     let modexp = spent.modexp_calls + spent.multi_pow_calls + spent.table_pows;
-    assert_eq!((modexp, committed), (1_666, 86));
-    assert!(modexp <= 20 * committed as u64, "≤ 20 per committed tx");
+    assert_eq!((modexp, committed), (1_486, 86));
+    assert!(modexp <= 18 * committed as u64, "≤ 18 per committed tx");
 }
