@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use prb_crypto::bigint::{jacobi, BigUint, FixedBaseTable};
+use prb_crypto::bigint::{self, jacobi, BigUint, FixedBaseTable, Montgomery};
 use prb_crypto::group::SchnorrGroup;
 use prb_crypto::merkle::MerkleTree;
 use prb_crypto::schnorr::SigningKey;
@@ -72,38 +72,46 @@ fn bench_schnorr_2048(c: &mut Criterion) {
 }
 
 fn bench_kernel_2048(c: &mut Criterion) {
-    // The big-integer kernel at the width `closed-crypto` runs it: one
-    // full-width exponentiation, one 4-base Straus product with
-    // batch-sized (320-bit) exponents, one subgroup-membership test.
+    // The big-integer kernel at the width `closed-crypto` runs it, on each
+    // Montgomery kernel this CPU can run (`<name>/portable`,
+    // `<name>/ifma52`): one full-width exponentiation, one 4-base Straus
+    // product with batch-sized (320-bit) exponents, and the two products in
+    // isolation — a fixed-base table answers an exponent with no zero
+    // digit in exactly 512 multiplications and no squaring; 2^2047 costs
+    // 2044 squarings after the 14-product table and one multiplication.
+    // Plus one subgroup-membership test, which uses no kernel.
     let mut group = c.benchmark_group("kernel-2048");
     group.sample_size(10);
     let g = SchnorrGroup::rfc3526_2048();
     let element = |seed: &[u8]| g.hash_to_group("bench", seed);
     let base = element(b"base");
-    group.bench_function("modexp_2048", |b| {
-        b.iter(|| g.pow(std::hint::black_box(&base), g.q()))
-    });
     let bases: Vec<BigUint> = (0..4u8).map(|i| element(&[i])).collect();
     let exps: Vec<BigUint> = (0..4u8).map(|i| element(&[i, i]).shr(2048 - 320)).collect();
     let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(&exps).collect();
-    group.bench_function("multi_pow_2048x4", |b| {
-        b.iter(|| g.multi_pow(std::hint::black_box(&pairs)))
-    });
+    let all_digits = BigUint::one().shl(2048).sub(&BigUint::one());
+    let top_bit = BigUint::one().shl(2047);
+    println!("kernel-2048: detected kernel = {}", bigint::kernel());
+    for name in ["portable", "ifma52"] {
+        let Some(ctx) = Montgomery::on_kernel(g.p(), name) else {
+            println!("kernel-2048/{name}: skipped, this CPU cannot run it");
+            continue;
+        };
+        group.bench_function(format!("modexp_2048/{name}"), |b| {
+            b.iter(|| ctx.pow(std::hint::black_box(&base), g.q()))
+        });
+        group.bench_function(format!("multi_pow_2048x4/{name}"), |b| {
+            b.iter(|| ctx.multi_pow(std::hint::black_box(&pairs)))
+        });
+        let table = FixedBaseTable::build(&ctx, &base, 2048);
+        group.bench_function(format!("mont_mul_x512/{name}"), |b| {
+            b.iter(|| table.pow(&ctx, std::hint::black_box(&all_digits)))
+        });
+        group.bench_function(format!("mont_sqr_x2044/{name}"), |b| {
+            b.iter(|| ctx.pow(std::hint::black_box(&base), &top_bit))
+        });
+    }
     group.bench_function("jacobi_2048", |b| {
         b.iter(|| jacobi(std::hint::black_box(&base), g.p()))
-    });
-    // The two products in isolation: a fixed-base table answers an
-    // exponent with no zero digit in exactly 512 multiplications and no
-    // squaring; 2^2047 costs 2044 squarings after the 14-product table
-    // and one multiplication.
-    let table = FixedBaseTable::build(g.mont(), &base, 2048);
-    let all_digits = BigUint::one().shl(2048).sub(&BigUint::one());
-    group.bench_function("mont_mul_x512", |b| {
-        b.iter(|| table.pow(g.mont(), std::hint::black_box(&all_digits)))
-    });
-    let top_bit = BigUint::one().shl(2047);
-    group.bench_function("mont_sqr_x2044", |b| {
-        b.iter(|| g.pow(std::hint::black_box(&base), &top_bit))
     });
     group.finish();
 }

@@ -6,16 +6,19 @@
 //! zero limbs; zero is the empty limb vector).
 //!
 //! Division uses Knuth's Algorithm D. Modular exponentiation under an odd
-//! modulus (every prime this crate touches) runs on the [`Montgomery`]
-//! kernel: residues are fixed-width `k`-limb slices, every product is a
-//! fused multiply-and-reduce or a dedicated squaring written into scratch
-//! that an exponentiation allocates once, and exponents are consumed in
-//! 4-bit windows. A full-width 2048-bit exponentiation costs ~3.3 ms, a
-//! Schnorr verification ~0.4 ms (DESIGN.md § "Big-integer kernel" has the
-//! per-primitive table); the simulation signer avoids even that cost for
+//! modulus (every prime this crate touches) runs in [`Montgomery`] form:
+//! residues are fixed width, every product is written into scratch that
+//! an exponentiation allocates once, and exponents are consumed in 4-bit
+//! windows. Underneath, one of two kernels multiplies, chosen by the CPU
+//! ([`kernel`]): a portable one on 64-bit limbs (a fused multiply-and-
+//! reduce and a dedicated squaring), or an almost-Montgomery product on
+//! 52-bit digits with AVX-512 IFMA. A full-width 2048-bit exponentiation
+//! costs ~3.3 ms on the first and ~1.0 ms on the second (DESIGN.md
+//! § "Big-integer kernel" and § "Montgomery kernel on IFMA" have the
+//! per-primitive tables); the simulation signer avoids even that cost for
 //! high-volume runs. Other moduli fall back to plain square-and-multiply
-//! with a Knuth division per step, which is also the oracle the kernel is
-//! tested against.
+//! with a Knuth division per step, which is also the oracle both kernels
+//! are tested against.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -673,36 +676,148 @@ fn mac2(
     (carry_x, carry_y)
 }
 
+/// Bits per digit of the IFMA kernel: `vpmadd52{lo,hi}uq` multiply the
+/// low 52 bits of each 64-bit lane.
+const DIGIT_BITS: usize = 52;
+
+const DIGIT_MASK: u64 = (1 << DIGIT_BITS) - 1;
+
+/// The widest modulus the IFMA kernel is instantiated for, in digits
+/// (16 vectors of 8: 6 654-bit moduli); wider ones run the portable
+/// kernel on every CPU.
+const IFMA_MAX_DIGITS: usize = 128;
+
+/// Whether this CPU has every feature the IFMA kernel is compiled with.
+///
+/// `std` caches the CPUID result in an atomic, so this is a load and a
+/// mask per feature.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn ifma_detected() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512ifma")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+fn ifma_detected() -> bool {
+    false
+}
+
+/// Name of the Montgomery kernel this process multiplies with: `"ifma52"`
+/// where the CPU has AVX-512F and AVX-512 IFMA, `"portable"` everywhere
+/// else.
+///
+/// The choice is made by the hardware when a [`Montgomery`] context is
+/// built and cannot be set; this only reports it, so that a measurement
+/// can say what produced it. (A modulus wider than 6 654 bits runs the
+/// portable kernel on every CPU.) Every result is the same number on
+/// either kernel.
+pub fn kernel() -> &'static str {
+    if ifma_detected() {
+        "ifma52"
+    } else {
+        "portable"
+    }
+}
+
+/// Digit `i` (bits `52·i .. 52·i + 52`) of little-endian `limbs`; zero
+/// past their end.
+#[inline]
+fn limb_digit(limbs: &[u64], i: usize) -> u64 {
+    let (j, off) = (DIGIT_BITS * i / 64, DIGIT_BITS * i % 64);
+    let low = limbs.get(j).map_or(0, |&w| w >> off);
+    let high = match limbs.get(j + 1) {
+        Some(&w) if off > 64 - DIGIT_BITS => w << (64 - off),
+        _ => 0,
+    };
+    (low | high) & DIGIT_MASK
+}
+
+/// `D = ⌈(bits + 2) / 52⌉`: the IFMA kernel's digit count for `modulus`,
+/// the least that keeps `4n < R = 2^(52·D)`.
+fn ifma_digits(modulus: &BigUint) -> usize {
+    (modulus.bit_len() + 2).div_ceil(DIGIT_BITS)
+}
+
+/// `limbs`, a value below `2^(52·digits)`, as digits padded to whole
+/// 8-lane vectors.
+fn to_digits(limbs: &[u64], digits: usize) -> Vec<u64> {
+    (0..digits.next_multiple_of(8))
+        .map(|i| limb_digit(limbs, i))
+        .collect()
+}
+
+/// The multiplier of an IFMA product, read one digit at a time: a residue
+/// already in digits, or a packed `k`-limb one (a table row, a converted
+/// input) unpacked as it is read.
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    Digits(&'a [u64]),
+    Limbs(&'a [u64]),
+}
+
+impl Operand<'_> {
+    #[inline]
+    fn digit(self, i: usize) -> u64 {
+        match self {
+            Operand::Digits(d) => d[i],
+            Operand::Limbs(l) => limb_digit(l, i),
+        }
+    }
+}
+
+/// How a context multiplies, and so what its residues look like.
+#[derive(Clone, Debug)]
+enum Kernel {
+    /// `k` 64-bit limbs, `R = 2^(64·k)`, every residue fully reduced.
+    Portable,
+    /// `8·⌈digits/8⌉` 52-bit digits (the top ones zero), `R = 2^(52·digits)`
+    /// with `digits = ⌈(bits + 2) / 52⌉`, every residue below `2n`.
+    Ifma52 {
+        digits: usize,
+        /// The modulus in digits.
+        n52: Vec<u64>,
+    },
+}
+
 /// Montgomery arithmetic context for a fixed odd modulus.
 ///
-/// Precomputes `n' = -n^{-1} mod 2^64`, `R² mod n`, and `R mod n` (with
-/// `R = 2^{64·k}`, `k` the limb count of `n`) so that modular
-/// exponentiation needs only multiply-and-REDC steps — no division in the
-/// hot loop. Build the context once per modulus and reuse it: the
+/// Precomputes `n' = -n^{-1} mod 2^64`, `R² mod n`, and `R mod n` so that
+/// modular exponentiation needs only multiply-and-REDC steps — no division
+/// in the hot loop. Build the context once per modulus and reuse it: the
 /// precomputation performs two division-heavy reductions that would
 /// otherwise be paid on every [`BigUint::pow_mod`] call.
 ///
 /// # Representation
 ///
-/// Inside the kernel a residue is a `k`-limb little-endian slice holding a
-/// fully reduced value in Montgomery form (`x·R mod n`, always `< n`), zero
-/// padded — never a normalised `BigUint`. Every product writes into a
-/// buffer the caller owns: an exponentiation allocates its accumulator,
-/// its `2k + 1`-limb product scratch and its window table once
-/// (`Accumulator`), and the borrow checker keeps a product's output
-/// apart from its inputs. Widths are taken from `k`, so any modulus size
-/// works.
+/// Two kernels sit under one set of algorithms, chosen by the CPU when the
+/// context is built ([`kernel`]). On the portable one a residue is a
+/// `k`-limb little-endian slice (`k` the limb count of `n`, `R = 2^(64·k)`)
+/// holding a fully reduced value in Montgomery form. On AVX-512 IFMA hosts
+/// it is `D = ⌈(bits + 2) / 52⌉` digits of 52 bits in 8-lane vectors,
+/// `R = 2^(52·D)`, and almost reduced: `4n < R` keeps every product's
+/// inputs and output below `2n` without a final subtraction. Either way
+/// it is never a normalised `BigUint`. Table rows are `k` packed limbs,
+/// fully reduced, on both kernels; the IFMA kernel reads them a digit at a
+/// time. Every product writes into a buffer the caller owns: an
+/// exponentiation allocates its accumulator, its product scratch and its
+/// window table once (`Accumulator`), and the borrow checker keeps a
+/// product's output apart from its inputs. Widths are taken from the
+/// modulus, so any size works, and every `BigUint` that leaves the context
+/// is fully reduced: the same number on either kernel.
 #[derive(Clone, Debug)]
 pub struct Montgomery {
     /// The modulus, `k` limbs.
     n: Vec<u64>,
     n_prime: u64,
-    /// `R² mod n`, `k` limbs: multiplying by it converts into Montgomery
-    /// form.
+    /// `R² mod n` as a residue: multiplying by it converts into
+    /// Montgomery form.
     r2: Vec<u64>,
-    /// `R mod n`, `k` limbs: the Montgomery form of 1.
+    /// `R mod n` as a residue: the Montgomery form of 1.
     one_m: Vec<u64>,
     modulus: BigUint,
+    kernel: Kernel,
 }
 
 /// Exponents at or below this bit count skip the windowed table (the
@@ -719,6 +834,33 @@ impl Montgomery {
     ///
     /// Panics if `modulus` is even, zero, or one.
     pub fn new(modulus: &BigUint) -> Self {
+        Self::on_kernel(modulus, kernel()).unwrap_or_else(|| Self::build(modulus, false))
+    }
+
+    /// The context for `modulus` on the named kernel (see [`kernel`]), or
+    /// `None` when this CPU cannot run it or the modulus is too wide for
+    /// it.
+    ///
+    /// Not a way to configure arithmetic — [`Montgomery::new`] always
+    /// takes what the CPU offers: it exists so that the differential tests
+    /// and micro-benchmarks can run each kernel on one host. `"ifma52"`
+    /// goes through the same run-time detection as every other context.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `modulus` is even, zero, or one.
+    #[doc(hidden)]
+    pub fn on_kernel(modulus: &BigUint, name: &str) -> Option<Self> {
+        match name {
+            "portable" => Some(Self::build(modulus, false)),
+            "ifma52" if ifma_detected() && ifma_digits(modulus) <= IFMA_MAX_DIGITS => {
+                Some(Self::build(modulus, true))
+            }
+            _ => None,
+        }
+    }
+
+    fn build(modulus: &BigUint, ifma: bool) -> Self {
         assert!(
             !modulus.is_even() && !modulus.is_zero(),
             "Montgomery modulus must be odd"
@@ -735,17 +877,30 @@ impl Montgomery {
         }
         debug_assert_eq!(n0.wrapping_mul(inv), 1);
         let n_prime = inv.wrapping_neg();
-        // R² mod n and R mod n, computed once with the general division.
-        let mut r2 = BigUint::one().shl(2 * 64 * k).rem(modulus).limbs;
-        r2.resize(k, 0);
-        let mut one_m = BigUint::one().shl(64 * k).rem(modulus).limbs;
-        one_m.resize(k, 0);
+        // R² mod n and R mod n, computed once with the general division,
+        // as residues of the kernel.
+        let (r_bits, kernel) = if ifma {
+            let digits = ifma_digits(modulus);
+            let n52 = to_digits(&n, digits);
+            (DIGIT_BITS * digits, Kernel::Ifma52 { digits, n52 })
+        } else {
+            (64 * k, Kernel::Portable)
+        };
+        let residue = |x: BigUint| match &kernel {
+            Kernel::Portable => {
+                let mut limbs = x.limbs;
+                limbs.resize(k, 0);
+                limbs
+            }
+            Kernel::Ifma52 { digits, .. } => to_digits(&x.limbs, *digits),
+        };
         Montgomery {
             n,
             n_prime,
-            r2,
-            one_m,
+            r2: residue(BigUint::one().shl(2 * r_bits).rem(modulus)),
+            one_m: residue(BigUint::one().shl(r_bits).rem(modulus)),
             modulus: modulus.clone(),
+            kernel,
         }
     }
 
@@ -756,6 +911,12 @@ impl Montgomery {
 
     fn k(&self) -> usize {
         self.n.len()
+    }
+
+    /// Words in one of this context's residues: `k` limbs, or the IFMA
+    /// kernel's digits padded to whole vectors.
+    fn residue_len(&self) -> usize {
+        self.one_m.len()
     }
 
     /// `x mod n` as a zero-padded `k`-limb operand (plain form).
@@ -769,10 +930,82 @@ impl Montgomery {
         limbs
     }
 
-    /// Converts into Montgomery form: `out = x·R mod n`, as the product of
-    /// `x mod n` with `R²`.
+    /// Converts into Montgomery form: `out = x·R mod n` (up to one `n` on
+    /// the IFMA kernel), as the product of `x mod n` with `R²`.
     fn to_mont(&self, out: &mut [u64], x: &BigUint, t: &mut [u64]) {
-        self.mont_mul(out, &self.residue(x), &self.r2, t);
+        let x = self.residue(x);
+        match self.kernel {
+            Kernel::Portable => self.mont_mul(out, &x, &self.r2, t),
+            Kernel::Ifma52 { .. } => self.amm(out, &self.r2, Operand::Limbs(&x)),
+        }
+    }
+
+    /// Almost-Montgomery product on the IFMA kernel: `out = a·b·R⁻¹ mod n`
+    /// up to one multiple of `n`, below `2n` when `a` and `b` are. `a` and
+    /// `out` are residues in digits.
+    ///
+    /// The single place the IFMA kernel is entered, and with
+    /// `sha256::compress_blocks` one of the two `unsafe` blocks of the
+    /// workspace: the call from baseline code into a function compiled with
+    /// AVX-512 enabled.
+    #[allow(unsafe_code)]
+    fn amm(&self, out: &mut [u64], a: &[u64], b: Operand<'_>) {
+        let Kernel::Ifma52 { digits, n52 } = &self.kernel else {
+            unreachable!("an IFMA product on a portable context");
+        };
+        #[cfg(target_arch = "x86_64")]
+        if ifma_detected() {
+            // SAFETY: `ifma::amm` is a safe function whose only requirement
+            // is that the CPU supports the features it is compiled with
+            // (`avx512f`, `avx512ifma`); `ifma_detected` has just checked
+            // both at run time. It takes and returns ordinary references and
+            // touches memory through no pointer.
+            unsafe { ifma::amm(out, a, b, n52, self.n_prime & DIGIT_MASK, *digits) };
+            return;
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (out, a, b, digits, n52);
+        unreachable!("IFMA contexts are built only where ifma_detected() holds");
+    }
+
+    /// Writes the IFMA residue `digits` (below `2n`) fully reduced into the
+    /// `k` limbs of `out`: one conditional subtraction of `n`, digit by
+    /// digit, fused with the repacking.
+    fn pack_reduced(&self, digits: &[u64], out: &mut [u64]) {
+        let Kernel::Ifma52 { n52, .. } = &self.kernel else {
+            unreachable!("an IFMA residue on a portable context");
+        };
+        let subtract = digits
+            .iter()
+            .rev()
+            .zip(n52.iter().rev())
+            .find_map(|(x, n)| (x != n).then_some(x > n))
+            .unwrap_or(true);
+        // The result is below n: whatever lands past limb k is zero.
+        let mut put = |j: usize, limb: u64| match out.get_mut(j) {
+            Some(w) => *w = limb,
+            None => debug_assert_eq!(limb, 0),
+        };
+        let (mut borrow, mut held, mut held_bits, mut j) = (0u64, 0u128, 0, 0);
+        for (&x, &nd) in digits.iter().zip(n52) {
+            let x = if subtract {
+                let diff = x.wrapping_sub(nd).wrapping_sub(borrow);
+                borrow = diff >> 63;
+                diff & DIGIT_MASK
+            } else {
+                x
+            };
+            held |= u128::from(x) << held_bits;
+            held_bits += DIGIT_BITS;
+            if held_bits >= 64 {
+                put(j, held as u64);
+                (held, held_bits, j) = (held >> 64, held_bits - 64, j + 1);
+            }
+        }
+        // 52·D > 64·(k − 1) bits were read, so limb k − 1 is written here
+        // if not above.
+        put(j, held as u64);
+        debug_assert_eq!(borrow, 0);
     }
 
     /// Fused Montgomery product `out = a·b·R⁻¹ mod n` of two reduced
@@ -935,25 +1168,15 @@ impl Montgomery {
         debug_assert_eq!(u64::from(borrow), top);
     }
 
-    /// Fills `rows` (`15·k` limbs, row-major) with the Montgomery forms of
-    /// `base^1 ..= base^15`.
-    fn fill_window_rows(&self, rows: &mut [u64], base: &BigUint, t: &mut [u64]) {
-        let k = self.k();
-        self.to_mont(&mut rows[..k], base, t);
-        for v in 1..WINDOW_ROWS {
-            let (done, todo) = rows.split_at_mut(v * k);
-            self.mont_mul(&mut todo[..k], &done[(v - 1) * k..], &done[..k], t);
-        }
-    }
-
-    /// `a·b mod n` for arbitrary `a`, `b` — two kernel products (`a·b·R⁻¹`,
-    /// then back up by `R²`) in place of a schoolbook product and a Knuth
-    /// division; equal to [`BigUint::mul_mod`] under this modulus.
+    /// `a·b mod n` for arbitrary `a`, `b` — two kernel products (`a` up by
+    /// `R²` into Montgomery form, then times `b`, which takes the `R` back
+    /// out) in place of a schoolbook product and a Knuth division; equal
+    /// to [`BigUint::mul_mod`] under this modulus.
     pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let k = self.k();
-        let (mut low, mut out, mut t) = (vec![0; k], vec![0; k], vec![0; 2 * k + 1]);
-        self.mont_mul(&mut low, &self.residue(a), &self.residue(b), &mut t);
-        self.mont_mul(&mut out, &low, &self.r2, &mut t);
+        let mut acc = Accumulator::load(self, a);
+        acc.mul(&self.residue(b));
+        let mut out = vec![0; self.k()];
+        acc.store(&mut out);
         BigUint::from_limbs(out)
     }
 
@@ -977,7 +1200,7 @@ impl Montgomery {
     /// Square-and-multiply into `acc`.
     fn pow_binary_m(&self, acc: &mut Accumulator<'_>, base: &BigUint, exponent: &BigUint) {
         let mut base_m = vec![0; self.k()];
-        self.to_mont(&mut base_m, base, &mut acc.t);
+        Accumulator::load(self, base).fill_powers(&mut base_m);
         for i in (0..exponent.bit_len()).rev() {
             acc.square();
             if exponent.bit(i) {
@@ -991,7 +1214,7 @@ impl Montgomery {
     fn pow_windowed_m(&self, acc: &mut Accumulator<'_>, base: &BigUint, exponent: &BigUint) {
         let k = self.k();
         let mut powers = vec![0; WINDOW_ROWS * k];
-        self.fill_window_rows(&mut powers, base, &mut acc.t);
+        Accumulator::load(self, base).fill_powers(&mut powers);
         let windows = exponent.bit_len().div_ceil(4);
         for d in (0..windows).rev() {
             if d != windows - 1 {
@@ -1041,7 +1264,7 @@ impl Montgomery {
         let k = self.k();
         let mut tables = vec![0; merged.len() * WINDOW_ROWS * k];
         for ((base, _), rows) in merged.iter().zip(tables.chunks_exact_mut(WINDOW_ROWS * k)) {
-            self.fill_window_rows(rows, base, &mut acc.t);
+            Accumulator::load(self, base).fill_powers(rows);
         }
         let windows = max_bits.div_ceil(4);
         for d in (0..windows).rev() {
@@ -1068,43 +1291,253 @@ impl Montgomery {
 /// of the exponentiation that builds it and is dropped when that returns,
 /// so nothing in it is shared between calls or threads, and it cannot
 /// outlive the tables it multiplies by.
+///
+/// Its products are the only place the kernels differ: every algorithm
+/// above it is one code path that squares, multiplies by `k`-limb table
+/// rows, stores rows and finishes.
 struct Accumulator<'a> {
     ctx: &'a Montgomery,
     cur: Vec<u64>,
     next: Vec<u64>,
+    /// The portable kernel's `2k + 1`-limb product scratch (the IFMA
+    /// kernel needs none).
     t: Vec<u64>,
 }
 
 impl<'a> Accumulator<'a> {
     /// Starts from the Montgomery form of 1.
     fn one(ctx: &'a Montgomery) -> Self {
-        let k = ctx.k();
+        let t_len = match ctx.kernel {
+            Kernel::Portable => 2 * ctx.k() + 1,
+            Kernel::Ifma52 { .. } => 0,
+        };
         Accumulator {
             ctx,
             cur: ctx.one_m.clone(),
-            next: vec![0; k],
-            t: vec![0; 2 * k + 1],
+            next: vec![0; ctx.residue_len()],
+            t: vec![0; t_len],
         }
     }
 
+    /// Starts from the Montgomery form of `x`.
+    fn load(ctx: &'a Montgomery, x: &BigUint) -> Self {
+        let mut acc = Self::one(ctx);
+        ctx.to_mont(&mut acc.cur, x, &mut acc.t);
+        acc
+    }
+
     fn square(&mut self) {
-        self.ctx.mont_sqr(&mut self.next, &self.cur, &mut self.t);
+        match self.ctx.kernel {
+            Kernel::Portable => self.ctx.mont_sqr(&mut self.next, &self.cur, &mut self.t),
+            Kernel::Ifma52 { .. } => {
+                self.ctx
+                    .amm(&mut self.next, &self.cur, Operand::Digits(&self.cur))
+            }
+        }
         std::mem::swap(&mut self.cur, &mut self.next);
     }
 
-    /// Multiplies by `b`, a `k`-limb residue in Montgomery form.
-    fn mul(&mut self, b: &[u64]) {
-        self.ctx.mont_mul(&mut self.next, &self.cur, b, &mut self.t);
+    /// Multiplies by `row`, a fully reduced `k`-limb residue in Montgomery
+    /// form.
+    fn mul(&mut self, row: &[u64]) {
+        match self.ctx.kernel {
+            Kernel::Portable => self
+                .ctx
+                .mont_mul(&mut self.next, &self.cur, row, &mut self.t),
+            Kernel::Ifma52 { .. } => self.ctx.amm(&mut self.next, &self.cur, Operand::Limbs(row)),
+        }
         std::mem::swap(&mut self.cur, &mut self.next);
+    }
+
+    /// Writes the running product, fully reduced, into the `k` limbs of
+    /// `row`.
+    fn store(&self, row: &mut [u64]) {
+        match self.ctx.kernel {
+            Kernel::Portable => row.copy_from_slice(&self.cur),
+            Kernel::Ifma52 { .. } => self.ctx.pack_reduced(&self.cur, row),
+        }
+    }
+
+    /// Fills `rows` (`k` limbs each, row-major) with the Montgomery forms
+    /// of the running product `x` and its powers `x², x³, …`, one per row;
+    /// ends holding the last.
+    fn fill_powers(&mut self, rows: &mut [u64]) {
+        let k = self.ctx.k();
+        self.store(&mut rows[..k]);
+        for v in 1..rows.len() / k {
+            let (done, todo) = rows.split_at_mut(v * k);
+            self.mul(&done[..k]);
+            self.store(&mut todo[..k]);
+        }
     }
 
     /// Converts the product out of Montgomery form: `REDC(x·R) = x`.
     fn finish(mut self) -> BigUint {
-        let k = self.cur.len();
-        self.t[..k].copy_from_slice(&self.cur);
-        self.t[k..].fill(0);
-        self.ctx.redc(&mut self.next, &mut self.t);
-        BigUint::from_limbs(self.next)
+        let k = self.ctx.k();
+        match self.ctx.kernel {
+            Kernel::Portable => {
+                self.t[..k].copy_from_slice(&self.cur);
+                self.t[k..].fill(0);
+                self.ctx.redc(&mut self.next, &mut self.t);
+                BigUint::from_limbs(self.next)
+            }
+            Kernel::Ifma52 { .. } => {
+                // x·R·1·R⁻¹ lands in [0, n]; the reduction maps n to 0.
+                self.ctx
+                    .amm(&mut self.next, &self.cur, Operand::Limbs(&[1]));
+                self.ctx.pack_reduced(&self.next, &mut self.cur[..k]);
+                self.cur.truncate(k);
+                BigUint::from_limbs(self.cur)
+            }
+        }
+    }
+}
+
+/// Almost-Montgomery multiplication on 52-bit digits with AVX-512 IFMA,
+/// after Gueron and Krasnov, "Accelerating Big Integer Arithmetic Using
+/// Intel IFMA Extensions" (ARITH 2016).
+///
+/// `vpmadd52luq` / `vpmadd52huq` add the low / high 52 bits of eight
+/// 52 × 52-bit products to eight 64-bit lanes. The running sum is `V`
+/// vectors of digits. One pass per digit `bᵢ` of the multiplier adds the
+/// low halves of `a·bᵢ` and `m·n` (`m` chosen to clear digit 0), drops
+/// digit 0 by moving every lane down one (`valignq`), then adds the high
+/// halves, which belong one digit up — where the lanes now are. A pass adds
+/// under 2^54 to a lane, so carries wait in the lanes' top 12 bits until
+/// the end, when a vector loop normalises the digits back to 52 bits.
+/// Digit 0 is kept exactly in a scalar register, so `m` and the carry out
+/// of digit 0 need no lane extract of a finished sum.
+///
+/// Everything here is safe code: inside a `#[target_feature]` function the
+/// value intrinsics are safe to call, and words enter and leave the vectors
+/// through `_mm512_set_epi64` and extracts, so no pointer intrinsic is used.
+#[cfg(target_arch = "x86_64")]
+mod ifma {
+    use super::{Operand, DIGIT_BITS, DIGIT_MASK, IFMA_MAX_DIGITS};
+    use std::arch::x86_64::{
+        __m512i, _mm256_extract_epi64, _mm512_add_epi64, _mm512_alignr_epi64, _mm512_and_si512,
+        _mm512_castsi512_si128, _mm512_extracti64x4_epi64, _mm512_madd52hi_epu64,
+        _mm512_madd52lo_epu64, _mm512_mask_set1_epi64, _mm512_set1_epi64, _mm512_set_epi64,
+        _mm512_setzero_si512, _mm512_srli_epi64, _mm512_test_epi64_mask, _mm_cvtsi128_si64,
+    };
+
+    /// `out = (a·b + m·n) / R` for the `m < R` that makes it exact, `R =
+    /// 2^(52·digits)`: `a·b·R⁻¹ mod n` up to multiples of `n`, below `2n`
+    /// when `a, b < 2n` and `4n < R`. `a`, `n` and `out` are `8·V` digits,
+    /// the top `8·V − digits` zero; `k0 = −n⁻¹ mod 2^52`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn amm(
+        out: &mut [u64],
+        a: &[u64],
+        b: Operand<'_>,
+        n: &[u64],
+        k0: u64,
+        digits: usize,
+    ) {
+        debug_assert!(a.len() == n.len() && out.len() == n.len());
+        // One instantiation per width, so that the vectors of each stay
+        // in registers.
+        macro_rules! by_vectors {
+            ($($v:literal)*) => {
+                match n.len() / 8 {
+                    $($v => amm_v::<$v>(out, a, b, n, k0, digits),)*
+                    _ => unreachable!("IFMA residues are 1 to {} vectors", IFMA_MAX_DIGITS / 8),
+                }
+            };
+        }
+        by_vectors!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn amm_v<const V: usize>(
+        out: &mut [u64],
+        a: &[u64],
+        b: Operand<'_>,
+        n: &[u64],
+        k0: u64,
+        digits: usize,
+    ) {
+        let zero = _mm512_setzero_si512();
+        let (mut av, mut nv, mut acc) = ([zero; V], [zero; V], [zero; V]);
+        for (j, (av, nv)) in av.iter_mut().zip(&mut nv).enumerate() {
+            (*av, *nv) = (load(&a[8 * j..]), load(&n[8 * j..]));
+        }
+        // Digit 0 of the running sum, exactly; its lane is left stale.
+        let mut acc0 = 0u64;
+        for i in 0..digits {
+            let bi = b.digit(i);
+            // acc0 + a₀·bᵢ + m·n₀ ≡ 0 (mod 2^52); the quotient, high
+            // halves included, is what digit 0 carries into digit 1.
+            let t = u128::from(acc0) + u128::from(a[0]) * u128::from(bi);
+            let m = (t as u64).wrapping_mul(k0) & DIGIT_MASK;
+            let carry = ((t + u128::from(m) * u128::from(n[0])) >> DIGIT_BITS) as u64;
+            let (bv, mv) = (_mm512_set1_epi64(bi as i64), _mm512_set1_epi64(m as i64));
+            for ((x, &a), &n) in acc.iter_mut().zip(&av).zip(&nv) {
+                *x = _mm512_madd52lo_epu64(_mm512_madd52lo_epu64(*x, a, bv), n, mv);
+            }
+            for j in 0..V {
+                let above = if j + 1 < V { acc[j + 1] } else { zero };
+                acc[j] = _mm512_alignr_epi64::<1>(above, acc[j]);
+            }
+            acc0 = carry + _mm_cvtsi128_si64(_mm512_castsi512_si128(acc[0])) as u64;
+            for ((x, &a), &n) in acc.iter_mut().zip(&av).zip(&nv) {
+                *x = _mm512_madd52hi_epu64(_mm512_madd52hi_epu64(*x, a, bv), n, mv);
+            }
+        }
+        acc[0] = _mm512_mask_set1_epi64(acc[0], 1, acc0 as i64);
+        // Each digit keeps 52 bits and hands the rest one digit up, until
+        // none overflows (two passes unless a carry ripples). The sum is
+        // below 2n < R, so nothing leaves the top digit.
+        let mask = _mm512_set1_epi64(DIGIT_MASK as i64);
+        loop {
+            let (mut below, mut overflow) = (zero, 0);
+            for x in &mut acc {
+                let carries = _mm512_srli_epi64::<52>(*x);
+                overflow |= _mm512_test_epi64_mask(carries, carries);
+                let up = _mm512_alignr_epi64::<7>(carries, below);
+                *x = _mm512_add_epi64(_mm512_and_si512(*x, mask), up);
+                below = carries;
+            }
+            if overflow == 0 {
+                break;
+            }
+        }
+        for (j, &x) in acc.iter().enumerate() {
+            unload(x, &mut out[8 * j..]);
+        }
+    }
+
+    /// The eight words at the start of `w`, `w[0]` in the lowest lane.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(w: &[u64]) -> __m512i {
+        let w: &[u64; 8] = w[..8].try_into().expect("a whole vector");
+        let w = w.map(|x| x as i64);
+        _mm512_set_epi64(w[7], w[6], w[5], w[4], w[3], w[2], w[1], w[0])
+    }
+
+    /// Writes the lanes of `v` to the first eight words of `w`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn unload(v: __m512i, w: &mut [u64]) {
+        let (low, high) = (
+            _mm512_extracti64x4_epi64::<0>(v),
+            _mm512_extracti64x4_epi64::<1>(v),
+        );
+        w[..8].copy_from_slice(
+            &[
+                _mm256_extract_epi64::<0>(low),
+                _mm256_extract_epi64::<1>(low),
+                _mm256_extract_epi64::<2>(low),
+                _mm256_extract_epi64::<3>(low),
+                _mm256_extract_epi64::<0>(high),
+                _mm256_extract_epi64::<1>(high),
+                _mm256_extract_epi64::<2>(high),
+                _mm256_extract_epi64::<3>(high),
+            ]
+            .map(|x| x as u64),
+        );
     }
 }
 
@@ -1135,23 +1568,12 @@ impl FixedBaseTable {
         let k = ctx.k();
         let digits = max_exp_bits.div_ceil(4).max(1);
         let mut rows = vec![0; digits * WINDOW_ROWS * k];
-        let mut t = vec![0; 2 * k + 1];
-        // cur = base^(16^d) in Montgomery form.
-        let mut cur = vec![0; k];
-        ctx.to_mont(&mut cur, base, &mut t);
+        // Holds base^(16^d) on entry to digit d's rows.
+        let mut acc = Accumulator::load(ctx, base);
         for digit in rows.chunks_exact_mut(WINDOW_ROWS * k) {
-            digit[..k].copy_from_slice(&cur);
-            for v in 1..WINDOW_ROWS {
-                let (done, todo) = digit.split_at_mut(v * k);
-                ctx.mont_mul(&mut todo[..k], &done[(v - 1) * k..], &cur, &mut t);
-            }
+            acc.fill_powers(digit);
             // base^(16^(d+1)) = base^(15·16^d) · base^(16^d).
-            ctx.mont_mul(
-                &mut cur,
-                &digit[(WINDOW_ROWS - 1) * k..],
-                &digit[..k],
-                &mut t,
-            );
+            acc.mul(&digit[..k]);
         }
         FixedBaseTable { digits, rows }
     }
@@ -1308,6 +1730,27 @@ mod tests {
 
     fn b(hex: &str) -> BigUint {
         BigUint::from_hex(hex).unwrap()
+    }
+
+    /// The kernels this host can run. The portable one always; IFMA where
+    /// detected, with a note in the test output where it is not, so a log
+    /// shows which differential checks were real.
+    fn kernels() -> Vec<&'static str> {
+        let mut names = vec!["portable"];
+        if kernel() == "ifma52" {
+            names.push("ifma52");
+        } else {
+            println!("note: this CPU lacks AVX-512 IFMA; only the portable kernel is tested");
+        }
+        names
+    }
+
+    /// A context for `n` on every kernel this host can run.
+    fn contexts(n: &BigUint) -> Vec<Montgomery> {
+        kernels()
+            .into_iter()
+            .map(|name| Montgomery::on_kernel(n, name).expect("kernel listed as runnable"))
+            .collect()
     }
 
     #[test]
@@ -1607,16 +2050,18 @@ mod tests {
     fn windowed_and_binary_paths_agree() {
         let mut rng = StdRng::seed_from_u64(22);
         let m = random_odd_modulus(&mut rng, 4);
-        let ctx = Montgomery::new(&m);
         let base = BigUint::random_below(&mut rng, &m);
-        // Exponents straddling WINDOW_MIN_BITS take different code paths.
-        for bits in [1usize, 17, 47, 48, 49, 130, 255] {
-            let e = BigUint::one().shl(bits).sub(&BigUint::one());
-            assert_eq!(
-                ctx.pow(&base, &e),
-                base.pow_mod_reference(&e, &m),
-                "bits={bits}"
-            );
+        for ctx in contexts(&m) {
+            // Exponents straddling WINDOW_MIN_BITS take different code paths.
+            for bits in [1usize, 17, 47, 48, 49, 130, 255] {
+                let e = BigUint::one().shl(bits).sub(&BigUint::one());
+                assert_eq!(
+                    ctx.pow(&base, &e),
+                    base.pow_mod_reference(&e, &m),
+                    "bits={bits} {:?}",
+                    ctx.kernel
+                );
+            }
         }
     }
 
@@ -1626,7 +2071,6 @@ mod tests {
         for _ in 0..10 {
             let limbs = 2 + (rng.gen::<u8>() % 3) as usize;
             let m = random_odd_modulus(&mut rng, limbs);
-            let ctx = Montgomery::new(&m);
             let bases: Vec<BigUint> = (0..3)
                 .map(|_| BigUint::random_below(&mut rng, &m))
                 .collect();
@@ -1636,37 +2080,41 @@ mod tests {
                 BigUint::zero(),
             ];
             let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(exps.iter()).collect();
-            let got = ctx.multi_pow(&pairs);
             let want = bases
                 .iter()
                 .zip(exps.iter())
                 .fold(BigUint::one(), |acc, (b, e)| {
                     acc.mul_mod(&b.pow_mod_reference(e, &m), &m)
                 });
-            assert_eq!(got, want);
+            for ctx in contexts(&m) {
+                assert_eq!(ctx.multi_pow(&pairs), want, "{:?}", ctx.kernel);
+            }
         }
         // Empty product is 1.
         let m = b("ffffffffffffffffffffffffffffff61");
-        assert_eq!(Montgomery::new(&m).multi_pow(&[]), BigUint::one());
+        for ctx in contexts(&m) {
+            assert_eq!(ctx.multi_pow(&[]), BigUint::one());
+        }
     }
 
     #[test]
     fn fixed_base_table_matches_reference() {
         let mut rng = StdRng::seed_from_u64(24);
         let m = random_odd_modulus(&mut rng, 4);
-        let ctx = Montgomery::new(&m);
         let base = BigUint::random_below(&mut rng, &m);
-        let table = FixedBaseTable::build(&ctx, &base, 256);
-        assert_eq!(table.max_bits(), 256);
-        for _ in 0..10 {
-            let e = random_odd_modulus(&mut rng, 4);
-            assert_eq!(table.pow(&ctx, &e).unwrap(), base.pow_mod_reference(&e, &m));
+        let exps: Vec<BigUint> = (0..10).map(|_| random_odd_modulus(&mut rng, 4)).collect();
+        for ctx in contexts(&m) {
+            let table = FixedBaseTable::build(&ctx, &base, 256);
+            assert_eq!(table.max_bits(), 256);
+            for e in &exps {
+                assert_eq!(table.pow(&ctx, e).unwrap(), base.pow_mod_reference(e, &m));
+            }
+            assert_eq!(table.pow(&ctx, &BigUint::zero()).unwrap(), BigUint::one());
+            assert_eq!(table.pow(&ctx, &BigUint::one()).unwrap(), base.rem(&m));
+            // Exponent wider than the table: caller must fall back.
+            let wide = BigUint::one().shl(257);
+            assert_eq!(table.pow(&ctx, &wide), None);
         }
-        assert_eq!(table.pow(&ctx, &BigUint::zero()).unwrap(), BigUint::one());
-        assert_eq!(table.pow(&ctx, &BigUint::one()).unwrap(), base.rem(&m));
-        // Exponent wider than the table: caller must fall back.
-        let wide = BigUint::one().shl(257);
-        assert_eq!(table.pow(&ctx, &wide), None);
     }
 
     #[test]
@@ -1726,7 +2174,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(26);
         for k in KERNEL_WIDTHS {
             let n = random_odd_modulus(&mut rng, k);
-            let ctx = Montgomery::new(&n);
+            let ctx = Montgomery::on_kernel(&n, "portable").unwrap();
             let mut operands = vec![
                 ctx.residue(&BigUint::zero()),
                 ctx.residue(&BigUint::one()),
@@ -1758,7 +2206,7 @@ mod tests {
             let all_ones = BigUint::one().shl(64 * k).sub(&BigUint::one());
             let (mut subtracted, mut carried) = (0, 0);
             for n in [just_above_half, all_ones] {
-                let ctx = Montgomery::new(&n);
+                let ctx = Montgomery::on_kernel(&n, "portable").unwrap();
                 let (mut out, mut t) = (vec![0; k], vec![0; 2 * k + 1]);
                 for _ in 0..40 {
                     let a = ctx.residue(&BigUint::random_below(&mut rng, &n));
@@ -1785,7 +2233,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(28);
         for k in KERNEL_WIDTHS {
             let n = random_odd_modulus(&mut rng, k);
-            let ctx = Montgomery::new(&n);
             let all_ones = BigUint::one().shl(64 * k).sub(&BigUint::one());
             let bases = [
                 BigUint::zero(),
@@ -1798,19 +2245,22 @@ mod tests {
             ];
             // One exponent per path: binary (≤ 48 bits) and windowed.
             let exps = [BigUint::from_u64(65537), random_odd_modulus(&mut rng, 2)];
-            for base in &bases {
-                let table = FixedBaseTable::build(&ctx, base, 128);
-                for e in &exps {
-                    let want = base.pow_mod_reference(e, &n);
-                    assert_eq!(ctx.pow(base, e), want, "pow k={k} base={base}");
-                    assert_eq!(table.pow(&ctx, e), Some(want), "table k={k} base={base}");
-                }
-            }
             let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(exps.iter().cycle()).collect();
             let want = pairs.iter().fold(BigUint::one().rem(&n), |acc, (b, e)| {
                 acc.mul_mod(&b.pow_mod_reference(e, &n), &n)
             });
-            assert_eq!(ctx.multi_pow(&pairs), want, "multi_pow k={k}");
+            for ctx in contexts(&n) {
+                let on = &ctx.kernel;
+                for base in &bases {
+                    let table = FixedBaseTable::build(&ctx, base, 128);
+                    for e in &exps {
+                        let want = base.pow_mod_reference(e, &n);
+                        assert_eq!(ctx.pow(base, e), want, "pow k={k} base={base} {on:?}");
+                        assert_eq!(table.pow(&ctx, e), Some(want), "table k={k} {on:?}");
+                    }
+                }
+                assert_eq!(ctx.multi_pow(&pairs), want, "multi_pow k={k} {on:?}");
+            }
         }
     }
 
@@ -1819,15 +2269,234 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(29);
         for k in KERNEL_WIDTHS {
             let n = random_odd_modulus(&mut rng, k);
-            let ctx = Montgomery::new(&n);
             let wide = n.shl(70); // operands well above n reduce first
-            for _ in 0..8 {
-                let a = BigUint::random_below(&mut rng, &wide);
-                let b = BigUint::random_below(&mut rng, &n);
-                assert_eq!(ctx.mul(&a, &b), a.mul_mod(&b, &n), "k={k}");
-                assert_eq!(ctx.mul(&a, &a), a.mul_mod(&a, &n), "k={k}");
+            let operands: Vec<(BigUint, BigUint)> = (0..8)
+                .map(|_| {
+                    let a = BigUint::random_below(&mut rng, &wide);
+                    (a, BigUint::random_below(&mut rng, &n))
+                })
+                .collect();
+            for ctx in contexts(&n) {
+                let on = kernel_name(&ctx);
+                for (a, b) in &operands {
+                    assert_eq!(ctx.mul(a, b), a.mul_mod(b, &n), "k={k} {on}");
+                    assert_eq!(ctx.mul(a, a), a.mul_mod(a, &n), "k={k} {on}");
+                }
+                assert_eq!(ctx.mul(&BigUint::zero(), &n), BigUint::zero());
             }
-            assert_eq!(ctx.mul(&BigUint::zero(), &n), BigUint::zero());
+        }
+    }
+
+    fn kernel_name(ctx: &Montgomery) -> &'static str {
+        match ctx.kernel {
+            Kernel::Portable => "portable",
+            Kernel::Ifma52 { .. } => "ifma52",
+        }
+    }
+
+    #[test]
+    fn kernel_is_reported_and_runnable() {
+        println!("bigint kernel: {}", kernel());
+        assert!(["portable", "ifma52"].contains(&kernel()));
+        let p = crate::group::SchnorrGroup::rfc3526_2048().p().clone();
+        assert_eq!(kernel_name(&Montgomery::new(&p)), kernel());
+        assert!(Montgomery::on_kernel(&p, kernel()).is_some());
+        assert!(Montgomery::on_kernel(&p, "portable").is_some());
+        assert!(Montgomery::on_kernel(&p, "no-such-kernel").is_none());
+        // Past IFMA_MAX_DIGITS every CPU runs the portable kernel.
+        let wide = BigUint::one()
+            .shl(DIGIT_BITS * IFMA_MAX_DIGITS - 1)
+            .add(&BigUint::one());
+        assert!(Montgomery::on_kernel(&wide, "ifma52").is_none());
+        assert_eq!(kernel_name(&Montgomery::new(&wide)), "portable");
+    }
+
+    /// The IFMA kernel's context for `n`, or `None` (and a note) on a CPU
+    /// without it.
+    fn ifma_context(n: &BigUint) -> Option<Montgomery> {
+        let ctx = Montgomery::on_kernel(n, "ifma52");
+        if ctx.is_none() {
+            println!("note: this CPU lacks AVX-512 IFMA; the IFMA kernel is not tested");
+        }
+        ctx
+    }
+
+    /// The value of a residue in digits, checking that each is below 2^52.
+    fn from_digits(digits: &[u64]) -> BigUint {
+        digits.iter().rev().fold(BigUint::zero(), |acc, &d| {
+            assert!(d <= DIGIT_MASK, "unnormalised digit {d:#x}");
+            acc.shl(DIGIT_BITS).add(&BigUint::from_u64(d))
+        })
+    }
+
+    /// `R = 2^(52·D)` reduced mod the context's modulus.
+    fn ifma_r(ctx: &Montgomery) -> BigUint {
+        let Kernel::Ifma52 { digits, .. } = ctx.kernel else {
+            panic!("not an IFMA context")
+        };
+        BigUint::one().shl(DIGIT_BITS * digits).rem(ctx.modulus())
+    }
+
+    /// One almost-Montgomery product of two values below `2n`.
+    fn amm_of(ctx: &Montgomery, a: &BigUint, b: &BigUint) -> Vec<u64> {
+        let digits = ctx.residue_len();
+        let mut out = vec![0; digits];
+        ctx.amm(
+            &mut out,
+            &to_digits(&a.limbs, digits),
+            Operand::Limbs(&b.limbs),
+        );
+        out
+    }
+
+    /// Odd moduli of `bits = 52·j − 2, 52·j − 1, 52·j` for `j = 1..=80` —
+    /// the widths where `52·D − bits` is 2, 1 or 0 for `D = j`, so that the
+    /// `+ 2` in `D = ⌈(bits + 2) / 52⌉` decides between `j` and `j + 1`
+    /// digits — and the all-ones `2^(52·j − 2) − 1`, the largest modulus
+    /// with `4n < R` on `j` digits.
+    fn digit_width_moduli(rng: &mut StdRng) -> Vec<BigUint> {
+        let one = BigUint::one();
+        let mut moduli = Vec::new();
+        for j in 1..=80 {
+            for bits in [52 * j - 2, 52 * j - 1, 52 * j] {
+                let top = one.shl(bits - 1);
+                let n = top.add(&BigUint::random_below(rng, &top));
+                moduli.push(if n.is_even() { n.add(&one) } else { n });
+            }
+            moduli.push(one.shl(52 * j - 2).sub(&one));
+        }
+        moduli
+    }
+
+    #[test]
+    fn ifma_products_match_reference_at_every_digit_width() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for n in digit_width_moduli(&mut rng) {
+            let Some(ctx) = ifma_context(&n) else { return };
+            let digits = ifma_digits(&n);
+            assert!(DIGIT_BITS * digits >= n.bit_len() + 2 && digits * 52 < n.bit_len() + 54);
+            let (one, two_n, r) = (BigUint::one(), n.shl(1), ifma_r(&ctx));
+            // Every input the kernel can be handed: 0, 1, n − 1, n (zero,
+            // almost reduced), 2n − 1 (the largest), and random ones.
+            let edges = [
+                BigUint::zero(),
+                one.clone(),
+                n.sub(&one),
+                n.clone(),
+                two_n.sub(&one),
+                BigUint::random_below(&mut rng, &n),
+                BigUint::random_below(&mut rng, &two_n),
+            ];
+            for a in &edges {
+                for b in &edges {
+                    let out = amm_of(&ctx, a, b);
+                    let got = from_digits(&out);
+                    let bits = n.bit_len();
+                    assert!(got < two_n, "bits={bits} a={a} b={b}: {got} ≥ 2n");
+                    assert_eq!(got.mul_mod(&r, &n), a.mul_mod(b, &n), "bits={bits}");
+                    // The multiplier read from digits gives the same digits.
+                    let mut direct = vec![0; out.len()];
+                    let a_d = to_digits(&a.limbs, digits);
+                    ctx.amm(
+                        &mut direct,
+                        &a_d,
+                        Operand::Digits(&to_digits(&b.limbs, digits)),
+                    );
+                    assert_eq!(direct, out, "bits={bits}");
+                }
+            }
+        }
+    }
+
+    /// Chains of 1 200 products — squarings and multiplications by a fixed
+    /// operand, as in an exponentiation — never leave `[0, 2n)` and track
+    /// the reference at every step, on every group and on the all-ones
+    /// moduli that sit closest to `R / 4`.
+    #[test]
+    fn ifma_product_chains_stay_below_2n() {
+        use crate::group::SchnorrGroup;
+        let mut rng = StdRng::seed_from_u64(32);
+        let one = BigUint::one();
+        let mut moduli: Vec<BigUint> = [
+            SchnorrGroup::test_256(),
+            SchnorrGroup::test_512(),
+            SchnorrGroup::rfc3526_2048(),
+            SchnorrGroup::rfc3526_3072(),
+            SchnorrGroup::rfc3526_4096(),
+        ]
+        .iter()
+        .map(|g| g.p().clone())
+        .collect();
+        moduli.extend([5, 40, 79].map(|d| one.shl(52 * d - 2).sub(&one)));
+        for n in moduli {
+            let Some(ctx) = ifma_context(&n) else { return };
+            let (two_n, r_inv) = (n.shl(1), ifma_r(&ctx).inv_mod(&n).unwrap());
+            let y = two_n.sub(&BigUint::random_below(&mut rng, &n));
+            let mut x = BigUint::random_below(&mut rng, &two_n);
+            let mut want = x.rem(&n);
+            for step in 0..1200 {
+                let b = if step % 5 == 4 { y.clone() } else { x.clone() };
+                want = want.mul_mod(&b, &n).mul_mod(&r_inv, &n);
+                x = from_digits(&amm_of(&ctx, &x, &b));
+                assert!(x < two_n, "{} bits, step {step}", n.bit_len());
+                assert_eq!(x.rem(&n), want, "{} bits, step {step}", n.bit_len());
+            }
+        }
+    }
+
+    /// `pow` (both paths), `multi_pow`, `FixedBaseTable::pow` and `mul` on
+    /// every kernel against the division-based reference, on all five
+    /// groups, at edge bases and at exponents of 0, 1, 320 bits and full
+    /// width.
+    #[test]
+    fn kernels_agree_with_reference_on_every_group() {
+        use crate::group::SchnorrGroup;
+        let mut rng = StdRng::seed_from_u64(33);
+        let one = BigUint::one();
+        for group in [
+            SchnorrGroup::test_256(),
+            SchnorrGroup::test_512(),
+            SchnorrGroup::rfc3526_2048(),
+            SchnorrGroup::rfc3526_3072(),
+            SchnorrGroup::rfc3526_4096(),
+        ] {
+            let p = group.p();
+            let random = BigUint::random_below(&mut rng, p);
+            let bases = [
+                BigUint::zero(),
+                one.clone(),
+                p.sub(&one),
+                p.add(&one),
+                random.clone(),
+            ];
+            let exps = [
+                BigUint::zero(),
+                one.clone(),
+                BigUint::from_u64(65537),
+                BigUint::random_below(&mut rng, &one.shl(320)),
+            ];
+            let full = group.q().sub(&one);
+            let want_full = random.pow_mod_reference(&full, p);
+            let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(exps.iter().cycle()).collect();
+            let want_multi = pairs.iter().fold(one.clone(), |acc, (b, e)| {
+                acc.mul_mod(&b.pow_mod_reference(e, p), p)
+            });
+            for ctx in contexts(p) {
+                let on = (group.name(), kernel_name(&ctx));
+                for base in &bases {
+                    let table = FixedBaseTable::build(&ctx, base, 320);
+                    for e in &exps {
+                        let want = base.pow_mod_reference(e, p);
+                        assert_eq!(ctx.pow(base, e), want, "pow {on:?}");
+                        assert_eq!(table.pow(&ctx, e), Some(want), "table {on:?}");
+                    }
+                    assert_eq!(ctx.mul(base, &random), base.mul_mod(&random, p), "{on:?}");
+                }
+                assert_eq!(ctx.pow(&random, &full), want_full, "full pow {on:?}");
+                let table = FixedBaseTable::build(&ctx, &random, full.bit_len());
+                assert_eq!(table.pow(&ctx, &full), Some(want_full.clone()), "{on:?}");
+                assert_eq!(ctx.multi_pow(&pairs), want_multi, "multi_pow {on:?}");
+            }
         }
     }
 

@@ -15,7 +15,8 @@
 //!   SHA-NI where the CPU has it, portable rounds elsewhere),
 //! - [`hmac`] — HMAC-SHA-256 (RFC 2104), used for deterministic nonces,
 //! - [`bigint`] — arbitrary-precision unsigned integers (Knuth division,
-//!   modular exponentiation, Miller–Rabin),
+//!   Montgomery exponentiation — on AVX-512 IFMA where the CPU has it,
+//!   portable limbs elsewhere — Miller–Rabin),
 //! - [`group`] — Schnorr groups over safe primes (RFC 3526 + test groups),
 //! - [`schnorr`] — deterministic Schnorr signatures,
 //! - [`dleq`] — Chaum–Pedersen discrete-log-equality proofs,

@@ -13,8 +13,10 @@
 //! portable integer code, or the same rounds on the x86-64 SHA extensions
 //! (SHA-NI) where the CPU reports them at run time. Digests are identical
 //! by definition and by test; [`kernel`] names the one in use so that a
-//! measurement can say what produced it. The dispatch is the only `unsafe`
-//! block in the workspace (DESIGN.md § "SHA-256 kernel").
+//! measurement can say what produced it. The dispatch is one of the two
+//! `unsafe` blocks in the workspace, both calls into a hardware kernel
+//! behind a run-time check; the other is the big-integer kernel's
+//! (DESIGN.md § "SHA-256 kernel").
 //!
 //! # Examples
 //!
@@ -174,9 +176,9 @@ pub fn kernel() -> &'static str {
 
 /// Folds a run of whole 64-byte blocks into `state`.
 ///
-/// The single place a kernel is chosen, and the single `unsafe` block of
-/// the workspace: the call from baseline code into a function compiled
-/// with the SHA extensions enabled.
+/// The single place a kernel is chosen, and with `bigint`'s IFMA dispatch
+/// one of the two `unsafe` blocks of the workspace: the call from baseline
+/// code into a function compiled with the SHA extensions enabled.
 #[allow(unsafe_code)]
 #[inline]
 fn compress_blocks(state: &mut [u32; 8], blocks: &[u8], kernel: Kernel) {

@@ -318,6 +318,21 @@ proptest! {
     }
 }
 
+/// The Montgomery kernels this CPU can run: the portable one always, IFMA
+/// where detected — with a note, once, where it is not.
+fn runnable_kernels() -> Vec<&'static str> {
+    static NOTE: std::sync::Once = std::sync::Once::new();
+    let mut names = vec!["portable"];
+    if prb_crypto::bigint::kernel() == "ifma52" {
+        names.push("ifma52");
+    } else {
+        NOTE.call_once(|| {
+            println!("note: this CPU lacks AVX-512 IFMA; only the portable kernel is tested")
+        });
+    }
+    names
+}
+
 /// Limb counts around the widths the groups use, plus the degenerate
 /// small ones.
 const KERNEL_WIDTHS: [usize; 8] = [1, 2, 3, 31, 32, 33, 48, 64];
@@ -325,10 +340,11 @@ const KERNEL_WIDTHS: [usize; 8] = [1, 2, 3, 31, 32, 33, 48, 64];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The kernel's three exponentiation routes against the from-scratch
-    /// reference, for moduli of exactly `k` limbs at every width above and
-    /// bases drawn from the edges: 0, 1, `n − 1`, all-ones limbs (≥ `n`),
-    /// a single limb, `n + base` and a random residue.
+    /// The three exponentiation routes and `mul` on every kernel this CPU
+    /// can run against the from-scratch reference, for moduli of exactly
+    /// `k` limbs at every width above and bases drawn from the edges: 0, 1,
+    /// `n − 1`, all-ones limbs (≥ `n`), a single limb, `n + base` and a
+    /// random residue.
     #[test]
     fn kernel_routes_match_reference_at_every_width(
         width in 0usize..KERNEL_WIDTHS.len(),
@@ -353,14 +369,17 @@ proptest! {
             5 => n.add(&base),
             _ => base.rem(&n),
         };
-        let ctx = Montgomery::new(&n);
         let want = base.pow_mod_reference(&e, &n);
-        prop_assert_eq!(ctx.pow(&base, &e), want.clone());
-        let table = FixedBaseTable::build(&ctx, &base, 160);
-        prop_assert_eq!(table.pow(&ctx, &e), Some(want.clone()));
         let other = n.sub(&BigUint::from_u64(2));
         let want2 = want.mul_mod(&other.pow_mod_reference(&e2, &n), &n);
-        prop_assert_eq!(ctx.multi_pow(&[(&base, &e), (&other, &e2)]), want2);
+        for name in runnable_kernels() {
+            let ctx = Montgomery::on_kernel(&n, name).expect("runnable");
+            prop_assert_eq!(ctx.pow(&base, &e), want.clone(), "{}", name);
+            let table = FixedBaseTable::build(&ctx, &base, 160);
+            prop_assert_eq!(table.pow(&ctx, &e), Some(want.clone()), "{}", name);
+            prop_assert_eq!(ctx.multi_pow(&[(&base, &e), (&other, &e2)]), want2.clone());
+            prop_assert_eq!(ctx.mul(&base, &other), base.mul_mod(&other, &n), "{}", name);
+        }
     }
 
     /// The group's Montgomery product and `hash_to_group`'s squaring equal

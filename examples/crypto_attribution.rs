@@ -8,8 +8,9 @@
 //! 2048-bit Schnorr, 4 providers / 4 collectors / 4 governors, r = 2,
 //! 2 tx per provider, `verify_blocks`), runs the benchmark's four warm-up
 //! rounds, then times `--rounds` rounds (45 is the benchmark's 10 s window)
-//! with `prb_crypto::stats` wall-clock attribution on, and prints calls,
-//! total milliseconds, microseconds per call and share of the window per
+//! with `prb_crypto::stats` wall-clock attribution on, and prints the
+//! Montgomery and SHA-256 kernels this CPU runs, then calls, total
+//! milliseconds, microseconds per call and share of the window per
 //! primitive. Times are inclusive, so the rows overlap: a DLEQ verify holds
 //! the Jacobi symbols and exponentiations inside it.
 
@@ -21,6 +22,7 @@ use prb::core::config::ProtocolConfig;
 use prb::core::sim::Simulation;
 use prb::crypto::signer::CryptoScheme;
 use prb::crypto::stats::{self, Primitive};
+use prb::crypto::{bigint, sha256};
 
 fn arg(name: &str, default: u64) -> Result<u64, String> {
     let args: Vec<String> = std::env::args().collect();
@@ -62,6 +64,11 @@ fn main() -> Result<(), String> {
         "closed-crypto, seed {seed}: {rounds} rounds, {committed} tx committed, {:.2} s ({:.1} tx/s)",
         window_ns / 1e9,
         committed as f64 / (window_ns / 1e9)
+    );
+    println!(
+        "kernels: Montgomery {}, SHA-256 {}",
+        bigint::kernel(),
+        sha256::kernel()
     );
     println!(
         "modexp {} + multi_pow {} + table_pow {} = {:.2} per tx; {} DLEQ proofs",

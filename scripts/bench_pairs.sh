@@ -24,6 +24,9 @@
 # `sha_ni` says what hashed it: whether /proc/cpuinfo lists the SHA
 # extensions (`false` where the file is missing), i.e. whether a side that
 # has the SHA-NI kernel (PR 23 on) ran it or the portable rounds.
+# `ifma` says what multiplied it, the same way: whether /proc/cpuinfo
+# lists AVX-512F and IFMA, i.e. whether a side that has the 52-bit
+# Montgomery kernel ran it or the portable one (bigint::kernel()).
 # `host` says where: the CPU model and processor count /proc/cpuinfo lists
 # (null where it is missing), and per side the median of the `# pace`
 # readings the runs printed (ms per unit of the benchmark's fixed probe; a
@@ -31,7 +34,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,30p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,33p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent_ref=$1
@@ -78,14 +81,16 @@ done
 
 sha_ni=false
 if grep -qw sha_ni /proc/cpuinfo 2>/dev/null; then sha_ni=true; fi
+ifma=false
+if grep -qw avx512ifma /proc/cpuinfo 2>/dev/null && grep -qw avx512f /proc/cpuinfo; then ifma=true; fi
 commit=$(git -C "$root" describe --always --dirty)
 parent=$(git -C "$root" rev-parse --short "$parent_ref^{commit}")
 python3 - "$root" "$tmp/parent.out" "$tmp/change.out" "$workload" "$seed" "$seconds" \
-    "$commit" "$parent" "$crates_tree" "$sha_ni" "$heads" <<'PY'
+    "$commit" "$parent" "$crates_tree" "$sha_ni" "$ifma" "$heads" <<'PY'
 import json, statistics, sys
 
 (root, parent_out, change_out, workload, seed, seconds, commit, parent,
- crates_tree, sha_ni, heads_rule) = sys.argv[1:]
+ crates_tree, sha_ni, ifma, heads_rule) = sys.argv[1:]
 end_to_end = json.load(open(f"{root}/BENCHMARK.json"))["end_to_end"]
 
 def load(path):
@@ -124,7 +129,8 @@ host = {"cpu": cpu, "nproc": nproc,
 print(f"host {cpu}  nproc {nproc}  median pace ms: parent {host['pace_ms']['parent']}, "
       f"change {host['pace_ms']['change']}")
 history = open(f"{root}/BENCH_history.jsonl", "a")
-print(f"workload {workload}  seed {seed}  seconds {seconds}  pairs {len(p_runs)}  sha_ni {sha_ni}")
+print(f"workload {workload}  seed {seed}  seconds {seconds}  pairs {len(p_runs)}  "
+      f"sha_ni {sha_ni}  ifma {ifma}")
 print(f"{'metric':<20} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'ratio':>7}  won")
 for m in end_to_end:
     name, higher = m["name"], m["better"] == "higher"
@@ -143,7 +149,7 @@ for m in end_to_end:
         "change_median": cm, "change_q1": cq1, "change_q3": cq3,
         "ratio": None if pm == 0 else round(ratio, 4), "won": won,
         "head": ",".join(heads), "failed": failed, "sha_ni": sha_ni == "true",
-        "host": host,
+        "ifma": ifma == "true", "host": host,
     }
     history.write(json.dumps(row) + "\n")
 history.close()
