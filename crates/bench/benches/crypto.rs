@@ -3,7 +3,7 @@
 //! Quantifies the cost gap motivating the `SimSigner` substitution
 //! (DESIGN.md substitution 3): hash vs Schnorr vs group size.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 use prb_crypto::bigint::{self, jacobi, BigUint, FixedBaseTable, Montgomery};
 use prb_crypto::group::SchnorrGroup;
@@ -68,6 +68,20 @@ fn bench_schnorr_2048(c: &mut Criterion) {
     group.bench_function("verify", |b| {
         b.iter(|| sk.verifying_key().verify(std::hint::black_box(msg), &sig))
     });
+    // A key's first check, before its window table trains: a fresh key
+    // for each one (clones would share the table), derived outside the
+    // timed routine.
+    group.bench_function("verify_cold", |b| {
+        b.iter_batched(
+            || SigningKey::from_seed(sk.group(), b"bench-2048"),
+            |fresh| {
+                fresh
+                    .verifying_key()
+                    .verify(std::hint::black_box(msg), &sig)
+            },
+            BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 
@@ -79,7 +93,8 @@ fn bench_kernel_2048(c: &mut Criterion) {
     // isolation — a fixed-base table answers an exponent with no zero
     // digit in exactly 512 multiplications and no squaring; 2^2047 costs
     // 2044 squarings after the 14-product table and one multiplication.
-    // Plus one subgroup-membership test, which uses no kernel.
+    // Plus one subgroup-membership test, which uses no kernel: the
+    // word-level Jacobi symbol and the binary one it falls back on.
     let mut group = c.benchmark_group("kernel-2048");
     group.sample_size(10);
     let g = SchnorrGroup::rfc3526_2048();
@@ -112,6 +127,9 @@ fn bench_kernel_2048(c: &mut Criterion) {
     }
     group.bench_function("jacobi_2048", |b| {
         b.iter(|| jacobi(std::hint::black_box(&base), g.p()))
+    });
+    group.bench_function("jacobi_2048/binary", |b| {
+        b.iter(|| bigint::jacobi_binary(std::hint::black_box(&base), g.p()))
     });
     group.finish();
 }

@@ -15,6 +15,7 @@ use std::fmt;
 use crate::bigint::BigUint;
 use crate::group::SchnorrGroup;
 use crate::hmac::HmacSha256;
+use crate::schnorr::VerifyingKey;
 use crate::sha256::Sha256;
 use crate::stats::Primitive;
 
@@ -72,34 +73,46 @@ impl DleqProof {
         })
     }
 
-    /// Verifies the proof against `statement`.
-    ///
-    /// The `g`-side check `g^s = a·y^c` uses the generator window table for
-    /// `g^s` (when trained). The `h`-side check is folded into a single
-    /// Straus multi-exponentiation `h^s · (z^{-1})^c == b` — `h` and `z`
-    /// are statement-specific (fresh per VRF message), so per-base tables
-    /// cannot amortize there and the shared squaring chain is the win.
+    /// Verifies the proof against `statement`, raising `y` to the
+    /// challenge with one plain exponentiation.
     pub fn verify(&self, statement: &DleqStatement<'_>) -> bool {
-        crate::stats::timed(Primitive::DleqVerify, || self.check(statement))
+        let y = VerifyingKey::from_element(statement.group.clone(), statement.y.clone());
+        self.verify_for_key(statement, &y)
     }
 
-    fn check(&self, statement: &DleqStatement<'_>) -> bool {
+    /// [`verify`](Self::verify) for a statement whose `y` is `key`'s
+    /// element: `y^c` comes from the key's window table when its
+    /// signature checks have trained one ([`VerifyingKey::pow_challenge`]).
+    ///
+    /// Both checks are inverse-free. The `g` side is `g^s = a·y^c`, with
+    /// `g^s` from the generator's table when `g` is the generator. The `h`
+    /// side is `h^s = b·z^c` with `z` reduced mod `p`, which for every
+    /// `z ≢ 0 (mod p)` decides as `h^s · (z⁻¹)^c = b` does, because `p`
+    /// is prime. `z ≡ 0` is rejected up front, as its missing inverse
+    /// rejected it there: under `c = 0`, `z^c = 1` would let it pass.
+    pub(crate) fn verify_for_key(&self, statement: &DleqStatement<'_>, key: &VerifyingKey) -> bool {
+        debug_assert!(statement.y == key.element());
+        crate::stats::timed(Primitive::DleqVerify, || {
+            self.check(statement, key, &challenge(statement, &self.a, &self.b))
+        })
+    }
+
+    /// Both verification equations under challenge `c`.
+    fn check(&self, statement: &DleqStatement<'_>, key: &VerifyingKey, c: &BigUint) -> bool {
         let group = statement.group;
         // All transmitted elements must be in the subgroup.
         if !group.is_element(&self.a) || !group.is_element(&self.b) || self.s >= *group.q() {
             return false;
         }
-        let c = challenge(statement, &self.a, &self.b);
-        let lhs_g = group.pow_base(statement.g, &self.s);
-        let rhs_g = group.mul(&self.a, &group.pow(statement.y, &c));
-        if lhs_g != rhs_g {
+        let z = statement.z.rem(group.p());
+        if z.is_zero() {
             return false;
         }
-        let Some(z_inv) = statement.z.inv_mod(group.p()) else {
-            // z ≡ 0 (mod p) is never a subgroup element.
+        let lhs_g = group.pow_base(statement.g, &self.s);
+        if lhs_g != group.mul(&self.a, &key.pow_challenge(c)) {
             return false;
-        };
-        group.multi_pow(&[(statement.h, &self.s), (&z_inv, &c)]) == self.b
+        }
+        group.pow(statement.h, &self.s) == group.mul(&self.b, &group.pow(&z, c))
     }
 
     /// Commitment `a = g^k`.
@@ -284,6 +297,140 @@ mod tests {
         let zero = BigUint::zero();
         let st_zero = DleqStatement { z: &zero, ..st };
         assert!(!proof.verify(&st_zero));
+    }
+
+    /// The verifier before inversion came off the path, under challenge
+    /// `c`: `g^s = a·y^c` and `h^s · (z⁻¹)^c = b`.
+    fn check_with_inverse(proof: &DleqProof, st: &DleqStatement<'_>, c: &BigUint) -> bool {
+        let group = st.group;
+        if !group.is_element(proof.a()) || !group.is_element(proof.b()) || proof.s() >= group.q() {
+            return false;
+        }
+        if group.pow_base(st.g, proof.s()) != group.mul(proof.a(), &group.pow(st.y, c)) {
+            return false;
+        }
+        let Some(z_inv) = st.z.inv_mod(group.p()) else {
+            return false;
+        };
+        group.multi_pow(&[(st.h, proof.s()), (&z_inv, c)]) == *proof.b()
+    }
+
+    /// A signing key whose verifying key has trained its window table.
+    fn trained_key(group: &SchnorrGroup) -> crate::schnorr::SigningKey {
+        let sk = crate::schnorr::SigningKey::from_seed(group, b"dleq-trained");
+        let sig = sk.sign(b"train");
+        for _ in 0..crate::schnorr::KEY_TABLE_THRESHOLD {
+            assert!(sk.verifying_key().verify(b"train", &sig));
+        }
+        sk
+    }
+
+    #[test]
+    fn inverse_free_check_matches_the_inverting_reference() {
+        for group in [SchnorrGroup::test_256(), SchnorrGroup::rfc3526_2048()] {
+            let (p, q, one) = (group.p(), group.q(), BigUint::one());
+            let sk = trained_key(&group);
+            let (x, key) = (sk.secret_scalar(), sk.verifying_key());
+            let cold = VerifyingKey::from_element(group.clone(), key.element().clone());
+            let h = group.hash_to_group("dleq-test", group.name().as_bytes());
+            let z = group.pow(&h, x);
+            let st = DleqStatement {
+                group: &group,
+                g: group.g(),
+                y: key.element(),
+                h: &h,
+                z: &z,
+            };
+            let proof = DleqProof::prove(&st, x);
+            let (a, b, s) = (proof.a(), proof.b(), proof.s());
+            // Passes under c = 0 for every z ≢ 0: a = g^k, b = h^k, s = k.
+            let k = BigUint::from_u64(0xd1e9);
+            let zero_c = DleqProof::from_parts(group.pow_g(&k), group.pow(&h, &k), k);
+            let nudge = |e: &BigUint| group.mul(e, group.g());
+            let proofs = [
+                proof.clone(),
+                zero_c,
+                DleqProof::from_parts(nudge(a), b.clone(), s.clone()),
+                DleqProof::from_parts(p.sub(a), b.clone(), s.clone()),
+                DleqProof::from_parts(a.clone(), nudge(b), s.clone()),
+                DleqProof::from_parts(a.clone(), p.sub(b), s.clone()),
+                DleqProof::from_parts(a.clone(), b.clone(), s.add(&one).rem(q)),
+                DleqProof::from_parts(a.clone(), b.clone(), q.clone()),
+                DleqProof::from_parts(a.clone(), b.clone(), s.add(q)),
+            ];
+            let non_member = p.sub(&group.hash_to_group("dleq-test", b"non-member"));
+            let zs = [
+                z.clone(),
+                BigUint::zero(),
+                p.clone(),
+                p.shl(1),
+                p.add(&one),
+                one.clone(),
+                p.sub(&z),
+                non_member,
+            ];
+            let c = challenge(&st, a, b);
+            let challenges = [
+                c.clone(),
+                BigUint::zero(),
+                one.clone(),
+                BigUint::from_u64(2),
+            ];
+            for (i, probe) in proofs.iter().enumerate() {
+                for (j, z) in zs.iter().enumerate() {
+                    let st = DleqStatement { z, ..st.clone() };
+                    for c in &challenges {
+                        let want = check_with_inverse(probe, &st, c);
+                        let at = format!("{} proof {i} z {j} c {c}", group.name());
+                        assert_eq!(probe.check(&st, &cold, c), want, "cold {at}");
+                        assert_eq!(probe.check(&st, key, c), want, "trained {at}");
+                        // z ≡ 0 for j in 1..=3; j = 6 is −z, valid
+                        // under an even challenge.
+                        let valid = match i {
+                            0 => c == &challenges[0] && (j == 0 || j == 6 && c.is_even()),
+                            1 => c.is_zero() && !(1..=3).contains(&j),
+                            _ => false,
+                        };
+                        assert_eq!(want, valid, "reference {at}");
+                    }
+                }
+            }
+            // Through the hashed challenge, cold and trained alike.
+            assert!(proof.verify(&st));
+            assert!(proof.verify_for_key(&st, key));
+            for probe in &proofs[1..] {
+                assert!(!probe.verify(&st));
+                assert!(!probe.verify_for_key(&st, key));
+            }
+        }
+    }
+
+    #[test]
+    fn negated_z_decides_as_the_reference_under_even_and_odd_challenges() {
+        // `−gamma` passes exactly when the challenge is even, before and
+        // after: `(−z)^c = z^c` and `((−z)⁻¹)^c = (z⁻¹)^c` for even `c`.
+        // The VRF rejects it by membership before any DLEQ check.
+        let (group, x, _, y, _) = setup();
+        let mut seen = [false; 2];
+        for i in 0u32.. {
+            let h = group.hash_to_group("dleq-neg", &i.to_be_bytes());
+            let neg_z = group.p().sub(&group.pow(&h, &x));
+            let st = DleqStatement {
+                group: &group,
+                g: group.g(),
+                y: &y,
+                h: &h,
+                z: &neg_z,
+            };
+            let proof = DleqProof::prove(&st, &x);
+            let c = challenge(&st, proof.a(), proof.b());
+            assert_eq!(proof.verify(&st), check_with_inverse(&proof, &st, &c));
+            assert_eq!(proof.verify(&st), c.is_even(), "i={i}");
+            seen[c.is_even() as usize] = true;
+            if seen == [true; 2] {
+                break;
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! generator after [`G_TABLE_THRESHOLD`] `pow_g` calls, turning the
 //! hottest operation in signing/key-gen/VRF evaluation into table lookups.
 //! Subgroup membership tests use the Jacobi symbol instead of an
-//! `x^q mod p` exponentiation (~80× cheaper at 2048 bits); the
+//! `x^q mod p` exponentiation (~50× cheaper at 2048 bits on the IFMA
+//! kernel, more on the portable one); the
 //! Euler-criterion original is retained as
 //! [`SchnorrGroup::is_element_reference`] and pinned to the fast path by
 //! property tests.

@@ -12,14 +12,14 @@
 //!
 //! # Verification hot path
 //!
-//! A cold [`VerifyingKey`] verifies with one Straus/Shamir
-//! multi-exponentiation `g^s · (y^{-1})^e == r` (the inverse `y^{-1}` is
-//! computed once per key and cached). After [`KEY_TABLE_THRESHOLD`]
-//! verifications a fixed-base window table for `y` is built — sized to the
-//! 256-bit challenge width, not the full group order — after which the check
-//! splits into a generator-table `pow_g(s)` and a `y`-table `pow(e)`, both
-//! squaring-free. All paths are property-tested against the textbook
-//! `g^s == r · y^e` reference.
+//! Every key checks `pow_g(s) == r · y^e`: no inverse, and no Straus
+//! product. `pow_g` answers from the generator's window table; `y^e` is
+//! one plain exponentiation of the 256-bit challenge until
+//! [`KEY_TABLE_THRESHOLD`] verifications have built a fixed-base window
+//! table for `y` — sized to the challenge width, not the full group order —
+//! after which the check is squaring-free. DLEQ verification raises the
+//! same key to its challenge through the same table. All paths are
+//! property-tested against the textbook `g^s == r · y^e` reference.
 //!
 //! [`SchnorrGroup`]: crate::group::SchnorrGroup
 
@@ -36,9 +36,9 @@ use crate::sha256::Sha256;
 use crate::stats::Primitive;
 
 /// Number of verifications after which a per-key window table for `y` is
-/// built. One-shot verifiers use the Straus path; any key verified
-/// repeatedly (governor screening, benchmark loops) amortizes the build
-/// within a handful of calls.
+/// built. One-shot verifiers raise `y` with a plain exponentiation; any
+/// key verified repeatedly (governor screening, benchmark loops)
+/// amortizes the build within a handful of calls.
 pub const KEY_TABLE_THRESHOLD: u64 = 3;
 
 /// A Schnorr signing key (keep secret).
@@ -50,8 +50,8 @@ pub struct SigningKey {
 
 /// A Schnorr verification (public) key.
 ///
-/// Carries a lazily-populated verification cache (`y^{-1}` and a fixed-base
-/// window table for `y`), shared across clones. The cache never affects
+/// Carries a lazily-populated verification cache (a fixed-base window
+/// table for `y`), shared across clones. The cache never affects
 /// results — equality and hashing consider only the group and `y`.
 #[derive(Clone)]
 pub struct VerifyingKey {
@@ -67,8 +67,6 @@ struct VkCache {
     uses: AtomicU64,
     /// Fixed-base window table for `y`, sized to the challenge width.
     table: OnceLock<FixedBaseTable>,
-    /// `y^{-1} mod p`, for the Straus cold path.
-    y_inv: OnceLock<BigUint>,
 }
 
 impl PartialEq for VerifyingKey {
@@ -217,13 +215,10 @@ impl VerifyingKey {
         }
     }
 
-    /// Verifies `signature` over `message`.
-    ///
-    /// Hot path: with a trained per-key table the check is
-    /// `pow_g(s) == r · table(e)` (both squaring-free); before training it
-    /// is one Straus multi-exponentiation `g^s · (y^{-1})^e == r` with the
-    /// inverse cached per key. Both are algebraically identical to the
-    /// textbook `g^s == r · y^e` and are pinned to it by property tests.
+    /// Verifies `signature` over `message`: `g^s == r · y^e`, with
+    /// `pow_g(s)` from the generator's table and `y^e` from
+    /// [`pow_challenge`](Self::pow_challenge); pinned to the textbook
+    /// check by property tests.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
         crate::stats::timed(Primitive::SchnorrVerify, || self.check(message, signature))
     }
@@ -237,32 +232,35 @@ impl VerifyingKey {
             return false;
         }
         let e = challenge(&self.group, &signature.r, &self.y, message);
-        let table = match self.cache.table.get() {
-            Some(t) => Some(t),
-            None if self.cache.uses.fetch_add(1, Relaxed) + 1 >= KEY_TABLE_THRESHOLD => {
-                // The challenge is 256 hash bits reduced mod q, so the table
-                // only needs min(256, |q|) bits — a quarter of the full-width
-                // build cost for the 2048-bit group.
-                let bits = self.group.q().bit_len().min(256);
-                Some(
-                    self.cache
-                        .table
-                        .get_or_init(|| FixedBaseTable::build(self.group.mont(), &self.y, bits)),
-                )
-            }
-            None => None,
-        };
-        if let Some(ye) = table.and_then(|t| t.pow(self.group.mont(), &e)) {
-            return self.group.pow_g(&signature.s) == self.group.mul(&signature.r, &ye);
+        self.train();
+        self.group.pow_g(&signature.s) == self.group.mul(&signature.r, &self.pow_challenge(&e))
+    }
+
+    /// Counts a verification and builds the window table for `y` at the
+    /// [`KEY_TABLE_THRESHOLD`]th.
+    fn train(&self) {
+        if self.cache.table.get().is_none()
+            && self.cache.uses.fetch_add(1, Relaxed) + 1 >= KEY_TABLE_THRESHOLD
+        {
+            // The challenge is 256 hash bits reduced mod q, so the table
+            // only needs min(256, |q|) bits — a quarter of the full-width
+            // build cost for the 2048-bit group.
+            let bits = self.group.q().bit_len().min(256);
+            self.cache
+                .table
+                .get_or_init(|| FixedBaseTable::build(self.group.mont(), &self.y, bits));
         }
-        let y_inv = self.cache.y_inv.get_or_init(|| {
-            self.y
-                .inv_mod(self.group.p())
-                .expect("subgroup element is invertible mod p")
-        });
-        self.group
-            .multi_pow(&[(self.group.g(), &signature.s), (y_inv, &e)])
-            == signature.r
+    }
+
+    /// `y^e mod p` for a challenge `e`: from the key's window table once
+    /// [`verify`](Self::verify) has trained it, else one plain
+    /// exponentiation. Schnorr and DLEQ verification both raise `y` here.
+    pub(crate) fn pow_challenge(&self, e: &BigUint) -> BigUint {
+        self.cache
+            .table
+            .get()
+            .and_then(|t| t.pow(self.group.mont(), e))
+            .unwrap_or_else(|| self.group.pow(&self.y, e))
     }
 
     /// The group element `y = g^x`.
@@ -437,8 +435,8 @@ mod tests {
         /// The range check on `r` decides as the membership test does, for
         /// `r` anywhere in `[0, p]` — residues and non-residues alike, the
         /// negated commitment, the edges `0`, `p − 1` and `p` — and for
-        /// the commitment written unreduced, `p + r`; on a cold key (the
-        /// Straus path) and a trained one (the window table).
+        /// the commitment written unreduced, `p + r`; on a cold key (a
+        /// plain `y^e`) and a trained one (the window table).
         #[test]
         fn range_checked_r_agrees_with_the_membership_reference(
             bytes in proptest::collection::vec(proptest::any::<u8>(), 40),
@@ -485,21 +483,40 @@ mod tests {
     }
 
     #[test]
-    fn straus_and_table_paths_agree_with_reference() {
-        let (_, sk) = setup();
-        let vk = sk.verifying_key().clone();
-        // Crossing KEY_TABLE_THRESHOLD switches verify from the Straus path
-        // to the per-key window table; every call must agree with the
-        // textbook check, for good and forged signatures alike.
+    fn cold_and_trained_keys_agree_with_reference() {
+        let (group, sk) = setup();
+        let trained = sk.verifying_key().clone();
+        // Crossing KEY_TABLE_THRESHOLD moves `y^e` from a plain
+        // exponentiation to the per-key window table; a fresh key for each
+        // check never crosses it. Every call must agree with the textbook
+        // check, for good and forged signatures alike.
         for i in 0..(2 * KEY_TABLE_THRESHOLD + 2) {
             let msg = format!("message-{i}");
             let sig = sk.sign(msg.as_bytes());
-            assert!(vk.verify(msg.as_bytes(), &sig));
-            assert!(verify_reference(&vk, msg.as_bytes(), &sig));
-            assert!(!vk.verify(b"wrong message", &sig));
-            assert!(!verify_reference(&vk, b"wrong message", &sig));
+            let forged = [
+                Signature::from_parts(sig.r().clone(), sig.s().add(&BigUint::one()).rem(group.q())),
+                Signature::from_parts(group.mul(sig.r(), group.g()), sig.s().clone()),
+                Signature::from_parts(group.p().sub(sig.r()), sig.s().clone()),
+            ];
+            let mut cases = vec![
+                (msg.as_bytes(), &sig, true),
+                (b"wrong message", &sig, false),
+            ];
+            cases.extend(forged.iter().map(|bad| (msg.as_bytes(), bad, false)));
+            for (m, sig, want) in cases {
+                let cold = SigningKey::from_seed(&group, b"unit-test-key")
+                    .verifying_key()
+                    .clone();
+                assert_eq!(verify_reference(&cold, m, sig), want);
+                assert_eq!(cold.verify(m, sig), want);
+                assert!(cold.cache.table.get().is_none(), "a fresh key is cold");
+                assert_eq!(trained.verify(m, sig), want);
+            }
         }
-        assert!(vk.cache.table.get().is_some(), "table should have trained");
+        assert!(
+            trained.cache.table.get().is_some(),
+            "table should have trained"
+        );
     }
 
     #[test]

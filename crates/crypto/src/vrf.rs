@@ -167,7 +167,7 @@ impl VrfProof {
             h: &h,
             z: &self.gamma,
         };
-        if !self.dleq.verify(&statement) {
+        if !self.dleq.verify_for_key(&statement, public_key) {
             return None;
         }
         Some(output_from_gamma(group, &self.gamma))
@@ -261,6 +261,35 @@ mod tests {
             dleq: proof.dleq,
         };
         assert_eq!(forged.verify(kp.public_key(), b"round-1"), None);
+    }
+
+    #[test]
+    fn negated_gamma_rejected_under_every_challenge() {
+        // `−gamma` with a DLEQ proof built for it passes the DLEQ check
+        // whenever its challenge is even; membership rejects it anyway.
+        let kp = keypair();
+        let group = kp.public_key().group().clone();
+        let mut seen = [false; 2];
+        for i in 0u32.. {
+            let msg = i.to_be_bytes();
+            let pre = output_with_key(&kp.key, &msg);
+            let neg = group.p().sub(&pre.gamma);
+            let statement = DleqStatement {
+                group: &group,
+                g: group.g(),
+                y: kp.public_key().element(),
+                h: &pre.h,
+                z: &neg,
+            };
+            let dleq = DleqProof::prove(&statement, kp.key.secret_scalar());
+            let passes = dleq.verify(&statement);
+            seen[passes as usize] = true;
+            let forged = VrfProof { gamma: neg, dleq };
+            assert_eq!(forged.verify(kp.public_key(), &msg), None, "i={i}");
+            if seen == [true; 2] {
+                break;
+            }
+        }
     }
 
     #[test]

@@ -76,15 +76,6 @@ proptest! {
         }
         prop_assert_eq!(fast, slow);
     }
-
-    /// Modular inverse, when it exists, really inverts.
-    #[test]
-    fn inv_mod_inverts(a in biguint_strategy(12), m in biguint_strategy(12)) {
-        prop_assume!(!m.is_zero() && m > BigUint::one());
-        if let Some(inv) = a.inv_mod(&m) {
-            prop_assert_eq!(a.mul_mod(&inv, &m), BigUint::one());
-        }
-    }
 }
 
 proptest! {

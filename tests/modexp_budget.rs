@@ -61,8 +61,13 @@ fn modexp_calls_and_vrf_proofs_stay_pinned() {
     // (17.28) since the election checks claims in output order and stops
     // at the first valid one, taking its own claim unchecked, and a header
     // echo over an already recorded hash is not verified again; the
-    // schedule did not move. Exact per seed.
+    // schedule did not move. 1 524 for the same 86 (17.72) since no
+    // verification inverts: a DLEQ verify raises `h^s` and `z^c` apart
+    // where one Straus product took `h^s · (z⁻¹)^c` (+1 each, 3 a round),
+    // and each of the window's two checks on a key not yet trained takes
+    // `pow_g(s)` and `y^e` where one Straus product took `g^s · (y⁻¹)^e`
+    // (+1 each), each at about half the cost. Exact per seed.
     let modexp = spent.modexp_calls + spent.multi_pow_calls + spent.table_pows;
-    assert_eq!((modexp, committed), (1_486, 86));
+    assert_eq!((modexp, committed), (1_524, 86));
     assert!(modexp <= 18 * committed as u64, "≤ 18 per committed tx");
 }
