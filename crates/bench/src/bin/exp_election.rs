@@ -13,10 +13,9 @@
 
 #![forbid(unsafe_code)]
 
+use prb_bench::election::{e8_stakes, election_wins, stake_chi2, CHI2_99_DOF9};
 use prb_bench::{crypto_from_args, Args, Table};
-use prb_consensus::election::{elect, ElectionClaim};
 use prb_consensus::round_robin::{leader_of_round, weighted_leader_of_round};
-use prb_crypto::signer::{KeyPair, PublicKey};
 
 fn main() {
     let args = Args::parse();
@@ -27,29 +26,14 @@ fn main() {
     }
     let rounds = args.get_or("rounds", 20_000u64);
     let scheme = crypto_from_args(&args);
-    let m = 10u32;
-    let stakes: Vec<u64> = (1..=m as u64).collect();
+    let stakes = e8_stakes();
+    let m = stakes.len() as u32;
     let total: u64 = stakes.iter().sum();
 
-    let keys: Vec<KeyPair> = (0..m)
-        .map(|g| scheme.keypair_from_seed(format!("election-{g}").as_bytes()))
-        .collect();
-    let pks: Vec<PublicKey> = keys.iter().map(|k| k.public_key()).collect();
-
-    let mut wins = vec![0u64; m as usize];
+    let wins = election_wins(&scheme, &stakes, rounds);
     let mut rr_wins = vec![0u64; m as usize];
     let mut wrr_wins = vec![0u64; m as usize];
     for round in 0..rounds {
-        let claims: Vec<ElectionClaim> = keys
-            .iter()
-            .enumerate()
-            .filter_map(|(g, k)| {
-                ElectionClaim::compute(b"exp-election", round, g as u32, stakes[g], k)
-            })
-            .collect();
-        let (result, rejections) = elect(b"exp-election", round, &claims, &stakes, &pks);
-        assert!(rejections.is_empty());
-        wins[result.expect("someone wins").leader as usize] += 1;
         rr_wins[leader_of_round(round, m) as usize] += 1;
         wrr_wins[weighted_leader_of_round(round, &stakes) as usize] += 1;
     }
@@ -69,12 +53,9 @@ fn main() {
             "weighted rotation %",
         ],
     );
-    let mut chi2 = 0.0;
     for g in 0..m as usize {
         let expected = stakes[g] as f64 / total as f64;
         let observed = wins[g] as f64 / rounds as f64;
-        let exp_count = expected * rounds as f64;
-        chi2 += (wins[g] as f64 - exp_count).powi(2) / exp_count;
         table.row(vec![
             format!("g{g}"),
             stakes[g].to_string(),
@@ -85,8 +66,11 @@ fn main() {
         ]);
     }
     table.print();
-    println!("χ² against stake-proportional null: {chi2:.2} (9 dof; accept at 1% if < 21.67)");
-    println!("stake-proportional: {}", chi2 < 21.67);
+    let chi2 = stake_chi2(&wins, &stakes);
+    println!(
+        "χ² against stake-proportional null: {chi2:.2} (9 dof; accept at 1% if < {CHI2_99_DOF9})"
+    );
+    println!("stake-proportional: {}", chi2 < CHI2_99_DOF9);
     println!("\nInterpretation: VRF-PoS frequencies match stake shares (χ² accepts");
     println!("the null); plain round-robin ignores stake entirely (every governor");
     println!("10%), and weighted rotation matches stake but is fully predictable —");

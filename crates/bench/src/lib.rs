@@ -26,6 +26,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod crypto_bench;
+pub mod election;
+pub mod properties;
 pub mod trace;
 
 use std::collections::BTreeMap;
