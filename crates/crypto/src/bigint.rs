@@ -1876,7 +1876,10 @@ mod tests {
         if kernel() == "ifma52" {
             names.push("ifma52");
         } else {
-            println!("note: this CPU lacks AVX-512 IFMA; only the portable kernel is tested");
+            println!(
+                "note: this CPU lacks AVX-512 IFMA; the portable kernel runs here, and \
+                 the 52-bit algorithm only through its scalar model"
+            );
         }
         names
     }
@@ -2464,14 +2467,90 @@ mod tests {
         assert_eq!(kernel_name(&Montgomery::new(&wide)), "portable");
     }
 
-    /// The IFMA kernel's context for `n`, or `None` (and a note) on a CPU
-    /// without it.
-    fn ifma_context(n: &BigUint) -> Option<Montgomery> {
-        let ctx = Montgomery::on_kernel(n, "ifma52");
-        if ctx.is_none() {
-            println!("note: this CPU lacks AVX-512 IFMA; the IFMA kernel is not tested");
+    /// The IFMA kernel's algorithm on scalars, a test oracle that runs on
+    /// every host: the same digit-serial almost-Montgomery product as
+    /// `ifma::amm`, with each vector lane a `u64` and each 52 × 52-bit
+    /// product a `u128`. Lane 0 goes stale exactly as in the kernel, and
+    /// its exact value rides in `acc0`. Plain `+` makes an overflowing lane,
+    /// one whose carries did not fit its top 12 bits, panic.
+    fn amm_model(out: &mut [u64], a: &[u64], b: Operand<'_>, n: &[u64], k0: u64, digits: usize) {
+        let product = |x: u64, y: u64| u128::from(x) * u128::from(y);
+        let lo = |x, y| product(x, y) as u64 & DIGIT_MASK;
+        let hi = |x, y| (product(x, y) >> DIGIT_BITS) as u64;
+        let mut acc = vec![0u64; n.len()];
+        let mut acc0 = 0u64;
+        for i in 0..digits {
+            let bi = b.digit(i);
+            let t = u128::from(acc0) + product(a[0], bi);
+            let m = (t as u64).wrapping_mul(k0) & DIGIT_MASK;
+            let carry = ((t + product(m, n[0])) >> DIGIT_BITS) as u64;
+            for ((x, &a), &n) in acc.iter_mut().zip(a).zip(n) {
+                *x += lo(a, bi) + lo(n, m);
+            }
+            acc.rotate_left(1);
+            *acc.last_mut().expect("at least one vector") = 0;
+            acc0 = carry + acc[0];
+            for ((x, &a), &n) in acc.iter_mut().zip(a).zip(n) {
+                *x += hi(a, bi) + hi(n, m);
+            }
         }
-        ctx
+        acc[0] = acc0;
+        let mut carry = 0;
+        for (o, x) in out.iter_mut().zip(acc) {
+            let v = x + carry;
+            (*o, carry) = (v & DIGIT_MASK, v >> DIGIT_BITS);
+        }
+        assert_eq!(carry, 0, "the sum is below 2n < R");
+    }
+
+    /// The 52-bit almost-Montgomery product for one modulus: the model on
+    /// every host, and the IFMA kernel pinned to it where the CPU has one.
+    struct Amm52 {
+        n: BigUint,
+        digits: usize,
+        n52: Vec<u64>,
+        k0: u64,
+        kernel: Option<Montgomery>,
+    }
+
+    impl Amm52 {
+        fn new(n: &BigUint) -> Self {
+            let digits = ifma_digits(n);
+            // `n' = −n⁻¹ mod 2^64` is the same on both kernels.
+            let k0 = Montgomery::on_kernel(n, "portable").unwrap().n_prime & DIGIT_MASK;
+            Amm52 {
+                n: n.clone(),
+                digits,
+                n52: to_digits(&n.limbs, digits),
+                k0,
+                kernel: Montgomery::on_kernel(n, "ifma52"),
+            }
+        }
+
+        /// `R = 2^(52·D)`.
+        fn r(&self) -> BigUint {
+            BigUint::one().shl(DIGIT_BITS * self.digits)
+        }
+
+        /// One product of two values below `2n`, the multiplier read both
+        /// as limbs and as digits; every reading agrees.
+        fn product(&self, a: &BigUint, b: &BigUint) -> Vec<u64> {
+            let a_d = to_digits(&a.limbs, self.digits);
+            let b_d = to_digits(&b.limbs, self.digits);
+            let mut out = vec![0; self.n52.len()];
+            let model =
+                |out: &mut [u64], b| amm_model(out, &a_d, b, &self.n52, self.k0, self.digits);
+            model(&mut out, Operand::Limbs(&b.limbs));
+            let mut direct = vec![0; out.len()];
+            model(&mut direct, Operand::Digits(&b_d));
+            assert_eq!(direct, out);
+            if let Some(ctx) = &self.kernel {
+                assert_eq!(amm_of(ctx, a, b), out, "IFMA kernel against the model");
+                ctx.amm(&mut direct, &a_d, Operand::Digits(&b_d));
+                assert_eq!(direct, out, "IFMA kernel against the model");
+            }
+            out
+        }
     }
 
     /// The value of a residue in digits, checking that each is below 2^52.
@@ -2480,14 +2559,6 @@ mod tests {
             assert!(d <= DIGIT_MASK, "unnormalised digit {d:#x}");
             acc.shl(DIGIT_BITS).add(&BigUint::from_u64(d))
         })
-    }
-
-    /// `R = 2^(52·D)` reduced mod the context's modulus.
-    fn ifma_r(ctx: &Montgomery) -> BigUint {
-        let Kernel::Ifma52 { digits, .. } = ctx.kernel else {
-            panic!("not an IFMA context")
-        };
-        BigUint::one().shl(DIGIT_BITS * digits).rem(ctx.modulus())
     }
 
     /// One almost-Montgomery product of two values below `2n`.
@@ -2523,12 +2594,16 @@ mod tests {
 
     #[test]
     fn ifma_products_match_reference_at_every_digit_width() {
+        println!(
+            "bigint kernel: {} (the 52-bit model runs everywhere)",
+            kernel()
+        );
         let mut rng = StdRng::seed_from_u64(31);
         for n in digit_width_moduli(&mut rng) {
-            let Some(ctx) = ifma_context(&n) else { return };
-            let digits = ifma_digits(&n);
+            let amm = Amm52::new(&n);
+            let digits = amm.digits;
             assert!(DIGIT_BITS * digits >= n.bit_len() + 2 && digits * 52 < n.bit_len() + 54);
-            let (one, two_n, r) = (BigUint::one(), n.shl(1), ifma_r(&ctx));
+            let (one, two_n, r) = (BigUint::one(), n.shl(1), amm.r());
             // Every input the kernel can be handed: 0, 1, n − 1, n (zero,
             // almost reduced), 2n − 1 (the largest), and random ones.
             let edges = [
@@ -2542,20 +2617,12 @@ mod tests {
             ];
             for a in &edges {
                 for b in &edges {
-                    let out = amm_of(&ctx, a, b);
-                    let got = from_digits(&out);
+                    let got = from_digits(&amm.product(a, b));
                     let bits = n.bit_len();
                     assert!(got < two_n, "bits={bits} a={a} b={b}: {got} ≥ 2n");
-                    assert_eq!(got.mul_mod(&r, &n), a.mul_mod(b, &n), "bits={bits}");
-                    // The multiplier read from digits gives the same digits.
-                    let mut direct = vec![0; out.len()];
-                    let a_d = to_digits(&a.limbs, digits);
-                    ctx.amm(
-                        &mut direct,
-                        &a_d,
-                        Operand::Digits(&to_digits(&b.limbs, digits)),
-                    );
-                    assert_eq!(direct, out, "bits={bits}");
+                    // Against division: got·R = a·b + m·n for an m < R.
+                    let (m, rem) = got.mul(&r).sub(&a.mul(b)).div_rem(&amm.n);
+                    assert!(rem.is_zero() && m < r, "bits={bits} a={a} b={b}");
                 }
             }
         }
@@ -2582,15 +2649,15 @@ mod tests {
         .collect();
         moduli.extend([5, 40, 79].map(|d| one.shl(52 * d - 2).sub(&one)));
         for n in moduli {
-            let Some(ctx) = ifma_context(&n) else { return };
-            let (two_n, r_inv) = (n.shl(1), ifma_r(&ctx).inv_mod(&n).unwrap());
+            let amm = Amm52::new(&n);
+            let (two_n, r_inv) = (n.shl(1), amm.r().inv_mod(&n).unwrap());
             let y = two_n.sub(&BigUint::random_below(&mut rng, &n));
             let mut x = BigUint::random_below(&mut rng, &two_n);
             let mut want = x.rem(&n);
             for step in 0..1200 {
                 let b = if step % 5 == 4 { y.clone() } else { x.clone() };
                 want = want.mul_mod(&b, &n).mul_mod(&r_inv, &n);
-                x = from_digits(&amm_of(&ctx, &x, &b));
+                x = from_digits(&amm.product(&x, &b));
                 assert!(x < two_n, "{} bits, step {step}", n.bit_len());
                 assert_eq!(x.rem(&n), want, "{} bits, step {step}", n.bit_len());
             }
