@@ -6,8 +6,9 @@
 //!
 //! - [`stake`] — the governors' stake ledger with signed, replay-protected
 //!   transfers and the deterministic `NEW_STATE` construction,
-//! - [`election`] — PoS-VRF leader election: one VRF evaluation per stake
-//!   unit, least hash leads (§3.4.3),
+//! - [`election`] — PoS-VRF leader election: one VRF evaluation per
+//!   governor per round, one ticket per stake unit hashed from it, least
+//!   ticket leads (§3.4.3, with one VRF where the paper draws one per unit),
 //! - [`stake_block`] — the 3-step stake-transform block protocol with
 //!   signature collection and provable leader expulsion, run over the
 //!   simulated network (message complexity `O(m²)`, measured by E6),

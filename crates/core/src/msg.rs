@@ -79,7 +79,7 @@ pub enum ProtocolMsg {
     },
     /// Leader → governor: the proposed block, carrying the leader's
     /// winning election claim so receivers can resolve same-serial head
-    /// forks deterministically (smallest verified `(vrf_output, index)`
+    /// forks deterministically (smallest verified `(ticket, index)`
     /// key wins, exactly the election's ordering).
     BlockProposal {
         /// The proposed block.

@@ -135,5 +135,8 @@ fn closed_loop_event_sequence_is_unchanged() {
 /// per collect round, 4 collectors × 4 governors × 4 rounds = 64 uploads
 /// with nothing retransmitted, and the sends, acks and retry timers that
 /// went with the other 416 went too; the fewer delay draws moved the
-/// screening draws again (20 entries revealed, 83 committed).
-const EXPECTED_CLOSED: (u64, u64, u64, u64, u64, u64, u64) = (83, 988, 429, 988, 48, 20, 64);
+/// screening draws again (20 entries revealed, 83 committed): `(83, 988,
+/// 429, 988, 48, 20, 64)` until the election drew one VRF per governor per
+/// round. That moved every election outcome, and with the leaders the
+/// screening draws: 32 entries revealed, 86 committed, and 12 more sends.
+const EXPECTED_CLOSED: (u64, u64, u64, u64, u64, u64, u64) = (86, 1_000, 429, 1_000, 48, 32, 64);
