@@ -388,6 +388,42 @@ mod tests {
         assert_eq!(counts.open, 0);
     }
 
+    /// Blocks below a checkpoint governor 0 adopted are not on its chain;
+    /// the driver still counts their entries, read from a chain that holds
+    /// them.
+    #[test]
+    fn blocks_below_a_checkpoint_governor_0_adopts_are_counted() {
+        let cfg = ProtocolConfig {
+            governor_mode: crate::config::GovernorMode::CheckAll,
+            governors: 4,
+            checkpoint_interval: 2,
+            sync_page: 4,
+            ..scale_cfg(64)
+        };
+        let rt = cfg.round_ticks();
+        let mut sim = ScaleSim::new(cfg, 8).unwrap();
+        let mut faults = prb_net::fault::FaultPlan::none();
+        let g0 = sim.governor_net_index(0);
+        faults.crash_window(g0, SimTime(rt), SimTime(9 * rt));
+        sim.set_faults(faults);
+        for round in 0..14u32 {
+            let t0 = sim.next_round_start();
+            let arrivals = (0..4u32)
+                .map(|i| make_arrival(&sim, t0 + u64::from(i), i, u64::from(round)))
+                .collect();
+            sim.run_round(arrivals);
+        }
+        sim.drain(8);
+        assert!(sim.metrics(0).adopted_serial > 0, "the scenario adopts");
+        assert!(sim.chains_agree());
+        let chain = sim.governor(1).chain();
+        let on_chain: std::collections::HashSet<_> = (1..=chain.height())
+            .flat_map(|s| chain.retrieve(s).unwrap().entries.iter().map(|e| e.tx.id()))
+            .collect();
+        assert_eq!(sim.committed(), on_chain.len() as u64);
+        assert_eq!(sim.committed(), sim.injected());
+    }
+
     #[test]
     fn pool_signed_providers_verify_beyond_pool_size() {
         // Provider 13 signs with pool key 13 % 4 = 1; every collector and
