@@ -232,7 +232,7 @@ pub enum EventKind {
     EquivocationDetected {
         /// The double-signing governor.
         culprit: u64,
-        /// The block serial both conflicting headers claim.
+        /// The block serial of the header that completed the conflict.
         serial: u64,
     },
     /// Governor: a governor was expelled from the committee
