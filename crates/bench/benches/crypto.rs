@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
-use prb_crypto::bigint::{self, jacobi, BigUint, FixedBaseTable, Montgomery};
+use prb_crypto::bigint::{self, jacobi, BigUint, CombTable, Montgomery};
 use prb_crypto::group::SchnorrGroup;
 use prb_crypto::merkle::MerkleTree;
 use prb_crypto::schnorr::SigningKey;
@@ -68,7 +68,7 @@ fn bench_schnorr_2048(c: &mut Criterion) {
     group.bench_function("verify", |b| {
         b.iter(|| sk.verifying_key().verify(std::hint::black_box(msg), &sig))
     });
-    // A key's first check, before its window table trains: a fresh key
+    // A key's first check, before its comb table trains: a fresh key
     // for each one (clones would share the table), derived outside the
     // timed routine.
     group.bench_function("verify_cold", |b| {
@@ -89,10 +89,11 @@ fn bench_kernel_2048(c: &mut Criterion) {
     // The big-integer kernel at the width `closed-crypto` runs it, on each
     // Montgomery kernel this CPU can run (`<name>/portable`,
     // `<name>/ifma52`): one full-width exponentiation, one 4-base Straus
-    // product with batch-sized (320-bit) exponents, and the two products in
-    // isolation — a fixed-base table answers an exponent with no zero
-    // digit in exactly 512 multiplications and no squaring; 2^2047 costs
-    // 2044 squarings after the 14-product table and one multiplication.
+    // product with batch-sized (320-bit) exponents, a response-width
+    // (769-bit) comb power with every bit set (24 squarings and 97
+    // multiplications), a VRF evaluation's two 512-bit powers over one
+    // chain, and squaring in isolation: 2^2047 costs 2044 squarings after
+    // the 14-product table and one multiplication.
     // Plus one subgroup-membership test, which uses no kernel: the
     // word-level Jacobi symbol and the binary one it falls back on.
     let mut group = c.benchmark_group("kernel-2048");
@@ -103,7 +104,9 @@ fn bench_kernel_2048(c: &mut Criterion) {
     let bases: Vec<BigUint> = (0..4u8).map(|i| element(&[i])).collect();
     let exps: Vec<BigUint> = (0..4u8).map(|i| element(&[i, i]).shr(2048 - 320)).collect();
     let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(&exps).collect();
-    let all_digits = BigUint::one().shl(2048).sub(&BigUint::one());
+    let all_ones = BigUint::one().shl(769).sub(&BigUint::one());
+    let (x, k) = (exps[0].shr(320 - 256), exps[1].shr(320 - 256));
+    let (x, k) = (x.mul(&x), k.mul(&k));
     let top_bit = BigUint::one().shl(2047);
     println!("kernel-2048: detected kernel = {}", bigint::kernel());
     for name in ["portable", "ifma52"] {
@@ -117,9 +120,12 @@ fn bench_kernel_2048(c: &mut Criterion) {
         group.bench_function(format!("multi_pow_2048x4/{name}"), |b| {
             b.iter(|| ctx.multi_pow(std::hint::black_box(&pairs)))
         });
-        let table = FixedBaseTable::build(&ctx, &base, 2048);
-        group.bench_function(format!("mont_mul_x512/{name}"), |b| {
-            b.iter(|| table.pow(&ctx, std::hint::black_box(&all_digits)))
+        let table = CombTable::build(&ctx, &base, &[(769, 4)]);
+        group.bench_function(format!("comb_769/{name}"), |b| {
+            b.iter(|| table.pow(&ctx, std::hint::black_box(&all_ones)))
+        });
+        group.bench_function(format!("pow_pair_512/{name}"), |b| {
+            b.iter(|| ctx.pow_pair(std::hint::black_box(&base), &x, &k))
         });
         group.bench_function(format!("mont_sqr_x2044/{name}"), |b| {
             b.iter(|| ctx.pow(std::hint::black_box(&base), &top_bit))

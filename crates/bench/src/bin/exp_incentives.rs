@@ -13,6 +13,7 @@
 
 #![forbid(unsafe_code)]
 
+use prb_bench::claims::{e7_profiles, honesty_ordered, incentive_run};
 use prb_bench::{mean, pm, run_seeds, seed_list, Args, Table};
 use prb_core::behavior::{CollectorProfile, ProviderProfile};
 use prb_core::config::ProtocolConfig;
@@ -93,19 +94,7 @@ fn main() {
     let seeds = seed_list(200, args.get_or("seeds", 6));
     let rounds = args.get_or("rounds", 25u32);
 
-    let profiles: Vec<(&str, CollectorProfile)> = vec![
-        ("honest", CollectorProfile::honest()),
-        ("honest (control)", CollectorProfile::honest()),
-        ("misreport 20%", CollectorProfile::misreporter(0.2)),
-        ("misreport 50%", CollectorProfile::misreporter(0.5)),
-        ("misreport 80%", CollectorProfile::misreporter(0.8)),
-        ("conceal 50%", CollectorProfile::concealer(0.5)),
-        ("forge 30%", CollectorProfile::forger(0.3)),
-        (
-            "sleeper (hostile from round 12)",
-            CollectorProfile::misreporter(0.8).sleeper(12),
-        ),
-    ];
+    let profiles = e7_profiles();
 
     println!("# E7 — incentives: behaviour vs reputation vs revenue\n");
     struct Row {
@@ -123,47 +112,7 @@ fn main() {
         })
         .collect();
 
-    let runs = run_seeds(&seeds, |seed| {
-        let mut cfg = ProtocolConfig {
-            tx_per_provider: 6,
-            seed,
-            ..Default::default()
-        };
-        cfg.reputation.f = 0.6;
-        let mut sim = Simulation::builder(cfg)
-            .collector_profiles(profiles.iter().map(|(_, p)| *p).collect())
-            .provider_profiles(vec![
-                ProviderProfile {
-                    invalid_rate: 0.4,
-                    active: true
-                };
-                8
-            ])
-            .build()
-            .expect("valid config");
-        sim.run(rounds);
-        sim.run_drain_rounds(3);
-        // Total revenue over all leading governors.
-        let mut paid = [0.0f64; 8];
-        for g in 0..4 {
-            for (c, share) in sim.metrics(g).revenue_paid.iter().enumerate() {
-                paid[c] += share;
-            }
-        }
-        let total: f64 = paid.iter().sum::<f64>().max(1e-12);
-        let table = sim.governor(0).reputation();
-        (0..8usize)
-            .map(|c| {
-                let v = table.collector(c);
-                (
-                    v.weights().iter().sum::<f64>() / v.weights().len() as f64,
-                    v.misreport() as f64,
-                    v.forge() as f64,
-                    paid[c] / total,
-                )
-            })
-            .collect::<Vec<_>>()
-    });
+    let runs = run_seeds(&seeds, |seed| incentive_run(seed, rounds));
     for run in &runs {
         for (c, &(w, mis, forge, share)) in run.iter().enumerate() {
             rows[c].mean_weight.push(w);
@@ -201,13 +150,8 @@ fn main() {
     table.print();
 
     // Ordering checks the experiment asserts.
-    let share = |c: usize| mean(&rows[c].revenue_share);
-    let ordered = share(0) > share(2)
-        && share(2) > share(3)
-        && share(3) >= share(4)
-        && share(0) > share(5)
-        && share(0) > share(6)
-        && share(0) > share(7);
+    let shares: Vec<f64> = rows.iter().map(|r| mean(&r.revenue_share)).collect();
+    let ordered = honesty_ordered(&shares);
     println!("honesty-revenue ordering holds: {ordered}");
     if args.flag("ablate-floor") {
         println!();

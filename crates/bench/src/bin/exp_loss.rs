@@ -15,56 +15,12 @@
 
 #![forbid(unsafe_code)]
 
+use prb_bench::claims::loss_run;
 use prb_bench::{pm, run_seeds, seed_list, Args, Table};
 use prb_core::behavior::ProviderProfile;
 use prb_core::config::{ProtocolConfig, RevealPolicy};
 use prb_core::sim::Simulation;
 use prb_workload::adversary::AdversaryMix;
-
-struct LossOutcome {
-    expected_loss: f64,
-    best_loss: f64,
-    unchecked: f64,
-    total_txs: f64,
-}
-
-fn run_once(seed: u64, f: f64, rounds: u32) -> LossOutcome {
-    let mut cfg = ProtocolConfig {
-        providers: 8,
-        collectors: 8,
-        replication: 8,
-        governors: 4,
-        tx_per_provider: 6,
-        seed,
-        ..Default::default()
-    };
-    cfg.reputation.f = f;
-    let mut sim = Simulation::builder(cfg)
-        .collector_profiles(AdversaryMix::OneHonestRestNoisy.profiles(8))
-        .provider_profiles(vec![
-            ProviderProfile {
-                invalid_rate: 0.5,
-                active: false
-            };
-            8
-        ])
-        .build()
-        .expect("valid config");
-    sim.run(rounds);
-    sim.run_drain_rounds(3);
-    let m = sim.metrics(0);
-    let mut best = 0.0;
-    for p in 0..8 {
-        let collectors = sim.topology().collectors_of(p).to_vec();
-        best += m.best_collector_loss(p, &collectors);
-    }
-    LossOutcome {
-        expected_loss: m.expected_loss,
-        best_loss: best,
-        unchecked: m.unchecked as f64,
-        total_txs: m.screened as f64,
-    }
-}
 
 fn sweep_f(args: &Args) {
     let seeds = seed_list(40, args.get_or("seeds", 8));
@@ -84,7 +40,7 @@ fn sweep_f(args: &Args) {
         ],
     );
     for f in [0.1, 0.3, 0.5, 0.7, 0.9] {
-        let runs = run_seeds(&seeds, |s| run_once(s, f, rounds));
+        let runs = run_seeds(&seeds, |s| loss_run(s, f, rounds));
         let l: Vec<f64> = runs.iter().map(|r| r.expected_loss).collect();
         let s_: Vec<f64> = runs.iter().map(|r| r.best_loss).collect();
         let unchecked: Vec<f64> = runs.iter().map(|r| r.unchecked).collect();
@@ -94,9 +50,7 @@ fn sweep_f(args: &Args) {
             .iter()
             .map(|r| ((f + delta) * r.total_txs).sqrt())
             .collect();
-        let within = runs
-            .iter()
-            .all(|r| r.expected_loss <= r.best_loss + 16.0 * ((f + delta) * r.total_txs).sqrt());
+        let within = runs.iter().all(|r| r.within_theorem_4(f, delta));
         table.row(vec![
             format!("{f:.1}"),
             pm(&n),

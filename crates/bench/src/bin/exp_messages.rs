@@ -13,94 +13,13 @@
 
 #![forbid(unsafe_code)]
 
+use prb_bench::claims::{ordinary_block, pbft_messages, stake_block_messages};
 use prb_bench::{Args, Table};
-use prb_consensus::pbft::{PbftMsg, PbftReplica};
 use prb_consensus::rotation::{RotationMsg, RotationReplica};
-use prb_consensus::stake::{StakeTable, StakeTransfer};
-use prb_consensus::stake_block::{StakeGovernor, StakeMsg};
-use prb_core::behavior::ProviderProfile;
 use prb_core::config::ProtocolConfig;
 use prb_core::sim::Simulation;
-use prb_crypto::signer::{CryptoScheme, KeyPair, PublicKey};
 use prb_net::sim::{NetConfig, Network};
 use prb_net::time::{SimDuration, SimTime};
-
-/// Ordinary-block dissemination bytes/messages per round in the full
-/// protocol, for a given governor count and per-round block size.
-fn ordinary_block(m: u32, tx_per_provider: u32) -> (u64, u64) {
-    let cfg = ProtocolConfig {
-        governors: m,
-        tx_per_provider,
-        b_limit: 16_384,
-        seed: 5,
-        ..Default::default()
-    };
-    let mut sim = Simulation::builder(cfg)
-        .provider_profiles(vec![ProviderProfile::honest_active(); 8])
-        .build()
-        .expect("valid config");
-    sim.run(4);
-    let stats = sim.net_stats();
-    let proposals = stats.kind("block-proposal");
-    (proposals.sent / 4, proposals.bytes_sent / 4)
-}
-
-fn stake_block_messages(m: u32) -> u64 {
-    let scheme = CryptoScheme::sim();
-    let keys: Vec<KeyPair> = (0..m)
-        .map(|g| scheme.keypair_from_seed(format!("sg{g}").as_bytes()))
-        .collect();
-    let pks: Vec<PublicKey> = keys.iter().map(|k| k.public_key()).collect();
-    let mut net = Network::new(NetConfig::uniform(1, 5), 31);
-    for g in 0..m {
-        net.add_node(StakeGovernor::new(
-            g,
-            m,
-            0,
-            keys[g as usize].clone(),
-            pks.clone(),
-            StakeTable::uniform(m as usize, 16),
-        ));
-    }
-    for g in 0..m {
-        let t = StakeTransfer::create(g, (g + 1) % m, 1, 0, &keys[g as usize]);
-        net.send_external(
-            g as usize,
-            "submit",
-            StakeMsg::SubmitTransfer(t),
-            SimTime(0),
-        );
-    }
-    for g in 0..m as usize {
-        net.send_external(
-            g,
-            "start-round",
-            StakeMsg::StartRound {
-                round: 1,
-                leader: 0,
-            },
-            SimTime(100),
-        );
-    }
-    net.run_until_idle(1_000_000);
-    let s = net.stats();
-    s.kind("stake-transfer").sent
-        + s.kind("stake-newstate").sent
-        + s.kind("stake-ack").sent
-        + s.kind("stake-commit").sent
-}
-
-fn pbft_messages(m: u32) -> u64 {
-    let mut net = Network::new(NetConfig::uniform(1, 4), 77);
-    for i in 0..m {
-        net.add_node(PbftReplica::new(i, m, 0, SimDuration(10_000)));
-    }
-    let v = prb_crypto::sha256::sha256(b"block");
-    net.send_external(0, "client", PbftMsg::ClientRequest(v), SimTime(0));
-    net.run_until(SimTime(5_000));
-    let s = net.stats();
-    s.kind("pbft-preprepare").sent + s.kind("pbft-prepare").sent + s.kind("pbft-commit").sent
-}
 
 fn rotation_messages(m: u32) -> u64 {
     let mut net = Network::new(NetConfig::uniform(1, 4), 55);

@@ -16,58 +16,16 @@
 
 #![forbid(unsafe_code)]
 
+use prb_bench::claims::{theory_regret, REGRET_COLLECTORS};
 use prb_bench::{mean, pm, run_seeds, run_traced, seed_list, Args, Table};
 use prb_core::behavior::ProviderProfile;
 use prb_core::config::ProtocolConfig;
 use prb_core::sim::Simulation;
 use prb_reputation::params::ReputationParams;
-use prb_reputation::rwm::{Advice, GammaMode, Rwm};
+use prb_reputation::rwm::GammaMode;
 use prb_workload::adversary::AdversaryMix;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-const R: usize = 8;
-
-fn theory_regret(
-    t: u64,
-    seed: u64,
-    beta: f64,
-    gamma_mode: GammaMode,
-    best_err: f64,
-) -> (f64, f64, f64) {
-    let mut rwm = Rwm::new(R, beta);
-    rwm.set_gamma_mode(gamma_mode);
-    let mut pick_rng = StdRng::seed_from_u64(seed);
-    let mut advice_rng = StdRng::seed_from_u64(seed ^ 0xabcd);
-    for _ in 0..t {
-        let advice: Vec<Advice> = (0..R)
-            .map(|i| {
-                if i == 0 {
-                    if best_err > 0.0 && advice_rng.gen::<f64>() < best_err {
-                        Advice::Wrong
-                    } else {
-                        Advice::Correct
-                    }
-                } else {
-                    // Hard instances set best_err near 0.5 so the noisy
-                    // experts are only marginally worse.
-                    let p = if best_err >= 0.4 {
-                        0.5
-                    } else {
-                        0.2 + 0.6 * i as f64 / R as f64
-                    };
-                    if advice_rng.gen::<f64>() < p {
-                        Advice::Wrong
-                    } else {
-                        Advice::Correct
-                    }
-                }
-            })
-            .collect();
-        rwm.round(&advice, &mut pick_rng);
-    }
-    (rwm.regret(), rwm.best_expert_loss(), rwm.theorem_bound(t))
-}
+const R: usize = REGRET_COLLECTORS;
 
 fn theory_table(
     seeds: &[u64],

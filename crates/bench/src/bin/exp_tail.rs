@@ -14,27 +14,8 @@
 
 #![forbid(unsafe_code)]
 
+use prb_bench::claims::empirical_tail;
 use prb_bench::{Args, Table};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-fn empirical_tail(n: u32, f: f64, delta: f64, trials: u32, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let threshold = (f + delta) * n as f64;
-    let mut exceed = 0u32;
-    for _ in 0..trials {
-        let mut unchecked = 0u32;
-        for _ in 0..n {
-            if rng.gen::<f64>() < f {
-                unchecked += 1;
-            }
-        }
-        if unchecked as f64 > threshold {
-            exceed += 1;
-        }
-    }
-    exceed as f64 / trials as f64
-}
 
 fn main() {
     let args = Args::parse();

@@ -15,24 +15,9 @@
 
 #![forbid(unsafe_code)]
 
-use prb_bench::{mean, pm, run_seeds, seed_list, Args, Table};
-use prb_core::behavior::ProviderProfile;
-use prb_core::config::ProtocolConfig;
-use prb_core::sim::Simulation;
-use prb_reputation::screening::{prob_unchecked, screen, Report};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-fn isolated_rate(reports: &[Report], f: f64, samples: u32, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut skipped = 0u32;
-    for _ in 0..samples {
-        if !screen(reports, f, &mut rng).expect("non-empty").check {
-            skipped += 1;
-        }
-    }
-    skipped as f64 / samples as f64
-}
+use prb_bench::claims::{e2_profiles, isolated_rate, protocol_unchecked};
+use prb_bench::{pm, run_seeds, seed_list, Args, Table};
+use prb_reputation::screening::prob_unchecked;
 
 fn main() {
     let args = Args::parse();
@@ -44,61 +29,7 @@ fn main() {
     println!("# E2 — unchecked probability vs the Lemma 2 bound\n");
 
     // Part 1: the screening rule in isolation.
-    let profiles: Vec<(&str, Vec<Report>)> = vec![
-        (
-            "1 reporter, -1 (worst case)",
-            vec![Report {
-                collector: 0,
-                labeled_valid: false,
-                weight: 1.0,
-            }],
-        ),
-        (
-            "4 equal reporters, all -1",
-            (0..4)
-                .map(|c| Report {
-                    collector: c,
-                    labeled_valid: false,
-                    weight: 1.0,
-                })
-                .collect(),
-        ),
-        (
-            "4 equal reporters, 2 of each label",
-            (0..4)
-                .map(|c| Report {
-                    collector: c,
-                    labeled_valid: c < 2,
-                    weight: 1.0,
-                })
-                .collect(),
-        ),
-        (
-            "skewed weights 8:1:1:1, heavy says -1",
-            vec![
-                Report {
-                    collector: 0,
-                    labeled_valid: false,
-                    weight: 8.0,
-                },
-                Report {
-                    collector: 1,
-                    labeled_valid: true,
-                    weight: 1.0,
-                },
-                Report {
-                    collector: 2,
-                    labeled_valid: true,
-                    weight: 1.0,
-                },
-                Report {
-                    collector: 3,
-                    labeled_valid: true,
-                    weight: 1.0,
-                },
-            ],
-        ),
-    ];
+    let profiles = e2_profiles();
     let mut t1 = Table::new(
         "screening rule in isolation (100k samples per cell)",
         &[
@@ -134,31 +65,7 @@ fn main() {
         &["f", "unchecked fraction", "max over governors", "bound f"],
     );
     for f in [0.1, 0.3, 0.5, 0.7, 0.9] {
-        let runs = run_seeds(&seeds, |seed| {
-            let mut cfg = ProtocolConfig {
-                seed,
-                ..Default::default()
-            };
-            cfg.reputation.f = f;
-            let mut sim = Simulation::builder(cfg)
-                .provider_profiles(vec![
-                    ProviderProfile {
-                        invalid_rate: 0.9,
-                        active: false
-                    };
-                    8
-                ])
-                .build()
-                .expect("valid config");
-            sim.run(rounds);
-            let fractions: Vec<f64> = (0..4)
-                .map(|g| sim.metrics(g).unchecked_fraction())
-                .collect();
-            (
-                mean(&fractions),
-                fractions.iter().cloned().fold(0.0, f64::max),
-            )
-        });
+        let runs = run_seeds(&seeds, |seed| protocol_unchecked(seed, f, rounds));
         let means: Vec<f64> = runs.iter().map(|r| r.0).collect();
         let maxes: Vec<f64> = runs.iter().map(|r| r.1).collect();
         t2.row(vec![

@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod claims;
 pub mod crypto_bench;
 pub mod election;
 pub mod properties;

@@ -99,12 +99,12 @@ impl ElectionClaim {
         if stake == 0 {
             return None;
         }
-        let output = key.vrf_output(&round_message(chain_tag, round, governor));
-        let (unit, _) = least_ticket(chain_tag, round, governor, stake, &output.output())?;
+        let evaluation = key.vrf_evaluate(&round_message(chain_tag, round, governor));
+        let (unit, _) = least_ticket(chain_tag, round, governor, stake, &evaluation.output())?;
         Some(ElectionClaim {
             governor,
             unit,
-            evaluation: output.prove(),
+            evaluation,
         })
     }
 

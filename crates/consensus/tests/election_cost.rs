@@ -21,14 +21,15 @@ fn a_claim_costs_one_vrf_output_exponentiation_at_any_stake() {
     // Warm-up: the generator's fixed-base table gets built.
     key.vrf_evaluate(b"warm-up");
     // One evaluation with its proof: `gamma = h^x` (the output) and the
-    // proof's `h^k` are Montgomery exponentiations, its `g^k` a table
+    // proof's `h^k` are one Montgomery exponentiation over a shared
+    // squaring chain (two separate ones before), its `g^k` a table
     // exponentiation.
     let one = spent(|| {
         key.vrf_evaluate(&round_message(b"cost", 1, 0));
     });
     assert_eq!(
         (one.modexp_calls, one.table_pows, one.dleq_proofs),
-        (2, 1, 1)
+        (1, 1, 1)
     );
     for stake in [1, 4, 64] {
         let claim = spent(|| {

@@ -237,6 +237,59 @@ mod tests {
         }
     }
 
+    /// A valid signature whose nonce, and so `s`, is full width: honest
+    /// signers draw 512-bit nonces, so only a crafted signature reaches
+    /// the generator comb's full-width part.
+    fn full_width_signature(sk: &SigningKey, msg: &[u8], k: &BigUint) -> Signature {
+        let group = sk.group();
+        let r = group.pow_g(k);
+        let e = schnorr::challenge(group, &r, sk.verifying_key().element(), msg);
+        let s = group.scalar_add(k, &group.scalar_mul(sk.secret_scalar(), &e));
+        Signature::from_parts(r, s)
+    }
+
+    #[test]
+    fn full_width_responses_and_sums_past_the_short_combs_keep_the_reference_verdict() {
+        let group = SchnorrGroup::rfc3526_2048();
+        let sks = keys(&group, 4);
+        let q = group.q();
+        let msgs: Vec<Vec<u8>> = (0..8u32).map(|i| i.to_be_bytes().to_vec()).collect();
+        let mut sigs: Vec<Signature> = msgs
+            .iter()
+            .enumerate()
+            .map(|(i, m)| match i % 2 {
+                0 => sks[i % 4].sign(m),
+                _ => full_width_signature(
+                    &sks[i % 4],
+                    m,
+                    &q.shr(1).add(&BigUint::from_u64(i as u64)),
+                ),
+            })
+            .collect();
+        assert!(sigs[1].s().bit_len() > 2_000, "a full-width s");
+        // A full-width s one too high.
+        sigs[3] =
+            Signature::from_parts(sigs[3].r().clone(), sigs[3].s().add(&BigUint::one()).rem(q));
+        let items: Vec<(&[u8], &Signature, &VerifyingKey)> = msgs
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (&m[..], &sigs[i], sks[i % 4].verifying_key()))
+            .collect();
+        let want = sequential_verdicts(&items);
+        assert_eq!(want, [true, true, true, false, true, true, true, true]);
+        // Singles, cold and then on trained key combs.
+        for _ in 0..crate::schnorr::KEY_TABLE_THRESHOLD + 1 {
+            let singles: Vec<bool> = items.iter().map(|(m, s, vk)| vk.verify(m, s)).collect();
+            assert_eq!(singles, want);
+        }
+        // Batches whose RLC sum is past the 840-bit part, and one of short
+        // responses only, whose sum is not.
+        assert_eq!(batch_verdicts(&items), want);
+        assert_eq!(batch_verdicts(&items[..3]), want[..3]);
+        let short: Vec<_> = items.iter().step_by(2).copied().collect();
+        assert_eq!(verify_batch(&short), Ok(()));
+    }
+
     #[test]
     fn all_valid_batch_accepts_across_groups() {
         for group in [SchnorrGroup::test_256(), SchnorrGroup::test_512()] {

@@ -511,7 +511,7 @@ impl BigUint {
     ///
     /// Every fast route in this crate ([`pow_mod`](Self::pow_mod),
     /// [`Montgomery::pow`], [`Montgomery::multi_pow`],
-    /// [`FixedBaseTable::pow`]) is property-tested byte-identical against
+    /// [`CombTable::pow`]) is property-tested byte-identical against
     /// this implementation; it performs a full Knuth division per step and
     /// touches none of the precomputation machinery.
     pub fn pow_mod_reference(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
@@ -1232,6 +1232,54 @@ impl Montgomery {
         }
     }
 
+    /// `(base^e1 mod n, base^e2 mod n)` over one squaring chain: a VRF
+    /// evaluation's output `h^x` and its proof's commitment `h^k`.
+    ///
+    /// Right to left, by 4-bit digits: the chain squares `base` up through
+    /// `base^(16^d)`, and for each exponent the power at digit `d` is
+    /// multiplied into that exponent's bucket for its digit value `v`.
+    /// Each result is then `∏ bucket[v]^v`, as a running product of the
+    /// buckets from `v = 15` down whose partial products are multiplied
+    /// together. For two 512-bit exponents that is about 510 squarings
+    /// and 130 multiplications per exponent, where two windowed
+    /// exponentiations take about 1 290 products.
+    pub fn pow_pair(&self, base: &BigUint, e1: &BigUint, e2: &BigUint) -> (BigUint, BigUint) {
+        crate::stats::record_modexp();
+        crate::stats::timed(Primitive::MontPow, || {
+            let exps = [e1, e2];
+            // Bucket v − 1 of exponent i is `buckets[15·i + v − 1]`; an
+            // empty bucket is a fresh 1.
+            let mut buckets: Vec<Accumulator<'_>> = (0..2 * WINDOW_ROWS)
+                .map(|_| Accumulator::one(self))
+                .collect();
+            let mut power = Accumulator::load(self, base);
+            let windows = e1.bit_len().max(e2.bit_len()).div_ceil(4);
+            for d in 0..windows {
+                if d != 0 {
+                    for _ in 0..4 {
+                        power.square();
+                    }
+                }
+                for (i, e) in exps.iter().enumerate() {
+                    let v = e.window4(d);
+                    if v != 0 {
+                        buckets[i * WINDOW_ROWS + v - 1].mul_by(&power);
+                    }
+                }
+            }
+            let mut buckets = buckets.chunks_exact(WINDOW_ROWS).map(|buckets| {
+                let (mut running, mut result) = (Accumulator::one(self), Accumulator::one(self));
+                for bucket in buckets.iter().rev() {
+                    running.mul_by(bucket);
+                    result.mul_by(&running);
+                }
+                result.finish()
+            });
+            let first = buckets.next().expect("two exponents");
+            (first, buckets.next().expect("two exponents"))
+        })
+    }
+
     /// Straus/Shamir simultaneous multi-exponentiation:
     /// `∏ baseᵢ^expᵢ mod n` with one shared squaring chain.
     ///
@@ -1297,7 +1345,8 @@ impl Montgomery {
 ///
 /// Its products are the only place the kernels differ: every algorithm
 /// above it is one code path that squares, multiplies by `k`-limb table
-/// rows, stores rows and finishes.
+/// rows, stores rows and finishes. It counts its products, the same number
+/// on either kernel, and adds them to [`crate::stats`] when dropped.
 struct Accumulator<'a> {
     ctx: &'a Montgomery,
     cur: Vec<u64>,
@@ -1305,6 +1354,11 @@ struct Accumulator<'a> {
     /// The portable kernel's `2k + 1`-limb product scratch (the IFMA
     /// kernel needs none).
     t: Vec<u64>,
+    /// Still the 1 it started from: a square is skipped and a product
+    /// loads its row, so no product is spent on the identity.
+    fresh: bool,
+    /// Products so far (squarings, multiplications, conversions).
+    products: u64,
 }
 
 impl<'a> Accumulator<'a> {
@@ -1319,6 +1373,8 @@ impl<'a> Accumulator<'a> {
             cur: ctx.one_m.clone(),
             next: vec![0; ctx.residue_len()],
             t: vec![0; t_len],
+            fresh: true,
+            products: 0,
         }
     }
 
@@ -1326,10 +1382,29 @@ impl<'a> Accumulator<'a> {
     fn load(ctx: &'a Montgomery, x: &BigUint) -> Self {
         let mut acc = Self::one(ctx);
         ctx.to_mont(&mut acc.cur, x, &mut acc.t);
+        acc.fresh = false;
+        acc.products = 1;
         acc
     }
 
+    /// Replaces the running product with `row`, a fully reduced `k`-limb
+    /// residue in Montgomery form; no product.
+    fn load_row(&mut self, row: &[u64]) {
+        match self.ctx.kernel {
+            Kernel::Portable => self.cur.copy_from_slice(row),
+            Kernel::Ifma52 { .. } => {
+                for (i, d) in self.cur.iter_mut().enumerate() {
+                    *d = limb_field::<DIGIT_BITS>(row, i);
+                }
+            }
+        }
+        self.fresh = false;
+    }
+
     fn square(&mut self) {
+        if self.fresh {
+            return;
+        }
         match self.ctx.kernel {
             Kernel::Portable => self.ctx.mont_sqr(&mut self.next, &self.cur, &mut self.t),
             Kernel::Ifma52 { .. } => {
@@ -1338,18 +1413,44 @@ impl<'a> Accumulator<'a> {
             }
         }
         std::mem::swap(&mut self.cur, &mut self.next);
+        self.products += 1;
     }
 
     /// Multiplies by `row`, a fully reduced `k`-limb residue in Montgomery
     /// form.
     fn mul(&mut self, row: &[u64]) {
+        if self.fresh {
+            self.load_row(row);
+        } else {
+            self.product(row, Operand::Limbs(row));
+        }
+    }
+
+    /// Multiplies by `other`'s running product, in place of a stored row:
+    /// nothing to convert. Skips the product when either side is 1.
+    fn mul_by(&mut self, other: &Accumulator<'_>) {
+        if other.fresh {
+            return;
+        }
+        if self.fresh {
+            self.cur.copy_from_slice(&other.cur);
+            self.fresh = false;
+        } else {
+            self.product(&other.cur, Operand::Digits(&other.cur));
+        }
+    }
+
+    /// The running product times a factor, given as the portable kernel
+    /// reads it (`k` limbs) and as the IFMA kernel does.
+    fn product(&mut self, limbs: &[u64], digits: Operand<'_>) {
         match self.ctx.kernel {
             Kernel::Portable => self
                 .ctx
-                .mont_mul(&mut self.next, &self.cur, row, &mut self.t),
-            Kernel::Ifma52 { .. } => self.ctx.amm(&mut self.next, &self.cur, Operand::Limbs(row)),
+                .mont_mul(&mut self.next, &self.cur, limbs, &mut self.t),
+            Kernel::Ifma52 { .. } => self.ctx.amm(&mut self.next, &self.cur, digits),
         }
         std::mem::swap(&mut self.cur, &mut self.next);
+        self.products += 1;
     }
 
     /// Writes the running product, fully reduced, into the `k` limbs of
@@ -1377,22 +1478,32 @@ impl<'a> Accumulator<'a> {
     /// Converts the product out of Montgomery form: `REDC(x·R) = x`.
     fn finish(mut self) -> BigUint {
         let k = self.ctx.k();
+        self.products += 1;
+        let (mut cur, mut next) = (
+            std::mem::take(&mut self.cur),
+            std::mem::take(&mut self.next),
+        );
         match self.ctx.kernel {
             Kernel::Portable => {
-                self.t[..k].copy_from_slice(&self.cur);
+                self.t[..k].copy_from_slice(&cur);
                 self.t[k..].fill(0);
-                self.ctx.redc(&mut self.next, &mut self.t);
-                BigUint::from_limbs(self.next)
+                self.ctx.redc(&mut next, &mut self.t);
+                BigUint::from_limbs(next)
             }
             Kernel::Ifma52 { .. } => {
                 // x·R·1·R⁻¹ lands in [0, n]; the reduction maps n to 0.
-                self.ctx
-                    .amm(&mut self.next, &self.cur, Operand::Limbs(&[1]));
-                self.ctx.pack_reduced(&self.next, &mut self.cur[..k]);
-                self.cur.truncate(k);
-                BigUint::from_limbs(self.cur)
+                self.ctx.amm(&mut next, &cur, Operand::Limbs(&[1]));
+                self.ctx.pack_reduced(&next, &mut cur[..k]);
+                cur.truncate(k);
+                BigUint::from_limbs(cur)
             }
         }
+    }
+}
+
+impl Drop for Accumulator<'_> {
+    fn drop(&mut self) {
+        crate::stats::record_products(self.products);
     }
 }
 
@@ -1544,68 +1655,170 @@ mod ifma {
     }
 }
 
-/// A fixed-base precomputation table (Brickell–Gordon–McCurley–Wilson
-/// radix-16 variant).
+/// Rows a comb part cuts its exponent into: a column of one bit per row
+/// picks one of a block's `2^8 − 1` entries.
+const COMB_TEETH: usize = 8;
+
+/// Entries per comb block: one per nonzero column.
+const COMB_ENTRIES: usize = (1 << COMB_TEETH) - 1;
+
+/// A Lim–Lee fixed-base comb (Lim and Lee, "More Flexible Exponentiation
+/// with Precomputation", CRYPTO 1994): every fixed base — a group's
+/// generator, a trained verifying key — is raised through one.
 ///
-/// Stores `base^(v · 16^d)` in Montgomery form for every 4-bit digit
-/// position `d` and digit value `v ∈ 1..=15`, so an exponentiation by any
-/// exponent up to `max_bits` becomes one table multiplication per nonzero
-/// digit — **no squarings at all**. For a 2048-bit group that is ~480
-/// multiplications instead of ~3070, at a one-time build cost of ~15
-/// multiplications per digit. The table is one allocation of
-/// `digits · 15 · k` limbs, immutable once built: 1.9 MiB for the 2047-bit
-/// generator table of the 2048-bit group, 240 KiB for a per-key table
-/// sized to 256-bit challenges.
+/// A part covering `bits` exponent bits cuts the exponent into
+/// `h = COMB_TEETH` rows of `a = ⌈bits/h⌉` bits and each row into `v`
+/// blocks of `b = ⌈a/v⌉` bits. Entry `(j, u)`, for a block `j < v` and a
+/// nonzero `h`-bit column `u`, is `∏ base^(2^(i·a + j·b))` over the rows
+/// `i` whose bit is set in `u`. Raising to `e` reads, for each of the `b`
+/// bit offsets from the top, the column of `h` bits at that offset in
+/// every block and multiplies by its entry: `b − 1` squarings and at
+/// most `v·b ≈ a` multiplications. A table holds several parts, and an
+/// exponent takes the narrowest part that covers it, so a short exponent
+/// does not pay for the widest one. The table is immutable once built;
+/// `v·(2^h − 1)` entries of `k` limbs per part.
 #[derive(Clone, Debug)]
-pub struct FixedBaseTable {
-    digits: usize,
-    /// Row-major, `k` limbs per row:
-    /// row `d * 15 + (v - 1)` is `base^(v · 16^d)` (Montgomery form).
+pub struct CombTable {
+    /// Narrowest first.
+    parts: Vec<CombPart>,
+}
+
+#[derive(Clone, Debug)]
+struct CombPart {
+    /// Exponent bits covered, `h·a`.
+    bits: usize,
+    /// Bits per row, `a`.
+    row_bits: usize,
+    /// Bits per block, `b`; `blocks · b ≥ a > (blocks − 1) · b`.
+    block_bits: usize,
+    blocks: usize,
+    /// Row-major, `k` limbs per entry: entry `(j, u)` is row
+    /// `j·(2^h − 1) + u − 1`.
     rows: Vec<u64>,
 }
 
-impl FixedBaseTable {
-    /// Precomputes the table for exponents up to `max_exp_bits` bits.
-    pub fn build(ctx: &Montgomery, base: &BigUint, max_exp_bits: usize) -> Self {
+impl CombTable {
+    /// Builds one part per `(bits, blocks)` in `parts`, all from one
+    /// squaring chain of `base`. A part takes fewer blocks where `blocks`
+    /// would hold more entries than a 4-bit window table for `bits` bits
+    /// (15 per digit), so no part is larger than that table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty or a part has zero bits or blocks.
+    pub fn build(ctx: &Montgomery, base: &BigUint, parts: &[(usize, usize)]) -> Self {
+        assert!(!parts.is_empty(), "a comb needs a part");
         crate::stats::record_table_build();
         let k = ctx.k();
-        let digits = max_exp_bits.div_ceil(4).max(1);
-        let mut rows = vec![0; digits * WINDOW_ROWS * k];
-        // Holds base^(16^d) on entry to digit d's rows.
-        let mut acc = Accumulator::load(ctx, base);
-        for digit in rows.chunks_exact_mut(WINDOW_ROWS * k) {
-            acc.fill_powers(digit);
-            // base^(16^(d+1)) = base^(15·16^d) · base^(16^d).
-            acc.mul(&digit[..k]);
+        let mut parts: Vec<CombPart> = parts
+            .iter()
+            .map(|&(bits, blocks)| {
+                assert!(bits > 0 && blocks > 0, "an empty comb part");
+                let row_bits = bits.div_ceil(COMB_TEETH);
+                let blocks = blocks.min(window_entries(bits) / COMB_ENTRIES).max(1);
+                let block_bits = row_bits.div_ceil(blocks);
+                let blocks = row_bits.div_ceil(block_bits);
+                CombPart {
+                    bits: COMB_TEETH * row_bits,
+                    row_bits,
+                    block_bits,
+                    blocks,
+                    rows: vec![0; blocks * COMB_ENTRIES * k],
+                }
+            })
+            .collect();
+        parts.sort_by_key(|part| part.bits);
+        // Every part's single-row entries `base^(2^(i·a + j·b))`, in the
+        // order one squaring chain reaches their exponents.
+        let mut singles: Vec<(usize, usize, usize)> = Vec::new();
+        for (p, part) in parts.iter().enumerate() {
+            for i in 0..COMB_TEETH {
+                for j in 0..part.blocks {
+                    let row = j * COMB_ENTRIES + (1 << i) - 1;
+                    singles.push((i * part.row_bits + j * part.block_bits, p, row));
+                }
+            }
         }
-        FixedBaseTable { digits, rows }
+        singles.sort_unstable();
+        let mut acc = Accumulator::load(ctx, base);
+        let mut at = 0;
+        for (bit, p, row) in singles {
+            for _ in at..bit {
+                acc.square();
+            }
+            at = bit;
+            acc.store(&mut parts[p].rows[row * k..(row + 1) * k]);
+        }
+        // The rest of each block: entry u is entry u − lowbit(u) times
+        // entry lowbit(u), both already filled.
+        for part in &mut parts {
+            for block in part.rows.chunks_exact_mut(COMB_ENTRIES * k) {
+                for u in 3..=COMB_ENTRIES {
+                    let low = u & u.wrapping_neg();
+                    if low == u {
+                        continue;
+                    }
+                    let (done, todo) = block.split_at_mut((u - 1) * k);
+                    acc.load_row(&done[(u - low - 1) * k..(u - low) * k]);
+                    acc.mul(&done[(low - 1) * k..low * k]);
+                    acc.store(&mut todo[..k]);
+                }
+            }
+        }
+        CombTable { parts }
     }
 
     /// The widest exponent this table covers, in bits.
     pub fn max_bits(&self) -> usize {
-        self.digits * 4
+        self.parts.last().map_or(0, |part| part.bits)
     }
 
-    /// `base^exponent mod n`, or `None` when the exponent is wider than
-    /// the table (callers fall back to [`Montgomery::pow`]). `ctx` must be
-    /// the context the table was built with.
+    /// Limbs held by the table's entries.
+    #[cfg(test)]
+    fn limbs(&self) -> usize {
+        self.parts.iter().map(|part| part.rows.len()).sum()
+    }
+
+    /// `base^exponent mod n` through the narrowest part that covers the
+    /// exponent, or `None` when it is wider than every part (callers fall
+    /// back to [`Montgomery::pow`]). `ctx` must be the context the table
+    /// was built with.
     pub fn pow(&self, ctx: &Montgomery, exponent: &BigUint) -> Option<BigUint> {
-        if exponent.bit_len() > self.max_bits() {
-            return None;
-        }
+        let part = self.parts.iter().find(|p| exponent.bit_len() <= p.bits)?;
         crate::stats::record_table_pow();
-        crate::stats::timed(Primitive::TablePow, || {
-            let k = ctx.k();
-            let mut acc = Accumulator::one(ctx);
-            for d in 0..self.digits {
-                let v = exponent.window4(d);
-                if v != 0 {
-                    let row = d * WINDOW_ROWS + v - 1;
+        Some(crate::stats::timed(Primitive::TablePow, || {
+            part.pow(ctx, exponent)
+        }))
+    }
+}
+
+/// Entries of a 4-bit window table for `bits`-bit exponents: the powers
+/// `1..=15` of the base at every digit.
+fn window_entries(bits: usize) -> usize {
+    bits.div_ceil(4) * WINDOW_ROWS
+}
+
+impl CombPart {
+    fn pow(&self, ctx: &Montgomery, exponent: &BigUint) -> BigUint {
+        let k = ctx.k();
+        let mut acc = Accumulator::one(ctx);
+        for t in (0..self.block_bits).rev() {
+            acc.square();
+            for j in 0..self.blocks {
+                let offset = j * self.block_bits + t;
+                if offset >= self.row_bits {
+                    continue;
+                }
+                let u = (0..COMB_TEETH).fold(0, |u, i| {
+                    u | usize::from(exponent.bit(i * self.row_bits + offset)) << i
+                });
+                if u != 0 {
+                    let row = j * COMB_ENTRIES + u - 1;
                     acc.mul(&self.rows[row * k..(row + 1) * k]);
                 }
             }
-            Some(acc.finish())
-        })
+        }
+        acc.finish()
     }
 }
 
@@ -2260,8 +2473,13 @@ mod tests {
         let base = BigUint::random_below(&mut rng, &m);
         let exps: Vec<BigUint> = (0..10).map(|_| random_odd_modulus(&mut rng, 4)).collect();
         for ctx in contexts(&m) {
-            let table = FixedBaseTable::build(&ctx, &base, 256);
+            let table = CombTable::build(&ctx, &base, &[(256, 4), (100, 2)]);
             assert_eq!(table.max_bits(), 256);
+            let narrow = BigUint::random_below(&mut rng, &BigUint::one().shl(100));
+            assert_eq!(
+                table.pow(&ctx, &narrow).unwrap(),
+                base.pow_mod_reference(&narrow, &m)
+            );
             for e in &exps {
                 assert_eq!(table.pow(&ctx, e).unwrap(), base.pow_mod_reference(e, &m));
             }
@@ -2408,7 +2626,7 @@ mod tests {
             for ctx in contexts(&n) {
                 let on = &ctx.kernel;
                 for base in &bases {
-                    let table = FixedBaseTable::build(&ctx, base, 128);
+                    let table = CombTable::build(&ctx, base, &[(128, 4)]);
                     for e in &exps {
                         let want = base.pow_mod_reference(e, &n);
                         assert_eq!(ctx.pow(base, e), want, "pow k={k} base={base} {on:?}");
@@ -2664,7 +2882,7 @@ mod tests {
         }
     }
 
-    /// `pow` (both paths), `multi_pow`, `FixedBaseTable::pow` and `mul` on
+    /// `pow` (both paths), `multi_pow`, `CombTable::pow` and `mul` on
     /// every kernel against the division-based reference, on all five
     /// groups, at edge bases and at exponents of 0, 1, 320 bits and full
     /// width.
@@ -2704,7 +2922,7 @@ mod tests {
             for ctx in contexts(p) {
                 let on = (group.name(), kernel_name(&ctx));
                 for base in &bases {
-                    let table = FixedBaseTable::build(&ctx, base, 320);
+                    let table = CombTable::build(&ctx, base, &[(320, 4)]);
                     for e in &exps {
                         let want = base.pow_mod_reference(e, p);
                         assert_eq!(ctx.pow(base, e), want, "pow {on:?}");
@@ -2713,7 +2931,8 @@ mod tests {
                     assert_eq!(ctx.mul(base, &random), base.mul_mod(&random, p), "{on:?}");
                 }
                 assert_eq!(ctx.pow(&random, &full), want_full, "full pow {on:?}");
-                let table = FixedBaseTable::build(&ctx, &random, full.bit_len());
+                let parts = crate::group::g_comb_parts(full.bit_len());
+                let table = CombTable::build(&ctx, &random, &parts);
                 assert_eq!(table.pow(&ctx, &full), Some(want_full.clone()), "{on:?}");
                 assert_eq!(ctx.multi_pow(&pairs), want_multi, "multi_pow {on:?}");
             }
@@ -2918,5 +3137,109 @@ mod tests {
             most <= 104 && total <= 200 * 100,
             "max {most}, total {total}"
         );
+    }
+
+    /// The generator's and a key's combs against `Montgomery::pow` on all
+    /// five groups and every kernel: exponents 0, 1, `q − 1`, the widths
+    /// on either side of every part's boundary, and random ones.
+    #[test]
+    fn combs_match_pow_at_every_part_boundary_on_every_group() {
+        use crate::group::{g_comb_parts, SchnorrGroup};
+        let mut rng = StdRng::seed_from_u64(37);
+        let one = BigUint::one();
+        for group in [
+            SchnorrGroup::test_256(),
+            SchnorrGroup::test_512(),
+            SchnorrGroup::rfc3526_2048(),
+            SchnorrGroup::rfc3526_3072(),
+            SchnorrGroup::rfc3526_4096(),
+        ] {
+            let (p, q) = (group.p(), group.q());
+            let key = BigUint::random_below(&mut rng, p);
+            let combs = [
+                (group.g().clone(), g_comb_parts(q.bit_len())),
+                (key, crate::schnorr::key_comb_parts(q).to_vec()),
+            ];
+            for ctx in contexts(p) {
+                let on = (group.name(), kernel_name(&ctx));
+                for (base, parts) in &combs {
+                    let table = CombTable::build(&ctx, base, parts);
+                    let mut exps = vec![BigUint::zero(), one.clone()];
+                    if table.max_bits() >= q.bit_len() {
+                        exps.push(q.sub(&one));
+                    }
+                    for &(bits, _) in parts {
+                        let edge = one.shl(bits);
+                        exps.push(edge.sub(&one)); // `bits` bits: this part
+                        exps.push(BigUint::random_below(&mut rng, &edge));
+                        if bits < table.max_bits() {
+                            exps.push(edge); // one more: the next part
+                        }
+                    }
+                    for e in &exps {
+                        let want = ctx.pow(base, e);
+                        assert_eq!(table.pow(&ctx, e), Some(want), "{on:?} e={e}");
+                    }
+                    let wide = one.shl(table.max_bits());
+                    assert_eq!(table.pow(&ctx, &wide), None, "{on:?}");
+                }
+            }
+        }
+    }
+
+    /// No comb holds more than the 4-bit window table it replaced:
+    /// `⌈bits/4⌉ · 15` rows for the generator's `|q|` bits and a key's
+    /// 256.
+    #[test]
+    fn combs_take_no_more_memory_than_the_window_tables() {
+        use crate::group::{g_comb_parts, SchnorrGroup};
+        for group in [
+            SchnorrGroup::test_256(),
+            SchnorrGroup::test_512(),
+            SchnorrGroup::rfc3526_2048(),
+            SchnorrGroup::rfc3526_3072(),
+            SchnorrGroup::rfc3526_4096(),
+        ] {
+            let (ctx, q_bits) = (group.mont(), group.q().bit_len());
+            let generator = CombTable::build(ctx, group.g(), &g_comb_parts(q_bits));
+            let key_parts = crate::schnorr::key_comb_parts(group.q());
+            let key = CombTable::build(ctx, group.g(), &key_parts);
+            let k = ctx.k();
+            let name = group.name();
+            assert!(generator.limbs() <= window_entries(q_bits) * k, "{name}");
+            assert!(key.limbs() <= window_entries(q_bits.min(256)) * k, "{name}");
+        }
+    }
+
+    /// `pow_pair` against two calls to `pow`: exponents of equal and
+    /// unequal widths, zero, one, and one digit, on every kernel.
+    #[test]
+    fn pow_pair_matches_two_pows() {
+        let mut rng = StdRng::seed_from_u64(38);
+        for limbs in [1, 4, 8, 32] {
+            let n = random_odd_modulus(&mut rng, limbs);
+            let base = BigUint::random_below(&mut rng, &n);
+            let wide = BigUint::random_below(&mut rng, &BigUint::one().shl(512));
+            let narrow = BigUint::random_below(&mut rng, &BigUint::one().shl(100));
+            let exps = [
+                BigUint::zero(),
+                BigUint::one(),
+                BigUint::from_u64(0xf),
+                BigUint::from_u64(0xf0f0),
+                narrow,
+                wide,
+            ];
+            for ctx in contexts(&n) {
+                for e1 in &exps {
+                    for e2 in &exps {
+                        let want = (ctx.pow(&base, e1), ctx.pow(&base, e2));
+                        assert_eq!(ctx.pow_pair(&base, e1, e2), want, "{limbs} limbs");
+                    }
+                }
+                let above = n.add(&base);
+                let want = (ctx.pow(&above, &exps[5]), ctx.pow(&above, &exps[4]));
+                assert_eq!(ctx.pow_pair(&above, &exps[5], &exps[4]), want);
+            }
+        }
     }
 }

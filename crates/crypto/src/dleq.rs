@@ -5,10 +5,11 @@
 //! construction: the VRF proof is exactly a DLEQ proof that the output
 //! `gamma = h^x` uses the same secret `x` as the public key `y = g^x`.
 //!
-//! Protocol (non-interactive via Fiat–Shamir): prover with witness `x` picks
-//! nonce `k`, sends `a = g^k`, `b = h^k`, challenge
-//! `c = H(g, h, y, z, a, b) mod q`, response `s = k + c·x mod q`. The
-//! verifier checks `g^s = a·y^c` and `h^s = b·z^c`.
+//! Protocol (non-interactive via Fiat–Shamir): prover with witness `x`
+//! derives nonce `k = HMAC(x, g, y, h)`, sends `a = g^k`, `b = h^k`,
+//! challenge `c = H(g, h, y, z, a, b) mod q`, response
+//! `s = k + c·x mod q`. The verifier checks `g^s = a·y^c` and
+//! `h^s = b·z^c`.
 
 use std::fmt;
 
@@ -53,23 +54,38 @@ pub struct DleqStatement<'a> {
 }
 
 impl DleqProof {
-    /// Proves `log_g(y) = log_h(z) = x`.
+    /// Raises `h` to the witness `x` and proves `log_g(y) = log_h(h^x)`:
+    /// returns `z = h^x` and the proof. `y` must be `g^x`.
     ///
-    /// The nonce is derived deterministically from the witness and the
-    /// statement, so proofs are reproducible and never reuse a nonce across
-    /// distinct statements.
-    pub fn prove(statement: &DleqStatement<'_>, x: &BigUint) -> DleqProof {
+    /// `z` and the commitment `b = h^k` come from one squaring chain
+    /// ([`SchnorrGroup::pow_pair`]), so the nonce `k` is derived from
+    /// `(x, g, y, h)`, not from `z`. It is still unique per statement:
+    /// those inputs fix `z = h^x`, and `prove` computes `z` itself, so no
+    /// caller can spend one nonce on two statements. Proofs are
+    /// deterministic.
+    pub fn prove(
+        group: &SchnorrGroup,
+        g: &BigUint,
+        y: &BigUint,
+        h: &BigUint,
+        x: &BigUint,
+    ) -> (BigUint, DleqProof) {
         crate::stats::record_dleq_proof();
         crate::stats::timed(Primitive::DleqProve, || {
-            let group = statement.group;
-            let k = derive_nonce(statement, x);
+            let k = derive_nonce(group, [g, y, h], x);
+            let (z, b) = group.pow_pair(h, x, &k);
             // `g` is almost always the group generator, so route through
             // the fixed-base table when one is trained.
-            let a = group.pow_base(statement.g, &k);
-            let b = group.pow(statement.h, &k);
-            let c = challenge(statement, &a, &b);
-            let s = group.scalar_add(&k, &group.scalar_mul(&c, x));
-            DleqProof { a, b, s }
+            let a = group.pow_base(g, &k);
+            let statement = DleqStatement {
+                group,
+                g,
+                y,
+                h,
+                z: &z,
+            };
+            let proof = respond(&statement, x, &k, a, b);
+            (z, proof)
         })
     }
 
@@ -81,7 +97,7 @@ impl DleqProof {
     }
 
     /// [`verify`](Self::verify) for a statement whose `y` is `key`'s
-    /// element: `y^c` comes from the key's window table when its
+    /// element: `y^c` comes from the key's comb table when its
     /// signature checks have trained one ([`VerifyingKey::pow_challenge`]).
     ///
     /// Both checks are inverse-free. The `g` side is `g^s = a·y^c`, with
@@ -136,14 +152,14 @@ impl DleqProof {
     }
 }
 
-fn derive_nonce(statement: &DleqStatement<'_>, x: &BigUint) -> BigUint {
-    let group = statement.group;
+/// The nonce `HMAC(x, g, y, h) mod q`, rejecting 0.
+fn derive_nonce(group: &SchnorrGroup, bases: [&BigUint; 3], x: &BigUint) -> BigUint {
     let mut counter = 0u32;
     loop {
         let mut mac = HmacSha256::new(&x.to_bytes_be());
         mac.update(b"dleq-nonce");
         mac.update(&counter.to_be_bytes());
-        for el in [statement.g, statement.y, statement.h, statement.z] {
+        for el in bases {
             mac.update(&group.element_to_bytes(el));
         }
         let d1 = mac.clone().finalize();
@@ -158,6 +174,32 @@ fn derive_nonce(statement: &DleqStatement<'_>, x: &BigUint) -> BigUint {
         }
         counter += 1;
     }
+}
+
+/// The proof with nonce `k` and commitments `a = g^k`, `b = h^k`:
+/// challenge `c`, response `s = k + c·x mod q`.
+fn respond(
+    statement: &DleqStatement<'_>,
+    x: &BigUint,
+    k: &BigUint,
+    a: BigUint,
+    b: BigUint,
+) -> DleqProof {
+    let group = statement.group;
+    let c = challenge(statement, &a, &b);
+    let s = group.scalar_add(k, &group.scalar_mul(&c, x));
+    DleqProof { a, b, s }
+}
+
+/// A proof for any statement, true or not, with `prove`'s nonce and each
+/// commitment raised on its own: the tests' way to build proofs of false
+/// statements, and `prove`'s oracle.
+#[cfg(test)]
+pub(crate) fn prove_statement(statement: &DleqStatement<'_>, x: &BigUint) -> DleqProof {
+    let (group, h) = (statement.group, statement.h);
+    let k = derive_nonce(group, [statement.g, statement.y, h], x);
+    let a = group.pow_base(statement.g, &k);
+    respond(statement, x, &k, a, group.pow(h, &k))
 }
 
 /// Fiat–Shamir challenge `c = H(g, h, y, z, a, b) mod q`.
@@ -188,6 +230,8 @@ mod tests {
     #[test]
     fn prove_verify_roundtrip() {
         let (group, x, h, y, z) = setup();
+        let (proved_z, proof) = DleqProof::prove(&group, group.g(), &y, &h, &x);
+        assert_eq!(proved_z, z);
         let st = DleqStatement {
             group: &group,
             g: group.g(),
@@ -195,8 +239,29 @@ mod tests {
             h: &h,
             z: &z,
         };
-        let proof = DleqProof::prove(&st, &x);
         assert!(proof.verify(&st));
+    }
+
+    #[test]
+    fn joint_chain_proof_equals_the_separately_raised_one() {
+        for group in [SchnorrGroup::test_256(), SchnorrGroup::rfc3526_2048()] {
+            let sk = crate::schnorr::SigningKey::from_seed(&group, b"dleq-joint");
+            let (x, y) = (sk.secret_scalar(), sk.verifying_key().element());
+            for i in 0u8..3 {
+                let h = group.hash_to_group("dleq-joint", &[i]);
+                let (z, proof) = DleqProof::prove(&group, group.g(), y, &h, x);
+                assert_eq!(z, h.pow_mod_reference(x, group.p()), "{}", group.name());
+                let st = DleqStatement {
+                    group: &group,
+                    g: group.g(),
+                    y,
+                    h: &h,
+                    z: &z,
+                };
+                assert_eq!(proof, prove_statement(&st, x), "{}", group.name());
+                assert!(proof.verify(&st));
+            }
+        }
     }
 
     #[test]
@@ -211,7 +276,7 @@ mod tests {
             h: &h,
             z: &z_bad,
         };
-        let proof = DleqProof::prove(&st, &x);
+        let proof = prove_statement(&st, &x);
         assert!(!proof.verify(&st));
     }
 
@@ -225,7 +290,7 @@ mod tests {
             h: &h,
             z: &z,
         };
-        let proof = DleqProof::prove(&st, &x);
+        let proof = prove_statement(&st, &x);
         // Same proof presented for a different h must fail.
         let h2 = group.hash_to_group("dleq-test", b"another base");
         let z2 = group.pow(&h2, &x);
@@ -249,7 +314,7 @@ mod tests {
             h: &h,
             z: &z,
         };
-        let proof = DleqProof::prove(&st, &x);
+        let proof = prove_statement(&st, &x);
         let bad = DleqProof::from_parts(
             proof.a().clone(),
             proof.b().clone(),
@@ -271,7 +336,7 @@ mod tests {
             h: &h,
             z: &z,
         };
-        let proof = DleqProof::prove(&st, &x);
+        let proof = prove_statement(&st, &x);
         // Textbook verification with reference exponentiation.
         let c = challenge(&st, proof.a(), proof.b());
         let lhs_g = group.g().pow_mod_reference(proof.s(), group.p());
@@ -293,7 +358,7 @@ mod tests {
             h: &h,
             z: &z,
         };
-        let proof = DleqProof::prove(&st, &x);
+        let proof = prove_statement(&st, &x);
         let zero = BigUint::zero();
         let st_zero = DleqStatement { z: &zero, ..st };
         assert!(!proof.verify(&st_zero));
@@ -315,7 +380,7 @@ mod tests {
         group.multi_pow(&[(st.h, proof.s()), (&z_inv, c)]) == *proof.b()
     }
 
-    /// A signing key whose verifying key has trained its window table.
+    /// A signing key whose verifying key has trained its comb table.
     fn trained_key(group: &SchnorrGroup) -> crate::schnorr::SigningKey {
         let sk = crate::schnorr::SigningKey::from_seed(group, b"dleq-trained");
         let sig = sk.sign(b"train");
@@ -341,7 +406,7 @@ mod tests {
                 h: &h,
                 z: &z,
             };
-            let proof = DleqProof::prove(&st, x);
+            let proof = prove_statement(&st, x);
             let (a, b, s) = (proof.a(), proof.b(), proof.s());
             // Passes under c = 0 for every z ≢ 0: a = g^k, b = h^k, s = k.
             let k = BigUint::from_u64(0xd1e9);
@@ -412,7 +477,7 @@ mod tests {
         // The VRF rejects it by membership before any DLEQ check.
         let (group, x, _, y, _) = setup();
         let mut seen = [false; 2];
-        for i in 0u32.. {
+        for i in 0u32..256 {
             let h = group.hash_to_group("dleq-neg", &i.to_be_bytes());
             let neg_z = group.p().sub(&group.pow(&h, &x));
             let st = DleqStatement {
@@ -422,7 +487,7 @@ mod tests {
                 h: &h,
                 z: &neg_z,
             };
-            let proof = DleqProof::prove(&st, &x);
+            let proof = prove_statement(&st, &x);
             let c = challenge(&st, proof.a(), proof.b());
             assert_eq!(proof.verify(&st), check_with_inverse(&proof, &st, &c));
             assert_eq!(proof.verify(&st), c.is_even(), "i={i}");
@@ -431,6 +496,8 @@ mod tests {
                 break;
             }
         }
+        // Bounded, so a broken kernel fails here instead of looping.
+        assert_eq!(seen, [true; 2]);
     }
 
     #[test]
@@ -443,6 +510,10 @@ mod tests {
             h: &h,
             z: &z,
         };
-        assert_eq!(DleqProof::prove(&st, &x), DleqProof::prove(&st, &x));
+        assert_eq!(prove_statement(&st, &x), prove_statement(&st, &x));
+        assert_eq!(
+            DleqProof::prove(&group, group.g(), &y, &h, &x),
+            (z.clone(), prove_statement(&st, &x))
+        );
     }
 }

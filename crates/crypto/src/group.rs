@@ -15,9 +15,10 @@
 //! # Exponentiation hot path
 //!
 //! Every group owns one [`Montgomery`] context (built once, reused by all
-//! exponentiations) and lazily builds a [`FixedBaseTable`] for the
-//! generator after [`G_TABLE_THRESHOLD`] `pow_g` calls, turning the
-//! hottest operation in signing/key-gen/VRF evaluation into table lookups.
+//! exponentiations) and lazily builds a [`CombTable`] for the generator
+//! after [`G_TABLE_THRESHOLD`] `pow_g` calls, with one part per exponent
+//! width the protocol uses, turning the hottest operation in
+//! signing/key-gen/VRF evaluation into a short comb.
 //! Subgroup membership tests use the Jacobi symbol instead of an
 //! `x^q mod p` exponentiation (~50× cheaper at 2048 bits on the IFMA
 //! kernel, more on the portable one); the
@@ -31,14 +32,25 @@ use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
 
-use crate::bigint::{jacobi, BigUint, FixedBaseTable, Montgomery};
+use crate::bigint::{jacobi, BigUint, CombTable, Montgomery};
 use crate::sha256::Sha256;
 
-/// Number of `pow_g` calls after which the generator window table is
+/// Number of `pow_g` calls after which the generator comb table is
 /// built. One-shot users (a single key-gen, a lone forged signature)
 /// never pay the build; any steady caller amortizes it within a few
 /// operations.
 pub const G_TABLE_THRESHOLD: u64 = 2;
+
+/// The widths the protocol raises the generator to, below the full-width
+/// part: 512-bit keys and nonces (64 hash bytes), responses
+/// `k + x·e < 2^769` (a 512-bit nonce plus a 512-bit key times a 256-bit
+/// challenge), and RLC sums `Σ zᵢ·sᵢ` of 64-bit randomizers over up to
+/// 128 responses. Any wider exponent takes the last part, `|q|` bits.
+const G_COMB_BITS: [usize; 3] = [512, 769, 840];
+
+/// Blocks per generator comb part: 4 × 255 entries, 261 KB a part at
+/// 2048 bits.
+const G_COMB_BLOCKS: usize = 4;
 
 /// RFC 3526 group 14: 2048-bit MODP prime (a safe prime), generator 2.
 const RFC3526_2048_P: &str = "\
@@ -93,6 +105,17 @@ ee2c50993f2bc0bb8dcaccb41f81d9cf35e3f7bbd0e8c2b90d143f2704683b67\
 /// 256-bit safe prime for tests (deterministically generated; INSECURE).
 const TEST_256_P: &str = "d87d5bf5d41fe719288a7235e78adfc7713253fa5e3b8acac9f3184936331497";
 
+/// The generator's comb parts, `(bits, blocks)`, for a `q_bits`-bit
+/// order: the [`G_COMB_BITS`] below `q_bits`, then `q_bits`.
+pub(crate) fn g_comb_parts(q_bits: usize) -> Vec<(usize, usize)> {
+    G_COMB_BITS
+        .into_iter()
+        .filter(|&bits| bits < q_bits)
+        .chain([q_bits])
+        .map(|bits| (bits, G_COMB_BLOCKS))
+        .collect()
+}
+
 /// A Schnorr group: the order-`q` subgroup of `Z_p^*` with `p = 2q + 1`.
 ///
 /// Cheap to clone (parameters are behind an `Arc`).
@@ -125,8 +148,8 @@ struct GroupParams {
     name: &'static str,
     /// Cached Montgomery context for `p`, shared by every exponentiation.
     mont: Montgomery,
-    /// Lazily-built fixed-base window table for the generator.
-    g_table: OnceLock<FixedBaseTable>,
+    /// Lazily-built comb table for the generator.
+    g_table: OnceLock<CombTable>,
     /// `pow_g` calls so far; triggers the table build at the threshold.
     pow_g_calls: AtomicU64,
 }
@@ -234,24 +257,25 @@ impl SchnorrGroup {
     }
 
     /// The group's cached Montgomery context (for callers that manage
-    /// their own precomputation, e.g. per-key window tables).
+    /// their own precomputation, e.g. per-key comb tables).
     pub fn mont(&self) -> &Montgomery {
         &self.inner.mont
     }
 
     /// `g^e mod p`.
     ///
-    /// After [`G_TABLE_THRESHOLD`] calls a fixed-base window table for `g`
-    /// is built (shared across clones through the `Arc` inner) and every
-    /// subsequent call is answered from it: one multiplication per nonzero
-    /// 4-bit exponent digit, no squarings.
+    /// After [`G_TABLE_THRESHOLD`] calls a comb table for `g` is built
+    /// (shared across clones through the `Arc` inner) and every subsequent
+    /// call is answered from its narrowest part that covers `e`: in the
+    /// 2048-bit group about 79 products for a 512-bit exponent, 121 for
+    /// 769 bits, 131 for 840 and 318 for 2 047.
     pub fn pow_g(&self, e: &BigUint) -> BigUint {
         let inner = &*self.inner;
         let table = match inner.g_table.get() {
             Some(t) => Some(t),
             None if inner.pow_g_calls.fetch_add(1, Relaxed) + 1 >= G_TABLE_THRESHOLD => {
                 Some(inner.g_table.get_or_init(|| {
-                    FixedBaseTable::build(&inner.mont, &inner.g, inner.q.bit_len())
+                    CombTable::build(&inner.mont, &inner.g, &g_comb_parts(inner.q.bit_len()))
                 }))
             }
             None => None,
@@ -275,6 +299,12 @@ impl SchnorrGroup {
     /// `base^e mod p`.
     pub fn pow(&self, base: &BigUint, e: &BigUint) -> BigUint {
         self.inner.mont.pow(base, e)
+    }
+
+    /// `(base^e1 mod p, base^e2 mod p)` over one squaring chain (see
+    /// [`Montgomery::pow_pair`]).
+    pub fn pow_pair(&self, base: &BigUint, e1: &BigUint, e2: &BigUint) -> (BigUint, BigUint) {
+        self.inner.mont.pow_pair(base, e1, e2)
     }
 
     /// Straus/Shamir simultaneous exponentiation `∏ baseᵢ^expᵢ mod p`

@@ -13,13 +13,13 @@
 //! # Verification hot path
 //!
 //! Every key checks `pow_g(s) == r · y^e`: no inverse, and no Straus
-//! product. `pow_g` answers from the generator's window table; `y^e` is
+//! product. `pow_g` answers from the generator's comb table; `y^e` is
 //! one plain exponentiation of the 256-bit challenge until
-//! [`KEY_TABLE_THRESHOLD`] verifications have built a fixed-base window
-//! table for `y` — sized to the challenge width, not the full group order —
-//! after which the check is squaring-free. DLEQ verification raises the
-//! same key to its challenge through the same table. All paths are
-//! property-tested against the textbook `g^s == r · y^e` reference.
+//! [`KEY_TABLE_THRESHOLD`] verifications have built a comb table for `y`
+//! — sized to the challenge width, not the full group order. DLEQ
+//! verification raises the same key to its challenge through the same
+//! table. All paths are property-tested against the textbook
+//! `g^s == r · y^e` reference.
 //!
 //! [`SchnorrGroup`]: crate::group::SchnorrGroup
 
@@ -29,17 +29,27 @@ use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
 
-use crate::bigint::{BigUint, FixedBaseTable};
+use crate::bigint::{BigUint, CombTable};
 use crate::group::SchnorrGroup;
 use crate::hmac::HmacSha256;
 use crate::sha256::Sha256;
 use crate::stats::Primitive;
 
-/// Number of verifications after which a per-key window table for `y` is
+/// Number of verifications after which a per-key comb table for `y` is
 /// built. One-shot verifiers raise `y` with a plain exponentiation; any
 /// key verified repeatedly (governor screening, benchmark loops)
 /// amortizes the build within a handful of calls.
 pub const KEY_TABLE_THRESHOLD: u64 = 3;
+
+/// Blocks of a per-key comb: 2 × 255 entries, 131 KB at 2048 bits, and
+/// 47 products per 256-bit challenge.
+const KEY_COMB_BLOCKS: usize = 2;
+
+/// A key's comb part, `(bits, blocks)`: the challenge is 256 hash bits
+/// reduced mod `q`, so the table needs only `min(256, |q|)` bits.
+pub(crate) fn key_comb_parts(q: &BigUint) -> [(usize, usize); 1] {
+    [(q.bit_len().min(256), KEY_COMB_BLOCKS)]
+}
 
 /// A Schnorr signing key (keep secret).
 #[derive(Clone)]
@@ -50,8 +60,8 @@ pub struct SigningKey {
 
 /// A Schnorr verification (public) key.
 ///
-/// Carries a lazily-populated verification cache (a fixed-base window
-/// table for `y`), shared across clones. The cache never affects
+/// Carries a lazily-populated verification cache (a comb table for `y`),
+/// shared across clones. The cache never affects
 /// results — equality and hashing consider only the group and `y`.
 #[derive(Clone)]
 pub struct VerifyingKey {
@@ -65,8 +75,8 @@ pub struct VerifyingKey {
 struct VkCache {
     /// Verifications so far; triggers the table build at the threshold.
     uses: AtomicU64,
-    /// Fixed-base window table for `y`, sized to the challenge width.
-    table: OnceLock<FixedBaseTable>,
+    /// Comb table for `y`, sized to the challenge width.
+    table: OnceLock<CombTable>,
 }
 
 impl PartialEq for VerifyingKey {
@@ -236,23 +246,19 @@ impl VerifyingKey {
         self.group.pow_g(&signature.s) == self.group.mul(&signature.r, &self.pow_challenge(&e))
     }
 
-    /// Counts a verification and builds the window table for `y` at the
+    /// Counts a verification and builds the comb table for `y` at the
     /// [`KEY_TABLE_THRESHOLD`]th.
     fn train(&self) {
         if self.cache.table.get().is_none()
             && self.cache.uses.fetch_add(1, Relaxed) + 1 >= KEY_TABLE_THRESHOLD
         {
-            // The challenge is 256 hash bits reduced mod q, so the table
-            // only needs min(256, |q|) bits — a quarter of the full-width
-            // build cost for the 2048-bit group.
-            let bits = self.group.q().bit_len().min(256);
-            self.cache
-                .table
-                .get_or_init(|| FixedBaseTable::build(self.group.mont(), &self.y, bits));
+            self.cache.table.get_or_init(|| {
+                CombTable::build(self.group.mont(), &self.y, &key_comb_parts(self.group.q()))
+            });
         }
     }
 
-    /// `y^e mod p` for a challenge `e`: from the key's window table once
+    /// `y^e mod p` for a challenge `e`: from the key's comb table once
     /// [`verify`](Self::verify) has trained it, else one plain
     /// exponentiation. Schnorr and DLEQ verification both raise `y` here.
     pub(crate) fn pow_challenge(&self, e: &BigUint) -> BigUint {

@@ -163,47 +163,10 @@ impl KeyPair {
 
     /// Evaluates the scheme's VRF on `message`.
     pub fn vrf_evaluate(&self, message: &[u8]) -> VrfEvaluation {
-        self.vrf_output(message).prove()
-    }
-
-    /// The output half of [`vrf_evaluate`](Self::vrf_evaluate): the VRF
-    /// output on `message` without its proof, for callers that compare
-    /// several outputs and [`prove`](VrfOutput::prove) only the one they
-    /// publish.
-    pub fn vrf_output(&self, message: &[u8]) -> VrfOutput<'_> {
         match self {
-            KeyPair::Sim(kp) => VrfOutput::Sim(sim_vrf_output(kp.public_key(), message)),
-            KeyPair::Schnorr(sk) => VrfOutput::Schnorr(Box::new(vrf::output_with_key(sk, message))),
-        }
-    }
-}
-
-/// A VRF output awaiting its proof, scheme-dispatched; borrows the key
-/// pair that computed it.
-#[derive(Clone, Debug)]
-pub enum VrfOutput<'k> {
-    /// Sim VRF: the output is its own proof.
-    Sim(Digest),
-    /// Real VRF: `h`, `gamma` and the output, proof not yet built.
-    Schnorr(Box<vrf::PreOutput<'k>>),
-}
-
-impl VrfOutput<'_> {
-    /// The VRF output.
-    pub fn output(&self) -> Digest {
-        match self {
-            VrfOutput::Sim(d) => *d,
-            VrfOutput::Schnorr(pre) => pre.output(),
-        }
-    }
-
-    /// Completes the evaluation; equal to what
-    /// [`KeyPair::vrf_evaluate`] returns for the same message.
-    pub fn prove(self) -> VrfEvaluation {
-        match self {
-            VrfOutput::Sim(d) => VrfEvaluation::Sim(d),
-            VrfOutput::Schnorr(pre) => {
-                let (output, proof) = pre.prove();
+            KeyPair::Sim(kp) => VrfEvaluation::Sim(sim_vrf_output(kp.public_key(), message)),
+            KeyPair::Schnorr(sk) => {
+                let (output, proof) = vrf::evaluate_with_key(sk, message);
                 VrfEvaluation::Schnorr {
                     output,
                     proof: Box::new(proof),

@@ -12,8 +12,12 @@
 //!
 //! - `modexp_calls` — full modular exponentiations (Montgomery or plain),
 //! - `multi_pow_calls` — Straus/Shamir simultaneous exponentiations,
-//! - `table_builds` — fixed-base window-table precomputations,
+//! - `table_builds` — fixed-base comb-table precomputations,
 //! - `table_pows` — exponentiations answered from a fixed-base table,
+//! - `products` — Montgomery products of every kind: squarings,
+//!   multiplications and conversions, table builds included. The same
+//!   count on either kernel, and unlike time it does not depend on the
+//!   host,
 //! - `dleq_proofs` — Chaum–Pedersen proofs built (one per VRF evaluation
 //!   that is actually proved),
 //! - `batch_calls` / `batch_items` — RLC batch verifications and the items
@@ -39,6 +43,7 @@ static MODEXP_CALLS: AtomicU64 = AtomicU64::new(0);
 static MULTI_POW_CALLS: AtomicU64 = AtomicU64::new(0);
 static TABLE_BUILDS: AtomicU64 = AtomicU64::new(0);
 static TABLE_POWS: AtomicU64 = AtomicU64::new(0);
+static PRODUCTS: AtomicU64 = AtomicU64::new(0);
 static DLEQ_PROOFS: AtomicU64 = AtomicU64::new(0);
 static BATCH_CALLS: AtomicU64 = AtomicU64::new(0);
 static BATCH_ITEMS: AtomicU64 = AtomicU64::new(0);
@@ -58,7 +63,7 @@ pub enum Primitive {
     MontPow,
     /// [`crate::bigint::Montgomery::multi_pow`]: Straus, shared chain.
     MultiPow,
-    /// [`crate::bigint::FixedBaseTable::pow`]: no squarings.
+    /// [`crate::bigint::CombTable::pow`]: a few squarings per column.
     TablePow,
     /// [`crate::dleq::DleqProof::prove`]: one per VRF proof built.
     DleqProve,
@@ -133,6 +138,15 @@ pub(crate) fn record_table_pow() {
     TABLE_POWS.fetch_add(1, Relaxed);
 }
 
+/// Adds an exponentiation's products: one atomic add per working set,
+/// not per product.
+#[inline]
+pub(crate) fn record_products(n: u64) {
+    if n != 0 {
+        PRODUCTS.fetch_add(n, Relaxed);
+    }
+}
+
 #[inline]
 pub(crate) fn record_dleq_proof() {
     DLEQ_PROOFS.fetch_add(1, Relaxed);
@@ -166,10 +180,12 @@ pub struct CryptoStats {
     pub modexp_calls: u64,
     /// Straus/Shamir simultaneous multi-exponentiations.
     pub multi_pow_calls: u64,
-    /// Fixed-base window tables built (generator or public-key tables).
+    /// Fixed-base comb tables built (generator or public-key tables).
     pub table_builds: u64,
     /// Exponentiations served from a fixed-base table.
     pub table_pows: u64,
+    /// Montgomery products (squarings, multiplications, conversions).
+    pub products: u64,
     /// DLEQ proofs built (VRF evaluations that were proved).
     pub dleq_proofs: u64,
     /// RLC batch-verification calls.
@@ -196,6 +212,7 @@ impl CryptoStats {
             multi_pow_calls: self.multi_pow_calls.saturating_sub(earlier.multi_pow_calls),
             table_builds: self.table_builds.saturating_sub(earlier.table_builds),
             table_pows: self.table_pows.saturating_sub(earlier.table_pows),
+            products: self.products.saturating_sub(earlier.products),
             dleq_proofs: self.dleq_proofs.saturating_sub(earlier.dleq_proofs),
             batch_calls: self.batch_calls.saturating_sub(earlier.batch_calls),
             batch_items: self.batch_items.saturating_sub(earlier.batch_items),
@@ -220,6 +237,7 @@ pub fn snapshot() -> CryptoStats {
         multi_pow_calls: MULTI_POW_CALLS.load(Relaxed),
         table_builds: TABLE_BUILDS.load(Relaxed),
         table_pows: TABLE_POWS.load(Relaxed),
+        products: PRODUCTS.load(Relaxed),
         dleq_proofs: DLEQ_PROOFS.load(Relaxed),
         batch_calls: BATCH_CALLS.load(Relaxed),
         batch_items: BATCH_ITEMS.load(Relaxed),
@@ -243,6 +261,7 @@ mod tests {
         record_multi_pow();
         record_table_build();
         record_table_pow();
+        record_products(3);
         record_dleq_proof();
         record_batch(5);
         record_batch_bisect();
@@ -256,6 +275,7 @@ mod tests {
         assert!(d.multi_pow_calls >= 1);
         assert!(d.table_builds >= 1);
         assert!(d.table_pows >= 1);
+        assert!(d.products >= 3);
         assert!(d.dleq_proofs >= 1);
         assert!(d.batch_calls >= 1);
         assert!(d.batch_items >= 5);

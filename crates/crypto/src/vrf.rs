@@ -10,13 +10,8 @@
 //!   `π = DLEQ(g, y; h, gamma)`, output `= H(gamma)`,
 //! - verify(m, out, π): check the DLEQ proof and recompute the output.
 //!
-//! Evaluation comes in two halves: [`output_with_key`] computes `h`,
-//! `gamma` and the output (one exponentiation), and [`PreOutput::prove`]
-//! adds the DLEQ proof over the same `h` and `gamma` (two more). A caller
-//! that compares several outputs and publishes one — the election's
-//! least hash over the stake units — proves only that one; proving is
-//! deterministic, so the proof is the one an eager evaluation would have
-//! built.
+//! Evaluation raises `h` to the secret and to the proof's nonce over one
+//! squaring chain ([`DleqProof::prove`]).
 //!
 //! Uniqueness follows from `gamma` being determined by `(m, x)`;
 //! pseudorandomness from the DDH assumption in the group (for the secure
@@ -94,58 +89,11 @@ impl VrfKeyPair {
 /// Identical to [`VrfKeyPair::evaluate`], without requiring the caller to
 /// move (or clone) the key into a `VrfKeyPair` wrapper first.
 pub fn evaluate_with_key(key: &SigningKey, message: &[u8]) -> (Digest, VrfProof) {
-    output_with_key(key, message).prove()
-}
-
-/// A VRF output that has not been proved yet: `h = HashToGroup(m)`,
-/// `gamma = h^x` and `H(gamma)`, tied to the key that computed them.
-#[derive(Clone, Debug)]
-pub struct PreOutput<'k> {
-    key: &'k SigningKey,
-    h: BigUint,
-    gamma: BigUint,
-    output: Digest,
-}
-
-/// The output half of a VRF evaluation: everything except the proof.
-pub fn output_with_key<'k>(key: &'k SigningKey, message: &[u8]) -> PreOutput<'k> {
     let group = key.group();
     let h = group.hash_to_group(H2G_DOMAIN, message);
-    let gamma = group.pow(&h, key.secret_scalar());
-    let output = output_from_gamma(group, &gamma);
-    PreOutput {
-        key,
-        h,
-        gamma,
-        output,
-    }
-}
-
-impl PreOutput<'_> {
-    /// The VRF output `H(gamma)`.
-    pub fn output(&self) -> Digest {
-        self.output
-    }
-
-    /// The proof half: the DLEQ proof that `gamma` uses the key's secret.
-    pub fn prove(self) -> (Digest, VrfProof) {
-        let group = self.key.group();
-        let statement = DleqStatement {
-            group,
-            g: group.g(),
-            y: self.key.verifying_key().element(),
-            h: &self.h,
-            z: &self.gamma,
-        };
-        let dleq = DleqProof::prove(&statement, self.key.secret_scalar());
-        (
-            self.output,
-            VrfProof {
-                gamma: self.gamma,
-                dleq,
-            },
-        )
-    }
+    let y = key.verifying_key().element();
+    let (gamma, dleq) = DleqProof::prove(group, group.g(), y, &h, key.secret_scalar());
+    (output_from_gamma(group, &gamma), VrfProof { gamma, dleq })
 }
 
 impl VrfProof {
@@ -200,6 +148,19 @@ mod tests {
         let kp = keypair();
         let (out, proof) = kp.evaluate(b"round-1");
         assert_eq!(proof.verify(kp.public_key(), b"round-1"), Some(out));
+    }
+
+    #[test]
+    fn joint_chain_output_is_the_hash_of_h_to_the_secret() {
+        for group in [SchnorrGroup::test_256(), SchnorrGroup::rfc3526_2048()] {
+            let kp = VrfKeyPair::from_seed(&group, b"vrf-joint");
+            let (out, proof) = kp.evaluate(b"round-3");
+            let h = group.hash_to_group(H2G_DOMAIN, b"round-3");
+            let gamma = h.pow_mod_reference(kp.key.secret_scalar(), group.p());
+            assert_eq!(proof.gamma(), &gamma);
+            assert_eq!(out, output_from_gamma(&group, &gamma));
+            assert_eq!(proof.verify(kp.public_key(), b"round-3"), Some(out));
+        }
     }
 
     #[test]
@@ -270,18 +231,19 @@ mod tests {
         let kp = keypair();
         let group = kp.public_key().group().clone();
         let mut seen = [false; 2];
-        for i in 0u32.. {
+        for i in 0u32..256 {
             let msg = i.to_be_bytes();
-            let pre = output_with_key(&kp.key, &msg);
-            let neg = group.p().sub(&pre.gamma);
+            let (_, proof) = kp.evaluate(&msg);
+            let h = group.hash_to_group(H2G_DOMAIN, &msg);
+            let neg = group.p().sub(proof.gamma());
             let statement = DleqStatement {
                 group: &group,
                 g: group.g(),
                 y: kp.public_key().element(),
-                h: &pre.h,
+                h: &h,
                 z: &neg,
             };
-            let dleq = DleqProof::prove(&statement, kp.key.secret_scalar());
+            let dleq = crate::dleq::prove_statement(&statement, kp.key.secret_scalar());
             let passes = dleq.verify(&statement);
             seen[passes as usize] = true;
             let forged = VrfProof { gamma: neg, dleq };
@@ -290,6 +252,8 @@ mod tests {
                 break;
             }
         }
+        // Bounded, so a broken kernel fails here instead of looping.
+        assert_eq!(seen, [true; 2]);
     }
 
     #[test]

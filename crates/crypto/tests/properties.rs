@@ -231,10 +231,10 @@ fn sim_tag_and_merkle_root_are_pinned() {
 // Hot-path exponentiation vs the reference implementation.
 //
 // The Montgomery windowed pow, the Straus multi-exponentiation, the
-// fixed-base tables, and the Jacobi subgroup test are all pinned here to
+// fixed-base comb tables, the paired exponentiation, and the Jacobi subgroup test are all pinned here to
 // `pow_mod_reference` / the Euler criterion over random inputs.
 
-use prb_crypto::bigint::{FixedBaseTable, Montgomery};
+use prb_crypto::bigint::{CombTable, Montgomery};
 
 fn odd_modulus_strategy(max_bytes: usize) -> impl Strategy<Value = BigUint> {
     proptest::collection::vec(any::<u8>(), 1..=max_bytes).prop_map(|mut b| {
@@ -292,7 +292,7 @@ proptest! {
         m in odd_modulus_strategy(12),
     ) {
         let ctx = Montgomery::new(&m);
-        let table = FixedBaseTable::build(&ctx, &base, 64);
+        let table = CombTable::build(&ctx, &base, &[(64, 4), (24, 2)]);
         match table.pow(&ctx, &e) {
             Some(got) => prop_assert_eq!(got, base.pow_mod_reference(&e, &m)),
             None => prop_assert!(e.bit_len() > table.max_bits()),
@@ -366,8 +366,10 @@ proptest! {
         for name in runnable_kernels() {
             let ctx = Montgomery::on_kernel(&n, name).expect("runnable");
             prop_assert_eq!(ctx.pow(&base, &e), want.clone(), "{}", name);
-            let table = FixedBaseTable::build(&ctx, &base, 160);
+            let table = CombTable::build(&ctx, &base, &[(160, 4)]);
             prop_assert_eq!(table.pow(&ctx, &e), Some(want.clone()), "{}", name);
+            let pair = (want.clone(), base.pow_mod_reference(&e2, &n));
+            prop_assert_eq!(ctx.pow_pair(&base, &e, &e2), pair, "{}", name);
             prop_assert_eq!(ctx.multi_pow(&[(&base, &e), (&other, &e2)]), want2.clone());
             prop_assert_eq!(ctx.mul(&base, &other), base.mul_mod(&other, &n), "{}", name);
         }
@@ -385,7 +387,7 @@ proptest! {
 }
 
 /// Every parameter set (the three RFC 3526 groups and both test groups):
-/// generator-table `pow_g` and a per-base table must match the reference
+/// generator-comb `pow_g` and a standalone comb must match the reference
 /// at the edge exponents 0, 1 and `q − 1`, plus a mid-size scalar.
 #[test]
 fn fixed_base_tables_match_reference_all_groups_edge_exponents() {
@@ -397,7 +399,8 @@ fn fixed_base_tables_match_reference_all_groups_edge_exponents() {
         SchnorrGroup::rfc3526_4096(),
     ] {
         let q_minus_1 = group.q().sub(&BigUint::one());
-        let table = FixedBaseTable::build(group.mont(), group.g(), group.q().bit_len());
+        let parts = [(512, 4), (group.q().bit_len(), 4)];
+        let table = CombTable::build(group.mont(), group.g(), &parts);
         for e in [
             BigUint::zero(),
             BigUint::one(),

@@ -1,7 +1,7 @@
 //! Where a `closed-crypto` round's crypto time goes, per primitive.
 //!
 //! ```text
-//! cargo run --release --example crypto_attribution [-- --seed 11 --rounds 45]
+//! cargo run --release --example crypto_attribution [-- --seed 11 --rounds 45 --verify-threads 1]
 //! ```
 //!
 //! Builds the `closed-crypto` deployment of BENCHMARK.json (closed loop,
@@ -9,10 +9,13 @@
 //! 2 tx per provider, `verify_blocks`), runs the benchmark's four warm-up
 //! rounds, then times `--rounds` rounds (45 is the benchmark's 10 s window)
 //! with `prb_crypto::stats` wall-clock attribution on, and prints the
-//! Montgomery and SHA-256 kernels this CPU runs, then calls, total
+//! Montgomery and SHA-256 kernels this CPU runs, exponentiations and
+//! Montgomery products per committed transaction, then calls, total
 //! milliseconds, microseconds per call and share of the window per
 //! primitive. Times are inclusive, so the rows overlap: a DLEQ verify holds
-//! the Jacobi symbols and exponentiations inside it.
+//! the Jacobi symbols and exponentiations inside it. `--verify-threads`
+//! sets `ProtocolConfig::verify_threads` (1, as in the benchmark, by
+//! default).
 
 #![forbid(unsafe_code)]
 
@@ -38,6 +41,7 @@ fn arg(name: &str, default: u64) -> Result<u64, String> {
 fn main() -> Result<(), String> {
     let seed = arg("--seed", 11)?;
     let rounds = u32::try_from(arg("--rounds", 45)?).map_err(|e| e.to_string())?;
+    let verify_threads = usize::try_from(arg("--verify-threads", 1)?).map_err(|e| e.to_string())?;
     let cfg = ProtocolConfig {
         providers: 4,
         collectors: 4,
@@ -45,6 +49,7 @@ fn main() -> Result<(), String> {
         replication: 2,
         tx_per_provider: 2,
         verify_blocks: true,
+        verify_threads,
         crypto: CryptoScheme::schnorr_2048(),
         seed,
         ..ProtocolConfig::default()
@@ -61,7 +66,7 @@ fn main() -> Result<(), String> {
     let spent = stats::snapshot().delta_since(&before);
 
     println!(
-        "closed-crypto, seed {seed}: {rounds} rounds, {committed} tx committed, {:.2} s ({:.1} tx/s)",
+        "closed-crypto, seed {seed}, {verify_threads} verify thread(s): {rounds} rounds, {committed} tx committed, {:.2} s ({:.1} tx/s)",
         window_ns / 1e9,
         committed as f64 / (window_ns / 1e9)
     );
@@ -70,14 +75,19 @@ fn main() -> Result<(), String> {
         bigint::kernel(),
         sha256::kernel()
     );
+    let per_tx = |n: u64| n as f64 / committed.max(1) as f64;
     println!(
         "modexp {} + multi_pow {} + table_pow {} = {:.2} per tx; {} DLEQ proofs",
         spent.modexp_calls,
         spent.multi_pow_calls,
         spent.table_pows,
-        (spent.modexp_calls + spent.multi_pow_calls + spent.table_pows) as f64
-            / committed.max(1) as f64,
+        per_tx(spent.modexp_calls + spent.multi_pow_calls + spent.table_pows),
         spent.dleq_proofs
+    );
+    println!(
+        "Montgomery products {} = {:.1} per tx",
+        spent.products,
+        per_tx(spent.products)
     );
     println!(
         "\n{:<16} {:>8} {:>10} {:>10} {:>8} {:>8}",

@@ -1,5 +1,6 @@
-//! Modular exponentiations per committed transaction and VRF proofs per
-//! governor per round, pinned without a wall clock.
+//! Modular exponentiations and Montgomery products per committed
+//! transaction and VRF proofs per governor per round, pinned without a
+//! wall clock.
 //!
 //! Its own file, so its own process, and one `#[test]`, so one thread:
 //! `prb_crypto::stats` counters are process-wide, and here nothing else
@@ -71,8 +72,21 @@ fn modexp_calls_and_vrf_proofs_stay_pinned() {
     // stake unit from it, where it evaluated `h^x` once per unit: 3 of the
     // 4 `h^x` a governor raised per round went, 12 a round, 144 in the
     // window. The election outcomes moved with it, and 84 transactions
-    // commit in the window, not 86. Exact per seed.
+    // commit in the window, not 86. 1 332 for the same 84 (15.86) since
+    // a VRF evaluation raises `h^x` and its proof's `h^k` over one
+    // squaring chain, one exponentiation call where there were two: one
+    // fewer per governor per round, 48 in the window. Exact per seed.
     let modexp = spent.modexp_calls + spent.multi_pow_calls + spent.table_pows;
-    assert_eq!((modexp, committed), (1_380, 84));
+    assert_eq!((modexp, committed), (1_332, 84));
     assert!(modexp <= 17 * committed as u64, "≤ 17 per committed tx");
+    // Of those, the exponentiations answered from a fixed-base table (the
+    // generator's and each trained key's).
+    assert_eq!(spent.table_pows, 1_159);
+
+    // Montgomery products of every kind, table builds included: the same
+    // on either kernel. 173 360 (2 064 per tx) with 4-bit window tables
+    // for the generator and the keys and two chains per VRF evaluation;
+    // 140 966 (1 678 per tx, −18.7 %) since every fixed base is a Lim–Lee
+    // comb and a VRF evaluation's `h^x` and `h^k` share one chain.
+    assert_eq!(spent.products, 140_966);
 }
