@@ -2,9 +2,9 @@
 //!
 //! Governors accumulate signature checks per block (provider signatures
 //! during screening, the stake-block certificate) and drain them through a
-//! [`VerifyPool`]: the batch is split into contiguous chunks, each chunk is
-//! handed to a scoped `std::thread` worker, and every worker runs the
-//! randomized-linear-combination batch verifier from
+//! [`VerifyPool`]: the batch is split into one contiguous chunk per worker,
+//! the chunks run on scoped threads through `prb_crypto::par`, and each
+//! worker runs the randomized-linear-combination batch verifier from
 //! `prb_crypto::batch` over its chunk. Two layers of speedup compose:
 //!
 //! 1. **algebraic** — within a chunk, one Straus multi-exponentiation
@@ -24,6 +24,7 @@
 //! sim-scheme cases never reach the spawn path at all (see
 //! [`PAR_MIN_ITEMS`]).
 
+use prb_crypto::par;
 use prb_crypto::signer::{self, PublicKey, Sig};
 
 /// Default inline threshold: below this many items a drain runs inline on
@@ -104,8 +105,9 @@ impl VerifyPool {
         self.run(items, signer::verify_batch)
     }
 
-    /// Splits `items` into per-worker chunks, applies `f` to each chunk on
-    /// its own scoped thread, and stitches the outputs back in order.
+    /// Splits `items` into one chunk per worker and maps them through
+    /// [`prb_crypto::par::map_chunks`], which applies `f` to each chunk on
+    /// its own thread and stitches the outputs back in order.
     fn run<I, O, F>(&self, items: &[I], f: F) -> Vec<O>
     where
         I: Sync,
@@ -116,15 +118,7 @@ impl VerifyPool {
             return f(items);
         }
         let workers = self.threads.min(items.len().div_ceil(MIN_CHUNK)).max(1);
-        let chunk = items.len().div_ceil(workers);
-        let mut out = Vec::with_capacity(items.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = items.chunks(chunk).map(|c| s.spawn(|| f(c))).collect();
-            for h in handles {
-                out.extend(h.join().expect("verify worker panicked"));
-            }
-        });
-        out
+        par::map_chunks(items, items.len().div_ceil(workers), workers, f)
     }
 }
 

@@ -41,7 +41,7 @@ use prb_consensus::membership::{
 };
 use prb_consensus::stake::{StakeTable, StakeTransfer};
 use prb_consensus::verify_pool::VerifyPool;
-use prb_crypto::fxhash::{fx_map_seeded, FxMap};
+use prb_crypto::fxhash::{fx_map_seeded, FxMap, FxSet};
 use prb_crypto::identity::NodeId;
 use prb_crypto::sha256::Digest;
 use prb_crypto::signer::{KeyPair, PublicKey, Sig};
@@ -1754,7 +1754,7 @@ impl GovernorNode {
         }
         let head = self.chain.latest();
         if !self.ready_entries.is_empty() || !self.argued_entries.is_empty() {
-            let included: HashSet<TxId> = head.entries.iter().map(|e| e.tx.id()).collect();
+            let included: FxSet<TxId> = head.entries.iter().map(|e| e.tx.id()).collect();
             self.ready_entries
                 .retain(|e| !included.contains(&e.tx.id()));
             self.argued_entries

@@ -24,6 +24,9 @@
 //!   failure bisection,
 //! - [`vrf`] — an ECVRF-style VRF built from hash-to-group + DLEQ,
 //! - [`merkle`] — Merkle trees with inclusion proofs,
+//! - [`par`] — an order-preserving map over scoped threads, for bulk
+//!   work whose items are independent (chain import and audit, store
+//!   replay, verification batches),
 //! - [`sim`] — fast simulation-only signatures/VRF (see its security note),
 //! - [`stats`] — process-wide counters for the modexp and SHA-256 hot paths,
 //!   and opt-in wall-clock attribution per primitive,
@@ -57,6 +60,7 @@ pub mod hex;
 pub mod hmac;
 pub mod identity;
 pub mod merkle;
+pub mod par;
 pub mod schnorr;
 pub mod sha256;
 pub mod signer;

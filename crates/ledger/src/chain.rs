@@ -20,11 +20,16 @@
 use std::fmt;
 
 use prb_crypto::fxhash::{fx_map, FxMap};
+use prb_crypto::par;
 use prb_crypto::sha256::Digest;
 
 use crate::block::{Block, BlockEntry, Verdict};
 use crate::codec::{self, DecodeError};
 use crate::transaction::TxId;
+
+/// Blocks a worker claims at a time where [`Chain::import`] decodes and
+/// [`Chain::audit`] rehashes in parallel.
+const PAR_CHUNK: usize = 8;
 
 /// Errors returned by [`Chain::append`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -467,19 +472,31 @@ impl Chain {
     ///
     /// Deliberately from scratch: the audit consults neither of a block's
     /// memos ([`Block::hash`], [`Block::merkle_consistent`]), so it is the
-    /// reference those are tested against.
+    /// reference those are tested against. The roots are recomputed in
+    /// parallel ([`prb_crypto::par`]); the links are then checked in order,
+    /// so the first bad block is the one a serial scan names.
     pub fn audit(&self) -> Option<u64> {
-        let root_ok = |b: &Block| Block::compute_merkle_root(&b.entries) == b.merkle_root;
+        self.audit_on(par::workers())
+    }
+
+    /// [`Self::audit`] on `workers` threads.
+    fn audit_on(&self, workers: usize) -> Option<u64> {
+        // A genesis block is fixed by the chain tag and its root is not
+        // checked; every block of an anchored chain is.
+        let skip = usize::from(self.anchor.is_none()).min(self.blocks.len());
+        let root_ok = par::map(&self.blocks[skip..], PAR_CHUNK, workers, |b| {
+            Block::compute_merkle_root(&b.entries) == b.merkle_root
+        });
         if let (Some(anchor), Some(first)) = (self.anchor, self.blocks.first()) {
-            if first.prev_hash != anchor || !root_ok(first) {
+            if first.prev_hash != anchor || !root_ok[0] {
                 return Some(first.serial);
             }
         }
-        for window in self.blocks.windows(2) {
+        for (i, window) in self.blocks.windows(2).enumerate() {
             let (prev, next) = (&window[0], &window[1]);
             if next.serial != prev.serial + 1
                 || next.prev_hash != prev.header().hash()
-                || !root_ok(next)
+                || !root_ok[i + 1 - skip]
             {
                 return Some(next.serial);
             }
@@ -535,11 +552,22 @@ impl Chain {
     /// invariants (serial continuity, hash chaining, Merkle consistency,
     /// size bound) are re-verified.
     ///
+    /// A walk over the length fields (`codec::skip_block`) finds where
+    /// each block starts; the blocks are then decoded (ids and Merkle root
+    /// hashed) in parallel ([`prb_crypto::par`]) and appended in order.
+    /// The error is the one a block-by-block decode and append would meet
+    /// first.
+    ///
     /// # Errors
     ///
     /// Returns an [`ImportError`] carrying the failing byte offset and
     /// block serial where applicable.
     pub fn import(bytes: &[u8]) -> Result<Self, ImportError> {
+        Self::import_on(bytes, par::workers())
+    }
+
+    /// [`Self::import`] on `workers` threads.
+    fn import_on(bytes: &[u8], workers: usize) -> Result<Self, ImportError> {
         const HEADER: usize = 24;
         if bytes.len() < HEADER + 32 {
             return Err(ImportError::Truncated { len: bytes.len() });
@@ -555,51 +583,70 @@ impl Chain {
         let count = u64::from_be_bytes(body[16..24].try_into().expect("8 bytes"));
         let mut r = codec::Reader::new(body);
         r.skip(HEADER).expect("length checked above");
-        let mut chain = if base > 0 {
-            let anchor = r.digest().map_err(|_| ImportError::MissingAnchor)?;
-            Chain {
-                blocks: Vec::new(),
-                base,
-                anchor: Some(anchor),
-                tx_index: fx_map(),
-                b_limit,
-            }
+        let anchor = if base > 0 {
+            Some(r.digest().map_err(|_| ImportError::MissingAnchor)?)
+        } else if count == 0 {
+            return Err(ImportError::EmptyChain);
         } else {
-            if count == 0 {
-                return Err(ImportError::EmptyChain);
-            }
-            let genesis = codec::decode_block(&mut r).map_err(|source| ImportError::Decode {
-                serial: 0,
-                offset: HEADER,
-                source,
-            })?;
-            if genesis.serial != 0 {
-                return Err(ImportError::NotGenesis {
-                    serial: genesis.serial,
-                });
-            }
-            Chain {
-                blocks: vec![genesis],
-                base: 0,
-                anchor: None,
-                tx_index: fx_map(),
-                b_limit,
-            }
+            None
         };
-        while chain.blocks.len() < count as usize {
-            let offset = body.len() - r.remaining();
-            let serial = chain.next_serial();
-            let block = codec::decode_block(&mut r).map_err(|source| ImportError::Decode {
-                serial,
+        // Where each of the `count` blocks starts, as far as the body backs
+        // them: `count` is untrusted and sizes nothing.
+        let mut starts = Vec::new();
+        let mut unmeasured = None;
+        while (starts.len() as u64) < count {
+            let start = body.len() - r.remaining();
+            if let Err(e) = codec::skip_block(&mut r) {
+                unmeasured = Some((start, e));
+                break;
+            }
+            starts.push(start);
+        }
+        let at = |start: usize| {
+            let mut r = codec::Reader::new(body);
+            r.skip(start).expect("a block starts inside the body");
+            r
+        };
+        let decoded = par::map(&starts, PAR_CHUNK, workers, |&start| {
+            codec::decode_block(&mut at(start))
+        });
+        let mut chain = Chain {
+            blocks: Vec::with_capacity(decoded.len()),
+            base,
+            anchor,
+            tx_index: fx_map(),
+            b_limit,
+        };
+        let entries = decoded.iter().flatten().map(|b| b.entries.len()).sum();
+        chain.tx_index.reserve(entries);
+        for (offset, block) in starts.into_iter().zip(decoded) {
+            let block = block.map_err(|source| ImportError::Decode {
+                serial: chain.next_serial(),
                 offset,
                 source,
             })?;
             let serial = block.serial;
+            if chain.base == 0 && chain.blocks.is_empty() {
+                if serial != 0 {
+                    return Err(ImportError::NotGenesis { serial });
+                }
+                chain.blocks.push(block);
+                continue;
+            }
             chain.append(block).map_err(|source| ImportError::Invalid {
                 serial,
                 offset,
                 source,
             })?;
+        }
+        if let Some((offset, walk)) = unmeasured {
+            // The walk fails only where the decoder does; report the
+            // decoder's own error for this block.
+            return Err(ImportError::Decode {
+                serial: chain.next_serial(),
+                offset,
+                source: codec::decode_block(&mut at(offset)).err().unwrap_or(walk),
+            });
         }
         if r.remaining() != 0 {
             return Err(ImportError::TrailingBytes {
@@ -1075,6 +1122,294 @@ mod tests {
         assert_eq!(imported.export(), full);
         chain.append(popped).unwrap();
         assert_eq!(chain.export(), full);
+    }
+
+    /// The block-by-block import [`Chain::import`] replaced: the reference
+    /// its walk, parallel decode and ordered append must agree with.
+    fn serial_import(bytes: &[u8]) -> Result<Chain, ImportError> {
+        const HEADER: usize = 24;
+        if bytes.len() < HEADER + 32 {
+            return Err(ImportError::Truncated { len: bytes.len() });
+        }
+        let (body, trailer) = bytes.split_at(bytes.len() - 32);
+        let b_limit: usize = u64::from_be_bytes(body[..8].try_into().unwrap())
+            .try_into()
+            .map_err(|_| ImportError::BLimitOverflow)?;
+        let base = u64::from_be_bytes(body[8..16].try_into().unwrap());
+        let count = u64::from_be_bytes(body[16..24].try_into().unwrap());
+        let mut r = codec::Reader::new(body);
+        r.skip(HEADER).unwrap();
+        let mut chain = if base > 0 {
+            let anchor = r.digest().map_err(|_| ImportError::MissingAnchor)?;
+            Chain::from_checkpoint(base - 1, anchor, b_limit)
+        } else {
+            if count == 0 {
+                return Err(ImportError::EmptyChain);
+            }
+            let genesis = codec::decode_block(&mut r).map_err(|source| ImportError::Decode {
+                serial: 0,
+                offset: HEADER,
+                source,
+            })?;
+            if genesis.serial != 0 {
+                return Err(ImportError::NotGenesis {
+                    serial: genesis.serial,
+                });
+            }
+            let mut chain = Chain::new(b"", b_limit);
+            chain.blocks = vec![genesis];
+            chain
+        };
+        while chain.blocks.len() < count as usize {
+            let offset = body.len() - r.remaining();
+            let serial = chain.next_serial();
+            let block = codec::decode_block(&mut r).map_err(|source| ImportError::Decode {
+                serial,
+                offset,
+                source,
+            })?;
+            let serial = block.serial;
+            chain.append(block).map_err(|source| ImportError::Invalid {
+                serial,
+                offset,
+                source,
+            })?;
+        }
+        if r.remaining() != 0 {
+            return Err(ImportError::TrailingBytes {
+                offset: body.len() - r.remaining(),
+            });
+        }
+        if chain.export_trailer().as_bytes() != trailer {
+            return Err(ImportError::TrailerMismatch);
+        }
+        Ok(chain)
+    }
+
+    /// The link-by-link audit [`Chain::audit`] replaced.
+    fn serial_audit(chain: &Chain) -> Option<u64> {
+        let root_ok = |b: &Block| Block::compute_merkle_root(&b.entries) == b.merkle_root;
+        if let (Some(anchor), Some(first)) = (chain.anchor, chain.blocks.first()) {
+            if first.prev_hash != anchor || !root_ok(first) {
+                return Some(first.serial);
+            }
+        }
+        for window in chain.blocks.windows(2) {
+            let (prev, next) = (&window[0], &window[1]);
+            if next.serial != prev.serial + 1
+                || next.prev_hash != prev.header().hash()
+                || !root_ok(next)
+            {
+                return Some(next.serial);
+            }
+        }
+        None
+    }
+
+    /// A genesis-rooted chain of 40 blocks of 0–3 entries, and the same
+    /// chain anchored at serial 12: both span several parallel chunks.
+    fn sweep_chains() -> [Chain; 2] {
+        let mut full = Chain::new(b"sweep", 8);
+        for i in 0..40u64 {
+            let entries = (0..i % 4)
+                .map(|k| entry(i * 4 + k, Verdict::CheckedValid))
+                .collect();
+            full.append(extend(&full, entries)).unwrap();
+        }
+        let mut anchored = Chain::from_checkpoint(12, full.retrieve(12).unwrap().hash(), 8);
+        for serial in 13..=40 {
+            anchored
+                .append(full.retrieve(serial).unwrap().clone())
+                .unwrap();
+        }
+        [full, anchored]
+    }
+
+    /// Offsets where each block of `chain`'s export starts, and where the
+    /// body ends.
+    fn block_boundaries(chain: &Chain, export: &[u8]) -> Vec<usize> {
+        let body = &export[..export.len() - 32];
+        let mut r = codec::Reader::new(body);
+        r.skip(24 + if chain.is_anchored() { 32 } else { 0 })
+            .unwrap();
+        let mut out = vec![body.len() - r.remaining()];
+        while r.remaining() > 0 {
+            codec::decode_block(&mut r).unwrap();
+            out.push(body.len() - r.remaining());
+        }
+        out
+    }
+
+    /// A deterministic stream of offsets below `n` (splitmix64).
+    fn sample(seed: u64, n: usize, k: usize) -> Vec<usize> {
+        let mut z = seed;
+        (0..k)
+            .map(|_| {
+                z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut x = z;
+                x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                ((x ^ (x >> 31)) % n as u64) as usize
+            })
+            .collect()
+    }
+
+    #[test]
+    fn skip_block_measures_what_decode_block_reads() {
+        let [chain, _] = sweep_chains();
+        let export = chain.export();
+        let bounds = block_boundaries(&chain, &export);
+        let body = &export[..export.len() - 32];
+        let mut offsets = bounds.clone();
+        offsets.extend(sample(7, body.len(), 400));
+        for at in offsets {
+            for bad in [body[..at].to_vec(), {
+                let mut b = body.to_vec();
+                b[at.min(body.len() - 1)] ^= 0x80;
+                b
+            }] {
+                for &start in &bounds {
+                    if start >= bad.len() {
+                        continue;
+                    }
+                    let (mut walk, mut read) = (codec::Reader::new(&bad), codec::Reader::new(&bad));
+                    walk.skip(start).unwrap();
+                    read.skip(start).unwrap();
+                    match (codec::skip_block(&mut walk), codec::decode_block(&mut read)) {
+                        (Ok(()), Ok(_)) => assert_eq!(walk.remaining(), read.remaining()),
+                        (Ok(()), Err(e)) => assert!(matches!(e, DecodeError::BadTag { .. })),
+                        (Err(_), decoded) => assert!(decoded.is_err(), "walk failed at {start}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_import_and_audit_agree_with_the_serial_reference() {
+        let mut kinds = std::collections::BTreeSet::new();
+        for chain in sweep_chains() {
+            let good = chain.export();
+            let (body, trailer) = good.split_at(good.len() - 32);
+            let mut inputs = vec![good.clone()];
+            for at in block_boundaries(&chain, &good) {
+                inputs.push(good[..at].to_vec());
+                inputs.push([&body[..at], trailer].concat());
+                let mut flipped = good.clone();
+                flipped[at] ^= 0x80;
+                inputs.push(flipped);
+            }
+            for at in sample(11, good.len(), 150) {
+                inputs.push(good[..at].to_vec());
+                let mut flipped = good.clone();
+                flipped[at] ^= 1 << (at % 8);
+                inputs.push(flipped);
+            }
+            let count = u64::from_be_bytes(good[16..24].try_into().unwrap());
+            for claimed in [count - 1, count + 1, count + 7, u64::MAX] {
+                let mut inflated = good.clone();
+                inflated[16..24].copy_from_slice(&claimed.to_be_bytes());
+                inputs.push(inflated);
+            }
+            for input in &inputs {
+                let want = serial_import(input);
+                kinds.insert(want.as_ref().err().map_or("ok", ImportError::kind));
+                let want = want.map(|c| (c.export(), serial_audit(&c), c.tx_count()));
+                for workers in [1, 2, 4] {
+                    let got = Chain::import_on(input, workers)
+                        .map(|c| (c.export(), c.audit_on(workers), c.tx_count()));
+                    assert_eq!(got, want, "workers={workers}");
+                }
+            }
+        }
+        for kind in [
+            "ok",
+            "truncated",
+            "decode",
+            "trailing_bytes",
+            "trailer_mismatch",
+        ] {
+            assert!(kinds.contains(kind), "no input failed as {kind}: {kinds:?}");
+        }
+        assert!(kinds.len() >= 8, "too few distinct outcomes: {kinds:?}");
+    }
+
+    #[test]
+    fn parallel_audit_names_the_block_the_serial_audit_names() {
+        for chain in sweep_chains() {
+            for i in 0..chain.blocks.len() {
+                let b = &chain.blocks[i];
+                let mut entries = b.entries.clone();
+                entries.push(entry(999, Verdict::ArguedValid));
+                let stale = Block::from_parts(
+                    b.serial,
+                    entries.clone(),
+                    b.prev_hash,
+                    b.merkle_root,
+                    b.leader,
+                    b.timestamp,
+                );
+                let rehashed = Block::build(b.serial, entries, b.prev_hash, b.leader, b.timestamp);
+                let reserialed = Block::from_parts(
+                    b.serial + 1,
+                    b.entries.clone(),
+                    b.prev_hash,
+                    b.merkle_root,
+                    b.leader,
+                    b.timestamp,
+                );
+                for tampered in [stale, rehashed, reserialed] {
+                    let mut broken = chain.clone();
+                    broken.blocks[i] = tampered;
+                    // A second fault further on: the first must be named.
+                    let j = (i + 9).min(broken.blocks.len() - 1);
+                    let c = &broken.blocks[j];
+                    broken.blocks[j] = Block::from_parts(
+                        c.serial,
+                        Vec::new(),
+                        c.prev_hash,
+                        c.merkle_root,
+                        c.leader,
+                        c.timestamp,
+                    );
+                    let want = serial_audit(&broken);
+                    for workers in [1, 2, 4] {
+                        assert_eq!(
+                            broken.audit_on(workers),
+                            want,
+                            "block {i}, workers={workers}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_export_claiming_u64_max_blocks_fails_where_the_body_ends() {
+        // The claimed count sizes nothing: the import fails where the body
+        // runs out of blocks, with the serial reference's error.
+        let [chain, _] = sweep_chains();
+        let mut inflated = chain.export();
+        inflated[16..24].copy_from_slice(&u64::MAX.to_be_bytes());
+        let body_end = inflated.len() - 32;
+        let err = Chain::import(&inflated).unwrap_err();
+        assert_eq!(Err(err.clone()), serial_import(&inflated).map(|_| ()));
+        assert_eq!(
+            err,
+            ImportError::Decode {
+                serial: 41,
+                offset: body_end,
+                source: DecodeError::UnexpectedEnd,
+            }
+        );
+        // Likewise a block whose entry count is as large as the bytes left.
+        let at = block_boundaries(&chain, &inflated)[5] + 8 + 32 + 32 + 5 + 8;
+        let claimed = (body_end - at - 4) as u32;
+        inflated[at..at + 4].copy_from_slice(&claimed.to_be_bytes());
+        let err = Chain::import(&inflated).unwrap_err();
+        assert_eq!(Err(err.clone()), serial_import(&inflated).map(|_| ()));
+        assert_eq!(err.serial(), Some(5));
     }
 
     #[test]

@@ -344,7 +344,9 @@ pub fn decode_block(r: &mut Reader<'_>) -> Result<Block, DecodeError> {
     if n > r.remaining() {
         return Err(DecodeError::BadLength);
     }
-    let mut entries = Vec::with_capacity(n);
+    // `n` is only bounded by the bytes left, and an entry is far larger
+    // in memory than its least encoding: grow as entries actually decode.
+    let mut entries = Vec::new();
     for _ in 0..n {
         entries.push(decode_entry(r)?);
     }
@@ -356,6 +358,52 @@ pub fn decode_block(r: &mut Reader<'_>) -> Result<Block, DecodeError> {
         leader,
         timestamp,
     ))
+}
+
+/// Measures the block at the reader's position without building it, for
+/// bulk readers that decode blocks in parallel and need their boundaries
+/// first: advances past exactly the bytes [`decode_block`] would consume.
+///
+/// It reads the same length fields in the same order with the same bounds
+/// checks, and checks no tag but a signature's scheme (which fixes the
+/// signature's length). So where it fails, `decode_block` from the same
+/// position fails too, with its own error; where it succeeds,
+/// `decode_block` either fails on a tag or consumes exactly these bytes.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] where the block cannot be measured.
+pub(crate) fn skip_block(r: &mut Reader<'_>) -> Result<(), DecodeError> {
+    // Serial, prev hash, Merkle root, leader, timestamp.
+    r.skip(8 + 32 + 32 + 5 + 8)?;
+    let n = r.u32()? as usize;
+    if n > r.remaining() {
+        return Err(DecodeError::BadLength);
+    }
+    (0..n).try_for_each(|_| skip_entry(r))
+}
+
+/// [`skip_block`] for one [`decode_entry`].
+fn skip_entry(r: &mut Reader<'_>) -> Result<(), DecodeError> {
+    // Provider and nonce, then the data field, then the timestamp.
+    r.skip(5 + 8)?;
+    r.bytes_field()?;
+    r.skip(8)?;
+    match r.u8()? {
+        0 => r.skip(32)?,
+        1 => {
+            r.bytes_field()?;
+            r.bytes_field()?;
+        }
+        tag => return Err(DecodeError::BadTag { what: "sig", tag }),
+    }
+    // The verdict, then each reported label: a node id and a label byte.
+    r.skip(1)?;
+    let n = r.u32()? as usize;
+    if n > r.remaining() {
+        return Err(DecodeError::BadLength);
+    }
+    r.skip(n.checked_mul(6).ok_or(DecodeError::UnexpectedEnd)?)
 }
 
 #[cfg(test)]

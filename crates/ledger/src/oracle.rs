@@ -8,15 +8,18 @@
 //! trades off against governor loss.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
+
+use prb_crypto::fxhash::FxMap;
 
 use crate::transaction::TxId;
 
 /// Ground truth and cost accounting for transaction validation.
 #[derive(Default)]
 pub struct ValidityOracle {
-    truth: HashMap<TxId, bool>,
+    // Keyed by a SHA-256 digest and probed once or more per transaction,
+    // so the seeded Fx mix (never iterated here) replaces SipHash.
+    truth: FxMap<TxId, bool>,
     validations: Cell<u64>,
 }
 

@@ -11,11 +11,13 @@
 //!   drop any segment whose header is torn or whose first serial does
 //!   not continue the previous segment  ->  and every later segment
 //!        |
-//!   scan records: first bad checksum / short record marks the torn
-//!   tail  ->  truncate file there, drop every later segment
+//!   frame records by length prefix, then checksum and decode them in
+//!   parallel; first bad checksum / short record marks the torn tail
+//!   ->  truncate file there, drop every later segment
 //!        |
-//!   replay payloads through Chain::append (re-verifies serials, hash
-//!   chain, Merkle roots, b_limit)  ->  first failure truncates likewise
+//!   append the decoded blocks in order through Chain::append (re-verifies
+//!   serials, hash chain, Merkle roots, b_limit)  ->  first failure
+//!   truncates likewise
 //!        |
 //!   cert newer than the replayed chain?  ->  re-anchor at the cert
 //!   (completes a reset-to-checkpoint that crashed mid-way)
@@ -207,6 +209,15 @@ impl BlockStore {
     /// (permissions, disk full) — corruption is recovered from, not
     /// reported as an error.
     pub fn open(dir: &Path, opts: StoreOptions) -> Result<(Self, Recovered), StoreError> {
+        Self::open_on(dir, opts, prb_crypto::par::workers())
+    }
+
+    /// [`Self::open`], checksumming and decoding on `workers` threads.
+    fn open_on(
+        dir: &Path,
+        opts: StoreOptions,
+        workers: usize,
+    ) -> Result<(Self, Recovered), StoreError> {
         std::fs::create_dir_all(dir)?;
         let cert = certfile::load(dir);
         let mut names: Vec<PathBuf> = std::fs::read_dir(dir)?
@@ -234,13 +245,20 @@ impl BlockStore {
         let mut dropped = 0usize;
         let mut truncated = 0u64;
 
-        // Pass 1: open segments in order, enforcing continuity; collect
-        // verified payloads for replay.
-        let mut scans: Vec<Vec<Vec<u8>>> = Vec::new();
+        // Pass 1: open segments in order, enforcing continuity; each scan
+        // checksums and decodes its records in parallel. A record that does
+        // not decode to exactly one block is `None`.
+        let decode = |payload: &[u8]| {
+            let mut r = Reader::new(payload);
+            codec::decode_block(&mut r)
+                .ok()
+                .filter(|_| r.remaining() == 0)
+        };
+        let mut scans: Vec<Vec<Option<Block>>> = Vec::new();
         let mut expected_first: Option<u64> = None;
         let mut names = names.into_iter();
         for path in names.by_ref() {
-            match Segment::open(path) {
+            match Segment::open(path, workers, decode) {
                 Ok((seg, scan)) => {
                     let continuous = match expected_first {
                         Some(next) => seg.first_serial() == next,
@@ -257,10 +275,10 @@ impl BlockStore {
                         let _ = seg.delete();
                         break;
                     }
-                    expected_first = Some(seg.first_serial() + scan.payloads.len() as u64);
+                    expected_first = Some(seg.first_serial() + scan.records.len() as u64);
                     truncated += scan.truncated_bytes;
                     let short = scan.truncated_bytes > 0;
-                    scans.push(scan.payloads);
+                    scans.push(scan.records);
                     store.segments.push(seg);
                     if short {
                         break; // a torn tail ends the durable prefix
@@ -294,16 +312,12 @@ impl BlockStore {
             _ => Chain::new(&store.opts.chain_tag, store.opts.b_limit),
         };
         store.base = chain.next_serial();
-        'replay: for (seg_idx, payloads) in scans.iter().enumerate() {
-            for (rec_idx, payload) in payloads.iter().enumerate() {
-                let mut r = Reader::new(payload);
-                let ok = codec::decode_block(&mut r)
-                    .ok()
-                    .filter(|_| r.remaining() == 0)
-                    .and_then(|block| {
-                        let hash = block.hash();
-                        chain.append(block).ok().map(|()| hash)
-                    });
+        'replay: for (seg_idx, blocks) in scans.into_iter().enumerate() {
+            for (rec_idx, block) in blocks.into_iter().enumerate() {
+                let ok = block.and_then(|block| {
+                    let hash = block.hash();
+                    chain.append(block).ok().map(|()| hash)
+                });
                 match ok {
                     Some(hash) => {
                         store.by_hash.insert(hash, (seg_idx, rec_idx));
@@ -606,5 +620,366 @@ impl BlockStore {
         self.sync_dir()?;
         self.obs.metrics().inc("store.reset");
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use prb_consensus::checkpoint::{CheckpointShare, CheckpointState};
+    use prb_crypto::identity::NodeId;
+    use prb_crypto::sha256::sha256;
+    use prb_crypto::signer::CryptoScheme;
+    use prb_ledger::block::{BlockEntry, Verdict};
+    use prb_ledger::transaction::{Label, SignedTx, TxPayload};
+
+    use super::*;
+    use crate::segment::{serial, HEADER_BYTES};
+
+    /// The recovery [`BlockStore::open`] replaced: each segment scanned
+    /// record by record, then every payload decoded and appended in turn.
+    fn serial_open(dir: &Path, opts: StoreOptions) -> Result<(BlockStore, Recovered), StoreError> {
+        std::fs::create_dir_all(dir)?;
+        let cert = certfile::load(dir);
+        let mut names: Vec<PathBuf> = std::fs::read_dir(dir)?
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .filter(|p| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with("seg-") && n.ends_with(".log"))
+            })
+            .collect();
+        names.sort();
+
+        let mut store = BlockStore {
+            dir: dir.to_path_buf(),
+            opts,
+            segments: Vec::new(),
+            by_hash: fx_map(),
+            hashes: Vec::new(),
+            base: 1,
+            next_serial: 1,
+            stats: StoreStats::default(),
+            obs: prb_obs::Obs::off(),
+        };
+        let mut dropped = 0usize;
+        let mut truncated = 0u64;
+
+        let mut scans: Vec<Vec<Vec<u8>>> = Vec::new();
+        let mut expected_first: Option<u64> = None;
+        let mut names = names.into_iter();
+        for path in names.by_ref() {
+            match serial::open(path) {
+                Ok((seg, scan)) => {
+                    let continuous = match expected_first {
+                        Some(next) => seg.first_serial() == next,
+                        None => match (seg.first_serial(), &cert) {
+                            (1, _) => true,
+                            (first, Some(c)) => c.state.serial + 1 == first,
+                            _ => false,
+                        },
+                    };
+                    if !continuous {
+                        dropped += 1;
+                        let _ = seg.delete();
+                        break;
+                    }
+                    expected_first = Some(seg.first_serial() + scan.records.len() as u64);
+                    truncated += scan.truncated_bytes;
+                    let short = scan.truncated_bytes > 0;
+                    scans.push(scan.records);
+                    store.segments.push(seg);
+                    if short {
+                        break; // a torn tail ends the durable prefix
+                    }
+                }
+                Err(_) => {
+                    dropped += 1;
+                    break;
+                }
+            }
+        }
+        for path in names {
+            dropped += 1;
+            let _ = std::fs::remove_file(path);
+        }
+
+        let mut chain = match store
+            .segments
+            .first()
+            .map(|s| s.first_serial())
+            .or(cert.as_ref().map(|c| c.state.serial + 1))
+        {
+            Some(first) if first > 1 => {
+                let c = cert.as_ref().expect("anchored base requires a cert");
+                Chain::from_checkpoint(c.state.serial, c.state.block_hash, store.opts.b_limit)
+            }
+            _ => Chain::new(&store.opts.chain_tag, store.opts.b_limit),
+        };
+        store.base = chain.next_serial();
+        'replay: for (seg_idx, payloads) in scans.iter().enumerate() {
+            for (rec_idx, payload) in payloads.iter().enumerate() {
+                let mut r = Reader::new(payload);
+                let ok = codec::decode_block(&mut r)
+                    .ok()
+                    .filter(|_| r.remaining() == 0)
+                    .and_then(|block| {
+                        let hash = block.hash();
+                        chain.append(block).ok().map(|()| hash)
+                    });
+                match ok {
+                    Some(hash) => {
+                        store.by_hash.insert(hash, (seg_idx, rec_idx));
+                        store.hashes.push(hash);
+                    }
+                    None => {
+                        truncated += store.truncate_from(seg_idx, rec_idx)?;
+                        dropped += store.segments.len().saturating_sub(seg_idx + 1);
+                        while store.segments.len() > seg_idx + 1 {
+                            let seg = store.segments.pop().expect("length checked");
+                            seg.delete()?;
+                        }
+                        break 'replay;
+                    }
+                }
+            }
+        }
+        store.next_serial = chain.next_serial();
+
+        if let Some(c) = &cert {
+            if c.state.serial > chain.height() {
+                store.reset_to_checkpoint(c)?;
+                chain =
+                    Chain::from_checkpoint(c.state.serial, c.state.block_hash, store.opts.b_limit);
+            }
+        }
+
+        if store.segments.is_empty() {
+            store.roll(store.next_serial)?;
+        }
+        store.sync_dir()?;
+        Ok((
+            store,
+            Recovered {
+                chain,
+                cert,
+                truncated_bytes: truncated,
+                dropped_segments: dropped,
+            },
+        ))
+    }
+
+    static DIRS: AtomicUsize = AtomicUsize::new(0);
+
+    fn scratch(name: &str) -> PathBuf {
+        let n = DIRS.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("prb-store-unit-{}-{name}-{n}", std::process::id()))
+    }
+
+    fn opts() -> StoreOptions {
+        StoreOptions {
+            chain_tag: b"sweep".to_vec(),
+            b_limit: 8,
+            segment_bytes: 8192,
+            fsync: FsyncPolicy::Always,
+        }
+    }
+
+    /// Every file of a store directory, by name.
+    type Files = BTreeMap<String, Vec<u8>>;
+
+    fn files(dir: &Path) -> Files {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| {
+                let name = p.file_name().unwrap().to_str().unwrap().to_owned();
+                (name, std::fs::read(&p).unwrap())
+            })
+            .collect()
+    }
+
+    fn materialise(dir: &Path, files: &Files) {
+        let _ = std::fs::remove_dir_all(dir);
+        std::fs::create_dir_all(dir).unwrap();
+        for (name, bytes) in files {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+    }
+
+    fn cert_at(chain: &Chain, serial: u64) -> CheckpointCert {
+        let state = CheckpointState {
+            serial,
+            block_hash: chain.retrieve(serial).unwrap().hash(),
+            stakes: vec![5, 5, 5, 5],
+            stake_nonces: vec![0; 4],
+            reputation: Vec::new(),
+        };
+        let digest = state.digest();
+        let sigs = (0..4u32)
+            .map(|g| {
+                let key = CryptoScheme::sim().keypair_from_seed(&g.to_be_bytes());
+                (g, CheckpointShare::create(serial, digest, g, &key).sig)
+            })
+            .collect();
+        CheckpointCert { state, sigs }
+    }
+
+    /// An 80-block store over several segments, genesis-rooted, and the
+    /// same chain reset to a checkpoint at serial 10 and rebuilt above it.
+    fn sweep_stores() -> Vec<Files> {
+        let key = CryptoScheme::sim().keypair_from_seed(b"sweep-p0");
+        let mut chain = Chain::new(b"sweep", 8);
+        for i in 0..80u64 {
+            let entries = (0..i % 4)
+                .map(|k| BlockEntry {
+                    tx: SignedTx::create(
+                        TxPayload {
+                            provider: NodeId::provider(0),
+                            nonce: i * 4 + k,
+                            data: vec![7; 64],
+                        },
+                        i,
+                        &key,
+                    ),
+                    verdict: Verdict::CheckedValid,
+                    reported_labels: vec![(NodeId::collector(1), Label::Valid)],
+                })
+                .collect();
+            let block = Block::build(
+                chain.next_serial(),
+                entries,
+                chain.head_hash(),
+                NodeId::governor(0),
+                i,
+            );
+            chain.append(block).unwrap();
+        }
+        let mut out = Vec::new();
+        for anchored in [false, true] {
+            let dir = scratch("build");
+            let (mut store, _) = BlockStore::open(&dir, opts()).unwrap();
+            let from = if anchored {
+                store.reset_to_checkpoint(&cert_at(&chain, 10)).unwrap();
+                11
+            } else {
+                1
+            };
+            for serial in from..=80 {
+                store.append(chain.retrieve(serial).unwrap()).unwrap();
+            }
+            assert!(
+                store.segment_count() >= 3,
+                "the sweep spans several segments"
+            );
+            drop(store);
+            out.push(files(&dir));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        out
+    }
+
+    /// Offsets in a segment file where each record starts, and its end.
+    fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
+        let mut at = vec![HEADER_BYTES as usize];
+        let mut pos = at[0];
+        while pos < bytes.len() {
+            let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+            pos += RECORD_HEADER_BYTES as usize + len;
+            at.push(pos);
+        }
+        at
+    }
+
+    /// Every way the sweep damages one store: a cut and a byte flip at
+    /// every record boundary of every segment, flips at sampled interior
+    /// offsets, a torn segment header, a checksummed record holding a
+    /// block and a trailing byte, and a missing middle segment.
+    fn damaged(store: &Files) -> Vec<Files> {
+        let mut out = vec![store.clone()];
+        let segments: Vec<&String> = store.keys().filter(|n| n.starts_with("seg-")).collect();
+        let mut z = 4177u64;
+        for name in &segments {
+            let bytes = &store[*name];
+            let mut with = |f: &dyn Fn(&mut Vec<u8>)| {
+                let mut copy = store.clone();
+                f(copy.get_mut(*name).unwrap());
+                out.push(copy);
+            };
+            for at in record_boundaries(bytes) {
+                with(&|b| b.truncate(at));
+                if at < bytes.len() {
+                    with(&|b| b[at] ^= 0x80);
+                    with(&|b| b[at + 20] ^= 0x01);
+                }
+            }
+            with(&|b| b.truncate(8));
+            // A record whose checksum holds over a block plus one byte.
+            let at = record_boundaries(bytes)[5];
+            with(&|b| {
+                let len = u32::from_be_bytes(b[at..at + 4].try_into().unwrap()) as usize;
+                let start = at + RECORD_HEADER_BYTES as usize;
+                let mut payload = b[start..start + len].to_vec();
+                payload.push(0);
+                let mut record = (payload.len() as u32).to_be_bytes().to_vec();
+                record.extend_from_slice(sha256(&payload).as_bytes());
+                record.extend_from_slice(&payload);
+                b.splice(at..start + len, record);
+            });
+            for _ in 0..20 {
+                z = z
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let at = HEADER_BYTES as usize
+                    + (z >> 33) as usize % (bytes.len() - HEADER_BYTES as usize);
+                with(&|b| b[at] ^= 1 << (at % 8));
+            }
+        }
+        let mut gap = store.clone();
+        gap.remove(segments[1]);
+        out.push(gap);
+        out
+    }
+
+    #[test]
+    fn parallel_open_agrees_with_the_serial_reference() {
+        let (mut truncations, mut drops) = (0, 0);
+        for store in sweep_stores() {
+            for files_before in damaged(&store) {
+                let run = |workers: Option<usize>| {
+                    let dir = scratch("sweep");
+                    materialise(&dir, &files_before);
+                    let (store, rec) = match workers {
+                        Some(w) => BlockStore::open_on(&dir, opts(), w),
+                        None => serial_open(&dir, opts()),
+                    }
+                    .unwrap();
+                    let seen = (
+                        rec.chain.export(),
+                        rec.cert.map(|c| c.state.serial),
+                        rec.truncated_bytes,
+                        rec.dropped_segments,
+                        (store.base(), store.next_serial(), store.segment_count()),
+                    );
+                    drop(store);
+                    let left = files(&dir);
+                    std::fs::remove_dir_all(&dir).unwrap();
+                    (seen, left)
+                };
+                let want = run(None);
+                truncations += usize::from(want.0 .2 > 0);
+                drops += usize::from(want.0 .3 > 0);
+                for workers in [1, 2, 4] {
+                    assert!(run(Some(workers)) == want, "workers={workers}");
+                }
+            }
+        }
+        assert!(
+            truncations > 50 && drops > 50,
+            "{truncations} truncations, {drops} drops"
+        );
     }
 }

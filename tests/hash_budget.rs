@@ -13,6 +13,7 @@ use prb::ledger::block::{Block, BlockEntry, Verdict};
 use prb::ledger::chain::Chain;
 use prb::ledger::codec;
 use prb::ledger::transaction::{Label, SignedTx, TxPayload, UploadBatch};
+use prb::store::{BlockStore, StoreOptions};
 use prb::workload::ScaleWorkload;
 
 /// Runs `f`, returning its value and the SHA-256 calls it made.
@@ -121,6 +122,51 @@ fn blocks_hash_once() {
     assert_eq!(counted(|| chain.append(decoded).unwrap()).1, 0);
     // The audit is the from-scratch reference: it consults no memo.
     assert_eq!(counted(|| assert_eq!(chain.audit(), None)).1, sealed);
+
+    // The same per block where import, audit and store replay take the
+    // parallel path (several chunks of 8 blocks): the counters are
+    // process-wide atomics, so worker threads are counted.
+    const BLOCKS: u64 = 40;
+    let dir = std::env::temp_dir().join(format!("prb-hash-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = || StoreOptions {
+        chain_tag: b"budget".to_vec(),
+        b_limit: 64,
+        ..StoreOptions::default()
+    };
+    let (mut store, _) = BlockStore::open(&dir, opts()).unwrap();
+    store.append(chain.latest()).unwrap();
+    while chain.height() < BLOCKS {
+        let block = Block::build(
+            chain.next_serial(),
+            entries.clone(),
+            chain.head_hash(),
+            NodeId::governor(0),
+            9,
+        );
+        store.append(&block).unwrap();
+        chain.append(block).unwrap();
+    }
+    drop(store);
+    let bytes = chain.export();
+    let genesis = counted(|| codec::decode_block(&mut codec::Reader::new(&bytes[24..])).unwrap()).1;
+    // Every block decoded, then the export's trailer.
+    let (imported, calls) = counted(|| Chain::import(&bytes).unwrap());
+    assert_eq!(calls, genesis + BLOCKS * (sealed + N) + 1);
+    assert_eq!(
+        counted(|| assert_eq!(imported.audit(), None)).1,
+        BLOCKS * sealed
+    );
+    // Every record checksummed and decoded, over what opening an empty
+    // store costs (the genesis block).
+    let empty = std::env::temp_dir().join(format!("prb-hash-budget-empty-{}", std::process::id()));
+    let (_, empty_calls) = counted(|| BlockStore::open(&empty, opts()).unwrap());
+    let ((_, recovered), calls) = counted(|| BlockStore::open(&dir, opts()).unwrap());
+    assert_eq!(calls, empty_calls + BLOCKS * (1 + sealed + N));
+    assert_eq!(recovered.chain.export(), bytes);
+    for d in [dir, empty] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
 }
 
 /// A scaled-down `open-steady` (BENCHMARK.json): open loop, sim signer,
