@@ -68,7 +68,7 @@ use crate::forkchoice::{malformed, Adoption, Arrival, Electorate, ForkChoice, Pa
 use crate::metrics::GovernorMetrics;
 use crate::msg::ProtocolMsg;
 use crate::sync::{serve, Recovery, Step};
-use crate::txtable::{Outcome, QueuedSig, SigMemo, SlotState, TxTable, Upload};
+use crate::txtable::{Outcome, QueuedSig, SigMemo, TxSlot, TxTable, Upload, Window};
 
 /// Distinct membership requests whose shares may buffer concurrently;
 /// past this the governor ignores new digests (request-spam bound).
@@ -842,6 +842,12 @@ impl GovernorNode {
         resolve_pk(&self.provider_pks, &self.pk_pool, &self.topology, p)
     }
 
+    /// The per-transaction table, for tests that look inside its slots.
+    #[cfg(test)]
+    pub(crate) fn tx_table(&self) -> &TxTable {
+        &self.txs
+    }
+
     /// `(pending now, pending high-water, shed count)` for the pending
     /// pool — the E15 bounded-memory and reconciliation asserts.
     pub fn pending_stats(&self) -> (usize, usize, u64) {
@@ -1076,8 +1082,8 @@ impl GovernorNode {
     /// Screens every window due at or before `tick`, in the order they
     /// opened.
     fn screen_due(&mut self, tick: u64, ctx: &mut Context<'_, ProtocolMsg>) {
-        while let Some(id) = self.txs.pop_due(tick) {
-            self.screen_tx(id, ctx);
+        while let Some(window) = self.txs.pop_due(tick) {
+            self.screen_tx(window, ctx);
         }
     }
 
@@ -1257,13 +1263,14 @@ impl GovernorNode {
             self.record_forgery(collector, now);
             return;
         }
+        let delta = self.cfg.aggregation_window();
         let step = self.txs.upload(
             collector,
             entry,
             verdict,
             self.sig_memo.generation(),
             now,
-            self.cfg.replication as usize,
+            now + delta,
         );
         match step {
             Upload::Joined | Upload::Known => {}
@@ -1299,12 +1306,11 @@ impl GovernorNode {
                     self.net_idx(),
                     ObsEvent::TxAdmitted { trace: id.trace() },
                 );
-                let delta = self.cfg.aggregation_window();
                 self.txs
-                    .arm(id, now + delta, || ctx.set_timer(SimDuration(delta)));
+                    .arm(now + delta, || ctx.set_timer(SimDuration(delta)));
                 // Bounded pool: past capacity, shed the oldest still-open
                 // window deterministically. It later falls due as a no-op
-                // (`screen_tx` tolerates a missing window).
+                // (`pop_due` skips a window that is no longer open).
                 while let Some(oldest) = self.txs.shed_oldest(self.cfg.pending_capacity) {
                     if self.obs.is_enabled() {
                         self.obs.metrics().inc("gov.pending.shed");
@@ -1372,27 +1378,24 @@ impl GovernorNode {
         }
     }
 
-    fn screen_tx(&mut self, id: TxId, ctx: &mut Context<'_, ProtocolMsg>) {
-        if !self.txs.in_window(&id) {
-            return;
-        }
+    fn screen_tx(&mut self, window: Window, ctx: &mut Context<'_, ProtocolMsg>) {
         // Settle every provider signature queued during the Δ window in
         // one pooled batch, then attribute forgeries per reporting copy.
         self.drain_verify_queue();
-        let (now, me) = (ctx.now().ticks(), self.net_idx());
-        let mut slot = self.txs.close_window(&id);
-        let provider = slot.provider;
+        let (now, me, id) = (ctx.now().ticks(), self.net_idx(), window.id);
+        let mut slot = self.txs.slot_mut(&id).expect("the window is open");
+        let provider = slot.provider();
         let pk = resolve_pk(&self.provider_pks, &self.pk_pool, &self.topology, provider);
-        let (opened_at, forged) = slot.settle(&mut self.sig_memo, pk);
+        let (opened_at, forged) = slot.settle(window, &mut self.sig_memo, pk);
         if !forged.is_empty() {
             // Case 1, attributed at screen time: these reporters' copies
             // carried a forged provider signature.
             for collector in forged {
                 self.record_forgery(collector, now);
             }
-            slot = self.txs.slot_mut(&id).expect("closed above");
+            slot = self.txs.slot_mut(&id).expect("settled above");
         }
-        if slot.reports.is_empty() {
+        if slot.report_count() == 0 {
             // Every copy was forged: nothing to screen (and no screening
             // randomness is consumed, matching the eager-verification
             // behaviour where such a window never opened).
@@ -1408,18 +1411,17 @@ impl GovernorNode {
             return;
         }
         self.screen_reports.clear();
-        self.screen_reports
-            .extend(slot.reports.iter().map(|(c, label)| {
-                let at = self
-                    .topology
-                    .provider_slot(*c, provider)
-                    .expect("reporter is linked");
-                Report {
-                    collector: *c,
-                    labeled_valid: label.is_valid(),
-                    weight: self.reputation.weight(*c as usize, at),
-                }
-            }));
+        self.screen_reports.extend(slot.reports().map(|(c, label)| {
+            let at = self
+                .topology
+                .provider_slot(c, provider)
+                .expect("reporter is linked");
+            Report {
+                collector: c,
+                labeled_valid: label.is_valid(),
+                weight: self.reputation.weight(c as usize, at),
+            }
+        }));
         let outcome = screen(&self.screen_reports, self.cfg.reputation.f, ctx.rng())
             .expect("at least one report exists");
         let check = match self.cfg.governor_mode {
@@ -1483,15 +1485,15 @@ impl GovernorNode {
                 );
             }
             // Case 2: every reporter's misreport counter moves.
-            for (c, label) in &slot.reports {
+            for (c, label) in slot.reports() {
                 self.reputation
-                    .record_checked(&[(*c as usize, label.is_valid() == valid)]);
+                    .record_checked(&[(c as usize, label.is_valid() == valid)]);
             }
             if valid {
                 self.ready_entries.push(BlockEntry {
                     tx: slot.tx.clone(),
                     verdict: Verdict::CheckedValid,
-                    reported_labels: label_pairs(&slot.reports),
+                    reported_labels: label_pairs(slot),
                 });
             }
             Outcome::Checked { valid }
@@ -1508,7 +1510,7 @@ impl GovernorNode {
             self.ready_entries.push(BlockEntry {
                 tx: slot.tx.clone(),
                 verdict,
-                reported_labels: label_pairs(&slot.reports),
+                reported_labels: label_pairs(slot),
             });
             Outcome::Unchecked {
                 recorded: drawn_label,
@@ -1516,11 +1518,7 @@ impl GovernorNode {
                 revealed: false,
             }
         };
-        slot.state = SlotState::Screened {
-            outcome,
-            screened_at: now,
-            absent: (!absent.is_empty()).then(|| Box::new(absent)),
-        };
+        slot.screen(outcome, now, absent);
     }
 
     fn on_propose(&mut self, round: u64, ctx: &mut Context<'_, ProtocolMsg>) {
@@ -2183,15 +2181,10 @@ impl GovernorNode {
 
     fn on_argue(&mut self, id: TxId, ctx: &mut Context<'_, ProtocolMsg>) {
         let now = ctx.now().ticks();
-        let Some((provider, outcome, screened_at)) =
-            self.txs.slot(&id).and_then(|slot| match slot.state {
-                SlotState::Window(_) => None,
-                SlotState::Screened {
-                    outcome,
-                    screened_at,
-                    ..
-                } => Some((slot.provider, outcome, screened_at)),
-            })
+        let Some((provider, (outcome, screened_at))) = self
+            .txs
+            .slot(&id)
+            .and_then(|slot| Some((slot.provider(), slot.screened()?)))
         else {
             self.emit_argue_rejected(now, None, "unknown-tx");
             return; // never screened here
@@ -2238,7 +2231,7 @@ impl GovernorNode {
             self.argued_entries.push(BlockEntry {
                 tx: slot.tx.clone(),
                 verdict: Verdict::ArguedValid,
-                reported_labels: label_pairs(&slot.reports),
+                reported_labels: label_pairs(slot),
             });
         }
         self.reveal_internal(id, valid, now);
@@ -2249,14 +2242,14 @@ impl GovernorNode {
         // revealed before: nothing to do.
         let awaited = self.txs.slot(&id).is_some_and(|slot| {
             matches!(
-                slot.state,
-                SlotState::Screened {
-                    outcome: Outcome::Unchecked {
+                slot.screened(),
+                Some((
+                    Outcome::Unchecked {
                         revealed: false,
                         ..
                     },
-                    ..
-                }
+                    _
+                ))
             )
         });
         if awaited {
@@ -2268,25 +2261,19 @@ impl GovernorNode {
     fn reveal_internal(&mut self, id: TxId, valid: bool, now: u64) {
         let me = self.net_idx();
         let slot = self.txs.slot_mut(&id).expect("caller saw the slot");
-        let SlotState::Screened {
-            outcome: Outcome::Unchecked {
-                recorded, revealed, ..
-            },
-            screened_at,
-            absent,
-        } = &mut slot.state
-        else {
+        slot.mark_revealed();
+        let slot = &*slot;
+        let Some((Outcome::Unchecked { recorded, .. }, screened_at)) = slot.screened() else {
             unreachable!("only unchecked transactions are revealed");
         };
-        *revealed = true;
-        let provider = slot.provider;
+        let provider = slot.provider();
         let linked = self.topology.collectors_of(provider);
         let mut revealed_reports = Vec::with_capacity(linked.len());
         let mut involvements = Vec::with_capacity(linked.len());
-        for (c, label) in &slot.reports {
+        for (c, label) in slot.reports() {
             let at = self
                 .topology
-                .provider_slot(*c, provider)
+                .provider_slot(c, provider)
                 .expect("reporter is linked");
             let behaviour = if label.is_valid() == valid {
                 RevealedBehaviour::Correct
@@ -2294,7 +2281,7 @@ impl GovernorNode {
                 RevealedBehaviour::Wrong
             };
             involvements.push((
-                *c,
+                c,
                 if behaviour == RevealedBehaviour::Wrong {
                     2.0
                 } else {
@@ -2302,7 +2289,7 @@ impl GovernorNode {
                 },
             ));
             revealed_reports.push(RevealedReport {
-                collector: *c as usize,
+                collector: c as usize,
                 provider_slot: at,
                 behaviour,
             });
@@ -2313,14 +2300,14 @@ impl GovernorNode {
                 .get(c as usize)
                 .copied()
                 .unwrap_or(true)
-                || absent.as_ref().is_some_and(|absent| absent.contains(&c))
+                || slot.absent().contains(&c)
             {
                 // Departed collectors owe no report; neither does a
                 // member that was absent when the tx was screened,
                 // however long ago it rejoined.
                 continue;
             }
-            if !slot.reports.iter().any(|(reporter, _)| *reporter == c) {
+            if !slot.reported_by(c) {
                 let at = self
                     .topology
                     .provider_slot(c, provider)
@@ -2344,7 +2331,7 @@ impl GovernorNode {
             },
         );
         self.obs
-            .end_span(Span::begin(phases::REVEAL, *screened_at), now, me);
+            .end_span(Span::begin(phases::REVEAL, screened_at), now, me);
         self.metrics
             .record_reveal(provider, out.l_tx, recorded_wrong, involvements);
     }
@@ -2388,11 +2375,12 @@ fn adopt_cert_state(
     }
 }
 
-fn label_pairs(reports: &[(u32, Label)]) -> Vec<(NodeId, Label)> {
-    reports
-        .iter()
-        .map(|(c, l)| (NodeId::collector(*c), *l))
-        .collect()
+/// A slot's reports as block-entry labels, allocated to their exact
+/// count: the vector lives as long as the block.
+fn label_pairs(slot: &TxSlot) -> Vec<(NodeId, Label)> {
+    let mut pairs = Vec::with_capacity(slot.report_count());
+    pairs.extend(slot.reports().map(|(c, l)| (NodeId::collector(c), l)));
+    pairs
 }
 
 #[cfg(test)]

@@ -114,7 +114,8 @@ pub enum ProtocolMsg {
     BlockNotify {
         /// Block serial.
         serial: u64,
-        /// `(transaction, verdict)` pairs recorded in the block.
+        /// `(transaction, verdict)` pairs recorded in the block for the
+        /// receiving provider's own transactions, in block order.
         verdicts: Vec<(TxId, Verdict)>,
     },
     /// Provider → governor: `argue(tx, s)`.

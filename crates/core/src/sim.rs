@@ -1135,22 +1135,28 @@ impl Simulation {
 
     /// Provider actors retrieve a committed block (`BlockNotify`) at the
     /// start of the next round, and its unchecked entries are scheduled
-    /// for reveal per policy. The interned tier has no provider to tell
-    /// and never builds the verdict vector.
+    /// for reveal per policy. Each provider is told its own entries, in
+    /// block order — the only ones it acts on — and every provider gets a
+    /// notice, empty or not. The interned tier has no provider to tell and
+    /// never builds the verdict vectors.
     fn notify_providers(&mut self, block: &Block) {
-        let verdicts: Vec<(TxId, Verdict)> = block
-            .entries
-            .iter()
-            .map(|e| (e.tx.id(), e.verdict))
-            .collect();
+        let mut own: Vec<Vec<(TxId, Verdict)>> = vec![Vec::new(); self.layout.providers as usize];
+        let mut verdicts = Vec::with_capacity(block.entries.len());
+        for e in &block.entries {
+            let verdict = (e.tx.id(), e.verdict);
+            if let Some(list) = own.get_mut(e.tx.payload.provider.index as usize) {
+                list.push(verdict);
+            }
+            verdicts.push(verdict);
+        }
         let notify_at = SimTime(self.next_start);
-        for p in 0..self.layout.providers {
+        for (p, verdicts) in own.into_iter().enumerate() {
             self.net.send_external(
                 p as NodeIdx,
                 "block-notify",
                 ProtocolMsg::BlockNotify {
                     serial: block.serial,
-                    verdicts: verdicts.clone(),
+                    verdicts,
                 },
                 notify_at,
             );
@@ -1228,6 +1234,23 @@ mod tests {
         // Identity on the small values every real deployment uses.
         assert_eq!(net_index(0), 0);
         assert_eq!(net_index(1_000_000 + 64 + 4), 1_000_068);
+    }
+
+    #[test]
+    fn a_clean_closed_loop_run_at_r_2_spills_no_slot() {
+        // Two reports fit inline and a clean run has no absentees, so no
+        // slot of any governor needs its boxed spill.
+        let cfg = ProtocolConfig {
+            replication: 2,
+            ..ProtocolConfig::default()
+        };
+        let mut sim = Simulation::new(cfg.clone()).unwrap();
+        sim.run(6);
+        for g in 0..cfg.governors {
+            let gov = sim.governor(g);
+            assert!(gov.metrics().screened > 0, "governor {g} screened nothing");
+            assert_eq!(gov.tx_table().spilled(), 0, "governor {g}");
+        }
     }
 
     #[test]

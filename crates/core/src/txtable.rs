@@ -2,22 +2,25 @@
 //! table of small state machines.
 //!
 //! Everything a governor remembers about a transaction lives in one
-//! [`TxSlot`], found by one probe of one map. A slot is opened by the first
-//! collector's copy and moves through
+//! 40-byte [`TxSlot`], found by one probe of one map. A slot is opened by
+//! the first collector's copy and moves through
 //!
 //! ```text
-//!   Window { opened_at, .. }  ──falls due──▶  Screened { outcome, screened_at, .. }
+//!   Window { seq }  ──falls due──▶  Screened { at, outcome }
 //!        │ shed, every copy forged, or a checkpoint adopted
 //!        ▼
 //!     (removed)
 //! ```
 //!
 //! in place: later copies, the Δ timer, late reports, `Argue` and `Reveal`
-//! all read and write the same slot. The table also keeps what is ordered
-//! by *when a window opened* — the due ticks and the shedding order are
-//! one deque, because every window is given the same delay — the Δ
-//! timers, one per tick on which windows fall due, and the provider
-//! signatures waiting for the next batched verification.
+//! all read and write the same slot. A slot holds its first two reports
+//! inline and the screened outcome packed into one word; what few slots
+//! need — a third report, absentees — sits behind one thin pointer. What
+//! only an open window needs lives beside the Δ queue instead, in the
+//! [`Window`] the slot's `seq` numbers: the due ticks and the shedding
+//! order are one deque, because every window is given the same delay. The
+//! table also keeps the Δ timers, one per tick on which windows fall due,
+//! and the provider signatures waiting for the next batched verification.
 //!
 //! A window is screened when its tick comes, whether or not a timer
 //! fires then: a node that was down when the timer was due never sees
@@ -30,11 +33,15 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashSet, VecDeque};
+use std::num::NonZeroU64;
 
 use prb_crypto::fxhash::{fx_map_seeded, FxMap};
 use prb_crypto::signer::{PublicKey, Sig};
 use prb_ledger::transaction::{Label, SignedTx, TxId};
 use prb_net::message::TimerId;
+
+#[cfg(test)]
+mod reference;
 
 /// Entry cap for the provider-signature memo; the map is cleared when it
 /// fills. 8192 entries (~100 bytes each) keep the governor's footprint
@@ -113,48 +120,121 @@ impl SigMemo {
 /// `(provider, tx id, signature, signing digest)`.
 pub(crate) type QueuedSig = (u32, TxId, Sig, [u8; 32]);
 
+/// One report, `collector << 1 | valid`: the collector's index and its
+/// label bit.
+type Report = u32;
+
+/// An empty inline report place.
+const NO_REPORT: Report = u32::MAX;
+
+fn pack_report(collector: u32, label: Label) -> Report {
+    assert!(collector < NO_REPORT >> 1, "a collector index fits 31 bits");
+    collector << 1 | Report::from(label.is_valid())
+}
+
+fn unpack_report(report: Report) -> (u32, Label) {
+    (report >> 1, Label::from_validity(report & 1 == 1))
+}
+
+/// An [`Outcome`] in one word: bit 0 is always set (so the slot's stage
+/// has a niche to tag itself in), bit 1 marks an unchecked transaction,
+/// bit 2 holds `valid` or the recorded label, bit 3 `revealed`, and the
+/// bits above them the unchecked index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct PackedOutcome(NonZeroU64);
+
+const UNCHECKED: u64 = 0b10;
+const VALID: u64 = 0b100;
+const REVEALED: u64 = 0b1000;
+const INDEX_SHIFT: u32 = 4;
+
+impl PackedOutcome {
+    fn pack(outcome: Outcome) -> Self {
+        let flag = |on: bool, bit: u64| if on { bit } else { 0 };
+        let word = match outcome {
+            Outcome::Checked { valid } => 1 | flag(valid, VALID),
+            Outcome::Unchecked {
+                recorded,
+                index,
+                revealed,
+            } => {
+                assert!(index < 1 << (64 - INDEX_SHIFT), "unchecked index overflow");
+                1 | UNCHECKED
+                    | flag(recorded.is_valid(), VALID)
+                    | flag(revealed, REVEALED)
+                    | (index << INDEX_SHIFT)
+            }
+        };
+        PackedOutcome(NonZeroU64::new(word).expect("bit 0 is set"))
+    }
+
+    fn unpack(self) -> Outcome {
+        let word = self.0.get();
+        if word & UNCHECKED == 0 {
+            Outcome::Checked {
+                valid: word & VALID != 0,
+            }
+        } else {
+            Outcome::Unchecked {
+                recorded: Label::from_validity(word & VALID != 0),
+                index: word >> INDEX_SHIFT,
+                revealed: word & REVEALED != 0,
+            }
+        }
+    }
+}
+
+/// Where a transaction stands.
+#[derive(Clone, Copy, Debug)]
+enum Stage {
+    /// Inside its Δ window, whose data is entry `seq` of the table's
+    /// window queue.
+    Window { seq: u64 },
+    /// Screened at tick `at`: checked, or recorded unchecked and awaiting
+    /// its reveal.
+    Screened { at: u64, outcome: PackedOutcome },
+}
+
+/// What few slots need, behind one thin pointer.
+#[derive(Debug, Default)]
+struct Spill {
+    /// Reports past the two held inline, in order.
+    reports: Vec<Report>,
+    /// Linked collectors that were not active members when the tx was
+    /// screened, if any. They owed no report, so a later reveal must not
+    /// charge them a Missed loss — even if they have since (re)joined.
+    absent: Vec<u32>,
+}
+
 /// Everything the governor remembers about one transaction.
+///
+/// Reports are `(collector, label)` per reporting copy: in arrival order
+/// while the window is open, verified copies only and sorted by collector
+/// once screened, late reports appended after that. The first two are
+/// held inline; a third or later one, like the absentees, lives in the
+/// spill.
 #[derive(Debug)]
 pub(crate) struct TxSlot {
     /// The transaction, as its first copy carried it (re-homed onto a
     /// verified signature at screening if that copy's was forged).
     pub(crate) tx: SignedTx,
-    pub(crate) provider: u32,
-    /// `(collector, label)` per reporting copy: in arrival order while the
-    /// window is open, verified copies only and sorted by collector once
-    /// screened, late reports appended after that.
-    pub(crate) reports: Vec<(u32, Label)>,
-    pub(crate) state: SlotState,
+    /// Filled from the front; [`NO_REPORT`] marks an empty place.
+    reports: [Report; 2],
+    spill: Option<Box<Spill>>,
+    stage: Stage,
 }
 
-/// Where a transaction stands.
-#[derive(Debug)]
-pub(crate) enum SlotState {
-    /// A transaction still inside its Δ aggregation window.
-    Window(Window),
-    /// Screened: checked, or recorded unchecked and awaiting its reveal.
-    Screened {
-        outcome: Outcome,
-        /// Screening tick (reveal / argue spans).
-        screened_at: u64,
-        /// Linked collectors that were not active members when the tx was
-        /// screened, if any. They owed no report, so a later reveal must
-        /// not charge them a Missed loss — even if they have since
-        /// (re)joined. Behind a thin pointer: there is a slot for every
-        /// transaction ever seen and almost none has absentees.
-        #[allow(clippy::box_collection)]
-        absent: Option<Box<Vec<u32>>>,
-    },
-}
-
-/// The open-window half of a slot: what is known so far about the
-/// provider signatures its copies carried. Copies share the tx id (it
-/// binds the signed payload) but a malicious relay can attach a different
-/// signature, so verdicts are per copy.
+/// An open window's data, kept beside the Δ queue rather than in its slot:
+/// what is known so far about the provider signatures its copies carried.
+/// Copies share the tx id (it binds the signed payload) but a malicious
+/// relay can attach a different signature, so verdicts are per copy.
 #[derive(Debug)]
 pub(crate) struct Window {
+    /// Tick the window falls due.
+    due: u64,
+    pub(crate) id: TxId,
     /// Tick the first copy arrived (the screening span's start).
-    opened_at: u64,
+    pub(crate) opened_at: u64,
     /// The memo generation in which the memo last vouched for the slot
     /// transaction's own signature (0: it never has). A signature the
     /// memo knows to be forged never reaches a window.
@@ -163,11 +243,9 @@ pub(crate) struct Window {
     /// (0: never).
     queued_in: u64,
     /// Copies whose signature differs from the slot transaction's, as
-    /// `(reporter, signature, epoch it was queued in or 0)`. Behind a
-    /// thin pointer for the slot's size: only a misbehaving relay makes
-    /// one.
-    #[allow(clippy::box_collection)]
-    alt_sigs: Option<Box<Vec<(u32, Sig, u64)>>>,
+    /// `(reporter, signature, epoch it was queued in or 0)`. Only a
+    /// misbehaving relay makes one.
+    alt_sigs: Vec<(u32, Sig, u64)>,
 }
 
 /// What a collector's copy means for the table ([`TxTable::upload`]).
@@ -191,16 +269,20 @@ pub(crate) enum Upload {
 #[derive(Debug)]
 pub(crate) struct TxTable {
     slots: FxMap<TxId, TxSlot>,
-    /// Every window opened and not yet due, as `(due tick, id)` in the
-    /// order opened — which, all delays being equal, is the order they
-    /// fall due in and the order windows are shed in.
-    windows: VecDeque<(u64, TxId)>,
+    /// Every window opened and not yet due, in the order opened — which,
+    /// all delays being equal, is the order they fall due in and the order
+    /// windows are shed in. Only the front is ever taken out, so entry
+    /// `seq` stays at `windows[seq - first_seq]`; a shed window's entry
+    /// stays until it falls due, for nothing.
+    windows: VecDeque<Window>,
+    /// The number of `windows[0]`.
+    first_seq: u64,
     /// The Δ timers set for them, as `(timer, due tick)`: one per tick on
     /// which windows fall due, in the order set.
     timers: VecDeque<(TimerId, u64)>,
     /// `windows[..shed_cursor]` have been considered for shedding.
     shed_cursor: usize,
-    /// Slots in the `Window` state.
+    /// Slots in the `Window` stage.
     open: usize,
     open_high_water: usize,
     shed: u64,
@@ -219,6 +301,7 @@ impl TxTable {
         TxTable {
             slots: fx_map_seeded(hash_seed),
             windows: VecDeque::new(),
+            first_seq: 0,
             timers: VecDeque::new(),
             shed_cursor: 0,
             open: 0,
@@ -240,6 +323,13 @@ impl TxTable {
         self.open
     }
 
+    /// Slots that needed their spill: more than two reports, or
+    /// absentees.
+    #[cfg(test)]
+    pub(crate) fn spilled(&self) -> usize {
+        self.slots.values().filter(|s| s.spill.is_some()).count()
+    }
+
     pub(crate) fn slot(&self, id: &TxId) -> Option<&TxSlot> {
         self.slots.get(id)
     }
@@ -249,9 +339,9 @@ impl TxTable {
     }
 
     /// Files `collector`'s copy `(tx, label)` under its transaction's
-    /// slot, opening a window if there is none (sized for `copies`
-    /// reports). `verdict` is what the signature memo said about this
-    /// copy's provider signature (`None`: unknown), read in memo generation
+    /// slot, opening a window due at tick `due` if there is none.
+    /// `verdict` is what the signature memo said about this copy's
+    /// provider signature (`None`: unknown), read in memo generation
     /// `generation`; an unknown signature that counts toward the window is
     /// queued for the next batch unless it already is.
     pub(crate) fn upload(
@@ -261,9 +351,10 @@ impl TxTable {
         verdict: Option<bool>,
         generation: u64,
         now: u64,
-        copies: usize,
+        due: u64,
     ) -> Upload {
-        let (id, provider, label) = (tx.id(), tx.payload.provider.index, *label);
+        let (id, provider) = (tx.id(), tx.payload.provider.index);
+        let report = pack_report(collector, *label);
         let queue_it = |queue: &mut Vec<QueuedSig>| {
             queue.push((provider, id, tx.provider_sig.clone(), *tx.signing_digest()));
         };
@@ -273,30 +364,34 @@ impl TxTable {
                 if verdict.is_none() {
                     queue_it(&mut self.queue);
                 }
-                let mut reports = Vec::with_capacity(copies);
-                reports.push((collector, label));
+                let seq = self.first_seq + self.windows.len() as u64;
+                self.windows.push_back(Window {
+                    due,
+                    id,
+                    opened_at: now,
+                    genuine_in: if verdict.is_some() { generation } else { 0 },
+                    queued_in: if verdict.is_none() { self.epoch } else { 0 },
+                    alt_sigs: Vec::new(),
+                });
                 vacant.insert(TxSlot {
                     tx: tx.clone(),
-                    provider,
-                    reports,
-                    state: SlotState::Window(Window {
-                        opened_at: now,
-                        genuine_in: if verdict.is_some() { generation } else { 0 },
-                        queued_in: if verdict.is_none() { self.epoch } else { 0 },
-                        alt_sigs: None,
-                    }),
+                    reports: [report, NO_REPORT],
+                    spill: None,
+                    stage: Stage::Window { seq },
                 });
                 self.open += 1;
                 return Upload::Opened;
             }
         };
-        let known = slot.reports.iter().any(|(c, _)| *c == collector);
-        let SlotState::Window(window) = &mut slot.state else {
+        let known = slot.reported_by(collector);
+        let Stage::Window { seq } = slot.stage else {
             return if known { Upload::Known } else { Upload::Late };
         };
         if known {
             return Upload::Repeat;
         }
+        let window = &mut self.windows[(seq - self.first_seq) as usize];
+        debug_assert_eq!(window.id, id);
         let epoch = self.epoch;
         if tx.provider_sig == slot.tx.provider_sig {
             if verdict.is_some() {
@@ -306,25 +401,27 @@ impl TxTable {
                 queue_it(&mut self.queue);
             }
         } else {
-            let alt_sigs = window.alt_sigs.get_or_insert_with(Box::default);
             let queued = if verdict.is_none() { epoch } else { 0 };
-            let already = alt_sigs
+            let already = window
+                .alt_sigs
                 .iter()
                 .any(|(_, sig, at)| *at == epoch && *sig == tx.provider_sig);
             if queued != 0 && !already {
                 queue_it(&mut self.queue);
             }
-            alt_sigs.push((collector, tx.provider_sig.clone(), queued));
+            window
+                .alt_sigs
+                .push((collector, tx.provider_sig.clone(), queued));
         }
-        slot.reports.push((collector, label));
+        slot.push_report(report);
         Upload::Joined
     }
 
-    /// Queues the window [`upload`](Self::upload) just opened for `id`,
-    /// due at tick `due`. Windows due on the same tick share one Δ timer:
-    /// the first of them sets it through `set_timer`.
-    pub(crate) fn arm(&mut self, id: TxId, due: u64, set_timer: impl FnOnce() -> TimerId) {
-        self.windows.push_back((due, id));
+    /// Arms the Δ timer for the window [`upload`](Self::upload) just
+    /// opened, due at tick `due`. Windows due on the same tick share one
+    /// timer: the first of them sets it through `set_timer`.
+    pub(crate) fn arm(&mut self, due: u64, set_timer: impl FnOnce() -> TimerId) {
+        debug_assert_eq!(self.windows.back().map(|w| w.due), Some(due));
         if self.timers.back().is_none_or(|&(_, at)| at != due) {
             self.timers.push_back((set_timer(), due));
         }
@@ -336,7 +433,7 @@ impl TxTable {
     /// that is gone (or was opened again).
     pub(crate) fn shed_oldest(&mut self, capacity: usize) -> Option<TxId> {
         while self.open > capacity {
-            let Some(&(_, id)) = self.windows.get(self.shed_cursor) else {
+            let Some(&Window { id, .. }) = self.windows.get(self.shed_cursor) else {
                 break;
             };
             self.shed_cursor += 1;
@@ -368,30 +465,48 @@ impl TxTable {
         true
     }
 
-    /// Takes the oldest window due at or before tick `tick`, if any; the
-    /// caller screens it. Windows come out in the order they opened. The
-    /// id may name a slot that was shed since (or opened again), so the
-    /// caller re-checks [`in_window`](Self::in_window).
-    pub(crate) fn pop_due(&mut self, tick: u64) -> Option<TxId> {
+    /// Takes the windows due at or before tick `tick` in the order they
+    /// opened, and returns the first that still names an open window, if
+    /// any: the caller settles it ([`TxSlot::settle`]) and screens its
+    /// slot. An entry whose slot was shed since (or screened early) falls
+    /// due for nothing; one whose slot was shed and opened again stands
+    /// for the new window, which is screened now.
+    pub(crate) fn pop_due(&mut self, tick: u64) -> Option<Window> {
         while self.timers.front().is_some_and(|&(_, due)| due <= tick) {
             self.timers.pop_front(); // fired, or lost while the node was down
         }
-        let &(due, id) = self.windows.front()?;
-        if due > tick {
-            return None;
+        while self.windows.front()?.due <= tick {
+            let popped = self.windows.pop_front().expect("front seen");
+            let seq = self.first_seq;
+            self.first_seq += 1;
+            self.shed_cursor = self.shed_cursor.saturating_sub(1);
+            let Some(slot) = self.slots.get(&popped.id) else {
+                continue;
+            };
+            let Stage::Window { seq: open } = slot.stage else {
+                continue;
+            };
+            self.open -= 1;
+            if open == seq {
+                return Some(popped);
+            }
+            let live = &mut self.windows[(open - self.first_seq) as usize];
+            return Some(Window {
+                alt_sigs: std::mem::take(&mut live.alt_sigs),
+                ..*live
+            });
         }
-        self.windows.pop_front();
-        self.shed_cursor = self.shed_cursor.saturating_sub(1);
-        Some(id)
+        None
     }
 
     /// Forgets every open window and its Δ timer, as a checkpoint adoption
     /// must: a window's transaction may lie below the new anchor, where the
     /// chain can no longer tell that it was recorded. Screened slots stay.
     pub(crate) fn drop_windows(&mut self) {
-        for (_, id) in self.windows.drain(..) {
-            if self.slots.get(&id).is_some_and(TxSlot::in_window) {
-                self.slots.remove(&id);
+        self.first_seq += self.windows.len() as u64;
+        for window in self.windows.drain(..) {
+            if self.slots.get(&window.id).is_some_and(TxSlot::in_window) {
+                self.slots.remove(&window.id);
             }
         }
         debug_assert!(!self.slots.values().any(TxSlot::in_window));
@@ -403,20 +518,9 @@ impl TxTable {
     }
 
     /// Whether `id` is inside its Δ window.
+    #[cfg(test)]
     pub(crate) fn in_window(&self, id: &TxId) -> bool {
         self.slots.get(id).is_some_and(TxSlot::in_window)
-    }
-
-    /// The open window of `id` is being screened: takes it out of the
-    /// open count and returns the slot for the in-place transition (or
-    /// [`remove`](Self::remove), if every copy turns out forged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` has no slot.
-    pub(crate) fn close_window(&mut self, id: &TxId) -> &mut TxSlot {
-        self.open -= 1;
-        self.slots.get_mut(id).expect("caller saw the window")
     }
 
     /// Drops the slot of `id`.
@@ -450,21 +554,126 @@ impl TxTable {
     /// Panics if `id` has not been screened.
     pub(crate) fn late_report(&mut self, id: &TxId, collector: u32, label: Label) -> Outcome {
         let slot = self.slots.get_mut(id).expect("caller saw the slot");
-        let SlotState::Screened { outcome, .. } = slot.state else {
-            panic!("late reports follow screening");
-        };
-        slot.reports.push((collector, label));
+        let (outcome, _) = slot.screened().expect("late reports follow screening");
+        slot.push_report(pack_report(collector, label));
         outcome
     }
 }
 
 impl TxSlot {
-    /// Whether the slot is still inside its Δ window.
-    pub(crate) fn in_window(&self) -> bool {
-        matches!(self.state, SlotState::Window(_))
+    /// The transaction's provider.
+    pub(crate) fn provider(&self) -> u32 {
+        self.tx.payload.provider.index
     }
 
-    /// Settles the provider signature of every copy the window gathered,
+    /// Whether the slot is still inside its Δ window.
+    pub(crate) fn in_window(&self) -> bool {
+        matches!(self.stage, Stage::Window { .. })
+    }
+
+    /// How the transaction was resolved and the tick it was screened at;
+    /// `None` while it is in its window.
+    pub(crate) fn screened(&self) -> Option<(Outcome, u64)> {
+        match self.stage {
+            Stage::Window { .. } => None,
+            Stage::Screened { at, outcome } => Some((outcome.unpack(), at)),
+        }
+    }
+
+    /// Screens the slot: records how it was resolved, at tick `at`, and
+    /// the linked collectors that were not active members then.
+    pub(crate) fn screen(&mut self, outcome: Outcome, at: u64, absent: Vec<u32>) {
+        debug_assert!(self.in_window(), "a slot is screened once");
+        let outcome = PackedOutcome::pack(outcome);
+        self.stage = Stage::Screened { at, outcome };
+        if !absent.is_empty() {
+            self.spill.get_or_insert_with(Box::default).absent = absent;
+        }
+    }
+
+    /// Marks an unchecked transaction's real status revealed.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the slot was screened unchecked.
+    pub(crate) fn mark_revealed(&mut self) {
+        let Stage::Screened { outcome, .. } = &mut self.stage else {
+            panic!("only a screened transaction is revealed");
+        };
+        let word = outcome.0.get();
+        assert!(
+            word & UNCHECKED != 0,
+            "only unchecked transactions are revealed"
+        );
+        outcome.0 |= REVEALED;
+    }
+
+    /// Collectors that were absent when the transaction was screened.
+    pub(crate) fn absent(&self) -> &[u32] {
+        self.spill.as_ref().map_or(&[], |s| &s.absent)
+    }
+
+    /// The `(collector, label)` reports, in order.
+    pub(crate) fn reports(&self) -> impl Iterator<Item = (u32, Label)> + '_ {
+        let spilled = self.spill.as_ref().map_or(&[][..], |s| &s.reports[..]);
+        self.reports
+            .iter()
+            .take_while(|&&r| r != NO_REPORT)
+            .chain(spilled)
+            .map(|&r| unpack_report(r))
+    }
+
+    /// How many reports the slot holds.
+    pub(crate) fn report_count(&self) -> usize {
+        let inline = self.reports.iter().take_while(|&&r| r != NO_REPORT).count();
+        inline + self.spill.as_ref().map_or(0, |s| s.reports.len())
+    }
+
+    /// Whether `collector` has a report here.
+    pub(crate) fn reported_by(&self, collector: u32) -> bool {
+        self.reports().any(|(c, _)| c == collector)
+    }
+
+    fn report_at(&self, at: usize) -> Report {
+        match self.reports.get(at) {
+            Some(&r) => r,
+            None => self.spill.as_ref().expect("spilled").reports[at - 2],
+        }
+    }
+
+    fn set_report_at(&mut self, at: usize, report: Report) {
+        match self.reports.get_mut(at) {
+            Some(r) => *r = report,
+            None => self.spill.as_mut().expect("spilled").reports[at - 2] = report,
+        }
+    }
+
+    fn push_report(&mut self, report: Report) {
+        match self.reports.iter_mut().find(|r| **r == NO_REPORT) {
+            Some(r) => *r = report,
+            None => self
+                .spill
+                .get_or_insert_with(Box::default)
+                .reports
+                .push(report),
+        }
+    }
+
+    /// Keeps the first `n` reports, dropping the spill if nothing is left
+    /// in it.
+    fn truncate_reports(&mut self, n: usize) {
+        for r in self.reports.iter_mut().skip(n) {
+            *r = NO_REPORT;
+        }
+        if let Some(spill) = &mut self.spill {
+            spill.reports.truncate(n.saturating_sub(2));
+            if spill.reports.is_empty() && spill.absent.is_empty() {
+                self.spill = None;
+            }
+        }
+    }
+
+    /// Settles the provider signature of every copy `window` gathered,
     /// after the batch holding them has been verified. Keeps the reports
     /// whose copy verified, sorted by collector; re-homes the transaction
     /// onto a verified signature if the first copy's was forged, so block
@@ -477,11 +686,14 @@ impl TxSlot {
     /// # Panics
     ///
     /// Panics if the slot is not in its window.
-    pub(crate) fn settle(&mut self, memo: &mut SigMemo, pk: Option<&PublicKey>) -> (u64, Vec<u32>) {
-        let SlotState::Window(window) = &mut self.state else {
-            panic!("only an open window is settled");
-        };
-        let (provider, id, tx) = (self.provider, self.tx.id(), &self.tx);
+    pub(crate) fn settle(
+        &mut self,
+        mut window: Window,
+        memo: &mut SigMemo,
+        pk: Option<&PublicKey>,
+    ) -> (u64, Vec<u32>) {
+        assert!(self.in_window(), "only an open window is settled");
+        let (provider, id, tx) = (self.provider(), self.tx.id(), &self.tx);
         let mut own_ok = (window.genuine_in == memo.generation()).then_some(true);
         let mut resolve = |sig: &Sig| {
             let key = (provider, id, sig.clone());
@@ -493,25 +705,42 @@ impl TxSlot {
         };
         let mut forged = Vec::new();
         let mut good_alt: Option<usize> = None;
-        let alt_sigs = window.alt_sigs.as_deref().map_or(&[][..], Vec::as_slice);
-        self.reports.retain(|(collector, _)| {
-            let alt = alt_sigs.iter().position(|(c, _, _)| c == collector);
+        for (collector, _) in self.reports() {
+            let alt = window.alt_sigs.iter().position(|(c, _, _)| *c == collector);
             let ok = match alt {
-                Some(at) => resolve(&alt_sigs[at].1),
+                Some(at) => resolve(&window.alt_sigs[at].1),
                 None => *own_ok.get_or_insert_with(|| resolve(&tx.provider_sig)),
             };
             if ok {
                 good_alt = good_alt.or(alt);
             } else {
-                forged.push(*collector);
+                forged.push(collector);
             }
-            ok
-        });
-        if let (Some(false), Some(at), Some(alt_sigs)) = (own_ok, good_alt, &mut window.alt_sigs) {
-            let good = alt_sigs.swap_remove(at).1;
+        }
+        if let (Some(false), Some(at)) = (own_ok, good_alt) {
+            let good = window.alt_sigs.swap_remove(at).1;
             self.tx = self.tx.clone().with_provider_sig(good);
         }
-        self.reports.sort_by_key(|(c, _)| *c);
+        // Keep the verified reports, then sort them by collector in place
+        // (collectors are distinct, and a slot holds a handful).
+        let mut kept = 0;
+        for at in 0..self.report_count() {
+            let report = self.report_at(at);
+            if !forged.contains(&(report >> 1)) {
+                self.set_report_at(kept, report);
+                kept += 1;
+            }
+        }
+        self.truncate_reports(kept);
+        for at in 1..kept {
+            let mut hole = at;
+            let report = self.report_at(at);
+            while hole > 0 && self.report_at(hole - 1) > report {
+                self.set_report_at(hole, self.report_at(hole - 1));
+                hole -= 1;
+            }
+            self.set_report_at(hole, report);
+        }
         (window.opened_at, forged)
     }
 }
@@ -560,24 +789,79 @@ pub(crate) mod tests {
     }
 
     /// Collector `collector`'s copy of `tx`, its signature unknown to the
-    /// memo.
+    /// memo; a window it opens is due at tick `due`.
+    fn upload_due(table: &mut TxTable, tx: &SignedTx, collector: u32, due: u64) -> Upload {
+        table.upload(collector, &(tx.clone(), Label::Valid), None, 1, 0, due)
+    }
+
     fn upload(table: &mut TxTable, tx: &SignedTx, collector: u32) -> Upload {
-        table.upload(collector, &(tx.clone(), Label::Valid), None, 1, 0, 2)
+        upload_due(table, tx, collector, 2)
     }
 
     /// Opens a window for `tx` due at `due`, offering `timer` in case it is
     /// the first window due then.
     fn open(table: &mut TxTable, tx: &SignedTx, due: u64, timer: TimerId) {
-        assert_eq!(upload(table, tx, 0), Upload::Opened);
-        table.arm(tx.id(), due, || timer);
+        assert_eq!(upload_due(table, tx, 0, due), Upload::Opened);
+        table.arm(due, || timer);
         assert_eq!(table.shed_oldest(usize::MAX), None);
+    }
+
+    /// The id of the next window due by `tick` that is still open.
+    fn pop_due(table: &mut TxTable, tick: u64) -> Option<TxId> {
+        table.pop_due(tick).map(|w| w.id)
     }
 
     #[test]
     fn a_slot_is_no_larger_than_the_history_record_it_replaced() {
         // One slot per transaction ever seen is what a governor's memory
-        // grows by; the `TxRecord` of the old `history` map was 80 bytes.
-        assert!(std::mem::size_of::<TxSlot>() <= 80);
+        // grows by; the `TxRecord` of the old `history` map was 80 bytes,
+        // and so was the slot before its reports went inline and its
+        // open-window data moved beside the Δ queue.
+        assert!(std::mem::size_of::<TxSlot>() <= 40);
+    }
+
+    #[test]
+    fn layout_is_reported() {
+        use prb_ledger::block::BlockEntry;
+        use prb_ledger::transaction::TxBody;
+        println!(
+            "per-transaction layout: TxSlot {} B, Event<ProtocolMsg> {} B, BlockEntry {} B, TxBody {} B",
+            std::mem::size_of::<TxSlot>(),
+            prb_net::sim::event_size::<crate::msg::ProtocolMsg>(),
+            std::mem::size_of::<BlockEntry>(),
+            std::mem::size_of::<TxBody>(),
+        );
+    }
+
+    #[test]
+    fn an_outcome_survives_packing() {
+        let outcomes = [
+            Outcome::Checked { valid: true },
+            Outcome::Checked { valid: false },
+            Outcome::Unchecked {
+                recorded: Label::Invalid,
+                index: 0,
+                revealed: false,
+            },
+            Outcome::Unchecked {
+                recorded: Label::Valid,
+                index: (1 << 60) - 1,
+                revealed: true,
+            },
+        ];
+        for outcome in outcomes {
+            assert_eq!(PackedOutcome::pack(outcome).unpack(), outcome);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unchecked index overflow")]
+    fn an_unchecked_index_past_60_bits_is_refused() {
+        PackedOutcome::pack(Outcome::Unchecked {
+            recorded: Label::Valid,
+            index: 1 << 60,
+            revealed: false,
+        });
     }
 
     #[test]
@@ -595,14 +879,15 @@ pub(crate) mod tests {
         assert!(table.take_timer(ids[0]));
         assert!(!table.take_timer(ids[0]), "fires once");
         // Everything due by the timer's tick comes out, in opening order.
-        assert_eq!(table.pop_due(10), Some(txs[0].id()));
-        assert_eq!(table.pop_due(10), Some(txs[1].id()));
-        assert_eq!(table.pop_due(10), None);
+        assert_eq!(pop_due(&mut table, 10), Some(txs[0].id()));
+        assert_eq!(pop_due(&mut table, 10), Some(txs[1].id()));
+        assert_eq!(pop_due(&mut table, 10), None);
         assert!(table.take_timer(ids[2]));
-        assert_eq!(table.pop_due(11), Some(txs[2].id()));
+        assert_eq!(pop_due(&mut table, 11), Some(txs[2].id()));
         assert!(table.take_timer(ids[3]));
-        assert_eq!(table.pop_due(12), Some(txs[3].id()));
+        assert_eq!(pop_due(&mut table, 12), Some(txs[3].id()));
         assert!(table.windows.is_empty() && table.timers.is_empty());
+        assert_eq!(table.first_seq, 4, "numbering runs on past the front");
     }
 
     #[test]
@@ -621,13 +906,12 @@ pub(crate) mod tests {
         // The next timer past tick 10 takes the shed window's entry (for
         // nothing) and forgets the lost timer, then takes its own window.
         assert!(table.take_timer(ids[1]));
-        assert_eq!(table.pop_due(11), Some(txs[0].id()));
+        assert_eq!(pop_due(&mut table, 11), Some(txs[1].id()));
         assert!(!table.in_window(&txs[0].id()));
-        assert_eq!(table.pop_due(11), Some(txs[1].id()));
-        assert_eq!(table.pop_due(11), None);
+        assert_eq!(pop_due(&mut table, 11), None);
         let left: Vec<_> = table.timers.iter().copied().collect();
         assert_eq!(left, [(ids[2], 12)], "the lost timer is forgotten");
-        assert_eq!(table.window_stats(), (2, 3, 1));
+        assert_eq!(table.window_stats(), (1, 3, 1));
     }
 
     #[test]
@@ -640,12 +924,12 @@ pub(crate) mod tests {
         let mut table = TxTable::new(1);
         open(&mut table, &txs[0], 10, ids[0]);
         open(&mut table, &txs[1], 20, ids[1]);
-        assert_eq!(table.pop_due(14), Some(txs[0].id()));
-        assert_eq!(table.pop_due(14), None);
+        assert_eq!(pop_due(&mut table, 14), Some(txs[0].id()));
+        assert_eq!(pop_due(&mut table, 14), None);
         let left: Vec<_> = table.timers.iter().copied().collect();
         assert_eq!(left, [(ids[1], 20)]);
         assert!(table.take_timer(ids[1]));
-        assert_eq!(table.pop_due(20), Some(txs[1].id()));
+        assert_eq!(pop_due(&mut table, 20), Some(txs[1].id()));
     }
 
     #[test]
@@ -661,12 +945,62 @@ pub(crate) mod tests {
         // The shed window falls due for nothing; the cursor follows the
         // deque as its front goes.
         assert!(table.take_timer(ids[0]));
-        assert_eq!(table.pop_due(10), Some(txs[0].id()));
+        assert_eq!(pop_due(&mut table, 10), None);
         assert!(!table.in_window(&txs[0].id()));
         assert_eq!(table.shed_oldest(1), Some(txs[1].id()));
         assert_eq!(table.shed_oldest(1), Some(txs[2].id()));
         assert_eq!(table.shed_oldest(1), None);
         assert_eq!(table.window_stats(), (1, 4, 3));
+    }
+
+    #[test]
+    fn a_shed_window_falling_due_screens_the_reopened_one() {
+        let ids = timers(2);
+        let a = tx(0);
+        let mut table = TxTable::new(1);
+        open(&mut table, &a, 10, ids[0]);
+        assert_eq!(table.shed_oldest(0), Some(a.id()));
+        // The transaction comes back; its new window is due at 11, but
+        // the shed window's entry, due at 10, stands for it.
+        open(&mut table, &a, 11, ids[1]);
+        let window = table.pop_due(10).expect("the reopened window");
+        assert_eq!((window.id, window.due), (a.id(), 11));
+        // Its own entry then falls due for nothing.
+        table.slot_mut(&a.id()).expect("open").screen(
+            Outcome::Checked { valid: true },
+            10,
+            Vec::new(),
+        );
+        assert_eq!(pop_due(&mut table, 11), None);
+        assert!(table.windows.is_empty());
+    }
+
+    #[test]
+    fn reports_past_two_and_absentees_spill_and_settle_sorted() {
+        let a = tx(0);
+        let mut table = TxTable::new(1);
+        let mut memo = SigMemo::new(1);
+        for collector in [4, 1, 3] {
+            upload_due(&mut table, &a, collector, 10);
+        }
+        assert_eq!(table.spilled(), 1, "a third report spills");
+        let window = table.pop_due(10).expect("due");
+        let slot = table.slot_mut(&a.id()).expect("open");
+        let pk = CryptoScheme::sim()
+            .keypair_from_seed(b"table-p0")
+            .public_key();
+        assert_eq!(slot.settle(window, &mut memo, Some(&pk)), (0, Vec::new()));
+        let sorted: Vec<u32> = slot.reports().map(|(c, _)| c).collect();
+        assert_eq!(sorted, [1, 3, 4]);
+        slot.screen(Outcome::Checked { valid: true }, 10, vec![7]);
+        assert_eq!(slot.absent(), [7]);
+        assert_eq!(
+            table.late_report(&a.id(), 9, Label::Invalid),
+            Outcome::Checked { valid: true }
+        );
+        let slot = table.slot(&a.id()).expect("screened");
+        assert_eq!(slot.reports().last(), Some((9, Label::Invalid)));
+        assert_eq!(slot.report_count(), 4);
     }
 
     #[test]
@@ -678,18 +1012,18 @@ pub(crate) mod tests {
             open(&mut table, tx, due, *timer);
         }
         assert!(table.take_timer(ids[0]));
-        assert_eq!(table.pop_due(10), Some(txs[0].id()));
-        table.close_window(&txs[0].id()).state = SlotState::Screened {
-            outcome: Outcome::Checked { valid: true },
-            screened_at: 10,
-            absent: None,
-        };
+        assert_eq!(pop_due(&mut table, 10), Some(txs[0].id()));
+        table.slot_mut(&txs[0].id()).expect("open").screen(
+            Outcome::Checked { valid: true },
+            10,
+            Vec::new(),
+        );
         table.drop_windows();
         assert_eq!(table.open_windows(), 0);
         assert!(table.slot(&txs[0].id()).is_some(), "screened stays");
         assert!(table.slot(&txs[1].id()).is_none() && table.slot(&txs[2].id()).is_none());
         assert!(!table.take_timer(ids[1]), "its timer is not ours any more");
-        assert_eq!(table.pop_due(u64::MAX), None);
+        assert_eq!(pop_due(&mut table, u64::MAX), None);
         // A copy that comes back opens a window afresh.
         open(&mut table, &txs[1], 20, ids[1]);
         assert_eq!(table.open_windows(), 1);

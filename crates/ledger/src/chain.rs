@@ -243,6 +243,15 @@ pub struct TxLocation {
     pub index: usize,
 }
 
+/// Where the transaction index puts a transaction, in 8 bytes: its block's
+/// place in the chain's block list (`serial - base`) and its place in the
+/// block. The index holds one per transaction ever recorded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct IndexedAt {
+    block: u32,
+    entry: u32,
+}
+
 /// The ledger: an append-only list of blocks with lookup indices.
 ///
 /// # Examples
@@ -264,7 +273,7 @@ pub struct Chain {
     anchor: Option<Digest>,
     // Keyed by a SHA-256 digest, so the seeded Fx mix is collision-safe
     // here; the default SipHash map cost ~2x on the per-commit index path.
-    tx_index: FxMap<TxId, TxLocation>,
+    tx_index: FxMap<TxId, IndexedAt>,
     b_limit: usize,
 }
 
@@ -418,10 +427,12 @@ impl Chain {
                 limit: self.b_limit,
             });
         }
+        // The block lands at `blocks[len]`: its serial is `base + len`.
+        let at_block = u32::try_from(self.blocks.len()).expect("under 2^32 blocks held");
         for (index, entry) in block.entries.iter().enumerate() {
-            self.tx_index.entry(entry.tx.id()).or_insert(TxLocation {
-                serial: block.serial,
-                index,
+            self.tx_index.entry(entry.tx.id()).or_insert(IndexedAt {
+                block: at_block,
+                entry: u32::try_from(index).expect("under 2^32 entries in a block"),
             });
         }
         self.blocks.push(block);
@@ -430,8 +441,12 @@ impl Chain {
 
     /// Finds the first recording of a transaction among the held blocks.
     pub fn find_tx(&self, id: TxId) -> Option<(TxLocation, &BlockEntry)> {
-        let loc = *self.tx_index.get(&id)?;
-        let entry = &self.blocks[(loc.serial - self.base) as usize].entries[loc.index];
+        let at = *self.tx_index.get(&id)?;
+        let entry = &self.blocks[at.block as usize].entries[at.entry as usize];
+        let loc = TxLocation {
+            serial: self.base + u64::from(at.block),
+            index: at.entry as usize,
+        };
         Some((loc, entry))
     }
 
@@ -462,7 +477,8 @@ impl Chain {
         let block = self.blocks.pop()?;
         // `append` only indexes first recordings, so every index entry
         // pointing at this serial was introduced by this block.
-        self.tx_index.retain(|_, loc| loc.serial != block.serial);
+        let popped = self.blocks.len();
+        self.tx_index.retain(|_, at| at.block as usize != popped);
         Some(block)
     }
 
@@ -694,6 +710,13 @@ mod tests {
             NodeId::governor(0),
             10,
         )
+    }
+
+    #[test]
+    fn an_index_value_is_at_most_8_bytes() {
+        // One per transaction ever recorded, per chain: at 10^5-10^6
+        // transactions the index is the chain's largest map.
+        assert!(std::mem::size_of::<IndexedAt>() <= 8);
     }
 
     #[test]

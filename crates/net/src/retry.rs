@@ -110,9 +110,11 @@ struct PendingSend<M> {
 /// token, plus the timers that drive retransmission.
 ///
 /// Kernel timers cannot be cancelled, so an ack simply removes the
-/// pending entry and the stale timer fire becomes a no-op. All state
-/// lives in ordered maps keyed by the monotonically assigned token, so
+/// pending entry and the stale timer fire becomes a no-op. Pending sends
+/// live in an ordered map keyed by the monotonically assigned token, so
 /// iteration order — and therefore the event schedule — is deterministic.
+/// `timers` is a hash map, but it is only probed by timer id and never
+/// iterated, so its order cannot reach the schedule.
 #[derive(Clone, Debug)]
 pub struct ReliableSender<M> {
     cfg: RetryConfig,
