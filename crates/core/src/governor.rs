@@ -68,7 +68,7 @@ use crate::forkchoice::{malformed, Adoption, Arrival, Electorate, ForkChoice, Pa
 use crate::metrics::GovernorMetrics;
 use crate::msg::ProtocolMsg;
 use crate::sync::{serve, Recovery, Step};
-use crate::txtable::{Outcome, QueuedSig, SigMemo, TxSlot, TxTable, Upload, Window};
+use crate::txtable::{Outcome, QueuedSig, TxSlot, TxTable, Upload, Window, NO_WINDOW};
 
 /// Distinct membership requests whose shares may buffer concurrently;
 /// past this the governor ignores new digests (request-spam bound).
@@ -100,8 +100,8 @@ pub struct GovernorNode {
     chain: Chain,
     inbox: OrderedInbox<UploadBatch>,
     /// Every transaction this governor has seen: its Δ window, screening
-    /// outcome and reveal status, the Δ timers, and the provider
-    /// signatures queued for the next batched drain.
+    /// outcome and reveal status, the Δ timers, the provider signatures
+    /// queued for the next batched drain, and the verdicts on them.
     txs: TxTable,
     unchecked_counter: FxMap<u32, u64>,
     /// Screened entries awaiting inclusion in a block.
@@ -116,8 +116,6 @@ pub struct GovernorNode {
     fork: ForkChoice,
     metrics: GovernorMetrics,
     obs: ObsHandle,
-    /// Memoized provider-signature verdicts.
-    sig_memo: SigMemo,
     /// Drains accumulated verifications as RLC batches, optionally across
     /// worker threads (`ProtocolConfig::verify_threads`).
     verify_pool: VerifyPool,
@@ -250,7 +248,6 @@ impl GovernorNode {
             leader: None,
             fork: ForkChoice::new(index),
             obs: Obs::off(),
-            sig_memo: SigMemo::new(hs),
             verify_pool,
             screen_reports: Vec::new(),
             election_span: None,
@@ -1082,8 +1079,8 @@ impl GovernorNode {
     /// Screens every window due at or before `tick`, in the order they
     /// opened.
     fn screen_due(&mut self, tick: u64, ctx: &mut Context<'_, ProtocolMsg>) {
-        while let Some(window) = self.txs.pop_due(tick) {
-            self.screen_tx(window, ctx);
+        while let Some((seq, window)) = self.txs.pop_due(tick) {
+            self.screen_tx(seq, window, ctx);
         }
     }
 
@@ -1251,28 +1248,16 @@ impl GovernorNode {
             return;
         }
         let id = tx.id();
-        let verdict = self.sig_memo.get(&(provider, id, tx.provider_sig.clone()));
-        if verdict.is_some() {
-            self.metrics.sig_memo_hits += 1;
-            if self.obs.is_enabled() {
-                self.obs.metrics().inc("gov.sig_memo_hit");
-            }
-        }
-        if verdict == Some(false) {
-            // Case 1: a known-forged provider signature.
-            self.record_forgery(collector, now);
-            return;
-        }
         let delta = self.cfg.aggregation_window();
-        let step = self.txs.upload(
-            collector,
-            entry,
-            verdict,
-            self.sig_memo.generation(),
-            now,
-            now + delta,
-        );
+        let (step, verdict) = self.txs.upload(collector, entry, now, now + delta);
+        if verdict.is_some() {
+            self.count_sig_answered();
+        }
         match step {
+            Upload::Forged => {
+                // Case 1: a known-forged provider signature.
+                self.record_forgery(collector, now);
+            }
             Upload::Joined | Upload::Known => {}
             Upload::Repeat => {
                 // Duplicate copy from a reporter already in the window: no
@@ -1284,8 +1269,8 @@ impl GovernorNode {
             }
             Upload::Late => {
                 // Late report (after screening): no batch is pending for
-                // it, so resolve the signature now (the memo almost always
-                // answers — screening verified this id already).
+                // it, so resolve the signature now (the slot almost always
+                // answers — screening verified this signature already).
                 if verdict.is_none() && !self.verify_provider_sig(provider, tx) {
                     self.record_forgery(collector, now);
                     return;
@@ -1341,18 +1326,29 @@ impl GovernorNode {
         );
     }
 
+    /// Counts a provider-signature check answered without verifying.
+    fn count_sig_answered(&mut self) {
+        self.metrics.sig_memo_hits += 1;
+        if self.obs.is_enabled() {
+            self.obs.metrics().inc("gov.sig_memo_hit");
+        }
+    }
+
     /// Drains the queued provider signatures through the pool as one
-    /// batch and folds the verdicts into the signature memo.
-    fn drain_verify_queue(&mut self) {
+    /// batch, delivering the verdicts to their windows — `held` is the
+    /// one being screened, with its number, already out of the Δ queue.
+    fn drain_verify_queue(&mut self, held: (u64, &mut Window)) {
         let mut queue = std::mem::take(self.txs.batch());
-        self.verify_batch(&mut queue);
+        self.verify_batch(&mut queue, Some(held));
         // Hand the drained buffer back, capacity and all.
         *self.txs.batch() = queue;
     }
 
-    /// Verifies `sigs` as one pooled batch and drains the verdicts into the
-    /// signature memo; every provider key must resolve.
-    fn verify_batch(&mut self, sigs: &mut Vec<QueuedSig>) {
+    /// Verifies `sigs` as one pooled batch and drains the verdicts: a
+    /// genuine one to the window it was queued for (`held`, or one still
+    /// in the Δ queue), the others — forged, or with no window left — to
+    /// the signature memo. Every provider key must resolve.
+    fn verify_batch(&mut self, sigs: &mut Vec<QueuedSig>, mut held: Option<(u64, &mut Window)>) {
         if sigs.is_empty() {
             return;
         }
@@ -1362,7 +1358,7 @@ impl GovernorNode {
         self.obs.add_counter("gov.sig_memo_miss", n);
         let items: Vec<(&[u8], &Sig, &PublicKey)> = sigs
             .iter()
-            .map(|(p, _, sig, msg)| {
+            .map(|(p, _, sig, msg, _)| {
                 let pk = self.provider_pk(*p).expect("resolved before queueing");
                 (&msg[..], sig, pk)
             })
@@ -1373,33 +1369,31 @@ impl GovernorNode {
             self.obs
                 .add_counter("wall.crypto_ns", t0.elapsed().as_nanos() as u64);
         }
-        for ((p, id, sig, _), ok) in sigs.drain(..).zip(verdicts) {
-            self.sig_memo.insert((p, id, sig), ok);
+        for ((p, id, sig, _, seq), ok) in sigs.drain(..).zip(verdicts) {
+            let held = held.as_mut().map(|(n, window)| (*n, &mut **window));
+            self.txs.record(seq, (p, id, sig), ok, held);
         }
     }
 
-    fn screen_tx(&mut self, window: Window, ctx: &mut Context<'_, ProtocolMsg>) {
+    fn screen_tx(&mut self, seq: u64, mut window: Window, ctx: &mut Context<'_, ProtocolMsg>) {
         // Settle every provider signature queued during the Δ window in
         // one pooled batch, then attribute forgeries per reporting copy.
-        self.drain_verify_queue();
-        let (now, me, id) = (ctx.now().ticks(), self.net_idx(), window.id);
-        let mut slot = self.txs.slot_mut(&id).expect("the window is open");
-        let provider = slot.provider();
+        self.drain_verify_queue((seq, &mut window));
+        let (now, me, id, at) = (ctx.now().ticks(), self.net_idx(), window.id, window.slot);
+        let provider = self.txs.slot_at(at).provider();
         let pk = resolve_pk(&self.provider_pks, &self.pk_pool, &self.topology, provider);
-        let (opened_at, forged) = slot.settle(window, &mut self.sig_memo, pk);
-        if !forged.is_empty() {
-            // Case 1, attributed at screen time: these reporters' copies
-            // carried a forged provider signature.
-            for collector in forged {
-                self.record_forgery(collector, now);
-            }
-            slot = self.txs.slot_mut(&id).expect("settled above");
+        let (opened_at, forged) = self.txs.settle(window, pk);
+        // Case 1, attributed at screen time: these reporters' copies
+        // carried a forged provider signature.
+        for collector in forged {
+            self.record_forgery(collector, now);
         }
+        let slot = self.txs.slot_at_mut(at);
         if slot.report_count() == 0 {
             // Every copy was forged: nothing to screen (and no screening
             // randomness is consumed, matching the eager-verification
             // behaviour where such a window never opened).
-            self.txs.remove(&id);
+            self.txs.remove(at);
             self.obs.emit(
                 now,
                 me,
@@ -1981,8 +1975,8 @@ impl GovernorNode {
     /// suffices for Almost No Creation, so that is what is checked (the
     /// reported labels are the leader's claim and feed only revenue).
     ///
-    /// Signatures the memo does not already know are verified as one
-    /// pooled batch instead of entry by entry.
+    /// Signatures neither the table nor the memo already knows are
+    /// verified as one pooled batch instead of entry by entry.
     fn entries_authentic(&mut self, block: &Block) -> bool {
         // Structural half first: every entry must name a provider
         // identity whose key resolves.
@@ -1993,39 +1987,37 @@ impl GovernorNode {
         if !well_formed {
             return false;
         }
-        // Batch every signature the memo cannot answer.
+        // Batch every signature the table and the memo cannot answer.
         let mut fresh: Vec<QueuedSig> = Vec::new();
         let mut seen: HashSet<(u32, TxId, Sig)> = HashSet::new();
         for e in &block.entries {
-            let p = e.tx.payload.provider.index;
-            let key = (p, e.tx.id(), e.tx.provider_sig.clone());
-            if self.sig_memo.get(&key).is_none() && seen.insert(key.clone()) {
-                fresh.push((key.0, key.1, key.2, *e.tx.signing_digest()));
+            let (p, id, sig) = (e.tx.payload.provider.index, e.tx.id(), &e.tx.provider_sig);
+            if self.txs.knows(&e.tx).is_none() && seen.insert((p, id, sig.clone())) {
+                fresh.push((p, id, sig.clone(), *e.tx.signing_digest(), NO_WINDOW));
             }
         }
-        self.verify_batch(&mut fresh);
+        self.verify_batch(&mut fresh, None);
         block.entries.iter().all(|e| {
             let p = e.tx.payload.provider.index;
             self.verify_provider_sig(p, &e.tx)
         })
     }
 
-    /// Memoized provider-signature verification.
+    /// Remembered provider-signature verification.
     ///
     /// The same signed transaction is verified at upload and then again,
     /// in paranoid mode, for every governor that re-checks the committed
     /// block carrying it. The verdict is a pure function of the provider's
     /// key and `(tx id, signature)` — the id hashes every signed field
-    /// (provider, nonce, timestamp, data) — so it is memoized, turning the
-    /// re-checks into map lookups. A forged signature is memoized as
-    /// `false` and stays `false`: probes cannot flip a cached verdict.
+    /// (provider, nonce, timestamp, data) — so it is remembered, turning
+    /// the re-checks into lookups: the transaction's slot answers for the
+    /// signature it was screened on, its open window for the ones it was
+    /// told are genuine, and the memo for the rest. A forged signature is
+    /// memoized as `false` and stays `false`: probes cannot flip a cached
+    /// verdict.
     fn verify_provider_sig(&mut self, provider: u32, tx: &SignedTx) -> bool {
-        let key = (provider, tx.id(), tx.provider_sig.clone());
-        if let Some(ok) = self.sig_memo.get(&key) {
-            self.metrics.sig_memo_hits += 1;
-            if self.obs.is_enabled() {
-                self.obs.metrics().inc("gov.sig_memo_hit");
-            }
+        if let Some(ok) = self.txs.knows(tx) {
+            self.count_sig_answered();
             return ok;
         }
         let ok = self.provider_pk(provider).is_some_and(|pk| tx.verify(pk));
@@ -2033,7 +2025,7 @@ impl GovernorNode {
         if self.obs.is_enabled() {
             self.obs.metrics().inc("gov.sig_memo_miss");
         }
-        self.sig_memo.insert(key, ok);
+        self.txs.record_checked(tx, ok);
         ok
     }
 

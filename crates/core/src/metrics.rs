@@ -18,7 +18,9 @@ pub struct GovernorMetrics {
     pub validations: u64,
     /// Uploads rejected for bad signatures / forgery (case 1 updates).
     pub forged_detected: u64,
-    /// Provider-signature checks answered from the verification memo.
+    /// Provider-signature checks answered without verifying: by the
+    /// transaction's slot (its screened signature) or open window (the
+    /// verdicts delivered to it), or by the memo that keeps the rest.
     pub sig_memo_hits: u64,
     /// Provider-signature checks that ran the real verifier (and seeded
     /// the memo).

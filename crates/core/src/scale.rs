@@ -425,6 +425,31 @@ mod tests {
     }
 
     #[test]
+    fn an_honest_open_loop_run_leaves_the_signature_memo_empty() {
+        // Every batch verdict on an honest run finds its window, so the
+        // memo, which keeps forged verdicts and those whose window was
+        // gone, is never written.
+        let mut sim = ScaleSim::new(scale_cfg(64), 8).unwrap();
+        for round in 0..4u32 {
+            let t0 = sim.next_round_start();
+            let arrivals = (0..48u32)
+                .map(|i| make_arrival(&sim, t0 + u64::from(i), i, u64::from(round)))
+                .collect();
+            sim.run_round(arrivals);
+        }
+        sim.drain(8);
+        assert_eq!(sim.committed(), 4 * 48);
+        for g in 0..3 {
+            let gov = sim.governor(g);
+            assert!(
+                gov.metrics().sig_memo_misses > 0,
+                "governor {g} verified nothing"
+            );
+            assert_eq!(gov.tx_table().memo_len(), 0, "governor {g}");
+        }
+    }
+
+    #[test]
     fn pool_signed_providers_verify_beyond_pool_size() {
         // Provider 13 signs with pool key 13 % 4 = 1; every collector and
         // governor resolves the same key, so the tx is not discarded.

@@ -1254,6 +1254,43 @@ mod tests {
     }
 
     #[test]
+    fn block_checks_are_answered_by_the_slots_screening_filled() {
+        // With `verify_blocks`, every governor re-checks the provider
+        // signature of every block entry it appends. Each signature is
+        // verified once, in the batch that screens its window; the slot
+        // then answers every block check, and the memo, which holds only
+        // forged verdicts and those whose window was gone, stays empty.
+        let cfg = ProtocolConfig {
+            replication: 2,
+            verify_blocks: true,
+            ..ProtocolConfig::default()
+        };
+        let mut sim = Simulation::new(cfg.clone()).unwrap();
+        sim.run(6);
+        for g in 0..cfg.governors {
+            let gov = sim.governor(g);
+            let m = gov.metrics();
+            let chain = gov.chain();
+            // A governor checks the entries of the blocks it did not build.
+            let checked: u64 = (1..=chain.height())
+                .map(|s| chain.retrieve(s).unwrap())
+                .filter(|b| b.leader.index != g)
+                .map(|b| b.entries.len() as u64)
+                .sum();
+            assert!(checked > 0, "governor {g} appended no peer block");
+            assert_eq!(
+                m.sig_memo_misses, m.screened,
+                "governor {g}: one verify per tx"
+            );
+            assert_eq!(
+                m.sig_memo_hits, checked,
+                "governor {g}: every check answered"
+            );
+            assert_eq!(gov.tx_table().memo_len(), 0, "governor {g}");
+        }
+    }
+
+    #[test]
     fn tier_index_accessors_agree_with_layout() {
         // Providers occupy 0..l, collectors l..l+n, governors l+n..l+n+m.
         let cfg = ProtocolConfig::default();

@@ -2,8 +2,11 @@
 //! table of small state machines.
 //!
 //! Everything a governor remembers about a transaction lives in one
-//! 40-byte [`TxSlot`], found by one probe of one map. A slot is opened by
-//! the first collector's copy and moves through
+//! 40-byte [`TxSlot`] in an arena, in the order the slots were opened. A
+//! collector's copy finds its slot by one probe of an index map from tx id
+//! to arena position; an open window finds its slot by position, for the
+//! window carries it. A slot is opened by the first collector's copy and
+//! moves through
 //!
 //! ```text
 //!   Window { seq }  ──falls due──▶  Screened { at, outcome }
@@ -21,6 +24,16 @@
 //! order are one deque, because every window is given the same delay. The
 //! table also keeps the Δ timers, one per tick on which windows fall due,
 //! and the provider signatures waiting for the next batched verification.
+//!
+//! A queued signature carries its window's number, so the batch's verdict
+//! on a genuine one is delivered to the window ([`TxTable::record`]) and
+//! read from there when the window is screened; a screened slot vouches
+//! for its own transaction's signature, for screening keeps only verified
+//! reports. What [`SigMemo`] holds is the rest: forged verdicts, and
+//! genuine ones whose window was gone — shed or dropped, taking what it
+//! knew with it into the memo, or never there to receive them. So
+//! screening a due window probes no map, and on an honest run the memo
+//! stays empty.
 //!
 //! A window is screened when its tick comes, whether or not a timer
 //! fires then: a node that was down when the timer was due never sees
@@ -69,56 +82,53 @@ pub(crate) enum Outcome {
 }
 
 /// Memoized provider-signature verdicts, keyed by `(provider, tx id,
-/// signature)`. Screening and block verification share it.
-///
-/// A verdict is a pure function of its key, so the only way one leaves is
-/// a clear; [`generation`](Self::generation) moves with those, which lets
-/// a reader that saw a verdict in generation `g` trust it without a second
-/// probe for as long as the generation is still `g`.
+/// signature)`, for the verdicts no slot or window holds: forged ones, and
+/// genuine ones whose window was shed, dropped or screened before they
+/// came. Screening and block verification share it.
 #[derive(Debug)]
-pub(crate) struct SigMemo {
+struct SigMemo {
     verdicts: FxMap<(u32, TxId, Sig), bool>,
-    generation: u64,
 }
 
 impl SigMemo {
-    pub(crate) fn new(hash_seed: u64) -> Self {
+    fn new(hash_seed: u64) -> Self {
         SigMemo {
             verdicts: fx_map_seeded(hash_seed),
-            generation: 1,
         }
     }
 
-    /// The memoized verdict for `key`, if any.
-    pub(crate) fn get(&self, key: &(u32, TxId, Sig)) -> Option<bool> {
-        self.verdicts.get(key).copied()
-    }
-
-    /// One more than the times the memo has been cleared (never 0).
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
+    /// The memoized verdict on `provider`'s signature `sig` over `id`, if
+    /// any; an empty memo answers without building a key.
+    fn get(&self, provider: u32, id: TxId, sig: &Sig) -> Option<bool> {
+        if self.verdicts.is_empty() {
+            return None;
+        }
+        self.verdicts.get(&(provider, id, sig.clone())).copied()
     }
 
     /// Memoizes a freshly verified verdict, clearing the memo first when
     /// it is full.
-    pub(crate) fn insert(&mut self, key: (u32, TxId, Sig), ok: bool) {
+    fn insert(&mut self, key: (u32, TxId, Sig), ok: bool) {
         if self.verdicts.len() >= SIG_MEMO_MAX {
             self.verdicts.clear();
-            self.generation += 1;
         }
         self.verdicts.insert(key, ok);
     }
 
-    /// Puts back a verdict a clear dropped between the batch that settled
-    /// it and the screening that needs it; never clears.
-    fn restore(&mut self, key: (u32, TxId, Sig), ok: bool) {
-        self.verdicts.insert(key, ok);
+    /// Verdicts held.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.verdicts.len()
     }
 }
 
 /// A provider signature awaiting the next batched verification:
-/// `(provider, tx id, signature, signing digest)`.
-pub(crate) type QueuedSig = (u32, TxId, Sig, [u8; 32]);
+/// `(provider, tx id, signature, signing digest, window)`, where `window`
+/// numbers the window it was queued for ([`NO_WINDOW`]: none).
+pub(crate) type QueuedSig = (u32, TxId, Sig, [u8; 32], u64);
+
+/// The window number of a signature queued for no window.
+pub(crate) const NO_WINDOW: u64 = u64::MAX;
 
 /// One report, `collector << 1 | valid`: the collector's index and its
 /// label bit.
@@ -225,9 +235,12 @@ pub(crate) struct TxSlot {
 }
 
 /// An open window's data, kept beside the Δ queue rather than in its slot:
-/// what is known so far about the provider signatures its copies carried.
-/// Copies share the tx id (it binds the signed payload) but a malicious
-/// relay can attach a different signature, so verdicts are per copy.
+/// where its slot is, and what is known so far about the provider
+/// signatures its copies carried. Copies share the tx id (it binds the
+/// signed payload) but a malicious relay can attach a different signature,
+/// so verdicts are per copy: the window holds the verdict on its slot
+/// transaction's own signature once that is known to be genuine, the memo
+/// every other.
 #[derive(Debug)]
 pub(crate) struct Window {
     /// Tick the window falls due.
@@ -235,13 +248,13 @@ pub(crate) struct Window {
     pub(crate) id: TxId,
     /// Tick the first copy arrived (the screening span's start).
     pub(crate) opened_at: u64,
-    /// The memo generation in which the memo last vouched for the slot
-    /// transaction's own signature (0: it never has). A signature the
-    /// memo knows to be forged never reaches a window.
-    genuine_in: u64,
-    /// The verification epoch in which that signature was last queued
-    /// (0: never).
+    /// The verification epoch in which the slot transaction's own
+    /// signature was last queued (0: never).
     queued_in: u64,
+    /// The slot's position in the arena.
+    pub(crate) slot: u32,
+    /// Whether that signature is known to be genuine.
+    own_ok: bool,
     /// Copies whose signature differs from the slot transaction's, as
     /// `(reporter, signature, epoch it was queued in or 0)`. Only a
     /// misbehaving relay makes one.
@@ -251,6 +264,9 @@ pub(crate) struct Window {
 /// What a collector's copy means for the table ([`TxTable::upload`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Upload {
+    /// The memo knows the copy's signature to be forged; nothing was
+    /// filed.
+    Forged,
     /// First copy of the transaction: a Δ window was opened. The caller
     /// queues it with [`TxTable::arm`].
     Opened,
@@ -268,7 +284,13 @@ pub(crate) enum Upload {
 /// The per-transaction table of one governor.
 #[derive(Debug)]
 pub(crate) struct TxTable {
-    slots: FxMap<TxId, TxSlot>,
+    /// Where each transaction's slot is in `slots`.
+    index: FxMap<TxId, u32>,
+    /// Every slot, in the order opened; `None` where one was removed (a
+    /// shed or dropped window, or one whose every copy was forged). Slots
+    /// fall due in the order they were opened, so screening walks it
+    /// front to back.
+    slots: Vec<Option<TxSlot>>,
     /// Every window opened and not yet due, in the order opened — which,
     /// all delays being equal, is the order they fall due in and the order
     /// windows are shed in. Only the front is ever taken out, so entry
@@ -294,12 +316,25 @@ pub(crate) struct TxTable {
     /// A window was shed since the last batch, so the queue may hold a key
     /// twice (once for the shed window, once for its successor).
     orphaned: bool,
+    /// The verdicts no slot or window holds.
+    memo: SigMemo,
+}
+
+/// Whether `slots[at]` is the slot of open window number `seq`. A window
+/// whose slot was removed, or screened under another window's number,
+/// names a slot that is not.
+fn live(slots: &[Option<TxSlot>], at: u32, seq: u64) -> bool {
+    matches!(
+        slots[at as usize],
+        Some(TxSlot { stage: Stage::Window { seq: open }, .. }) if open == seq
+    )
 }
 
 impl TxTable {
     pub(crate) fn new(hash_seed: u64) -> Self {
         TxTable {
-            slots: fx_map_seeded(hash_seed),
+            index: fx_map_seeded(hash_seed),
+            slots: Vec::new(),
             windows: VecDeque::new(),
             first_seq: 0,
             timers: VecDeque::new(),
@@ -310,6 +345,7 @@ impl TxTable {
             queue: Vec::new(),
             epoch: 1,
             orphaned: false,
+            memo: SigMemo::new(hash_seed),
         }
     }
 
@@ -327,78 +363,120 @@ impl TxTable {
     /// absentees.
     #[cfg(test)]
     pub(crate) fn spilled(&self) -> usize {
-        self.slots.values().filter(|s| s.spill.is_some()).count()
+        self.slots
+            .iter()
+            .flatten()
+            .filter(|s| s.spill.is_some())
+            .count()
+    }
+
+    /// Verdicts in the signature memo.
+    #[cfg(test)]
+    pub(crate) fn memo_len(&self) -> usize {
+        self.memo.len()
     }
 
     pub(crate) fn slot(&self, id: &TxId) -> Option<&TxSlot> {
-        self.slots.get(id)
+        self.index.get(id).map(|&at| self.slot_at(at))
     }
 
     pub(crate) fn slot_mut(&mut self, id: &TxId) -> Option<&mut TxSlot> {
-        self.slots.get_mut(id)
+        let at = *self.index.get(id)?;
+        Some(self.slot_at_mut(at))
+    }
+
+    /// The slot at arena position `at`, as a [`Window`] names it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that slot was removed.
+    pub(crate) fn slot_at(&self, at: u32) -> &TxSlot {
+        self.slots[at as usize].as_ref().expect("a live slot")
+    }
+
+    /// [`slot_at`](Self::slot_at), mutably.
+    pub(crate) fn slot_at_mut(&mut self, at: u32) -> &mut TxSlot {
+        self.slots[at as usize].as_mut().expect("a live slot")
+    }
+
+    /// Where open window number `seq` is in the Δ queue, if it may be
+    /// there.
+    fn queue_at(&self, seq: u64) -> Option<usize> {
+        usize::try_from(seq.checked_sub(self.first_seq)?).ok()
     }
 
     /// Files `collector`'s copy `(tx, label)` under its transaction's
-    /// slot, opening a window due at tick `due` if there is none.
-    /// `verdict` is what the signature memo said about this copy's
-    /// provider signature (`None`: unknown), read in memo generation
-    /// `generation`; an unknown signature that counts toward the window is
-    /// queued for the next batch unless it already is.
+    /// slot, opening a window due at tick `due` if there is none. Returns
+    /// what the copy meant and what is known of its provider signature
+    /// ([`knows`](Self::knows)), which costs no probe beyond the slot's
+    /// own while the memo is empty. A signature still unknown that counts
+    /// toward the window is queued for the next batch unless it already
+    /// is.
     pub(crate) fn upload(
         &mut self,
         collector: u32,
         (tx, label): &(SignedTx, Label),
-        verdict: Option<bool>,
-        generation: u64,
         now: u64,
         due: u64,
-    ) -> Upload {
+    ) -> (Upload, Option<bool>) {
         let (id, provider) = (tx.id(), tx.payload.provider.index);
+        let verdict = self.memo.get(provider, id, &tx.provider_sig);
+        if verdict == Some(false) {
+            return (Upload::Forged, verdict);
+        }
         let report = pack_report(collector, *label);
-        let queue_it = |queue: &mut Vec<QueuedSig>| {
-            queue.push((provider, id, tx.provider_sig.clone(), *tx.signing_digest()));
+        let queue_it = |queue: &mut Vec<QueuedSig>, seq: u64| {
+            let digest = *tx.signing_digest();
+            queue.push((provider, id, tx.provider_sig.clone(), digest, seq));
         };
-        let slot = match self.slots.entry(id) {
-            Entry::Occupied(slot) => slot.into_mut(),
+        let at = match self.index.entry(id) {
+            Entry::Occupied(at) => *at.get(),
             Entry::Vacant(vacant) => {
-                if verdict.is_none() {
-                    queue_it(&mut self.queue);
-                }
+                let at = u32::try_from(self.slots.len()).expect("fewer than 2^32 slots");
+                vacant.insert(at);
                 let seq = self.first_seq + self.windows.len() as u64;
+                if verdict.is_none() {
+                    queue_it(&mut self.queue, seq);
+                }
                 self.windows.push_back(Window {
                     due,
                     id,
                     opened_at: now,
-                    genuine_in: if verdict.is_some() { generation } else { 0 },
                     queued_in: if verdict.is_none() { self.epoch } else { 0 },
+                    slot: at,
+                    own_ok: verdict.is_some(),
                     alt_sigs: Vec::new(),
                 });
-                vacant.insert(TxSlot {
+                self.slots.push(Some(TxSlot {
                     tx: tx.clone(),
                     reports: [report, NO_REPORT],
                     spill: None,
                     stage: Stage::Window { seq },
-                });
+                }));
                 self.open += 1;
-                return Upload::Opened;
+                return (Upload::Opened, verdict);
             }
         };
+        let slot = self.slots[at as usize].as_mut().expect("indexed");
         let known = slot.reported_by(collector);
+        let own = tx.provider_sig == slot.tx.provider_sig;
         let Stage::Window { seq } = slot.stage else {
-            return if known { Upload::Known } else { Upload::Late };
+            let verdict = verdict.or(own.then_some(true));
+            return (if known { Upload::Known } else { Upload::Late }, verdict);
         };
-        if known {
-            return Upload::Repeat;
-        }
         let window = &mut self.windows[(seq - self.first_seq) as usize];
         debug_assert_eq!(window.id, id);
+        let verdict = verdict.or((own && window.own_ok).then_some(true));
+        if known {
+            return (Upload::Repeat, verdict);
+        }
         let epoch = self.epoch;
-        if tx.provider_sig == slot.tx.provider_sig {
+        if own {
             if verdict.is_some() {
-                window.genuine_in = generation;
+                window.own_ok = true;
             } else if window.queued_in != epoch {
                 window.queued_in = epoch;
-                queue_it(&mut self.queue);
+                queue_it(&mut self.queue, seq);
             }
         } else {
             let queued = if verdict.is_none() { epoch } else { 0 };
@@ -407,14 +485,83 @@ impl TxTable {
                 .iter()
                 .any(|(_, sig, at)| *at == epoch && *sig == tx.provider_sig);
             if queued != 0 && !already {
-                queue_it(&mut self.queue);
+                queue_it(&mut self.queue, seq);
             }
             window
                 .alt_sigs
                 .push((collector, tx.provider_sig.clone(), queued));
         }
         slot.push_report(report);
-        Upload::Joined
+        (Upload::Joined, verdict)
+    }
+
+    /// Files a batch's verdict on the signature of `key`, queued for open
+    /// window number `seq`: a genuine verdict on the window's own
+    /// signature goes to that window — `held`, if that is the one (out of
+    /// the Δ queue for screening), else the one in the queue; the rest to
+    /// the memo: forged verdicts, other copies' signatures, and verdicts
+    /// whose window is gone (shed, dropped or screened).
+    pub(crate) fn record(
+        &mut self,
+        seq: u64,
+        key: (u32, TxId, Sig),
+        ok: bool,
+        held: Option<(u64, &mut Window)>,
+    ) {
+        if !(ok && self.vouch(seq, &key.2, held)) {
+            self.memo.insert(key, ok);
+        }
+    }
+
+    /// Files the verdict on `tx`'s provider signature, checked on its own:
+    /// as [`record`](Self::record) does, for the open window of `tx`, if
+    /// any.
+    pub(crate) fn record_checked(&mut self, tx: &SignedTx, ok: bool) {
+        let seq = match self.slot(&tx.id()).map(|slot| slot.stage) {
+            Some(Stage::Window { seq }) => seq,
+            _ => NO_WINDOW,
+        };
+        let key = (tx.payload.provider.index, tx.id(), tx.provider_sig.clone());
+        self.record(seq, key, ok, None);
+    }
+
+    /// Tells open window number `seq` (`held`, or one in the Δ queue) that
+    /// its own signature is genuine, if `sig` is that signature; `false` if
+    /// it is not or the window is gone.
+    fn vouch(&mut self, seq: u64, sig: &Sig, held: Option<(u64, &mut Window)>) -> bool {
+        let window = match held {
+            Some((held_seq, window)) if held_seq == seq => window,
+            _ => match self.queue_at(seq).and_then(|at| self.windows.get_mut(at)) {
+                Some(window) if live(&self.slots, window.slot, seq) => window,
+                _ => return false,
+            },
+        };
+        let slot = self.slots[window.slot as usize].as_ref().expect("live");
+        let own = *sig == slot.tx.provider_sig;
+        window.own_ok |= own;
+        own
+    }
+
+    /// What is known of `tx`'s provider signature: genuine if it is its
+    /// slot's own and the slot is screened (screening keeps only verified
+    /// reports, and re-homes the slot onto a verified signature) or its
+    /// open window was told so; otherwise whatever the memo says.
+    pub(crate) fn knows(&self, tx: &SignedTx) -> Option<bool> {
+        let (id, sig) = (tx.id(), &tx.provider_sig);
+        let genuine = self.slot(&id).is_some_and(|slot| {
+            *sig == slot.tx.provider_sig
+                && match slot.stage {
+                    Stage::Screened { .. } => true,
+                    Stage::Window { seq } => self
+                        .queue_at(seq)
+                        .and_then(|at| self.windows.get(at))
+                        .is_some_and(|w| w.own_ok),
+                }
+        });
+        if genuine {
+            return Some(true);
+        }
+        self.memo.get(tx.payload.provider.index, id, sig)
     }
 
     /// Arms the Δ timer for the window [`upload`](Self::upload) just
@@ -427,18 +574,38 @@ impl TxTable {
         }
     }
 
+    /// Drops the slot of the open window `windows[at]`, handing the
+    /// window's verdict, if it has one, to the memo.
+    fn forget_window(&mut self, at: usize) {
+        let window = &self.windows[at];
+        let slot = self.slots[window.slot as usize]
+            .take()
+            .expect("a live slot");
+        if window.own_ok {
+            let tx = &slot.tx;
+            let key = (
+                tx.payload.provider.index,
+                window.id,
+                tx.provider_sig.clone(),
+            );
+            self.memo.insert(key, true);
+        }
+        self.index.remove(&window.id);
+    }
+
     /// While more than `capacity` windows are open, sheds the oldest one
     /// and returns its id; `None` once the pool fits, which is when the
     /// high-water mark is taken. The shed window later falls due for a slot
     /// that is gone (or was opened again).
     pub(crate) fn shed_oldest(&mut self, capacity: usize) -> Option<TxId> {
         while self.open > capacity {
-            let Some(&Window { id, .. }) = self.windows.get(self.shed_cursor) else {
+            let (at, seq) = (self.shed_cursor, self.first_seq + self.shed_cursor as u64);
+            let Some(&Window { id, slot, .. }) = self.windows.get(at) else {
                 break;
             };
             self.shed_cursor += 1;
-            if self.slots.get(&id).is_some_and(TxSlot::in_window) {
-                self.slots.remove(&id);
+            if live(&self.slots, slot, seq) {
+                self.forget_window(at);
                 self.open -= 1;
                 self.shed += 1;
                 self.orphaned = true;
@@ -466,12 +633,13 @@ impl TxTable {
     }
 
     /// Takes the windows due at or before tick `tick` in the order they
-    /// opened, and returns the first that still names an open window, if
-    /// any: the caller settles it ([`TxSlot::settle`]) and screens its
-    /// slot. An entry whose slot was shed since (or screened early) falls
-    /// due for nothing; one whose slot was shed and opened again stands
-    /// for the new window, which is screened now.
-    pub(crate) fn pop_due(&mut self, tick: u64) -> Option<Window> {
+    /// opened, and returns the first that still names an open window, with
+    /// its number, if any: the caller settles it ([`settle`](Self::settle))
+    /// and screens its slot. An entry whose slot was shed since (or screened
+    /// early) falls due for nothing; one whose slot was shed and opened
+    /// again stands for the new window, which is screened now. Only such a
+    /// stale entry costs a probe of the index.
+    pub(crate) fn pop_due(&mut self, tick: u64) -> Option<(u64, Window)> {
         while self.timers.front().is_some_and(|&(_, due)| due <= tick) {
             self.timers.pop_front(); // fired, or lost while the node was down
         }
@@ -480,21 +648,20 @@ impl TxTable {
             let seq = self.first_seq;
             self.first_seq += 1;
             self.shed_cursor = self.shed_cursor.saturating_sub(1);
-            let Some(slot) = self.slots.get(&popped.id) else {
+            if live(&self.slots, popped.slot, seq) {
+                self.open -= 1;
+                return Some((seq, popped));
+            }
+            let Some(&at) = self.index.get(&popped.id) else {
                 continue;
             };
-            let Stage::Window { seq: open } = slot.stage else {
+            let Stage::Window { seq: open } = self.slot_at(at).stage else {
                 continue;
             };
             self.open -= 1;
-            if open == seq {
-                return Some(popped);
-            }
             let live = &mut self.windows[(open - self.first_seq) as usize];
-            return Some(Window {
-                alt_sigs: std::mem::take(&mut live.alt_sigs),
-                ..*live
-            });
+            let alt_sigs = std::mem::take(&mut live.alt_sigs);
+            return Some((open, Window { alt_sigs, ..*live }));
         }
         None
     }
@@ -503,13 +670,14 @@ impl TxTable {
     /// must: a window's transaction may lie below the new anchor, where the
     /// chain can no longer tell that it was recorded. Screened slots stay.
     pub(crate) fn drop_windows(&mut self) {
-        self.first_seq += self.windows.len() as u64;
-        for window in self.windows.drain(..) {
-            if self.slots.get(&window.id).is_some_and(TxSlot::in_window) {
-                self.slots.remove(&window.id);
+        for (at, seq) in (0..self.windows.len()).zip(self.first_seq..) {
+            if live(&self.slots, self.windows[at].slot, seq) {
+                self.forget_window(at);
             }
         }
-        debug_assert!(!self.slots.values().any(TxSlot::in_window));
+        self.first_seq += self.windows.len() as u64;
+        self.windows.clear();
+        debug_assert!(!self.slots.iter().flatten().any(TxSlot::in_window));
         self.timers.clear();
         self.shed_cursor = 0;
         self.open = 0;
@@ -520,12 +688,22 @@ impl TxTable {
     /// Whether `id` is inside its Δ window.
     #[cfg(test)]
     pub(crate) fn in_window(&self, id: &TxId) -> bool {
-        self.slots.get(id).is_some_and(TxSlot::in_window)
+        self.slot(id).is_some_and(TxSlot::in_window)
     }
 
-    /// Drops the slot of `id`.
-    pub(crate) fn remove(&mut self, id: &TxId) {
-        self.slots.remove(id);
+    /// Drops the slot at `at`, a window whose every copy was forged.
+    pub(crate) fn remove(&mut self, at: u32) {
+        let slot = self.slots[at as usize].take().expect("a live slot");
+        self.index.remove(&slot.tx.id());
+    }
+
+    /// Settles window `window` (see [`TxSlot::settle`]), with the memo's
+    /// verdicts.
+    pub(crate) fn settle(&mut self, window: Window, pk: Option<&PublicKey>) -> (u64, Vec<u32>) {
+        let slot = self.slots[window.slot as usize]
+            .as_mut()
+            .expect("a due window's slot");
+        slot.settle(window, &self.memo, pk)
     }
 
     /// Starts a batch: the signatures queued since the last one, each key
@@ -538,10 +716,11 @@ impl TxTable {
         if std::mem::take(&mut self.orphaned) {
             // A shed window's key is still queued; if the transaction came
             // back and opened a new window in the same epoch, the new slot
-            // could not know and queued it again.
+            // could not know and queued it again. The first is kept, and
+            // its verdict, finding its window gone, goes to the memo.
             let mut seen = HashSet::new();
             self.queue
-                .retain(|(p, id, sig, _)| seen.insert((*p, *id, sig.clone())));
+                .retain(|(p, id, sig, _, _)| seen.insert((*p, *id, sig.clone())));
         }
         &mut self.queue
     }
@@ -553,7 +732,7 @@ impl TxTable {
     ///
     /// Panics if `id` has not been screened.
     pub(crate) fn late_report(&mut self, id: &TxId, collector: u32, label: Label) -> Outcome {
-        let slot = self.slots.get_mut(id).expect("caller saw the slot");
+        let slot = self.slot_mut(id).expect("caller saw the slot");
         let (outcome, _) = slot.screened().expect("late reports follow screening");
         slot.push_report(pack_report(collector, label));
         outcome
@@ -680,29 +859,28 @@ impl TxSlot {
     /// entries never embed a bad one; returns the tick the window opened
     /// and the reporters whose copy was forged, in arrival order.
     ///
-    /// A verdict the memo no longer holds (it filled and was cleared
-    /// since the batch) is verified here against `pk` and put back.
+    /// The window knows whether its own signature is genuine; the memo
+    /// holds every other verdict, and the own one when the batch named a
+    /// window shed before this one opened. A verdict neither holds (the
+    /// memo filled and was cleared since the batch) is verified here
+    /// against `pk`.
     ///
     /// # Panics
     ///
     /// Panics if the slot is not in its window.
-    pub(crate) fn settle(
+    fn settle(
         &mut self,
         mut window: Window,
-        memo: &mut SigMemo,
+        memo: &SigMemo,
         pk: Option<&PublicKey>,
     ) -> (u64, Vec<u32>) {
         assert!(self.in_window(), "only an open window is settled");
         let (provider, id, tx) = (self.provider(), self.tx.id(), &self.tx);
-        let mut own_ok = (window.genuine_in == memo.generation()).then_some(true);
-        let mut resolve = |sig: &Sig| {
-            let key = (provider, id, sig.clone());
-            memo.get(&key).unwrap_or_else(|| {
-                let ok = pk.is_some_and(|pk| pk.verify(tx.signing_digest(), sig));
-                memo.restore(key, ok);
-                ok
-            })
+        let resolve = |sig: &Sig| {
+            memo.get(provider, id, sig)
+                .unwrap_or_else(|| pk.is_some_and(|pk| pk.verify(tx.signing_digest(), sig)))
         };
+        let mut own_ok = window.own_ok.then_some(true);
         let mut forged = Vec::new();
         let mut good_alt: Option<usize> = None;
         for (collector, _) in self.reports() {
@@ -721,8 +899,14 @@ impl TxSlot {
             let good = window.alt_sigs.swap_remove(at).1;
             self.tx = self.tx.clone().with_provider_sig(good);
         }
-        // Keep the verified reports, then sort them by collector in place
-        // (collectors are distinct, and a slot holds a handful).
+        self.keep_verified(&forged);
+        (window.opened_at, forged)
+    }
+
+    /// Keeps the reports whose collector is not in `forged`, then sorts
+    /// them by collector in place (collectors are distinct, and a slot
+    /// holds a handful).
+    fn keep_verified(&mut self, forged: &[u32]) {
         let mut kept = 0;
         for at in 0..self.report_count() {
             let report = self.report_at(at);
@@ -741,7 +925,6 @@ impl TxSlot {
             }
             self.set_report_at(hole, report);
         }
-        (window.opened_at, forged)
     }
 }
 
@@ -791,7 +974,9 @@ pub(crate) mod tests {
     /// Collector `collector`'s copy of `tx`, its signature unknown to the
     /// memo; a window it opens is due at tick `due`.
     fn upload_due(table: &mut TxTable, tx: &SignedTx, collector: u32, due: u64) -> Upload {
-        table.upload(collector, &(tx.clone(), Label::Valid), None, 1, 0, due)
+        table
+            .upload(collector, &(tx.clone(), Label::Valid), 0, due)
+            .0
     }
 
     fn upload(table: &mut TxTable, tx: &SignedTx, collector: u32) -> Upload {
@@ -808,7 +993,7 @@ pub(crate) mod tests {
 
     /// The id of the next window due by `tick` that is still open.
     fn pop_due(table: &mut TxTable, tick: u64) -> Option<TxId> {
-        table.pop_due(tick).map(|w| w.id)
+        table.pop_due(tick).map(|(_, w)| w.id)
     }
 
     #[test]
@@ -821,12 +1006,22 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn an_index_entry_is_at_most_36_bytes() {
+        // A transaction's bucket in the index map, one per transaction
+        // ever seen: its id and its slot's arena position.
+        assert!(std::mem::size_of::<(TxId, u32)>() <= 36);
+    }
+
+    #[test]
     fn layout_is_reported() {
         use prb_ledger::block::BlockEntry;
         use prb_ledger::transaction::TxBody;
         println!(
-            "per-transaction layout: TxSlot {} B, Event<ProtocolMsg> {} B, BlockEntry {} B, TxBody {} B",
+            "per-transaction layout: TxSlot {} B, index entry {} B, Window {} B, \
+             Event<ProtocolMsg> {} B, BlockEntry {} B, TxBody {} B",
             std::mem::size_of::<TxSlot>(),
+            std::mem::size_of::<(TxId, u32)>(),
+            std::mem::size_of::<Window>(),
             prb_net::sim::event_size::<crate::msg::ProtocolMsg>(),
             std::mem::size_of::<BlockEntry>(),
             std::mem::size_of::<TxBody>(),
@@ -963,8 +1158,8 @@ pub(crate) mod tests {
         // The transaction comes back; its new window is due at 11, but
         // the shed window's entry, due at 10, stands for it.
         open(&mut table, &a, 11, ids[1]);
-        let window = table.pop_due(10).expect("the reopened window");
-        assert_eq!((window.id, window.due), (a.id(), 11));
+        let (seq, window) = table.pop_due(10).expect("the reopened window");
+        assert_eq!((seq, window.id, window.due), (1, a.id(), 11));
         // Its own entry then falls due for nothing.
         table.slot_mut(&a.id()).expect("open").screen(
             Outcome::Checked { valid: true },
@@ -979,17 +1174,17 @@ pub(crate) mod tests {
     fn reports_past_two_and_absentees_spill_and_settle_sorted() {
         let a = tx(0);
         let mut table = TxTable::new(1);
-        let mut memo = SigMemo::new(1);
         for collector in [4, 1, 3] {
             upload_due(&mut table, &a, collector, 10);
         }
         assert_eq!(table.spilled(), 1, "a third report spills");
-        let window = table.pop_due(10).expect("due");
-        let slot = table.slot_mut(&a.id()).expect("open");
+        let (_, window) = table.pop_due(10).expect("due");
+        let at = window.slot;
         let pk = CryptoScheme::sim()
             .keypair_from_seed(b"table-p0")
             .public_key();
-        assert_eq!(slot.settle(window, &mut memo, Some(&pk)), (0, Vec::new()));
+        assert_eq!(table.settle(window, Some(&pk)), (0, Vec::new()));
+        let slot = table.slot_at_mut(at);
         let sorted: Vec<u32> = slot.reports().map(|(c, _)| c).collect();
         assert_eq!(sorted, [1, 3, 4]);
         slot.screen(Outcome::Checked { valid: true }, 10, vec![7]);

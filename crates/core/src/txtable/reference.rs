@@ -1,10 +1,8 @@
-//! The table as it stood before slots shrank to 40 bytes: one map of
-//! 80-byte slots, each holding its reports in a vector and its open-window
-//! data in place. Kept as the reference the model test drives in lockstep
-//! with [`super::TxTable`]; nothing outside the tests uses it.
-
-// Kept as it was; the model test does not call every method.
-#![allow(dead_code)]
+//! The table as it stood before slots moved into an arena: one map from
+//! tx id to [`TxSlot`], and every provider-signature verdict in a memo that
+//! an open window consults by memo generation. Kept as the reference the
+//! model test drives in lockstep with [`super::TxTable`]; nothing outside
+//! the tests uses it.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashSet, VecDeque};
@@ -14,89 +12,81 @@ use prb_crypto::signer::{PublicKey, Sig};
 use prb_ledger::transaction::{Label, SignedTx, TxId};
 use prb_net::message::TimerId;
 
-use super::{Outcome, QueuedSig, SigMemo, Upload};
+use super::{pack_report, Outcome, Stage, TxSlot, Upload, NO_REPORT, SIG_MEMO_MAX};
 
-/// Everything the governor remembers about one transaction.
+/// Every provider-signature verdict, keyed by `(provider, tx id,
+/// signature)`; [`generation`](Self::generation) moves with each clear.
 #[derive(Debug)]
-pub(crate) struct TxSlot {
-    /// The transaction, as its first copy carried it (re-homed onto a
-    /// verified signature at screening if that copy's was forged).
-    pub(crate) tx: SignedTx,
-    pub(crate) provider: u32,
-    /// `(collector, label)` per reporting copy: in arrival order while the
-    /// window is open, verified copies only and sorted by collector once
-    /// screened, late reports appended after that.
-    pub(crate) reports: Vec<(u32, Label)>,
-    pub(crate) state: SlotState,
+pub(crate) struct Memo {
+    verdicts: FxMap<(u32, TxId, Sig), bool>,
+    generation: u64,
 }
 
-/// Where a transaction stands.
-#[derive(Debug)]
-pub(crate) enum SlotState {
-    /// A transaction still inside its Δ aggregation window.
-    Window(Window),
-    /// Screened: checked, or recorded unchecked and awaiting its reveal.
-    Screened {
-        outcome: Outcome,
-        /// Screening tick (reveal / argue spans).
-        screened_at: u64,
-        /// Linked collectors that were not active members when the tx was
-        /// screened, if any. They owed no report, so a later reveal must
-        /// not charge them a Missed loss — even if they have since
-        /// (re)joined. Behind a thin pointer: there is a slot for every
-        /// transaction ever seen and almost none has absentees.
-        #[allow(clippy::box_collection)]
-        absent: Option<Box<Vec<u32>>>,
-    },
+impl Memo {
+    pub(crate) fn new(hash_seed: u64) -> Self {
+        Memo {
+            verdicts: fx_map_seeded(hash_seed),
+            generation: 1,
+        }
+    }
+
+    pub(crate) fn get(&self, key: &(u32, TxId, Sig)) -> Option<bool> {
+        self.verdicts.get(key).copied()
+    }
+
+    /// One more than the times the memo has been cleared (never 0).
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Memoizes a verdict, clearing the memo first when it is full.
+    pub(crate) fn insert(&mut self, key: (u32, TxId, Sig), ok: bool) {
+        if self.verdicts.len() >= SIG_MEMO_MAX {
+            self.verdicts.clear();
+            self.generation += 1;
+        }
+        self.verdicts.insert(key, ok);
+    }
+
+    /// Puts back a verdict a clear dropped; never clears.
+    fn restore(&mut self, key: (u32, TxId, Sig), ok: bool) {
+        self.verdicts.insert(key, ok);
+    }
 }
 
-/// The open-window half of a slot: what is known so far about the
-/// provider signatures its copies carried. Copies share the tx id (it
-/// binds the signed payload) but a malicious relay can attach a different
-/// signature, so verdicts are per copy.
+/// A provider signature awaiting the next batch: `(provider, tx id,
+/// signature, signing digest)`.
+pub(crate) type QueuedSig = (u32, TxId, Sig, [u8; 32]);
+
+/// An open window's data, beside the Δ queue.
 #[derive(Debug)]
 pub(crate) struct Window {
-    /// Tick the first copy arrived (the screening span's start).
-    opened_at: u64,
+    pub(crate) due: u64,
+    pub(crate) id: TxId,
+    pub(crate) opened_at: u64,
     /// The memo generation in which the memo last vouched for the slot
-    /// transaction's own signature (0: it never has). A signature the
-    /// memo knows to be forged never reaches a window.
-    genuine_in: u64,
-    /// The verification epoch in which that signature was last queued
-    /// (0: never).
-    queued_in: u64,
-    /// Copies whose signature differs from the slot transaction's, as
-    /// `(reporter, signature, epoch it was queued in or 0)`. Behind a
-    /// thin pointer for the slot's size: only a misbehaving relay makes
-    /// one.
-    #[allow(clippy::box_collection)]
-    alt_sigs: Option<Box<Vec<(u32, Sig, u64)>>>,
+    /// transaction's own signature (0: it never has).
+    pub(crate) genuine_in: u64,
+    /// The epoch in which that signature was last queued (0: never).
+    pub(crate) queued_in: u64,
+    /// `(reporter, signature, epoch it was queued in or 0)` per copy whose
+    /// signature differs from the slot transaction's.
+    pub(crate) alt_sigs: Vec<(u32, Sig, u64)>,
 }
 
 /// The per-transaction table of one governor.
 #[derive(Debug)]
 pub(crate) struct TxTable {
-    slots: FxMap<TxId, TxSlot>,
-    /// Every window opened and not yet due, as `(due tick, id)` in the
-    /// order opened — which, all delays being equal, is the order they
-    /// fall due in and the order windows are shed in.
-    windows: VecDeque<(u64, TxId)>,
-    /// The Δ timers set for them, as `(timer, due tick)`: one per tick on
-    /// which windows fall due, in the order set.
-    timers: VecDeque<(TimerId, u64)>,
-    /// `windows[..shed_cursor]` have been considered for shedding.
+    pub(crate) slots: FxMap<TxId, TxSlot>,
+    pub(crate) windows: VecDeque<Window>,
+    pub(crate) first_seq: u64,
+    pub(crate) timers: VecDeque<(TimerId, u64)>,
     shed_cursor: usize,
-    /// Slots in the `Window` state.
     open: usize,
     open_high_water: usize,
     shed: u64,
-    /// Provider signatures queued since the last batch.
-    queue: Vec<QueuedSig>,
-    /// One more than the batches taken so far (never 0); stamps which
-    /// batch a signature is queued for.
-    epoch: u64,
-    /// A window was shed since the last batch, so the queue may hold a key
-    /// twice (once for the shed window, once for its successor).
+    pub(crate) queue: Vec<QueuedSig>,
+    pub(crate) epoch: u64,
     orphaned: bool,
 }
 
@@ -105,6 +95,7 @@ impl TxTable {
         TxTable {
             slots: fx_map_seeded(hash_seed),
             windows: VecDeque::new(),
+            first_seq: 0,
             timers: VecDeque::new(),
             shed_cursor: 0,
             open: 0,
@@ -116,30 +107,11 @@ impl TxTable {
         }
     }
 
-    /// `(open windows, their high-water mark, windows shed)`.
     pub(crate) fn window_stats(&self) -> (usize, usize, u64) {
         (self.open, self.open_high_water, self.shed)
     }
 
-    /// Transactions still inside their Δ window.
-    pub(crate) fn open_windows(&self) -> usize {
-        self.open
-    }
-
-    pub(crate) fn slot(&self, id: &TxId) -> Option<&TxSlot> {
-        self.slots.get(id)
-    }
-
-    pub(crate) fn slot_mut(&mut self, id: &TxId) -> Option<&mut TxSlot> {
-        self.slots.get_mut(id)
-    }
-
-    /// Files `collector`'s copy `(tx, label)` under its transaction's
-    /// slot, opening a window if there is none (sized for `copies`
-    /// reports). `verdict` is what the signature memo said about this
-    /// copy's provider signature (`None`: unknown), read in memo generation
-    /// `generation`; an unknown signature that counts toward the window is
-    /// queued for the next batch unless it already is.
+    /// Files a copy; `verdict` is the memo's, read in `generation`.
     pub(crate) fn upload(
         &mut self,
         collector: u32,
@@ -147,9 +119,10 @@ impl TxTable {
         verdict: Option<bool>,
         generation: u64,
         now: u64,
-        copies: usize,
+        due: u64,
     ) -> Upload {
-        let (id, provider, label) = (tx.id(), tx.payload.provider.index, *label);
+        let (id, provider) = (tx.id(), tx.payload.provider.index);
+        let report = pack_report(collector, *label);
         let queue_it = |queue: &mut Vec<QueuedSig>| {
             queue.push((provider, id, tx.provider_sig.clone(), *tx.signing_digest()));
         };
@@ -159,30 +132,33 @@ impl TxTable {
                 if verdict.is_none() {
                     queue_it(&mut self.queue);
                 }
-                let mut reports = Vec::with_capacity(copies);
-                reports.push((collector, label));
+                let seq = self.first_seq + self.windows.len() as u64;
+                self.windows.push_back(Window {
+                    due,
+                    id,
+                    opened_at: now,
+                    genuine_in: if verdict.is_some() { generation } else { 0 },
+                    queued_in: if verdict.is_none() { self.epoch } else { 0 },
+                    alt_sigs: Vec::new(),
+                });
                 vacant.insert(TxSlot {
                     tx: tx.clone(),
-                    provider,
-                    reports,
-                    state: SlotState::Window(Window {
-                        opened_at: now,
-                        genuine_in: if verdict.is_some() { generation } else { 0 },
-                        queued_in: if verdict.is_none() { self.epoch } else { 0 },
-                        alt_sigs: None,
-                    }),
+                    reports: [report, NO_REPORT],
+                    spill: None,
+                    stage: Stage::Window { seq },
                 });
                 self.open += 1;
                 return Upload::Opened;
             }
         };
-        let known = slot.reports.iter().any(|(c, _)| *c == collector);
-        let SlotState::Window(window) = &mut slot.state else {
+        let known = slot.reported_by(collector);
+        let Stage::Window { seq } = slot.stage else {
             return if known { Upload::Known } else { Upload::Late };
         };
         if known {
             return Upload::Repeat;
         }
+        let window = &mut self.windows[(seq - self.first_seq) as usize];
         let epoch = self.epoch;
         if tx.provider_sig == slot.tx.provider_sig {
             if verdict.is_some() {
@@ -192,37 +168,31 @@ impl TxTable {
                 queue_it(&mut self.queue);
             }
         } else {
-            let alt_sigs = window.alt_sigs.get_or_insert_with(Box::default);
             let queued = if verdict.is_none() { epoch } else { 0 };
-            let already = alt_sigs
+            let already = window
+                .alt_sigs
                 .iter()
                 .any(|(_, sig, at)| *at == epoch && *sig == tx.provider_sig);
             if queued != 0 && !already {
                 queue_it(&mut self.queue);
             }
-            alt_sigs.push((collector, tx.provider_sig.clone(), queued));
+            window
+                .alt_sigs
+                .push((collector, tx.provider_sig.clone(), queued));
         }
-        slot.reports.push((collector, label));
+        slot.push_report(report);
         Upload::Joined
     }
 
-    /// Queues the window [`upload`](Self::upload) just opened for `id`,
-    /// due at tick `due`. Windows due on the same tick share one Δ timer:
-    /// the first of them sets it through `set_timer`.
-    pub(crate) fn arm(&mut self, id: TxId, due: u64, set_timer: impl FnOnce() -> TimerId) {
-        self.windows.push_back((due, id));
+    pub(crate) fn arm(&mut self, due: u64, set_timer: impl FnOnce() -> TimerId) {
         if self.timers.back().is_none_or(|&(_, at)| at != due) {
             self.timers.push_back((set_timer(), due));
         }
     }
 
-    /// While more than `capacity` windows are open, sheds the oldest one
-    /// and returns its id; `None` once the pool fits, which is when the
-    /// high-water mark is taken. The shed window later falls due for a slot
-    /// that is gone (or was opened again).
     pub(crate) fn shed_oldest(&mut self, capacity: usize) -> Option<TxId> {
         while self.open > capacity {
-            let Some(&(_, id)) = self.windows.get(self.shed_cursor) else {
+            let Some(&Window { id, .. }) = self.windows.get(self.shed_cursor) else {
                 break;
             };
             self.shed_cursor += 1;
@@ -238,89 +208,63 @@ impl TxTable {
         None
     }
 
-    /// Whether `timer` is a Δ timer of this table; forgets it if so.
-    /// Timers fire in the order they were set unless the node was down
-    /// when one was due; that one never fires, and is forgotten by the
-    /// next [`pop_due`](Self::pop_due) past its tick.
     pub(crate) fn take_timer(&mut self, timer: TimerId) -> bool {
-        let at = match self.timers.front() {
-            Some((front, _)) if *front == timer => 0,
-            _ => match self.timers.binary_search_by_key(&timer, |(t, _)| *t) {
-                Ok(at) => at,
-                Err(_) => return false,
-            },
-        };
-        self.timers.remove(at);
-        true
+        match self.timers.iter().position(|(t, _)| *t == timer) {
+            Some(at) => {
+                self.timers.remove(at);
+                true
+            }
+            None => false,
+        }
     }
 
-    /// Takes the oldest window due at or before tick `tick`, if any; the
-    /// caller screens it. Windows come out in the order they opened. The
-    /// id may name a slot that was shed since (or opened again), so the
-    /// caller re-checks [`in_window`](Self::in_window).
-    pub(crate) fn pop_due(&mut self, tick: u64) -> Option<TxId> {
+    /// The next due window that still names an open one, by id.
+    pub(crate) fn pop_due(&mut self, tick: u64) -> Option<Window> {
         while self.timers.front().is_some_and(|&(_, due)| due <= tick) {
-            self.timers.pop_front(); // fired, or lost while the node was down
+            self.timers.pop_front();
         }
-        let &(due, id) = self.windows.front()?;
-        if due > tick {
-            return None;
+        while self.windows.front()?.due <= tick {
+            let popped = self.windows.pop_front().expect("front seen");
+            let seq = self.first_seq;
+            self.first_seq += 1;
+            self.shed_cursor = self.shed_cursor.saturating_sub(1);
+            let Some(slot) = self.slots.get(&popped.id) else {
+                continue;
+            };
+            let Stage::Window { seq: open } = slot.stage else {
+                continue;
+            };
+            self.open -= 1;
+            if open == seq {
+                return Some(popped);
+            }
+            let live = &mut self.windows[(open - self.first_seq) as usize];
+            return Some(Window {
+                alt_sigs: std::mem::take(&mut live.alt_sigs),
+                ..*live
+            });
         }
-        self.windows.pop_front();
-        self.shed_cursor = self.shed_cursor.saturating_sub(1);
-        Some(id)
+        None
     }
 
-    /// Forgets every open window and its Δ timer, as a checkpoint adoption
-    /// must: a window's transaction may lie below the new anchor, where the
-    /// chain can no longer tell that it was recorded. Screened slots stay.
     pub(crate) fn drop_windows(&mut self) {
-        for (_, id) in self.windows.drain(..) {
-            if self.slots.get(&id).is_some_and(TxSlot::in_window) {
-                self.slots.remove(&id);
+        self.first_seq += self.windows.len() as u64;
+        for window in self.windows.drain(..) {
+            if self.slots.get(&window.id).is_some_and(TxSlot::in_window) {
+                self.slots.remove(&window.id);
             }
         }
-        debug_assert!(!self.slots.values().any(TxSlot::in_window));
         self.timers.clear();
         self.shed_cursor = 0;
         self.open = 0;
-        // Their signatures may still be queued; one could come back.
         self.orphaned = true;
     }
 
-    /// Whether `id` is inside its Δ window.
-    pub(crate) fn in_window(&self, id: &TxId) -> bool {
-        self.slots.get(id).is_some_and(TxSlot::in_window)
-    }
-
-    /// The open window of `id` is being screened: takes it out of the
-    /// open count and returns the slot for the in-place transition (or
-    /// [`remove`](Self::remove), if every copy turns out forged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` has no slot.
-    pub(crate) fn close_window(&mut self, id: &TxId) -> &mut TxSlot {
-        self.open -= 1;
-        self.slots.get_mut(id).expect("caller saw the window")
-    }
-
-    /// Drops the slot of `id`.
-    pub(crate) fn remove(&mut self, id: &TxId) {
-        self.slots.remove(id);
-    }
-
-    /// Starts a batch: the signatures queued since the last one, each key
-    /// once, in the order first queued. The caller verifies and drains
-    /// them; whatever arrives afterwards queues for the next batch.
     pub(crate) fn batch(&mut self) -> &mut Vec<QueuedSig> {
         if !self.queue.is_empty() {
             self.epoch += 1;
         }
         if std::mem::take(&mut self.orphaned) {
-            // A shed window's key is still queued; if the transaction came
-            // back and opened a new window in the same epoch, the new slot
-            // could not know and queued it again.
             let mut seen = HashSet::new();
             self.queue
                 .retain(|(p, id, sig, _)| seen.insert((*p, *id, sig.clone())));
@@ -328,85 +272,60 @@ impl TxTable {
         &mut self.queue
     }
 
-    /// Appends a late report — one that arrived after screening — to the
-    /// slot of `id` and returns how the transaction was resolved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` has not been screened.
     pub(crate) fn late_report(&mut self, id: &TxId, collector: u32, label: Label) -> Outcome {
         let slot = self.slots.get_mut(id).expect("caller saw the slot");
-        let SlotState::Screened { outcome, .. } = slot.state else {
-            panic!("late reports follow screening");
-        };
-        slot.reports.push((collector, label));
+        let (outcome, _) = slot.screened().expect("late reports follow screening");
+        slot.push_report(pack_report(collector, label));
         outcome
     }
 }
 
-impl TxSlot {
-    /// Whether the slot is still inside its Δ window.
-    pub(crate) fn in_window(&self) -> bool {
-        matches!(self.state, SlotState::Window(_))
-    }
-
-    /// Settles the provider signature of every copy the window gathered,
-    /// after the batch holding them has been verified. Keeps the reports
-    /// whose copy verified, sorted by collector; re-homes the transaction
-    /// onto a verified signature if the first copy's was forged, so block
-    /// entries never embed a bad one; returns the tick the window opened
-    /// and the reporters whose copy was forged, in arrival order.
-    ///
-    /// A verdict the memo no longer holds (it filled and was cleared
-    /// since the batch) is verified here against `pk` and put back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is not in its window.
-    pub(crate) fn settle(&mut self, memo: &mut SigMemo, pk: Option<&PublicKey>) -> (u64, Vec<u32>) {
-        let SlotState::Window(window) = &mut self.state else {
-            panic!("only an open window is settled");
-        };
-        let (provider, id, tx) = (self.provider, self.tx.id(), &self.tx);
-        let mut own_ok = (window.genuine_in == memo.generation()).then_some(true);
-        let mut resolve = |sig: &Sig| {
-            let key = (provider, id, sig.clone());
-            memo.get(&key).unwrap_or_else(|| {
-                let ok = pk.is_some_and(|pk| pk.verify(tx.signing_digest(), sig));
-                memo.restore(key, ok);
-                ok
-            })
-        };
-        let mut forged = Vec::new();
-        let mut good_alt: Option<usize> = None;
-        let alt_sigs = window.alt_sigs.as_deref().map_or(&[][..], Vec::as_slice);
-        self.reports.retain(|(collector, _)| {
-            let alt = alt_sigs.iter().position(|(c, _, _)| c == collector);
-            let ok = match alt {
-                Some(at) => resolve(&alt_sigs[at].1),
-                None => *own_ok.get_or_insert_with(|| resolve(&tx.provider_sig)),
-            };
-            if ok {
-                good_alt = good_alt.or(alt);
-            } else {
-                forged.push(*collector);
-            }
+/// Settles `window` on `slot` with the memo's verdicts, re-verifying (and
+/// putting back) any a clear dropped.
+pub(crate) fn settle(
+    slot: &mut TxSlot,
+    mut window: Window,
+    memo: &mut Memo,
+    pk: Option<&PublicKey>,
+) -> (u64, Vec<u32>) {
+    let (provider, id, tx) = (slot.provider(), slot.tx.id(), &slot.tx);
+    let mut own_ok = (window.genuine_in == memo.generation()).then_some(true);
+    let mut resolve = |sig: &Sig| {
+        let key = (provider, id, sig.clone());
+        memo.get(&key).unwrap_or_else(|| {
+            let ok = pk.is_some_and(|pk| pk.verify(tx.signing_digest(), sig));
+            memo.restore(key, ok);
             ok
-        });
-        if let (Some(false), Some(at), Some(alt_sigs)) = (own_ok, good_alt, &mut window.alt_sigs) {
-            let good = alt_sigs.swap_remove(at).1;
-            self.tx = self.tx.clone().with_provider_sig(good);
+        })
+    };
+    let mut forged = Vec::new();
+    let mut good_alt: Option<usize> = None;
+    for (collector, _) in slot.reports() {
+        let alt = window.alt_sigs.iter().position(|(c, _, _)| *c == collector);
+        let ok = match alt {
+            Some(at) => resolve(&window.alt_sigs[at].1),
+            None => *own_ok.get_or_insert_with(|| resolve(&tx.provider_sig)),
+        };
+        if ok {
+            good_alt = good_alt.or(alt);
+        } else {
+            forged.push(collector);
         }
-        self.reports.sort_by_key(|(c, _)| *c);
-        (window.opened_at, forged)
     }
+    if let (Some(false), Some(at)) = (own_ok, good_alt) {
+        let good = window.alt_sigs.swap_remove(at).1;
+        slot.tx = slot.tx.clone().with_provider_sig(good);
+    }
+    slot.keep_verified(&forged);
+    (window.opened_at, forged)
 }
 
 #[cfg(test)]
 mod tests {
-    //! The 40-byte table against this one, in lockstep, over seeded random
-    //! operation sequences: every answer and every slot must agree after
-    //! every step.
+    //! The arena table, its verdicts carried in the windows, against this
+    //! one, in lockstep, over seeded random operation sequences: every
+    //! answer, every slot and what each side knows of every signature must
+    //! agree after every step.
 
     use super::super::tests::timers;
     use super::*;
@@ -438,78 +357,115 @@ mod tests {
         }
     }
 
-    /// Both tables, each with its own signature memo, driven the way the
-    /// governor drives them.
+    /// Paths a run must reach, so that a run can be seen to walk them.
+    #[derive(Clone, Copy)]
+    enum Path {
+        Opened,
+        Late,
+        Spilled,
+        /// A copy named forged at settling.
+        Forged,
+        /// A forged first copy re-homed onto a verified signature.
+        Rehomed,
+        /// A copy the memo knew to be forged.
+        KnownForged,
+        /// A shed window's entry screening the reopened one.
+        ShedReopened,
+        /// A genuine batch verdict whose window was gone, kept in the memo.
+        Orphan,
+        /// A due entry whose slot was removed.
+        Stale,
+        /// A window dropped and its transaction uploaded again.
+        DroppedReopened,
+    }
+
+    const PATHS: usize = 10;
+
+    /// Both tables, driven the way the governor drives them.
     struct Lockstep {
         new: super::super::TxTable,
         old: TxTable,
-        new_memo: SigMemo,
-        old_memo: SigMemo,
+        old_memo: Memo,
         pk: PublicKey,
         timer_ids: Vec<TimerId>,
         timers_set: usize,
         now: u64,
         unchecked: u64,
-        /// Outcomes the tables returned, so a run can be seen to reach
-        /// every path.
-        seen: [usize; 6],
+        dropped: HashSet<TxId>,
+        /// `(answered, verified)` signature checks on the new side and
+        /// the old one.
+        checks: [(u64, u64); 2],
+        seen: [usize; PATHS],
     }
-
-    const OPENED: usize = 0;
-    const LATE: usize = 1;
-    const SPILLED: usize = 2;
-    const FORGED: usize = 3;
-    const REHOMED: usize = 4;
-    const SHED_REOPENED: usize = 5;
 
     impl Lockstep {
         fn new(pk: PublicKey, timer_ids: Vec<TimerId>) -> Self {
             Lockstep {
                 new: super::super::TxTable::new(7),
                 old: TxTable::new(7),
-                new_memo: SigMemo::new(7),
-                old_memo: SigMemo::new(7),
+                old_memo: Memo::new(7),
                 pk,
                 timer_ids,
                 timers_set: 0,
                 now: 0,
                 unchecked: 0,
-                seen: [0; 6],
+                dropped: HashSet::new(),
+                checks: [(0, 0); 2],
+                seen: [0; PATHS],
             }
         }
 
+        fn saw(&mut self, path: Path) {
+            self.seen[path as usize] += 1;
+        }
+
+        fn key(tx: &SignedTx) -> (u32, TxId, Sig) {
+            (0, tx.id(), tx.provider_sig.clone())
+        }
+
+        /// A signature checked on its own, as `verify_provider_sig` does
+        /// after the table could not answer.
+        fn check(&mut self, tx: &SignedTx) -> bool {
+            let ok = self.pk.verify(tx.signing_digest(), &tx.provider_sig);
+            self.new.record_checked(tx, ok);
+            self.old_memo.insert(Self::key(tx), ok);
+            self.checks[0].1 += 1;
+            self.checks[1].1 += 1;
+            ok
+        }
+
         /// One collector's copy, filed as `Governor::file_copy` files it.
-        fn upload(
-            &mut self,
-            collector: u32,
-            tx: &SignedTx,
-            label: Label,
-            r: usize,
-            capacity: usize,
-        ) {
-            let key = (0, tx.id(), tx.provider_sig.clone());
-            let verdict = self.new_memo.get(&key);
-            assert_eq!(verdict, self.old_memo.get(&key));
-            if verdict == Some(false) {
-                return; // a known forgery never reaches the table
-            }
+        fn upload(&mut self, collector: u32, tx: &SignedTx, label: Label, capacity: usize) {
             let entry = (tx.clone(), label);
             let (now, due) = (self.now, self.now + DELTA);
-            let gen = self.new_memo.generation();
-            assert_eq!(gen, self.old_memo.generation());
-            let a = self.new.upload(collector, &entry, verdict, gen, now, due);
-            let b = self.old.upload(collector, &entry, verdict, gen, now, r);
+            let (a, verdict) = self.new.upload(collector, &entry, now, due);
+            let old_verdict = self.old_memo.get(&Self::key(tx));
+            let b = match old_verdict {
+                Some(false) => Upload::Forged,
+                _ => {
+                    let gen = self.old_memo.generation();
+                    self.old
+                        .upload(collector, &entry, old_verdict, gen, now, due)
+                }
+            };
             assert_eq!(a, b, "upload");
+            assert_eq!(verdict, old_verdict, "what is known of the signature");
+            self.checks[0].0 += u64::from(verdict.is_some());
+            self.checks[1].0 += u64::from(old_verdict.is_some());
             match a {
+                Upload::Forged => self.saw(Path::KnownForged),
                 Upload::Opened => {
-                    self.seen[OPENED] += 1;
+                    self.saw(Path::Opened);
+                    if self.dropped.contains(&tx.id()) {
+                        self.saw(Path::DroppedReopened);
+                    }
                     let offered = self.timer_ids[self.timers_set];
                     let (mut set_a, mut set_b) = (false, false);
                     self.new.arm(due, || {
                         set_a = true;
                         offered
                     });
-                    self.old.arm(tx.id(), due, || {
+                    self.old.arm(due, || {
                         set_b = true;
                         offered
                     });
@@ -523,17 +479,20 @@ mod tests {
                         }
                     }
                 }
+                Upload::Repeat => {
+                    if verdict.is_none() {
+                        self.check(tx);
+                    }
+                }
                 Upload::Late => {
-                    let ok = verdict
-                        .unwrap_or_else(|| self.pk.verify(tx.signing_digest(), &tx.provider_sig));
-                    if ok {
-                        self.seen[LATE] += 1;
+                    if verdict.unwrap_or_else(|| self.check(tx)) {
+                        self.saw(Path::Late);
                         let a = self.new.late_report(&tx.id(), collector, label);
                         let b = self.old.late_report(&tx.id(), collector, label);
                         assert_eq!(a, b, "late report outcome");
                     }
                 }
-                Upload::Joined | Upload::Repeat | Upload::Known => {}
+                Upload::Joined | Upload::Known => {}
             }
         }
 
@@ -541,40 +500,59 @@ mod tests {
         /// one verified batch, then settle and screen.
         fn screen_due(&mut self, rng: &mut Mix) {
             loop {
-                let old_id = loop {
-                    match self.old.pop_due(self.now) {
-                        Some(id) if self.old.in_window(&id) => break Some(id),
-                        Some(_) => {}
-                        None => break None,
-                    }
-                };
-                let window = self.new.pop_due(self.now);
-                assert_eq!(window.as_ref().map(|w| w.id), old_id, "pop_due order");
-                let (Some(id), Some(window)) = (old_id, window) else {
+                let front = self.new.windows.front().map(|w| (w.due, w.slot));
+                if front.is_some_and(|(due, at)| {
+                    due <= self.now && self.new.slots[at as usize].is_none()
+                }) {
+                    self.saw(Path::Stale);
+                }
+                let old_window = self.old.pop_due(self.now);
+                let due = self.new.pop_due(self.now);
+                assert_eq!(
+                    due.as_ref().map(|(_, w)| w.id),
+                    old_window.as_ref().map(|w| w.id),
+                    "pop_due order"
+                );
+                let (Some((seq, mut window)), Some(old_window)) = (due, old_window) else {
                     return;
                 };
-                if self.new.windows.iter().any(|w| w.id == id) {
-                    self.seen[SHED_REOPENED] += 1;
+                if seq >= self.new.first_seq {
+                    self.saw(Path::ShedReopened);
                 }
-                let a: Vec<QueuedSig> = self.new.batch().drain(..).collect();
+                let a: Vec<super::super::QueuedSig> = self.new.batch().drain(..).collect();
                 let b: Vec<QueuedSig> = self.old.batch().drain(..).collect();
-                assert_eq!(a, b, "batched signatures");
-                for (p, id, sig, digest) in a {
+                let stripped: Vec<QueuedSig> = a
+                    .iter()
+                    .map(|(p, id, sig, digest, _)| (*p, *id, sig.clone(), *digest))
+                    .collect();
+                assert_eq!(stripped, b, "batched signatures");
+                self.checks[0].1 += a.len() as u64;
+                self.checks[1].1 += b.len() as u64;
+                for (p, id, sig, digest, queued_for) in a {
                     let ok = self.pk.verify(&digest, &sig);
-                    self.new_memo.insert((p, id, sig.clone()), ok);
+                    let before = self.new.memo_len();
+                    let held = Some((seq, &mut window));
+                    self.new.record(queued_for, (p, id, sig.clone()), ok, held);
+                    if ok && self.new.memo_len() > before {
+                        self.saw(Path::Orphan);
+                    }
                     self.old_memo.insert((p, id, sig), ok);
                 }
-                let own = self.old.slot(&id).expect("open").tx.provider_sig.clone();
-                let old = self.old.close_window(&id);
-                let b = old.settle(&mut self.old_memo, Some(&self.pk));
-                let new = self.new.slot_mut(&id).expect("open");
-                let a = new.settle(window, &mut self.new_memo, Some(&self.pk));
+                let (id, at) = (window.id, window.slot);
+                let own = self.new.slot_at(at).tx.provider_sig.clone();
+                let old = self.old.slots.get_mut(&id).expect("open");
+                let b = settle(old, old_window, &mut self.old_memo, Some(&self.pk));
+                let a = self.new.settle(window, Some(&self.pk));
                 assert_eq!(a, b, "settle");
-                self.seen[FORGED] += usize::from(!a.1.is_empty());
-                self.seen[REHOMED] += usize::from(new.tx.provider_sig != own);
-                if old.reports.is_empty() {
-                    self.old.remove(&id);
-                    self.new.remove(&id);
+                if !a.1.is_empty() {
+                    self.saw(Path::Forged);
+                }
+                if self.new.slot_at(at).tx.provider_sig != own {
+                    self.saw(Path::Rehomed);
+                }
+                if self.new.slot_at(at).report_count() == 0 {
+                    self.old.slots.remove(&id);
+                    self.new.remove(at);
                     continue;
                 }
                 let outcome = if rng.chance(50) {
@@ -594,78 +572,78 @@ mod tests {
                 } else {
                     Vec::new()
                 };
-                let old = self.old.slot_mut(&id).expect("screened");
-                old.state = SlotState::Screened {
-                    outcome,
-                    screened_at: self.now,
-                    absent: (!absent.is_empty()).then(|| Box::new(absent.clone())),
-                };
-                self.new
-                    .slot_mut(&id)
-                    .expect("screened")
-                    .screen(outcome, self.now, absent);
+                let old = self.old.slots.get_mut(&id).expect("settled");
+                old.screen(outcome, self.now, absent.clone());
+                self.new.slot_at_mut(at).screen(outcome, self.now, absent);
             }
         }
 
         /// A reveal, or an accepted argue, of `id`: both mark it revealed.
         fn reveal(&mut self, id: &TxId) {
-            let Some(old) = self.old.slot_mut(id) else {
-                return;
-            };
-            let SlotState::Screened {
-                outcome: Outcome::Unchecked { revealed, .. },
-                ..
-            } = &mut old.state
-            else {
-                return;
-            };
-            *revealed = true;
-            self.new.slot_mut(id).expect("same slots").mark_revealed();
+            let awaited = self.old.slots.get(id).is_some_and(|slot| {
+                matches!(
+                    slot.screened(),
+                    Some((
+                        Outcome::Unchecked {
+                            revealed: false,
+                            ..
+                        },
+                        _
+                    ))
+                )
+            });
+            if awaited {
+                self.old.slots.get_mut(id).expect("seen").mark_revealed();
+                self.new.slot_mut(id).expect("same slots").mark_revealed();
+            }
         }
 
-        /// Every slot, window, timer and queued signature agrees.
-        fn assert_agree(&self) {
+        /// Every slot, window, timer and queued signature agrees, and so
+        /// does what each side knows of every signature in `pool`.
+        fn assert_agree(&self, pool: &[(SignedTx, SignedTx)]) {
             let (new, old) = (&self.new, &self.old);
             assert_eq!(new.window_stats(), old.window_stats());
-            assert_eq!(new.slots.len(), old.slots.len(), "same slots");
-            assert_eq!(new.queue, old.queue, "queued signatures");
+            assert_eq!(new.index.len(), old.slots.len(), "same slots");
+            let queued: Vec<QueuedSig> = new
+                .queue
+                .iter()
+                .map(|(p, id, sig, digest, _)| (*p, *id, sig.clone(), *digest))
+                .collect();
+            assert_eq!(queued, old.queue, "queued signatures");
             assert_eq!(new.epoch, old.epoch);
             assert_eq!(new.timers, old.timers, "Δ timers");
+            assert_eq!(new.first_seq, old.first_seq, "window numbers");
             let dues: Vec<(u64, TxId)> = new.windows.iter().map(|w| (w.due, w.id)).collect();
-            let want: Vec<(u64, TxId)> = old.windows.iter().copied().collect();
+            let want: Vec<(u64, TxId)> = old.windows.iter().map(|w| (w.due, w.id)).collect();
             assert_eq!(dues, want, "the Δ queue");
             for (id, b) in &old.slots {
-                let a = new.slot(id).expect("same slots");
+                let at = new.index[id];
+                let a = new.slot_at(at);
                 assert_eq!(a.tx.id(), b.tx.id());
                 assert_eq!(a.tx.provider_sig, b.tx.provider_sig, "re-homed alike");
-                assert_eq!(a.provider(), b.provider);
-                assert_eq!(a.reports().collect::<Vec<_>>(), b.reports, "reports");
-                assert_eq!(a.report_count(), b.reports.len());
-                match &b.state {
-                    SlotState::Window(w) => {
-                        let super::super::Stage::Window { seq } = a.stage else {
-                            panic!("in its window in the reference");
-                        };
-                        let live = &new.windows[(seq - new.first_seq) as usize];
-                        assert_eq!(live.id, *id);
-                        assert_eq!(
-                            (live.opened_at, live.genuine_in, live.queued_in),
-                            (w.opened_at, w.genuine_in, w.queued_in)
-                        );
-                        let alt = w.alt_sigs.as_deref().map_or(&[][..], Vec::as_slice);
-                        assert_eq!(live.alt_sigs, alt, "alternative signatures");
-                    }
-                    SlotState::Screened {
-                        outcome,
-                        screened_at,
-                        absent,
-                    } => {
-                        assert_eq!(a.screened(), Some((*outcome, *screened_at)));
-                        let absent = absent.as_deref().map_or(&[][..], Vec::as_slice);
-                        assert_eq!(a.absent(), absent);
-                    }
+                let reports: Vec<_> = a.reports().collect();
+                assert_eq!(reports, b.reports().collect::<Vec<_>>(), "reports");
+                assert_eq!(a.screened(), b.screened());
+                assert_eq!(a.absent(), b.absent());
+                if let (Stage::Window { seq }, Stage::Window { seq: want }) = (a.stage, b.stage) {
+                    assert_eq!(seq, want, "window number");
+                    let w = &new.windows[(seq - new.first_seq) as usize];
+                    let v = &old.windows[(seq - old.first_seq) as usize];
+                    assert_eq!(w.slot, at, "the window names its slot");
+                    assert_eq!((w.opened_at, w.queued_in), (v.opened_at, v.queued_in));
+                    assert_eq!(w.alt_sigs, v.alt_sigs, "alternative signatures");
+                } else {
+                    assert_eq!(a.in_window(), b.in_window());
                 }
             }
+            for tx in pool.iter().flat_map(|(tx, forged)| [tx, forged]) {
+                let key = Self::key(tx);
+                assert_eq!(new.knows(tx), self.old_memo.get(&key), "verdict on {key:?}");
+            }
+            assert_eq!(
+                self.checks[0], self.checks[1],
+                "(answered, verified) checks"
+            );
         }
     }
 
@@ -689,7 +667,7 @@ mod tests {
             .collect()
     }
 
-    fn run(seed: u64, r: u32, steps: usize, timer_ids: &[TimerId]) -> [usize; 6] {
+    fn run(seed: u64, r: u32, steps: usize, timer_ids: &[TimerId]) -> [usize; PATHS] {
         let key = CryptoScheme::sim().keypair_from_seed(b"model-p0");
         let txs = pool(&key, 10);
         let mut rng = Mix(seed);
@@ -708,7 +686,7 @@ mod tests {
                     };
                     let tx = if rng.chance(25) { forged } else { tx };
                     let label = Label::from_validity(rng.chance(80));
-                    t.upload(collector, tx, label, r as usize, capacity);
+                    t.upload(collector, tx, label, capacity);
                 }
                 60..=84 => {
                     t.now += rng.below(3);
@@ -719,6 +697,9 @@ mod tests {
                     t.reveal(&tx.id());
                 }
                 _ if rng.chance(20) => {
+                    let open = t.old.slots.iter().filter(|(_, s)| s.in_window());
+                    let ids: Vec<TxId> = open.map(|(id, _)| *id).collect();
+                    t.dropped.extend(ids);
                     t.new.drop_windows();
                     t.old.drop_windows();
                 }
@@ -732,10 +713,9 @@ mod tests {
                     }
                 }
             }
-            t.assert_agree();
+            t.assert_agree(&txs);
         }
-        let spilled = t.new.slots.values().filter(|s| s.spill.is_some()).count();
-        t.seen[SPILLED] = spilled;
+        t.seen[Path::Spilled as usize] = t.new.spilled();
         t.seen
     }
 
@@ -743,7 +723,7 @@ mod tests {
     fn the_compact_table_agrees_with_the_reference_step_by_step() {
         let timer_ids = timers(1_200);
         for r in [2, 3] {
-            let mut seen = [0; 6];
+            let mut seen = [0; PATHS];
             for seed in 0..24 {
                 let run = run(seed * 2 + u64::from(r), r, 300, &timer_ids);
                 for (total, n) in seen.iter_mut().zip(run) {
@@ -751,9 +731,11 @@ mod tests {
                 }
             }
             // Every path was walked: windows opened, late reports, forged
-            // copies named, a forged first copy re-homed, a shed window's
-            // entry screening the reopened one — and slots spilled at r = 3
-            // (third reports), at r = 2 only through absentees.
+            // copies named and known, a forged first copy re-homed, a shed
+            // window's entry screening the reopened one, a verdict finding
+            // its window gone, a stale entry falling due, a dropped window's
+            // transaction coming back — and slots spilled at r = 3 (third
+            // reports), at r = 2 only through absentees.
             assert!(seen.iter().all(|&n| n > 0), "r = {r}: {seen:?}");
         }
     }

@@ -1199,32 +1199,31 @@ fn the_oldest_window_is_shed_at_capacity_and_its_timer_fires_for_nothing() {
 
 #[test]
 fn a_verdict_the_memo_dropped_is_settled_again_at_screening() {
-    // The memo clears itself when it holds 8192 verdicts. Open enough
-    // windows that the batch settling them all overflows it: the first
-    // transactions' verdicts are memoized, then dropped by the clear, and
-    // each is verified again, alone, when its turn to be screened comes.
+    // The memo clears itself when it holds 8192 verdicts, and the verdicts
+    // it holds are the forged ones (a genuine verdict lives in its
+    // window). Give every transaction a forged second copy, enough of them
+    // that the batch settling them all overflows the memo: the first
+    // transactions' forged verdicts are memoized, then dropped by the
+    // clear, and each is verified again, alone, when its turn to be
+    // screened comes — and must come out forged the second time as well.
     const N: u64 = 8_200;
     let mut rig = Rig::new(GovernorMode::CheckAll, 0.5);
-    let first = rig.make_tx(0, 0, true);
-    rig.upload(0, 0, first.clone(), Label::Valid, 0);
-    // A forged copy of the very first transaction: its verdict is dropped
-    // too, and must come out forged the second time as well.
-    rig.upload(1, 0, Rig::forged_twin(&first, 6), Label::Valid, 0);
-    for nonce in 1..N {
+    for nonce in 0..N {
         let tx = rig.make_tx(0, nonce, true);
-        rig.upload(0, nonce, tx, Label::Valid, 1);
+        rig.upload(0, nonce, tx.clone(), Label::Valid, 0);
+        rig.upload(1, nonce, Rig::forged_twin(&tx, nonce), Label::Valid, 0);
     }
     rig.run();
     let gov = rig.governor();
     let m = gov.metrics();
     assert_eq!(m.screened, N);
     assert_eq!(m.checked, N);
-    assert_eq!(m.forged_detected, 1);
-    assert_eq!(gov.reputation().collector(1).forge(), -1);
+    assert_eq!(m.forged_detected, N);
+    assert_eq!(gov.reputation().collector(1).forge(), -(N as i64));
     assert_eq!(gov.reputation().collector(0).forge(), 0);
     // Every signature went through the one batch; the second look at the
     // dropped ones is not a memo miss, it never asked the batch.
-    assert_eq!(m.sig_memo_misses, N + 1);
+    assert_eq!(m.sig_memo_misses, 2 * N);
     assert_eq!(gov.ready_len() as u64, N);
     assert_eq!(gov.pending_count(), 0);
 }

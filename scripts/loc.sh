@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Non-test lines of Rust under crates/*/src, per file and per crate: every
 # line except those inside `#[cfg(test)] mod … { … }` blocks (the attribute
-# line itself counts). Blank lines and comments count.
+# line itself counts) and those of files a `#[cfg(test)] mod name;` declares
+# (`name.rs` or `name/`, and everything under it). Blank lines and comments
+# count.
 #
 #   scripts/loc.sh [ref]
 #
@@ -22,11 +24,39 @@ root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# Prints "<lines> <path>" for every .rs file under <dir>/crates/*/src,
+# Prints, for every `#[cfg(test)] mod name;` under <dir>/crates/*/src, the
+# two paths its module may live at: `<parent dir>/name.rs` and
+# `<parent dir>/name/`, relative to <dir>.
+test_only() {
+    (cd "$1" && find crates/*/src -name '*.rs' | sort | while read -r f; do
+        case $f in
+            */mod.rs | */lib.rs | */main.rs) dir=${f%/*} ;;
+            *) dir=${f%.rs} ;;
+        esac
+        awk -v dir="$dir" '
+            held && match($0, /^[ \t]*(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+ *; *$/) {
+                name = $0
+                sub(/^[ \t]*(pub(\([a-z]+\))? )?mod /, "", name)
+                sub(/ *; *$/, "", name)
+                print dir "/" name ".rs"
+                print dir "/" name "/"
+            }
+            { held = 0 }
+            /^[ \t]*#\[cfg\(test\)\][ \t]*$/ { held = 1 }
+        ' "$f"
+    done)
+}
+
+# Prints "<lines> <path>" for every shipped .rs file under <dir>/crates/*/src,
 # paths relative to <dir>. A test module ends at the first `}` line with
 # the indentation of its `mod` line, as rustfmt lays it out.
 count() {
+    local skip
+    skip=$(test_only "$1")
     (cd "$1" && find crates/*/src -name '*.rs' | sort | while read -r f; do
+        while read -r s; do
+            if [ -n "$s" ] && [[ $f == "$s"* ]]; then continue 2; fi
+        done <<<"$skip"
         awk -v path="$f" '
             skip { if ($0 == close_line) skip = 0; next }
             held {
