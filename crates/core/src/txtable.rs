@@ -3,10 +3,11 @@
 //!
 //! Everything a governor remembers about a transaction lives in one
 //! 40-byte [`TxSlot`] in an arena, in the order the slots were opened. A
-//! collector's copy finds its slot by one probe of an index map from tx id
-//! to arena position; an open window finds its slot by position, for the
-//! window carries it. A slot is opened by the first collector's copy and
-//! moves through
+//! collector's copy finds its slot by one probe of a [`TxIndex`] from the
+//! first four bytes of the tx id to arena position, an 8-byte bucket whose
+//! hit is confirmed against the id of the slot it names; an open window
+//! finds its slot by position, for the window carries it. A slot is opened
+//! by the first collector's copy and moves through
 //!
 //! ```text
 //!   Window { seq }  ──falls due──▶  Screened { at, outcome }
@@ -44,13 +45,13 @@
 //! the governor asks it what a copy or a timer means for the slot and acts
 //! on the answer.
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashSet, VecDeque};
 use std::num::NonZeroU64;
 
 use prb_crypto::fxhash::{fx_map_seeded, FxMap};
 use prb_crypto::signer::{PublicKey, Sig};
 use prb_ledger::transaction::{Label, SignedTx, TxId};
+use prb_ledger::txindex::TxIndex;
 use prb_net::message::TimerId;
 
 #[cfg(test)]
@@ -284,8 +285,9 @@ pub(crate) enum Upload {
 /// The per-transaction table of one governor.
 #[derive(Debug)]
 pub(crate) struct TxTable {
-    /// Where each transaction's slot is in `slots`.
-    index: FxMap<TxId, u32>,
+    /// Where each transaction's slot is in `slots`. Never iterated, so it
+    /// needs no hash seed.
+    index: TxIndex<u32>,
     /// Every slot, in the order opened; `None` where one was removed (a
     /// shed or dropped window, or one whose every copy was forged). Slots
     /// fall due in the order they were opened, so screening walks it
@@ -320,6 +322,15 @@ pub(crate) struct TxTable {
     memo: SigMemo,
 }
 
+/// The id of the transaction in `slots[at]`, a slot the index names.
+fn indexed_id(slots: &[Option<TxSlot>], at: u32) -> TxId {
+    slots[at as usize]
+        .as_ref()
+        .expect("an indexed slot")
+        .tx
+        .id()
+}
+
 /// Whether `slots[at]` is the slot of open window number `seq`. A window
 /// whose slot was removed, or screened under another window's number,
 /// names a slot that is not.
@@ -333,7 +344,7 @@ fn live(slots: &[Option<TxSlot>], at: u32, seq: u64) -> bool {
 impl TxTable {
     pub(crate) fn new(hash_seed: u64) -> Self {
         TxTable {
-            index: fx_map_seeded(hash_seed),
+            index: TxIndex::new(),
             slots: Vec::new(),
             windows: VecDeque::new(),
             first_seq: 0,
@@ -376,12 +387,17 @@ impl TxTable {
         self.memo.len()
     }
 
+    /// Where the slot of `id` is in the arena, if it has one.
+    pub(crate) fn position(&self, id: &TxId) -> Option<u32> {
+        self.index.get(id, |at| indexed_id(&self.slots, at))
+    }
+
     pub(crate) fn slot(&self, id: &TxId) -> Option<&TxSlot> {
-        self.index.get(id).map(|&at| self.slot_at(at))
+        self.position(id).map(|at| self.slot_at(at))
     }
 
     pub(crate) fn slot_mut(&mut self, id: &TxId) -> Option<&mut TxSlot> {
-        let at = *self.index.get(id)?;
+        let at = self.position(id)?;
         Some(self.slot_at_mut(at))
     }
 
@@ -429,34 +445,34 @@ impl TxTable {
             let digest = *tx.signing_digest();
             queue.push((provider, id, tx.provider_sig.clone(), digest, seq));
         };
-        let at = match self.index.entry(id) {
-            Entry::Occupied(at) => *at.get(),
-            Entry::Vacant(vacant) => {
-                let at = u32::try_from(self.slots.len()).expect("fewer than 2^32 slots");
-                vacant.insert(at);
-                let seq = self.first_seq + self.windows.len() as u64;
-                if verdict.is_none() {
-                    queue_it(&mut self.queue, seq);
-                }
-                self.windows.push_back(Window {
-                    due,
-                    id,
-                    opened_at: now,
-                    queued_in: if verdict.is_none() { self.epoch } else { 0 },
-                    slot: at,
-                    own_ok: verdict.is_some(),
-                    alt_sigs: Vec::new(),
-                });
-                self.slots.push(Some(TxSlot {
-                    tx: tx.clone(),
-                    reports: [report, NO_REPORT],
-                    spill: None,
-                    stage: Stage::Window { seq },
-                }));
-                self.open += 1;
-                return (Upload::Opened, verdict);
+        let next = u32::try_from(self.slots.len()).expect("fewer than 2^32 slots");
+        let slots = &self.slots;
+        let (at, opened) = self
+            .index
+            .get_or_insert(id, next, |at| indexed_id(slots, at));
+        if opened {
+            let seq = self.first_seq + self.windows.len() as u64;
+            if verdict.is_none() {
+                queue_it(&mut self.queue, seq);
             }
-        };
+            self.windows.push_back(Window {
+                due,
+                id,
+                opened_at: now,
+                queued_in: if verdict.is_none() { self.epoch } else { 0 },
+                slot: at,
+                own_ok: verdict.is_some(),
+                alt_sigs: Vec::new(),
+            });
+            self.slots.push(Some(TxSlot {
+                tx: tx.clone(),
+                reports: [report, NO_REPORT],
+                spill: None,
+                stage: Stage::Window { seq },
+            }));
+            self.open += 1;
+            return (Upload::Opened, verdict);
+        }
         let slot = self.slots[at as usize].as_mut().expect("indexed");
         let known = slot.reported_by(collector);
         let own = tx.provider_sig == slot.tx.provider_sig;
@@ -590,7 +606,8 @@ impl TxTable {
             );
             self.memo.insert(key, true);
         }
-        self.index.remove(&window.id);
+        let removed = self.index.remove(&window.id, window.slot);
+        debug_assert!(removed, "a live window's slot is indexed");
     }
 
     /// While more than `capacity` windows are open, sheds the oldest one
@@ -652,7 +669,7 @@ impl TxTable {
                 self.open -= 1;
                 return Some((seq, popped));
             }
-            let Some(&at) = self.index.get(&popped.id) else {
+            let Some(at) = self.position(&popped.id) else {
                 continue;
             };
             let Stage::Window { seq: open } = self.slot_at(at).stage else {
@@ -694,7 +711,7 @@ impl TxTable {
     /// Drops the slot at `at`, a window whose every copy was forged.
     pub(crate) fn remove(&mut self, at: u32) {
         let slot = self.slots[at as usize].take().expect("a live slot");
-        self.index.remove(&slot.tx.id());
+        self.index.remove(&slot.tx.id(), at);
     }
 
     /// Settles window `window` (see [`TxSlot::settle`]), with the memo's
@@ -1006,10 +1023,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn an_index_entry_is_at_most_36_bytes() {
-        // A transaction's bucket in the index map, one per transaction
-        // ever seen: its id and its slot's arena position.
-        assert!(std::mem::size_of::<(TxId, u32)>() <= 36);
+    fn an_index_entry_is_at_most_8_bytes() {
+        // A transaction's bucket in the index, one per transaction ever
+        // seen: four bytes of its id and its slot's arena position.
+        assert!(std::mem::size_of::<(u32, u32)>() <= 8);
     }
 
     #[test]
@@ -1017,10 +1034,11 @@ pub(crate) mod tests {
         use prb_ledger::block::BlockEntry;
         use prb_ledger::transaction::TxBody;
         println!(
-            "per-transaction layout: TxSlot {} B, index entry {} B, Window {} B, \
-             Event<ProtocolMsg> {} B, BlockEntry {} B, TxBody {} B",
+            "per-transaction layout: TxSlot {} B, index entry {} B, chain index entry {} B, \
+             Window {} B, Event<ProtocolMsg> {} B, BlockEntry {} B, TxBody {} B",
             std::mem::size_of::<TxSlot>(),
-            std::mem::size_of::<(TxId, u32)>(),
+            std::mem::size_of::<(u32, u32)>(),
+            prb_ledger::chain::Chain::INDEX_BUCKET_BYTES,
             std::mem::size_of::<Window>(),
             prb_net::sim::event_size::<crate::msg::ProtocolMsg>(),
             std::mem::size_of::<BlockEntry>(),

@@ -617,7 +617,7 @@ mod tests {
             let want: Vec<(u64, TxId)> = old.windows.iter().map(|w| (w.due, w.id)).collect();
             assert_eq!(dues, want, "the Δ queue");
             for (id, b) in &old.slots {
-                let at = new.index[id];
+                let at = new.position(id).expect("same slots");
                 let a = new.slot_at(at);
                 assert_eq!(a.tx.id(), b.tx.id());
                 assert_eq!(a.tx.provider_sig, b.tx.provider_sig, "re-homed alike");

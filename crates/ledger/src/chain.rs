@@ -19,13 +19,13 @@
 
 use std::fmt;
 
-use prb_crypto::fxhash::{fx_map, FxMap};
 use prb_crypto::par;
 use prb_crypto::sha256::Digest;
 
 use crate::block::{Block, BlockEntry, Verdict};
 use crate::codec::{self, DecodeError};
 use crate::transaction::TxId;
+use crate::txindex::TxIndex;
 
 /// Blocks a worker claims at a time where [`Chain::import`] decodes and
 /// [`Chain::audit`] rehashes in parallel.
@@ -245,11 +245,17 @@ pub struct TxLocation {
 
 /// Where the transaction index puts a transaction, in 8 bytes: its block's
 /// place in the chain's block list (`serial - base`) and its place in the
-/// block. The index holds one per transaction ever recorded.
+/// block. The index holds one per transaction ever recorded, in a 12-byte
+/// bucket beside its four-byte key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct IndexedAt {
     block: u32,
     entry: u32,
+}
+
+/// The block entry `at` names.
+fn entry_at(blocks: &[Block], at: IndexedAt) -> &BlockEntry {
+    &blocks[at.block as usize].entries[at.entry as usize]
 }
 
 /// The ledger: an append-only list of blocks with lookup indices.
@@ -271,9 +277,10 @@ pub struct Chain {
     base: u64,
     /// Certified hash of the block at `base - 1`; present iff `base > 0`.
     anchor: Option<Digest>,
-    // Keyed by a SHA-256 digest, so the seeded Fx mix is collision-safe
-    // here; the default SipHash map cost ~2x on the per-commit index path.
-    tx_index: FxMap<TxId, IndexedAt>,
+    /// The first recording of each transaction, keyed by four bytes of its
+    /// id; a hit is confirmed against the entry it names, which holds the
+    /// full id.
+    tx_index: TxIndex<IndexedAt>,
     b_limit: usize,
 }
 
@@ -289,6 +296,11 @@ impl fmt::Debug for Chain {
 }
 
 impl Chain {
+    /// Bytes of one transaction-index bucket, a four-byte key and an
+    /// 8-byte place: what the chain keeps per transaction recorded,
+    /// beside the blocks themselves.
+    pub const INDEX_BUCKET_BYTES: usize = std::mem::size_of::<(u32, IndexedAt)>();
+
     /// Creates a chain holding only the genesis block for `chain_tag`.
     ///
     /// `b_limit` is the paper's universal bound on transactions per block.
@@ -297,7 +309,7 @@ impl Chain {
             blocks: vec![Block::genesis(chain_tag)],
             base: 0,
             anchor: None,
-            tx_index: fx_map(),
+            tx_index: TxIndex::new(),
             b_limit,
         }
     }
@@ -318,7 +330,7 @@ impl Chain {
             blocks: Vec::new(),
             base: head_serial + 1,
             anchor: Some(head_hash),
-            tx_index: fx_map(),
+            tx_index: TxIndex::new(),
             b_limit,
         }
     }
@@ -427,22 +439,29 @@ impl Chain {
                 limit: self.b_limit,
             });
         }
-        // The block lands at `blocks[len]`: its serial is `base + len`.
+        // The block lands at `blocks[len]`: its serial is `base + len`. It
+        // is pushed first, so that a key hit can be confirmed against an
+        // entry of its own; the first recording wins.
         let at_block = u32::try_from(self.blocks.len()).expect("under 2^32 blocks held");
-        for (index, entry) in block.entries.iter().enumerate() {
-            self.tx_index.entry(entry.tx.id()).or_insert(IndexedAt {
+        self.blocks.push(block);
+        let blocks = &self.blocks;
+        for (index, entry) in blocks[at_block as usize].entries.iter().enumerate() {
+            let at = IndexedAt {
                 block: at_block,
                 entry: u32::try_from(index).expect("under 2^32 entries in a block"),
-            });
+            };
+            self.tx_index
+                .get_or_insert(entry.tx.id(), at, |at| entry_at(blocks, at).tx.id());
         }
-        self.blocks.push(block);
         Ok(())
     }
 
     /// Finds the first recording of a transaction among the held blocks.
     pub fn find_tx(&self, id: TxId) -> Option<(TxLocation, &BlockEntry)> {
-        let at = *self.tx_index.get(&id)?;
-        let entry = &self.blocks[at.block as usize].entries[at.entry as usize];
+        let at = self
+            .tx_index
+            .get(&id, |at| entry_at(&self.blocks, at).tx.id())?;
+        let entry = entry_at(&self.blocks, at);
         let loc = TxLocation {
             serial: self.base + u64::from(at.block),
             index: at.entry as usize,
@@ -475,10 +494,17 @@ impl Chain {
             return None;
         }
         let block = self.blocks.pop()?;
-        // `append` only indexes first recordings, so every index entry
-        // pointing at this serial was introduced by this block.
-        let popped = self.blocks.len();
-        self.tx_index.retain(|_, at| at.block as usize != popped);
+        // `append` only indexes first recordings, so the index entries
+        // pointing into this block are those of its own entries that it
+        // recorded first; one recorded earlier keeps its earlier place.
+        let popped = u32::try_from(self.blocks.len()).expect("under 2^32 blocks held");
+        for (index, entry) in block.entries.iter().enumerate() {
+            let at = IndexedAt {
+                block: popped,
+                entry: u32::try_from(index).expect("under 2^32 entries in a block"),
+            };
+            self.tx_index.remove(&entry.tx.id(), at);
+        }
         Some(block)
     }
 
@@ -630,7 +656,7 @@ impl Chain {
             blocks: Vec::with_capacity(decoded.len()),
             base,
             anchor,
-            tx_index: fx_map(),
+            tx_index: TxIndex::new(),
             b_limit,
         };
         let entries = decoded.iter().flatten().map(|b| b.entries.len()).sum();
@@ -720,6 +746,12 @@ mod tests {
     }
 
     #[test]
+    fn an_index_bucket_is_at_most_12_bytes() {
+        // The value beside its four-byte key.
+        assert!(std::mem::size_of::<(u32, IndexedAt)>() <= 12);
+    }
+
+    #[test]
     fn append_and_retrieve() {
         let mut chain = Chain::new(b"t", 100);
         let b1 = extend(&chain, vec![entry(0, Verdict::CheckedValid)]);
@@ -757,6 +789,75 @@ mod tests {
         assert_eq!(chain.pop(), Some(b1));
         assert!(chain.pop().is_none(), "genesis still irremovable");
         assert_eq!(chain.audit(), None);
+    }
+
+    #[test]
+    fn ids_sharing_four_bytes_are_indexed_apart_within_and_across_blocks() {
+        // Nonces whose ids share their first four bytes, in pairs: the
+        // first pair within one block, the others across blocks.
+        let pairs = [(18_912, 113_084), (60_010, 183_320), (22_506, 189_403)];
+        let key = |nonce| entry(nonce, Verdict::CheckedValid).tx.id().0 .0[..4].to_vec();
+        for (a, b) in pairs {
+            assert_eq!(key(a), key(b), "nonces {a} and {b} share a key");
+        }
+        let blocks = [
+            vec![18_912, 113_084, 60_010],
+            vec![183_320, 22_506],
+            // The second recording of 18 912 is not indexed.
+            vec![189_403, 18_912],
+        ];
+        let mut chain = Chain::new(b"t", 100);
+        for nonces in &blocks {
+            let entries = nonces
+                .iter()
+                .map(|&n| entry(n, Verdict::CheckedValid))
+                .collect();
+            chain.append(extend(&chain, entries)).unwrap();
+        }
+        let at = |chain: &Chain, nonce| {
+            let id = entry(nonce, Verdict::CheckedValid).tx.id();
+            chain.find_tx(id).map(|(loc, found)| {
+                assert_eq!(found.tx.id(), id, "the entry found is the one asked for");
+                (loc.serial, loc.index)
+            })
+        };
+        let placed = [
+            (18_912, (1, 0)),
+            (113_084, (1, 1)),
+            (60_010, (1, 2)),
+            (183_320, (2, 0)),
+            (22_506, (2, 1)),
+            (189_403, (3, 0)),
+        ];
+        for (nonce, loc) in placed {
+            assert_eq!(at(&chain, nonce), Some(loc), "nonce {nonce}");
+        }
+        assert_eq!(chain.tx_count(), 6);
+        assert_eq!(at(&chain, 1), None);
+
+        // Popping block 3 unindexes 189 403 only; its key-sharer survives.
+        chain.pop().unwrap();
+        assert_eq!(at(&chain, 189_403), None);
+        assert_eq!(at(&chain, 22_506), Some((2, 1)));
+        assert_eq!(at(&chain, 18_912), Some((1, 0)));
+        assert_eq!(chain.tx_count(), 5);
+        // Popping block 2 leaves block 1's pair and 183 320's sharer.
+        chain.pop().unwrap();
+        assert_eq!(at(&chain, 183_320), None);
+        assert_eq!(at(&chain, 22_506), None);
+        assert_eq!(at(&chain, 60_010), Some((1, 2)));
+        assert_eq!(at(&chain, 113_084), Some((1, 1)));
+        assert_eq!(chain.tx_count(), 3);
+        // Appended again, the popped ids are found at their new places.
+        let entries = [189_403, 183_320]
+            .iter()
+            .map(|&n| entry(n, Verdict::CheckedValid))
+            .collect();
+        chain.append(extend(&chain, entries)).unwrap();
+        assert_eq!(at(&chain, 189_403), Some((2, 0)));
+        assert_eq!(at(&chain, 183_320), Some((2, 1)));
+        assert_eq!(chain.tx_count(), 5);
+        assert_eq!(Chain::import(&chain.export()).unwrap().tx_count(), 5);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! - [`codec`] — canonical binary encoding with verified export/import,
 //! - [`header`] — light-client header chains with Merkle inclusion checks,
 //! - [`oracle`] — the `validate(tx)` ground-truth oracle with cost
-//!   accounting.
+//!   accounting,
+//! - [`txindex`] — the index from transaction id to where a transaction is
+//!   kept, keyed by four bytes of the id.
 //!
 //! # Quickstart
 //!
@@ -49,6 +51,7 @@ pub mod codec;
 pub mod header;
 pub mod oracle;
 pub mod transaction;
+pub mod txindex;
 
 pub use block::{Block, BlockBody, BlockEntry, Verdict};
 pub use chain::{Chain, ChainError, ImportError};

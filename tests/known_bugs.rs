@@ -77,6 +77,51 @@ fn permanent_fork_under_loss() {
     assert_eq!(forks, [4111, 4128, 4146, 4174, 4176]);
 }
 
+/// ROADMAP 4(a), a governor stuck behind a fork: `permanent_fork_under_loss`'s
+/// run over seeds 4100–4199, then 8 loss-free rounds, 2 drain rounds and 5
+/// rounds to settle. A seed fails when a governor's height did not grow
+/// over the loss-free rounds while at least three others' did: a minority
+/// governor one block onto a losing branch can neither contest nor sync
+/// past it.
+#[test]
+fn stuck_governor_after_loss() {
+    let stuck = failing(4100..4200, |seed| {
+        let cfg = ProtocolConfig {
+            governors: 5,
+            reliable_delivery: true,
+            seed,
+            ..Default::default()
+        };
+        let (rt, governors) = (cfg.round_ticks(), cfg.governors);
+        let mut sim = Simulation::new(cfg).unwrap();
+        let mut faults = FaultPlan::none();
+        faults.drop_all(0.3);
+        sim.set_faults(faults);
+        sim.run(12);
+        sim.run_drain_rounds(1);
+        sim.settle(5 * rt);
+        let heights = |sim: &Simulation| -> Vec<u64> {
+            (0..governors)
+                .map(|g| sim.governor(g).chain().height())
+                .collect()
+        };
+        let before = heights(&sim);
+        sim.set_faults(FaultPlan::none());
+        sim.run(8);
+        sim.run_drain_rounds(2);
+        sim.settle(5 * rt);
+        let grew: Vec<bool> = before
+            .iter()
+            .zip(heights(&sim))
+            .map(|(&was, now)| now > was)
+            .collect();
+        grew.contains(&false) && grew.iter().filter(|&&g| g).count() >= 3
+    });
+    // Recorded when the entry was added: governor 4 of 4128 stays at
+    // height 5 while the other four go from 10 to 16.
+    assert_eq!(stuck, [4128]);
+}
+
 /// ROADMAP item 1, E10: `exp_properties`'s five scenarios (12 rounds, 4
 /// drain rounds) over seeds 1–16. A seed fails when any of the five §3.1
 /// properties does not hold.
