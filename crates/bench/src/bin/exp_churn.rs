@@ -138,19 +138,19 @@ fn audit_certs(sim: &Simulation, cfg: &ProtocolConfig) -> (u64, u64, u64) {
     let epoch_log = g0.epoch_log();
     let (mut joins, mut leaves, mut evicts) = (0u64, 0u64, 0u64);
     for cert in g0.membership_certs() {
-        let subject_pk = match cert.request.role {
-            MemberRole::Collector => &collector_pks[cert.request.member as usize],
-            MemberRole::Governor => &governor_pks[cert.request.member as usize],
+        let subject_pk = match cert.state.role {
+            MemberRole::Collector => &collector_pks[cert.state.member as usize],
+            MemberRole::Governor => &governor_pks[cert.state.member as usize],
         };
-        let active = epoch_log.active_at(cert.request.effective_round);
-        cert.verify(subject_pk, &governor_pks, active)
+        let active = epoch_log.active_at(cert.state.effective_round);
+        cert.audit(subject_pk, &governor_pks, active)
             .unwrap_or_else(|e| {
                 panic!(
                     "membership cert for {:?} {} ({:?}) failed epoch-quorum audit: {e:?}",
-                    cert.request.role, cert.request.member, cert.request.action
+                    cert.state.role, cert.state.member, cert.state.action
                 )
             });
-        match cert.request.action {
+        match cert.state.action {
             MembershipAction::Join => joins += 1,
             MembershipAction::Leave => leaves += 1,
             MembershipAction::Evict => evicts += 1,
@@ -238,8 +238,8 @@ fn run_cell(seed: u64, join: f64, leave: f64, byz_silent: bool, rounds: u32) -> 
         .governor(0)
         .membership_certs()
         .iter()
-        .filter(|c| c.request.role == MemberRole::Collector)
-        .map(|c| c.request.member)
+        .filter(|c| c.state.role == MemberRole::Collector)
+        .map(|c| c.state.member)
         .collect();
     let steady: Vec<u32> = survivors
         .iter()

@@ -2,37 +2,29 @@
 //!
 //! Every `checkpoint_interval` blocks each governor snapshots its chain
 //! head together with the stake vector (balances + transfer nonces) and
-//! the full reputation table, signs the snapshot's digest under a
-//! dedicated domain tag and gossips the signature as a
-//! [`CheckpointShare`]. Once a BFT quorum (`> 2/3` of the active
-//! committee) of matching shares accumulates, the shares form a
-//! [`CheckpointCert`] — a self-verifying proof that the committee agreed
-//! on the state at that serial. A recovering or freshly joined governor
-//! that verifies a cert can adopt the state wholesale and fetch only the
-//! blocks *after* the checkpoint: O(delta) state-sync instead of an
-//! O(chain) replay from genesis, in the spirit of reputation-snapshot
-//! (re)anchoring in RepChain (arXiv:1901.05741).
-//!
-//! Like [`crate::evidence`], certs need only the committee's public keys
-//! to check, so they can be relayed by untrusted peers. One rule says whose
-//! signature counts toward a cert at serial `s`
-//! ([`Committee::excluded_at`]): everyone's but the governors departed in
-//! `s`'s membership epoch and those convicted of equivocation. A
-//! governor's [`Certifier`] applies it to its own and its peers' shares and
-//! to the certs offered by sync peers or reopened from the store; the
-//! governor acts on the answers.
+//! the full reputation table and gossips a [`CheckpointShare`] over the
+//! snapshot's digest; a [`crate::quorum`] of matching shares forms a
+//! [`CheckpointCert`]. A recovering or freshly joined governor that
+//! verifies a cert adopts the state wholesale and fetches only the blocks
+//! *after* it: O(delta) state-sync instead of an O(chain) replay, in the
+//! spirit of reputation-snapshot (re)anchoring in RepChain
+//! (arXiv:1901.05741). A cert at serial `s` counts everyone's signature but
+//! the governors departed in `s`'s membership epoch and those convicted of
+//! equivocation ([`Committee::excluded_at`]); a governor's [`Certifier`]
+//! applies that rule to its own and its peers' shares and to the certs
+//! offered by sync peers or reopened from the store.
 
-use std::collections::{HashMap, VecDeque};
-use std::fmt;
+use std::collections::VecDeque;
 
 use prb_crypto::sha256::{Digest, Sha256};
-use prb_crypto::signer::{KeyPair, PublicKey, Sig};
+use prb_crypto::signer::{KeyPair, PublicKey};
 
 use crate::membership::EpochLog;
+pub use crate::quorum::threshold as quorum;
+use crate::quorum::{Cert, CertError, Share, ShareBuffer, Subject, Tally};
 
 /// Serials that may buffer peer shares before this node has its own
-/// snapshot for them; shares for further serials are dropped (a bound
-/// against share spam).
+/// snapshot for them (a bound against share spam).
 const EARLY_SHARE_SERIALS: usize = 32;
 
 /// Domain tag for checkpoint-share signatures.
@@ -97,176 +89,32 @@ impl CheckpointState {
     }
 }
 
-/// Canonical signing bytes for a share over a state digest.
-fn share_bytes(governor: u32, serial: u64, state_digest: &Digest) -> Digest {
-    let mut h = Sha256::new();
-    h.update_field(CHECKPOINT_TAG);
-    h.update(b"share");
-    h.update(&governor.to_be_bytes());
-    h.update(&serial.to_be_bytes());
-    h.update_field(state_digest.as_bytes());
-    h.finalize()
-}
+impl Subject for CheckpointState {
+    const TAG: &'static [u8] = CHECKPOINT_TAG;
+    type Scope = u64;
 
-/// One governor's signature over a checkpoint state digest.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CheckpointShare {
-    /// Serial the snapshot was taken at.
-    pub serial: u64,
-    /// Digest of the signer's [`CheckpointState`].
-    pub state_digest: Digest,
-    /// The signing governor's index.
-    pub governor: u32,
-    /// Signature over the above under the checkpoint domain tag.
-    pub sig: Sig,
-}
-
-impl CheckpointShare {
-    /// Signs a share for the given state digest.
-    pub fn create(serial: u64, state_digest: Digest, governor: u32, key: &KeyPair) -> Self {
-        let msg = share_bytes(governor, serial, &state_digest);
-        CheckpointShare {
-            serial,
-            state_digest,
-            governor,
-            sig: key.sign(msg.as_bytes()),
-        }
+    fn scope(&self) -> u64 {
+        self.serial
     }
 
-    /// Verifies the signature against the claimed governor's key.
-    pub fn verify(&self, pks: &[PublicKey]) -> bool {
-        let Some(pk) = pks.get(self.governor as usize) else {
-            return false;
-        };
-        let msg = share_bytes(self.governor, self.serial, &self.state_digest);
-        pk.verify(msg.as_bytes(), &self.sig)
+    fn hash_scope(serial: u64, h: &mut Sha256) {
+        h.update(&serial.to_be_bytes());
+    }
+
+    fn digest(&self) -> Digest {
+        CheckpointState::digest(self)
+    }
+
+    fn well_formed(&self) -> bool {
+        self.stake_nonces.len() == self.stakes.len()
     }
 }
 
-/// Why a checkpoint certificate failed verification.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckpointError {
-    /// Fewer valid, non-expelled, distinct signers than the quorum.
-    UnderQuorum {
-        /// Valid signatures counted.
-        got: usize,
-        /// Signatures required.
-        need: usize,
-    },
-    /// A signature names an out-of-committee governor or fails to verify.
-    BadSignature {
-        /// The offending signer index.
-        governor: u32,
-    },
-    /// The state's vector lengths are inconsistent with each other.
-    MalformedState,
-}
+/// One governor's signature over a checkpoint state digest at a serial.
+pub type CheckpointShare = Share<CheckpointState>;
 
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointError::UnderQuorum { got, need } => {
-                write!(f, "{got} valid signatures, quorum is {need}")
-            }
-            CheckpointError::BadSignature { governor } => {
-                write!(f, "signature of g{governor} invalid")
-            }
-            CheckpointError::MalformedState => write!(f, "inconsistent state vectors"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-impl CheckpointError {
-    /// A short stable label for metric keys (`checkpoint.rejected.<kind>`).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CheckpointError::UnderQuorum { .. } => "under_quorum",
-            CheckpointError::BadSignature { .. } => "bad_signature",
-            CheckpointError::MalformedState => "malformed_state",
-        }
-    }
-}
-
-/// BFT quorum over the active committee: `> 2/3` of `active` members.
-pub fn quorum(active: usize) -> usize {
-    2 * active / 3 + 1
-}
-
-/// Signatures a cert needs in a committee of `m` when `excluded` do not
-/// count: a quorum of the rest.
-fn need(m: usize, excluded: &[u32]) -> usize {
-    quorum(m - excluded.iter().filter(|&&g| (g as usize) < m).count())
-}
-
-/// Counts the distinct signers in `sigs` of a committee of `m`, skipping
-/// `excluded`; each counted signature must pass `valid`. `Err` names the
-/// first signer out of range or refused.
-pub(crate) fn count_signers(
-    sigs: &[(u32, Sig)],
-    m: usize,
-    excluded: &[u32],
-    valid: impl Fn(u32, &Sig) -> bool,
-) -> Result<usize, u32> {
-    let mut seen = vec![false; m];
-    let mut got = 0;
-    for &(g, ref sig) in sigs {
-        if g as usize >= m {
-            return Err(g);
-        }
-        if excluded.contains(&g) || seen[g as usize] {
-            continue;
-        }
-        if !valid(g, sig) {
-            return Err(g);
-        }
-        seen[g as usize] = true;
-        got += 1;
-    }
-    Ok(got)
-}
-
-/// A quorum-certified checkpoint: the state plus the signatures vouching
-/// for it.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CheckpointCert {
-    /// The agreed state.
-    pub state: CheckpointState,
-    /// `(governor, signature)` pairs, sorted by governor index.
-    pub sigs: Vec<(u32, Sig)>,
-}
-
-impl CheckpointCert {
-    /// Verifies the certificate: the state is well-formed, every counted
-    /// signature is by a distinct committee member outside `excluded` over
-    /// this state's digest, and at least a [`quorum`] of the members
-    /// outside `excluded` signed. Excluded governors' signatures are
-    /// ignored (not fatal): evidence may spread after a share was honestly
-    /// signed. With [`Committee::excluded_at`] as `excluded` the quorum is
-    /// one of [`EpochLog::active_at`] the cert's serial, less the convicted
-    /// governors still active then: the rule assembly counts by too.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`CheckpointError`] encountered.
-    pub fn verify(&self, pks: &[PublicKey], excluded: &[u32]) -> Result<(), CheckpointError> {
-        let m = pks.len();
-        if self.state.stake_nonces.len() != self.state.stakes.len() {
-            return Err(CheckpointError::MalformedState);
-        }
-        let (serial, digest) = (self.state.serial, self.state.digest());
-        let need = need(m, excluded);
-        let got = count_signers(&self.sigs, m, excluded, |g, sig| {
-            pks[g as usize].verify(share_bytes(g, serial, &digest).as_bytes(), sig)
-        })
-        .map_err(|governor| CheckpointError::BadSignature { governor })?;
-        if got < need {
-            return Err(CheckpointError::UnderQuorum { got, need });
-        }
-        Ok(())
-    }
-}
+/// A quorum-certified checkpoint, counted by [`crate::quorum::Tally::bft`].
+pub type CheckpointCert = Cert<CheckpointState>;
 
 /// The committee a governor counts checkpoint signatures against: every
 /// governor's key by index, the membership epoch log, and the governors
@@ -307,11 +155,11 @@ pub enum OfferRejected {
     /// Not ahead of the local chain head.
     Stale,
     /// It does not verify against the committee at its serial.
-    Invalid(CheckpointError),
+    Invalid(CertError),
 }
 
 /// One governor's checkpoint certification: its own snapshots awaiting a
-/// quorum, the verified shares buffered for them (one per governor per
+/// quorum and the verified shares buffered for them (one per governor per
 /// serial), the serials whose own share is still to announce, and the
 /// latest cert it holds. It signs but never sends or stores.
 ///
@@ -324,8 +172,9 @@ pub enum OfferRejected {
 #[derive(Debug, Default)]
 pub struct Certifier {
     latest: Option<CheckpointCert>,
-    pending: HashMap<u64, CheckpointState>,
-    shares: HashMap<u64, Vec<CheckpointShare>>,
+    /// Own snapshots and shares by serial; the cap bounds serials that
+    /// buffer peer shares before this node's own snapshot.
+    buffer: ShareBuffer<u64, CheckpointState, EARLY_SHARE_SERIALS>,
     to_announce: VecDeque<u64>,
 }
 
@@ -346,16 +195,8 @@ impl Certifier {
     /// over another digest are dropped now that the local truth is known;
     /// returns how many.
     pub fn capture(&mut self, state: CheckpointState) -> u64 {
-        let digest = state.digest();
-        let mut dropped = 0;
-        if let Some(buf) = self.shares.get_mut(&state.serial) {
-            let before = buf.len();
-            buf.retain(|s| s.state_digest == digest);
-            dropped = (before - buf.len()) as u64;
-        }
         self.to_announce.push_back(state.serial);
-        self.pending.insert(state.serial, state);
-        dropped
+        self.buffer.set_subject(state.serial, state)
     }
 
     /// Signs governor `me`'s share for the next queued serial still
@@ -368,11 +209,11 @@ impl Certifier {
         c: &Committee<'_>,
     ) -> Option<(CheckpointShare, ShareStep)> {
         while let Some(serial) = self.to_announce.pop_front() {
-            let Some(state) = self.pending.get(&serial) else {
+            let Some((_, digest)) = self.buffer.subject(serial) else {
                 continue;
             };
-            let share = CheckpointShare::create(serial, state.digest(), me, key);
-            self.buffer(share.clone());
+            let share = CheckpointShare::create(serial, *digest, me, key);
+            self.buffer.insert(serial, share.clone());
             return Some((share, self.assemble(serial, c)));
         }
         None
@@ -380,29 +221,20 @@ impl Certifier {
 
     /// A peer's share arrived.
     pub fn on_share(&mut self, share: CheckpointShare, c: &Committee<'_>) -> ShareStep {
-        let serial = share.serial;
+        let serial = share.scope;
         if c.excluded_at(serial).contains(&share.governor)
             || self.certified(serial)
             || !share.verify(c.0)
         {
             return ShareStep::Ignored;
         }
-        if let Some(state) = self.pending.get(&serial) {
-            if state.digest() != share.state_digest {
-                return ShareStep::Mismatch;
-            }
-        } else if self.shares.len() >= EARLY_SHARE_SERIALS && !self.shares.contains_key(&serial) {
-            return ShareStep::Ignored;
+        match self.buffer.subject(serial) {
+            Some((_, digest)) if *digest != share.digest => return ShareStep::Mismatch,
+            None if !self.buffer.admits(serial) => return ShareStep::Ignored,
+            _ => {}
         }
-        self.buffer(share);
+        self.buffer.insert(serial, share);
         self.assemble(serial, c)
-    }
-
-    fn buffer(&mut self, share: CheckpointShare) {
-        let buf = self.shares.entry(share.serial).or_default();
-        if !buf.iter().any(|s| s.governor == share.governor) {
-            buf.push(share);
-        }
     }
 
     /// Forms the cert at `serial` once the counted shares over this node's
@@ -411,22 +243,14 @@ impl Certifier {
         if self.certified(serial) {
             return ShareStep::Buffered;
         }
-        let (Some(state), Some(buf)) = (self.pending.get(&serial), self.shares.get(&serial)) else {
+        let excluded = c.excluded_at(serial);
+        let Some(cert) = self
+            .buffer
+            .assemble(serial, Tally::bft(c.0.len(), &excluded))
+        else {
             return ShareStep::Buffered;
         };
-        let digest = state.digest();
-        let excluded = c.excluded_at(serial);
-        let mut sigs: Vec<(u32, Sig)> = buf
-            .iter()
-            .filter(|s| s.state_digest == digest && !excluded.contains(&s.governor))
-            .map(|s| (s.governor, s.sig.clone()))
-            .collect();
-        if sigs.len() < need(c.0.len(), &excluded) {
-            return ShareStep::Buffered;
-        }
-        sigs.sort_by_key(|(g, _)| *g);
-        let state = state.clone();
-        self.hold(CheckpointCert { state, sigs });
+        self.hold(cert);
         ShareStep::Formed
     }
 
@@ -456,8 +280,7 @@ impl Certifier {
     /// below its serial.
     fn hold(&mut self, cert: CheckpointCert) -> &CheckpointCert {
         let serial = cert.state.serial;
-        self.pending.retain(|&s, _| s > serial);
-        self.shares.retain(|&s, _| s > serial);
+        self.buffer.retain(|s| s > serial);
         self.latest.insert(cert)
     }
 }
@@ -537,10 +360,10 @@ mod tests {
         wrong.governor = 1;
         assert!(!wrong.verify(&pks));
         let mut wrong = share.clone();
-        wrong.serial = 4;
+        wrong.scope = 4;
         assert!(!wrong.verify(&pks));
         let mut wrong = share;
-        wrong.state_digest = prb_crypto::sha256::sha256(b"x");
+        wrong.digest = prb_crypto::sha256::sha256(b"x");
         assert!(!wrong.verify(&pks));
     }
 
@@ -568,7 +391,7 @@ mod tests {
         let c = cert(5, &[0, 1], &keys);
         assert_eq!(
             c.verify(&pks, &[]),
-            Err(CheckpointError::UnderQuorum { got: 2, need: 3 })
+            Err(CertError::UnderQuorum { got: 2, need: 3 })
         );
         // Duplicate signatures do not inflate the count.
         let mut dup = cert(5, &[0, 1], &keys);
@@ -576,7 +399,7 @@ mod tests {
         dup.sigs.push(extra);
         assert_eq!(
             dup.verify(&pks, &[]),
-            Err(CheckpointError::UnderQuorum { got: 2, need: 3 })
+            Err(CertError::UnderQuorum { got: 2, need: 3 })
         );
     }
 
@@ -590,7 +413,7 @@ mod tests {
         c.sigs[2] = (2, forged.sig);
         assert_eq!(
             c.verify(&pks, &[]),
-            Err(CheckpointError::BadSignature { governor: 2 })
+            Err(CertError::BadSignature { governor: 2 })
         );
         // A signature over a *different* state digest is also forged: the
         // cert's state no longer matches what was signed.
@@ -598,14 +421,14 @@ mod tests {
         c.state.stakes[0] += 1;
         assert!(matches!(
             c.verify(&pks, &[]),
-            Err(CheckpointError::BadSignature { .. })
+            Err(CertError::BadSignature { .. })
         ));
         // Out-of-committee signer index.
         let mut c = cert(5, &[0, 1, 2], &keys);
         c.sigs[0].0 = 9;
         assert_eq!(
             c.verify(&pks, &[]),
-            Err(CheckpointError::BadSignature { governor: 9 })
+            Err(CertError::BadSignature { governor: 9 })
         );
     }
 
@@ -621,7 +444,7 @@ mod tests {
         let c = cert(5, &[0, 1, 2], &keys);
         assert_eq!(
             c.verify(&pks, &[1]),
-            Err(CheckpointError::UnderQuorum { got: 2, need: 3 })
+            Err(CertError::UnderQuorum { got: 2, need: 3 })
         );
         // An expelled governor cannot manufacture a cert from its own
         // signature repeated under different slots.
@@ -633,7 +456,7 @@ mod tests {
         };
         assert!(matches!(
             c.verify(&pks, &[1]),
-            Err(CheckpointError::UnderQuorum { got: 0, .. })
+            Err(CertError::UnderQuorum { got: 0, .. })
         ));
     }
 
@@ -642,7 +465,7 @@ mod tests {
         let (keys, pks) = keys(4);
         let mut c = cert(5, &[0, 1, 2], &keys);
         c.state.stake_nonces.pop();
-        assert_eq!(c.verify(&pks, &[]), Err(CheckpointError::MalformedState));
+        assert_eq!(c.verify(&pks, &[]), Err(CertError::MalformedState));
     }
 
     /// Governor `g`'s share over `state`.
@@ -697,7 +520,7 @@ mod tests {
             assert_eq!(cf.on_share(share(&st, 1, &keys), &c), ShareStep::Buffered);
         }
         assert_eq!(cf.announce(0, &keys[0], &c).unwrap().1, ShareStep::Buffered);
-        assert_eq!(cf.shares[&2].len(), 2);
+        assert_eq!(cf.buffer.shares(2).len(), 2);
         // A badly signed share is ignored outright.
         let mut forged = share(&st, 3, &keys);
         forged.sig = share(&st, 2, &keys).sig;
@@ -771,7 +594,7 @@ mod tests {
             let mut cf = Certifier::default();
             cf.offer(cert(serial, signers, &keys), 0, &c).map(|_| ())
         };
-        let under = CheckpointError::UnderQuorum { got: 2, need: 3 };
+        let under = CertError::UnderQuorum { got: 2, need: 3 };
         assert_eq!(offer(4, &[0, 1, 2]), Err(OfferRejected::Invalid(under)));
         assert_eq!(offer(4, &[0, 2, 3]), Ok(()));
         assert_eq!(offer(6, &[0, 1, 2]), Ok(()));
@@ -798,8 +621,10 @@ mod tests {
         assert_eq!(cf.announce(0, &keys[0], &c).unwrap().1, ShareStep::Buffered);
         assert_eq!(cf.announce(0, &keys[0], &c).unwrap().1, ShareStep::Formed);
         assert_eq!(cf.latest().unwrap().state.serial, 4);
-        assert!(cf.pending.is_empty());
-        assert_eq!(cf.shares.keys().copied().collect::<Vec<_>>(), [6]);
+        for serial in [2, 4] {
+            assert!(cf.buffer.subject(serial).is_none() && cf.buffer.shares(serial).is_empty());
+        }
+        assert_eq!(cf.buffer.shares(6).len(), 1);
         // Shares at or below the cert are ignored from now on.
         assert_eq!(
             cf.on_share(share(&state(2), 1, &keys), &c),
@@ -807,7 +632,7 @@ mod tests {
         );
         // A cert adopted from a peer prunes the same way.
         assert!(cf.offer(cert(6, &[0, 1, 2], &keys), 4, &c).is_ok());
-        assert!(cf.shares.is_empty());
+        assert!(cf.buffer.shares(6).is_empty());
     }
 
     #[test]
@@ -823,7 +648,7 @@ mod tests {
         assert_eq!(cf.offer(cert(4, &[0, 1, 2, 3], &keys), height, &c), stale);
         assert_eq!(
             cf.offer(cert(10, &[0, 1], &keys), height, &c),
-            Err(OfferRejected::Invalid(CheckpointError::UnderQuorum {
+            Err(OfferRejected::Invalid(CertError::UnderQuorum {
                 got: 2,
                 need: 3
             }))
@@ -832,7 +657,7 @@ mod tests {
         forged.sigs[2].1 = cert(10, &[3], &keys).sigs[0].1.clone();
         assert_eq!(
             cf.offer(forged, height, &c),
-            Err(OfferRejected::Invalid(CheckpointError::BadSignature {
+            Err(OfferRejected::Invalid(CertError::BadSignature {
                 governor: 2
             }))
         );
@@ -841,13 +666,13 @@ mod tests {
 
     #[test]
     fn error_display_and_kind() {
-        let e = CheckpointError::UnderQuorum { got: 1, need: 3 };
+        let e = CertError::UnderQuorum { got: 1, need: 3 };
         assert!(e.to_string().contains("quorum is 3"));
         assert_eq!(e.kind(), "under_quorum");
         assert_eq!(
-            CheckpointError::BadSignature { governor: 2 }.kind(),
+            CertError::BadSignature { governor: 2 }.kind(),
             "bad_signature"
         );
-        assert_eq!(CheckpointError::MalformedState.kind(), "malformed_state");
+        assert_eq!(CertError::MalformedState.kind(), "malformed_state");
     }
 }

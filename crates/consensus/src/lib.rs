@@ -17,12 +17,14 @@
 //! - [`evidence`] — self-verifying equivocation evidence (two conflicting
 //!   signed proposal headers) backing the accountability pipeline that
 //!   detects and expels double-signing governors (E12),
-//! - [`checkpoint`] — quorum-signed checkpoints of the chain head, stake
+//! - [`quorum`] — the one quorum certificate: threshold, share, cert,
+//!   signer-counting rules and the bounded share buffer,
+//! - [`checkpoint`] — quorum certificates over the chain head, stake
 //!   vector and reputation table, backing O(delta) state-sync and durable
 //!   restart (E16),
 //! - [`membership`] — dynamic membership: quorum-certified
 //!   join/leave/evict transitions and the [`membership::EpochLog`] that
-//!   sizes quorums by the committee epoch at a given serial (E17),
+//!   sizes quorums by the committee epoch at a given point (E17),
 //! - [`round_robin`] — deterministic rotation schedules,
 //! - [`rotation`] — the executable rotating-leader replication protocol
 //!   (propose + ≥2/3 votes, crashed leaders skipped by timeout),
@@ -60,6 +62,7 @@ pub mod election;
 pub mod evidence;
 pub mod membership;
 pub mod pbft;
+pub mod quorum;
 pub mod rotation;
 pub mod round_robin;
 pub mod stake;

@@ -1,30 +1,23 @@
 //! Dynamic membership: quorum-certified join/leave/evict protocols and
-//! the epoch log that makes committee size a function of chain serial.
+//! the epoch log that makes committee size a function of time.
 //!
 //! A node enters or leaves the deployment through a [`MembershipRequest`]
 //! — subject-signed for voluntary moves (a join posts a stake bond, a
 //! leave renounces participation), unsigned for an eviction (the quorum
 //! of governor shares *is* the authorization, exactly like an expulsion
-//! conviction). Each governor that accepts a request signs its digest as
-//! a [`MembershipShare`]; a BFT quorum of matching shares forms a
-//! [`MembershipCert`], the on-chain-auditable analogue of the checkpoint
-//! certificates in [`crate::checkpoint`]. Certs persist across restarts
-//! via `prb-store`, so membership epochs survive a crash.
+//! conviction). Each governor that accepts a request signs a
+//! [`MembershipShare`]; a [`crate::quorum`] of them forms a
+//! [`MembershipCert`]. Certs persist across restarts via `prb-store`, so
+//! membership epochs survive a crash.
 //!
-//! The [`EpochLog`] records every committee departure and readmission
-//! against the chain serial it took effect at. Quorum sizing then reads
-//! the membership epoch *at a given serial* instead of the current
-//! committee count: a checkpoint certificate formed before an expulsion
-//! or voluntary leave still verifies after it, because `active_at` and
-//! `departed_at` reconstruct the committee as it stood when the cert's
-//! shares were signed.
-
-use std::fmt;
+//! The [`EpochLog`] records every committee departure and readmission, so
+//! a quorum is sized by the committee as it stood when a cert's shares
+//! were signed, not by today's headcount.
 
 use prb_crypto::sha256::{Digest, Sha256};
 use prb_crypto::signer::{KeyPair, PublicKey, Sig};
 
-use crate::checkpoint::{count_signers, quorum};
+use crate::quorum::{Cert, CertError, Share, Subject, Tally};
 
 /// Domain tag for membership signatures.
 const MEMBERSHIP_TAG: &[u8] = b"prb-membership";
@@ -39,11 +32,14 @@ pub enum MemberRole {
 }
 
 impl MemberRole {
-    fn tag(self) -> u8 {
-        match self {
-            MemberRole::Collector => 0,
-            MemberRole::Governor => 1,
-        }
+    /// The role's byte in digests and on disk.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The role a [`tag`](Self::tag) names.
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        [Self::Collector, Self::Governor].get(tag as usize).copied()
     }
 }
 
@@ -61,12 +57,16 @@ pub enum MembershipAction {
 }
 
 impl MembershipAction {
-    fn tag(self) -> u8 {
-        match self {
-            MembershipAction::Join => 0,
-            MembershipAction::Leave => 1,
-            MembershipAction::Evict => 2,
-        }
+    /// The action's byte in digests and on disk.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The action a [`tag`](Self::tag) names.
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        [Self::Join, Self::Leave, Self::Evict]
+            .get(tag as usize)
+            .copied()
     }
 }
 
@@ -153,156 +153,43 @@ impl MembershipRequest {
     }
 }
 
-/// Canonical signing bytes for a governor's share over a request digest.
-fn share_bytes(governor: u32, digest: &Digest) -> Digest {
-    let mut h = Sha256::new();
-    h.update_field(MEMBERSHIP_TAG);
-    h.update(b"share");
-    h.update(&governor.to_be_bytes());
-    h.update_field(digest.as_bytes());
-    h.finalize()
+impl Subject for MembershipRequest {
+    const TAG: &'static [u8] = MEMBERSHIP_TAG;
+    type Scope = ();
+
+    fn scope(&self) {}
+
+    fn hash_scope((): (), _: &mut Sha256) {}
+
+    fn digest(&self) -> Digest {
+        MembershipRequest::digest(self)
+    }
 }
 
 /// One governor's endorsement of a membership request.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MembershipShare {
-    /// Digest of the endorsed [`MembershipRequest`].
-    pub request_digest: Digest,
-    /// The signing governor's index.
-    pub governor: u32,
-    /// Signature under the membership domain tag.
-    pub sig: Sig,
-}
+pub type MembershipShare = Share<MembershipRequest>;
 
-impl MembershipShare {
-    /// Signs a share endorsing `request_digest`.
-    pub fn create(request_digest: Digest, governor: u32, key: &KeyPair) -> Self {
-        let msg = share_bytes(governor, &request_digest);
-        MembershipShare {
-            request_digest,
-            governor,
-            sig: key.sign(msg.as_bytes()),
-        }
-    }
-
-    /// Verifies the signature against the claimed governor's key.
-    pub fn verify(&self, pks: &[PublicKey]) -> bool {
-        let Some(pk) = pks.get(self.governor as usize) else {
-            return false;
-        };
-        let msg = share_bytes(self.governor, &self.request_digest);
-        pk.verify(msg.as_bytes(), &self.sig)
-    }
-}
-
-/// Why a membership certificate failed verification.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MembershipError {
-    /// Fewer valid, distinct, in-committee signers than the quorum.
-    UnderQuorum {
-        /// Valid signatures counted.
-        got: usize,
-        /// Signatures required.
-        need: usize,
-    },
-    /// A governor signature names an unknown index or fails to verify.
-    BadSignature {
-        /// The offending signer index.
-        governor: u32,
-    },
-    /// The subject signature is missing, present where forbidden, or
-    /// fails to verify.
-    BadSubject,
-}
-
-impl fmt::Display for MembershipError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MembershipError::UnderQuorum { got, need } => {
-                write!(f, "{got} valid signatures, quorum is {need}")
-            }
-            MembershipError::BadSignature { governor } => {
-                write!(f, "signature of g{governor} invalid")
-            }
-            MembershipError::BadSubject => write!(f, "subject authorization invalid"),
-        }
-    }
-}
-
-impl std::error::Error for MembershipError {}
-
-impl MembershipError {
-    /// A short stable label for metric keys.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            MembershipError::UnderQuorum { .. } => "under_quorum",
-            MembershipError::BadSignature { .. } => "bad_signature",
-            MembershipError::BadSubject => "bad_subject",
-        }
-    }
-}
-
-/// A quorum-certified membership transition.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MembershipCert {
-    /// The certified request.
-    pub request: MembershipRequest,
-    /// `(governor, signature)` pairs, sorted by governor index.
-    pub sigs: Vec<(u32, Sig)>,
-}
+/// A quorum-certified membership transition; `state` is the request.
+pub type MembershipCert = Cert<MembershipRequest>;
 
 impl MembershipCert {
-    /// Forms the cert for `request` once the shares of governors outside
-    /// `excluded` reach a [`quorum`] of the rest of a `committee`-member
-    /// committee; `shares` are verified already, one per governor.
-    pub fn assemble(
-        request: &MembershipRequest,
-        shares: &[MembershipShare],
-        excluded: &[u32],
-        committee: usize,
-    ) -> Option<Self> {
-        let mut sigs: Vec<(u32, Sig)> = shares
-            .iter()
-            .filter(|s| !excluded.contains(&s.governor))
-            .map(|s| (s.governor, s.sig.clone()))
-            .collect();
-        if sigs.len() < quorum(committee - excluded.len()) {
-            return None;
-        }
-        sigs.sort_by_key(|(g, _)| *g);
-        Some(MembershipCert {
-            request: request.clone(),
-            sigs,
-        })
-    }
-
-    /// Verifies the certificate: the subject authorization holds, every
-    /// counted signature is by a distinct committee member over this
-    /// request's digest, and at least [`quorum`] of `active` committee
-    /// members signed.
+    /// Audits the cert: the subject authorization holds under `subject_pk`
+    /// and the signers reach [`Tally::active`], with `active` the
+    /// [`EpochLog::active_at`] its effective round.
     ///
     /// # Errors
     ///
-    /// Returns the first [`MembershipError`] encountered.
-    pub fn verify(
+    /// Returns the first [`CertError`] encountered.
+    pub fn audit(
         &self,
         subject_pk: &PublicKey,
         governor_pks: &[PublicKey],
         active: usize,
-    ) -> Result<(), MembershipError> {
-        if !self.request.authorized(subject_pk) {
-            return Err(MembershipError::BadSubject);
+    ) -> Result<(), CertError> {
+        if !self.state.authorized(subject_pk) {
+            return Err(CertError::BadSubject);
         }
-        let digest = self.request.digest();
-        let need = quorum(active);
-        let got = count_signers(&self.sigs, governor_pks.len(), &[], |g, sig| {
-            governor_pks[g as usize].verify(share_bytes(g, &digest).as_bytes(), sig)
-        })
-        .map_err(|governor| MembershipError::BadSignature { governor })?;
-        if got < need {
-            return Err(MembershipError::UnderQuorum { got, need });
-        }
-        Ok(())
+        self.verify_with(governor_pks, Tally::active(active))
     }
 }
 
@@ -315,11 +202,12 @@ pub enum EpochKind {
     Readmission,
 }
 
-/// One committee transition, anchored to the chain serial it took effect
-/// at.
+/// One committee transition, anchored to the point on the log's axis it
+/// took effect at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EpochEvent {
-    /// Chain height when the transition was applied.
+    /// The certified request's `effective_round`, not a chain height (see
+    /// [`EpochLog`] on the axis).
     pub serial: u64,
     /// The member's committee index.
     pub member: u32,
@@ -327,13 +215,20 @@ pub struct EpochEvent {
     pub kind: EpochKind,
 }
 
-/// The committee's membership history as a function of chain serial.
+/// The committee's membership history along one axis, which the code
+/// calls `serial`.
 ///
-/// Events are appended in application order (serials are monotone within
-/// one governor's view). `departed_at(s)` reconstructs who was out of
-/// the committee when the block at serial `s` was being certified: an
-/// event at serial `e` affects certs at serials strictly greater than
-/// `e`, so a certificate formed at the very height a departure was
+/// **The axis.** A governor records each event at the certified request's
+/// `effective_round`, a round number. The log is queried with rounds (a
+/// membership cert's audit, [`EpochLog::active_at`] its effective round)
+/// and with chain serials (a checkpoint cert's quorum,
+/// [`crate::checkpoint::Committee::excluded_at`] its serial). The two
+/// agree only while every round commits exactly one block.
+///
+/// Events are appended in application order (monotone within one
+/// governor's view). `departed_at(s)` reconstructs who was out of the
+/// committee at `s`: an event at `e` affects queries strictly greater
+/// than `e`, so a certificate formed at the very point a departure was
 /// recorded still counts the departing member as active — its share was
 /// signed before the departure took effect.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -362,7 +257,7 @@ impl EpochLog {
         &self.events
     }
 
-    /// Records `member` leaving the committee at chain height `serial`.
+    /// Records `member` leaving the committee at `serial`.
     /// Idempotent: a member already departed is not re-recorded.
     pub fn record_departure(&mut self, member: u32, serial: u64) {
         if self.is_departed_now(member) {
@@ -375,7 +270,7 @@ impl EpochLog {
         });
     }
 
-    /// Records `member` rejoining at chain height `serial`. Idempotent:
+    /// Records `member` rejoining at `serial`. Idempotent:
     /// only a currently departed member is re-admitted.
     pub fn record_readmission(&mut self, member: u32, serial: u64) {
         if !self.is_departed_now(member) {
@@ -390,21 +285,12 @@ impl EpochLog {
 
     /// Whether `member` is departed in the latest epoch.
     pub fn is_departed_now(&self, member: u32) -> bool {
-        self.departed_members(u64::MAX).contains(&member)
+        self.departed_at(u64::MAX).contains(&member)
     }
 
     /// Members out of the committee for certs at `serial`: every member
     /// whose last event strictly below `serial` was a departure. Sorted.
     pub fn departed_at(&self, serial: u64) -> Vec<u32> {
-        self.departed_members(serial)
-    }
-
-    /// Active committee size for certs at `serial`.
-    pub fn active_at(&self, serial: u64) -> usize {
-        self.initial - self.departed_members(serial).len()
-    }
-
-    fn departed_members(&self, serial: u64) -> Vec<u32> {
         let mut departed = Vec::new();
         for e in self.events.iter().filter(|e| e.serial < serial) {
             match e.kind {
@@ -418,6 +304,11 @@ impl EpochLog {
         }
         departed.sort_unstable();
         departed
+    }
+
+    /// Active committee size for certs at `serial`.
+    pub fn active_at(&self, serial: u64) -> usize {
+        self.initial - self.departed_at(serial).len()
     }
 }
 
@@ -442,16 +333,15 @@ mod tests {
     }
 
     fn cert(req: &MembershipRequest, signers: &[usize], keys: &[KeyPair]) -> MembershipCert {
-        let digest = req.digest();
         let sigs = signers
             .iter()
             .map(|&g| {
-                let share = MembershipShare::create(digest, g as u32, &keys[g]);
+                let share = MembershipShare::sign(req, g as u32, &keys[g]);
                 (g as u32, share.sig)
             })
             .collect();
         MembershipCert {
-            request: req.clone(),
+            state: req.clone(),
             sigs,
         }
     }
@@ -517,14 +407,14 @@ mod tests {
     #[test]
     fn share_roundtrip_and_forgery() {
         let (gkeys, pks) = keys(4);
-        let digest = MembershipRequest::evict(MemberRole::Collector, 0, 3).digest();
-        let share = MembershipShare::create(digest, 2, &gkeys[2]);
+        let req = MembershipRequest::evict(MemberRole::Collector, 0, 3);
+        let share = MembershipShare::sign(&req, 2, &gkeys[2]);
         assert!(share.verify(&pks));
         let mut wrong = share.clone();
         wrong.governor = 1;
         assert!(!wrong.verify(&pks));
         let mut wrong = share;
-        wrong.request_digest = prb_crypto::sha256::sha256(b"x");
+        wrong.digest = prb_crypto::sha256::sha256(b"x");
         assert!(!wrong.verify(&pks));
     }
 
@@ -541,74 +431,74 @@ mod tests {
             &key,
         );
         // 3 of 4 active: quorum.
-        assert_eq!(cert(&req, &[0, 1, 2], &gkeys).verify(&pk, &pks, 4), Ok(()));
+        assert_eq!(cert(&req, &[0, 1, 2], &gkeys).audit(&pk, &pks, 4), Ok(()));
         // 2 of 4: under quorum; duplicates do not inflate.
         let mut thin = cert(&req, &[0, 1], &gkeys);
         assert_eq!(
-            thin.verify(&pk, &pks, 4),
-            Err(MembershipError::UnderQuorum { got: 2, need: 3 })
+            thin.audit(&pk, &pks, 4),
+            Err(CertError::UnderQuorum { got: 2, need: 3 })
         );
         let extra = thin.sigs[0].clone();
         thin.sigs.push(extra);
         assert_eq!(
-            thin.verify(&pk, &pks, 4),
-            Err(MembershipError::UnderQuorum { got: 2, need: 3 })
+            thin.audit(&pk, &pks, 4),
+            Err(CertError::UnderQuorum { got: 2, need: 3 })
         );
         // With a 3-member active committee the same 3 signatures carry it.
-        assert_eq!(cert(&req, &[0, 1, 2], &gkeys).verify(&pk, &pks, 3), Ok(()));
+        assert_eq!(cert(&req, &[0, 1, 2], &gkeys).audit(&pk, &pks, 3), Ok(()));
         // Forged governor signature.
         let mut forged = cert(&req, &[0, 1, 2], &gkeys);
-        forged.sigs[2] = (2, MembershipShare::create(req.digest(), 2, &gkeys[3]).sig);
+        forged.sigs[2] = (2, MembershipShare::sign(&req, 2, &gkeys[3]).sig);
         assert_eq!(
-            forged.verify(&pk, &pks, 4),
-            Err(MembershipError::BadSignature { governor: 2 })
+            forged.audit(&pk, &pks, 4),
+            Err(CertError::BadSignature { governor: 2 })
         );
         // Out-of-committee signer index.
         let mut oob = cert(&req, &[0, 1, 2], &gkeys);
         oob.sigs[0].0 = 9;
         assert_eq!(
-            oob.verify(&pk, &pks, 4),
-            Err(MembershipError::BadSignature { governor: 9 })
+            oob.audit(&pk, &pks, 4),
+            Err(CertError::BadSignature { governor: 9 })
         );
         // Bad subject authorization dominates.
         let mut stripped = cert(&req, &[0, 1, 2], &gkeys);
-        stripped.request.sig = None;
-        assert_eq!(
-            stripped.verify(&pk, &pks, 4),
-            Err(MembershipError::BadSubject)
-        );
+        stripped.state.sig = None;
+        assert_eq!(stripped.audit(&pk, &pks, 4), Err(CertError::BadSubject));
     }
 
     #[test]
     fn assemble_waits_for_a_quorum_outside_the_excluded() {
         let (gkeys, pks) = keys(4);
         let req = MembershipRequest::evict(MemberRole::Collector, 2, 6);
-        let share = |g: usize| MembershipShare::create(req.digest(), g as u32, &gkeys[g]);
+        let share = |g: usize| MembershipShare::sign(&req, g as u32, &gkeys[g]);
+        let assemble = |shares: &[MembershipShare], excluded: &[u32]| {
+            MembershipCert::assemble(&req, &req.digest(), shares, Tally::bft(4, excluded))
+        };
         let shares = vec![share(3), share(0), share(1)];
-        let cert = MembershipCert::assemble(&req, &shares, &[], 4).unwrap();
+        let cert = assemble(&shares, &[]).unwrap();
         assert_eq!(
             cert.sigs.iter().map(|(g, _)| *g).collect::<Vec<_>>(),
             [0, 1, 3],
             "sorted by governor"
         );
-        assert_eq!(cert.verify(&pks[0], &pks, 4), Ok(()));
+        assert_eq!(cert.audit(&pks[0], &pks, 4), Ok(()));
         // Governor 1 excluded: two of the three the other three need.
-        assert!(MembershipCert::assemble(&req, &shares, &[1], 4).is_none());
+        assert!(assemble(&shares, &[1]).is_none());
         let shares = vec![share(3), share(0), share(2)];
-        let cert = MembershipCert::assemble(&req, &shares, &[1], 4).unwrap();
-        assert_eq!(cert.verify(&pks[0], &pks, 3), Ok(()));
+        let cert = assemble(&shares, &[1]).unwrap();
+        assert_eq!(cert.audit(&pks[0], &pks, 3), Ok(()));
     }
 
     #[test]
     fn error_display_and_kind() {
-        let e = MembershipError::UnderQuorum { got: 1, need: 3 };
+        let e = CertError::UnderQuorum { got: 1, need: 3 };
         assert!(e.to_string().contains("quorum is 3"));
         assert_eq!(e.kind(), "under_quorum");
         assert_eq!(
-            MembershipError::BadSignature { governor: 2 }.kind(),
+            CertError::BadSignature { governor: 2 }.kind(),
             "bad_signature"
         );
-        assert_eq!(MembershipError::BadSubject.kind(), "bad_subject");
+        assert_eq!(CertError::BadSubject.kind(), "bad_subject");
     }
 
     #[test]

@@ -7,14 +7,18 @@
 //!
 //! - **pre-prepare**: the primary broadcasts the proposal,
 //! - **prepare**: every replica broadcasts a prepare once it has the
-//!   proposal; a replica is *prepared* after `2f` matching prepares,
+//!   proposal; a replica is *prepared* after a quorum of matching
+//!   prepares, its own counted,
 //! - **commit**: prepared replicas broadcast a commit; a replica decides
-//!   after `2f + 1` matching commits.
+//!   after a quorum of matching commits.
+//!
+//! A quorum is [`crate::quorum::threshold`]`(m)`, which is `2f + 1` only
+//! when `m = 3f + 1`: two quorums share `f + 1` replicas at every `m`.
 //!
 //! This yields the classical `O(m²)` per decision, versus the reputation
 //! protocol's `O(b_limit·m)` block dissemination. View changes are
 //! triggered by a driver-set timeout when the primary is crashed: replicas
-//! broadcast view-change votes and move to view `v+1` on `2f + 1` votes
+//! broadcast view-change votes and move to view `v+1` on a quorum of votes
 //! (a simplification of the full PBFT view-change certificate, sufficient
 //! for crash faults; Byzantine primaries are out of scope for the
 //! baseline, which only serves as a message-count and latency yardstick).
@@ -193,8 +197,9 @@ impl PbftReplica {
         (self.m - 1) / 3
     }
 
+    /// Matching votes a phase needs.
     fn quorum(&self) -> usize {
-        (2 * self.max_faults() + 1) as usize
+        crate::quorum::threshold(self.m as usize)
     }
 
     fn primary_of(&self, view: u64) -> u32 {
@@ -301,7 +306,7 @@ impl PbftReplica {
             .get(&(view, seq, value))
             .map(HashSet::len)
             .unwrap_or(0);
-        // Prepared: pre-prepare + 2f prepares (own vote counted).
+        // Prepared: pre-prepare + a quorum of prepares (own vote counted).
         if have >= self.quorum() && self.prepared.insert((view, seq)) {
             let now = ctx.now().ticks();
             self.obs
@@ -617,6 +622,10 @@ mod tests {
         let r = PbftReplica::new(0, 10, 0, SimDuration(10));
         assert_eq!(r.max_faults(), 3);
         assert_eq!(r.quorum(), 7);
+        // 2f + 1 = 5 of 8: two quorums would share 2 replicas, f = 2 faulty.
+        let r = PbftReplica::new(0, 8, 0, SimDuration(10));
+        assert_eq!(r.max_faults(), 2);
+        assert_eq!(r.quorum(), 6);
     }
 
     #[test]
@@ -706,7 +715,7 @@ mod tests {
     #[test]
     fn equivocating_primary_never_splits_decisions() {
         // Primary 0 sends conflicting pre-prepares to the two halves of
-        // the committee. Neither value can gather a 2f+1 quorum, so no
+        // the committee. Neither value can gather a quorum, so no
         // replica may decide either value at seq 0 — safety holds and the
         // view change eventually removes the primary.
         let m = 4;

@@ -100,10 +100,6 @@ impl RotationReplica {
         (height % self.m as u64) as u32
     }
 
-    fn quorum(&self) -> usize {
-        (2 * self.m as usize) / 3 + 1
-    }
-
     fn broadcast(&self, ctx: &mut Context<'_, RotationMsg>, kind: &'static str, msg: &RotationMsg) {
         for g in 0..self.m as usize {
             let peer = self.net_base + g;
@@ -116,7 +112,7 @@ impl RotationReplica {
     fn record_vote(&mut self, height: u64, value: Digest, from: u32) -> bool {
         let votes = self.votes.entry((height, value)).or_default();
         votes.insert(from);
-        votes.len() >= self.quorum()
+        votes.len() >= crate::quorum::threshold(self.m as usize)
     }
 
     fn decide(&mut self, height: u64, value: Option<Digest>, now: u64) {

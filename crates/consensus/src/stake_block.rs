@@ -27,6 +27,7 @@ use prb_net::message::Envelope;
 use prb_net::sim::{Actor, Context};
 use prb_obs::{Obs, ObsHandle};
 
+use crate::quorum::Tally;
 use crate::stake::{StakeTable, StakeTransfer};
 use crate::verify_pool::VerifyPool;
 
@@ -329,35 +330,26 @@ impl Actor for StakeGovernor {
                 if block.round != self.round {
                     return;
                 }
-                // Verify the certificate — every *active* (non-expelled)
-                // governor must have signed the same `(round, digest)`
-                // message, so the set drains through the pool as a single
-                // batch. Expelled governors neither count toward nor
-                // against the recomputed quorum.
+                // Every active governor, counted by `Tally::all`, signed
+                // the same `(round, digest)`: one batch through the pool.
                 let msg = state_sig_bytes(block.round, &block.state_digest);
-                let mut signers: Vec<u32> = block.signatures.iter().map(|(g, _)| *g).collect();
-                signers.sort_unstable();
-                signers.dedup();
-                let in_range = signers.len() == block.signatures.len()
-                    && block.signatures.len() >= self.quorum()
-                    && block
-                        .signatures
-                        .iter()
-                        .all(|(g, _)| (*g as usize) < self.pks.len() && !self.expelled.contains(g));
-                let all_valid = in_range && {
-                    let items: Vec<(&[u8], &Sig, &PublicKey)> = block
-                        .signatures
-                        .iter()
-                        .map(|(g, sig)| (&msg[..], sig, &self.pks[*g as usize]))
-                        .collect();
-                    self.obs.observe("crypto.batch.size", items.len() as u64);
-                    let t0 = self.obs.is_enabled().then(std::time::Instant::now);
-                    let ok = self.pool.verify_sigs(&items).iter().all(|&ok| ok);
-                    if let Some(t0) = t0 {
-                        self.obs
-                            .add_counter("wall.crypto_ns", t0.elapsed().as_nanos() as u64);
+                let tally = self.tally();
+                let all_valid = match tally.counted(&block.signatures, self.pks.len()) {
+                    Ok(signers) if signers.len() >= tally.need() => {
+                        let items: Vec<(&[u8], &Sig, &PublicKey)> = signers
+                            .iter()
+                            .map(|&(g, sig)| (&msg[..], sig, &self.pks[g as usize]))
+                            .collect();
+                        self.obs.observe("crypto.batch.size", items.len() as u64);
+                        let t0 = self.obs.is_enabled().then(std::time::Instant::now);
+                        let ok = self.pool.verify_sigs(&items).iter().all(|&ok| ok);
+                        if let Some(t0) = t0 {
+                            self.obs
+                                .add_counter("wall.crypto_ns", t0.elapsed().as_nanos() as u64);
+                        }
+                        ok
                     }
-                    ok
+                    _ => false,
                 };
                 if all_valid {
                     self.finish_round(block);
@@ -369,17 +361,17 @@ impl Actor for StakeGovernor {
 
 impl StakeGovernor {
     /// Signatures required to commit: every governor still on the active
-    /// committee. Expulsions shrink the quorum so a round can close
-    /// without the culprit's cooperation.
-    fn quorum(&self) -> usize {
-        self.pks.len() - self.expelled.len()
+    /// committee (`Tally::all`). Expulsions shrink the quorum so a round
+    /// can close without the culprit's cooperation.
+    fn tally(&self) -> Tally<'_> {
+        Tally::all(self.pks.len(), &self.expelled)
     }
 
     fn maybe_commit(&mut self, ctx: &mut Context<'_, StakeMsg>) {
         if !self.is_leader() || self.proposed.is_none() {
             return;
         }
-        if self.acks.len() == self.quorum() {
+        if self.acks.len() == self.tally().need() {
             let digest = self.proposed.expect("checked above");
             let mut signatures: Vec<(u32, Sig)> =
                 self.acks.iter().map(|(g, s)| (*g, s.clone())).collect();

@@ -23,7 +23,8 @@
 //! a governor that fell behind asks for pages, and when it rotates or gives
 //! up, is decided in `crate::sync` (`Recovery`); what its own and its
 //! peers' checkpoint shares, a cert offer and a reopened cert amount to, in
-//! [`prb_consensus::checkpoint::Certifier`]. This file sends, arms timers,
+//! [`prb_consensus::checkpoint::Certifier`]; membership shares buffer in a
+//! [`prb_consensus::quorum::ShareBuffer`]. This file sends, arms timers,
 //! counts, builds the checkpoint state and re-anchors the chain.
 
 use std::cell::RefCell;
@@ -31,14 +32,15 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use prb_consensus::checkpoint::{
-    Certifier, CheckpointCert, CheckpointError, CheckpointShare, CheckpointState,
-    CollectorSnapshot, Committee, OfferRejected, ShareStep,
+    Certifier, CheckpointCert, CheckpointShare, CheckpointState, CollectorSnapshot, Committee,
+    OfferRejected, ShareStep,
 };
 use prb_consensus::election::{elect_excluding, ElectionClaim};
 use prb_consensus::evidence::{EquivocationEvidence, SignedHeader};
 use prb_consensus::membership::{
     EpochLog, MemberRole, MembershipAction, MembershipCert, MembershipRequest, MembershipShare,
 };
+use prb_consensus::quorum::{CertError, ShareBuffer, Tally};
 use prb_consensus::stake::{StakeTable, StakeTransfer};
 use prb_consensus::verify_pool::VerifyPool;
 use prb_crypto::fxhash::{fx_map_seeded, FxMap, FxSet};
@@ -158,7 +160,7 @@ pub struct GovernorNode {
     gov_epochs: EpochLog,
     /// Membership shares buffered per request digest until quorum, with
     /// the request itself once it has been seen.
-    member_shares: HashMap<Digest, (Option<MembershipRequest>, Vec<MembershipShare>)>,
+    member_shares: ShareBuffer<Digest, MembershipRequest, MEMBER_SHARE_BUFFERS>,
     /// Quorum-certified membership transitions, oldest first — the
     /// auditable epoch record, persisted through the durable store.
     member_certs: Vec<MembershipCert>,
@@ -261,7 +263,7 @@ impl GovernorNode {
             store: None,
             certifier: Certifier::default(),
             collector_active: vec![true; n],
-            member_shares: HashMap::new(),
+            member_shares: ShareBuffer::default(),
             member_certs: Vec::new(),
             member_to_apply: Vec::new(),
             health,
@@ -304,14 +306,21 @@ impl GovernorNode {
         }
         // Replay the persisted membership log first: the committee
         // epochs must be restored before the checkpoint certificate is
-        // quorum-sized against them. The certified reputation state
+        // quorum-sized against them. Each cert is audited at the epoch of
+        // its effective round, as the log replayed so far reconstructs it,
+        // and a failing one is refused. The certified reputation state
         // adopted below supersedes any bootstrap the replay performs.
-        let members = store.load_members();
-        if !members.is_empty() {
-            for cert in &members {
-                self.apply_member_cert(cert, 0);
+        for cert in store.load_members() {
+            let req = &cert.state;
+            let active = self.gov_epochs.active_at(req.effective_round);
+            let pk = self.member_pk(req.role, req.member);
+            if pk.is_none_or(|pk| cert.audit(pk, &self.governor_pks, active).is_err()) {
+                self.metrics.member_certs_refused += 1;
+                self.obs.add_counter("member.refused_on_reopen", 1);
+                continue;
             }
-            self.member_certs = members;
+            self.apply_member_cert(&cert, 0);
+            self.member_certs.push(cert);
         }
         if let Some(cert) = recovered.cert {
             // Checked as an offer to an empty chain: no cert is at serial 0.
@@ -427,12 +436,12 @@ impl GovernorNode {
         let cert = match self.certifier.offer(cert, self.chain.height(), &c) {
             Ok(cert) => cert,
             Err(rejected) => {
-                use {CheckpointError as E, OfferRejected::*};
+                use {CertError as E, OfferRejected::*};
                 let key = match rejected {
                     Stale => "checkpoint.rejected.stale",
                     Invalid(E::UnderQuorum { .. }) => "checkpoint.rejected.under_quorum",
                     Invalid(E::BadSignature { .. }) => "checkpoint.rejected.bad_signature",
-                    Invalid(E::MalformedState) => "checkpoint.rejected.malformed_state",
+                    Invalid(_) => "checkpoint.rejected.malformed_state",
                 };
                 self.metrics.checkpoints_rejected += 1;
                 return self.obs.add_counter(key, 1);
@@ -512,25 +521,12 @@ impl GovernorNode {
             return;
         }
         let digest = req.digest();
-        if self
-            .member_certs
-            .iter()
-            .any(|c| c.request.digest() == digest)
-        {
-            return; // already certified
+        if self.member_certified(digest) || !self.member_shares.admits(digest) {
+            return; // already certified, or the buffer is full (request spam)
         }
-        if self.member_shares.len() >= MEMBER_SHARE_BUFFERS
-            && !self.member_shares.contains_key(&digest)
-        {
-            return; // bound the buffer against request spam
-        }
-        let entry = self.member_shares.entry(digest).or_default();
-        if entry.0.is_none() {
-            entry.0 = Some(req);
-        }
-        if !entry.1.iter().any(|s| s.governor == self.index) {
-            let share = MembershipShare::create(digest, self.index, &self.key);
-            entry.1.push(share.clone());
+        if !self.member_shares.has(digest, self.index) {
+            let share = MembershipShare::sign(&req, self.index, &self.key);
+            self.member_shares.insert(digest, share.clone());
             if self.obs.is_enabled() {
                 self.obs.metrics().inc("member.share_signed");
             }
@@ -541,35 +537,29 @@ impl GovernorNode {
                 ProtocolMsg::MemberShare(Box::new(share)),
             );
         }
+        if self.member_shares.subject(digest).is_none() {
+            self.member_shares.set_subject(digest, req);
+        }
         self.try_assemble_member_cert(digest);
+    }
+
+    fn member_certified(&self, digest: Digest) -> bool {
+        self.member_certs.iter().any(|c| c.state.digest() == digest)
     }
 
     /// A peer's endorsement share arrived: verify, buffer (one per
     /// governor per digest), and attempt certificate assembly.
     fn on_member_share(&mut self, share: MembershipShare) {
+        let digest = share.digest;
         if !self.cfg.churn_enabled()
             || self.excluded_governors().contains(&share.governor)
             || !share.verify(&self.governor_pks)
+            || self.member_certified(digest)
+            || !self.member_shares.admits(digest)
         {
             return;
         }
-        let digest = share.request_digest;
-        if self
-            .member_certs
-            .iter()
-            .any(|c| c.request.digest() == digest)
-        {
-            return;
-        }
-        if self.member_shares.len() >= MEMBER_SHARE_BUFFERS
-            && !self.member_shares.contains_key(&digest)
-        {
-            return;
-        }
-        let entry = self.member_shares.entry(digest).or_default();
-        if !entry.1.iter().any(|s| s.governor == share.governor) {
-            entry.1.push(share);
-        }
+        self.member_shares.insert(digest, share);
         self.try_assemble_member_cert(digest);
     }
 
@@ -578,14 +568,11 @@ impl GovernorNode {
     /// log, and queues the transition for its effective round.
     fn try_assemble_member_cert(&mut self, digest: Digest) {
         let excluded = self.excluded_governors();
-        let Some((Some(req), shares)) = self.member_shares.get(&digest) else {
+        let tally = Tally::bft(self.cfg.governors as usize, &excluded);
+        let Some(cert) = self.member_shares.assemble(digest, tally) else {
             return;
         };
-        let m = self.cfg.governors as usize;
-        let Some(cert) = MembershipCert::assemble(req, shares, &excluded, m) else {
-            return;
-        };
-        self.member_shares.remove(&digest);
+        self.member_shares.remove(digest);
         self.member_certs.push(cert.clone());
         self.member_to_apply.push(cert);
         self.metrics.member_certs_formed += 1;
@@ -605,18 +592,12 @@ impl GovernorNode {
         if self.member_to_apply.is_empty() {
             return;
         }
-        let mut due = Vec::new();
-        let mut later = Vec::new();
-        for cert in std::mem::take(&mut self.member_to_apply) {
-            if cert.request.effective_round <= round {
-                due.push(cert);
-            } else {
-                later.push(cert);
-            }
-        }
+        let (mut due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.member_to_apply)
+            .into_iter()
+            .partition(|c| c.state.effective_round <= round);
         self.member_to_apply = later;
         due.sort_by_key(|c| {
-            let r = &c.request;
+            let r = &c.state;
             (r.effective_round, r.role, r.member, r.action)
         });
         for cert in due {
@@ -627,7 +608,7 @@ impl GovernorNode {
     /// Applies one certified transition to the local committee view.
     /// Also replays the persisted membership log on restart (`now = 0`).
     fn apply_member_cert(&mut self, cert: &MembershipCert, now: u64) {
-        let req = &cert.request;
+        let req = &cert.state;
         let member = req.member;
         match (req.role, req.action) {
             (MemberRole::Collector, MembershipAction::Join) => {

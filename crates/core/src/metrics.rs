@@ -124,6 +124,9 @@ pub struct GovernorMetrics {
     /// Certified membership transitions applied at their effective
     /// round.
     pub member_applied: u64,
+    /// Membership certificates the reopened store held that failed their
+    /// audit and were not replayed.
+    pub member_certs_refused: u64,
     /// Eviction proposals this governor originated (silent or
     /// below-floor collectors).
     pub evictions_proposed: u64,

@@ -865,10 +865,10 @@ impl Simulation {
                 .iter()
                 .map(|c| {
                     (
-                        c.request.role,
-                        c.request.member,
-                        c.request.action,
-                        c.request.effective_round,
+                        c.state.role,
+                        c.state.member,
+                        c.state.action,
+                        c.state.effective_round,
                     )
                 })
                 .collect()

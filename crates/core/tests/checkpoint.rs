@@ -395,14 +395,13 @@ fn cert_quorum_is_sized_by_the_epoch_at_its_serial() {
         4,
         &rig.keys[3],
     );
-    let digest = req.digest();
     let sigs = (0..3)
         .map(|g| {
-            let share = MembershipShare::create(digest, g, &rig.keys[g as usize]);
+            let share = MembershipShare::sign(&req, g, &rig.keys[g as usize]);
             (g, share.sig)
         })
         .collect();
-    let leave = MembershipCert { request: req, sigs };
+    let leave = MembershipCert { state: req, sigs };
 
     let cfg = ProtocolConfig::default();
     let dir = std::env::temp_dir().join(format!("prb-core-epoch-{}", std::process::id()));
@@ -456,6 +455,63 @@ fn cert_quorum_is_sized_by_the_epoch_at_its_serial() {
         "rejected offer never moved the head"
     );
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Regression: a reopened membership log is audited, not trusted. The
+/// log holds governor 3's certified leave and an eviction of governor 2
+/// whose share from governor 1 was signed with another key, saved (so
+/// re-checksummed) as a store would write it. Reopening replays the leave
+/// and refuses, and counts, the forged eviction.
+#[test]
+fn a_reopened_membership_log_loses_a_cert_with_a_forged_share() {
+    use prb_consensus::membership::{
+        MemberRole, MembershipAction, MembershipCert, MembershipRequest, MembershipShare,
+    };
+
+    let mut rig = CertRig::new();
+    let certify = |req: MembershipRequest, signers: &[(u32, usize)]| {
+        let sigs = signers
+            .iter()
+            .map(|&(g, k)| (g, MembershipShare::sign(&req, g, &rig.keys[k]).sig))
+            .collect();
+        MembershipCert { state: req, sigs }
+    };
+    let leave = MembershipRequest::create(
+        MemberRole::Governor,
+        3,
+        MembershipAction::Leave,
+        0,
+        4,
+        &rig.keys[3],
+    );
+    let leave = certify(leave, &[(0, 0), (1, 1), (2, 2)]);
+    let evict = MembershipRequest::evict(MemberRole::Governor, 2, 6);
+    let forged = certify(evict, &[(0, 0), (1, 3), (2, 2)]);
+
+    let cfg = ProtocolConfig::default();
+    let dir = std::env::temp_dir().join(format!("prb-core-forged-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = prb_store::StoreOptions {
+        chain_tag: b"prb-chain".to_vec(),
+        b_limit: cfg.b_limit,
+        segment_bytes: cfg.store_segment_bytes,
+        fsync: prb_store::FsyncPolicy::Always,
+    };
+    let (mut store, recovered) = prb_store::BlockStore::open(&dir, opts).unwrap();
+    store.save_members(&[leave.clone(), forged]).unwrap();
+    assert_eq!(store.load_members().len(), 2, "the checksum holds");
+    if let NodeActor::Governor(g) = rig.net.node_mut(0) {
+        g.set_store(store, recovered);
+    }
+    let gov = rig.governor();
+    assert_eq!(
+        gov.departed_governors(),
+        &[3],
+        "only the genuine leave applied"
+    );
+    assert_eq!(gov.membership_certs(), &[leave]);
+    assert_eq!(gov.metrics().member_certs_refused, 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -1,19 +1,21 @@
-//! Atomic persistence of the latest checkpoint certificate.
+//! Atomic persistence of the latest checkpoint certificate, and the
+//! checksummed file and signature-list codec [`crate::memberfile`] shares.
 //!
-//! The cert is the store's trust anchor after a reset-to-checkpoint, so
-//! it is written with full crash discipline: encode + trailing checksum
-//! into a temp file, fsync, rename over the live name, fsync the
-//! directory. A torn or tampered cert file fails its checksum and is
-//! treated as absent — the store then recovers from whatever segments
-//! remain, which is always safe (the cert is an optimization, the
-//! segments are the ground truth for a genesis-rooted store).
+//! The cert is the store's trust anchor after a reset-to-checkpoint, so it
+//! is written with full crash discipline: body plus SHA-256 into
+//! `<name>.tmp`, fsync, rename over the live name, fsync the directory. A
+//! torn or tampered cert file fails its checksum and is treated as absent
+//! — the store then recovers from whatever segments remain, which is always
+//! safe (the cert is an optimization, the segments are the ground truth
+//! for a genesis-rooted store).
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::io::Write;
+use std::path::Path;
 
 use prb_consensus::checkpoint::{CheckpointCert, CheckpointState, CollectorSnapshot};
 use prb_crypto::sha256::sha256;
+use prb_crypto::signer::Sig;
 use prb_ledger::codec::{self, DecodeError, Reader};
 
 use crate::store::StoreError;
@@ -42,11 +44,7 @@ pub fn encode_cert(out: &mut Vec<u8>, cert: &CheckpointCert) {
         out.extend_from_slice(&c.misreport.to_be_bytes());
         out.extend_from_slice(&c.forge.to_be_bytes());
     }
-    out.extend_from_slice(&(cert.sigs.len() as u32).to_be_bytes());
-    for (g, sig) in &cert.sigs {
-        out.extend_from_slice(&g.to_be_bytes());
-        codec::encode_sig(out, sig);
-    }
+    encode_sigs(out, &cert.sigs);
 }
 
 /// Decodes a certificate encoded with [`encode_cert`].
@@ -91,15 +89,7 @@ pub fn decode_cert(r: &mut Reader<'_>) -> Result<CheckpointCert, DecodeError> {
             forge,
         });
     }
-    let n_sigs = r.u32()? as usize;
-    if n_sigs > r.remaining() / 5 {
-        return Err(DecodeError::BadLength);
-    }
-    let mut sigs = Vec::with_capacity(n_sigs);
-    for _ in 0..n_sigs {
-        let g = r.u32()?;
-        sigs.push((g, codec::decode_sig(r)?));
-    }
+    let sigs = decode_sigs(r)?;
     Ok(CheckpointCert {
         state: CheckpointState {
             serial,
@@ -116,43 +106,67 @@ pub fn decode_cert(r: &mut Reader<'_>) -> Result<CheckpointCert, DecodeError> {
 pub fn save(dir: &Path, cert: &CheckpointCert) -> Result<(), StoreError> {
     let mut bytes = Vec::new();
     encode_cert(&mut bytes, cert);
-    let checksum = sha256(&bytes);
-    bytes.extend_from_slice(checksum.as_bytes());
-    let tmp: PathBuf = dir.join("checkpoint.cert.tmp");
-    let live: PathBuf = dir.join(CERT_FILE);
-    let mut file = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&tmp)?;
-    file.write_all(&bytes)?;
-    file.sync_data()?;
-    drop(file);
-    std::fs::rename(&tmp, &live)?;
-    File::open(dir)?.sync_all()?;
-    Ok(())
+    write_checked(dir, CERT_FILE, bytes)
 }
 
 /// Loads the persisted certificate, if a valid one exists. Any torn,
 /// truncated or tampered file is reported as `None` — never an error and
 /// never a panic.
 pub fn load(dir: &Path) -> Option<CheckpointCert> {
-    let mut bytes = Vec::new();
-    File::open(dir.join(CERT_FILE))
-        .ok()?
-        .read_to_end(&mut bytes)
-        .ok()?;
-    if bytes.len() < 32 {
-        return None;
-    }
-    let (body, checksum) = bytes.split_at(bytes.len() - 32);
-    if sha256(body).as_bytes() != checksum {
-        return None;
-    }
-    let mut r = Reader::new(body);
+    let body = read_checked(dir, CERT_FILE)?;
+    let mut r = Reader::new(&body);
     let cert = decode_cert(&mut r).ok()?;
-    if r.remaining() != 0 {
+    (r.remaining() == 0).then_some(cert)
+}
+
+/// Atomically replaces `dir/name` with `body` and its checksum.
+pub(crate) fn write_checked(dir: &Path, name: &str, mut body: Vec<u8>) -> Result<(), StoreError> {
+    let checksum = sha256(&body);
+    body.extend_from_slice(checksum.as_bytes());
+    let tmp = dir.join(format!("{name}.tmp"));
+    let mut file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(&tmp)?;
+    file.write_all(&body)?;
+    file.sync_data()?;
+    drop(file);
+    std::fs::rename(&tmp, dir.join(name))?;
+    File::open(dir)?.sync_all()?;
+    Ok(())
+}
+
+/// The body of `dir/name` when the file exists and its checksum holds.
+pub(crate) fn read_checked(dir: &Path, name: &str) -> Option<Vec<u8>> {
+    let mut bytes = std::fs::read(dir.join(name)).ok()?;
+    let split = bytes.len().checked_sub(32)?;
+    if sha256(&bytes[..split]).as_bytes() != &bytes[split..] {
         return None;
     }
-    Some(cert)
+    bytes.truncate(split);
+    Some(bytes)
+}
+
+/// Encodes a cert's `(governor, signature)` pairs, count first.
+pub(crate) fn encode_sigs(out: &mut Vec<u8>, sigs: &[(u32, Sig)]) {
+    out.extend_from_slice(&(sigs.len() as u32).to_be_bytes());
+    for (g, sig) in sigs {
+        out.extend_from_slice(&g.to_be_bytes());
+        codec::encode_sig(out, sig);
+    }
+}
+
+/// Decodes pairs encoded with [`encode_sigs`].
+pub(crate) fn decode_sigs(r: &mut Reader<'_>) -> Result<Vec<(u32, Sig)>, DecodeError> {
+    let n = r.u32()? as usize;
+    if n > r.remaining() / 5 {
+        return Err(DecodeError::BadLength);
+    }
+    let mut sigs = Vec::with_capacity(n);
+    for _ in 0..n {
+        let g = r.u32()?;
+        sigs.push((g, codec::decode_sig(r)?));
+    }
+    Ok(sigs)
 }

@@ -4,36 +4,25 @@
 //! quorum-certified join/leave/evict transitions is what lets a
 //! recovered node re-derive the committee as it stood at any chain
 //! serial and re-verify old checkpoint certs against the right quorum
-//! size. The log is persisted with the same crash discipline as
-//! [`crate::certfile`]: encode + trailing SHA-256 checksum into a temp
-//! file, fsync, rename over the live name, fsync the directory. A torn
-//! or tampered file fails its checksum and reads as an empty log —
-//! safe, because certs are re-fetchable from peers and the chain.
+//! size. The log is written like [`crate::certfile`]'s cert: checksummed,
+//! atomically replaced. A torn or tampered file reads as an
+//! empty log — safe, because certs are re-fetchable from peers and the
+//! chain. A governor re-audits every cert it reopens.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use prb_consensus::membership::{MemberRole, MembershipAction, MembershipCert, MembershipRequest};
-use prb_crypto::sha256::sha256;
 use prb_ledger::codec::{self, DecodeError, Reader};
 
+use crate::certfile::{decode_sigs, encode_sigs, read_checked, write_checked};
 use crate::store::StoreError;
 
 /// File name of the persisted membership log inside the store directory.
 pub const MEMBER_FILE: &str = "membership.log";
 
 fn encode_one(out: &mut Vec<u8>, cert: &MembershipCert) {
-    let r = &cert.request;
-    out.push(match r.role {
-        MemberRole::Collector => 0,
-        MemberRole::Governor => 1,
-    });
-    out.push(match r.action {
-        MembershipAction::Join => 0,
-        MembershipAction::Leave => 1,
-        MembershipAction::Evict => 2,
-    });
+    let r = &cert.state;
+    out.extend_from_slice(&[r.role.tag(), r.action.tag()]);
     out.extend_from_slice(&r.member.to_be_bytes());
     out.extend_from_slice(&r.bond.to_be_bytes());
     out.extend_from_slice(&r.effective_round.to_be_bytes());
@@ -44,25 +33,12 @@ fn encode_one(out: &mut Vec<u8>, cert: &MembershipCert) {
         }
         None => out.push(0),
     }
-    out.extend_from_slice(&(cert.sigs.len() as u32).to_be_bytes());
-    for (g, sig) in &cert.sigs {
-        out.extend_from_slice(&g.to_be_bytes());
-        codec::encode_sig(out, sig);
-    }
+    encode_sigs(out, &cert.sigs);
 }
 
 fn decode_one(r: &mut Reader<'_>) -> Result<MembershipCert, DecodeError> {
-    let role = match r.u8()? {
-        0 => MemberRole::Collector,
-        1 => MemberRole::Governor,
-        _ => return Err(DecodeError::BadLength),
-    };
-    let action = match r.u8()? {
-        0 => MembershipAction::Join,
-        1 => MembershipAction::Leave,
-        2 => MembershipAction::Evict,
-        _ => return Err(DecodeError::BadLength),
-    };
+    let role = MemberRole::from_tag(r.u8()?).ok_or(DecodeError::BadLength)?;
+    let action = MembershipAction::from_tag(r.u8()?).ok_or(DecodeError::BadLength)?;
     let member = r.u32()?;
     let bond = r.u64()?;
     let effective_round = r.u64()?;
@@ -71,17 +47,9 @@ fn decode_one(r: &mut Reader<'_>) -> Result<MembershipCert, DecodeError> {
         1 => Some(codec::decode_sig(r)?),
         _ => return Err(DecodeError::BadLength),
     };
-    let n_sigs = r.u32()? as usize;
-    if n_sigs > r.remaining() / 5 {
-        return Err(DecodeError::BadLength);
-    }
-    let mut sigs = Vec::with_capacity(n_sigs);
-    for _ in 0..n_sigs {
-        let g = r.u32()?;
-        sigs.push((g, codec::decode_sig(r)?));
-    }
+    let sigs = decode_sigs(r)?;
     Ok(MembershipCert {
-        request: MembershipRequest {
+        state: MembershipRequest {
             role,
             member,
             action,
@@ -126,57 +94,28 @@ pub fn decode_log(r: &mut Reader<'_>) -> Result<Vec<MembershipCert>, DecodeError
 pub fn save(dir: &Path, certs: &[MembershipCert]) -> Result<(), StoreError> {
     let mut bytes = Vec::new();
     encode_log(&mut bytes, certs);
-    let checksum = sha256(&bytes);
-    bytes.extend_from_slice(checksum.as_bytes());
-    let tmp: PathBuf = dir.join("membership.log.tmp");
-    let live: PathBuf = dir.join(MEMBER_FILE);
-    let mut file = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&tmp)?;
-    file.write_all(&bytes)?;
-    file.sync_data()?;
-    drop(file);
-    std::fs::rename(&tmp, &live)?;
-    File::open(dir)?.sync_all()?;
-    Ok(())
+    write_checked(dir, MEMBER_FILE, bytes)
 }
 
 /// Loads the persisted membership log, if a valid one exists. Any torn,
 /// truncated or tampered file is reported as an empty log — never an
 /// error and never a panic.
 pub fn load(dir: &Path) -> Vec<MembershipCert> {
-    let Some(bytes) = read_raw(dir) else {
+    let Some(body) = read_checked(dir, MEMBER_FILE) else {
         return Vec::new();
     };
-    if bytes.len() < 32 {
-        return Vec::new();
-    }
-    let (body, checksum) = bytes.split_at(bytes.len() - 32);
-    if sha256(body).as_bytes() != checksum {
-        return Vec::new();
-    }
-    let mut r = Reader::new(body);
+    let mut r = Reader::new(&body);
     match decode_log(&mut r) {
         Ok(certs) if r.remaining() == 0 => certs,
         _ => Vec::new(),
     }
 }
 
-fn read_raw(dir: &Path) -> Option<Vec<u8>> {
-    let mut bytes = Vec::new();
-    File::open(dir.join(MEMBER_FILE))
-        .ok()?
-        .read_to_end(&mut bytes)
-        .ok()?;
-    Some(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use prb_crypto::signer::CryptoScheme;
+    use std::path::PathBuf;
 
     fn sample() -> Vec<MembershipCert> {
         let scheme = CryptoScheme::sim();
@@ -194,10 +133,9 @@ mod tests {
         [join, evict]
             .into_iter()
             .map(|request| {
-                let digest = request.digest();
-                let share = prb_consensus::membership::MembershipShare::create(digest, 0, &gov);
+                let share = prb_consensus::membership::MembershipShare::sign(&request, 0, &gov);
                 MembershipCert {
-                    request,
+                    state: request,
                     sigs: vec![(0, share.sig)],
                 }
             })
@@ -233,7 +171,7 @@ mod tests {
         let certs = sample();
         save(&dir, &certs).unwrap();
         // Truncate: checksum fails.
-        let raw = read_raw(&dir).unwrap();
+        let raw = std::fs::read(dir.join(MEMBER_FILE)).unwrap();
         std::fs::write(dir.join(MEMBER_FILE), &raw[..raw.len() - 7]).unwrap();
         assert!(load(&dir).is_empty(), "torn file");
         // Flip a byte: checksum fails.

@@ -31,6 +31,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use prb_consensus::checkpoint::CheckpointCert;
+use prb_consensus::membership::MembershipCert;
 use prb_crypto::fxhash::{fx_map, FxMap};
 use prb_crypto::sha256::Digest;
 use prb_ledger::block::Block;
@@ -583,10 +584,7 @@ impl BlockStore {
     /// # Errors
     ///
     /// I/O errors only.
-    pub fn save_members(
-        &mut self,
-        certs: &[prb_consensus::membership::MembershipCert],
-    ) -> Result<(), StoreError> {
+    pub fn save_members(&mut self, certs: &[MembershipCert]) -> Result<(), StoreError> {
         crate::memberfile::save(&self.dir, certs)?;
         self.stats.fsyncs += 2;
         self.obs.metrics().inc("store.members_saved");
@@ -594,7 +592,7 @@ impl BlockStore {
     }
 
     /// Loads the persisted membership log (empty when absent or torn).
-    pub fn load_members(&self) -> Vec<prb_consensus::membership::MembershipCert> {
+    pub fn load_members(&self) -> Vec<MembershipCert> {
         crate::memberfile::load(&self.dir)
     }
 
