@@ -135,9 +135,9 @@ fn build_sim(cfg: ProtocolConfig) -> Simulation {
 fn audit_certs(sim: &Simulation, cfg: &ProtocolConfig) -> (u64, u64, u64) {
     let (collector_pks, governor_pks) = derive_pks(cfg);
     let g0 = sim.governor(0);
-    let epoch_log = g0.epoch_log();
+    let epoch_log = g0.committee().epochs();
     let (mut joins, mut leaves, mut evicts) = (0u64, 0u64, 0u64);
-    for cert in g0.membership_certs() {
+    for cert in g0.committee().certs() {
         let subject_pk = match cert.state.role {
             MemberRole::Collector => &collector_pks[cert.state.member as usize],
             MemberRole::Governor => &governor_pks[cert.state.member as usize],
@@ -195,7 +195,7 @@ fn run_cell(seed: u64, join: f64, leave: f64, byz_silent: bool, rounds: u32) -> 
     // committee size of its own epoch, from keys the harness derived
     // independently of the governors.
     let (joins, leaves, evicts) = audit_certs(&sim, &cfg);
-    let epoch_events = sim.governor(0).epoch_log().events().len();
+    let epoch_events = sim.governor(0).committee().epochs().events().len();
     assert!(
         epoch_events >= 2,
         "scripted governor leave+rejoin must log two epoch events, got {epoch_events}"
@@ -236,7 +236,8 @@ fn run_cell(seed: u64, join: f64, leave: f64, byz_silent: bool, rounds: u32) -> 
         .collect();
     let churned: std::collections::HashSet<u32> = sim
         .governor(0)
-        .membership_certs()
+        .committee()
+        .certs()
         .iter()
         .filter(|c| c.state.role == MemberRole::Collector)
         .map(|c| c.state.member)
@@ -507,7 +508,8 @@ fn run_determinism(seed: u64, rounds: u32) -> (usize, usize) {
         let chain = sim.governor(0).chain().export();
         let certs: Vec<String> = sim
             .governor(0)
-            .membership_certs()
+            .committee()
+            .certs()
             .iter()
             .map(cert_blob)
             .collect();

@@ -126,6 +126,11 @@ impl Committee<'_> {
     /// Whose signatures do not count toward a cert at `serial`: the
     /// governors departed in that serial's epoch, and every convicted one.
     /// Sorted.
+    ///
+    /// The epoch log is kept by round, and this query reads `serial` as a
+    /// round: the two agree only while every round commits exactly one
+    /// block (ROADMAP item 17(a) fixes the axis before finality keys on
+    /// it).
     pub fn excluded_at(&self, serial: u64) -> Vec<u32> {
         let mut out = self.1.departed_at(serial);
         out.extend_from_slice(self.2);

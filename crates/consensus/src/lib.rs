@@ -23,8 +23,10 @@
 //!   vector and reputation table, backing O(delta) state-sync and durable
 //!   restart (E16),
 //! - [`membership`] — dynamic membership: quorum-certified
-//!   join/leave/evict transitions and the [`membership::EpochLog`] that
-//!   sizes quorums by the committee epoch at a given point (E17),
+//!   join/leave/evict transitions, the [`membership::EpochLog`] that
+//!   sizes quorums by the committee epoch at a given round, and the
+//!   [`membership::CommitteeView`] a governor reads its committee from
+//!   (E17),
 //! - [`round_robin`] — deterministic rotation schedules,
 //! - [`rotation`] — the executable rotating-leader replication protocol
 //!   (propose + ≥2/3 votes, crashed leaders skipped by timeout),

@@ -23,24 +23,23 @@
 //! a governor that fell behind asks for pages, and when it rotates or gives
 //! up, is decided in `crate::sync` (`Recovery`); what its own and its
 //! peers' checkpoint shares, a cert offer and a reopened cert amount to, in
-//! [`prb_consensus::checkpoint::Certifier`]; membership shares buffer in a
-//! [`prb_consensus::quorum::ShareBuffer`]. This file sends, arms timers,
-//! counts, builds the checkpoint state and re-anchors the chain.
+//! [`prb_consensus::checkpoint::Certifier`]; who sits on the committee and
+//! what a membership request, share or cert does to it, in
+//! [`prb_consensus::membership::CommitteeView`]. This file sends, arms
+//! timers, counts, builds the checkpoint state and re-anchors the chain.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use prb_consensus::checkpoint::{
-    Certifier, CheckpointCert, CheckpointShare, CheckpointState, CollectorSnapshot, Committee,
-    OfferRejected, ShareStep,
+    Certifier, CheckpointCert, CheckpointShare, CheckpointState, CollectorSnapshot, OfferRejected,
+    ShareStep,
 };
 use prb_consensus::election::{elect_excluding, ElectionClaim};
 use prb_consensus::evidence::{EquivocationEvidence, SignedHeader};
-use prb_consensus::membership::{
-    EpochLog, MemberRole, MembershipAction, MembershipCert, MembershipRequest, MembershipShare,
-};
-use prb_consensus::quorum::{CertError, ShareBuffer, Tally};
+use prb_consensus::membership::{CommitteeView, MemberRole, MembershipRequest, Transition};
+use prb_consensus::quorum::CertError;
 use prb_consensus::stake::{StakeTable, StakeTransfer};
 use prb_consensus::verify_pool::VerifyPool;
 use prb_crypto::fxhash::{fx_map_seeded, FxMap, FxSet};
@@ -72,10 +71,6 @@ use crate::msg::ProtocolMsg;
 use crate::sync::{serve, Recovery, Step};
 use crate::txtable::{Outcome, QueuedSig, TxSlot, TxTable, Upload, Window, NO_WINDOW};
 
-/// Distinct membership requests whose shares may buffer concurrently;
-/// past this the governor ignores new digests (request-spam bound).
-const MEMBER_SHARE_BUFFERS: usize = 64;
-
 /// Mean-weight level at which a silence-decayed collector is proposed
 /// for eviction (the configured `weight_floor` when it is higher).
 const EVICTION_FLOOR: f64 = 1e-3;
@@ -89,14 +84,12 @@ pub struct GovernorNode {
     oracle: Rc<RefCell<ValidityOracle>>,
     /// Network index of governor 0 (governors are contiguous).
     governor_base: NodeIdx,
-    collector_pks: Vec<PublicKey>,
     provider_pks: Vec<PublicKey>,
     /// Scale-mode signer pool: when `provider_pks` does not cover a
     /// provider index (interned providers carry no per-provider keypair),
     /// provider `p` resolves to `pk_pool[p % pool.len()]`. Empty outside
     /// the open-loop scale harness.
     pk_pool: Vec<PublicKey>,
-    governor_pks: Vec<PublicKey>,
     stake_table: StakeTable,
     reputation: ReputationTable,
     chain: Chain,
@@ -139,41 +132,23 @@ pub struct GovernorNode {
     /// `(proposer, serial, block hash)` triples already echoed, so each
     /// distinct header is re-gossiped exactly once.
     echoed: HashSet<(u32, u64, Digest)>,
-    /// Governors this node has expelled from its committee view, each
-    /// backed by verified equivocation evidence (sorted).
-    expelled: Vec<u32>,
     /// Durable block store mirroring every chain mutation (`None` keeps
     /// the ledger purely in memory, the pre-E16 behaviour).
     store: Option<BlockStore>,
     /// Checkpoint snapshots, buffered shares, the announce queue and the
     /// latest cert — assembled, adopted from a sync peer, or reopened.
     certifier: Certifier,
-    /// Per-collector committee standing under dynamic membership:
-    /// `false` once a certified leave/evict applied. Uploads from
-    /// inactive collectors are dropped, they owe no reports at reveal,
-    /// and they leave the screening draw entirely.
-    collector_active: Vec<bool>,
-    /// Committee epoch log: serial-stamped governor departures and
-    /// readmissions, voluntary or administrative (distinct from `expelled`,
-    /// equivocation convictions). Checkpoint-cert quorums are sized by the
-    /// epoch at the cert's serial, not today's headcount.
-    gov_epochs: EpochLog,
-    /// Membership shares buffered per request digest until quorum, with
-    /// the request itself once it has been seen.
-    member_shares: ShareBuffer<Digest, MembershipRequest, MEMBER_SHARE_BUFFERS>,
-    /// Quorum-certified membership transitions, oldest first — the
-    /// auditable epoch record, persisted through the durable store.
-    member_certs: Vec<MembershipCert>,
-    /// Certified transitions awaiting their effective round.
-    member_to_apply: Vec<MembershipCert>,
+    /// Every member's key and standing, the membership certs and the
+    /// equivocation convictions. Uploads from collectors that left are
+    /// dropped, they owe no reports at reveal, and they leave the
+    /// screening draw entirely.
+    committee: CommitteeView,
     /// Advisory EigenTrust-style gossip blend of peer opinions about
     /// collector quality (never feeds consensus state).
     transitive: TransitiveView,
     /// Last-seen tracker over active collectors, driving silence decay
     /// and eviction proposals (keyed by collector index).
     health: PeerHealth,
-    /// Collectors this governor already proposed to evict (dedupe).
-    eviction_proposed: HashSet<u32>,
     /// Tick of the most recent verified collector upload, any channel.
     /// A round in which *nobody* spoke (drain, settle) is not evidence
     /// of individual silence, so decay skips it.
@@ -227,7 +202,7 @@ impl GovernorNode {
             reputation: ReputationTable::new(n, s, cfg.reputation),
             chain: Chain::new(b"prb-chain", cfg.b_limit),
             metrics: GovernorMetrics::new(n),
-            gov_epochs: EpochLog::new(cfg.governors as usize),
+            committee: CommitteeView::new(governor_pks, collector_pks, n),
             recovery: Recovery::new(index, cfg.governors),
             // Advisory-only view: neutral 0.5 prior, moderate blend rate.
             transitive: TransitiveView::new(n, 0.5, 0.3),
@@ -235,10 +210,8 @@ impl GovernorNode {
             topology,
             oracle,
             governor_base,
-            collector_pks,
             provider_pks,
             pk_pool: Vec::new(),
-            governor_pks,
             stake_table,
             inbox: OrderedInbox::new(),
             txs: TxTable::new(hs),
@@ -259,15 +232,9 @@ impl GovernorNode {
             profile,
             seen_headers: HashMap::new(),
             echoed: HashSet::new(),
-            expelled: Vec::new(),
             store: None,
             certifier: Certifier::default(),
-            collector_active: vec![true; n],
-            member_shares: ShareBuffer::default(),
-            member_certs: Vec::new(),
-            member_to_apply: Vec::new(),
             health,
-            eviction_proposed: HashSet::new(),
             last_upload_at: 0,
         }
     }
@@ -304,27 +271,20 @@ impl GovernorNode {
         if recovered.chain.height() > 0 || recovered.chain.is_anchored() {
             self.chain = recovered.chain;
         }
-        // Replay the persisted membership log first: the committee
-        // epochs must be restored before the checkpoint certificate is
-        // quorum-sized against them. Each cert is audited at the epoch of
-        // its effective round, as the log replayed so far reconstructs it,
-        // and a failing one is refused. The certified reputation state
-        // adopted below supersedes any bootstrap the replay performs.
-        for cert in store.load_members() {
-            let req = &cert.state;
-            let active = self.gov_epochs.active_at(req.effective_round);
-            let pk = self.member_pk(req.role, req.member);
-            if pk.is_none_or(|pk| cert.audit(pk, &self.governor_pks, active).is_err()) {
-                self.metrics.member_certs_refused += 1;
-                self.obs.add_counter("member.refused_on_reopen", 1);
-                continue;
-            }
-            self.apply_member_cert(&cert, 0);
-            self.member_certs.push(cert);
+        // Replay the persisted membership log first: the checkpoint cert is
+        // quorum-sized against the epochs it restores. The certified
+        // reputation state adopted below supersedes any bootstrap it does.
+        let (applied, refused) = self.committee.replay(store.load_members());
+        for t in applied {
+            self.on_transition(t, 0);
+        }
+        self.metrics.member_certs_refused += refused;
+        if refused > 0 {
+            self.obs.add_counter("member.refused_on_reopen", refused);
         }
         if let Some(cert) = recovered.cert {
             // Checked as an offer to an empty chain: no cert is at serial 0.
-            let c = Committee(&self.governor_pks, &self.gov_epochs, &self.expelled);
+            let c = self.committee.checkpoint();
             if let Ok(cert) = self.certifier.offer(cert, 0, &c) {
                 adopt_cert_state(cert, &mut self.stake_table, &mut self.reputation);
             }
@@ -383,7 +343,7 @@ impl GovernorNode {
     /// dispatch.
     fn flush_checkpoint_shares(&mut self, ctx: &mut Context<'_, ProtocolMsg>) {
         loop {
-            let c = Committee(&self.governor_pks, &self.gov_epochs, &self.expelled);
+            let c = self.committee.checkpoint();
             let Some((share, step)) = self.certifier.announce(self.index, &self.key, &c) else {
                 return;
             };
@@ -398,8 +358,7 @@ impl GovernorNode {
     /// A peer's checkpoint share arrived.
     fn on_checkpoint_share(&mut self, share: CheckpointShare) {
         if self.cfg.checkpoint_interval > 0 {
-            let c = Committee(&self.governor_pks, &self.gov_epochs, &self.expelled);
-            let step = self.certifier.on_share(share, &c);
+            let step = self.certifier.on_share(share, &self.committee.checkpoint());
             self.checkpoint_step(step);
         }
     }
@@ -432,7 +391,7 @@ impl GovernorNode {
     /// transactions the certified prefix holds, and the rest of the
     /// committee screened the same uploads.
     fn maybe_adopt_checkpoint(&mut self, cert: CheckpointCert) {
-        let c = Committee(&self.governor_pks, &self.gov_epochs, &self.expelled);
+        let c = self.committee.checkpoint();
         let cert = match self.certifier.offer(cert, self.chain.height(), &c) {
             Ok(cert) => cert,
             Err(rejected) => {
@@ -468,193 +427,73 @@ impl GovernorNode {
 
     // ── Dynamic membership (E17) ─────────────────────────────────────
 
-    /// Governors out of the live committee: the union of equivocation
-    /// expulsions and certified departures, sorted — the rule a checkpoint
-    /// cert past every epoch is counted by.
-    fn excluded_governors(&self) -> Vec<u32> {
-        Committee(&self.governor_pks, &self.gov_epochs, &self.expelled).excluded_at(u64::MAX)
+    /// This governor's committee view: keys, standing, membership certs
+    /// and convictions.
+    pub fn committee(&self) -> &CommitteeView {
+        &self.committee
     }
 
-    /// The subject verification key for a membership request, when the
-    /// subject index is in range for its tier.
-    fn member_pk(&self, role: MemberRole, member: u32) -> Option<&PublicKey> {
-        match role {
-            MemberRole::Collector => self.collector_pks.get(member as usize),
-            MemberRole::Governor => self.governor_pks.get(member as usize),
-        }
-    }
-
-    /// Whether this governor will endorse `req` with a share: in-range
-    /// subject, properly authorized, stake-backed when joining, in the
-    /// future, and consistent with the subject's current standing. An
-    /// expelled governor is never readmittable — its stake was slashed
-    /// on conviction.
-    fn membership_acceptable(&self, req: &MembershipRequest) -> bool {
-        let Some(pk) = self.member_pk(req.role, req.member) else {
-            return false;
-        };
-        if !req.authorized(pk) || req.effective_round <= self.round {
-            return false;
-        }
-        if req.role == MemberRole::Governor && self.expelled.contains(&req.member) {
-            return false;
-        }
-        let active = match req.role {
-            MemberRole::Collector => self
-                .collector_active
-                .get(req.member as usize)
-                .copied()
-                .unwrap_or(false),
-            MemberRole::Governor => !self.gov_epochs.is_departed_now(req.member),
-        };
-        match req.action {
-            MembershipAction::Join => req.bond >= 1 && !active,
-            MembershipAction::Leave | MembershipAction::Evict => req.bond == 0 && active,
-        }
-    }
-
-    /// A membership request arrived (peer relay or driver-injected):
-    /// validate it, endorse it with this governor's share, and broadcast
-    /// the share so the committee can assemble a certificate.
+    /// A membership request arrived (peer relay, driver-injected, or this
+    /// governor's own eviction proposal): the committee view endorses it,
+    /// and a new share is broadcast so the committee can assemble a cert.
     fn on_membership(&mut self, req: MembershipRequest, ctx: &mut Context<'_, ProtocolMsg>) {
-        if !self.cfg.churn_enabled() || !self.membership_acceptable(&req) {
+        if !self.cfg.churn_enabled() {
             return;
         }
-        let digest = req.digest();
-        if self.member_certified(digest) || !self.member_shares.admits(digest) {
-            return; // already certified, or the buffer is full (request spam)
+        let (share, formed) = self
+            .committee
+            .on_request(req, self.round, self.index, &self.key);
+        if let Some(share) = share {
+            self.obs.add_counter("member.share_signed", 1);
+            let msg = ProtocolMsg::MemberShare(Box::new(share));
+            self.broadcast_governors(ctx, "member-share", 112, msg);
         }
-        if !self.member_shares.has(digest, self.index) {
-            let share = MembershipShare::sign(&req, self.index, &self.key);
-            self.member_shares.insert(digest, share.clone());
-            if self.obs.is_enabled() {
-                self.obs.metrics().inc("member.share_signed");
-            }
-            self.broadcast_governors(
-                ctx,
-                "member-share",
-                112,
-                ProtocolMsg::MemberShare(Box::new(share)),
-            );
-        }
-        if self.member_shares.subject(digest).is_none() {
-            self.member_shares.set_subject(digest, req);
-        }
-        self.try_assemble_member_cert(digest);
+        self.member_step(formed);
     }
 
-    fn member_certified(&self, digest: Digest) -> bool {
-        self.member_certs.iter().any(|c| c.state.digest() == digest)
-    }
-
-    /// A peer's endorsement share arrived: verify, buffer (one per
-    /// governor per digest), and attempt certificate assembly.
-    fn on_member_share(&mut self, share: MembershipShare) {
-        let digest = share.digest;
-        if !self.cfg.churn_enabled()
-            || self.excluded_governors().contains(&share.governor)
-            || !share.verify(&self.governor_pks)
-            || self.member_certified(digest)
-            || !self.member_shares.admits(digest)
-        {
+    /// Counts a membership cert that a request or share formed, and
+    /// persists the log.
+    fn member_step(&mut self, formed: bool) {
+        if !formed {
             return;
         }
-        self.member_shares.insert(digest, share);
-        self.try_assemble_member_cert(digest);
-    }
-
-    /// Assembles a [`MembershipCert`] once a quorum of the currently
-    /// active committee has endorsed the request, persists the updated
-    /// log, and queues the transition for its effective round.
-    fn try_assemble_member_cert(&mut self, digest: Digest) {
-        let excluded = self.excluded_governors();
-        let tally = Tally::bft(self.cfg.governors as usize, &excluded);
-        let Some(cert) = self.member_shares.assemble(digest, tally) else {
-            return;
-        };
-        self.member_shares.remove(digest);
-        self.member_certs.push(cert.clone());
-        self.member_to_apply.push(cert);
         self.metrics.member_certs_formed += 1;
-        if self.obs.is_enabled() {
-            self.obs.metrics().inc("member.cert_formed");
-        }
+        self.obs.add_counter("member.cert_formed", 1);
         if let Some(store) = &mut self.store {
             store
-                .save_members(&self.member_certs)
+                .save_members(self.committee.certs())
                 .expect("durable store must persist the membership log");
         }
     }
 
-    /// Applies every certified transition whose effective round has
-    /// arrived, in an order every governor derives identically.
-    fn apply_due_members(&mut self, round: u64, now: u64) {
-        if self.member_to_apply.is_empty() {
-            return;
-        }
-        let (mut due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.member_to_apply)
-            .into_iter()
-            .partition(|c| c.state.effective_round <= round);
-        self.member_to_apply = later;
-        due.sort_by_key(|c| {
-            let r = &c.state;
-            (r.effective_round, r.role, r.member, r.action)
-        });
-        for cert in due {
-            self.apply_member_cert(&cert, now);
-        }
-    }
-
-    /// Applies one certified transition to the local committee view.
-    /// Also replays the persisted membership log on restart (`now = 0`).
-    fn apply_member_cert(&mut self, cert: &MembershipCert, now: u64) {
-        let req = &cert.state;
-        let member = req.member;
-        match (req.role, req.action) {
-            (MemberRole::Collector, MembershipAction::Join) => {
-                let c = member as usize;
-                if c < self.collector_active.len() && !self.collector_active[c] {
-                    self.collector_active[c] = true;
-                    // Newcomers start from the configured prior, not any
-                    // stale pre-departure score.
-                    self.reputation
-                        .bootstrap_collector(c, self.cfg.bootstrap_rep);
-                    self.health.watch(c, SimTime(now));
-                    self.eviction_proposed.remove(&member);
-                }
+    /// Acts on one transition the committee view applied, at tick `now`
+    /// (`0` when replaying the persisted log on reopening).
+    fn on_transition(&mut self, t: Transition, now: u64) {
+        let peer = match t {
+            Transition::Joined(MemberRole::Collector, c) => {
+                // Newcomers start from the configured prior, not any
+                // stale pre-departure score.
+                self.reputation
+                    .bootstrap_collector(c as usize, self.cfg.bootstrap_rep);
+                self.health.watch(c as usize, SimTime(now));
+                None
             }
-            (MemberRole::Collector, MembershipAction::Leave | MembershipAction::Evict) => {
-                let c = member as usize;
-                if c < self.collector_active.len() && self.collector_active[c] {
-                    self.collector_active[c] = false;
-                    self.health.unwatch(c);
-                    let peer = self.topology.params().providers as usize + c;
-                    if let Some(r) = &mut self.retry {
-                        r.purge_peer(peer);
-                    }
-                }
+            Transition::Left(MemberRole::Collector, c) => {
+                self.health.unwatch(c as usize);
+                Some(self.topology.params().providers as usize + c as usize)
             }
-            (MemberRole::Governor, MembershipAction::Leave | MembershipAction::Evict) => {
-                if !self.gov_epochs.is_departed_now(member) {
-                    self.gov_epochs
-                        .record_departure(member, req.effective_round);
-                    self.claims.retain(|c| c.governor != member);
-                    self.transitive.purge_reporter(member);
-                    let peer = self.governor_base + member as usize;
-                    if let Some(r) = &mut self.retry {
-                        r.purge_peer(peer);
-                    }
-                }
+            Transition::Left(MemberRole::Governor, g) => {
+                self.claims.retain(|c| c.governor != g);
+                self.transitive.purge_reporter(g);
+                Some(self.governor_base + g as usize)
             }
-            (MemberRole::Governor, MembershipAction::Join) => {
-                self.gov_epochs
-                    .record_readmission(member, req.effective_round);
-            }
+            Transition::Joined(MemberRole::Governor, _) | Transition::Unchanged => None,
+        };
+        if let (Some(peer), Some(r)) = (peer, &mut self.retry) {
+            r.purge_peer(peer);
         }
         self.metrics.member_applied += 1;
-        if self.obs.is_enabled() {
-            self.obs.metrics().inc("member.applied");
-        }
+        self.obs.add_counter("member.applied", 1);
     }
 
     /// First-hand opinion of each collector: the mean of its screening
@@ -676,20 +515,19 @@ impl GovernorNode {
         if !self.cfg.churn_enabled()
             || reporter == self.index
             || reporter as usize >= self.cfg.governors as usize
-            || self.excluded_governors().contains(&reporter)
+            || self.committee.is_excluded(reporter)
         {
             return;
         }
         let claim: Vec<f64> = scores.iter().map(|b| f64::from_bits(*b)).collect();
         let local = self.first_hand_opinions();
         let merged = self.transitive.merge_claim(reporter, &claim, &local);
-        if self.obs.is_enabled() {
-            self.obs.metrics().inc(if merged {
-                "member.gossip_merged"
-            } else {
-                "member.gossip_rejected"
-            });
-        }
+        let key = if merged {
+            "member.gossip_merged"
+        } else {
+            "member.gossip_rejected"
+        };
+        self.obs.add_counter(key, 1);
     }
 
     /// Round-boundary churn maintenance, the local half: decays the
@@ -715,18 +553,16 @@ impl GovernorNode {
         }
         let mut candidates = Vec::new();
         for c in self.health.suspects(SimTime(now), threshold) {
-            if !self.collector_active.get(c).copied().unwrap_or(false) {
+            if !self.committee.is_collector_active(c as u32) {
                 continue;
             }
             self.reputation.decay_collector(c, factor);
             self.metrics.decay_events += 1;
-            if self.obs.is_enabled() {
-                self.obs.metrics().inc("member.decay");
-            }
+            self.obs.add_counter("member.decay", 1);
             let w = self.reputation.collector(c).weights();
             let mean = w.iter().sum::<f64>() / w.len().max(1) as f64;
             let floor = self.cfg.reputation.weight_floor.max(EVICTION_FLOOR);
-            if mean <= floor && !self.eviction_proposed.contains(&(c as u32)) {
+            if mean <= floor && !self.committee.eviction_proposed(c as u32) {
                 candidates.push(c as u32);
             }
         }
@@ -761,53 +597,13 @@ impl GovernorNode {
             },
         );
         for member in candidates {
-            self.eviction_proposed.insert(member);
-            let req = MembershipRequest::evict(MemberRole::Collector, member, round + 2);
+            let req = self.committee.propose_eviction(member, round + 2);
             self.metrics.evictions_proposed += 1;
-            if self.obs.is_enabled() {
-                self.obs.metrics().inc("member.evict_proposed");
-            }
-            self.broadcast_governors(
-                ctx,
-                "membership",
-                64,
-                ProtocolMsg::Membership(Box::new(req.clone())),
-            );
+            self.obs.add_counter("member.evict_proposed", 1);
+            let msg = ProtocolMsg::Membership(Box::new(req.clone()));
+            self.broadcast_governors(ctx, "membership", 64, msg);
             self.on_membership(req, ctx);
         }
-    }
-
-    /// Whether collector `c` is currently an active committee member.
-    pub fn collector_is_active(&self, c: u32) -> bool {
-        self.collector_active
-            .get(c as usize)
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// Indices of the currently active collectors, ascending.
-    pub fn active_collectors(&self) -> Vec<u32> {
-        self.collector_active
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| **a)
-            .map(|(c, _)| c as u32)
-            .collect()
-    }
-
-    /// Governors departed via certified membership transitions, sorted.
-    pub fn departed_governors(&self) -> Vec<u32> {
-        self.gov_epochs.departed_at(u64::MAX)
-    }
-
-    /// The quorum-certified membership transition log, oldest first.
-    pub fn membership_certs(&self) -> &[MembershipCert] {
-        &self.member_certs
-    }
-
-    /// The committee epoch log (serial-stamped departures/readmissions).
-    pub fn epoch_log(&self) -> &EpochLog {
-        &self.gov_epochs
     }
 
     /// The advisory transitive-reputation view.
@@ -889,7 +685,7 @@ impl GovernorNode {
 
     /// Governors this node has expelled, sorted by index.
     pub fn expelled(&self) -> &[u32] {
-        &self.expelled
+        self.committee.convicted()
     }
 
     /// Transaction ids currently buffered for inclusion (diagnostics).
@@ -977,11 +773,11 @@ impl GovernorNode {
                 // can deliver the same claim twice — dedupe by claimant
                 // before counting toward the full-set threshold. Expelled
                 // governors are out of the committee entirely.
-                && !self.excluded_governors().contains(&claim.governor)
+                && !self.committee.is_excluded(claim.governor)
                 && !self.claims.iter().any(|c| c.governor == claim.governor) =>
             {
                 self.claims.push(claim);
-                let live = self.cfg.governors as usize - self.excluded_governors().len();
+                let live = self.cfg.governors as usize - self.committee.excluded().len();
                 if self.claims.len() == live {
                     self.run_election(ctx.now().ticks());
                 }
@@ -1011,7 +807,7 @@ impl GovernorNode {
                 // must be one the proposer can have led: a twin signed for
                 // another round would otherwise split the committee with no
                 // conflict to convict.
-                let e = Electorate(&self.stake_table, &self.governor_pks);
+                let e = Electorate(&self.stake_table, self.committee.governor_pks());
                 let admitted = header
                     .as_ref()
                     .is_none_or(|h| self.fork.admits(h, claim.as_deref(), &e));
@@ -1029,7 +825,10 @@ impl GovernorNode {
             }
             ProtocolMsg::CheckpointShare(share) => self.on_checkpoint_share(*share),
             ProtocolMsg::Membership(req) => self.on_membership(*req, ctx),
-            ProtocolMsg::MemberShare(share) => self.on_member_share(*share),
+            ProtocolMsg::MemberShare(share) if self.cfg.churn_enabled() => {
+                let formed = self.committee.on_share(*share);
+                self.member_step(formed);
+            }
             ProtocolMsg::RepGossip { reporter, scores } => self.on_rep_gossip(reporter, scores),
             ProtocolMsg::Argue { tx, .. } => self.on_argue(tx, ctx),
             ProtocolMsg::StakeTransfer(transfer) => self.on_stake_transfer(transfer, ctx),
@@ -1081,8 +880,10 @@ impl GovernorNode {
         self.fork.start_round(round);
         self.leader = None;
         let now = ctx.now().ticks();
-        self.apply_due_members(round, now);
-        if self.gov_epochs.is_departed_now(self.index) {
+        for t in self.committee.apply_due(round) {
+            self.on_transition(t, now);
+        }
+        if self.committee.epochs().is_departed_now(self.index) {
             // This governor's own certified departure took effect: stay
             // dark — no claim, no gossip — while still following
             // committed blocks so a readmission resumes from a warm
@@ -1140,14 +941,13 @@ impl GovernorNode {
 
     fn run_election(&mut self, now: u64) {
         let t0 = self.obs.is_enabled().then(std::time::Instant::now);
-        let excluded = self.excluded_governors();
         let tally = elect_excluding(
             b"prb-chain",
             self.round,
             &self.claims,
             self.stake_table.stakes(),
-            &self.governor_pks,
-            &excluded,
+            self.committee.governor_pks(),
+            self.committee.excluded(),
             self.fork.my_claim.as_ref(),
         );
         let winner = tally.winner.map(|(i, output)| (&self.claims[i], output));
@@ -1178,18 +978,13 @@ impl GovernorNode {
     fn on_batch(&mut self, batch: &UploadBatch, ctx: &mut Context<'_, ProtocolMsg>) {
         let collector = batch.collector.index;
         // Unknown collector identity: drop silently (cannot attribute).
-        let Some(collector_pk) = self.collector_pks.get(collector as usize) else {
+        let Some(collector_pk) = self.committee.collector_pks().get(collector as usize) else {
             return;
         };
         if !batch.verify(collector_pk) {
             return; // not actually from that collector
         }
-        if !self
-            .collector_active
-            .get(collector as usize)
-            .copied()
-            .unwrap_or(true)
-        {
+        if !self.committee.is_collector_active(collector) {
             return; // certified departure: out of the screening set
         }
         let now = ctx.now().ticks();
@@ -1428,13 +1223,7 @@ impl GovernorNode {
             .collectors_of(provider)
             .iter()
             .copied()
-            .filter(|&c| {
-                !self
-                    .collector_active
-                    .get(c as usize)
-                    .copied()
-                    .unwrap_or(true)
-            })
+            .filter(|&c| !self.committee.is_collector_active(c))
             .collect();
 
         let outcome = if check {
@@ -1651,14 +1440,14 @@ impl GovernorNode {
         if block.leader == NodeId::governor(self.index) {
             return; // own proposal echoed back (should not happen)
         }
-        if self.expelled.contains(&block.leader.index) {
+        if self.committee.is_convicted(block.leader.index) {
             // Blocks from a convicted governor are ignored outright; any
             // settled prefix it contributed before conviction stands.
             self.obs.add_counter("byzantine.blocks_ignored", 1);
             return;
         }
         let now = ctx.now().ticks();
-        let e = Electorate(&self.stake_table, &self.governor_pks);
+        let e = Electorate(&self.stake_table, self.committee.governor_pks());
         match self.fork.classify(&self.chain, &block, claim, &e) {
             Arrival::Duplicate { shed } => {
                 self.shed(shed);
@@ -1737,7 +1526,7 @@ impl GovernorNode {
             self.metrics.sync_applied += 1;
             self.obs.add_counter("sync.applied", 1);
         }
-        let e = Electorate(&self.stake_table, &self.governor_pks);
+        let e = Electorate(&self.stake_table, self.committee.governor_pks());
         self.fork.adopted(head, how, &e);
     }
 
@@ -1768,7 +1557,7 @@ impl GovernorNode {
             if h.proposer == block.leader.index
                 && h.serial == block.serial
                 && h.block_hash == block.hash()
-                && h.verify(&self.governor_pks)
+                && h.verify(self.committee.governor_pks())
             {
                 self.expel(h.proposer, now);
             }
@@ -1796,8 +1585,8 @@ impl GovernorNode {
             .as_ref()
             .is_some_and(|(first, _)| first.block_hash == header.block_hash)
             || header.proposer == self.index
-            || self.expelled.contains(&header.proposer)
-            || !header.verify(&self.governor_pks)
+            || self.committee.is_convicted(header.proposer)
+            || !header.verify(self.committee.governor_pks())
         {
             return;
         }
@@ -1828,7 +1617,7 @@ impl GovernorNode {
                 // and expel locally.
                 let serial = header.serial;
                 let evidence = EquivocationEvidence::new(first, header);
-                let Ok(culprit) = evidence.verify(&self.governor_pks) else {
+                let Ok(culprit) = evidence.verify(self.committee.governor_pks()) else {
                     return; // defensive; both halves verified above
                 };
                 self.metrics.evidence_broadcast += 1;
@@ -1862,7 +1651,7 @@ impl GovernorNode {
     /// A peer forwarded equivocation evidence: verify both signatures
     /// (the accuser is not trusted) and expel the convicted governor.
     fn on_evidence(&mut self, evidence: EquivocationEvidence, ctx: &mut Context<'_, ProtocolMsg>) {
-        let Ok(culprit) = evidence.verify(&self.governor_pks) else {
+        let Ok(culprit) = evidence.verify(self.committee.governor_pks()) else {
             return;
         };
         self.metrics.evidence_received += 1;
@@ -1879,11 +1668,9 @@ impl GovernorNode {
     /// receiving proof against itself expels itself the same way,
     /// keeping every stake table in agreement.
     fn expel(&mut self, culprit: u32, now: u64) {
-        if self.expelled.contains(&culprit) {
+        if !self.committee.convict(culprit) {
             return;
         }
-        self.expelled.push(culprit);
-        self.expelled.sort_unstable();
         self.stake_table.slash(culprit);
         self.fork.stakes_moved();
         self.claims.retain(|c| c.governor != culprit);
@@ -2125,10 +1912,10 @@ impl GovernorNode {
     /// that certifies the resulting state is exercised separately in
     /// `prb-consensus` (this path keeps the election weights live).
     fn on_stake_transfer(&mut self, transfer: StakeTransfer, _ctx: &mut Context<'_, ProtocolMsg>) {
-        if self.expelled.contains(&transfer.from) || self.expelled.contains(&transfer.to) {
+        if self.committee.is_convicted(transfer.from) || self.committee.is_convicted(transfer.to) {
             return; // expelled governors are out of the stake economy
         }
-        let Some(sender_pk) = self.governor_pks.get(transfer.from as usize) else {
+        let Some(sender_pk) = self.committee.governor_pks().get(transfer.from as usize) else {
             return;
         };
         if !transfer.verify(sender_pk) {
@@ -2268,13 +2055,7 @@ impl GovernorNode {
             });
         }
         for &c in linked {
-            if !self
-                .collector_active
-                .get(c as usize)
-                .copied()
-                .unwrap_or(true)
-                || slot.absent().contains(&c)
-            {
+            if !self.committee.is_collector_active(c) || slot.absent().contains(&c) {
                 // Departed collectors owe no report; neither does a
                 // member that was absent when the tx was screened,
                 // however long ago it rejoined.

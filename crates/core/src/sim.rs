@@ -195,17 +195,6 @@ impl SimulationBuilder {
     }
 }
 
-/// Driver-side record of a certified collector transition awaiting its
-/// effective round (mirrored from governor 0's certificate log so the
-/// collector/provider actors change behaviour in lockstep with the
-/// committee's view).
-#[derive(Clone, Copy, Debug)]
-struct PendingChurn {
-    effective_round: u64,
-    collector: u32,
-    activate: bool,
-}
-
 /// A fully wired protocol deployment.
 pub struct Simulation {
     cfg: ProtocolConfig,
@@ -231,11 +220,6 @@ pub struct Simulation {
     /// Driver's view of which collectors are live (E17 churn): departed
     /// collectors generate no uploads and providers skip them.
     collector_live: Vec<bool>,
-    /// Certified collector transitions not yet at their effective round.
-    pending_churn: Vec<PendingChurn>,
-    /// Cursor into governor 0's membership-certificate log (how many
-    /// certs the driver has already mirrored).
-    observed_member_certs: usize,
     /// Collectors with a membership request in flight (drawn or
     /// submitted, not yet applied) — suppresses duplicate draws.
     churn_inflight: HashSet<u32>,
@@ -467,7 +451,7 @@ impl Simulation {
         } else {
             0
         };
-        Ok(Simulation {
+        let mut sim = Simulation {
             cfg,
             net,
             topology,
@@ -485,10 +469,16 @@ impl Simulation {
             next_start: 0,
             observed_height,
             reveal_scheduled: HashSet::new(),
-            pending_churn: Vec::new(),
-            observed_member_certs: 0,
             churn_inflight: HashSet::new(),
-        })
+        };
+        // A restart over a durable store resumes with governor 0's
+        // replayed membership: collectors it has out start out.
+        for c in 0..n {
+            if !sim.governor_node(0).committee().is_collector_active(c) {
+                sim.set_collector_live(c, false);
+            }
+        }
+        Ok(sim)
     }
 
     /// The configuration this simulation runs.
@@ -811,26 +801,12 @@ impl Simulation {
         if !in_range {
             return Err(format!("unknown {role:?} member {member}"));
         }
-        let effective = self.round + 2;
-        let req = if action == MembershipAction::Evict {
-            MembershipRequest::evict(role, member, effective)
-        } else {
-            let bond = if action == MembershipAction::Join {
-                1
-            } else {
-                0
-            };
-            let key = match role {
-                MemberRole::Collector => &self.collector_keys[member as usize],
-                MemberRole::Governor => &self.governor_keys[member as usize],
-            };
-            MembershipRequest::create(role, member, action, bond, effective, key)
-        };
+        let req = self.membership_request(role, member, action);
         if role == MemberRole::Collector {
             self.churn_inflight.insert(member);
         }
         let at = SimTime(self.next_start);
-        self.broadcast_membership(req, at);
+        self.send_governors("membership", &ProtocolMsg::Membership(Box::new(req)), at);
         Ok(())
     }
 
@@ -850,79 +826,41 @@ impl Simulation {
             .collect()
     }
 
-    fn broadcast_membership(&mut self, req: MembershipRequest, at: SimTime) {
-        self.send_governors("membership", &ProtocolMsg::Membership(Box::new(req)), at);
-    }
-
-    /// Pulls membership certificates governor 0 formed since the last
-    /// mirror into the driver's pending queue. The certificate log — not
-    /// the driver's own submissions — is the source of truth, so
-    /// governor-originated evictions flip the actors too.
-    fn mirror_member_certs(&mut self) {
-        let new: Vec<(MemberRole, u32, MembershipAction, u64)> = {
-            let certs = self.governor_node(0).membership_certs();
-            certs[self.observed_member_certs..]
-                .iter()
-                .map(|c| {
-                    (
-                        c.state.role,
-                        c.state.member,
-                        c.state.action,
-                        c.state.effective_round,
-                    )
-                })
-                .collect()
-        };
-        self.observed_member_certs += new.len();
-        for (role, member, action, effective_round) in new {
-            if role != MemberRole::Collector {
-                // Governor transitions live entirely inside the governor
-                // actors (quorums, election, gossip); no driver-side
-                // behaviour change.
-                continue;
-            }
-            self.pending_churn.push(PendingChurn {
-                effective_round,
-                collector: member,
-                activate: action == MembershipAction::Join,
-            });
-        }
-    }
-
-    /// Applies certified collector transitions due at `round`: flips the
-    /// collector actor (mempool cleared, retries purged) and tells every
-    /// linked provider actor to skip (or resume) the fan-out — the same
-    /// round boundary at which governors apply the certificate.
+    /// Applies the certified collector transitions governor 0 applies at
+    /// `round`, in its order, to the collector actor (mempool cleared,
+    /// retries purged) and every linked provider actor (fan-out skipped or
+    /// resumed): the actors switch at the round boundary the committee
+    /// does. Governor 0's view is the source of truth, so
+    /// governor-originated evictions flip the actors too. (A governor 0
+    /// that missed this round's `StartRound` keeps them due, and the next
+    /// round applies them again: the actors stay where they are, but the
+    /// collectors' in-flight marks clear again.)
     fn apply_due_churn(&mut self, round: u64) {
-        if self.pending_churn.is_empty() {
-            return;
+        let due: Vec<(u32, bool)> = self
+            .governor_node(0)
+            .committee()
+            .due(round)
+            .filter(|r| r.role == MemberRole::Collector)
+            .map(|r| (r.member, r.action == MembershipAction::Join))
+            .collect();
+        for (c, live) in due {
+            self.set_collector_live(c, live);
         }
-        let mut due: Vec<PendingChurn> = Vec::new();
-        self.pending_churn.retain(|p| {
-            if p.effective_round <= round {
-                due.push(*p);
-                false
-            } else {
-                true
-            }
-        });
-        due.sort_by_key(|p| (p.effective_round, p.collector, p.activate));
-        let topology = Rc::clone(&self.topology);
-        for p in due {
-            let c = p.collector;
-            self.collector_live[c as usize] = p.activate;
-            self.churn_inflight.remove(&c);
-            let c_net = self.collector_net_index(c);
-            if let NodeActor::Collector(node) = self.net.node_mut(c_net) {
-                node.set_active(p.activate);
-            }
-            // Interned providers have no actor to tell, but decay can still
-            // evict one of their collectors.
-            if self.layout.providers > 0 {
-                for &prov in topology.providers_of(c) {
-                    if let NodeActor::Provider(node) = self.net.node_mut(prov as NodeIdx) {
-                        node.set_collector_active(c_net, p.activate);
-                    }
+    }
+
+    fn set_collector_live(&mut self, c: u32, live: bool) {
+        self.collector_live[c as usize] = live;
+        self.churn_inflight.remove(&c);
+        let c_net = self.collector_net_index(c);
+        if let NodeActor::Collector(node) = self.net.node_mut(c_net) {
+            node.set_active(live);
+        }
+        // Interned providers have no actor to tell, but decay can still
+        // evict one of their collectors.
+        if self.layout.providers > 0 {
+            for &prov in self.topology.providers_of(c) {
+                if let NodeActor::Provider(node) = self.net.node_mut(prov as NodeIdx) {
+                    node.set_collector_active(c_net, live);
                 }
             }
         }
@@ -933,7 +871,7 @@ impl Simulation {
     /// `leave_rate`, each departed one rejoins with probability
     /// `join_rate`. A live-count floor keeps strictly more than half the
     /// collectors active so screening always has a quorum of experts.
-    fn draw_churn(&mut self, round: u64, at: SimTime) {
+    fn draw_churn(&mut self, at: SimTime) {
         if self.cfg.join_rate <= 0.0 && self.cfg.leave_rate <= 0.0 {
             return;
         }
@@ -963,17 +901,30 @@ impl Simulation {
                 continue;
             };
             self.churn_inflight.insert(c);
-            let bond = u64::from(action == MembershipAction::Join);
-            let req = MembershipRequest::create(
-                MemberRole::Collector,
-                c,
-                action,
-                bond,
-                round + 2,
-                &self.collector_keys[c as usize],
-            );
-            self.broadcast_membership(req, at);
+            let req = self.membership_request(MemberRole::Collector, c, action);
+            self.send_governors("membership", &ProtocolMsg::Membership(Box::new(req)), at);
         }
+    }
+
+    /// `member`'s request to `action`, effective two rounds after the
+    /// current one: signed by the subject, bonded when it joins, unsigned
+    /// when it is an eviction.
+    fn membership_request(
+        &self,
+        role: MemberRole,
+        member: u32,
+        action: MembershipAction,
+    ) -> MembershipRequest {
+        let effective = self.round + 2;
+        if action == MembershipAction::Evict {
+            return MembershipRequest::evict(role, member, effective);
+        }
+        let key = match role {
+            MemberRole::Collector => &self.collector_keys[member as usize],
+            MemberRole::Governor => &self.governor_keys[member as usize],
+        };
+        let bond = u64::from(action == MembershipAction::Join);
+        MembershipRequest::create(role, member, action, bond, effective, key)
     }
 
     /// Runs one full protocol round; returns what was committed.
@@ -1001,17 +952,15 @@ impl Simulation {
         let drain = matches!(load, Load::Drain);
         let open = matches!(load, Load::Arrivals(_));
 
-        // E17 dynamic membership: mirror transitions the committee
-        // certified in earlier rounds and flip actors for the ones due now
+        // E17 dynamic membership: flip actors for the transitions due now
         // (the same boundary at which governors apply them). Only a
         // closed-loop round under load draws new rate-driven requests: a
         // drain round lets the committee settle, and the interned tier
         // refuses churn rates.
         if self.cfg.churn_enabled() {
-            self.mirror_member_certs();
             self.apply_due_churn(round);
             if collect {
-                self.draw_churn(round, SimTime(t0));
+                self.draw_churn(SimTime(t0));
             }
         }
 

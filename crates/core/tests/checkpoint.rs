@@ -416,7 +416,7 @@ fn cert_quorum_is_sized_by_the_epoch_at_its_serial() {
     store.save_members(&[leave]).unwrap();
     if let NodeActor::Governor(g) = rig.net.node_mut(0) {
         g.set_store(store, recovered);
-        assert_eq!(g.departed_governors(), &[3]);
+        assert_eq!(g.committee().epochs().departed_at(u64::MAX), &[3]);
     }
 
     // A cert from serial 2 — before the departure epoch — signed by
@@ -506,11 +506,11 @@ fn a_reopened_membership_log_loses_a_cert_with_a_forged_share() {
     }
     let gov = rig.governor();
     assert_eq!(
-        gov.departed_governors(),
+        gov.committee().epochs().departed_at(u64::MAX),
         &[3],
         "only the genuine leave applied"
     );
-    assert_eq!(gov.membership_certs(), &[leave]);
+    assert_eq!(gov.committee().certs(), &[leave]);
     assert_eq!(gov.metrics().member_certs_refused, 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1325,13 +1325,13 @@ fn a_collector_absent_at_screening_owes_nothing_at_the_reveal_even_once_back() {
     let during = rig.make_tx(0, 0, true);
     rig.upload(0, 0, during.clone(), Label::Valid, 2);
     rig.run();
-    assert!(!rig.governor().collector_is_active(1));
+    assert!(!rig.governor().committee().is_collector_active(1));
     assert_eq!(rig.governor().metrics().unchecked, 1);
     let join = membership(&rig, MembershipAction::Join, 1, 2);
     rig.send(join, window + 10);
     rig.send(ProtocolMsg::StartRound { round: 2 }, window + 11);
     rig.run();
-    assert!(rig.governor().collector_is_active(1));
+    assert!(rig.governor().committee().is_collector_active(1));
     let rejoined = rig.governor().reputation().collector(1).weights().to_vec();
     rig.send(
         ProtocolMsg::Reveal {

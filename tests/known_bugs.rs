@@ -18,6 +18,7 @@
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use prb::core::behavior::GovernorProfile;
 use prb::core::config::{GovernorMode, ProtocolConfig};
 use prb::core::sim::Simulation;
 use prb::ledger::block::Verdict;
@@ -212,6 +213,66 @@ fn honest_expulsion_and_duplicate_records_under_crashes() {
     // 38, 39, 42, 84 and 86 instead, hidden and moved, not fixed.
     assert_eq!(seeds(|o| o.0), Vec::<u64>::new(), "honest expulsions");
     assert_eq!(seeds(|o| o.1), [38, 39, 42, 84, 86], "duplicate records");
+}
+
+/// ROADMAP item 17(a), two signer rules for one membership cert:
+/// assembly counts a threshold of the governors neither departed nor
+/// convicted (`Tally::bft`), while the audit on reopening a store counts a
+/// threshold of the epoch's active governors (`Tally::active`), among whom
+/// a convicted governor that never left still stands. 5 governors,
+/// governor 4 an equivocator, collector churn at 0.2 both ways, a durable
+/// store, 16 rounds and 2 drain rounds, then a restart over the store,
+/// seeds 1–8. Governor 0 convicts governor 4 on every seed; a cert it
+/// assembled afterwards with `threshold(4) = 3` shares is audited against
+/// `threshold(5) = 4` and refused. Each seed gives the certs governor 0
+/// formed and the honest ones it refused on reopening.
+#[test]
+fn reopen_refuses_a_cert_assembled_without_a_convicted_governor() {
+    let certs: Vec<(usize, u64)> = (1..=8)
+        .map(|seed| {
+            let dir = std::env::temp_dir().join(format!(
+                "prb-known-bugs-audit-{}-{seed}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut governor_profiles = vec![GovernorProfile::honest(); 5];
+            governor_profiles[4] = GovernorProfile::equivocator();
+            let cfg = ProtocolConfig {
+                governors: 5,
+                governor_profiles,
+                join_rate: 0.2,
+                leave_rate: 0.2,
+                store_dir: Some(dir.clone()),
+                seed,
+                ..Default::default()
+            };
+            let mut sim = Simulation::new(cfg.clone()).unwrap();
+            sim.run(16);
+            sim.run_drain_rounds(2);
+            assert_eq!(sim.governor(0).expelled(), [4], "seed {seed}");
+            let formed = sim.governor(0).committee().certs().len();
+            drop(sim);
+            let reopened = Simulation::new(cfg).unwrap();
+            let refused = reopened.metrics(0).member_certs_refused;
+            std::fs::remove_dir_all(&dir).unwrap();
+            (formed, refused)
+        })
+        .collect();
+    // Recorded when the entry was added (ce7bf93's rules): refusals on 7
+    // of 8 seeds.
+    assert_eq!(
+        certs,
+        [
+            (5, 2),
+            (11, 4),
+            (5, 0),
+            (6, 2),
+            (9, 6),
+            (9, 5),
+            (8, 5),
+            (11, 2)
+        ]
+    );
 }
 
 #[test]
