@@ -150,6 +150,9 @@ where
                 for (seed, slot) in seed_chunk.iter().zip(out_chunk.iter_mut()) {
                     *slot = Some(f(*seed));
                 }
+                // The scope's join may return before this thread's
+                // thread-locals are destroyed.
+                prb_crypto::stats::fold();
             });
         }
     });

@@ -357,6 +357,9 @@ pub struct CommitteeView {
     shares: ShareBuffer<Digest, MembershipRequest, MEMBER_SHARE_BUFFERS>,
     /// Oldest first.
     certs: Vec<MembershipCert>,
+    /// `certs[i].state.digest()`, kept beside the log so that an arriving
+    /// request or share is checked against it without hashing the log.
+    certified: Vec<Digest>,
     /// Indices into `certs` not yet applied, in the order they apply in.
     pending: Vec<usize>,
     eviction_proposed: HashSet<u32>,
@@ -378,6 +381,7 @@ impl CommitteeView {
             excluded: Vec::new(),
             shares: ShareBuffer::default(),
             certs: Vec::new(),
+            certified: Vec::new(),
             pending: Vec::new(),
             eviction_proposed: HashSet::new(),
         }
@@ -476,7 +480,7 @@ impl CommitteeView {
     }
 
     fn certified(&self, digest: Digest) -> bool {
-        self.certs.iter().any(|c| c.state.digest() == digest)
+        self.certified.contains(&digest)
     }
 
     /// A request reached governor `me` at `round`: an acceptable one, not
@@ -532,20 +536,21 @@ impl CommitteeView {
             return false;
         };
         self.shares.remove(digest);
-        self.queue(cert);
+        self.queue(cert, digest);
         true
     }
 
-    /// Appends `cert` to the log and queues it in the one order
-    /// transitions apply in: by `(effective_round, role, member, action)`,
-    /// ties in log order.
-    fn queue(&mut self, cert: MembershipCert) {
+    /// Appends `cert`, whose request digests to `digest`, to the log and
+    /// queues it in the one order transitions apply in: by
+    /// `(effective_round, role, member, action)`, ties in log order.
+    fn queue(&mut self, cert: MembershipCert, digest: Digest) {
         let key = |r: &MembershipRequest| (r.effective_round, r.role, r.member, r.action);
         let at = self
             .pending
             .partition_point(|&i| key(&self.certs[i].state) <= key(&cert.state));
         self.pending.insert(at, self.certs.len());
         self.certs.push(cert);
+        self.certified.push(digest);
     }
 
     /// Applies the transitions due at `round`, in [`due`](Self::due) order.
@@ -562,7 +567,8 @@ impl CommitteeView {
     pub fn replay(&mut self, certs: Vec<MembershipCert>) -> (Vec<Transition>, u64) {
         let first = self.certs.len();
         for cert in certs {
-            self.queue(cert);
+            let digest = cert.state.digest();
+            self.queue(cert, digest);
         }
         let (order, live) = self.pending.iter().partition(|&&i| i >= first);
         self.pending = live;
@@ -579,8 +585,10 @@ impl CommitteeView {
             }
         }
         let refused = kept.iter().filter(|&&k| !k).count() as u64;
-        let mut kept = kept.into_iter();
-        self.certs.retain(|_| kept.next() == Some(true));
+        let mut keep = kept.iter();
+        self.certs.retain(|_| keep.next() == Some(&true));
+        let mut keep = kept.iter();
+        self.certified.retain(|_| keep.next() == Some(&true));
         (applied, refused)
     }
 

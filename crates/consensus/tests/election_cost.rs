@@ -1,8 +1,10 @@
 //! Exponentiations per election claim, counted without a wall clock.
 //!
 //! Its own file, so its own process, and one `#[test]`, so one thread:
-//! `prb_crypto::stats` counters are process-wide, and here nothing else
-//! bumps them.
+//! `prb_crypto::stats` keeps counts per thread and folds them into
+//! process-wide totals, so a snapshot sees this thread's counts and those
+//! of every thread folded before it (a `par` worker folds itself as it
+//! finishes), and here nothing else adds to them.
 
 use prb_consensus::election::{round_message, ElectionClaim};
 use prb_crypto::signer::CryptoScheme;

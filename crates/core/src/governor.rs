@@ -69,7 +69,7 @@ use crate::forkchoice::{malformed, Adoption, Arrival, Electorate, ForkChoice, Pa
 use crate::metrics::GovernorMetrics;
 use crate::msg::ProtocolMsg;
 use crate::sync::{serve, Recovery, Step};
-use crate::txtable::{Outcome, QueuedSig, TxSlot, TxTable, Upload, Window, NO_WINDOW};
+use crate::txtable::{sig_key, Outcome, QueuedSig, TxSlot, TxTable, Upload, Window, NO_WINDOW};
 
 /// Mean-weight level at which a silence-decayed collector is proposed
 /// for eviction (the configured `weight_floor` when it is higher).
@@ -1134,9 +1134,11 @@ impl GovernorNode {
         self.obs.add_counter("gov.sig_memo_miss", n);
         let items: Vec<(&[u8], &Sig, &PublicKey)> = sigs
             .iter()
-            .map(|(p, _, sig, msg, _)| {
-                let pk = self.provider_pk(*p).expect("resolved before queueing");
-                (&msg[..], sig, pk)
+            .map(|(tx, _)| {
+                let pk = self
+                    .provider_pk(tx.payload.provider.index)
+                    .expect("resolved before queueing");
+                (&tx.signing_digest()[..], &tx.provider_sig, pk)
             })
             .collect();
         let t0 = self.obs.is_enabled().then(std::time::Instant::now);
@@ -1145,9 +1147,9 @@ impl GovernorNode {
             self.obs
                 .add_counter("wall.crypto_ns", t0.elapsed().as_nanos() as u64);
         }
-        for ((p, id, sig, _, seq), ok) in sigs.drain(..).zip(verdicts) {
+        for ((tx, seq), ok) in sigs.drain(..).zip(verdicts) {
             let held = held.as_mut().map(|(n, window)| (*n, &mut **window));
-            self.txs.record(seq, (p, id, sig), ok, held);
+            self.txs.record(seq, &tx, ok, held);
         }
     }
 
@@ -1759,9 +1761,8 @@ impl GovernorNode {
         let mut fresh: Vec<QueuedSig> = Vec::new();
         let mut seen: HashSet<(u32, TxId, Sig)> = HashSet::new();
         for e in &block.entries {
-            let (p, id, sig) = (e.tx.payload.provider.index, e.tx.id(), &e.tx.provider_sig);
-            if self.txs.knows(&e.tx).is_none() && seen.insert((p, id, sig.clone())) {
-                fresh.push((p, id, sig.clone(), *e.tx.signing_digest(), NO_WINDOW));
+            if self.txs.knows(&e.tx).is_none() && seen.insert(sig_key(&e.tx)) {
+                fresh.push((e.tx.clone(), NO_WINDOW));
             }
         }
         self.verify_batch(&mut fresh, None);

@@ -223,6 +223,12 @@ pub struct Simulation {
     /// Collectors with a membership request in flight (drawn or
     /// submitted, not yet applied) — suppresses duplicate draws.
     churn_inflight: HashSet<u32>,
+    /// The collector transitions applied to the actors that governor 0
+    /// still held due when they were: applied again, they would clear a
+    /// newer request's in-flight mark.
+    churn_applied: Vec<MembershipRequest>,
+    /// Collector transitions applied to the actors so far.
+    churn_transitions: u64,
 }
 
 impl fmt::Debug for Simulation {
@@ -470,6 +476,8 @@ impl Simulation {
             observed_height,
             reveal_scheduled: HashSet::new(),
             churn_inflight: HashSet::new(),
+            churn_applied: Vec::new(),
+            churn_transitions: 0,
         };
         // A restart over a durable store resumes with governor 0's
         // replayed membership: collectors it has out start out.
@@ -819,6 +827,12 @@ impl Simulation {
         self.collector_live[c as usize]
     }
 
+    /// Collector transitions applied to the actors so far: each certified
+    /// one governor 0 applies, once.
+    pub fn churn_transitions(&self) -> u64 {
+        self.churn_transitions
+    }
+
     /// Live collectors in ascending order (driver's view).
     pub fn live_collectors(&self) -> Vec<u32> {
         (0..self.cfg.collectors)
@@ -831,21 +845,28 @@ impl Simulation {
     /// retries purged) and every linked provider actor (fan-out skipped or
     /// resumed): the actors switch at the round boundary the committee
     /// does. Governor 0's view is the source of truth, so
-    /// governor-originated evictions flip the actors too. (A governor 0
-    /// that missed this round's `StartRound` keeps them due, and the next
-    /// round applies them again: the actors stay where they are, but the
-    /// collectors' in-flight marks clear again.)
+    /// governor-originated evictions flip the actors too. A governor 0
+    /// that missed a round's `StartRound` (crashed across it) still holds
+    /// that round's transitions due at the next; each reaches the actors
+    /// once, the first time it is due.
     fn apply_due_churn(&mut self, round: u64) {
-        let due: Vec<(u32, bool)> = self
+        let due: Vec<MembershipRequest> = self
             .governor_node(0)
             .committee()
             .due(round)
             .filter(|r| r.role == MemberRole::Collector)
-            .map(|r| (r.member, r.action == MembershipAction::Join))
+            .cloned()
             .collect();
-        for (c, live) in due {
-            self.set_collector_live(c, live);
+        let mut applied = std::mem::take(&mut self.churn_applied);
+        for req in &due {
+            if let Some(at) = applied.iter().position(|a| a == req) {
+                applied.swap_remove(at);
+                continue;
+            }
+            self.set_collector_live(req.member, req.action == MembershipAction::Join);
+            self.churn_transitions += 1;
         }
+        self.churn_applied = due;
     }
 
     fn set_collector_live(&mut self, c: u32, live: bool) {
@@ -1237,6 +1258,69 @@ mod tests {
             );
             assert_eq!(gov.tx_table().memo_len(), 0, "governor {g}");
         }
+    }
+
+    /// Collector churn at 0.5 both ways, seeds 1–40, with governor 0 — whose view the
+    /// driver applies — crashed across rounds 4 and 5, so the transitions
+    /// due then are still due in governor 0's view at round 6. Each must
+    /// reach the actors once, and no collector may have two requests in
+    /// flight: a request drawn while another for the same collector is
+    /// pending repeats its action, which shows in a healthy governor's
+    /// cert log as two joins or two leaves in a row.
+    #[test]
+    fn a_transition_governor_0_missed_reaches_the_actors_once() {
+        let mut crossed = 0;
+        for seed in 1..=40 {
+            let cfg = ProtocolConfig {
+                join_rate: 0.5,
+                leave_rate: 0.5,
+                seed,
+                ..ProtocolConfig::default()
+            };
+            let rt = cfg.round_ticks();
+            let mut sim = Simulation::new(cfg).unwrap();
+            let mut faults = FaultPlan::none();
+            faults.crash_window(sim.governor_net_index(0), SimTime(3 * rt), SimTime(5 * rt));
+            sim.set_faults(faults);
+            sim.run(12);
+            sim.run_drain_rounds(2);
+            let last = sim.round;
+            let collector = |r: &MembershipRequest| r.role == MemberRole::Collector;
+            let certs = sim.governor(0).committee().certs();
+            crossed += certs
+                .iter()
+                .filter(|c| collector(&c.state) && (4..=5).contains(&c.state.effective_round))
+                .count();
+            let due = certs
+                .iter()
+                .filter(|c| collector(&c.state) && c.state.effective_round <= last)
+                .count();
+            assert_eq!(sim.churn_transitions(), due as u64, "seed {seed}");
+            let mut order: Vec<&MembershipRequest> = sim
+                .governor(1)
+                .committee()
+                .certs()
+                .iter()
+                .map(|c| &c.state)
+                .filter(|r| collector(r))
+                .collect();
+            order.sort_by_key(|r| (r.member, r.effective_round));
+            for pair in order.windows(2) {
+                let [a, b] = pair else { unreachable!() };
+                assert!(
+                    a.member != b.member || a.action != b.action,
+                    "seed {seed}: collector {} drew {:?} twice (rounds {} and {})",
+                    a.member,
+                    a.action,
+                    a.effective_round,
+                    b.effective_round
+                );
+            }
+        }
+        assert!(
+            crossed > 0,
+            "a transition fell due while governor 0 was down"
+        );
     }
 
     #[test]

@@ -82,6 +82,12 @@ pub(crate) enum Outcome {
     },
 }
 
+/// The key a provider signature is memoized and deduplicated under:
+/// `(provider, tx id, signature)`.
+pub(crate) fn sig_key(tx: &SignedTx) -> (u32, TxId, Sig) {
+    (tx.payload.provider.index, tx.id(), tx.provider_sig.clone())
+}
+
 /// Memoized provider-signature verdicts, keyed by `(provider, tx id,
 /// signature)`, for the verdicts no slot or window holds: forged ones, and
 /// genuine ones whose window was shed, dropped or screened before they
@@ -123,10 +129,11 @@ impl SigMemo {
     }
 }
 
-/// A provider signature awaiting the next batched verification:
-/// `(provider, tx id, signature, signing digest, window)`, where `window`
-/// numbers the window it was queued for ([`NO_WINDOW`]: none).
-pub(crate) type QueuedSig = (u32, TxId, Sig, [u8; 32], u64);
+/// A provider signature awaiting the next batched verification: the copy
+/// that carried it (its handle holds the provider, id, signature and
+/// signing digest) and the number of the window it was queued for
+/// ([`NO_WINDOW`]: none).
+pub(crate) type QueuedSig = (SignedTx, u64);
 
 /// The window number of a signature queued for no window.
 pub(crate) const NO_WINDOW: u64 = u64::MAX;
@@ -442,8 +449,7 @@ impl TxTable {
         }
         let report = pack_report(collector, *label);
         let queue_it = |queue: &mut Vec<QueuedSig>, seq: u64| {
-            let digest = *tx.signing_digest();
-            queue.push((provider, id, tx.provider_sig.clone(), digest, seq));
+            queue.push((tx.clone(), seq));
         };
         let next = u32::try_from(self.slots.len()).expect("fewer than 2^32 slots");
         let slots = &self.slots;
@@ -511,7 +517,7 @@ impl TxTable {
         (Upload::Joined, verdict)
     }
 
-    /// Files a batch's verdict on the signature of `key`, queued for open
+    /// Files a batch's verdict on the signature `tx` carries, queued for open
     /// window number `seq`: a genuine verdict on the window's own
     /// signature goes to that window — `held`, if that is the one (out of
     /// the Δ queue for screening), else the one in the queue; the rest to
@@ -520,12 +526,12 @@ impl TxTable {
     pub(crate) fn record(
         &mut self,
         seq: u64,
-        key: (u32, TxId, Sig),
+        tx: &SignedTx,
         ok: bool,
         held: Option<(u64, &mut Window)>,
     ) {
-        if !(ok && self.vouch(seq, &key.2, held)) {
-            self.memo.insert(key, ok);
+        if !(ok && self.vouch(seq, &tx.provider_sig, held)) {
+            self.memo.insert(sig_key(tx), ok);
         }
     }
 
@@ -537,8 +543,7 @@ impl TxTable {
             Some(Stage::Window { seq }) => seq,
             _ => NO_WINDOW,
         };
-        let key = (tx.payload.provider.index, tx.id(), tx.provider_sig.clone());
-        self.record(seq, key, ok, None);
+        self.record(seq, tx, ok, None);
     }
 
     /// Tells open window number `seq` (`held`, or one in the Δ queue) that
@@ -598,13 +603,7 @@ impl TxTable {
             .take()
             .expect("a live slot");
         if window.own_ok {
-            let tx = &slot.tx;
-            let key = (
-                tx.payload.provider.index,
-                window.id,
-                tx.provider_sig.clone(),
-            );
-            self.memo.insert(key, true);
+            self.memo.insert(sig_key(&slot.tx), true);
         }
         let removed = self.index.remove(&window.id, window.slot);
         debug_assert!(removed, "a live window's slot is indexed");
@@ -736,8 +735,7 @@ impl TxTable {
             // could not know and queued it again. The first is kept, and
             // its verdict, finding its window gone, goes to the memo.
             let mut seen = HashSet::new();
-            self.queue
-                .retain(|(p, id, sig, _, _)| seen.insert((*p, *id, sig.clone())));
+            self.queue.retain(|(tx, _)| seen.insert(sig_key(tx)));
         }
         &mut self.queue
     }

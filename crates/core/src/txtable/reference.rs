@@ -336,6 +336,13 @@ mod tests {
     /// Ticks from a window's first copy to its screening.
     const DELTA: u64 = 3;
 
+    /// The arena table's queued signature as this one queues it: the four
+    /// fields, read through the handle, without the window number.
+    fn fields((tx, _): &super::super::QueuedSig) -> QueuedSig {
+        let (p, id, sig) = super::super::sig_key(tx);
+        (p, id, sig, *tx.signing_digest())
+    }
+
     /// SplitMix64: the test's own seeded stream.
     struct Mix(u64);
 
@@ -521,22 +528,19 @@ mod tests {
                 }
                 let a: Vec<super::super::QueuedSig> = self.new.batch().drain(..).collect();
                 let b: Vec<QueuedSig> = self.old.batch().drain(..).collect();
-                let stripped: Vec<QueuedSig> = a
-                    .iter()
-                    .map(|(p, id, sig, digest, _)| (*p, *id, sig.clone(), *digest))
-                    .collect();
+                let stripped: Vec<QueuedSig> = a.iter().map(fields).collect();
                 assert_eq!(stripped, b, "batched signatures");
                 self.checks[0].1 += a.len() as u64;
                 self.checks[1].1 += b.len() as u64;
-                for (p, id, sig, digest, queued_for) in a {
-                    let ok = self.pk.verify(&digest, &sig);
+                for (tx, queued_for) in a {
+                    let ok = self.pk.verify(tx.signing_digest(), &tx.provider_sig);
                     let before = self.new.memo_len();
                     let held = Some((seq, &mut window));
-                    self.new.record(queued_for, (p, id, sig.clone()), ok, held);
+                    self.new.record(queued_for, &tx, ok, held);
                     if ok && self.new.memo_len() > before {
                         self.saw(Path::Orphan);
                     }
-                    self.old_memo.insert((p, id, sig), ok);
+                    self.old_memo.insert(super::super::sig_key(&tx), ok);
                 }
                 let (id, at) = (window.id, window.slot);
                 let own = self.new.slot_at(at).tx.provider_sig.clone();
@@ -604,11 +608,7 @@ mod tests {
             let (new, old) = (&self.new, &self.old);
             assert_eq!(new.window_stats(), old.window_stats());
             assert_eq!(new.index.len(), old.slots.len(), "same slots");
-            let queued: Vec<QueuedSig> = new
-                .queue
-                .iter()
-                .map(|(p, id, sig, digest, _)| (*p, *id, sig.clone(), *digest))
-                .collect();
+            let queued: Vec<QueuedSig> = new.queue.iter().map(fields).collect();
             assert_eq!(queued, old.queue, "queued signatures");
             assert_eq!(new.epoch, old.epoch);
             assert_eq!(new.timers, old.timers, "Δ timers");

@@ -46,6 +46,7 @@ use crate::bigint::BigUint;
 use crate::group::SchnorrGroup;
 use crate::schnorr::{self, Signature, VerifyingKey};
 use crate::sha256::Sha256;
+use crate::stats::Counter;
 
 /// Outcome of a batch check: `Ok(())` when every item verifies, otherwise
 /// the sorted indices of the items that fail individual verification.
@@ -70,7 +71,8 @@ type SchnorrItem<'a> = (usize, &'a [u8], &'a Signature, &'a VerifyingKey);
 /// Returns `Err` with the sorted indices of the offending items, found by
 /// bisection (see the module docs for the contract).
 pub fn verify_batch(items: &[(&[u8], &Signature, &VerifyingKey)]) -> BatchResult {
-    crate::stats::record_batch(items.len() as u64);
+    crate::stats::add(Counter::BatchCalls, 1);
+    crate::stats::add(Counter::BatchItems, items.len() as u64);
     let mut parts: Vec<(&SchnorrGroup, Vec<SchnorrItem<'_>>)> = Vec::new();
     let mut invalid = Vec::new();
     for (idx, &(msg, sig, vk)) in items.iter().enumerate() {
@@ -116,7 +118,7 @@ fn schnorr_check_or_bisect(
         // per-key verifier (with its trained tables) is the cheapest check
         // and doubles as the bisection leaf.
         [(idx, msg, sig, vk)] => {
-            crate::stats::record_batch_fallback(1);
+            crate::stats::add(Counter::BatchFallbackItems, 1);
             if !vk.verify(msg, sig) {
                 invalid.push(*idx);
             }
@@ -125,7 +127,7 @@ fn schnorr_check_or_bisect(
             if schnorr_rlc_holds(group, items) {
                 return;
             }
-            crate::stats::record_batch_bisect();
+            crate::stats::add(Counter::BatchBisectSteps, 1);
             let mid = items.len() / 2;
             schnorr_check_or_bisect(group, &items[..mid], invalid);
             schnorr_check_or_bisect(group, &items[mid..], invalid);

@@ -25,7 +25,7 @@ use std::fmt;
 
 use rand::Rng;
 
-use crate::stats::Primitive;
+use crate::stats::{Counter, Primitive};
 
 /// An arbitrary-precision unsigned integer.
 ///
@@ -487,7 +487,7 @@ impl BigUint {
         if !modulus.is_even() && modulus.limbs.len() >= 2 {
             return Montgomery::new(modulus).pow(self, exponent);
         }
-        crate::stats::record_modexp();
+        crate::stats::add(Counter::Modexp, 1);
         self.pow_mod_plain(exponent, modulus)
     }
 
@@ -1188,7 +1188,7 @@ impl Montgomery {
     /// Uses 4-bit fixed windows (left-to-right) for long exponents and
     /// plain square-and-multiply for short ones.
     pub fn pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
-        crate::stats::record_modexp();
+        crate::stats::add(Counter::Modexp, 1);
         crate::stats::timed(Primitive::MontPow, || {
             let mut acc = Accumulator::one(self);
             if exponent.bit_len() <= WINDOW_MIN_BITS {
@@ -1244,7 +1244,7 @@ impl Montgomery {
     /// and 130 multiplications per exponent, where two windowed
     /// exponentiations take about 1 290 products.
     pub fn pow_pair(&self, base: &BigUint, e1: &BigUint, e2: &BigUint) -> (BigUint, BigUint) {
-        crate::stats::record_modexp();
+        crate::stats::add(Counter::Modexp, 1);
         crate::stats::timed(Primitive::MontPow, || {
             let exps = [e1, e2];
             // Bucket v − 1 of exponent i is `buckets[15·i + v − 1]`; an
@@ -1288,7 +1288,7 @@ impl Montgomery {
     /// nearly `k`× cheaper than `k` separate exponentiations. The canonical
     /// use is signature-style checks of the form `g^s · y^{-e} == r`.
     pub fn multi_pow(&self, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
-        crate::stats::record_multi_pow();
+        crate::stats::add(Counter::MultiPow, 1);
         crate::stats::timed(Primitive::MultiPow, || self.straus(pairs))
     }
 
@@ -1503,7 +1503,7 @@ impl<'a> Accumulator<'a> {
 
 impl Drop for Accumulator<'_> {
     fn drop(&mut self) {
-        crate::stats::record_products(self.products);
+        crate::stats::add(Counter::Products, self.products);
     }
 }
 
@@ -1708,7 +1708,7 @@ impl CombTable {
     /// Panics if `parts` is empty or a part has zero bits or blocks.
     pub fn build(ctx: &Montgomery, base: &BigUint, parts: &[(usize, usize)]) -> Self {
         assert!(!parts.is_empty(), "a comb needs a part");
-        crate::stats::record_table_build();
+        crate::stats::add(Counter::TableBuilds, 1);
         let k = ctx.k();
         let mut parts: Vec<CombPart> = parts
             .iter()
@@ -1785,7 +1785,7 @@ impl CombTable {
     /// was built with.
     pub fn pow(&self, ctx: &Montgomery, exponent: &BigUint) -> Option<BigUint> {
         let part = self.parts.iter().find(|p| exponent.bit_len() <= p.bits)?;
-        crate::stats::record_table_pow();
+        crate::stats::add(Counter::TablePows, 1);
         Some(crate::stats::timed(Primitive::TablePow, || {
             part.pow(ctx, exponent)
         }))

@@ -18,7 +18,7 @@ use crate::group::SchnorrGroup;
 use crate::hmac::HmacSha256;
 use crate::schnorr::VerifyingKey;
 use crate::sha256::Sha256;
-use crate::stats::Primitive;
+use crate::stats::{Counter, Primitive};
 
 /// A non-interactive Chaum–Pedersen DLEQ proof.
 #[derive(Clone, PartialEq, Eq)]
@@ -70,7 +70,7 @@ impl DleqProof {
         h: &BigUint,
         x: &BigUint,
     ) -> (BigUint, DleqProof) {
-        crate::stats::record_dleq_proof();
+        crate::stats::add(Counter::DleqProofs, 1);
         crate::stats::timed(Primitive::DleqProve, || {
             let k = derive_nonce(group, [g, y, h], x);
             let (z, b) = group.pow_pair(h, x, &k);

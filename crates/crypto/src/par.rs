@@ -64,6 +64,9 @@ where
             // output reaches the caller through its thread's join.
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= chunks {
+                // The caller's join is what makes this worker's crypto
+                // counts visible to its next snapshot.
+                crate::stats::fold();
                 return done;
             }
             let start = i * chunk;

@@ -443,7 +443,7 @@ impl Sha256 {
     /// fewer than 9 bytes are free.
     #[inline]
     fn pad_and_finish(mut self, kernel: Kernel) -> Digest {
-        crate::stats::record_sha256();
+        crate::stats::add(crate::stats::Counter::Sha256, 1);
         const LEN_AT: usize = BLOCK_LEN - 8;
         let bit_len = self.total_len.wrapping_mul(8);
         self.buffer[self.buffer_len] = 0x80;

@@ -1,12 +1,27 @@
-//! Process-wide counters for the modular-exponentiation and hashing hot
-//! paths.
+//! Counters for the modular-exponentiation and hashing hot paths, kept
+//! per thread and folded into process-wide totals.
 //!
 //! The crypto layer is shared across simulation threads (groups cross
 //! thread boundaries through their `Arc` inner), while the `prb-obs`
-//! registry is deliberately single-threaded (`Rc`-based). These relaxed
-//! atomics bridge the gap: the hot path bumps them for fractions of a
-//! nanosecond, and observability consumers snapshot them at the edges of a
-//! run and report deltas.
+//! registry is deliberately single-threaded (`Rc`-based). The hot path
+//! adds into a block of plain cells owned by its own thread — no locked
+//! read-modify-write, no cache line shared with another core — and a
+//! thread's block is added into the process-wide atomics ([`fold`]) at
+//! the points where its counts must become visible:
+//!
+//! - when a [`crate::par::map_chunks`] worker has claimed its last chunk,
+//!   before it hands back its outputs (so the caller's join sees them),
+//! - when [`snapshot`] runs on that thread,
+//! - when a caller that runs its own threads calls [`fold`] at the end of
+//!   each (the experiment harness's `run_seeds` does), because a scoped
+//!   thread's join can return before its thread-locals are destroyed,
+//! - and, as a backstop, when the thread's block is destroyed.
+//!
+//! A [`snapshot`] therefore sees every count made on its own thread and
+//! on every thread folded before it: the work of a finished `par` map or
+//! `run_seeds` call, not that of a thread still running. Deltas between
+//! two snapshots on one thread are exact for the work that thread did or
+//! waited for.
 //!
 //! Counted events:
 //!
@@ -31,28 +46,86 @@
 //! # Wall-clock attribution
 //!
 //! [`set_timing`] switches on per-[`Primitive`] call and wall-nanosecond
-//! counters ([`CryptoStats::wall`]). Off by default, a timed primitive
-//! costs one relaxed load. Times are inclusive: a DLEQ verify's time holds
-//! the Jacobi symbols and exponentiations inside it, so rows overlap and
-//! do not sum to a total.
+//! counters ([`CryptoStats::wall`]), kept and folded like the others. Off
+//! by default, a timed primitive costs one relaxed load. Times are
+//! inclusive: a DLEQ verify's time holds the Jacobi symbols and
+//! exponentiations inside it, so rows overlap and do not sum to a total.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
-static MODEXP_CALLS: AtomicU64 = AtomicU64::new(0);
-static MULTI_POW_CALLS: AtomicU64 = AtomicU64::new(0);
-static TABLE_BUILDS: AtomicU64 = AtomicU64::new(0);
-static TABLE_POWS: AtomicU64 = AtomicU64::new(0);
-static PRODUCTS: AtomicU64 = AtomicU64::new(0);
-static DLEQ_PROOFS: AtomicU64 = AtomicU64::new(0);
-static BATCH_CALLS: AtomicU64 = AtomicU64::new(0);
-static BATCH_ITEMS: AtomicU64 = AtomicU64::new(0);
-static BATCH_BISECT_STEPS: AtomicU64 = AtomicU64::new(0);
-static BATCH_FALLBACK_ITEMS: AtomicU64 = AtomicU64::new(0);
-static SHA256_CALLS: AtomicU64 = AtomicU64::new(0);
+/// A counter [`add`] bumps, in [`CryptoStats`] field order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Counter {
+    Modexp,
+    MultiPow,
+    TableBuilds,
+    TablePows,
+    Products,
+    DleqProofs,
+    BatchCalls,
+    BatchItems,
+    BatchBisectSteps,
+    BatchFallbackItems,
+    Sha256,
+}
+
+const COUNTERS: usize = Counter::Sha256 as usize + 1;
+/// Every counter, then a `[calls, ns]` pair per [`Primitive`].
+const SLOTS: usize = COUNTERS + 2 * Primitive::ALL.len();
+
+static TOTALS: [AtomicU64; SLOTS] = [const { AtomicU64::new(0) }; SLOTS];
 static TIMING: AtomicBool = AtomicBool::new(false);
-static WALL: [[AtomicU64; 2]; Primitive::ALL.len()] =
-    [const { [AtomicU64::new(0), AtomicU64::new(0)] }; Primitive::ALL.len()];
+
+/// One thread's counts not yet folded into [`TOTALS`], slot for slot.
+struct Local([Cell<u64>; SLOTS]);
+
+impl Local {
+    /// Moves this block's counts into the totals, leaving it at zero.
+    fn fold(&self) {
+        for (cell, total) in self.0.iter().zip(&TOTALS) {
+            let n = cell.take();
+            if n != 0 {
+                total.fetch_add(n, Relaxed);
+            }
+        }
+    }
+}
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        self.fold();
+    }
+}
+
+thread_local! {
+    static LOCAL: Local = const { Local([const { Cell::new(0) }; SLOTS]) };
+}
+
+/// Adds `n` to this thread's `slot`. A count made after the thread's block
+/// is gone (in another thread-local's destructor) goes to the total.
+#[inline]
+fn bump(slot: usize, n: u64) {
+    let added = LOCAL.try_with(|l| l.0[slot].set(l.0[slot].get() + n));
+    if added.is_err() {
+        TOTALS[slot].fetch_add(n, Relaxed);
+    }
+}
+
+/// Adds `n` to counter `c`.
+#[inline]
+pub(crate) fn add(c: Counter, n: u64) {
+    bump(c as usize, n);
+}
+
+/// Adds this thread's counts into the process-wide totals. A thread whose
+/// counts must be seen by the thread that joins it calls this last (the
+/// `par` workers do); a scoped thread's join does not wait for its
+/// thread-locals' destructors.
+pub fn fold() {
+    let _ = LOCAL.try_with(Local::fold);
+}
 
 /// A primitive whose calls and wall time [`set_timing`] attributes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,68 +185,13 @@ pub(crate) fn timed<T>(p: Primitive, f: impl FnOnce() -> T) -> T {
     }
     let t0 = Instant::now();
     let out = f();
-    let [calls, ns] = &WALL[p as usize];
-    calls.fetch_add(1, Relaxed);
-    ns.fetch_add(t0.elapsed().as_nanos() as u64, Relaxed);
+    let calls = COUNTERS + 2 * p as usize;
+    bump(calls, 1);
+    bump(calls + 1, t0.elapsed().as_nanos() as u64);
     out
 }
 
-#[inline]
-pub(crate) fn record_modexp() {
-    MODEXP_CALLS.fetch_add(1, Relaxed);
-}
-
-#[inline]
-pub(crate) fn record_multi_pow() {
-    MULTI_POW_CALLS.fetch_add(1, Relaxed);
-}
-
-#[inline]
-pub(crate) fn record_table_build() {
-    TABLE_BUILDS.fetch_add(1, Relaxed);
-}
-
-#[inline]
-pub(crate) fn record_table_pow() {
-    TABLE_POWS.fetch_add(1, Relaxed);
-}
-
-/// Adds an exponentiation's products: one atomic add per working set,
-/// not per product.
-#[inline]
-pub(crate) fn record_products(n: u64) {
-    if n != 0 {
-        PRODUCTS.fetch_add(n, Relaxed);
-    }
-}
-
-#[inline]
-pub(crate) fn record_dleq_proof() {
-    DLEQ_PROOFS.fetch_add(1, Relaxed);
-}
-
-#[inline]
-pub(crate) fn record_batch(items: u64) {
-    BATCH_CALLS.fetch_add(1, Relaxed);
-    BATCH_ITEMS.fetch_add(items, Relaxed);
-}
-
-#[inline]
-pub(crate) fn record_batch_bisect() {
-    BATCH_BISECT_STEPS.fetch_add(1, Relaxed);
-}
-
-#[inline]
-pub(crate) fn record_batch_fallback(items: u64) {
-    BATCH_FALLBACK_ITEMS.fetch_add(items, Relaxed);
-}
-
-#[inline]
-pub(crate) fn record_sha256() {
-    SHA256_CALLS.fetch_add(1, Relaxed);
-}
-
-/// A point-in-time snapshot of the process-wide crypto counters.
+/// A point-in-time reading of the process-wide crypto totals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CryptoStats {
     /// Full modular exponentiations (any base, any modulus).
@@ -230,23 +248,25 @@ impl CryptoStats {
     }
 }
 
-/// Reads the current counter values.
+/// Folds this thread's counts, then reads the process-wide totals: what
+/// this thread and every thread folded before now have counted.
 pub fn snapshot() -> CryptoStats {
+    fold();
+    let t: [u64; SLOTS] = std::array::from_fn(|i| TOTALS[i].load(Relaxed));
+    let c = |c: Counter| t[c as usize];
     CryptoStats {
-        modexp_calls: MODEXP_CALLS.load(Relaxed),
-        multi_pow_calls: MULTI_POW_CALLS.load(Relaxed),
-        table_builds: TABLE_BUILDS.load(Relaxed),
-        table_pows: TABLE_POWS.load(Relaxed),
-        products: PRODUCTS.load(Relaxed),
-        dleq_proofs: DLEQ_PROOFS.load(Relaxed),
-        batch_calls: BATCH_CALLS.load(Relaxed),
-        batch_items: BATCH_ITEMS.load(Relaxed),
-        batch_bisect_steps: BATCH_BISECT_STEPS.load(Relaxed),
-        batch_fallback_items: BATCH_FALLBACK_ITEMS.load(Relaxed),
-        sha256_calls: SHA256_CALLS.load(Relaxed),
-        wall: WALL
-            .each_ref()
-            .map(|slot| slot.each_ref().map(|c| c.load(Relaxed))),
+        modexp_calls: c(Counter::Modexp),
+        multi_pow_calls: c(Counter::MultiPow),
+        table_builds: c(Counter::TableBuilds),
+        table_pows: c(Counter::TablePows),
+        products: c(Counter::Products),
+        dleq_proofs: c(Counter::DleqProofs),
+        batch_calls: c(Counter::BatchCalls),
+        batch_items: c(Counter::BatchItems),
+        batch_bisect_steps: c(Counter::BatchBisectSteps),
+        batch_fallback_items: c(Counter::BatchFallbackItems),
+        sha256_calls: c(Counter::Sha256),
+        wall: std::array::from_fn(|p| [t[COUNTERS + 2 * p], t[COUNTERS + 2 * p + 1]]),
     }
 }
 
@@ -257,15 +277,16 @@ mod tests {
     #[test]
     fn counters_move_and_deltas_subtract() {
         let before = snapshot();
-        record_modexp();
-        record_multi_pow();
-        record_table_build();
-        record_table_pow();
-        record_products(3);
-        record_dleq_proof();
-        record_batch(5);
-        record_batch_bisect();
-        record_batch_fallback(2);
+        add(Counter::Modexp, 1);
+        add(Counter::MultiPow, 1);
+        add(Counter::TableBuilds, 1);
+        add(Counter::TablePows, 1);
+        add(Counter::Products, 3);
+        add(Counter::DleqProofs, 1);
+        add(Counter::BatchCalls, 1);
+        add(Counter::BatchItems, 5);
+        add(Counter::BatchBisectSteps, 1);
+        add(Counter::BatchFallbackItems, 2);
         crate::sha256::sha256(b"counted");
         let after = snapshot();
         let d = after.delta_since(&before);

@@ -10,16 +10,17 @@
 use std::cell::Cell;
 use std::fmt;
 
-use prb_crypto::fxhash::FxMap;
-
 use crate::transaction::TxId;
+use crate::txindex::TxIndex;
 
 /// Ground truth and cost accounting for transaction validation.
 #[derive(Default)]
 pub struct ValidityOracle {
-    // Keyed by a SHA-256 digest and probed once or more per transaction,
-    // so the seeded Fx mix (never iterated here) replaces SipHash.
-    truth: FxMap<TxId, bool>,
+    /// Every registered id and its truth bit, in registration order.
+    truth: Vec<(TxId, bool)>,
+    /// Positions in `truth`, keyed by four bytes of the id; a hit is
+    /// confirmed against the id at its position.
+    index: TxIndex<u32>,
     validations: Cell<u64>,
 }
 
@@ -43,7 +44,14 @@ impl ValidityOracle {
     /// Re-registering the same id keeps the first value (transactions are
     /// immutable once signed).
     pub fn register(&mut self, id: TxId, valid: bool) {
-        self.truth.entry(id).or_insert(valid);
+        let next = u32::try_from(self.truth.len()).expect("fewer than 2^32 transactions");
+        let truth = &self.truth;
+        let (_, new) = self
+            .index
+            .get_or_insert(id, next, |at| truth[at as usize].0);
+        if new {
+            self.truth.push((id, valid));
+        }
     }
 
     /// The paper's `validate(tx)`: reveals ground truth, counting the call.
@@ -52,13 +60,14 @@ impl ValidityOracle {
     /// invalid by definition.
     pub fn validate(&self, id: TxId) -> bool {
         self.validations.set(self.validations.get() + 1);
-        self.truth.get(&id).copied().unwrap_or(false)
+        self.peek(id).unwrap_or(false)
     }
 
     /// Ground truth *without* paying/counting a validation (for experiment
     /// scoring only — never for protocol decisions).
     pub fn peek(&self, id: TxId) -> Option<bool> {
-        self.truth.get(&id).copied()
+        let at = self.index.get(&id, |at| self.truth[at as usize].0)?;
+        Some(self.truth[at as usize].1)
     }
 
     /// Number of `validate` calls so far.
@@ -118,6 +127,55 @@ mod tests {
         oracle.register(id("a"), true);
         oracle.register(id("a"), false);
         assert_eq!(oracle.peek(id("a")), Some(true));
+    }
+
+    /// An id whose first four bytes are `key`, the rest drawn from `tail`.
+    fn keyed(key: u32, tail: u64) -> TxId {
+        let mut bytes = [0u8; 32];
+        bytes[..4].copy_from_slice(&key.to_le_bytes());
+        bytes[4..12].copy_from_slice(&tail.to_le_bytes());
+        TxId(prb_crypto::sha256::Digest(bytes))
+    }
+
+    #[test]
+    fn lockstep_with_an_exact_map() {
+        use std::collections::HashMap;
+        // 40 ids over 3 four-byte keys: every key is shared many times.
+        let pool: Vec<TxId> = (0..40u64).map(|n| keyed((n % 3) as u32, n)).collect();
+        let mut oracle = ValidityOracle::new();
+        let mut exact: HashMap<TxId, bool> = HashMap::new();
+        let mut draw = 0x2545_f491_4f6c_dd1du64;
+        let mut validated = 0;
+        for step in 0..4_000 {
+            // xorshift64: the test's own seeded draws.
+            draw ^= draw << 13;
+            draw ^= draw >> 7;
+            draw ^= draw << 17;
+            let id = pool[(draw >> 8) as usize % pool.len()];
+            match draw % 4 {
+                0 => {
+                    let valid = draw & 0x10 != 0;
+                    oracle.register(id, valid);
+                    exact.entry(id).or_insert(valid);
+                }
+                1 => {
+                    validated += 1;
+                    let want = exact.get(&id).copied().unwrap_or(false);
+                    assert_eq!(oracle.validate(id), want, "validate, step {step}");
+                }
+                _ => assert_eq!(
+                    oracle.peek(id),
+                    exact.get(&id).copied(),
+                    "peek, step {step}"
+                ),
+            }
+            assert_eq!(oracle.registered(), exact.len(), "registered, step {step}");
+        }
+        assert_eq!(oracle.validations(), validated, "only validate counts");
+        assert_eq!(exact.len(), pool.len(), "every id was registered");
+        for id in &pool {
+            assert_eq!(oracle.peek(*id), exact.get(id).copied());
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! SHA-256 calls per committed transaction, pinned without a wall clock.
 //!
 //! Its own file, so its own process, and one `#[test]`, so one thread:
-//! `prb_crypto::stats` counters are process-wide, and here nothing else
-//! bumps them.
+//! `prb_crypto::stats` keeps counts per thread and folds them into
+//! process-wide totals, so a snapshot sees this thread's counts and those
+//! of every thread folded before it (a `par` worker folds itself as it
+//! finishes), and here nothing else adds to them.
 
 use prb::core::config::{ProtocolConfig, RevealPolicy};
 use prb::core::scale::ScaleSim;
@@ -124,8 +126,9 @@ fn blocks_hash_once() {
     assert_eq!(counted(|| assert_eq!(chain.audit(), None)).1, sealed);
 
     // The same per block where import, audit and store replay take the
-    // parallel path (several chunks of 8 blocks): the counters are
-    // process-wide atomics, so worker threads are counted.
+    // parallel path (several chunks of 8 blocks): each worker folds its
+    // per-thread counts into the totals before the caller joins it, so
+    // worker threads are counted.
     const BLOCKS: u64 = 40;
     let dir = std::env::temp_dir().join(format!("prb-hash-budget-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -3,8 +3,10 @@
 //! wall clock.
 //!
 //! Its own file, so its own process, and one `#[test]`, so one thread:
-//! `prb_crypto::stats` counters are process-wide, and here nothing else
-//! bumps them.
+//! `prb_crypto::stats` keeps counts per thread and folds them into
+//! process-wide totals, so a snapshot sees this thread's counts and those
+//! of every thread folded before it (a `par` worker folds itself as it
+//! finishes), and here nothing else adds to them.
 
 use prb::core::config::ProtocolConfig;
 use prb::core::sim::Simulation;
