@@ -24,6 +24,10 @@
 //!   incumbent misreporter despite the discounted prior.
 //! - **Determinism** — the same churn cell run twice must produce
 //!   byte-identical ledgers and byte-identical membership certificates.
+//! - **Churn with an equivocator** — rate churn while one governor
+//!   double-signs. Asserts: every honest governor convicts it, and every
+//!   membership certificate re-verifies by the one counting rule, the
+//!   conviction a departure in the epoch log.
 //!
 //! Output: markdown tables plus `BENCH_churn.json` with machine-readable
 //! pass markers. `--quick` shrinks rounds and seeds for CI smoke runs.
@@ -130,8 +134,8 @@ fn build_sim(cfg: ProtocolConfig) -> Simulation {
 }
 
 /// Audit every certificate in a governor's membership log against
-/// externally re-derived keys, sized by the committee epoch in force at
-/// the certificate's effective round. Returns (joins, leaves, evicts).
+/// externally re-derived keys, by the one counting rule at the
+/// certificate's effective round. Returns (joins, leaves, evicts).
 fn audit_certs(sim: &Simulation, cfg: &ProtocolConfig) -> (u64, u64, u64) {
     let (collector_pks, governor_pks) = derive_pks(cfg);
     let g0 = sim.governor(0);
@@ -142,8 +146,7 @@ fn audit_certs(sim: &Simulation, cfg: &ProtocolConfig) -> (u64, u64, u64) {
             MemberRole::Collector => &collector_pks[cert.state.member as usize],
             MemberRole::Governor => &governor_pks[cert.state.member as usize],
         };
-        let active = epoch_log.active_at(cert.state.effective_round);
-        cert.audit(subject_pk, &governor_pks, active)
+        cert.audit(subject_pk, &governor_pks, epoch_log)
             .unwrap_or_else(|e| {
                 panic!(
                     "membership cert for {:?} {} ({:?}) failed epoch-quorum audit: {e:?}",
@@ -486,6 +489,28 @@ fn run_convergence(seed: u64, rounds: u32) -> Convergence {
     }
 }
 
+/// Rate churn with governor 3 an equivocator: every honest governor
+/// convicts it, and governor 0's certificates audit with the conviction
+/// in its epoch log. Returns the certificates audited.
+fn run_equivocator_leg(seed: u64, rounds: u32) -> u64 {
+    let mut cfg = churn_cfg(seed, 0.20, 0.10, false);
+    let mut profiles = vec![GovernorProfile::honest(); cfg.governors as usize];
+    profiles[3] = GovernorProfile::equivocator();
+    cfg.governor_profiles = profiles;
+    let mut sim = build_sim(cfg.clone());
+    sim.run(rounds);
+    sim.run_drain_rounds(2);
+    for g in 0..3 {
+        assert_eq!(sim.governor(g).expelled(), [3], "g{g} (seed {seed})");
+    }
+    let (joins, leaves, evicts) = audit_certs(&sim, &cfg);
+    assert!(
+        joins + leaves + evicts > 0,
+        "no membership cert formed beside the equivocator (seed {seed})"
+    );
+    joins + leaves + evicts
+}
+
 /// Serialize a membership certificate into a canonical comparison blob.
 fn cert_blob(cert: &MembershipCert) -> String {
     format!("{cert:?}")
@@ -694,6 +719,16 @@ fn main() {
          ({chain_bytes} bytes), membership cert logs identical ({det_certs} certs)."
     );
 
+    // ---- Phase 4: churn with an equivocator ----------------------------
+    let equivocator_certs: u64 = seeds.iter().map(|&s| run_equivocator_leg(s, rounds)).sum();
+    println!();
+    println!("## churn with an equivocator");
+    println!();
+    println!(
+        "governor 3 double-signs under rate churn: every honest governor convicted it, and \
+         all {equivocator_certs} membership certs re-verified by the one counting rule."
+    );
+
     // ---- JSON ----------------------------------------------------------
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"experiment\": \"churn\",");
@@ -731,12 +766,14 @@ fn main() {
         out,
         "  \"determinism\": {{\"chain_bytes\": {chain_bytes}, \"certs\": {det_certs}}},"
     );
+    let _ = writeln!(out, "  \"equivocator_certs_audited\": {equivocator_certs},");
     let _ = writeln!(out, "  \"asserts\": {{");
     let _ = writeln!(out, "    \"regret_bound_under_churn\": \"pass\",");
     let _ = writeln!(out, "    \"newcomer_convergence\": \"pass\",");
     let _ = writeln!(out, "    \"quorum_safety_across_epochs\": \"pass\",");
     let _ = writeln!(out, "    \"silence_eviction\": \"pass\",");
-    let _ = writeln!(out, "    \"two_run_determinism\": \"pass\"");
+    let _ = writeln!(out, "    \"two_run_determinism\": \"pass\",");
+    let _ = writeln!(out, "    \"churn_with_equivocator\": \"pass\"");
     let _ = writeln!(out, "  }}");
     out.push_str("}\n");
     std::fs::write(&out_path, &out).expect("write bench json");

@@ -9,10 +9,10 @@
 //! *after* it: O(delta) state-sync instead of an O(chain) replay, in the
 //! spirit of reputation-snapshot (re)anchoring in RepChain
 //! (arXiv:1901.05741). A cert at serial `s` counts everyone's signature but
-//! the governors departed in `s`'s membership epoch and those convicted of
-//! equivocation ([`Committee::excluded_at`]); a governor's [`Certifier`]
-//! applies that rule to its own and its peers' shares and to the certs
-//! offered by sync peers or reopened from the store.
+//! the governors departed in `s`'s membership epoch, convictions included
+//! ([`Committee::excluded_at`]); a governor's [`Certifier`] applies that
+//! rule to its own and its peers' shares and to the certs offered by sync
+//! peers or reopened from the store.
 
 use std::collections::VecDeque;
 
@@ -117,26 +117,19 @@ pub type CheckpointShare = Share<CheckpointState>;
 pub type CheckpointCert = Cert<CheckpointState>;
 
 /// The committee a governor counts checkpoint signatures against: every
-/// governor's key by index, the membership epoch log, and the governors
-/// this node convicted of equivocation.
+/// governor's key by index, and the membership epoch log.
 #[derive(Clone, Copy, Debug)]
-pub struct Committee<'a>(pub &'a [PublicKey], pub &'a EpochLog, pub &'a [u32]);
+pub struct Committee<'a>(pub &'a [PublicKey], pub &'a EpochLog);
 
 impl Committee<'_> {
     /// Whose signatures do not count toward a cert at `serial`: the
-    /// governors departed in that serial's epoch, and every convicted one.
-    /// Sorted.
+    /// governors [`EpochLog::departed_at`] it. Sorted.
     ///
     /// The epoch log is kept by round, and this query reads `serial` as a
     /// round: the two agree only while every round commits exactly one
-    /// block (ROADMAP item 17(a) fixes the axis before finality keys on
-    /// it).
+    /// block (ROADMAP item 20 fixes the axis before finality keys on it).
     pub fn excluded_at(&self, serial: u64) -> Vec<u32> {
-        let mut out = self.1.departed_at(serial);
-        out.extend_from_slice(self.2);
-        out.sort_unstable();
-        out.dedup();
-        out
+        self.1.departed_at(serial)
     }
 }
 
@@ -227,7 +220,7 @@ impl Certifier {
     /// A peer's share arrived.
     pub fn on_share(&mut self, share: CheckpointShare, c: &Committee<'_>) -> ShareStep {
         let serial = share.scope;
-        if c.excluded_at(serial).contains(&share.governor)
+        if c.1.is_departed_at(share.governor, serial)
             || self.certified(serial)
             || !share.verify(c.0)
         {
@@ -293,6 +286,7 @@ impl Certifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::membership::EpochKind;
     use prb_crypto::signer::CryptoScheme;
 
     fn keys(m: usize) -> (Vec<KeyPair>, Vec<PublicKey>) {
@@ -485,8 +479,8 @@ mod tests {
     #[test]
     fn capture_drops_and_counts_early_shares_over_another_digest() {
         let (keys, pks) = keys(4);
-        let log = EpochLog::new(4);
-        let c = Committee(&pks, &log, &[]);
+        let log = EpochLog::default();
+        let c = Committee(&pks, &log);
         let mut cf = Certifier::default();
         let mine = state(4);
         let mut other = state(4);
@@ -516,8 +510,8 @@ mod tests {
     #[test]
     fn one_share_counts_per_governor_per_serial() {
         let (keys, pks) = keys(4);
-        let log = EpochLog::new(4);
-        let c = Committee(&pks, &log, &[]);
+        let log = EpochLog::default();
+        let c = Committee(&pks, &log);
         let mut cf = Certifier::default();
         let st = state(2);
         cf.capture(st.clone());
@@ -537,8 +531,8 @@ mod tests {
     #[test]
     fn early_shares_buffer_for_at_most_32_serials() {
         let (keys, pks) = keys(4);
-        let log = EpochLog::new(4);
-        let c = Committee(&pks, &log, &[]);
+        let log = EpochLog::default();
+        let c = Committee(&pks, &log);
         let mut cf = Certifier::default();
         for serial in 1..=EARLY_SHARE_SERIALS as u64 {
             let step = cf.on_share(share(&state(serial), 1, &keys), &c);
@@ -559,10 +553,17 @@ mod tests {
     #[test]
     fn quorum_is_sized_at_the_certs_epoch_less_the_convicted() {
         let (keys, pks) = keys(4);
-        let mut log = EpochLog::new(4);
-        log.record_departure(3, 4);
+        let mut log = EpochLog::default();
+        log.record(3, 4, EpochKind::Departure);
+        let mut convicted = log.clone();
+        assert!(convicted.record(1, 0, EpochKind::Expulsion));
         let form = |serial: u64, expelled: &[u32], peers: &[u32]| {
-            let c = Committee(&pks, &log, expelled);
+            let log = if expelled.is_empty() {
+                &log
+            } else {
+                &convicted
+            };
+            let c = Committee(&pks, log);
             let mut cf = Certifier::default();
             let st = state(serial);
             cf.capture(st.clone());
@@ -591,7 +592,7 @@ mod tests {
         );
         // Convicted but not departed at serial 4: three of three.
         assert_eq!(form(4, &[1], &[1, 3]), (vec![Ignored, Buffered], None));
-        let c = Committee(&pks, &log, &[1]);
+        let c = Committee(&pks, &convicted);
         assert_eq!(c.excluded_at(4), [1]);
         assert_eq!(c.excluded_at(6), [1, 3]);
         // Offers are counted by the same rule.
@@ -608,8 +609,8 @@ mod tests {
     #[test]
     fn a_formed_cert_prunes_everything_at_or_below_it() {
         let (keys, pks) = keys(4);
-        let log = EpochLog::new(4);
-        let c = Committee(&pks, &log, &[]);
+        let log = EpochLog::default();
+        let c = Committee(&pks, &log);
         let mut cf = Certifier::default();
         cf.capture(state(2));
         cf.capture(state(4));
@@ -643,8 +644,8 @@ mod tests {
     #[test]
     fn stale_forged_and_under_quorum_offers_never_replace_the_latest() {
         let (keys, pks) = keys(4);
-        let log = EpochLog::new(4);
-        let c = Committee(&pks, &log, &[]);
+        let log = EpochLog::default();
+        let c = Committee(&pks, &log);
         let mut cf = Certifier::default();
         let good = cert(6, &[0, 1, 2], &keys);
         assert_eq!(cf.offer(good.clone(), 0, &c), Ok(&good));

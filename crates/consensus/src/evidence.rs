@@ -148,6 +148,30 @@ impl EquivocationEvidence {
     }
 }
 
+/// A record that convicts a governor (§3.4.3).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Conviction {
+    /// Two blocks signed for one round: checkable by anyone, so it is
+    /// kept in the member log and a reopened governor convicts again.
+    Equivocation(EquivocationEvidence),
+    /// The signed header of a direct proposal this governor refused as
+    /// invalid. Its signature alone proves nothing (every proposal is
+    /// signed) and the block was judged against a chain a reopened
+    /// governor may not hold, so it is not persisted.
+    Invalid(SignedHeader),
+}
+
+impl Conviction {
+    /// The header the conviction rests on: its proposer is the culprit,
+    /// its round the one the culprit signed for.
+    pub fn header(&self) -> &SignedHeader {
+        match self {
+            Conviction::Equivocation(e) => &e.first,
+            Conviction::Invalid(h) => h,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

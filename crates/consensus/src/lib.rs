@@ -73,7 +73,7 @@ pub mod verify_pool;
 
 pub use checkpoint::{CheckpointCert, CheckpointShare, CheckpointState, CollectorSnapshot};
 pub use election::{elect, elect_excluding, ElectionClaim, ElectionResult, Tally};
-pub use evidence::{EquivocationEvidence, SignedHeader};
+pub use evidence::{Conviction, EquivocationEvidence, SignedHeader};
 pub use membership::{
     EpochLog, MemberRole, MembershipAction, MembershipCert, MembershipRequest, MembershipShare,
 };

@@ -11,16 +11,12 @@
 //! A [`Tally`] says whose signatures count and how many are needed. A
 //! signer past the committee is refused, a repeated one counts once, and
 //! one in `excluded` is skipped, not refused (evidence may spread after an
-//! honest share). Certs are counted by two rules:
-//!
-//! - [`Tally::bft`]: `excluded` skipped, a threshold of the other members.
-//!   Every assembly, and a checkpoint cert with `excluded` the
-//!   [`crate::checkpoint::Committee::excluded_at`] its serial.
-//! - [`Tally::active`]: nobody skipped, a threshold of `active`. A
-//!   membership cert's audit, `active` the
-//!   [`crate::membership::EpochLog::active_at`] its effective round: at
-//!   `m = 4` a cert assembled before a departure keeps `q(4) − 1 = 2` of the
-//!   `q(3) = 3` that `bft` needs after it; here the departed signer counts.
+//! honest share). Every cert is counted by one rule, [`Tally::bft`]:
+//! `excluded` is the governors [`crate::membership::EpochLog::departed_at`]
+//! the cert's round (a membership cert's effective round, a checkpoint's
+//! serial), and a threshold of the other members must sign. Assembly,
+//! share checks, offers, the reopen audit and external audits all read it.
+//! [`Tally::all`] (every member left) serves the stake block alone.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -169,11 +165,6 @@ impl<'a> Tally<'a> {
         Tally { excluded, need }
     }
 
-    /// Nobody skipped, a [`threshold`] of `active` members.
-    pub fn active(active: usize) -> Self {
-        Self::bft(active, &[])
-    }
-
     /// `excluded` skipped, every other of `m` members.
     pub(crate) fn all(m: usize, excluded: &'a [u32]) -> Self {
         let need = Self::others(m, excluded);
@@ -236,22 +227,15 @@ impl<S: Subject> Cert<S> {
         })
     }
 
-    /// Verifies the cert under [`Tally::bft`], the checkpoint rule.
+    /// Verifies the cert by the one rule, [`Tally::bft`] with `excluded`
+    /// skipped: a well-formed subject, and counted signers whose
+    /// signatures over it verify and reach the threshold of the rest.
     ///
     /// # Errors
     ///
     /// Returns the first [`CertError`] encountered.
     pub fn verify(&self, pks: &[PublicKey], excluded: &[u32]) -> Result<(), CertError> {
-        self.verify_with(pks, Tally::bft(pks.len(), excluded))
-    }
-
-    /// Verifies the cert: a well-formed subject, and counted signers whose
-    /// signatures over it verify and reach `tally`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`CertError`] encountered.
-    pub fn verify_with(&self, pks: &[PublicKey], tally: Tally<'_>) -> Result<(), CertError> {
+        let tally = Tally::bft(pks.len(), excluded);
         if !self.state.well_formed() {
             return Err(CertError::MalformedState);
         }
@@ -418,7 +402,7 @@ mod tests {
             t.counted(&sigs, 4)
                 .map(|v| v.iter().map(|(g, _)| *g).collect::<Vec<_>>())
         };
-        assert_eq!(signers(Tally::active(4)), Ok(vec![2, 0, 1, 3]));
+        assert_eq!(signers(Tally::bft(4, &[])), Ok(vec![2, 0, 1, 3]));
         assert_eq!(signers(Tally::bft(4, &[1])), Ok(vec![2, 0, 3]));
         assert_eq!(Tally::bft(4, &[1]).counted(&sigs, 3), Err(3));
         assert_eq!(
@@ -427,24 +411,18 @@ mod tests {
             "out-of-range exclusions shrink nothing"
         );
         assert_eq!(Tally::all(4, &[1]).need(), 3);
-        assert_eq!(Tally::active(3).need(), 3);
     }
 
     #[test]
-    fn the_two_cert_rules_differ_on_a_departed_signer() {
-        // Signed at m = 4 by 0, 1 and 3; governor 3 departs afterwards.
+    fn one_rule_skips_a_departed_signer() {
+        // Signed at m = 4 by 0, 1 and 3; governor 3 is departed at the
+        // cert's round: two of the three the other three need.
         let (keys, pks) = keys(4);
         let c = cert(7, &[0, 1, 3], &keys);
         assert_eq!(c.verify(&pks, &[]), Ok(()));
-        // The checkpoint rule skips the departed signer: two of three.
         let under = Err(CertError::UnderQuorum { got: 2, need: 3 });
         assert_eq!(c.verify(&pks, &[3]), under);
-        // The membership rule counts it against the three still active.
-        assert_eq!(c.verify_with(&pks, Tally::active(3)), Ok(()));
-        assert_eq!(
-            cert(7, &[0, 1], &keys).verify_with(&pks, Tally::active(3)),
-            under
-        );
+        assert_eq!(cert(7, &[0, 1, 2], &keys).verify(&pks, &[3]), Ok(()));
     }
 
     #[test]
@@ -457,7 +435,7 @@ mod tests {
             Err(CertError::BadSignature { governor: 1 })
         );
         // An excluded signer's signature is skipped, not checked.
-        assert_eq!(c.verify_with(&pks, Tally::bft(4, &[1, 3])), Ok(()));
+        assert_eq!(c.verify(&pks, &[1, 3]), Ok(()));
         let mut c = cert(5, &[0, 1, 2], &keys);
         c.sigs[2].0 = 4;
         assert_eq!(

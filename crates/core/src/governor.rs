@@ -37,8 +37,8 @@ use prb_consensus::checkpoint::{
     ShareStep,
 };
 use prb_consensus::election::{elect_excluding, ElectionClaim};
-use prb_consensus::evidence::{EquivocationEvidence, SignedHeader};
-use prb_consensus::membership::{CommitteeView, MemberRole, MembershipRequest, Transition};
+use prb_consensus::evidence::{Conviction, EquivocationEvidence, SignedHeader};
+use prb_consensus::membership::{CommitteeView, MemberRole, MembershipRequest, Transition, LEAD};
 use prb_consensus::quorum::CertError;
 use prb_consensus::stake::{StakeTable, StakeTransfer};
 use prb_consensus::verify_pool::VerifyPool;
@@ -271,10 +271,12 @@ impl GovernorNode {
         if recovered.chain.height() > 0 || recovered.chain.is_anchored() {
             self.chain = recovered.chain;
         }
-        // Replay the persisted membership log first: the checkpoint cert is
+        // Replay the persisted member log first: the checkpoint cert is
         // quorum-sized against the epochs it restores. The certified
-        // reputation state adopted below supersedes any bootstrap it does.
-        let (applied, refused) = self.committee.replay(store.load_members());
+        // reputation state adopted below supersedes any bootstrap it does,
+        // and the equivocation proofs slash again whatever stake it restores.
+        let (certs, proofs) = store.load_members();
+        let (applied, refused) = self.committee.replay(certs, proofs);
         for t in applied {
             self.on_transition(t, 0);
         }
@@ -288,6 +290,9 @@ impl GovernorNode {
             if let Ok(cert) = self.certifier.offer(cert, 0, &c) {
                 adopt_cert_state(cert, &mut self.stake_table, &mut self.reputation);
             }
+        }
+        for g in self.committee.convicted() {
+            self.stake_table.slash(g);
         }
         self.store = Some(store);
     }
@@ -459,10 +464,16 @@ impl GovernorNode {
         }
         self.metrics.member_certs_formed += 1;
         self.obs.add_counter("member.cert_formed", 1);
+        self.save_members();
+    }
+
+    /// Persists the member log: the membership certs and the equivocation
+    /// proofs.
+    fn save_members(&mut self) {
         if let Some(store) = &mut self.store {
             store
-                .save_members(self.committee.certs())
-                .expect("durable store must persist the membership log");
+                .save_members(self.committee.certs(), self.committee.evidence())
+                .expect("durable store must persist the member log");
         }
     }
 
@@ -597,7 +608,7 @@ impl GovernorNode {
             },
         );
         for member in candidates {
-            let req = self.committee.propose_eviction(member, round + 2);
+            let req = self.committee.propose_eviction(member, round + LEAD);
             self.metrics.evictions_proposed += 1;
             self.obs.add_counter("member.evict_proposed", 1);
             let msg = ProtocolMsg::Membership(Box::new(req.clone()));
@@ -684,8 +695,8 @@ impl GovernorNode {
     }
 
     /// Governors this node has expelled, sorted by index.
-    pub fn expelled(&self) -> &[u32] {
-        self.committee.convicted()
+    pub fn expelled(&self) -> Vec<u32> {
+        self.committee.convicted().collect()
     }
 
     /// Transaction ids currently buffered for inclusion (diagnostics).
@@ -883,7 +894,7 @@ impl GovernorNode {
         for t in self.committee.apply_due(round) {
             self.on_transition(t, now);
         }
-        if self.committee.epochs().is_departed_now(self.index) {
+        if self.committee.has_left(self.index) {
             // This governor's own certified departure took effect: stay
             // dark — no claim, no gossip — while still following
             // committed blocks so a readmission resumes from a warm
@@ -1561,7 +1572,7 @@ impl GovernorNode {
                 && h.block_hash == block.hash()
                 && h.verify(self.committee.governor_pks())
             {
-                self.expel(h.proposer, now);
+                self.expel(Conviction::Invalid(h.clone()), now);
             }
         }
     }
@@ -1622,6 +1633,7 @@ impl GovernorNode {
                 let Ok(culprit) = evidence.verify(self.committee.governor_pks()) else {
                     return; // defensive; both halves verified above
                 };
+                let record = Conviction::Equivocation(evidence.clone());
                 self.metrics.evidence_broadcast += 1;
                 if self.obs.is_enabled() {
                     self.obs.metrics().inc("byzantine.equivocations_detected");
@@ -1645,7 +1657,7 @@ impl GovernorNode {
                 );
                 self.obs
                     .end_span(Span::begin(phases::DETECTION, seen_at), now, self.net_idx());
-                self.expel(culprit, now);
+                self.expel(record, now);
             }
         }
     }
@@ -1653,24 +1665,32 @@ impl GovernorNode {
     /// A peer forwarded equivocation evidence: verify both signatures
     /// (the accuser is not trusted) and expel the convicted governor.
     fn on_evidence(&mut self, evidence: EquivocationEvidence, ctx: &mut Context<'_, ProtocolMsg>) {
-        let Ok(culprit) = evidence.verify(self.committee.governor_pks()) else {
+        if evidence.verify(self.committee.governor_pks()).is_err() {
             return;
-        };
+        }
         self.metrics.evidence_received += 1;
         if self.obs.is_enabled() {
             self.obs.metrics().inc("byzantine.evidence_received");
         }
-        self.expel(culprit, ctx.now().ticks());
+        self.expel(Conviction::Equivocation(evidence), ctx.now().ticks());
     }
 
-    /// Expels `culprit` from this node's committee view: slashes its
-    /// stake (so it can never mint another election claim), discards its
-    /// live claim, and shrinks the full-claim-set threshold. Idempotent —
-    /// concurrent detectors all broadcast evidence, and a culprit
-    /// receiving proof against itself expels itself the same way,
-    /// keeping every stake table in agreement.
-    fn expel(&mut self, culprit: u32, now: u64) {
-        if !self.committee.convict(culprit) {
+    /// Expels the verified `record`'s culprit from this node's committee
+    /// view and persists the log: slashes its stake (so it can never mint
+    /// another election claim), discards its live claim, and shrinks the
+    /// full-claim-set threshold. Idempotent — concurrent detectors all
+    /// broadcast evidence, and a culprit receiving proof against itself
+    /// expels itself the same way, keeping every stake table in agreement.
+    /// A later record naming an earlier round only moves the expulsion
+    /// back.
+    fn expel(&mut self, record: Conviction, now: u64) {
+        let culprit = record.header().proposer;
+        let first = !self.committee.is_convicted(culprit);
+        if !self.committee.convict(record, self.round) {
+            return;
+        }
+        self.save_members();
+        if !first {
             return;
         }
         self.stake_table.slash(culprit);
@@ -2220,17 +2240,26 @@ mod fork_tests {
         gov.round = 4;
         gov.claims.push(claim_for(&gov, &keys, 1, 4));
         gov.claims.push(claim_for(&gov, &keys, 2, 4));
-        gov.expel(1, 100);
+        let invalid = |round| {
+            let hash = prb_crypto::sha256::sha256(b"invalid");
+            Conviction::Invalid(SignedHeader::create(1, round, 1, hash, &keys[1]))
+        };
+        gov.expel(invalid(4), 100);
         assert_eq!(gov.expelled(), &[1]);
         assert_eq!(gov.stake_table.stake(1), Some(0));
         assert!(gov.claims.iter().all(|c| c.governor != 1));
         assert_eq!(gov.claims.len(), 1);
         assert_eq!(gov.metrics.expulsions, 1);
         assert_eq!(gov.metrics.expulsion_round[&1], 4);
-        // A second conviction of the same governor changes nothing.
-        gov.expel(1, 200);
+        // A second conviction of the same governor changes nothing; one
+        // naming an earlier round only moves the expulsion back, and one
+        // signed past the round plus the lead is refused.
+        gov.expel(invalid(5), 200);
+        gov.expel(invalid(3), 300);
+        gov.expel(invalid(u64::MAX), 400);
         assert_eq!(gov.expelled(), &[1]);
         assert_eq!(gov.metrics.expulsions, 1);
+        assert_eq!(gov.committee.epochs().expelled_from(1), Some(3 + LEAD));
         // A slashed governor can no longer mint election claims.
         assert!(
             ElectionClaim::compute(TAG, 5, 1, gov.stake_table.stake(1).unwrap(), &keys[1])

@@ -20,7 +20,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use prb_consensus::membership::{MemberRole, MembershipAction, MembershipRequest};
+use prb_consensus::membership::{MemberRole, MembershipAction, MembershipRequest, LEAD};
 use prb_consensus::stake::StakeTransfer;
 use prb_crypto::identity::{IdentityManager, NodeId};
 use prb_crypto::signer::{KeyPair, PublicKey};
@@ -833,6 +833,12 @@ impl Simulation {
         self.churn_transitions
     }
 
+    /// Collectors whose membership request is still in flight: drawn or
+    /// submitted, and not yet applied.
+    pub fn churn_in_flight(&self) -> usize {
+        self.churn_inflight.len()
+    }
+
     /// Live collectors in ascending order (driver's view).
     pub fn live_collectors(&self) -> Vec<u32> {
         (0..self.cfg.collectors)
@@ -936,7 +942,7 @@ impl Simulation {
         member: u32,
         action: MembershipAction,
     ) -> MembershipRequest {
-        let effective = self.round + 2;
+        let effective = self.round + LEAD;
         if action == MembershipAction::Evict {
             return MembershipRequest::evict(role, member, effective);
         }
@@ -974,15 +980,9 @@ impl Simulation {
         let open = matches!(load, Load::Arrivals(_));
 
         // E17 dynamic membership: flip actors for the transitions due now
-        // (the same boundary at which governors apply them). Only a
-        // closed-loop round under load draws new rate-driven requests: a
-        // drain round lets the committee settle, and the interned tier
-        // refuses churn rates.
+        // (the same boundary at which governors apply them).
         if self.cfg.churn_enabled() {
             self.apply_due_churn(round);
-            if collect {
-                self.draw_churn(SimTime(t0));
-            }
         }
 
         // The load decides the four places the tiers' schedules differ.
@@ -1011,6 +1011,15 @@ impl Simulation {
                     SimTime(t0),
                 );
             }
+        }
+        // Only a closed-loop round under load draws new rate-driven
+        // requests: a drain round lets the committee settle, and the
+        // interned tier refuses churn rates. They go out after
+        // `StartRound`, so that governors judge a request against the
+        // transitions due this round: a Join drawn as the Leave before it
+        // takes effect is then acceptable.
+        if collect && self.cfg.churn_enabled() {
+            self.draw_churn(SimTime(t0));
         }
         let txs_this_round = if collect { self.cfg.tx_per_provider } else { 0 };
         if let (true, Providers::Actors(workload)) = (collect, &mut self.providers) {

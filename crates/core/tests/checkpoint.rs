@@ -413,7 +413,7 @@ fn cert_quorum_is_sized_by_the_epoch_at_its_serial() {
         fsync: prb_store::FsyncPolicy::Always,
     };
     let (mut store, recovered) = prb_store::BlockStore::open(&dir, opts).unwrap();
-    store.save_members(&[leave]).unwrap();
+    store.save_members(&[leave], &[]).unwrap();
     if let NodeActor::Governor(g) = rig.net.node_mut(0) {
         g.set_store(store, recovered);
         assert_eq!(g.committee().epochs().departed_at(u64::MAX), &[3]);
@@ -499,8 +499,8 @@ fn a_reopened_membership_log_loses_a_cert_with_a_forged_share() {
         fsync: prb_store::FsyncPolicy::Always,
     };
     let (mut store, recovered) = prb_store::BlockStore::open(&dir, opts).unwrap();
-    store.save_members(&[leave.clone(), forged]).unwrap();
-    assert_eq!(store.load_members().len(), 2, "the checksum holds");
+    store.save_members(&[leave.clone(), forged], &[]).unwrap();
+    assert_eq!(store.load_members().0.len(), 2, "the checksum holds");
     if let NodeActor::Governor(g) = rig.net.node_mut(0) {
         g.set_store(store, recovered);
     }
@@ -516,10 +516,12 @@ fn a_reopened_membership_log_loses_a_cert_with_a_forged_share() {
 }
 
 /// Regression: a governor convicted of equivocation no longer counts
-/// toward a checkpoint quorum at any serial. The rig's governor expels
-/// governor 1 on evidence; an offer resting on governor 1's signature is
-/// then under quorum (two of the three it needs), and one signed by three
-/// others is adopted.
+/// toward a checkpoint quorum from the conviction's round on — the round
+/// it signed for, 1, plus the two-round lead. The rig's governor expels
+/// governor 1 on evidence; an offer at serial 6 resting on governor 1's
+/// signature is then under quorum (two of the three it needs), and one
+/// signed by three others is adopted. Below the conviction's round, at
+/// serial 3, governor 1's signature still counts.
 #[test]
 fn an_expelled_signature_never_completes_a_cert_quorum() {
     use prb_consensus::evidence::{EquivocationEvidence, SignedHeader};
@@ -550,6 +552,24 @@ fn an_expelled_signature_never_completes_a_cert_quorum() {
     let gov = rig.governor();
     assert_eq!(gov.metrics().checkpoints_adopted, 1);
     assert_eq!(gov.chain().height(), 6);
+
+    let mut rig = CertRig::new();
+    let first = SignedHeader::create(1, 1, 1, sha256(b"twin-a"), &rig.keys[1]);
+    let second = SignedHeader::create(1, 1, 1, sha256(b"twin-b"), &rig.keys[1]);
+    let evidence = Box::new(EquivocationEvidence::new(first, second));
+    rig.net.send_external(
+        0,
+        "evidence",
+        ProtocolMsg::Evidence { evidence },
+        SimTime(5),
+    );
+    rig.net.run_until_idle(10_000);
+    assert_eq!(rig.governor().expelled(), &[1]);
+    rig.offer(rig.cert(3, &[0, 1, 2]), 10);
+    let gov = rig.governor();
+    assert_eq!(gov.metrics().checkpoints_rejected, 0);
+    assert_eq!(gov.metrics().checkpoints_adopted, 1);
+    assert_eq!(gov.chain().height(), 3);
 }
 
 #[test]

@@ -1,16 +1,23 @@
-//! Atomic persistence of the membership-certificate log (E17).
+//! Atomic persistence of the member log (E17): the membership certs and
+//! the equivocation proofs.
 //!
 //! A governor's membership epochs must survive restart: the log of
-//! quorum-certified join/leave/evict transitions is what lets a
-//! recovered node re-derive the committee as it stood at any chain
-//! serial and re-verify old checkpoint certs against the right quorum
-//! size. The log is written like [`crate::certfile`]'s cert: checksummed,
-//! atomically replaced. A torn or tampered file reads as an
-//! empty log — safe, because certs are re-fetchable from peers and the
-//! chain. A governor re-audits every cert it reopens.
+//! quorum-certified join/leave/evict transitions, and the proofs that
+//! convicted a governor of equivocation, are what let a recovered node
+//! re-derive its [`prb_consensus::membership::EpochLog`] — who counted
+//! at any round — and re-verify old certs by the one counting rule. Both
+//! check out under the committee's keys alone; a conviction for an
+//! invalid block does not, and is not kept. The proofs follow the certs
+//! as an optional trailer, so a log without any is byte for byte what it
+//! was before they were kept. The log is written like
+//! [`crate::certfile`]'s cert: checksummed, atomically replaced. A torn
+//! or tampered file reads as an empty log — safe, because certs are
+//! re-fetchable from peers and the chain. A governor re-audits every cert
+//! and re-verifies every proof it reopens.
 
 use std::path::Path;
 
+use prb_consensus::evidence::{EquivocationEvidence, SignedHeader};
 use prb_consensus::membership::{MemberRole, MembershipAction, MembershipCert, MembershipRequest};
 use prb_ledger::codec::{self, DecodeError, Reader};
 
@@ -61,54 +68,101 @@ fn decode_one(r: &mut Reader<'_>) -> Result<MembershipCert, DecodeError> {
     })
 }
 
-/// Canonical encoding of the full log (no trailing checksum).
-pub fn encode_log(out: &mut Vec<u8>, certs: &[MembershipCert]) {
+fn encode_header(out: &mut Vec<u8>, h: &SignedHeader) {
+    out.extend_from_slice(&h.proposer.to_be_bytes());
+    out.extend_from_slice(&h.round.to_be_bytes());
+    out.extend_from_slice(&h.serial.to_be_bytes());
+    out.extend_from_slice(h.block_hash.as_bytes());
+    codec::encode_sig(out, &h.sig);
+}
+
+fn decode_header(r: &mut Reader<'_>) -> Result<SignedHeader, DecodeError> {
+    Ok(SignedHeader {
+        proposer: r.u32()?,
+        round: r.u64()?,
+        serial: r.u64()?,
+        block_hash: r.digest()?,
+        sig: codec::decode_sig(r)?,
+    })
+}
+
+/// Canonical encoding of the full log (no trailing checksum): the certs,
+/// then the equivocation proofs, if any, as a trailer.
+pub fn encode_log(out: &mut Vec<u8>, certs: &[MembershipCert], proofs: &[EquivocationEvidence]) {
     out.extend_from_slice(&(certs.len() as u32).to_be_bytes());
     for c in certs {
         encode_one(out, c);
     }
+    if proofs.is_empty() {
+        return;
+    }
+    out.extend_from_slice(&(proofs.len() as u32).to_be_bytes());
+    for e in proofs {
+        encode_header(out, &e.first);
+        encode_header(out, &e.second);
+    }
 }
 
-/// Decodes a log encoded with [`encode_log`].
+/// Decodes a log encoded with [`encode_log`], up to the end of `r`.
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] on truncation or malformed fields.
-pub fn decode_log(r: &mut Reader<'_>) -> Result<Vec<MembershipCert>, DecodeError> {
-    let n = r.u32()? as usize;
-    if n > r.remaining() / 27 {
+/// Returns a [`DecodeError`] on truncation, malformed fields or trailing
+/// bytes.
+pub fn decode_log(r: &mut Reader<'_>) -> Result<MemberLog, DecodeError> {
+    let counted = |r: &mut Reader<'_>, least: usize| {
+        let n = r.u32()? as usize;
+        if n > r.remaining() / least {
+            return Err(DecodeError::BadLength);
+        }
+        Ok(n)
+    };
+    let n = counted(r, 27)?;
+    let certs = (0..n).map(|_| decode_one(r)).collect::<Result<_, _>>()?;
+    let mut proofs = Vec::new();
+    if r.remaining() > 0 {
+        let n = counted(r, 112)?;
+        proofs = (0..n)
+            .map(|_| {
+                Ok(EquivocationEvidence::new(
+                    decode_header(r)?,
+                    decode_header(r)?,
+                ))
+            })
+            .collect::<Result<_, _>>()?;
+    }
+    if r.remaining() > 0 {
         return Err(DecodeError::BadLength);
     }
-    let mut certs = Vec::with_capacity(n);
-    for _ in 0..n {
-        certs.push(decode_one(r)?);
-    }
-    Ok(certs)
+    Ok((certs, proofs))
 }
 
-/// Atomically persists the full membership log to `dir/membership.log`.
+/// A member log: the membership certs, oldest first, and one equivocation
+/// proof per convicted governor.
+pub type MemberLog = (Vec<MembershipCert>, Vec<EquivocationEvidence>);
+
+/// Atomically persists the full member log to `dir/membership.log`.
 ///
 /// # Errors
 ///
 /// Returns a [`StoreError`] on any I/O failure.
-pub fn save(dir: &Path, certs: &[MembershipCert]) -> Result<(), StoreError> {
+pub fn save(
+    dir: &Path,
+    certs: &[MembershipCert],
+    proofs: &[EquivocationEvidence],
+) -> Result<(), StoreError> {
     let mut bytes = Vec::new();
-    encode_log(&mut bytes, certs);
+    encode_log(&mut bytes, certs, proofs);
     write_checked(dir, MEMBER_FILE, bytes)
 }
 
-/// Loads the persisted membership log, if a valid one exists. Any torn,
+/// Loads the persisted member log, if a valid one exists. Any torn,
 /// truncated or tampered file is reported as an empty log — never an
 /// error and never a panic.
-pub fn load(dir: &Path) -> Vec<MembershipCert> {
-    let Some(body) = read_checked(dir, MEMBER_FILE) else {
-        return Vec::new();
-    };
-    let mut r = Reader::new(&body);
-    match decode_log(&mut r) {
-        Ok(certs) if r.remaining() == 0 => certs,
-        _ => Vec::new(),
-    }
+pub fn load(dir: &Path) -> MemberLog {
+    read_checked(dir, MEMBER_FILE)
+        .and_then(|body| decode_log(&mut Reader::new(&body)).ok())
+        .unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -153,43 +207,52 @@ mod tests {
     fn roundtrips_through_disk() {
         let dir = tmpdir("roundtrip");
         let certs = sample();
-        save(&dir, &certs).unwrap();
-        assert_eq!(load(&dir), certs);
-        // Overwrite with a longer log: the rename is atomic, reload sees
-        // the new contents.
+        save(&dir, &certs, &[]).unwrap();
+        assert_eq!(load(&dir), (certs.clone(), Vec::new()));
+        // Overwrite with a longer log and two equivocation proofs: the
+        // rename is atomic, reload sees the new contents.
         let mut longer = certs.clone();
         longer.extend(certs.clone());
-        save(&dir, &longer).unwrap();
-        assert_eq!(load(&dir), longer);
+        let key = CryptoScheme::sim().keypair_from_seed(b"memberfile-g1");
+        let header = |round, block: &[u8]| {
+            let hash = prb_crypto::sha256::sha256(block);
+            SignedHeader::create(1, round, 3, hash, &key)
+        };
+        let proofs = vec![
+            EquivocationEvidence::new(header(4, b"a"), header(4, b"b")),
+            EquivocationEvidence::new(header(u64::MAX, b"c"), header(u64::MAX, b"d")),
+        ];
+        save(&dir, &longer, &proofs).unwrap();
+        assert_eq!(load(&dir), (longer, proofs));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn missing_torn_or_tampered_files_read_as_empty() {
         let dir = tmpdir("torn");
-        assert!(load(&dir).is_empty(), "missing file");
+        assert!(load(&dir).0.is_empty(), "missing file");
         let certs = sample();
-        save(&dir, &certs).unwrap();
+        save(&dir, &certs, &[]).unwrap();
         // Truncate: checksum fails.
         let raw = std::fs::read(dir.join(MEMBER_FILE)).unwrap();
         std::fs::write(dir.join(MEMBER_FILE), &raw[..raw.len() - 7]).unwrap();
-        assert!(load(&dir).is_empty(), "torn file");
+        assert!(load(&dir).0.is_empty(), "torn file");
         // Flip a byte: checksum fails.
         let mut flipped = raw.clone();
         flipped[4] ^= 0xff;
         std::fs::write(dir.join(MEMBER_FILE), &flipped).unwrap();
-        assert!(load(&dir).is_empty(), "tampered file");
+        assert!(load(&dir).0.is_empty(), "tampered file");
         // Restore: loads again.
         std::fs::write(dir.join(MEMBER_FILE), &raw).unwrap();
-        assert_eq!(load(&dir), certs);
+        assert_eq!(load(&dir).0, certs);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn empty_log_roundtrips() {
         let dir = tmpdir("empty");
-        save(&dir, &[]).unwrap();
-        assert!(load(&dir).is_empty());
+        save(&dir, &[], &[]).unwrap();
+        assert_eq!(load(&dir), (Vec::new(), Vec::new()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

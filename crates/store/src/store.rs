@@ -31,6 +31,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use prb_consensus::checkpoint::CheckpointCert;
+use prb_consensus::evidence::EquivocationEvidence;
 use prb_consensus::membership::MembershipCert;
 use prb_crypto::fxhash::{fx_map, FxMap};
 use prb_crypto::sha256::Digest;
@@ -578,21 +579,25 @@ impl BlockStore {
         Ok(())
     }
 
-    /// Persists the full membership-certificate log (atomic: temp file +
-    /// rename + fsync), so committee epochs survive restart.
+    /// Persists the full member log, certs and equivocation proofs (atomic:
+    /// temp file + rename + fsync), so committee epochs survive restart.
     ///
     /// # Errors
     ///
     /// I/O errors only.
-    pub fn save_members(&mut self, certs: &[MembershipCert]) -> Result<(), StoreError> {
-        crate::memberfile::save(&self.dir, certs)?;
+    pub fn save_members(
+        &mut self,
+        certs: &[MembershipCert],
+        proofs: &[EquivocationEvidence],
+    ) -> Result<(), StoreError> {
+        crate::memberfile::save(&self.dir, certs, proofs)?;
         self.stats.fsyncs += 2;
         self.obs.metrics().inc("store.members_saved");
         Ok(())
     }
 
-    /// Loads the persisted membership log (empty when absent or torn).
-    pub fn load_members(&self) -> Vec<MembershipCert> {
+    /// Loads the persisted member log (empty when absent or torn).
+    pub fn load_members(&self) -> crate::memberfile::MemberLog {
         crate::memberfile::load(&self.dir)
     }
 

@@ -82,7 +82,7 @@ fn encode_log_is_pinned() {
         },
     ];
     let mut out = Vec::new();
-    memberfile::encode_log(&mut out, &log);
+    memberfile::encode_log(&mut out, &log, &[]);
     assert_eq!(
         pinned(&out),
         (
