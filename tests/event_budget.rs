@@ -16,13 +16,28 @@
 //! labels until the collection phase closes; the open-loop one did not
 //! move.
 //!
+//! Each test also pins every message kind's sent count and declared
+//! bytes, the figures §4.1's message complexity and the benchmark's
+//! `net.*` layer are read from.
+//!
 //! Its own file, like `tests/hash_budget.rs`, so nothing else runs in the
 //! process.
 
 use prb::core::config::{ProtocolConfig, RevealPolicy};
 use prb::core::scale::ScaleSim;
 use prb::core::sim::Simulation;
+use prb::net::stats::MessageStats;
 use prb::workload::ScaleWorkload;
+
+/// `(kind, sent, bytes sent)` for every message kind, in kind order: the
+/// labels and declared sizes that §4.1's complexity counts and the
+/// benchmark's `net.*` layer are read from.
+fn sent_and_bytes_per_kind(stats: &MessageStats) -> Vec<(&'static str, u64, u64)> {
+    stats
+        .iter()
+        .map(|(kind, k)| (kind, k.sent, k.bytes_sent))
+        .collect()
+}
 
 #[test]
 fn events_timers_and_messages_per_committed_tx_are_unchanged() {
@@ -65,6 +80,7 @@ fn events_timers_and_messages_per_committed_tx_are_unchanged() {
     // committed transaction here; before batching (PR 26), 2 × 4 uploads
     // and 4 timers per transaction made it 14.20, 4 and 10.20.
     assert_eq!(counts, EXPECTED);
+    assert_eq!(sent_and_bytes_per_kind(stats), EXPECTED_KINDS);
     assert_eq!(stats.total_dropped(), 0);
     assert_eq!(
         sim.events_processed(),
@@ -78,6 +94,19 @@ fn events_timers_and_messages_per_committed_tx_are_unchanged() {
 /// `(1_464, 20_790, 5_856, 14_934, 11_712)`, one upload and one timer per
 /// copy.
 const EXPECTED: (u64, u64, u64, u64, u64) = (1_464, 3_577, 99, 3_478, 256);
+
+/// `(kind, sent, bytes sent)` for the run above. Driver commands
+/// (`propose-block`, `start-round`, and `tx-broadcast`, which the open
+/// loop injects from outside) declare no bytes.
+const EXPECTED_KINDS: &[(&str, u64, u64)] = &[
+    ("block-proposal", 21, 426_504),
+    ("election-claim", 84, 8_064),
+    ("header-echo", 63, 4_536),
+    ("propose-block", 28, 0),
+    ("start-round", 98, 0),
+    ("tx-broadcast", 2_928, 0),
+    ("tx-upload", 256, 1_401_728),
+];
 
 #[test]
 fn closed_loop_event_sequence_is_unchanged() {
@@ -120,6 +149,7 @@ fn closed_loop_event_sequence_is_unchanged() {
         stats.kind("tx-upload").delivered,
     );
     assert_eq!(counts, EXPECTED_CLOSED);
+    assert_eq!(sent_and_bytes_per_kind(stats), EXPECTED_CLOSED_KINDS);
 }
 
 /// `(committed entries, messages sent, timers fired, messages delivered,
@@ -140,3 +170,23 @@ fn closed_loop_event_sequence_is_unchanged() {
 /// round. That moved every election outcome, and with the leaders the
 /// screening draws: 32 entries revealed, 86 committed, and 12 more sends.
 const EXPECTED_CLOSED: (u64, u64, u64, u64, u64, u64, u64) = (86, 1_000, 429, 1_000, 48, 32, 64);
+
+/// `(kind, sent, bytes sent)` for the closed-loop run above. Reliable
+/// delivery is on: every `tx-broadcast`, `tx-upload`, `election-claim`,
+/// `block-proposal` and `header-echo` travels in the retry envelope and
+/// declares 8 bytes more, and each delivered copy is acked (8 bytes).
+/// Driver commands declare no bytes.
+const EXPECTED_CLOSED_KINDS: &[(&str, u64, u64)] = &[
+    ("ack", 400, 3_200),
+    ("block-notify", 48, 0),
+    ("block-proposal", 18, 29_088),
+    ("election-claim", 72, 7_488),
+    ("end-collect", 24, 0),
+    ("header-echo", 54, 4_320),
+    ("propose-block", 24, 0),
+    ("reveal", 32, 0),
+    ("start-collect", 32, 0),
+    ("start-round", 40, 0),
+    ("tx-broadcast", 192, 24_000),
+    ("tx-upload", 64, 96_064),
+];
