@@ -23,14 +23,14 @@ use prb_crypto::identity::NodeId;
 use prb_crypto::signer::{CryptoScheme, KeyPair, PublicKey, Sig};
 use prb_ledger::oracle::ValidityOracle;
 use prb_ledger::transaction::{Label, SignedTx, TxPayload, UploadBatch};
-use prb_net::message::{Envelope, NodeIdx, TimerId};
+use prb_net::message::{Envelope, NodeIdx};
 use prb_net::order::{ChannelId, OrderedInbox};
-use prb_net::retry::{ReliableSender, RetryConfig};
 use prb_net::sim::Context;
 use prb_obs::{EventKind as ObsEvent, Obs, ObsHandle};
 
 use crate::behavior::CollectorProfile;
 use crate::msg::ProtocolMsg;
+use crate::node::Outbox;
 
 /// Collector actor state.
 #[derive(Debug)]
@@ -73,8 +73,8 @@ pub struct CollectorNode {
     obs: ObsHandle,
     /// This collector's kernel node index (set with the obs handle).
     net_idx: u64,
-    /// Ack-based retransmission for tx uploads (None = fire-and-forget).
-    retry: Option<ReliableSender<ProtocolMsg>>,
+    /// Where uploads leave.
+    pub(crate) outbox: Outbox,
     /// Committee standing under dynamic membership (E17): an inactive
     /// collector ignores provider traffic and uploads nothing until a
     /// certified rejoin reactivates it.
@@ -117,7 +117,7 @@ impl CollectorNode {
             forged: 0,
             obs: Obs::off(),
             net_idx: 0,
-            retry: None,
+            outbox: Outbox::default(),
             active: true,
         }
     }
@@ -138,31 +138,19 @@ impl CollectorNode {
             return 0;
         }
         self.mempool.clear();
-        let CollectorNode {
-            retry,
-            governor_nets,
-            ..
-        } = self;
-        match retry {
-            Some(r) => governor_nets.iter().map(|&g| r.purge_peer(g)).sum(),
-            None => 0,
-        }
+        let outbox = &mut self.outbox;
+        self.governor_nets
+            .iter()
+            .map(|&g| outbox.purge_peer(g))
+            .sum()
     }
 
     /// Installs an observability hub and this node's kernel index
     /// (defaults to [`Obs::off`]); adversarial actions then emit
     /// `col.adversary` events.
     pub fn set_obs(&mut self, obs: ObsHandle, net_idx: u64) {
-        self.obs = obs.clone();
+        self.obs = obs;
         self.net_idx = net_idx;
-        if let Some(r) = &mut self.retry {
-            r.set_obs(obs);
-        }
-    }
-
-    /// Enables reliable delivery for tx-upload sends.
-    pub fn set_reliable(&mut self, cfg: RetryConfig) {
-        self.retry = Some(ReliableSender::new(cfg));
     }
 
     /// Installs the interned signing-identity pool for scale workloads:
@@ -186,24 +174,7 @@ impl CollectorNode {
     /// Retransmission-queue accounting: `(in_flight, high_water, dropped)`.
     /// All zeros with reliable delivery off.
     pub fn retry_queue_stats(&self) -> (usize, usize, u64) {
-        match &self.retry {
-            Some(r) => (r.in_flight(), r.high_water(), r.stats().dropped),
-            None => (0, 0, 0),
-        }
-    }
-
-    /// Routes an ack for a tracked send.
-    pub fn on_ack(&mut self, token: u64) {
-        if let Some(r) = &mut self.retry {
-            r.on_ack(token);
-        }
-    }
-
-    /// Handles a timer fire (only retransmission timers reach collectors).
-    pub fn on_timer(&mut self, timer: TimerId, ctx: &mut Context<'_, ProtocolMsg>) {
-        if let Some(r) = &mut self.retry {
-            r.on_timer(timer, ctx);
-        }
+        self.outbox.queue_stats()
     }
 
     /// The collector's index.
@@ -365,38 +336,10 @@ impl CollectorNode {
         // `labeled` keeps its buffer for the next dispatch.
         let entries: Vec<_> = self.labeled.drain(..).collect();
         let batch = UploadBatch::create(NodeId::collector(self.index), seq, entries, &self.key);
-        let size = batch.wire_size();
-        let CollectorNode {
-            retry,
-            governor_nets,
-            ..
-        } = self;
-        // Fan-out without a wasted clone: the last governor takes the
-        // original by move.
-        let mut batch = Some(batch);
-        let last = governor_nets.len().saturating_sub(1);
-        for (i, &g) in governor_nets.iter().enumerate() {
-            let payload = if i == last {
-                batch.take().expect("one payload per fan-out slot")
-            } else {
-                batch.as_ref().expect("moved only on the last slot").clone()
-            };
-            let msg = ProtocolMsg::TxUpload {
-                seq,
-                batch: payload,
-            };
-            match retry {
-                Some(r) => {
-                    r.send_with(ctx, g, "tx-upload", size + 8, |token| {
-                        ProtocolMsg::Reliable {
-                            token,
-                            inner: Box::new(msg),
-                        }
-                    });
-                }
-                None => ctx.send_sized(g, "tx-upload", size, msg),
-            }
-        }
+        let governors = self.governor_nets.iter().copied();
+        self.outbox.fan_out(ctx, governors, batch, |g, batch| {
+            (g, ProtocolMsg::TxUpload { seq, batch })
+        });
     }
 
     /// Fabricates a transaction "from" a linked provider with a forged

@@ -148,8 +148,8 @@ pub struct ProtocolConfig {
     /// screening timer; under sustained overload it would otherwise grow
     /// without bound. Exceeding it sheds the oldest pending transaction.
     pub pending_capacity: usize,
-    /// Capacity of each node's [`prb_net::retry::ReliableSender`]
-    /// in-flight queue. Exceeding it drops the oldest tracked send
+    /// Capacity of each node's retry queue (in its
+    /// [`crate::node::Outbox`]). Exceeding it drops the oldest tracked send
     /// (`net.retry.dropped`) — the retransmission guarantee degrades
     /// before memory does.
     pub retry_capacity: usize,
@@ -191,12 +191,6 @@ pub struct ProtocolConfig {
     /// `0.5^(1/halflife)` (floored at the reputation `weight_floor`).
     /// `0` (default) disables silence decay.
     pub decay_halflife: u64,
-    /// Seed for the deterministic fast hasher behind every hot-path map
-    /// ([`prb_crypto::fxhash`]). Any value yields byte-identical ledgers —
-    /// the `hash_seed_never_changes_the_ledger` regression proves map
-    /// iteration order never reaches consensus. `0` means the library
-    /// default seed.
-    pub hash_seed: u64,
     /// Master seed; every run with the same config is bit-identical.
     pub seed: u64,
     /// Workload/driver seed override. `None` (the default) derives the
@@ -248,7 +242,6 @@ impl Default for ProtocolConfig {
             decay_halflife: 0,
             store_dir: None,
             store_segment_bytes: 1 << 20,
-            hash_seed: 0,
             seed: 42,
             driver_seed: None,
         }
@@ -382,16 +375,6 @@ impl ProtocolConfig {
             profile.validate();
         }
         Ok(())
-    }
-
-    /// The effective fast-hash seed: `hash_seed`, or the library default
-    /// when left at 0.
-    pub fn resolved_hash_seed(&self) -> u64 {
-        if self.hash_seed == 0 {
-            prb_crypto::fxhash::DEFAULT_SEED
-        } else {
-            self.hash_seed
-        }
     }
 
     /// Whether any churn machinery is active: rate-driven joins/leaves
@@ -571,17 +554,6 @@ mod tests {
             ..Default::default()
         };
         cfg.validate().unwrap();
-    }
-
-    #[test]
-    fn hash_seed_zero_resolves_to_library_default() {
-        let cfg = ProtocolConfig::default();
-        assert_eq!(cfg.resolved_hash_seed(), prb_crypto::fxhash::DEFAULT_SEED);
-        let cfg = ProtocolConfig {
-            hash_seed: 7,
-            ..Default::default()
-        };
-        assert_eq!(cfg.resolved_hash_seed(), 7);
     }
 
     #[test]

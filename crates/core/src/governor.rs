@@ -42,7 +42,6 @@ use prb_consensus::membership::{CommitteeView, MemberRole, MembershipRequest, Tr
 use prb_consensus::quorum::CertError;
 use prb_consensus::stake::{StakeTable, StakeTransfer};
 use prb_consensus::verify_pool::VerifyPool;
-use prb_crypto::fxhash::{fx_map_seeded, FxMap, FxSet};
 use prb_crypto::identity::NodeId;
 use prb_crypto::sha256::Digest;
 use prb_crypto::signer::{KeyPair, PublicKey, Sig};
@@ -53,10 +52,10 @@ use prb_ledger::transaction::{Label, SignedTx, TxId, TxPayload, UploadBatch};
 use prb_net::health::PeerHealth;
 use prb_net::message::{Envelope, NodeIdx, TimerId};
 use prb_net::order::{ChannelId, OrderedInbox};
-use prb_net::retry::{ReliableSender, RetryConfig};
 use prb_net::sim::Context;
 use prb_net::time::{SimDuration, SimTime};
 use prb_net::topology::Topology;
+use prb_obs::fxhash::{fx_map, FxMap, FxSet};
 use prb_obs::{phases, EventKind as ObsEvent, Obs, ObsHandle, Span};
 use prb_reputation::screening::{screen, Report};
 use prb_reputation::update::{RevealedBehaviour, RevealedReport};
@@ -68,6 +67,7 @@ use crate::config::{GovernorMode, ProtocolConfig};
 use crate::forkchoice::{malformed, Adoption, Arrival, Electorate, ForkChoice, Paged};
 use crate::metrics::GovernorMetrics;
 use crate::msg::ProtocolMsg;
+use crate::node::Outbox;
 use crate::sync::{serve, Recovery, Step};
 use crate::txtable::{sig_key, Outcome, QueuedSig, TxSlot, TxTable, Upload, Window, NO_WINDOW};
 
@@ -119,8 +119,8 @@ pub struct GovernorNode {
     election_span: Option<Span>,
     proposal_span: Option<Span>,
     commit_span: Option<Span>,
-    /// Ack-based retransmission for block dissemination (None = off).
-    retry: Option<ReliableSender<ProtocolMsg>>,
+    /// Where every message to a peer or a requester leaves.
+    pub(crate) outbox: Outbox,
     /// Anti-entropy sync: which peer to ask, rotation and its timers.
     recovery: Recovery,
     /// This governor's (mis)behaviour profile — honest by default,
@@ -188,14 +188,6 @@ impl GovernorNode {
         for c in 0..n {
             health.watch(c, SimTime(0));
         }
-        // Per-governor hash seed: the configured run seed, decorrelated
-        // per node so no two governors share bucket layouts. Iteration
-        // order of these maps must never reach consensus state — the
-        // `hash_seed_never_changes_the_ledger` regression test holds the
-        // line.
-        let hs = cfg
-            .resolved_hash_seed()
-            .wrapping_add((index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         GovernorNode {
             index,
             key,
@@ -214,8 +206,8 @@ impl GovernorNode {
             pk_pool: Vec::new(),
             stake_table,
             inbox: OrderedInbox::new(),
-            txs: TxTable::new(hs),
-            unchecked_counter: fx_map_seeded(hs),
+            txs: TxTable::new(),
+            unchecked_counter: fx_map(),
             ready_entries: Vec::new(),
             argued_entries: Vec::new(),
             round: 0,
@@ -228,7 +220,7 @@ impl GovernorNode {
             election_span: None,
             proposal_span: None,
             commit_span: None,
-            retry: None,
+            outbox: Outbox::default(),
             profile,
             seen_headers: HashMap::new(),
             echoed: HashSet::new(),
@@ -243,15 +235,7 @@ impl GovernorNode {
     /// governor then emits `gov.*` events and election / proposal /
     /// screening / commit / reveal / argue / recovery phase spans.
     pub fn set_obs(&mut self, obs: ObsHandle) {
-        if let Some(r) = &mut self.retry {
-            r.set_obs(obs.clone());
-        }
         self.obs = obs;
-    }
-
-    /// Enables reliable delivery for block dissemination.
-    pub fn set_reliable(&mut self, cfg: RetryConfig) {
-        self.retry = Some(ReliableSender::new(cfg));
     }
 
     /// Installs the scale-mode signer pool: provider indices beyond
@@ -355,7 +339,7 @@ impl GovernorNode {
             self.metrics.checkpoint_shares_sent += 1;
             self.obs.add_counter("checkpoint.shares_sent", 1);
             let msg = ProtocolMsg::CheckpointShare(Box::new(share));
-            self.broadcast_governors(ctx, "checkpoint-share", 112, msg);
+            self.broadcast(ctx, msg);
             self.checkpoint_step(step);
         }
     }
@@ -451,7 +435,7 @@ impl GovernorNode {
         if let Some(share) = share {
             self.obs.add_counter("member.share_signed", 1);
             let msg = ProtocolMsg::MemberShare(Box::new(share));
-            self.broadcast_governors(ctx, "member-share", 112, msg);
+            self.broadcast(ctx, msg);
         }
         self.member_step(formed);
     }
@@ -500,8 +484,8 @@ impl GovernorNode {
             }
             Transition::Joined(MemberRole::Governor, _) | Transition::Unchanged => None,
         };
-        if let (Some(peer), Some(r)) = (peer, &mut self.retry) {
-            r.purge_peer(peer);
+        if let Some(peer) = peer {
+            self.outbox.purge_peer(peer);
         }
         self.metrics.member_applied += 1;
         self.obs.add_counter("member.applied", 1);
@@ -597,22 +581,17 @@ impl GovernorNode {
             .iter()
             .map(|w| w.to_bits())
             .collect();
-        let size = 16 + 8 * scores.len();
-        self.broadcast_governors(
-            ctx,
-            "rep-gossip",
-            size,
-            ProtocolMsg::RepGossip {
-                reporter: self.index,
-                scores,
-            },
-        );
+        let gossip = ProtocolMsg::RepGossip {
+            reporter: self.index,
+            scores,
+        };
+        self.broadcast(ctx, gossip);
         for member in candidates {
             let req = self.committee.propose_eviction(member, round + LEAD);
             self.metrics.evictions_proposed += 1;
             self.obs.add_counter("member.evict_proposed", 1);
             let msg = ProtocolMsg::Membership(Box::new(req.clone()));
-            self.broadcast_governors(ctx, "membership", 64, msg);
+            self.broadcast(ctx, msg);
             self.on_membership(req, ctx);
         }
     }
@@ -639,20 +618,10 @@ impl GovernorNode {
         self.txs.window_stats()
     }
 
-    /// `(in-flight now, high-water, dropped)` for the block-dissemination
-    /// retry queue (zeros when reliable delivery is off).
+    /// `(in-flight now, high-water, dropped)` for the retry queue of
+    /// governor-to-governor sends (zeros when reliable delivery is off).
     pub fn retry_queue_stats(&self) -> (usize, usize, u64) {
-        match &self.retry {
-            Some(r) => (r.in_flight(), r.high_water(), r.stats().dropped),
-            None => (0, 0, 0),
-        }
-    }
-
-    /// Routes an ack for a tracked send.
-    pub fn on_ack(&mut self, token: u64) {
-        if let Some(r) = &mut self.retry {
-            r.on_ack(token);
-        }
+        self.outbox.queue_stats()
     }
 
     /// Whether the governor is mid-recovery (diagnostics).
@@ -714,64 +683,14 @@ impl GovernorNode {
         self.txs.open_windows()
     }
 
-    /// Broadcasts `msg` to every peer governor — through the retry
-    /// envelope when reliable delivery is on. Election claims and block
-    /// proposals are both critical hops: a lost claim makes the round's
-    /// election run under-informed (risking a head fork), and a lost
-    /// proposal forks the peer until it syncs.
-    fn broadcast_governors(
-        &mut self,
-        ctx: &mut Context<'_, ProtocolMsg>,
-        kind: &'static str,
-        size: usize,
-        msg: ProtocolMsg,
-    ) {
-        // Move the original into the last real send instead of cloning
-        // for every peer and dropping the original — one clone saved per
-        // broadcast, which at scale is one per election claim / proposal.
-        let m = self.cfg.governors as usize;
-        let last = (0..m)
-            .rev()
-            .find(|g| self.governor_base + g != ctx.self_idx());
-        let mut msg = Some(msg);
-        for g in 0..m {
-            if self.governor_base + g == ctx.self_idx() {
-                continue;
-            }
-            let payload = if Some(g) == last {
-                msg.take().expect("taken only on the last peer")
-            } else {
-                msg.as_ref().expect("present until the last peer").clone()
-            };
-            self.send_governor(ctx, g, kind, size, payload);
-        }
-    }
-
-    /// Sends `msg` to governor `g` alone (no-op for this node itself) —
-    /// through the retry envelope when reliable delivery is on. The
-    /// equivocating byzantine path needs per-peer sends: it feeds each
-    /// committee half a different block.
-    fn send_governor(
-        &mut self,
-        ctx: &mut Context<'_, ProtocolMsg>,
-        g: usize,
-        kind: &'static str,
-        size: usize,
-        msg: ProtocolMsg,
-    ) {
-        let peer = self.governor_base + g;
-        if peer == ctx.self_idx() {
-            return;
-        }
-        match &mut self.retry {
-            Some(r) => {
-                r.send_with(ctx, peer, kind, size + 8, |token| ProtocolMsg::Reliable {
-                    token,
-                    inner: Box::new(msg),
-                });
-            }
-            None => ctx.send_sized(peer, kind, size, msg),
-        }
+    /// Sends `msg` to every peer governor, in index order. Every
+    /// governor-to-governor send is a critical hop: a lost claim makes the
+    /// round's election run under-informed (risking a head fork), and a
+    /// lost proposal forks the peer until it syncs.
+    fn broadcast(&mut self, ctx: &mut Context<'_, ProtocolMsg>, msg: ProtocolMsg) {
+        let (base, me) = (self.governor_base, ctx.self_idx());
+        let peers = (base..base + self.cfg.governors as usize).filter(|&p| p != me);
+        self.outbox.fan_out(ctx, peers, msg, |to, msg| (to, msg));
     }
 
     /// Handles a delivered message.
@@ -852,13 +771,9 @@ impl GovernorNode {
         self.flush_checkpoint_shares(ctx);
     }
 
-    /// Handles a timer: retransmission, sync rotation, or Δ aggregation.
+    /// Handles a timer: sync rotation or Δ aggregation (retransmission
+    /// timers are the outbox's).
     pub fn on_timer(&mut self, timer: TimerId, ctx: &mut Context<'_, ProtocolMsg>) {
-        if let Some(r) = &mut self.retry {
-            if r.on_timer(timer, ctx) {
-                return;
-            }
-        }
         if let Some(step) = self.recovery.on_timer(timer, self.chain.height()) {
             return self.sync_step(step, ctx);
         }
@@ -941,12 +856,7 @@ impl GovernorNode {
         self.fork.my_claim = claim.clone();
         if let Some(claim) = claim {
             self.claims.push(claim.clone());
-            self.broadcast_governors(
-                ctx,
-                "election-claim",
-                96,
-                ProtocolMsg::Election { round, claim },
-            );
+            self.broadcast(ctx, ProtocolMsg::Election { round, claim });
         }
     }
 
@@ -1389,7 +1299,6 @@ impl GovernorNode {
         self.adopt(block.clone(), Adoption::Own { informed }, None, now);
         self.metrics.rounds_led += 1;
         let claim = self.fork.my_claim.clone().map(Box::new);
-        let size = 64 + 96 * block.tx_count() + claim.as_ref().map_or(0, |_| 96) + 72;
         let header = SignedHeader::create(self.index, round, serial, block.hash(), &self.key);
         let proposal = |block: &Block, header: &SignedHeader| ProtocolMsg::BlockProposal {
             block: block.clone(),
@@ -1420,10 +1329,10 @@ impl GovernorNode {
                 } else {
                     proposal(&twin, &twin_header)
                 };
-                self.send_governor(ctx, g as usize, "block-proposal", size, msg);
+                self.outbox.send(ctx, self.governor_base + g as usize, msg);
             }
         } else {
-            self.broadcast_governors(ctx, "block-proposal", size, proposal(&block, &header));
+            self.broadcast(ctx, proposal(&block, &header));
         }
     }
 
@@ -1611,14 +1520,10 @@ impl GovernorNode {
             .echoed
             .insert((header.proposer, header.serial, header.block_hash))
         {
-            self.broadcast_governors(
-                ctx,
-                "header-echo",
-                72,
-                ProtocolMsg::HeaderEcho {
-                    header: Box::new(header.clone()),
-                },
-            );
+            let echo = ProtocolMsg::HeaderEcho {
+                header: Box::new(header.clone()),
+            };
+            self.broadcast(ctx, echo);
         }
         match first {
             None => {
@@ -1639,14 +1544,8 @@ impl GovernorNode {
                     self.obs.metrics().inc("byzantine.equivocations_detected");
                     self.obs.metrics().inc("byzantine.evidence_broadcast");
                 }
-                self.broadcast_governors(
-                    ctx,
-                    "evidence",
-                    160,
-                    ProtocolMsg::Evidence {
-                        evidence: Box::new(evidence),
-                    },
-                );
+                let evidence = Box::new(evidence);
+                self.broadcast(ctx, ProtocolMsg::Evidence { evidence });
                 self.obs.emit(
                     now,
                     self.net_idx(),
@@ -1841,7 +1740,8 @@ impl GovernorNode {
             Step::Idle => {}
             Step::Ask(peer) => {
                 let (to, have) = (self.governor_base + peer as usize, self.chain.height());
-                ctx.send_sized(to, "sync-request", 16, ProtocolMsg::SyncRequest { have });
+                self.outbox
+                    .send_plain(ctx, to, ProtocolMsg::SyncRequest { have });
                 // Deadline for the page: a request/response round trip plus
                 // slack. No response (crashed peer, lost message) rotates.
                 let timer = ctx.set_timer(SimDuration(4 * self.cfg.max_delay + 4));
@@ -1877,8 +1777,8 @@ impl GovernorNode {
         ctx: &mut Context<'_, ProtocolMsg>,
     ) {
         let cert = self.certifier.latest();
-        let (msg, size) = serve(&self.chain, cert, have, self.cfg.sync_page);
-        ctx.send_sized(requester, "sync-response", size, msg);
+        let page = serve(&self.chain, cert, have, self.cfg.sync_page);
+        self.outbox.send_plain(ctx, requester, page);
         self.metrics.sync_served += 1;
         if self.obs.is_enabled() {
             self.obs.metrics().inc("sync.served");

@@ -6,6 +6,12 @@
 //! arrive with `from == EXTERNAL` and are never counted toward the
 //! complexity experiments' protocol-message kinds.
 //!
+//! A message names its own kind label ([`ProtocolMsg::kind`], one per
+//! variant) and declared wire size ([`ProtocolMsg::wire_size`]), the two
+//! figures §4.1's message complexity (E6) and the benchmark's `net.*`
+//! layer count; no send site writes either. The sizes are declared, not
+//! measured from an encoding.
+//!
 //! Every queued event of the kernel carries one of these by value, so the
 //! enum is kept small: the transaction-carrying variants (`TxBroadcast`,
 //! one per provider transaction, and `TxUpload`, one per collector batch)
@@ -205,4 +211,74 @@ pub enum ProtocolMsg {
         /// Its ground-truth validity.
         valid: bool,
     },
+}
+
+impl ProtocolMsg {
+    /// The kind label the kernel counts this message under. A
+    /// [`ProtocolMsg::Reliable`] envelope counts as the message it carries.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            ProtocolMsg::StartCollect { .. } => "start-collect",
+            ProtocolMsg::StartRound { .. } => "start-round",
+            ProtocolMsg::EndCollect { .. } => "end-collect",
+            ProtocolMsg::TxBroadcast { .. } => "tx-broadcast",
+            ProtocolMsg::TxUpload { .. } => "tx-upload",
+            ProtocolMsg::Election { .. } => "election-claim",
+            ProtocolMsg::ProposeBlock { .. } => "propose-block",
+            ProtocolMsg::BlockProposal { .. } => "block-proposal",
+            ProtocolMsg::HeaderEcho { .. } => "header-echo",
+            ProtocolMsg::Evidence { .. } => "evidence",
+            ProtocolMsg::BlockNotify { .. } => "block-notify",
+            ProtocolMsg::Argue { .. } => "argue",
+            ProtocolMsg::StakeTransfer(_) => "stake-transfer",
+            ProtocolMsg::SyncRequest { .. } => "sync-request",
+            ProtocolMsg::SyncResponse { .. } => "sync-response",
+            ProtocolMsg::CheckpointShare(_) => "checkpoint-share",
+            ProtocolMsg::Membership(_) => "membership",
+            ProtocolMsg::MemberShare(_) => "member-share",
+            ProtocolMsg::RepGossip { .. } => "rep-gossip",
+            ProtocolMsg::Reliable { inner, .. } => inner.kind(),
+            ProtocolMsg::Ack { .. } => "ack",
+            ProtocolMsg::Reveal { .. } => "reveal",
+        }
+    }
+
+    /// The declared size in bytes of this message between two nodes. The
+    /// driver's commands arrive from outside the deployment and declare
+    /// none; a [`ProtocolMsg::Reliable`] envelope adds its 8-byte token to
+    /// the message it carries.
+    pub fn wire_size(&self) -> usize {
+        match self {
+            ProtocolMsg::TxBroadcast { tx, .. } => tx.wire_size(),
+            ProtocolMsg::TxUpload { batch, .. } => batch.wire_size(),
+            ProtocolMsg::Election { .. } => 96,
+            // Header fields, one proof per transaction, the proposer's
+            // claim, and its signed header.
+            ProtocolMsg::BlockProposal { block, claim, .. } => {
+                64 + 96 * block.tx_count() + claim.as_ref().map_or(0, |_| 96) + 72
+            }
+            ProtocolMsg::HeaderEcho { .. } => 72,
+            ProtocolMsg::Evidence { .. } => 160,
+            ProtocolMsg::Argue { .. } => 40,
+            ProtocolMsg::SyncRequest { .. } => 16,
+            ProtocolMsg::SyncResponse { blocks, cert, .. } => {
+                80 + 96 * blocks.iter().map(Block::tx_count).sum::<usize>()
+                    + cert
+                        .as_ref()
+                        .map_or(0, |c| 104 + 16 * c.state.stakes.len() + 96 * c.sigs.len())
+            }
+            ProtocolMsg::CheckpointShare(_) | ProtocolMsg::MemberShare(_) => 112,
+            ProtocolMsg::Membership(_) => 64,
+            ProtocolMsg::RepGossip { scores, .. } => 16 + 8 * scores.len(),
+            ProtocolMsg::Reliable { inner, .. } => inner.wire_size() + 8,
+            ProtocolMsg::Ack { .. } => 8,
+            ProtocolMsg::StartCollect { .. }
+            | ProtocolMsg::StartRound { .. }
+            | ProtocolMsg::EndCollect { .. }
+            | ProtocolMsg::ProposeBlock { .. }
+            | ProtocolMsg::BlockNotify { .. }
+            | ProtocolMsg::StakeTransfer(_)
+            | ProtocolMsg::Reveal { .. } => 0,
+        }
+    }
 }

@@ -15,13 +15,13 @@ use prb_crypto::signer::KeyPair;
 use prb_ledger::block::Verdict;
 use prb_ledger::oracle::ValidityOracle;
 use prb_ledger::transaction::{SignedTx, TxId, TxPayload};
-use prb_net::message::{Envelope, NodeIdx, TimerId};
-use prb_net::retry::{ReliableSender, RetryConfig};
+use prb_net::message::{Envelope, NodeIdx};
 use prb_net::sim::Context;
 use prb_obs::{EventKind, Obs, ObsHandle};
 
 use crate::behavior::ProviderProfile;
 use crate::msg::ProtocolMsg;
+use crate::node::Outbox;
 
 /// Provider actor state.
 #[derive(Debug)]
@@ -47,8 +47,8 @@ pub struct ProviderNode {
     argued: HashSet<TxId>,
     created: u64,
     argues_sent: u64,
-    /// Ack-based retransmission for tx submissions (None = fire-and-forget).
-    retry: Option<ReliableSender<ProtocolMsg>>,
+    /// Where broadcasts and argues leave.
+    pub(crate) outbox: Outbox,
     /// Net indices of linked collectors currently departed (dynamic
     /// membership, E17): fan-out skips them and no retries chase them.
     dead_collectors: HashSet<NodeIdx>,
@@ -79,7 +79,7 @@ impl ProviderNode {
             argued: HashSet::new(),
             created: 0,
             argues_sent: 0,
-            retry: None,
+            outbox: Outbox::default(),
             dead_collectors: HashSet::new(),
             obs: Obs::off(),
         }
@@ -94,39 +94,14 @@ impl ProviderNode {
             0
         } else {
             self.dead_collectors.insert(peer);
-            match &mut self.retry {
-                Some(r) => r.purge_peer(peer),
-                None => 0,
-            }
+            self.outbox.purge_peer(peer)
         }
     }
 
-    /// Enables reliable delivery for tx-broadcast sends.
-    pub fn set_reliable(&mut self, cfg: RetryConfig) {
-        self.retry = Some(ReliableSender::new(cfg));
-    }
-
-    /// Installs an observability hub (threaded into the retry sender;
-    /// also the source of `tx.submitted` lifecycle events).
+    /// Installs an observability hub (the source of `tx.submitted`
+    /// lifecycle events).
     pub fn set_obs(&mut self, obs: ObsHandle) {
-        if let Some(r) = &mut self.retry {
-            r.set_obs(Rc::clone(&obs));
-        }
         self.obs = obs;
-    }
-
-    /// Routes an ack for a tracked send.
-    pub fn on_ack(&mut self, token: u64) {
-        if let Some(r) = &mut self.retry {
-            r.on_ack(token);
-        }
-    }
-
-    /// Handles a timer fire (only retransmission timers reach providers).
-    pub fn on_timer(&mut self, timer: TimerId, ctx: &mut Context<'_, ProtocolMsg>) {
-        if let Some(r) = &mut self.retry {
-            r.on_timer(timer, ctx);
-        }
     }
 
     /// The provider's index.
@@ -173,49 +148,22 @@ impl ProviderNode {
                             provider: self.index as u64,
                         },
                     );
-                    let size = tx.wire_size();
                     let ProviderNode {
-                        retry,
+                        outbox,
                         collector_nets,
                         dead_collectors,
                         seqs,
                         ..
                     } = self;
-                    // Fan-out without the wasted clone: the last live
-                    // collector takes the original transaction by move (r
-                    // clones become r−1 on the per-tx broadcast fast
-                    // path). Departed collectors are skipped entirely.
-                    let Some(last) = collector_nets
-                        .iter()
-                        .rposition(|c| !dead_collectors.contains(c))
-                    else {
-                        continue; // every linked collector departed
-                    };
-                    let mut tx = Some(tx);
-                    for (i, &c) in collector_nets.iter().enumerate() {
-                        if dead_collectors.contains(&c) {
-                            continue;
-                        }
+                    // Departed collectors are skipped entirely; each link
+                    // keeps its own sequence.
+                    let live = (collector_nets.iter().enumerate())
+                        .filter(|(_, c)| !dead_collectors.contains(c));
+                    outbox.fan_out(ctx, live, tx, |(i, &c), tx| {
                         let seq = seqs[i];
                         seqs[i] += 1;
-                        let payload = if i == last {
-                            tx.take().expect("one payload per fan-out slot")
-                        } else {
-                            tx.as_ref().expect("moved only on the last slot").clone()
-                        };
-                        let msg = ProtocolMsg::TxBroadcast { seq, tx: payload };
-                        match retry {
-                            Some(r) => {
-                                r.send_with(ctx, c, "tx-broadcast", size + 8, |token| {
-                                    ProtocolMsg::Reliable {
-                                        token,
-                                        inner: Box::new(msg),
-                                    }
-                                });
-                            }
-                            None => ctx.send_sized(c, "tx-broadcast", size, msg),
-                        }
-                    }
+                        (c, ProtocolMsg::TxBroadcast { seq, tx })
+                    });
                 }
             }
             ProtocolMsg::BlockNotify { serial, verdicts } => {
@@ -232,7 +180,8 @@ impl ProviderNode {
                     if truth && self.argued.insert(tx) {
                         self.argues_sent += 1;
                         for &g in &self.governor_nets {
-                            ctx.send_sized(g, "argue", 40, ProtocolMsg::Argue { tx, serial });
+                            let argue = ProtocolMsg::Argue { tx, serial };
+                            self.outbox.send_plain(ctx, g, argue);
                         }
                     }
                 }

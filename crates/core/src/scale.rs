@@ -273,13 +273,11 @@ impl Simulation {
             } else {
                 tx.as_ref().expect("moved only on the last slot").clone()
             };
-            let to = self.collector_net_index(c);
-            self.net.send_external(
-                to,
-                "tx-broadcast",
+            let (to, msg) = (
+                self.collector_net_index(c),
                 ProtocolMsg::TxBroadcast { seq, tx: payload },
-                SimTime(at),
             );
+            self.net.send_external(to, msg.kind(), msg, SimTime(at));
         }
     }
 }

@@ -42,7 +42,7 @@ use crate::config::{ProtocolConfig, RevealPolicy, TopologyKind};
 use crate::governor::GovernorNode;
 use crate::metrics::GovernorMetrics;
 use crate::msg::ProtocolMsg;
-use crate::node::NodeActor;
+use crate::node::{NodeActor, Outbox};
 use crate::provider::ProviderNode;
 use crate::scale::Arrival;
 use crate::workload::{UniformWorkload, Workload};
@@ -422,11 +422,7 @@ impl Simulation {
             let retry_cfg = RetryConfig::for_delta(SimDuration(cfg.max_delay))
                 .with_max_pending(cfg.retry_capacity);
             for idx in 0..net.node_count() {
-                match net.node_mut(idx) {
-                    NodeActor::Provider(p) => p.set_reliable(retry_cfg),
-                    NodeActor::Collector(c) => c.set_reliable(retry_cfg),
-                    NodeActor::Governor(g) => g.set_reliable(retry_cfg),
-                }
+                *net.node_mut(idx).outbox_mut() = Outbox::reliable(retry_cfg);
             }
         }
 
@@ -543,7 +539,9 @@ impl Simulation {
         obs.set_roles(roles);
         self.net.set_obs(Rc::clone(&obs));
         for idx in 0..self.net.node_count() {
-            match self.net.node_mut(idx) {
+            let node = self.net.node_mut(idx);
+            node.outbox_mut().set_obs(Rc::clone(&obs));
+            match node {
                 NodeActor::Provider(p) => p.set_obs(Rc::clone(&obs)),
                 NodeActor::Collector(c) => c.set_obs(Rc::clone(&obs), idx as u64),
                 NodeActor::Governor(g) => g.set_obs(Rc::clone(&obs)),
@@ -748,10 +746,10 @@ impl Simulation {
     }
 
     /// Sends `msg` from outside the deployment to every governor at `at`.
-    fn send_governors(&mut self, label: &'static str, msg: &ProtocolMsg, at: SimTime) {
+    fn send_governors(&mut self, msg: &ProtocolMsg, at: SimTime) {
         for g in 0..self.cfg.governors {
             self.net
-                .send_external(self.layout.governor(g), label, msg.clone(), at);
+                .send_external(self.layout.governor(g), msg.kind(), msg.clone(), at);
         }
     }
 
@@ -777,7 +775,7 @@ impl Simulation {
         self.stake_nonces[from as usize] += 1;
         let transfer = StakeTransfer::create(from, to, amount, nonce, key);
         let at = SimTime(self.next_start);
-        self.send_governors("stake-transfer", &ProtocolMsg::StakeTransfer(transfer), at);
+        self.send_governors(&ProtocolMsg::StakeTransfer(transfer), at);
         Ok(())
     }
 
@@ -814,7 +812,7 @@ impl Simulation {
             self.churn_inflight.insert(member);
         }
         let at = SimTime(self.next_start);
-        self.send_governors("membership", &ProtocolMsg::Membership(Box::new(req)), at);
+        self.send_governors(&ProtocolMsg::Membership(Box::new(req)), at);
         Ok(())
     }
 
@@ -929,7 +927,7 @@ impl Simulation {
             };
             self.churn_inflight.insert(c);
             let req = self.membership_request(MemberRole::Collector, c, action);
-            self.send_governors("membership", &ProtocolMsg::Membership(Box::new(req)), at);
+            self.send_governors(&ProtocolMsg::Membership(Box::new(req)), at);
         }
     }
 
@@ -1001,15 +999,12 @@ impl Simulation {
             }
         }
         let start = ProtocolMsg::StartRound { round };
-        self.send_governors("start-round", &start, SimTime(t0));
+        self.send_governors(&start, SimTime(t0));
         if !drain {
             for c in 0..self.cfg.collectors {
-                self.net.send_external(
-                    self.layout.collector(c),
-                    "start-round",
-                    start.clone(),
-                    SimTime(t0),
-                );
+                let to = self.layout.collector(c);
+                self.net
+                    .send_external(to, start.kind(), start.clone(), SimTime(t0));
             }
         }
         // Only a closed-loop round under load draws new rate-driven
@@ -1027,12 +1022,9 @@ impl Simulation {
                 let txs = (0..txs_this_round)
                     .map(|_| workload.next_tx(p, round, &mut self.driver_rng))
                     .collect();
-                self.net.send_external(
-                    p as NodeIdx,
-                    "start-collect",
-                    ProtocolMsg::StartCollect { round, txs },
-                    SimTime(t0),
-                );
+                let msg = ProtocolMsg::StartCollect { round, txs };
+                self.net
+                    .send_external(p as NodeIdx, msg.kind(), msg, SimTime(t0));
             }
         }
         // Collection phase close: closed-loop collectors upload what they
@@ -1042,23 +1034,16 @@ impl Simulation {
         let collect_close = t0 + self.cfg.collect_close(txs_this_round);
         if !open {
             for c in 0..self.cfg.collectors {
-                self.net.send_external(
-                    self.layout.collector(c),
-                    "end-collect",
-                    ProtocolMsg::EndCollect { round },
-                    SimTime(collect_close),
-                );
+                let (to, msg) = (self.layout.collector(c), ProtocolMsg::EndCollect { round });
+                self.net
+                    .send_external(to, msg.kind(), msg, SimTime(collect_close));
             }
         }
         // Processing phase close: the leader packs the block, once the
         // uploads have crossed Δ and their Δ windows have closed.
         let propose_at =
             collect_close + 3 * self.cfg.max_delay + self.cfg.aggregation_window() + 10;
-        self.send_governors(
-            "propose-block",
-            &ProtocolMsg::ProposeBlock { round },
-            SimTime(propose_at),
-        );
+        self.send_governors(&ProtocolMsg::ProposeBlock { round }, SimTime(propose_at));
         self.net.run_until(SimTime(t0 + round_ticks));
 
         // Post-round bookkeeping from governor 0's chain. Even drain and
@@ -1130,15 +1115,12 @@ impl Simulation {
         }
         let notify_at = SimTime(self.next_start);
         for (p, verdicts) in own.into_iter().enumerate() {
-            self.net.send_external(
-                p as NodeIdx,
-                "block-notify",
-                ProtocolMsg::BlockNotify {
-                    serial: block.serial,
-                    verdicts,
-                },
-                notify_at,
-            );
+            let msg = ProtocolMsg::BlockNotify {
+                serial: block.serial,
+                verdicts,
+            };
+            self.net
+                .send_external(p as NodeIdx, msg.kind(), msg, notify_at);
         }
         self.schedule_reveals(&verdicts);
     }
@@ -1161,7 +1143,7 @@ impl Simulation {
                 continue;
             }
             let valid = self.oracle.borrow().peek(*tx).unwrap_or(false);
-            self.send_governors("reveal", &ProtocolMsg::Reveal { tx: *tx, valid }, at);
+            self.send_governors(&ProtocolMsg::Reveal { tx: *tx, valid }, at);
         }
     }
 

@@ -184,13 +184,13 @@ impl Recovery {
 /// node's head, and `cert` when the peer is behind it — adopting the cert
 /// lets the peer skip every page before it and fetch only the suffix. An
 /// empty page still answers: the head lets the requester finish, or re-aim,
-/// its recovery. Returns the response and its size on the wire.
+/// its recovery.
 pub(crate) fn serve(
     chain: &Chain,
     cert: Option<&CheckpointCert>,
     have: u64,
     page: usize,
-) -> (ProtocolMsg, usize) {
+) -> ProtocolMsg {
     let head = chain.height();
     let blocks: Vec<Block> = ((have + 1)..=head)
         .take(page)
@@ -199,12 +199,7 @@ pub(crate) fn serve(
     let cert = cert
         .filter(|c| c.state.serial > have)
         .map(|c| Box::new(c.clone()));
-    let size = 80
-        + 96 * blocks.iter().map(Block::tx_count).sum::<usize>()
-        + cert
-            .as_ref()
-            .map_or(0, |c| 104 + 16 * c.state.stakes.len() + 96 * c.sigs.len());
-    (ProtocolMsg::SyncResponse { blocks, head, cert }, size)
+    ProtocolMsg::SyncResponse { blocks, head, cert }
 }
 
 #[cfg(test)]
@@ -334,7 +329,7 @@ mod tests {
             },
             sigs: Vec::new(),
         };
-        let page = |have| match serve(&chain, Some(&cert), have, 2).0 {
+        let page = |have| match serve(&chain, Some(&cert), have, 2) {
             ProtocolMsg::SyncResponse { blocks, head, cert } => {
                 let serials: Vec<u64> = blocks.iter().map(|b| b.serial).collect();
                 (serials, head, cert.map(|c| c.state.serial))
@@ -345,9 +340,9 @@ mod tests {
         assert_eq!(page(3), (vec![4, 5], 5, Some(4)));
         assert_eq!(page(4), (vec![5], 5, None), "not behind the cert");
         assert_eq!(page(5), (vec![], 5, None), "an empty page still answers");
-        let (_, empty) = serve(&chain, None, 5, 2);
-        let (_, offered) = serve(&chain, Some(&cert), 0, 2);
-        assert_eq!(empty, 80);
+        // The declared sizes: the page header, and the cert's state.
+        assert_eq!(serve(&chain, None, 5, 2).wire_size(), 80);
+        let offered = serve(&chain, Some(&cert), 0, 2).wire_size();
         assert_eq!(offered, 80 + 104 + 16 * 4);
     }
 

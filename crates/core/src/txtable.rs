@@ -48,11 +48,11 @@
 use std::collections::{HashSet, VecDeque};
 use std::num::NonZeroU64;
 
-use prb_crypto::fxhash::{fx_map_seeded, FxMap};
 use prb_crypto::signer::{PublicKey, Sig};
 use prb_ledger::transaction::{Label, SignedTx, TxId};
 use prb_ledger::txindex::TxIndex;
 use prb_net::message::TimerId;
+use prb_obs::fxhash::{fx_map, FxMap};
 
 #[cfg(test)]
 mod reference;
@@ -98,10 +98,8 @@ struct SigMemo {
 }
 
 impl SigMemo {
-    fn new(hash_seed: u64) -> Self {
-        SigMemo {
-            verdicts: fx_map_seeded(hash_seed),
-        }
+    fn new() -> Self {
+        SigMemo { verdicts: fx_map() }
     }
 
     /// The memoized verdict on `provider`'s signature `sig` over `id`, if
@@ -349,7 +347,7 @@ fn live(slots: &[Option<TxSlot>], at: u32, seq: u64) -> bool {
 }
 
 impl TxTable {
-    pub(crate) fn new(hash_seed: u64) -> Self {
+    pub(crate) fn new() -> Self {
         TxTable {
             index: TxIndex::new(),
             slots: Vec::new(),
@@ -363,7 +361,7 @@ impl TxTable {
             queue: Vec::new(),
             epoch: 1,
             orphaned: false,
-            memo: SigMemo::new(hash_seed),
+            memo: SigMemo::new(),
         }
     }
 
@@ -1079,7 +1077,7 @@ pub(crate) mod tests {
     fn timers_come_back_in_the_order_set_and_unknown_ones_are_not_ours() {
         let ids = timers(4);
         let txs: Vec<SignedTx> = (0..4).map(tx).collect();
-        let mut table = TxTable::new(1);
+        let mut table = TxTable::new();
         // Four windows due on three ticks: the two due at 10 share a timer.
         for ((tx, due), timer) in txs.iter().zip([10, 10, 11, 12]).zip(&ids) {
             open(&mut table, tx, due, *timer);
@@ -1105,7 +1103,7 @@ pub(crate) mod tests {
     fn a_timer_lost_while_the_node_was_down_stays_queued_and_sheddable() {
         let ids = timers(3);
         let txs: Vec<SignedTx> = (0..3).map(tx).collect();
-        let mut table = TxTable::new(1);
+        let mut table = TxTable::new();
         for ((tx, due), timer) in txs.iter().zip([10, 11, 12]).zip(&ids) {
             open(&mut table, tx, due, *timer);
         }
@@ -1132,7 +1130,7 @@ pub(crate) mod tests {
         // everything due before it and gets that window — and only it.
         let ids = timers(2);
         let txs: Vec<SignedTx> = (0..2).map(tx).collect();
-        let mut table = TxTable::new(1);
+        let mut table = TxTable::new();
         open(&mut table, &txs[0], 10, ids[0]);
         open(&mut table, &txs[1], 20, ids[1]);
         assert_eq!(pop_due(&mut table, 14), Some(txs[0].id()));
@@ -1147,7 +1145,7 @@ pub(crate) mod tests {
     fn shedding_skips_windows_that_closed_and_keeps_its_place() {
         let ids = timers(4);
         let txs: Vec<SignedTx> = (0..4).map(tx).collect();
-        let mut table = TxTable::new(1);
+        let mut table = TxTable::new();
         for ((tx, due), timer) in txs.iter().zip(10..).zip(&ids) {
             open(&mut table, tx, due, *timer);
         }
@@ -1168,7 +1166,7 @@ pub(crate) mod tests {
     fn a_shed_window_falling_due_screens_the_reopened_one() {
         let ids = timers(2);
         let a = tx(0);
-        let mut table = TxTable::new(1);
+        let mut table = TxTable::new();
         open(&mut table, &a, 10, ids[0]);
         assert_eq!(table.shed_oldest(0), Some(a.id()));
         // The transaction comes back; its new window is due at 11, but
@@ -1189,7 +1187,7 @@ pub(crate) mod tests {
     #[test]
     fn reports_past_two_and_absentees_spill_and_settle_sorted() {
         let a = tx(0);
-        let mut table = TxTable::new(1);
+        let mut table = TxTable::new();
         for collector in [4, 1, 3] {
             upload_due(&mut table, &a, collector, 10);
         }
@@ -1218,7 +1216,7 @@ pub(crate) mod tests {
     fn dropping_windows_forgets_them_and_their_timers_but_keeps_screened_slots() {
         let ids = timers(3);
         let txs: Vec<SignedTx> = (0..3).map(tx).collect();
-        let mut table = TxTable::new(1);
+        let mut table = TxTable::new();
         for ((tx, due), timer) in txs.iter().zip([10, 11, 12]).zip(&ids) {
             open(&mut table, tx, due, *timer);
         }
@@ -1244,7 +1242,7 @@ pub(crate) mod tests {
     fn a_key_is_queued_once_per_batch_even_across_a_shed() {
         let ids = timers(2);
         let a = tx(0);
-        let mut table = TxTable::new(1);
+        let mut table = TxTable::new();
         open(&mut table, &a, 10, ids[0]);
         // Second reporter, same signature, same epoch: not queued again.
         assert_eq!(upload(&mut table, &a, 1), Upload::Joined);

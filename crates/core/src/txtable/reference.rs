@@ -7,10 +7,10 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashSet, VecDeque};
 
-use prb_crypto::fxhash::{fx_map_seeded, FxMap};
 use prb_crypto::signer::{PublicKey, Sig};
 use prb_ledger::transaction::{Label, SignedTx, TxId};
 use prb_net::message::TimerId;
+use prb_obs::fxhash::{fx_map, FxMap};
 
 use super::{pack_report, Outcome, Stage, TxSlot, Upload, NO_REPORT, SIG_MEMO_MAX};
 
@@ -23,9 +23,9 @@ pub(crate) struct Memo {
 }
 
 impl Memo {
-    pub(crate) fn new(hash_seed: u64) -> Self {
+    pub(crate) fn new() -> Self {
         Memo {
-            verdicts: fx_map_seeded(hash_seed),
+            verdicts: fx_map(),
             generation: 1,
         }
     }
@@ -91,9 +91,9 @@ pub(crate) struct TxTable {
 }
 
 impl TxTable {
-    pub(crate) fn new(hash_seed: u64) -> Self {
+    pub(crate) fn new() -> Self {
         TxTable {
-            slots: fx_map_seeded(hash_seed),
+            slots: fx_map(),
             windows: VecDeque::new(),
             first_seq: 0,
             timers: VecDeque::new(),
@@ -408,9 +408,9 @@ mod tests {
     impl Lockstep {
         fn new(pk: PublicKey, timer_ids: Vec<TimerId>) -> Self {
             Lockstep {
-                new: super::super::TxTable::new(7),
-                old: TxTable::new(7),
-                old_memo: Memo::new(7),
+                new: super::super::TxTable::new(),
+                old: TxTable::new(),
+                old_memo: Memo::new(),
                 pk,
                 timer_ids,
                 timers_set: 0,

@@ -24,7 +24,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use prb_crypto::fxhash::{fx_map, FxMap};
+use prb_obs::fxhash::{fx_map, FxMap};
 
 use crate::transaction::TxId;
 

@@ -1,21 +1,29 @@
-//! Private deterministic hasher for the per-transaction lifecycle map.
+//! The workspace's one deterministic, non-cryptographic hasher, for
+//! per-transaction hot paths: the governor's transaction table and
+//! signature memo, the chain's and the store's indexes, and this crate's
+//! lifecycle tracker.
 //!
-//! The lifecycle tracker is written to on every traced `tx.*` event — one
-//! map operation per transaction per stage — which made the default
-//! SipHash `HashMap` (and before it, `BTreeMap`'s pointer chasing) the
-//! hottest observability cost in the E15 open-loop profile. This is the
-//! same multiply-rotate Fx mix as `prb_crypto::fxhash`, duplicated here
-//! because this crate is deliberately std-only with zero dependencies
-//! (see the crate docs); keep the two in sync by hand.
+//! `std::collections::HashMap` defaults to SipHash-1-3 keyed by a random
+//! per-process seed. That buys DoS resistance the simulation does not need
+//! (every key is either an internal index or already a SHA-256 digest) and
+//! costs both determinism (iteration order varies across processes) and
+//! cycles (~1 ns/byte where an FxHash-style mix is ~0.2 ns/byte). This is
+//! the standard Firefox `FxHasher` mix — multiply-rotate over native words —
+//! from one fixed seed, so two runs of the same binary hash identically.
+//! It lives here because this crate has no dependencies and every crate
+//! that hashes already depends on it, or may.
 //!
-//! The seed is fixed: observability output must not vary run-to-run, and
-//! nothing in this crate reads protocol configuration. Anything
-//! order-sensitive that iterates the map (e.g. `open_traces`) sorts
-//! explicitly rather than leaning on bucket order.
+//! This is **not** a cryptographic hash and must never feed signatures,
+//! ids, or any value that crosses the wire; it only places keys in
+//! buckets. Anything order-sensitive that iterates a map sorts explicitly
+//! rather than leaning on bucket order.
 
 use std::hash::{BuildHasher, Hasher};
 
+/// 64-bit golden-ratio multiplier used by the Fx mix.
 const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// The seed every hasher starts from.
 const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 
 #[inline]
@@ -26,7 +34,8 @@ fn scramble(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Word-at-a-time multiply-rotate hasher started from the fixed seed.
+/// Word-at-a-time multiply-rotate hasher (the rustc / Firefox "FxHash"),
+/// started from the fixed seed.
 #[derive(Clone, Copy, Debug)]
 pub struct FxHasher {
     state: u64,
@@ -58,18 +67,35 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
     fn write_u64(&mut self, i: u64) {
         self.add(i);
     }
 
     #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
     fn finish(&self) -> u64 {
+        // Final avalanche: the raw Fx state keeps low-entropy high bits for
+        // short inputs, which HashMap's bucket masking would expose.
         scramble(self.state)
     }
 }
 
 /// Fixed-seed [`BuildHasher`]; `Default` is the only constructor on
-/// purpose — every map in this crate hashes identically in every run.
+/// purpose — every map hashes identically in every run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FxSeed;
 
@@ -79,17 +105,61 @@ impl BuildHasher for FxSeed {
     #[inline]
     fn build_hasher(&self) -> FxHasher {
         FxHasher {
+            // splitmix64-style scramble: the raw Fx mix is weak on a
+            // low-entropy start.
             state: scramble(SEED),
         }
     }
 }
 
-/// A `HashMap` using the fixed-seed deterministic hasher.
+/// A `HashMap` using the deterministic hasher.
 pub type FxMap<K, V> = std::collections::HashMap<K, V, FxSeed>;
+
+/// A `HashSet` using the deterministic hasher.
+pub type FxSet<K> = std::collections::HashSet<K, FxSeed>;
+
+/// An empty [`FxMap`].
+pub fn fx_map<K, V>() -> FxMap<K, V> {
+    FxMap::with_hasher(FxSeed)
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
+
+    fn hash_of<T: Hash>(v: &T) -> u64 {
+        FxSeed.hash_one(v)
+    }
+
+    #[test]
+    fn deterministic_across_hashers() {
+        let key = (7u32, [0xabu8; 32], 99u64);
+        assert_eq!(hash_of(&key), hash_of(&key));
+    }
+
+    #[test]
+    fn tail_bytes_are_significant() {
+        // 9-byte inputs differing only in the last byte must differ.
+        let a = [0u8; 9];
+        let mut b = [0u8; 9];
+        b[8] = 1;
+        assert_ne!(hash_of(&a.as_slice()), hash_of(&b.as_slice()));
+    }
+
+    #[test]
+    fn map_iteration_order_is_run_stable() {
+        // Two maps built identically iterate identically — the property
+        // SipHash's random keying denies.
+        let build = || {
+            let mut m = fx_map();
+            for i in 0..1000u64 {
+                m.insert(i.wrapping_mul(0x2545_f491_4f6c_dd1d), i);
+            }
+            m.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
+        };
+        assert_eq!(build(), build());
+    }
 
     #[test]
     fn lifecycle_map_is_run_stable() {
@@ -103,5 +173,19 @@ mod tests {
             m.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
         };
         assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn distribution_smoke_low_bits_spread() {
+        // Sequential keys must not collide in the low bucket bits.
+        let mut buckets = [0u32; 64];
+        for i in 0..4096u64 {
+            buckets[(hash_of(&i) & 63) as usize] += 1;
+        }
+        let (min, max) = buckets
+            .iter()
+            .fold((u32::MAX, 0), |(lo, hi), &b| (lo.min(b), hi.max(b)));
+        assert!(min > 0, "empty bucket: degenerate distribution");
+        assert!(max < 4096 / 8, "bucket hot spot: {max} of 4096");
     }
 }

@@ -28,7 +28,7 @@
 #![forbid(unsafe_code)]
 
 mod event;
-mod fxhash;
+pub mod fxhash;
 pub mod json;
 pub mod lifecycle;
 mod metrics;
@@ -97,7 +97,7 @@ pub struct Obs {
     /// (event kind, msg kind or "") → occurrences.
     kind_counts: RefCell<BTreeMap<(&'static str, &'static str), u64>>,
     /// trace id → first-seen stage times; feeds the `lat.*` histograms.
-    /// A seeded-Fx map, not `BTreeMap`: this is written once per traced
+    /// An Fx map, not `BTreeMap`: this is written once per traced
     /// transaction per stage, and nothing reads it in bucket order
     /// ([`Obs::open_traces`] sorts its output explicitly).
     lifecycle: RefCell<FxMap<u64, TxTimes>>,

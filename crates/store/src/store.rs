@@ -33,11 +33,11 @@ use std::path::{Path, PathBuf};
 use prb_consensus::checkpoint::CheckpointCert;
 use prb_consensus::evidence::EquivocationEvidence;
 use prb_consensus::membership::MembershipCert;
-use prb_crypto::fxhash::{fx_map, FxMap};
 use prb_crypto::sha256::Digest;
 use prb_ledger::block::Block;
 use prb_ledger::chain::{Chain, ChainError};
 use prb_ledger::codec::{self, Reader};
+use prb_obs::fxhash::{fx_map, FxMap};
 use prb_obs::ObsHandle;
 
 use crate::certfile;

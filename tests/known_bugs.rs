@@ -214,6 +214,60 @@ fn honest_expulsion_and_duplicate_records_under_crashes() {
     assert_eq!(seeds(|o| o.1), [38, 39, 42, 84, 86], "duplicate records");
 }
 
+/// ROADMAP item 20(b), a restart over a store: a run with collector churn
+/// and a durable store (4 governors, `join_rate = leave_rate = 0.2`, 12
+/// rounds) leaves membership certs in the member log; a reopened run
+/// (`Simulation::new`, driver seed `seed + 1000`) runs 2 rounds, submits
+/// governor 3's Leave through `submit_membership` and runs 5 more. A seed
+/// fails when some governor's `committee().has_left(3)` differs from
+/// "this round is at or past the Leave's effective round" after any of
+/// those rounds. Without the restart no seed of 1–8 fails. With it, every
+/// governor reports the Leave in effect from the round its cert forms in,
+/// one round early: the reopened view's round is the last replayed
+/// effective round, ahead of the restarted rounds.
+#[test]
+fn a_leave_after_a_restart_takes_effect_early() {
+    use prb::consensus::membership::{MemberRole, MembershipAction, LEAD};
+
+    let early = failing(1..=8, |seed| {
+        let dir = std::env::temp_dir().join(format!(
+            "prb-known-bugs-restart-{}-{seed}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ProtocolConfig {
+            join_rate: 0.2,
+            leave_rate: 0.2,
+            store_dir: Some(dir.clone()),
+            seed,
+            ..Default::default()
+        };
+        let mut sim = Simulation::new(cfg.clone()).unwrap();
+        sim.run(12);
+        assert!(!sim.governor(0).committee().certs().is_empty());
+        drop(sim);
+        let mut sim = Simulation::new(ProtocolConfig {
+            driver_seed: Some(seed + 1000),
+            ..cfg
+        })
+        .unwrap();
+        sim.run(2);
+        let effective = sim.rounds_run() + LEAD;
+        sim.submit_membership(MemberRole::Governor, 3, MembershipAction::Leave)
+            .unwrap();
+        let mut wrong = false;
+        for _ in 0..5 {
+            sim.run_round();
+            let due = sim.rounds_run() >= effective;
+            wrong |= (0..4).any(|g| sim.governor(g).committee().has_left(3) != due);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        wrong
+    });
+    // 7aa75b5: every seed.
+    assert_eq!(early, [1, 2, 3, 4, 5, 6, 7, 8]);
+}
+
 #[test]
 fn unreproduced_entries_name_the_commit_that_last_showed_them() {
     for (id, what, commit) in UNREPRODUCED {
